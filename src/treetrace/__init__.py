@@ -80,6 +80,7 @@ from .young import (
     GaugeBracketError,
     NonMonotoneModularError,
     PhiDiagnostics,
+    YoungModular,
     YoungPhi,
     luxemburg_gauge,
     phi_diagnostics,

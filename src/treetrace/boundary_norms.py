@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .young import YoungPhi, luxemburg_gauge, phi_eval
+from .young import YoungModular, YoungPhi, luxemburg_gauge
 
 __all__ = [
     "BoundaryFunction",
@@ -172,14 +172,14 @@ def lp_norm(f: BoundaryFunction, p: float) -> float:
     return float(np.mean(np.abs(f.values) ** p) ** (1.0 / p))
 
 
+def _gauge(rho: YoungModular, tol: float) -> float:
+    """Luxemburg gauge of the amplitudes of rho as given (by homogeneity)."""
+    return rho.scale * luxemburg_gauge(rho, tol) if rho.scale > 0.0 else 0.0
+
+
 def orlicz_norm(f: BoundaryFunction, phi: YoungPhi, tol: float = 1e-10) -> float:
     """Gauge norm for the uniform leaf measure (total mass 1)."""
-    absv = np.abs(f.values)
-
-    def rho(k: float) -> float:
-        return float(np.mean(phi_eval(phi, absv / k)))
-
-    return luxemburg_gauge(rho, tol)
+    return _gauge(YoungModular(phi, [(np.abs(f.values), 1.0 / f.n_leaves)]), tol)
 
 
 def _level_diffs(f: BoundaryFunction) -> list[np.ndarray]:
@@ -202,6 +202,26 @@ def dyadic_energy(f: BoundaryFunction, params: EnergyParams) -> float:
     return total
 
 
+def _energy_modular(
+    f: BoundaryFunction, params: EnergyParams, phi: YoungPhi
+) -> YoungModular:
+    """Phi(|f_I - f_parent| * e^(eps*n)) per level n, with the level weight
+    e^(eps*n*(theta-1)*p) * n^lambda2 * K^(-n)."""
+    if abs(phi.p - params.p) > 1e-12:
+        raise ValueError("phi.p must match params.p")
+    eps, theta, p, lam2 = params.epsilon, params.theta, params.p, params.lambda2
+    return YoungModular(
+        phi,
+        [
+            (
+                np.abs(diff) * math.exp(eps * n),
+                math.exp(eps * n * (theta - 1.0) * p) * float(n) ** lam2 * float(f.K) ** -n,
+            )
+            for n, diff in enumerate(_level_diffs(f), start=1)
+        ],
+    )
+
+
 def dyadic_orlicz_modular(
     f: BoundaryFunction, params: EnergyParams, phi: YoungPhi
 ) -> float:
@@ -212,41 +232,15 @@ def dyadic_orlicz_modular(
     With lambda1 = 0 and lam = lambda2 this reduces to `dyadic_energy`
     because the e^(eps*n*p) pulled out of Phi cancels the (theta-1) shift.
     """
-    if abs(phi.p - params.p) > 1e-12:
-        raise ValueError("phi.p must match params.p")
-    eps, theta, p, lam2 = params.epsilon, params.theta, params.p, params.lambda2
-    total = 0.0
-    for n, diff in enumerate(_level_diffs(f), start=1):
-        vals = phi_eval(phi, np.abs(diff) * math.exp(eps * n))
-        s = float(f.K) ** -n * float(np.sum(vals))
-        total += math.exp(eps * n * (theta - 1.0) * p) * float(n) ** lam2 * s
-    return total
+    return _energy_modular(f, params, phi).value(1.0)
 
 
 def orlicz_besov_norm(
     f: BoundaryFunction, params: EnergyParams, phi: YoungPhi, tol: float = 1e-10
 ) -> float:
     """Gauge norm: Orlicz norm of f plus the gauge of the Orlicz energy of f/k."""
-    if abs(phi.p - params.p) > 1e-12:
-        raise ValueError("phi.p must match params.p")
-    eps, theta, p, lam2 = params.epsilon, params.theta, params.p, params.lambda2
-    diffs = _level_diffs(f)
-    weights = [
-        math.exp(eps * n * (theta - 1.0) * p) * float(n) ** lam2 * float(f.K) ** -n
-        for n in range(1, f.depth + 1)
-    ]
-    scaled = [np.abs(d) * math.exp(eps * n) for n, d in enumerate(diffs, start=1)]
-
-    def rho(k: float) -> float:
-        return sum(
-            w * float(np.sum(phi_eval(phi, s / k))) for w, s in zip(weights, scaled)
-        )
-
-    if all(np.all(s == 0.0) for s in scaled):
-        gauge = 0.0
-    else:
-        gauge = luxemburg_gauge(rho, tol)
-    return orlicz_norm(f, phi, tol) + gauge
+    energy = _gauge(_energy_modular(f, params, phi), tol)
+    return orlicz_norm(f, phi, tol) + energy
 
 
 @dataclass(frozen=True)

@@ -289,9 +289,17 @@ class RatioReport:
             per_depth=per_depth,
         )
 
+    def sampled_columns(self) -> list[str]:
+        """The ratio columns with at least one sample; the others were not run
+        (an optional column, say, skipped at every depth of the sweep)."""
+        return [c for c in self.ratio_columns if self.column(c)[1].size]
+
     @property
     def passed(self) -> bool:
-        for col in self.ratio_columns:
+        sampled = self.sampled_columns()
+        if not sampled:
+            return False
+        for col in sampled:
             st = self.stats(col)
             if not st.finite or st.minimum <= 0:
                 return False
@@ -301,7 +309,11 @@ class RatioReport:
 
     def summary_lines(self) -> list[str]:
         lines = [f"report {self.name}: {'PASS' if self.passed else 'FAIL'}"]
+        sampled = self.sampled_columns()
         for col in self.ratio_columns:
+            if col not in sampled:
+                lines.append(f"  {col}: not run (no samples)")
+                continue
             st = self.stats(col)
             lines.append(
                 f"  {col}: n={st.count} min={st.minimum:.6g} max={st.maximum:.6g}"

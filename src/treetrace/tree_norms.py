@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .tree import TreeParams, arclength, edge_length, edge_measure, _gauss_nodes
-from .young import YoungPhi, luxemburg_gauge, phi_eval
+from .young import YoungModular, YoungPhi, luxemburg_gauge
 
 __all__ = [
     "TreeFunction",
@@ -110,6 +110,45 @@ def upper_gradient_edges(F: TreeFunction, params: TreeParams) -> list[np.ndarray
     return [np.abs(s) for s in edge_slopes(F, params)]
 
 
+def _function_modular(
+    F: TreeFunction, params: TreeParams, phi: YoungPhi, lam: float | None
+) -> YoungModular:
+    """Phi(|F|) against the mass density, one (edges, nodes) block per level:
+    |F| at the Gauss-Legendre nodes of every edge, weighted by the
+    quadrature weight times the density at each node."""
+    if lam is None:
+        lam = params.lambda2
+    beta, c_shift = params.beta, params.C_const
+    gx, gw = _gauss_nodes(params.quad_order)
+    blocks = []
+    for n, slope in enumerate(edge_slopes(F, params)):
+        tau = n + 0.5 * (gx + 1.0)
+        a_off = arclength(params, tau) - arclength(params, n)
+        dens = 0.5 * gw * np.exp(-beta * tau) * (tau + c_shift) ** lam
+        vals = np.multiply.outer(slope, a_off)
+        vals += np.repeat(F.levels[n], F.K)[:, None]
+        blocks.append((np.abs(vals, out=vals), dens))
+    return YoungModular(phi, blocks)
+
+
+def _gradient_modular(
+    F: TreeFunction, params: TreeParams, phi: YoungPhi, lam: float | None
+) -> YoungModular:
+    """Phi(g) for the per-edge upper gradient g, weighted by the edge mass."""
+    return YoungModular(
+        phi,
+        [
+            (g, edge_measure(params, n, lam))
+            for n, g in enumerate(upper_gradient_edges(F, params))
+        ],
+    )
+
+
+def _gauge(rho: YoungModular, tol: float) -> float:
+    """Luxemburg gauge of the amplitudes of rho as given (by homogeneity)."""
+    return rho.scale * luxemburg_gauge(rho, tol) if rho.scale > 0.0 else 0.0
+
+
 def tree_lphi_modular(
     F: TreeFunction,
     params: TreeParams,
@@ -122,23 +161,7 @@ def tree_lphi_modular(
     F is interpolated linearly in arclength on each edge; each edge integral
     uses the tree's Gauss-Legendre order on the composite integrand.
     """
-    _check_shape(F, params)
-    if k <= 0:
-        raise ValueError("k must be positive")
-    if lam is None:
-        lam = params.lambda2
-    eps, beta, c_shift = params.epsilon, params.beta, params.C_const
-    gx, gw = _gauss_nodes(params.quad_order)
-    total = 0.0
-    for n in range(F.depth):
-        tau = n + 0.5 * (gx + 1.0)
-        a_off = arclength(params, tau) - arclength(params, n)
-        dens = 0.5 * gw * np.exp(-beta * tau) * (tau + c_shift) ** lam
-        parent = np.repeat(F.levels[n], F.K)
-        slope = (F.levels[n + 1] - parent) / edge_length(params, n)
-        vals = parent[:, None] + slope[:, None] * a_off[None, :]
-        total += float(np.sum(dens[None, :] * phi_eval(phi, np.abs(vals) / k)))
-    return total
+    return _function_modular(F, params, phi, lam).value(k)
 
 
 def gradient_lphi_modular(
@@ -153,15 +176,7 @@ def gradient_lphi_modular(
     g is constant on each edge, so this is the exact sum of
     Phi(g_edge / k) * edge mass over all edges.
     """
-    _check_shape(F, params)
-    if k <= 0:
-        raise ValueError("k must be positive")
-    grads = upper_gradient_edges(F, params)
-    total = 0.0
-    for n in range(F.depth):
-        mass = edge_measure(params, n, lam)
-        total += mass * float(np.sum(phi_eval(phi, grads[n] / k)))
-    return total
+    return _gradient_modular(F, params, phi, lam).value(k)
 
 
 def newtonian_norm(
@@ -172,28 +187,5 @@ def newtonian_norm(
     tol: float = 1e-10,
 ) -> float:
     """Gauge norm of F plus gauge norm of its minimal per-edge upper gradient."""
-    _check_shape(F, params)
-    if lam is None:
-        lam = params.lambda2
-
-    if all(np.all(lv == 0.0) for lv in F.levels):
-        fn_gauge = 0.0
-    else:
-        fn_gauge = luxemburg_gauge(
-            lambda k: tree_lphi_modular(F, params, phi, k, lam), tol
-        )
-
-    grads = upper_gradient_edges(F, params)
-    masses = [edge_measure(params, n, lam) for n in range(F.depth)]
-    if all(np.all(g == 0.0) for g in grads):
-        grad_gauge = 0.0
-    else:
-
-        def rho(k: float) -> float:
-            return sum(
-                m * float(np.sum(phi_eval(phi, g / k)))
-                for m, g in zip(masses, grads)
-            )
-
-        grad_gauge = luxemburg_gauge(rho, tol)
-    return fn_gauge + grad_gauge
+    fn_gauge = _gauge(_function_modular(F, params, phi, lam), tol)
+    return fn_gauge + _gauge(_gradient_modular(F, params, phi, lam), tol)

@@ -2,10 +2,13 @@
 
 Every norm in this package is either a plain power-mean or the gauge of a
 modular: a map k -> rho(k) that is non-increasing on (0, inf) and tends
-to 0 as k grows.  The gauge is inf{k > 0 : rho(k) <= 1}.  The solver here
-treats rho as a black box (no derivatives), brackets the crossing by
-geometric expansion from k = 1, and bisects.  It tracks all evaluations
-and raises if they ever contradict monotonicity.
+to 0 as k grows.  The gauge is inf{k > 0 : rho(k) <= 1}.  `YoungModular`
+builds the modulars sum w * Phi(a / k) once per function, with the
+amplitudes rescaled to a largest value of 1.  The solver treats rho as a
+black box (no derivatives): it finds the root of log rho(e^x) by secant
+extrapolation outward from k = 1 and then Illinois regula falsi on the
+bracket, which is exact after two samples for a pure power.  It tracks
+all evaluations and raises if they ever contradict monotonicity.
 """
 
 from __future__ import annotations
@@ -21,10 +24,16 @@ __all__ = [
     "PhiDiagnostics",
     "phi_eval",
     "phi_diagnostics",
+    "YoungModular",
     "luxemburg_gauge",
     "GaugeBracketError",
     "NonMonotoneModularError",
 ]
+
+_LOG2 = math.log(2.0)
+# bracketing steps in log k: at most a factor 2^16, and k within e^(+-700)
+_MAX_STEP = 16.0 * _LOG2
+_MAX_LOG = 700.0
 
 
 class GaugeBracketError(RuntimeError):
@@ -65,6 +74,57 @@ def phi_eval(phi: YoungPhi, t):
     if np.isscalar(t) or arr.ndim == 0:
         return float(out)
     return out
+
+
+class YoungModular:
+    """The modular k -> sum over blocks (a, w) of sum_ij w_j Phi(a_ij / k).
+
+    Each block is an array of nonnegative amplitudes a, read as rows of
+    len(w) entries, with the weights w (a scalar or a vector) applied
+    along each row.  Everything that does not depend on k is built once.
+    The amplitudes are stored divided by their largest value `scale`
+    (in place: the arrays passed in are taken over).  Calling the object
+    evaluates the modular of a / scale, whose gauge is of order 1 however
+    large or small a is; by homogeneity the gauge of a is `scale` times
+    that gauge, and `value(k)` is the modular of a itself.
+    """
+
+    def __init__(self, phi: YoungPhi, blocks) -> None:
+        self.phi = phi
+        self.blocks = []
+        for a, w in blocks:
+            w = np.atleast_1d(np.asarray(w, dtype=float))
+            self.blocks.append((np.asarray(a, dtype=float).reshape(-1, w.size), w))
+        self.scale = max((float(a.max()) for a, _ in self.blocks if a.size), default=0.0)
+        if self.scale > 0.0:
+            for a, _ in self.blocks:
+                a /= self.scale
+        size = max((a.size for a, _ in self.blocks), default=0)
+        self._t = np.empty(size)
+        self._s = np.empty(size if phi.lambda1 != 0.0 else 0)
+
+    def __call__(self, k: float) -> float:
+        p, lam = self.phi.p, self.phi.lambda1
+        total = 0.0
+        for a, w in self.blocks:
+            # Phi(a / k) = (a/k)^p * log(e + a/k)^lambda1, in the buffers
+            t = np.divide(a, k, out=self._t[: a.size].reshape(a.shape))
+            if lam != 0.0:
+                s = np.add(t, math.e, out=self._s[: a.size].reshape(a.shape))
+                np.log(s, out=s)
+                if lam != 1.0:
+                    s **= lam
+            t **= p
+            if lam != 0.0:
+                t *= s
+            total += float(np.sum(t @ w))
+        return total
+
+    def value(self, k: float) -> float:
+        """The modular of the amplitudes as given, at k."""
+        if k <= 0:
+            raise ValueError("k must be positive")
+        return self(k / self.scale) if self.scale > 0.0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -155,45 +215,76 @@ class _EvalLog:
         return v
 
 
+def _log(v: float) -> float:
+    """log v, with log 0 = -inf."""
+    return math.log(v) if v > 0.0 else -math.inf
+
+
 def luxemburg_gauge(rho, tol: float = 1e-10, max_doublings: int = 200) -> float:
     """inf{k > 0 : rho(k) <= 1} for a non-increasing modular rho.
 
+    Finds the root of g(x) = log rho(e^x), derivative-free.  From k = 1 it
+    steps outward, by the secant extrapolation through the last two
+    samples when they give one and by a factor 2 otherwise, until the
+    crossing is bracketed (at most `max_doublings` steps).  It then runs
+    Illinois regula falsi on the bracket, keeping every iterate at least
+    0.4 * tol (in log k) inside it so that both ends close, and bisects
+    in log k while an end value is 0 or inf.  For a pure power modular g
+    is linear, so the secant is exact after two samples.
+
     Returns 0 when rho never exceeds 1 (in particular for rho identically
     zero) and +inf when rho is infinite beyond the expansion range.  The
-    crossing is located by bisection to relative width `tol`; the returned
-    k satisfies rho(k) <= 1.
+    returned k satisfies rho(k) <= 1, and the final bracket [lo, k] has
+    k - lo <= tol * k.
     """
     ev = _EvalLog(rho)
-    v = ev(1.0)
-    if v <= 1.0:
-        hi = 1.0
-        lo = 1.0
-        for _ in range(max_doublings):
-            lo *= 0.5
-            if ev(lo) > 1.0:
-                break
-        else:
-            return 0.0
-    else:
-        lo = 1.0
-        hi = 1.0
-        for _ in range(max_doublings):
-            hi *= 2.0
-            v = ev(hi)
-            if v <= 1.0:
-                break
-        else:
-            if math.isinf(v):
-                return math.inf
-            raise GaugeBracketError(
-                f"modular still {v} > 1 after {max_doublings} doublings"
-            )
-    for _ in range(200):
-        if hi - lo <= tol * hi:
+    inner = 0.4 * tol
+    # bracketing: (xa, ga) and (xb, gb) are the last two samples, x = log k
+    xa, ga = math.nan, math.nan
+    xb, vb = 0.0, ev(1.0)
+    gb = _log(vb)
+    up = vb > 1.0
+    for _ in range(max_doublings):
+        step = _LOG2
+        if math.isfinite(ga) and math.isfinite(gb) and ga != gb:
+            slope = (gb - ga) / (xb - xa)
+            if slope < 0.0:
+                step = min(max(abs(gb / slope), inner), _MAX_STEP)
+        xa, ga = xb, gb
+        xb = min(max(xa + step if up else xa - step, -_MAX_LOG), _MAX_LOG)
+        vb = ev(math.exp(xb))
+        gb = _log(vb)
+        if (vb > 1.0) != up:
             break
-        mid = 0.5 * (lo + hi)
-        if ev(mid) <= 1.0:
-            hi = mid
+    else:
+        if not up:
+            return 0.0
+        if math.isinf(vb):
+            return math.inf
+        raise GaugeBracketError(
+            f"modular still {vb} > 1 after {max_doublings} doublings"
+        )
+    # Illinois regula falsi on g(lo) > 0 >= g(hi); gl and gh weight the
+    # secant, and the weight of an end kept twice in a row is halved
+    (xl, gl), (xh, gh) = ((xa, ga), (xb, gb)) if up else ((xb, gb), (xa, ga))
+    moved = ""
+    for _ in range(200):
+        if math.exp(xh) - math.exp(xl) <= tol * math.exp(xh):
+            break
+        if math.isfinite(gl) and math.isfinite(gh):
+            x = xl + (xh - xl) * gl / (gl - gh)
         else:
-            lo = mid
-    return hi
+            x = 0.5 * (xl + xh)
+        x = min(max(x, xl + inner), xh - inner)
+        v = ev(math.exp(x))
+        if v > 1.0:
+            xl, gl = x, _log(v)
+            if moved == "lo":
+                gh *= 0.5
+            moved = "lo"
+        else:
+            xh, gh = x, _log(v)
+            if moved == "hi":
+                gl *= 0.5
+            moved = "hi"
+    return math.exp(xh)

@@ -348,3 +348,15 @@ def test_boundary_function_validation():
         BoundaryFunction(2, 2, [1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
         BoundaryFunction(2, 2, [1.0, 2.0, 3.0, math.nan])
+
+
+@pytest.mark.parametrize("c", [1e-300, 1e-70, 1e70, 1e300])
+def test_orlicz_norm_of_constant_far_from_one(c):
+    # the gauge of a constant is the constant under t^p, and homogeneous
+    # under t^p log(e+t); neither may underflow, overflow or lose the bracket
+    f = BoundaryFunction(2, 3, np.full(8, c))
+    for p in (1.0, 2.0, 3.0):
+        assert orlicz_norm(f, YoungPhi(p)) == pytest.approx(c, rel=1e-9)
+    phi = YoungPhi(2.0, 1.0)
+    unit = orlicz_norm(BoundaryFunction(2, 3, np.ones(8)), phi)
+    assert orlicz_norm(f, phi) == pytest.approx(c * unit, rel=1e-9)

@@ -251,3 +251,26 @@ def test_cli_verify_exit_codes(tmp_path, capsys):
     assert main(["verify", "extension-bound", "--config", str(cfg),
                  "--out", str(tmp_path / "ext.csv"), "--emit-plot-data"]) == 0
     assert (tmp_path / "ext.csv.plot.csv").exists()
+
+
+def test_report_with_an_unsampled_column_is_not_run():
+    # hajlasz_max_depth below every depth: that column has no samples and
+    # counts neither for nor against the verdict
+    report = verify_equivalences(small_cfg(depths=(4,), hajlasz_max_depth=3))
+    assert report.sampled_columns() == ["double_vs_dyadic", "besov_vs_composite"]
+    assert report.passed
+    assert "  hajlasz_vs_dyadic: not run (no samples)" in report.summary_lines()
+
+
+def test_report_with_no_sampled_column_fails():
+    report = verify_trace_bound(small_cfg(seeds=(0,), depths=(3,)))
+    report.rows = []
+    assert not report.passed
+
+
+def test_cli_verify_equivalence_beyond_hajlasz_depth(tmp_path, capsys):
+    out = tmp_path / "report.csv"
+    assert main(["verify", "equivalence", "--depth", "8", "--out", str(out)]) == 0
+    text = capsys.readouterr().out
+    assert text.splitlines()[0] == "report equivalence: PASS"
+    assert "hajlasz_vs_dyadic: not run" in text

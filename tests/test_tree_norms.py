@@ -8,6 +8,7 @@ from treetrace import (
     TreeFunction,
     YoungPhi,
     edge_measure,
+    luxemburg_gauge,
     gradient_lphi_modular,
     make_tree_params,
     newtonian_norm,
@@ -16,6 +17,7 @@ from treetrace import (
     upper_gradient_edges,
     vertex_distance,
 )
+import treetrace.tree_norms as tree_norms
 from treetrace.harness import generate
 
 LN2 = math.log(2.0)
@@ -208,6 +210,38 @@ def test_newtonian_norm_homogeneous():
     base = newtonian_norm(F, p, phi)
     for c in (0.01, 30.0):
         assert newtonian_norm(F.scaled(c), p, phi) == pytest.approx(c * base, rel=1e-9)
+
+
+@pytest.mark.parametrize("c", [1e-100, 1e100])
+def test_newtonian_norm_homogeneous_far_from_one(c):
+    p = std_params(3, lambda2=1.0)
+    F = generate("random-vertex", K=2, depth=3, seed=7)
+    phi = YoungPhi(2.0, 1.0)
+    base = newtonian_norm(F, p, phi)
+    assert newtonian_norm(F.scaled(c), p, phi) == pytest.approx(c * base, rel=1e-9)
+
+
+@pytest.mark.parametrize("lambda1, most", [(1.0, 8), (0.0, 5)])
+def test_newtonian_norm_gauge_evaluations(monkeypatch, lambda1, most):
+    # K = 2, N = 12: each of the two gauges needs few modular evaluations
+    counts = []
+
+    def counted_gauge(rho, *args):
+        calls = [0]
+
+        def counted_rho(k):
+            calls[0] += 1
+            return rho(k)
+
+        out = luxemburg_gauge(counted_rho, *args)
+        counts.append(calls[0])
+        return out
+
+    monkeypatch.setattr(tree_norms, "luxemburg_gauge", counted_gauge)
+    u = generate("iid-uniform", K=2, depth=12, seed=0)
+    newtonian_norm(_extend_boundary(u.values, 12), std_params(12), YoungPhi(2.0, lambda1))
+    assert len(counts) == 2
+    assert max(counts) <= most
 
 
 def _extend_boundary(values, depth):

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from treetrace import (
     GaugeBracketError,
     NonMonotoneModularError,
+    YoungModular,
     YoungPhi,
     luxemburg_gauge,
     phi_diagnostics,
@@ -162,3 +163,109 @@ def test_gauge_detects_non_monotone_modular():
 
     with pytest.raises(NonMonotoneModularError):
         luxemburg_gauge(rho)
+
+
+# ------------------------------------------------- the gauge against an oracle
+
+
+def bisection_gauge(rho, tol=1e-10, max_doublings=200):
+    """Reference solver: double or halve from k = 1 until rho crosses 1, then
+    bisect to relative width tol and return the upper end of the bracket."""
+    if rho(1.0) <= 1.0:
+        hi = lo = 1.0
+        for _ in range(max_doublings):
+            lo *= 0.5
+            if rho(lo) > 1.0:
+                break
+        else:
+            return 0.0
+    else:
+        lo = hi = 1.0
+        for _ in range(max_doublings):
+            hi *= 2.0
+            if rho(hi) <= 1.0:
+                break
+        else:
+            raise GaugeBracketError("no crossing")
+    while hi - lo > tol * hi:
+        mid = 0.5 * (lo + hi)
+        if rho(mid) <= 1.0:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.floats(min_value=1.0, max_value=4.0),
+    st.sampled_from([-0.5, 0.0, 1.0]),
+    st.floats(min_value=-6.0, max_value=6.0),
+    st.integers(0, 2**31 - 1),
+)
+def test_gauge_matches_bisection_oracle(p, lambda1, log_amplitude, seed):
+    assume(p > 1.0 or lambda1 >= 0.0)
+    phi = YoungPhi(p, lambda1)
+    rng = np.random.default_rng(seed)
+    size = int(rng.integers(1, 40))
+    a = 10.0 ** (log_amplitude + rng.uniform(-1.0, 0.0, size=size))
+    w = rng.uniform(0.01, 1.0, size=size)
+
+    def rho(k):
+        return float(np.sum(w * phi_eval(phi, a / k)))
+
+    assert luxemburg_gauge(rho) == pytest.approx(bisection_gauge(rho), rel=1e-9)
+
+
+def test_gauge_is_exact_for_a_pure_power_after_few_evaluations():
+    calls = []
+
+    def rho(k):
+        calls.append(k)
+        return (123.0 / k) ** 2.5
+
+    k = luxemburg_gauge(rho)
+    assert k == pytest.approx(123.0, rel=1e-12)
+    assert (123.0 / k) ** 2.5 <= 1.0
+    assert len(calls) <= 5
+
+
+def test_gauge_bracket_closes_to_tol():
+    # the returned k is the upper end of a sampled bracket of width <= tol * k
+    samples = {}
+
+    def rho(k):
+        samples[k] = (2.0 / k) ** 3 * math.log(math.e + 2.0 / k)
+        return samples[k]
+
+    tol = 1e-8
+    k = luxemburg_gauge(rho, tol)
+    assert samples[k] <= 1.0
+    lo = max(kk for kk, v in samples.items() if v > 1.0)
+    assert 0.0 < k - lo <= tol * k
+
+
+# ---------------------------------------------------------- the built modular
+
+
+def test_young_modular_matches_direct_sum():
+    rng = np.random.default_rng(3)
+    rows = rng.uniform(0.0, 5.0, size=(7, 3))
+    dens = rng.uniform(0.1, 1.0, size=3)
+    flat = rng.uniform(0.0, 2.0, size=11)
+    for phi in (YoungPhi(2.0), YoungPhi(1.5, -0.5), YoungPhi(3.0, 1.0)):
+        mod = YoungModular(phi, [(rows.copy(), dens), (flat.copy(), 0.25)])
+        assert mod.scale == pytest.approx(rows.max())
+        for k in (0.3, 1.0, 4.0):
+            direct = float(np.sum(dens * phi_eval(phi, rows / k)))
+            direct += 0.25 * float(np.sum(phi_eval(phi, flat / k)))
+            assert mod.value(k) == pytest.approx(direct, rel=1e-12)
+            assert mod(k) == pytest.approx(mod.value(k * mod.scale), rel=1e-12)
+
+
+def test_young_modular_of_zero_amplitudes():
+    mod = YoungModular(YoungPhi(2.0, 1.0), [(np.zeros(4), 1.0)])
+    assert mod.scale == 0.0
+    assert mod.value(1.0) == 0.0
+    with pytest.raises(ValueError):
+        mod.value(0.0)
