@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .address import digits_index, index_digits
 from .tree import TreeParams
 
 __all__ = [
@@ -126,18 +127,9 @@ def ahlfors_ratio(params: TreeParams, cell: DyadicCell) -> float:
 
 def leaf_cell(K: int, depth: int, index: int) -> DyadicCell:
     """The depth-level cell with the given lexicographic index."""
-    if not 0 <= index < K**depth:
-        raise ValueError("leaf index out of range")
-    digits = []
-    for _ in range(depth):
-        index, d = divmod(index, K)
-        digits.append(d)
-    return DyadicCell(K, tuple(reversed(digits)))
+    return DyadicCell(K, index_digits(K, depth, index))
 
 
 def leaf_index(cell: DyadicCell) -> int:
     """Lexicographic index of a cell among the cells of its level."""
-    idx = 0
-    for d in cell.digits:
-        idx = idx * cell.K + d
-    return idx
+    return digits_index(cell.K, cell.digits)

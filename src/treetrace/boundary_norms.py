@@ -14,6 +14,8 @@ that representation the module provides
 * the exact double-integral fractional seminorm (all leaf pairs grouped
   by their split vertex) together with an unbiased Monte Carlo estimator
   for resolutions where exact enumeration is too large.
+
+Cell addresses and the leaf-row CSV files go through `treetrace.address`.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .address import cell_leaves, read_function_csv, write_function_csv
 from .young import YoungModular, YoungPhi, luxemburg_gauge
 
 __all__ = [
@@ -86,42 +89,12 @@ class BoundaryFunction:
         return BoundaryFunction(self.K, self.depth, self.values * factor)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("K,N\n")
-            fh.write(f"{self.K},{self.depth}\n")
-            fh.write("address,value\n")
-            for i, v in enumerate(self.values):
-                fh.write(f"{_address_string(self.K, self.depth, i)},{v:.17g}\n")
+        write_function_csv(path, self.K, self.depth, [self.values])
 
     @classmethod
     def from_csv(cls, path) -> "BoundaryFunction":
-        with open(path) as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-        if lines[0] != "K,N":
-            raise ValueError("missing K,N header")
-        K, depth = (int(s) for s in lines[1].split(","))
-        values = np.zeros(K**depth)
-        for ln in lines[3:]:
-            addr, val = ln.split(",")
-            values[_address_index(K, addr)] = float(val)
+        K, depth, (values,) = read_function_csv(path, leaves_only=True)
         return cls(K, depth, values)
-
-
-def _address_string(K: int, depth: int, index: int) -> str:
-    if K > 10:
-        raise ValueError("digit-string addresses support K <= 10 only")
-    digits = []
-    for _ in range(depth):
-        index, d = divmod(index, K)
-        digits.append(str(d))
-    return "".join(reversed(digits))
-
-
-def _address_index(K: int, addr: str) -> int:
-    idx = 0
-    for ch in addr:
-        idx = idx * K + int(ch)
-    return idx
 
 
 @dataclass(frozen=True)
@@ -153,17 +126,7 @@ class EnergyParams:
 
 def cell_average(f: BoundaryFunction, cell_digits) -> float:
     """Mean of f over the cell with the given address (exact block mean)."""
-    digits = tuple(int(d) for d in cell_digits)
-    level = len(digits)
-    if level > f.depth:
-        raise ValueError("cell level exceeds function resolution")
-    idx = 0
-    for d in digits:
-        if not 0 <= d < f.K:
-            raise ValueError(f"digit {d} out of range for K={f.K}")
-        idx = idx * f.K + d
-    block = f.K ** (f.depth - level)
-    return float(f.values[idx * block : (idx + 1) * block].mean())
+    return float(f.values[cell_leaves(f.K, f.depth, cell_digits)].mean())
 
 
 def lp_norm(f: BoundaryFunction, p: float) -> float:

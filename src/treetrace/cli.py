@@ -2,9 +2,14 @@
 
 Subcommands: gen (sample a function family to CSV), energy (norms and
 energies of a boundary function), extend / trace (apply the operators to
-CSV data), and verify (run one of the empirical checks; exit code 0 only
-when every asserted property holds).  Geometry and exponents come from a
-flat key-value config file, overridable with --seed / --depth.
+CSV data), and verify (run one of the empirical checks).  Geometry and
+exponents come from a flat key-value config file, overridable with
+--seed / --depth.
+
+Exit codes: 0 when the command succeeds (for verify: every asserted
+property holds), 1 when verify finds a property that fails, 2 on bad
+input or an error inside a computation, reported as one
+`treetrace: error: ...` line on standard error.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from .boundary_norms import (
     orlicz_besov_norm,
     orlicz_norm,
 )
+from .hajlasz import ConvergenceError
 from .harness import (
     BOUNDARY_FAMILIES,
     TREE_FAMILIES,
@@ -34,6 +40,7 @@ from .harness import (
 )
 from .operators import extend, trace
 from .tree_norms import TreeFunction
+from .young import GaugeBracketError
 
 _VERIFY_DRIVERS = {
     "trace-bound": verify_trace_bound,
@@ -108,6 +115,14 @@ def _config_from_args(args) -> "ExperimentConfig":
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except (ValueError, OSError, ConvergenceError, GaugeBracketError) as exc:
+        print(f"treetrace: error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _run(args) -> int:
     cfg = _config_from_args(args)
 
     if args.command == "gen":

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .address import cell_leaves, check_digits, index_digits
 from .boundary_norms import (
     DEFAULT_PAIR_BUDGET,
     BoundaryFunction,
@@ -78,17 +79,11 @@ _FAMILY_CODES = {
 
 def indicator_function(K: int, depth: int, cell_digits) -> BoundaryFunction:
     """Indicator of one dyadic cell, as a resolution-`depth` function."""
-    digits = tuple(int(d) for d in cell_digits)
-    if not 1 <= len(digits) <= depth:
+    digits = check_digits(K, cell_digits, depth)
+    if not digits:
         raise ValueError("cell level must lie in 1..depth")
-    idx = 0
-    for d in digits:
-        if not 0 <= d < K:
-            raise ValueError(f"digit {d} out of range for K={K}")
-        idx = idx * K + d
-    block = K ** (depth - len(digits))
     values = np.zeros(K**depth)
-    values[idx * block : (idx + 1) * block] = 1.0
+    values[cell_leaves(K, depth, digits)] = 1.0
     return BoundaryFunction(K, depth, values)
 
 
@@ -115,10 +110,7 @@ def generate(
     if family == "cell-indicator":
         level = int(rng.integers(1, depth + 1))
         idx = int(rng.integers(0, K**level))
-        block = K ** (depth - level)
-        values = np.zeros(K**depth)
-        values[idx * block : (idx + 1) * block] = 1.0
-        return BoundaryFunction(K, depth, values)
+        return indicator_function(K, depth, index_digits(K, level, idx))
     if family == "lacunary":
         if epsilon is None or theta is None:
             raise ValueError("lacunary family needs epsilon and theta")
@@ -232,11 +224,14 @@ def fit_log_slope(depths, values) -> float:
 
 @dataclass
 class ColumnStats:
+    """Summary of one ratio column; `slope` is None when the column has a
+    single depth, so that no depth trend could be tested."""
+
     count: int
     minimum: float
     maximum: float
     median: float
-    slope: float
+    slope: float | None
     per_depth: dict[int, tuple[float, float, float]]
 
     @property
@@ -279,7 +274,12 @@ class RatioReport:
             sel = values[depths == d]
             per_depth[d] = (float(sel.min()), float(sel.max()), float(np.median(sel)))
         finite = bool(np.all(np.isfinite(values)))
-        slope = fit_log_slope(depths, values) if finite and np.all(values > 0) else math.inf
+        if len(per_depth) < 2:
+            slope = None
+        elif finite and np.all(values > 0):
+            slope = fit_log_slope(depths, values)
+        else:
+            slope = math.inf
         return ColumnStats(
             count=int(values.size),
             minimum=float(values.min()),
@@ -303,7 +303,8 @@ class RatioReport:
             st = self.stats(col)
             if not st.finite or st.minimum <= 0:
                 return False
-            if abs(st.slope) > self.slope_tol or st.spread > self.spread_max:
+            trend = st.slope is not None and abs(st.slope) > self.slope_tol
+            if trend or st.spread > self.spread_max:
                 return False
         return all(ok for _, ok in self.extra_checks)
 
@@ -315,9 +316,10 @@ class RatioReport:
                 lines.append(f"  {col}: not run (no samples)")
                 continue
             st = self.stats(col)
+            slope = "n/a (one depth)" if st.slope is None else f"{st.slope:+.4f}"
             lines.append(
                 f"  {col}: n={st.count} min={st.minimum:.6g} max={st.maximum:.6g}"
-                f" median={st.median:.6g} slope={st.slope:+.4f} spread={st.spread:.3g}"
+                f" median={st.median:.6g} slope={slope} spread={st.spread:.3g}"
             )
         for label, ok in self.extra_checks:
             lines.append(f"  {label}: {'PASS' if ok else 'FAIL'}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .address import check_digits, digits_index
 from .boundary_norms import BoundaryFunction
 from .tree_norms import TreeFunction
 
@@ -33,15 +34,9 @@ def star_majorant(F: TreeFunction, leaf_digits) -> float:
     Equals the arclength integral of the per-edge gradient along that ray
     and dominates |trace(F)| at the leaf.  Diagnostic only.
     """
-    digits = tuple(int(d) for d in leaf_digits)
+    digits = check_digits(F.K, leaf_digits)
     if len(digits) != F.depth:
         raise ValueError("leaf address must have length equal to the depth")
-    idx = 0
-    chain = [float(F.levels[0][0])]
-    for n, d in enumerate(digits, start=1):
-        if not 0 <= d < F.K:
-            raise ValueError(f"digit {d} out of range for K={F.K}")
-        idx = idx * F.K + d
-        chain.append(float(F.levels[n][idx]))
-    chain_arr = np.asarray(chain)
-    return abs(chain_arr[0]) + float(np.sum(np.abs(np.diff(chain_arr))))
+    leaf = digits_index(F.K, digits)
+    chain = np.array([F.levels[n][leaf // F.K ** (F.depth - n)] for n in range(F.depth + 1)])
+    return abs(chain[0]) + float(np.sum(np.abs(np.diff(chain))))

@@ -11,6 +11,7 @@ a depth-N truncation discards.
 Vertices are addressed by their digit path from the root (a tuple of
 integers in [0, K)); within a level they are ordered lexicographically,
 so the level-n vertex with flat index i has parent i // K at level n-1.
+`treetrace.address` converts and validates addresses.
 """
 
 from __future__ import annotations
@@ -21,12 +22,13 @@ from functools import lru_cache
 
 import numpy as np
 
+from .address import check_digits
+
 __all__ = [
     "TreeParams",
     "EdgePoint",
     "make_tree_params",
     "min_shift_constant",
-    "check_address",
     "edge_length",
     "arclength",
     "vertex_distance",
@@ -130,17 +132,6 @@ def make_tree_params(
     return TreeParams(K, epsilon, beta, lambda2, c_const, depth, quad_order)
 
 
-def check_address(params: TreeParams, digits) -> tuple[int, ...]:
-    """Validate a vertex address (digits in [0, K), length <= depth)."""
-    digits = tuple(int(d) for d in digits)
-    if len(digits) > params.depth:
-        raise ValueError("address longer than tree depth")
-    for d in digits:
-        if not 0 <= d < params.K:
-            raise ValueError(f"digit {d} out of range for K={params.K}")
-    return digits
-
-
 def arclength(params: TreeParams, tau) -> float | np.ndarray:
     """Metric distance from the root to level coordinate tau along any ray."""
     eps = params.epsilon
@@ -159,8 +150,8 @@ def edge_length(params: TreeParams, n: int) -> float:
 
 def vertex_distance(params: TreeParams, x, y) -> float:
     """Geodesic distance between two vertices, through their common ancestor."""
-    x = check_address(params, x)
-    y = check_address(params, y)
+    x = check_digits(params.K, x, params.depth)
+    y = check_digits(params.K, y, params.depth)
     k = 0
     for a, b in zip(x, y):
         if a != b:

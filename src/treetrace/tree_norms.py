@@ -5,13 +5,15 @@ piecewise linear in arclength along every edge.  For that class the
 minimal upper gradient is constant on each edge and equals the difference
 quotient |F(child) - F(parent)| / edge_length, so the gradient part of
 the norm is an exact finite sum while the function part is a per-edge
-Gauss-Legendre integral of Phi(|F|) against the mass density.
+Gauss-Legendre integral of Phi(|F|) against the mass density.  CSV files
+list every level's rows, through the codec in `treetrace.address`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .address import read_function_csv, write_function_csv
 from .tree import TreeParams, arclength, edge_length, edge_measure, _gauss_nodes
 from .young import YoungModular, YoungPhi, luxemburg_gauge
 
@@ -51,41 +53,12 @@ class TreeFunction:
         return TreeFunction(self.K, self.depth, [lv * factor for lv in self.levels])
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("K,N\n")
-            fh.write(f"{self.K},{self.depth}\n")
-            fh.write("address,value\n")
-            for n, arr in enumerate(self.levels):
-                for i, v in enumerate(arr):
-                    fh.write(f"{_vertex_address(self.K, n, i)},{v:.17g}\n")
+        write_function_csv(path, self.K, self.depth, self.levels)
 
     @classmethod
     def from_csv(cls, path) -> "TreeFunction":
-        with open(path) as fh:
-            lines = [ln.rstrip("\n") for ln in fh]
-        lines = [ln for ln in lines if ln]
-        if lines[0] != "K,N":
-            raise ValueError("missing K,N header")
-        K, depth = (int(s) for s in lines[1].split(","))
-        levels = [np.zeros(K**n) for n in range(depth + 1)]
-        for ln in lines[3:]:
-            addr, val = ln.split(",")
-            n = len(addr)
-            idx = 0
-            for ch in addr:
-                idx = idx * K + int(ch)
-            levels[n][idx] = float(val)
+        K, depth, levels = read_function_csv(path, leaves_only=False)
         return cls(K, depth, levels)
-
-
-def _vertex_address(K: int, level: int, index: int) -> str:
-    if K > 10:
-        raise ValueError("digit-string addresses support K <= 10 only")
-    digits = []
-    for _ in range(level):
-        index, d = divmod(index, K)
-        digits.append(str(d))
-    return "".join(reversed(digits))
 
 
 def _check_shape(F: TreeFunction, params: TreeParams) -> None:

@@ -1,0 +1,243 @@
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from treetrace import BoundaryFunction, TreeFunction, extend, generate, vertex_distance
+from treetrace.address import (
+    CHUNK_ROWS,
+    cell_leaves,
+    check_digits,
+    digits_index,
+    index_digits,
+    level_addresses,
+)
+from treetrace.tree import make_tree_params
+
+# ------------------------------------------------------------------ oracle
+
+
+def oracle_address(K, level, index):
+    digits = []
+    for _ in range(level):
+        index, d = divmod(index, K)
+        digits.append(str(d))
+    return "".join(reversed(digits))
+
+
+def oracle_write(path, K, depth, levels):
+    """The original per-row writer of both function types."""
+    with open(path, "w", newline="") as fh:
+        fh.write("K,N\n")
+        fh.write(f"{K},{depth}\n")
+        fh.write("address,value\n")
+        first = depth + 1 - len(levels)
+        for n, arr in enumerate(levels, start=first):
+            for i, v in enumerate(arr):
+                fh.write(f"{oracle_address(K, n, i)},{v:.17g}\n")
+
+
+SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 1e-300, 2.2250738585072014e-308]
+values_pool = st.lists(
+    st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=False, allow_infinity=False)),
+    min_size=1,
+    max_size=12,
+)
+
+
+def fill(pool, size, seed):
+    """An array of `size` values drawn from `pool` (every entry used if room)."""
+    rng = np.random.default_rng(seed)
+    idx = rng.integers(0, len(pool), size)
+    idx[: min(size, len(pool))] = np.arange(min(size, len(pool)))
+    return np.asarray(pool, dtype=float)[idx]
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([2, 3, 10]),
+    st.integers(1, 4),
+    values_pool,
+    st.integers(0, 2**32 - 1),
+)
+def test_writer_matches_per_row_oracle_and_roundtrips_bitwise(K, depth, pool, seed):
+    u = BoundaryFunction(K, depth, fill(pool, K**depth, seed))
+    F = TreeFunction(K, depth, [fill(pool, K**n, seed + n) for n in range(depth + 1)])
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        u.to_csv(tmp / "u.csv")
+        oracle_write(tmp / "u0.csv", K, depth, [u.values])
+        assert (tmp / "u.csv").read_bytes() == (tmp / "u0.csv").read_bytes()
+        assert same_bits(BoundaryFunction.from_csv(tmp / "u.csv").values, u.values)
+
+        F.to_csv(tmp / "F.csv")
+        oracle_write(tmp / "F0.csv", K, depth, F.levels)
+        assert (tmp / "F.csv").read_bytes() == (tmp / "F0.csv").read_bytes()
+        G = TreeFunction.from_csv(tmp / "F.csv")
+        assert all(same_bits(a, b) for a, b in zip(G.levels, F.levels))
+
+
+def test_writer_matches_oracle_across_chunks(tmp_path):
+    # levels of several chunks, the last one partial, in both file kinds
+    u = generate("iid-uniform", K=3, depth=9, seed=3)
+    assert u.n_leaves % CHUNK_ROWS and u.n_leaves > 2 * CHUNK_ROWS
+    for fn, levels in ((u, [u.values]), (extend(u), extend(u).levels)):
+        fn.to_csv(tmp_path / "new.csv")
+        oracle_write(tmp_path / "old.csv", 3, 9, levels)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_k_above_ten_is_rejected(tmp_path):
+    with pytest.raises(ValueError, match="K <= 10"):
+        BoundaryFunction(11, 1, np.zeros(11)).to_csv(tmp_path / "u.csv")
+    with pytest.raises(ValueError, match="K <= 10"):
+        TreeFunction(12, 1, [np.zeros(1), np.zeros(12)]).to_csv(tmp_path / "F.csv")
+    (tmp_path / "k11.csv").write_text("K,N\n11,1\naddress,value\n")
+    with pytest.raises(ValueError, match="K <= 10"):
+        BoundaryFunction.from_csv(tmp_path / "k11.csv")
+
+
+# ------------------------------------------------------------------ reader
+
+
+def write_rows(path, K, depth, rows):
+    path.write_text(f"K,N\n{K},{depth}\naddress,value\n" + "".join(r + "\n" for r in rows))
+    return path
+
+
+GOOD = ["00,1", "01,2", "10,3", "11,4"]
+
+
+def test_reader_accepts_canonical_file_and_trailing_blank_lines(tmp_path):
+    path = write_rows(tmp_path / "u.csv", 2, 2, GOOD + ["", "  ", ""])
+    assert list(BoundaryFunction.from_csv(path).values) == [1.0, 2.0, 3.0, 4.0]
+    path.write_text(path.read_text().rstrip("\n \t"))  # no final newline
+    assert list(BoundaryFunction.from_csv(path).values) == [1.0, 2.0, 3.0, 4.0]
+
+
+@pytest.mark.parametrize(
+    "rows, line",
+    [
+        (["00,1", "01,2", "1,3", "11,4"], 6),  # short address
+        (["00,1", "01,2", "100,3", "11,4"], 6),  # long address
+        (["00,1", "01,2", "02,3", "11,4"], 6),  # digit 2 with K = 2
+        (["00,1", "01,2", "11,4"], 6),  # missing row
+        (["00,1", "01,2", "10,3"], 7),  # file ends early
+        (GOOD + ["01,5"], 8),  # duplicate row
+        (["00,1", "01,2", "01,5", "10,3", "11,4"], 6),  # duplicate inside
+        (["00,1", "10,3", "01,2", "11,4"], 5),  # permuted rows
+        (["00,1", "01,2", "", "10,3", "11,4"], 6),  # blank line inside
+        (["00,1", "01,2;3", "10,3", "11,4"], 5),  # no comma
+        (["00,1", "01,2,3", "10,3", "11,4"], 5),  # three fields
+        (["00,1", "01,abc", "10,3", "11,4"], 5),  # not a number
+        (["00,1", "01,nan", "10,3", "11,4"], 5),  # not finite
+    ],
+)
+def test_reader_rejects_malformed_rows_naming_the_line(tmp_path, rows, line):
+    path = write_rows(tmp_path / "u.csv", 2, 2, rows)
+    with pytest.raises(ValueError, match=f"line {line}:"):
+        BoundaryFunction.from_csv(path)
+
+
+def test_reader_rejects_a_file_of_the_other_kind(tmp_path):
+    u = generate("iid-uniform", K=2, depth=3, seed=1)
+    u.to_csv(tmp_path / "u.csv")
+    extend(u).to_csv(tmp_path / "F.csv")
+    with pytest.raises(ValueError, match="line 4: expected address '', got '000'"):
+        TreeFunction.from_csv(tmp_path / "u.csv")
+    with pytest.raises(ValueError, match="line 4: expected address '000', got ''"):
+        BoundaryFunction.from_csv(tmp_path / "F.csv")
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("", 1),
+        ("K;N\n2,1\naddress,value\n0,1\n1,2\n", 1),
+        ("K,N\n2\naddress,value\n0,1\n1,2\n", 2),
+        ("K,N\n2,0\naddress,value\n", 2),
+        ("K,N\n2,1\naddr,value\n0,1\n1,2\n", 3),
+    ],
+)
+def test_reader_rejects_bad_headers(tmp_path, text, line):
+    path = tmp_path / "u.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"line {line}:"):
+        BoundaryFunction.from_csv(path)
+
+
+def test_reader_names_the_line_beyond_the_first_chunk(tmp_path):
+    F = extend(generate("iid-uniform", K=2, depth=13, seed=2))
+    F.to_csv(tmp_path / "F.csv")
+    lines = (tmp_path / "F.csv").read_text().splitlines()
+    # the first leaf row sits after the header and levels 0..12
+    row = 3 + 2**13 + CHUNK_ROWS + 7
+    assert lines[row - 1].startswith(format(CHUNK_ROWS + 7, "013b") + ",")
+    lines[row - 1] = lines[row]
+    (tmp_path / "F.csv").write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"line {row}:"):
+        TreeFunction.from_csv(tmp_path / "F.csv")
+
+
+# --------------------------------------------------------------- addressing
+
+
+def test_level_addresses_values():
+    assert level_addresses(2, 0, 0, 1) == [""]
+    assert level_addresses(2, 2, 0, 4) == ["00", "01", "10", "11"]
+    assert level_addresses(3, 3, 7, 8) == ["021"]
+    assert level_addresses(10, 3, 998, 1000) == ["998", "999"]
+    for K, level in ((2, 5), (3, 4), (10, 2)):
+        assert level_addresses(K, level, 0, K**level) == [
+            oracle_address(K, level, i) for i in range(K**level)
+        ]
+    with pytest.raises(ValueError, match="K <= 10"):
+        level_addresses(11, 1, 0, 11)
+
+
+def test_index_digits_roundtrip():
+    for K, level in ((2, 5), (3, 4), (10, 3)):
+        for i in range(K**level):
+            digits = index_digits(K, level, i)
+            assert len(digits) == level
+            assert digits_index(K, digits) == i
+    assert index_digits(3, 3, 7) == (0, 2, 1)
+    assert index_digits(2, 0, 0) == ()
+    with pytest.raises(ValueError):
+        index_digits(2, 3, 8)
+    with pytest.raises(ValueError):
+        index_digits(2, 3, -1)
+
+
+def test_check_digits_validation():
+    assert check_digits(3, [0, "2", 1]) == (0, 2, 1)
+    assert check_digits(2, (), max_level=0) == ()
+    with pytest.raises(ValueError, match="digit 2 out of range for K=2"):
+        check_digits(2, (0, 2))
+    with pytest.raises(ValueError, match="digit -1"):
+        digits_index(3, (-1,))
+    with pytest.raises(ValueError, match="longer than depth 2"):
+        check_digits(2, (0, 0, 0), max_level=2)
+
+
+def test_cell_leaves_blocks():
+    assert cell_leaves(2, 3, (1,)) == slice(4, 8)
+    assert cell_leaves(3, 2, ()) == slice(0, 9)
+    assert cell_leaves(3, 2, (2, 1)) == slice(7, 8)
+    with pytest.raises(ValueError):
+        cell_leaves(2, 2, (0, 0, 0))
+
+
+def test_vertex_distance_validates_addresses():
+    p = make_tree_params(2, 0.7, 2.0, 0.0, 3)
+    with pytest.raises(ValueError, match="digit 2"):
+        vertex_distance(p, (0, 2), (1,))
+    with pytest.raises(ValueError, match="longer than depth"):
+        vertex_distance(p, (0, 0, 0, 0), (1,))

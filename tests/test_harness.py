@@ -274,3 +274,49 @@ def test_cli_verify_equivalence_beyond_hajlasz_depth(tmp_path, capsys):
     text = capsys.readouterr().out
     assert text.splitlines()[0] == "report equivalence: PASS"
     assert "hajlasz_vs_dyadic: not run" in text
+
+
+def test_cli_bad_input_exits_2_with_one_error_line(tmp_path, capsys):
+    bad = tmp_path / "u.csv"
+    bad.write_text("K,N\n2,2\naddress,value\n00,1\n01,2\n1,3\n11,4\n")
+    out = tmp_path / "F.csv"
+    assert main(["extend", "--input", str(bad), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("treetrace: error: ") and "line 6:" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+    # a missing file and an unknown config key are bad input as well
+    assert main(["energy", "--input", str(tmp_path / "missing.csv")]) == 2
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("colour = 3\n")
+    assert main(["verify", "roundtrip", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.count("treetrace: error: ") == 2
+
+
+def test_cli_failed_property_exits_1_without_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("seeds = 0,1\ndepths = 3,4\nslope_tol = 0.000001\n")
+    assert main(["verify", "trace-bound", "--config", str(cfg)]) == 1
+    text = capsys.readouterr()
+    assert text.out.splitlines()[0] == "report trace-bound: FAIL"
+    assert text.err == ""
+
+
+def test_single_depth_slope_is_untested():
+    report = verify_trace_bound(small_cfg(seeds=(0, 1), depths=(4,)))
+    assert report.stats("ratio").slope is None
+    assert report.passed
+    assert "slope=n/a (one depth)" in report.summary_lines()[1]
+    # two depths: the slope is fitted and printed as before
+    two = verify_trace_bound(small_cfg(seeds=(0, 1), depths=(3, 4)))
+    assert two.stats("ratio").slope == fit_log_slope(*two.column("ratio"))
+    assert "slope=+" in two.summary_lines()[1] or "slope=-" in two.summary_lines()[1]
+
+
+def test_cli_verify_equivalence_single_depth_reports_no_slope(capsys):
+    assert main(["verify", "equivalence", "--depth", "8"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "report equivalence: PASS"
+    sampled = [ln for ln in lines if "n=" in ln]
+    assert len(sampled) == 2
+    assert all("slope=n/a (one depth)" in ln for ln in sampled)
