@@ -26,6 +26,7 @@ from .boundary_norms import (
     orlicz_norm,
 )
 from .hajlasz import (
+    BlockReport,
     ConvergenceError,
     HajlaszInstance,
     HajlaszSolution,

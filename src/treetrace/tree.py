@@ -63,7 +63,7 @@ class TreeParams:
     beta         mass decay rate (> log K)
     lambda2      mass log-exponent
     C_const      shift in the (t + C)^lambda2 factor; never below the
-                 minimal admissible value
+                 minimal admissible value, which None selects
     depth        truncation level N (>= 1); vertices live on levels 0..N
     quad_order   Gauss-Legendre order used for all edge integrals
     """
@@ -72,7 +72,7 @@ class TreeParams:
     epsilon: float
     beta: float
     lambda2: float
-    C_const: float
+    C_const: float | None
     depth: int
     quad_order: int = 8
 
@@ -84,7 +84,9 @@ class TreeParams:
         if self.beta <= math.log(self.K):
             raise ValueError("beta must exceed log K")
         cmin = min_shift_constant(self.K, self.epsilon, self.beta, self.lambda2)
-        if self.C_const < cmin * (1.0 - 1e-12):
+        if self.C_const is None:
+            object.__setattr__(self, "C_const", cmin)
+        elif self.C_const < cmin * (1.0 - 1e-12):
             raise ValueError(f"C_const must be at least {cmin!r}")
         if self.depth < 1:
             raise ValueError("depth must be at least 1")
@@ -116,19 +118,9 @@ def make_tree_params(
 ) -> TreeParams:
     """Build a validated bundle; C_const defaults to the minimal admissible value.
 
-    A caller-supplied ``c_const`` may only enlarge the shift.
+    A caller-supplied ``c_const`` may only enlarge the shift.  `TreeParams`
+    does the validation.
     """
-    if K < 2:
-        raise ValueError("K must be at least 2")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    if beta <= math.log(K):
-        raise ValueError("beta must exceed log K")
-    cmin = min_shift_constant(K, epsilon, beta, lambda2)
-    if c_const is None:
-        c_const = cmin
-    elif c_const < cmin * (1.0 - 1e-12):
-        raise ValueError(f"C_const must be at least {cmin!r}")
     return TreeParams(K, epsilon, beta, lambda2, c_const, depth, quad_order)
 
 

@@ -17,6 +17,7 @@ from treetrace import (
     hajlasz_oracle,
     scale_for_distance,
 )
+from treetrace.hajlasz import _solve_scale_dual, _solve_scale_ipm
 from treetrace.harness import fit_log_slope
 
 LN2 = math.log(2.0)
@@ -165,7 +166,7 @@ def _objective_step_bound(inst, resolution):
     return len(inst.scales) * ((inst.g_max + h) ** inst.p - inst.g_max**inst.p)
 
 
-@pytest.mark.parametrize("p", [1.0, 2.0])
+@pytest.mark.parametrize("p", [1.0, 1.2, 1.5, 2.0, 3.0])
 @pytest.mark.parametrize("depth", [1, 2])
 def test_solver_within_oracle_bracket(p, depth):
     res = 16
@@ -177,6 +178,85 @@ def test_solver_within_oracle_bracket(p, depth):
         # grid costs at most the step bound
         assert energy <= oracle + 1e-6 * (1.0 + oracle)
         assert energy >= oracle - 2.0 * _objective_step_bound(inst, res)
+
+
+def test_p3_two_leaves_closed_form():
+    # one pair: the optimum splits the bound evenly, g = bound / 2
+    inst = random_instance(0, depth=1, p=3.0)
+    (k, (_, _, bound)), = inst.constraints.items()
+    sol = hajlasz_minimize(inst)
+    assert sol.converged
+    np.testing.assert_allclose(sol.g[k], np.full(2, bound[0] / 2.0), rtol=1e-8)
+    assert sol.value == pytest.approx(0.5 * 2.0 * (bound[0] / 2.0) ** 3, rel=1e-8)
+
+
+def test_p12_instance_that_dual_ascent_could_not_certify():
+    inst = random_instance(1, depth=2, p=1.2)
+    sol = hajlasz_minimize(inst)
+    assert sol.converged and hajlasz_feasible(inst, sol.g)
+    oracle = hajlasz_oracle(inst, 16)
+    assert oracle - 2.0 * _objective_step_bound(inst, 16) <= sol.value
+    assert sol.value <= oracle + 1e-6 * (1.0 + oracle)
+
+
+@pytest.mark.parametrize("p, seed, depth", [(1.001, 2, 5), (1.001, 1, 8), (6.0, 2, 5)])
+def test_interior_point_converges_at_extreme_exponents(p, seed, depth):
+    # near p = 1 the dual bound and the Lagrangian minimizer overflow far
+    # from the optimum; the bound must read -inf there and the minimizer
+    # be skipped, not warn or stop the solver
+    inst = random_instance(seed, depth=depth, p=p)
+    sol = hajlasz_minimize(inst)
+    assert sol.converged and hajlasz_feasible(inst, sol.g)
+
+
+def test_interior_point_is_homogeneous():
+    inst = random_instance(4, depth=4, p=1.5)
+    scaled = HajlaszInstance(
+        BoundaryFunction(2, 4, 1e-80 * inst.f.values), 0.5, 1.5, LN2
+    )
+    a, b = hajlasz_minimize(inst), hajlasz_minimize(scaled)
+    for k in a.g:
+        np.testing.assert_allclose(b.g[k], 1e-80 * a.g[k], rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("K, depth", [(2, 1), (2, 3), (2, 6), (3, 3)])
+def test_interior_point_matches_dual_ascent_at_p2(K, depth):
+    # both methods certify rel_tol, so their values differ by at most twice it
+    cfg = SolverConfig()
+    for seed in range(3):
+        inst = random_instance(seed, depth=depth, p=2.0, K=K)
+        nu, n = inst.leaf_measure, inst.f.n_leaves
+        for k, (ia, ib, bound) in inst.constraints.items():
+            block = K ** (depth - inst.coarsest_level[k])
+            g_ip, rep = _solve_scale_ipm(nu, 2.0, ia, ib, bound, n, block, cfg)
+            g_da, _ = _solve_scale_dual(nu, 2.0, ia, ib, bound, n, cfg)
+            v_ip, v_da = nu * np.sum(g_ip**2), nu * np.sum(g_da**2)
+            assert rep.method == "interior-point" and rep.converged
+            assert abs(v_ip - v_da) <= 2.0 * cfg.rel_tol * max(v_ip, v_da)
+
+
+def test_coarsest_level_bounds_every_pair():
+    inst = random_instance(0, depth=4, K=3)
+    N = inst.f.depth
+    for k, (ia, ib, _) in inst.constraints.items():
+        block = 3 ** (N - inst.coarsest_level[k])
+        assert np.array_equal(ia // block, ib // block)
+        if inst.coarsest_level[k] > 0:
+            assert inst.scale_of_level[inst.coarsest_level[k] - 1] != k
+
+
+@pytest.mark.parametrize(
+    "p, method", [(1.0, "lp"), (2.0, "dual-ascent"), (1.5, "interior-point")]
+)
+def test_solution_reports_each_block(p, method):
+    inst = random_instance(0, depth=3, p=p)
+    sol = hajlasz_minimize(inst)
+    assert set(sol.blocks) == set(inst.constraints)
+    assert sol.method == method
+    assert all(b.method == method and b.converged for b in sol.blocks.values())
+    assert sol.iterations == sum(b.iterations for b in sol.blocks.values()) > 0
+    assert all(b.rel_gap <= SolverConfig().rel_tol for b in sol.blocks.values())
+    assert sol.converged
 
 
 # -------------------------------------------------------------- comparability

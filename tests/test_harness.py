@@ -313,6 +313,15 @@ def test_single_depth_slope_is_untested():
     assert "slope=+" in two.summary_lines()[1] or "slope=-" in two.summary_lines()[1]
 
 
+def test_cli_verify_equivalence_at_p3(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("p = 3\ndepths = 3,4\nseeds = 0..3\n")
+    assert main(["verify", "equivalence", "--config", str(cfg)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "report equivalence: PASS"
+    assert any(ln.startswith("  hajlasz_vs_dyadic: n=8 ") for ln in lines)
+
+
 def test_cli_verify_equivalence_single_depth_reports_no_slope(capsys):
     assert main(["verify", "equivalence", "--depth", "8"]) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -64,6 +64,12 @@ def test_params_rejections():
         TreeParams(2, LN2, 2 * LN2, 0.0, 0.5, 4)
 
 
+def test_params_none_shift_is_the_minimal_one():
+    cmin = min_shift_constant(2, LN2, 2 * LN2, 1.0)
+    assert TreeParams(2, LN2, 2 * LN2, 1.0, None, 4).C_const == cmin
+    assert make_tree_params(2, LN2, 2 * LN2, 1.0, 4).C_const == cmin
+
+
 def test_params_shift_can_only_grow():
     cmin = min_shift_constant(2, LN2, 2 * LN2, 0.0)
     p = make_tree_params(2, LN2, 2 * LN2, 0.0, 4, c_const=cmin + 3.0)
