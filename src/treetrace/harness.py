@@ -158,6 +158,10 @@ class ExperimentConfig:
     out: str | None = None
     emit_plot_data: bool = False
 
+    def __post_init__(self) -> None:
+        if self.n_balls < 1:
+            raise ValueError("n_balls must be at least 1")
+
     @property
     def codimension(self) -> float:
         return (self.beta - math.log(self.K)) / self.epsilon

@@ -226,35 +226,115 @@ class EdgePoint:
     offset: float
 
 
-def _level_distances(params: TreeParams, center: EdgePoint) -> tuple[list[np.ndarray], list[int], float]:
-    """Distances from `center` to every vertex, one array per level.
+# balls per batch of `_ball_masses`; fixes the size of its temporaries
+_BALL_CHUNK = 128
 
-    Returns (per-level distance arrays, ancestor chain of the center edge's
-    child endpoint, arclength of the center from the root).
+
+def _check_radii(radii) -> np.ndarray:
+    r = np.asarray(radii, dtype=float)
+    if not np.all(r > 0):
+        raise ValueError("radius must be positive")
+    return r
+
+
+def _center_arclengths(params: TreeParams, centers) -> tuple[np.ndarray, np.ndarray]:
+    """Validated edge levels of the centers and their arclengths from the root."""
+    K, N = params.K, params.depth
+    for c in centers:
+        if not 0 <= c.level < N:
+            raise ValueError("center level out of range")
+        if not 0 <= c.child_index < K ** (c.level + 1):
+            raise ValueError("center child index out of range")
+        if not 0.0 <= c.offset <= 1.0:
+            raise ValueError("center offset must lie in [0, 1]")
+    levels = np.array([c.level for c in centers], dtype=np.int64)
+    ax = np.array([arclength(params, c.level + c.offset) for c in centers], dtype=float)
+    return levels, ax
+
+
+def _ball_masses(
+    params: TreeParams,
+    levels: np.ndarray,
+    ax: np.ndarray,
+    radii: np.ndarray,
+    lam: float | None = None,
+) -> np.ndarray:
+    """Masses of the balls of radii `radii` around points on edges at
+    `levels`, at arclengths `ax` from the root.
+
+    A ball meets every edge in a (possibly empty) arclength interval that
+    depends only on the distance from the center to the end through which
+    the edge is entered.  Seen from a center on an edge at level nx, the
+    edges at level j fall into N + 2 distance classes:
+
+      k <= min(j, nx)  parent off the center's ancestor chain, branching
+                       from it at level k, or the chain vertex at k = j;
+                       (K-1) K^(j-k) edges entered from the parent
+      chain/center     for j < nx the chain edge, entered from below; for
+                       j = nx the center edge itself; one edge
+      subtree          for j > nx the edges below the center edge,
+                       K^(j-nx) of them, entered from the parent
+
+    so the mass is a sum of count x (Gauss-Legendre integral of the mass
+    density over the clipped interval): O(N^2) work per ball, at any depth.
+    Each parent distance is a running sum of the edge lengths down its
+    path, so it rounds as a walk from the center does.  The balls are taken
+    `_BALL_CHUNK` at a time.
     """
+    if lam is None:
+        lam = params.lambda2
     K, N, eps = params.K, params.depth, params.epsilon
-    if not 0 <= center.level < N:
-        raise ValueError("center level out of range")
-    if not 0 <= center.child_index < K ** (center.level + 1):
-        raise ValueError("center child index out of range")
-    if not 0.0 <= center.offset <= 1.0:
-        raise ValueError("center offset must lie in [0, 1]")
-
-    nx, cx = center.level, center.child_index
+    beta, c_shift = params.beta, params.C_const
+    gx, gw = _gauss_nodes(params.quad_order)
     a_lev = (1.0 - np.exp(-eps * np.arange(N + 1))) / eps
-    ax = float(arclength(params, nx + center.offset))
-    # anc[j] = flat index of the level-j ancestor of the child endpoint
-    anc = [cx // K ** (nx + 1 - j) for j in range(nx + 2)]
+    a_lo, a_hi = a_lev[:-1], a_lev[1:]
+    lev = np.arange(N)
+    # inc[j] = a_lev[j] - a_lev[j-1]: the step of a parent distance from
+    # level j-1 to level j; steps[k, j] adds it below the branch level k
+    inc = np.concatenate(([0.0], np.diff(a_lev)[:-1]))
+    steps = np.where(lev[None, :] > lev[:, None], inc, 0.0)
+    # counts[nx, class, j]: rows 0..N-1 branch levels, then chain, subtree
+    n, k, j = lev[:, None, None], lev[None, :, None], lev[None, None, :]
+    counts = np.concatenate(
+        [
+            np.where((k <= j) & (k <= n), (K - 1) * float(K) ** (j - k), 0.0),
+            np.where(j <= n, 1.0, 0.0),
+            np.where(j > n, float(K) ** (j - n), 0.0),
+        ],
+        axis=1,
+    )
 
-    dist = [np.array([ax])]
-    for j in range(1, N + 1):
-        d = np.repeat(dist[j - 1], K) + (a_lev[j] - a_lev[j - 1])
-        if j <= nx:
-            d[anc[j]] = ax - a_lev[j]
-        elif j == nx + 1:
-            d[anc[j]] = a_lev[j] - ax
-        dist.append(d)
-    return dist, anc, ax
+    out = np.empty(len(levels))
+    for s in range(0, len(levels), _BALL_CHUNK):
+        nx = levels[s : s + _BALL_CHUNK, None]
+        x = ax[s : s + _BALL_CHUNK, None]
+        r = radii[s : s + _BALL_CHUNK, None]
+        B = len(nx)
+        branch = np.tile(steps, (B, 1, 1))
+        branch[:, lev, lev] = x - a_lo
+        below = np.where(lev == nx + 1, a_lev[nx + 1] - x, np.where(lev > nx + 1, inc, 0.0))
+        chain = lev < nx
+        lo = np.tile(a_lo, (B, N + 2, 1))
+        hi = np.empty_like(lo)
+        hi[:, :N] = a_lo + (r[:, :, None] - np.cumsum(branch, axis=2))
+        lo[:, N] = np.where(chain, a_hi - (r - (x - a_hi)), x - r)
+        hi[:, N] = np.where(chain, a_hi, x + r)
+        hi[:, N + 1] = a_lo + (r - np.cumsum(below, axis=1))
+        np.clip(lo, a_lo, a_hi, out=lo)
+        np.clip(hi, a_lo, a_hi, out=hi)
+        count = counts[nx[:, 0]]
+        mask = (count > 0) & (hi > lo)
+        tlo = -np.log1p(-eps * lo[mask]) / eps
+        thi = -np.log1p(-eps * hi[mask]) / eps
+        mid = 0.5 * (tlo + thi)
+        half = 0.5 * (thi - tlo)
+        tau = mid[:, None] + half[:, None] * gx[None, :]
+        dens = np.exp(-beta * tau) * (tau + c_shift) ** lam
+        quad = half * (dens @ gw)
+        out[s : s + B] = np.bincount(
+            np.nonzero(mask)[0], weights=count[mask] * quad, minlength=B
+        )
+    return out
 
 
 def ball_measure(
@@ -263,46 +343,13 @@ def ball_measure(
     """Exact mass of the metric ball around a point on an edge.
 
     A ball meets every edge in a (possibly empty) arclength interval; the
-    interval is found from the distance to the edge's entry endpoint and
-    the mass density is integrated over it by Gauss-Legendre quadrature.
+    mass density is integrated over it by Gauss-Legendre quadrature, once
+    per distance class of edges (see `_ball_masses`).  An infinite radius
+    gives the total mass.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    if lam is None:
-        lam = params.lambda2
-    K, N, eps = params.K, params.depth, params.epsilon
-    beta, c_shift = params.beta, params.C_const
-    dist, anc, ax = _level_distances(params, center)
-    a_lev = (1.0 - np.exp(-eps * np.arange(N + 1))) / eps
-    gx, gw = _gauss_nodes(params.quad_order)
-
-    total = 0.0
-    for j in range(N):
-        # edges from level j to j+1, indexed by the child vertex
-        lo = np.full(K ** (j + 1), a_lev[j])
-        hi = a_lev[j] + (radius - np.repeat(dist[j], K))
-        if j + 1 <= center.level:
-            # the chain edge above the center is entered from its lower end
-            i = anc[j + 1]
-            hi[i] = a_lev[j + 1]
-            lo[i] = a_lev[j + 1] - (radius - dist[j + 1][i])
-        elif j == center.level:
-            i = center.child_index
-            lo[i] = ax - radius
-            hi[i] = ax + radius
-        np.clip(lo, a_lev[j], a_lev[j + 1], out=lo)
-        np.clip(hi, a_lev[j], a_lev[j + 1], out=hi)
-        mask = hi > lo
-        if not mask.any():
-            continue
-        tlo = -np.log1p(-eps * lo[mask]) / eps
-        thi = -np.log1p(-eps * hi[mask]) / eps
-        mid = 0.5 * (tlo + thi)
-        half = 0.5 * (thi - tlo)
-        tau = mid[:, None] + half[:, None] * gx[None, :]
-        dens = np.exp(-beta * tau) * (tau + c_shift) ** lam
-        total += float(np.sum(half[:, None] * gw[None, :] * dens))
-    return total
+    radius = _check_radii([radius])
+    levels, ax = _center_arclengths(params, [center])
+    return float(_ball_masses(params, levels, ax, radius, lam)[0])
 
 
 def sample_ball_centers(
@@ -337,7 +384,9 @@ def doubling_ratios(
     lam: float | None = None,
 ) -> np.ndarray:
     """Ratios mass(B(x, 2r)) / mass(B(x, r)) for the given balls."""
-    out = np.empty(len(centers))
-    for i, (c, r) in enumerate(zip(centers, radii)):
-        out[i] = ball_measure(params, c, 2.0 * r, lam) / ball_measure(params, c, r, lam)
-    return out
+    if len(centers) != len(radii):
+        raise ValueError("need one radius per center")
+    r = _check_radii(radii)
+    levels, ax = _center_arclengths(params, centers)
+    small = _ball_masses(params, levels, ax, r, lam)
+    return _ball_masses(params, levels, ax, 2.0 * r, lam) / small

@@ -329,3 +329,13 @@ def test_cli_verify_equivalence_single_depth_reports_no_slope(capsys):
     sampled = [ln for ln in lines if "n=" in ln]
     assert len(sampled) == 2
     assert all("slope=n/a (one depth)" in ln for ln in sampled)
+
+
+@pytest.mark.parametrize("n_balls", ["0", "-3"])
+def test_cli_verify_doubling_rejects_too_few_balls(tmp_path, capsys, n_balls):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"n_balls = {n_balls}\n")
+    assert main(["verify", "doubling", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "treetrace: error: n_balls must be at least 1\n"
+    with pytest.raises(ValueError, match="n_balls must be at least 1"):
+        ExperimentConfig(n_balls=0)

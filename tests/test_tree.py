@@ -8,6 +8,7 @@ from scipy import integrate
 
 from treetrace import (
     EdgePoint,
+    arclength,
     ball_measure,
     doubling_ratios,
     edge_length,
@@ -249,6 +250,70 @@ def _digits_of(index, K, length):
     return tuple(reversed(out))
 
 
+def _level_distances(params, center):
+    """Distances from `center` to every vertex, one array per level.
+
+    Returns (per-level distance arrays, ancestor chain of the center edge's
+    child endpoint, arclength of the center from the root).
+    """
+    K, N, eps = params.K, params.depth, params.epsilon
+    nx, cx = center.level, center.child_index
+    a_lev = (1.0 - np.exp(-eps * np.arange(N + 1))) / eps
+    ax = float(arclength(params, nx + center.offset))
+    # anc[j] = flat index of the level-j ancestor of the child endpoint
+    anc = [cx // K ** (nx + 1 - j) for j in range(nx + 2)]
+
+    dist = [np.array([ax])]
+    for j in range(1, N + 1):
+        d = np.repeat(dist[j - 1], K) + (a_lev[j] - a_lev[j - 1])
+        if j <= nx:
+            d[anc[j]] = ax - a_lev[j]
+        elif j == nx + 1:
+            d[anc[j]] = a_lev[j] - ax
+        dist.append(d)
+    return dist, anc, ax
+
+
+def _per_edge_ball_measure(params, center, radius, lam=None):
+    """Reference ball mass: one clipped interval and one quadrature per
+    edge, over all K^N edges, level by level."""
+    if lam is None:
+        lam = params.lambda2
+    K, N, eps = params.K, params.depth, params.epsilon
+    beta, c_shift = params.beta, params.C_const
+    dist, anc, ax = _level_distances(params, center)
+    a_lev = (1.0 - np.exp(-eps * np.arange(N + 1))) / eps
+    gx, gw = np.polynomial.legendre.leggauss(params.quad_order)
+
+    total = 0.0
+    for j in range(N):
+        # edges from level j to j+1, indexed by the child vertex
+        lo = np.full(K ** (j + 1), a_lev[j])
+        hi = a_lev[j] + (radius - np.repeat(dist[j], K))
+        if j + 1 <= center.level:
+            # the chain edge above the center is entered from its lower end
+            i = anc[j + 1]
+            hi[i] = a_lev[j + 1]
+            lo[i] = a_lev[j + 1] - (radius - dist[j + 1][i])
+        elif j == center.level:
+            i = center.child_index
+            lo[i] = ax - radius
+            hi[i] = ax + radius
+        np.clip(lo, a_lev[j], a_lev[j + 1], out=lo)
+        np.clip(hi, a_lev[j], a_lev[j + 1], out=hi)
+        mask = hi > lo
+        if not mask.any():
+            continue
+        tlo = -np.log1p(-eps * lo[mask]) / eps
+        thi = -np.log1p(-eps * hi[mask]) / eps
+        mid = 0.5 * (tlo + thi)
+        half = 0.5 * (thi - tlo)
+        tau = mid[:, None] + half[:, None] * gx[None, :]
+        dens = np.exp(-beta * tau) * (tau + c_shift) ** lam
+        total += float(np.sum(half[:, None] * gw[None, :] * dens))
+    return total
+
+
 def _brute_ball(params, center, radius, lam, slices=3000):
     """Midpoint-Riemann ball mass, with distances via the two-endpoint minimum."""
     K, N, eps = params.K, params.depth, params.epsilon
@@ -337,3 +402,72 @@ def test_doubling_ratios_finite_and_stable_under_deeper_truncation():
     assert np.all(r4 >= 1.0 - 1e-12)
     sup4, sup6 = r4.max(), r6.max()
     assert sup6 <= 1.5 * sup4 and sup4 <= 1.5 * sup6
+
+
+@st.composite
+def _balls(draw):
+    K = draw(st.sampled_from((2, 3, 4)))
+    depth = draw(st.integers(1, 6))
+    lam = draw(st.sampled_from((-0.5, 0.0, 1.0)))
+    p = make_tree_params(K, LN2, 2.0 * math.log(K) + 0.3, lam, depth)
+    level = draw(st.integers(0, depth - 1))
+    index = draw(st.integers(0, K ** (level + 1) - 1))
+    offset = draw(st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0)))
+    radius = p.diameter * 10.0 ** draw(st.floats(-3.0, math.log10(2.0)))
+    return p, EdgePoint(level, index, offset), radius
+
+
+@settings(max_examples=300, deadline=None)
+@given(ball=_balls())
+def test_ball_measure_matches_per_edge_oracle(ball):
+    p, center, radius = ball
+    oracle = _per_edge_ball_measure(p, center, radius)
+    assert oracle > 0
+    assert ball_measure(p, center, radius) == pytest.approx(oracle, rel=1e-13, abs=0)
+
+
+def test_ball_measure_independent_of_child_index():
+    for K, depth in ((2, 5), (3, 4)):
+        p = make_tree_params(K, LN2, 2.0 * math.log(K) + 0.3, 1.0, depth)
+        for level in range(depth):
+            for radius in (0.05, 0.6, 1.9):
+                masses = [
+                    ball_measure(p, EdgePoint(level, i, 0.3), radius)
+                    for i in range(K ** (level + 1))
+                ]
+                oracle = _per_edge_ball_measure(p, EdgePoint(level, 0, 0.3), radius)
+                assert masses == pytest.approx([oracle] * len(masses), rel=1e-13, abs=0)
+
+
+def test_ball_measure_nan_radius_rejected_and_inf_is_total_mass():
+    p = std_params(depth=3)
+    with pytest.raises(ValueError, match="radius must be positive"):
+        ball_measure(p, EdgePoint(1, 2, 0.5), math.nan)
+    centers = [EdgePoint(1, 2, 0.5), EdgePoint(0, 1, 0.2)]
+    with pytest.raises(ValueError, match="radius must be positive"):
+        doubling_ratios(p, centers, [0.5, math.nan])
+    with pytest.raises(ValueError, match="radius must be positive"):
+        doubling_ratios(p, centers, [0.5, 0.0])
+    with pytest.raises(ValueError, match="one radius per center"):
+        doubling_ratios(p, centers, [0.5])
+    assert ball_measure(p, EdgePoint(1, 2, 0.5), math.inf) == pytest.approx(
+        tree_measure(p), rel=1e-12
+    )
+    assert np.array_equal(doubling_ratios(p, centers, [math.inf] * 2), [1.0, 1.0])
+
+
+def test_ball_measure_deep_tree():
+    # K^N = 2^20 edges per level at the bottom: too many for a per-edge walk
+    p = std_params(depth=20, lambda2=1.0)
+    centers, _ = sample_ball_centers(p, 36, seed=3)
+    centers += [EdgePoint(0, 0, 0.0), EdgePoint(19, 2**20 - 1, 1.0)]
+    radii = p.diameter * np.array([1e-3, 1e-2, 0.1, 0.25, 0.5, 1.0])
+    total = tree_measure(p)
+    for c in centers:
+        masses = [ball_measure(p, c, r) for r in radii]
+        assert 0 < masses[0] and all(a <= b for a, b in zip(masses, masses[1:]))
+        assert masses[0] < masses[2] < masses[-1]
+        assert masses[-1] == pytest.approx(total, rel=1e-12)
+    r = [float(x) for x in np.resize(radii[:-1], len(centers))]
+    ratios = doubling_ratios(p, centers, r)
+    assert np.all(np.isfinite(ratios)) and np.all(ratios >= 1.0)
