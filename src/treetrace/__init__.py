@@ -19,6 +19,7 @@ from .boundary_norms import (
     cell_average,
     double_integral_energy,
     double_integral_energy_mc,
+    double_integral_is_exact,
     dyadic_energy,
     dyadic_orlicz_modular,
     lp_norm,

@@ -24,6 +24,7 @@ from .boundary_norms import (
     EnergyParams,
     double_integral_energy,
     double_integral_energy_mc,
+    double_integral_is_exact,
     dyadic_energy,
     dyadic_orlicz_modular,
     orlicz_besov_norm,
@@ -134,7 +135,10 @@ class ExperimentConfig:
     lam defaults to lambda1 + lambda2 and theta to the matched smoothness
     exponent 1 - (beta - log K) / (epsilon * p); both can be pinned
     explicitly, in which case the hypothesis validators insist they agree
-    with those formulas where an experiment assumes them.
+    with those formulas where an experiment assumes them.  `pair_budget`
+    and `mc_samples` matter only for the double sum at p other than 1 and
+    the even integers up to 100: its pairs are enumerated while
+    K^(2*depth) <= pair_budget and sampled `mc_samples` times beyond.
     """
 
     K: int = 2
@@ -161,6 +165,9 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.n_balls < 1:
             raise ValueError("n_balls must be at least 1")
+        for name in ("depths", "seeds"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must not be empty")
 
     @property
     def codimension(self) -> float:
@@ -536,7 +543,10 @@ def verify_equivalences(cfg: ExperimentConfig) -> RatioReport:
     vs the composite (Orlicz norm + energy^(1/p)).  When lambda1 is
     nonzero the two-sided fit between the weighted energy and the Orlicz
     energy is fitted at the shallowest depth and validated, with the
-    multiplicative constant doubled, on the deeper ones.
+    multiplicative constant doubled, on the deeper ones.  Each row says
+    how its double sum was computed: `double_integral_method` is `exact`
+    or `mc` (`double_integral_is_exact`), and `double_integral_stderr` is
+    the Monte Carlo standard error, empty when exact.
     """
     cfg.validate_equivalence_hypotheses()
     family = cfg.family or "iid-uniform"
@@ -550,12 +560,12 @@ def verify_equivalences(cfg: ExperimentConfig) -> RatioReport:
         for seed in cfg.seeds:
             f = _boundary_sample(cfg, family, depth, seed)
             e_plain = dyadic_energy(f, ep_plain)
-            if f.K ** (2 * depth) <= cfg.pair_budget:
+            if double_integral_is_exact(f.K, depth, ep_plain.p, cfg.pair_budget):
                 b_energy = double_integral_energy(f, ep_plain, cfg.pair_budget)
+                b_method, b_stderr = "exact", None
             else:
-                b_energy = double_integral_energy_mc(
-                    f, ep_plain, cfg.mc_samples, seed
-                ).value
+                est = double_integral_energy_mc(f, ep_plain, cfg.mc_samples, seed)
+                b_energy, b_method, b_stderr = est.value, "mc", est.stderr
             if depth <= cfg.hajlasz_max_depth:
                 inst = HajlaszInstance(f, ep.theta, ep.p, cfg.epsilon)
                 h_energy = hajlasz_energy(inst)
@@ -574,6 +584,8 @@ def verify_equivalences(cfg: ExperimentConfig) -> RatioReport:
                     "family": family,
                     "dyadic_energy": e_plain,
                     "double_integral": b_energy,
+                    "double_integral_method": b_method,
+                    "double_integral_stderr": b_stderr,
                     "hajlasz_energy": h_energy,
                     "weighted_energy": e_weighted,
                     "orlicz_modular": modular,

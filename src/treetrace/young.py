@@ -117,7 +117,11 @@ class YoungModular:
             t **= p
             if lam != 0.0:
                 t *= s
-            total += float(np.sum(t @ w))
+            if w.size == 1:
+                t *= w[0]
+                total += float(np.sum(t))
+            else:
+                total += float(np.sum(t @ w))
         return total
 
     def value(self, k: float) -> float:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from treetrace import (
     cell_average,
     double_integral_energy,
     double_integral_energy_mc,
+    double_integral_is_exact,
     dyadic_energy,
     dyadic_orlicz_modular,
     generate,
@@ -269,9 +271,88 @@ def test_double_integral_matches_naive_pair_loop():
 
 
 def test_double_integral_budget_rejection():
+    # p = 1.7 has no closed form, so the enumeration budget still applies
     f = random_f(2, 8, seed=0)
     with pytest.raises(ValueError, match="pair"):
-        double_integral_energy(f, eparams(), pair_budget=16384)
+        double_integral_energy(f, eparams(theta=0.35, p=1.7), pair_budget=16384)
+
+
+def test_double_integral_is_exact_predicate():
+    assert double_integral_is_exact(2, 20, 1.0, 16384)
+    assert double_integral_is_exact(2, 20, 2.0, 16384)
+    assert double_integral_is_exact(3, 12, 6.0, 16384)
+    assert double_integral_is_exact(2, 20, 100.0, 16384)
+    assert not double_integral_is_exact(2, 20, 102.0, 16384)
+    assert double_integral_is_exact(2, 7, 1.7, 16384)
+    assert not double_integral_is_exact(2, 8, 1.7, 16384)
+    assert not double_integral_is_exact(2, 8, 3.0, 16384)
+    assert double_integral_is_exact(2, 8, 3.0, 1 << 16)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 4.0, 6.0])
+@pytest.mark.parametrize("family", ["iid-uniform", "lacunary", "cell-indicator"])
+def test_double_integral_closed_forms_match_naive_pair_loop(p, family):
+    ep = eparams(p=p)
+    for K, depth in ((2, 1), (2, 3), (2, 6), (3, 2), (3, 4)):
+        f = random_f(K, depth, seed=K + depth, family=family)
+        assert double_integral_energy(f, ep, pair_budget=0) == pytest.approx(
+            naive_double_integral(f, ep), rel=1e-12
+        )
+
+
+@pytest.mark.parametrize("p", [8.0, 30.0, 100.0])
+def test_double_integral_closed_form_keeps_its_digits_at_large_even_p(p):
+    # shifting each block by its midrange keeps the alternating power-sum
+    # terms from cancelling
+    ep = eparams(p=p)
+    for family in ("iid-uniform", "lacunary"):
+        f = random_f(2, 5, seed=2, family=family)
+        assert double_integral_energy(f, ep, pair_budget=0) == pytest.approx(
+            naive_double_integral(f, ep), rel=1e-12
+        )
+
+
+@pytest.mark.parametrize("K", [2, 3])
+@pytest.mark.parametrize("p", [1.0, 2.0, 4.0, 6.0])
+def test_double_integral_closed_forms_of_constants_are_zero(K, p):
+    for c in (4.2, -1e-3, 1e200):
+        f = BoundaryFunction(K, 4, np.full(K**4, c))
+        assert double_integral_energy(f, eparams(p=p), pair_budget=0) == 0.0
+
+
+def test_double_integral_p2_at_depth_20_in_linear_memory():
+    K, depth = 2, 20
+    f = random_f(K, depth, seed=1)
+    ep = eparams()
+    tracemalloc.start()
+    try:
+        value = double_integral_energy(f, ep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a few arrays of K^depth floats, nothing of order K^(2*depth)
+    assert peak < 16 * 8 * K**depth
+    # oracle: per block, sum_ab (x_a - x_b)^2 = 2m sum x^2 - 2 (sum x)^2
+    level_sums = []
+    for n in range(depth + 1):
+        blocks = f.values.reshape(K**n, -1)
+        m = blocks.shape[1]
+        level_sums.append(
+            float(np.sum(2.0 * m * (blocks**2).sum(axis=1) - 2.0 * blocks.sum(axis=1) ** 2))
+        )
+    want = 0.0
+    for n in range(depth):
+        d = 2.0 / ep.epsilon * math.exp(-ep.epsilon * n)
+        want += K ** (n - 2 * depth) / d ** (ep.theta * ep.p) * (level_sums[n] - level_sums[n + 1])
+    assert value == pytest.approx(want, rel=1e-12)
+
+
+def test_double_integral_monte_carlo_agrees_beyond_the_enumeration():
+    ep = eparams()
+    f = random_f(2, 10, seed=4)
+    exact = double_integral_energy(f, ep)
+    est = double_integral_energy_mc(f, ep, n_samples=200_000, seed=10)
+    assert abs(est.value - exact) <= 4.0 * est.stderr
 
 
 def test_double_integral_monte_carlo_agrees():

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -339,3 +340,33 @@ def test_cli_verify_doubling_rejects_too_few_balls(tmp_path, capsys, n_balls):
     assert capsys.readouterr().err == "treetrace: error: n_balls must be at least 1\n"
     with pytest.raises(ValueError, match="n_balls must be at least 1"):
         ExperimentConfig(n_balls=0)
+
+
+@pytest.mark.parametrize("key", ["depths", "seeds"])
+@pytest.mark.parametrize("check", ["doubling", "ahlfors", "trace-bound", "equivalence"])
+def test_cli_verify_rejects_an_empty_sweep_list(tmp_path, capsys, key, check):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"{key} =\n")
+    assert main(["verify", check, "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"treetrace: error: {key} must not be empty\n"
+    with pytest.raises(ValueError, match=f"{key} must not be empty"):
+        ExperimentConfig(**{key: ()})
+
+
+def test_cli_verify_equivalence_reports_how_the_double_sum_was_computed(tmp_path):
+    # p = 2 has a closed form: exact at depth 10, far beyond the pair budget
+    out = tmp_path / "report.csv"
+    assert main(["verify", "equivalence", "--depth", "10", "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.open()))
+    assert len(rows) == 8
+    assert all(r["double_integral_method"] == "exact" for r in rows)
+    assert all(r["double_integral_stderr"] == "" for r in rows)
+    # p = 3 beyond the budget is sampled, and its standard error is kept
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("p = 3\ndepths = 7,8\nseeds = 0,1\nmc_samples = 20000\n")
+    assert main(["verify", "equivalence", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = {r["depth"]: r for r in csv.DictReader(out.open()) if r["seed"] == "0"}
+    assert rows["7"]["double_integral_method"] == "exact"
+    assert rows["7"]["double_integral_stderr"] == ""
+    assert rows["8"]["double_integral_method"] == "mc"
+    assert 0.0 < float(rows["8"]["double_integral_stderr"]) < float(rows["8"]["double_integral"])

@@ -269,3 +269,18 @@ def test_young_modular_of_zero_amplitudes():
     assert mod.value(1.0) == 0.0
     with pytest.raises(ValueError):
         mod.value(0.0)
+
+
+@pytest.mark.parametrize("lambda1", [0.0, 1.0, -0.5])
+def test_young_modular_scalar_weight_sums_like_a_one_column_product(lambda1):
+    # a scalar-weight block scales in place and sums; the result is the
+    # same bytes as summing the (m, 1) @ (1,) product
+    phi = YoungPhi(2.0, lambda1)
+    rng = np.random.default_rng(5)
+    for size in (1, 7, 4096, 65_537):
+        a = rng.random(size) * 3.0
+        w = 0.37
+        mod = YoungModular(phi, [(a.copy(), w)])
+        for k in (0.4, 1.0, 2.5):
+            t = phi_eval(phi, (a / mod.scale) / k).reshape(-1, 1)
+            assert mod(k) == float(np.sum(t @ np.array([w])))
