@@ -9,12 +9,15 @@ exponents come from a flat key-value config file, overridable with
 Exit codes: 0 when the command succeeds (for verify: every asserted
 property holds), 1 when verify finds a property that fails, 2 on bad
 input or an error inside a computation, reported as one
-`treetrace: error: ...` line on standard error.
+`treetrace: error: ...` line on standard error.  If the reader of
+standard output has gone (`| head`), the rest of the output is dropped
+and the command runs on: its files are written and its exit code stands.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .boundary_norms import (
@@ -122,6 +125,17 @@ def main(argv=None) -> int:
         return 2
 
 
+def _say(line: str) -> None:
+    """Print one line of standard output.  If its reader has gone, point
+    standard output at devnull (the Python docs recipe), so that the rest
+    of the output and the flush at exit are dropped."""
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+
+
 def _run(args) -> int:
     cfg = _config_from_args(args)
 
@@ -139,7 +153,7 @@ def _run(args) -> int:
         out = cfg.out or "function.csv"
         fn.to_csv(out)
         kind = "tree" if args.family in TREE_FAMILIES else "boundary"
-        print(f"wrote {kind} function ({args.family}, seed {seed}, depth {depth}) to {out}")
+        _say(f"wrote {kind} function ({args.family}, seed {seed}, depth {depth}) to {out}")
         return 0
 
     if args.command == "energy":
@@ -154,7 +168,7 @@ def _run(args) -> int:
             "orlicz_besov_norm": orlicz_besov_norm(f, ep, phi),
         }
         for key, val in values.items():
-            print(f"{key} = {val:.12g}")
+            _say(f"{key} = {val:.12g}")
         if cfg.out:
             with open(cfg.out, "w", newline="") as fh:
                 fh.write("quantity,value\n")
@@ -166,27 +180,27 @@ def _run(args) -> int:
         u = BoundaryFunction.from_csv(args.input)
         out = cfg.out or "extension.csv"
         extend(u).to_csv(out)
-        print(f"wrote extension to {out}")
+        _say(f"wrote extension to {out}")
         return 0
 
     if args.command == "trace":
         F = TreeFunction.from_csv(args.input)
         out = cfg.out or "trace.csv"
         trace(F).to_csv(out)
-        print(f"wrote trace to {out}")
+        _say(f"wrote trace to {out}")
         return 0
 
     # verify
     report = _VERIFY_DRIVERS[args.check](cfg)
     for line in report.summary_lines():
-        print(line)
+        _say(line)
     if cfg.out:
         report.to_csv(cfg.out)
-        print(f"wrote report rows to {cfg.out}")
+        _say(f"wrote report rows to {cfg.out}")
         if cfg.emit_plot_data and hasattr(report, "plot_data"):
             plot_path = cfg.out + ".plot.csv"
             report.plot_data(plot_path)
-            print(f"wrote plot data to {plot_path}")
+            _say(f"wrote plot data to {plot_path}")
     return 0 if report.passed else 1
 
 

@@ -18,14 +18,25 @@ methods, recorded per block in `HajlaszSolution.blocks`:
 * p = 2: accelerated projected ascent on the dual.  For multipliers
   mu >= 0 (one per pair) the Lagrangian minimizer is g_i = s_i / (2 nu),
   with s_i the multiplier mass on leaf i, so the dual is quadratic and the
-  inverse-Lipschitz step is exact.
+  inverse-Lipschitz step is exact.  One loop steps all blocks, each with
+  its own step size, momentum and stop.  A block whose runs (one sibling
+  pair over all vertices of a level) are large, and most of whose level
+  pairs have a nonzero bound, holds its multipliers as dense
+  (K^j, K(K-1)/2, m, m) arrays per split level j, so g[a] + g[b] is a
+  broadcast add and the masses are sequential axis reductions; the other
+  blocks share one gather and one bincount over their kept pairs.  Both sum each leaf's mass in
+  the order np.add.at does over the block's first, then second, pair
+  indices, so the iterates are those of solving each block on its own,
+  bit for bit.
 * any other p > 1: a primal-dual interior-point method.  Each Newton step
   solves (diag(nu p (p-1) g^(p-2) + z/g) + A^T diag(mu/s) A) dg = r, with
   slacks s = A g - bound and multipliers mu (pairs) and z (g >= 0).  A
   block's pairs split at levels j >= j0, its coarsest level, so each
   pair lies inside one level-j0 vertex and the matrix is block-diagonal
   over those K^j0 vertices; it is assembled with one bincount and solved
-  by one batched dense solve.
+  by one batched dense solve.  The repaired minimizer is scaled down
+  until its tightest pair holds with equality (the objective is
+  homogeneous), which removes the slack the Newton iterates keep.
 
 For p > 1 the dual function q(mu) = min_{g >= 0} L(g, mu) is a lower
 bound for every mu >= 0 and any repaired primal point an upper bound, so
@@ -98,29 +109,27 @@ class HajlaszInstance:
         self.split_distances = 2.0 / epsilon * np.exp(-epsilon * np.arange(N))
         self.scale_of_level = [scale_for_distance(float(d)) for d in self.split_distances]
 
-        # constraints per scale: arrays (ia, ib, bound) with
-        # bound = |f_a - f_b| / d^theta; vacuous (zero-difference) pairs dropped
+        # The pairs split at level j, as a dense (K^j, K(K-1)/2, m, m) array
+        # of bounds |f_a - f_b| / d_j^theta with m = K^(N-j-1): a level-j
+        # vertex, a sibling pair c1 < c2 in row-major order, the leaf a under
+        # child c1 and the leaf b under child c2.  The constraints of a
+        # scale are the pairs of its levels in this order, vacuous
+        # (zero-bound) pairs dropped.
+        pa, pb = np.triu_indices(K, 1)
+        self.level_bounds: list[np.ndarray] = []
         per_scale: dict[int, list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
-        vals = f.values
         for j in range(N):
             m = K ** (N - j - 1)
+            leaf = np.arange(f.n_leaves).reshape(K**j, K, m)
+            x = f.values.reshape(K**j, K, m)
             dj = float(self.split_distances[j])
-            k = self.scale_of_level[j]
-            ia_parts, ib_parts = [], []
-            for v in range(K**j):
-                base = v * K * m
-                for c1 in range(K):
-                    for c2 in range(c1 + 1, K):
-                        aa = base + c1 * m + np.arange(m)
-                        bb = base + c2 * m + np.arange(m)
-                        ia_parts.append(np.repeat(aa, m))
-                        ib_parts.append(np.tile(bb, m))
-            ia = np.concatenate(ia_parts)
-            ib = np.concatenate(ib_parts)
-            bound = np.abs(vals[ia] - vals[ib]) / dj**theta
+            bound = np.abs(x[:, pa, :, None] - x[:, pb, None, :]) / dj**theta
+            self.level_bounds.append(bound)
             keep = bound > 0
             if keep.any():
-                per_scale.setdefault(k, []).append((ia[keep], ib[keep], bound[keep]))
+                ia = np.broadcast_to(leaf[:, pa, :, None], bound.shape)[keep]
+                ib = np.broadcast_to(leaf[:, pb, None, :], bound.shape)[keep]
+                per_scale.setdefault(self.scale_of_level[j], []).append((ia, ib, bound[keep]))
 
         self.constraints: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         for k, parts in per_scale.items():
@@ -177,13 +186,24 @@ class SolverConfig:
     Newton steps otherwise), beyond which ConvergenceError is raised.
     check_every (how often the gap and the step adaptation are evaluated)
     and step_scale (a factor on the inverse-Lipschitz step estimate) apply
-    to the p = 2 dual ascent only.
+    to the p = 2 dual ascent only.  max_iters and check_every must be
+    positive integers, rel_tol finite and >= 0, step_scale finite and > 0.
     """
 
     max_iters: int = 100_000
     rel_tol: float = 1e-8
     check_every: int = 50
     step_scale: float = 1.0
+
+    def __post_init__(self) -> None:
+        for name in ("max_iters", "check_every"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        if not 0.0 <= self.rel_tol < math.inf:
+            raise ValueError(f"rel_tol must be finite and >= 0, got {self.rel_tol!r}")
+        if not 0.0 < self.step_scale < math.inf:
+            raise ValueError(f"step_scale must be finite and > 0, got {self.step_scale!r}")
 
 
 @dataclass(frozen=True)
@@ -269,62 +289,264 @@ def _dual_point(nu, p, s, mu, bound):
     return g, q if math.isfinite(q) else -math.inf
 
 
-def _solve_scale_dual(nu, p, ia, ib, bound, n_leaves, cfg: SolverConfig):
-    """Accelerated projected dual ascent on one scale block (used at p = 2).
+# Smallest run (the pairs of one sibling pair over all vertices of a split
+# level, K^(2N - j - 2) of them) for which every level of a dual block
+# must qualify for the block to be held densely; below it, the numpy calls
+# per run cost more than the gathers and the bincount of the index form.
+_DENSE_MIN_RUN = 2048
+# Smallest share of a block's level pairs that must be kept (nonzero bound)
+# for the block to be held densely.  The dense form steps every pair of its
+# levels at about half the cost per pair of the index form, which steps the
+# kept pairs only.
+_DENSE_MIN_KEPT = 0.5
 
-    Maintains the best repaired primal point (seeded with the symmetric
-    feasible start g = max(bound)/2) and the dual lower bound; returns when
-    their relative gap drops below cfg.rel_tol.  If a gap check finds the
-    dual value lower than before (the accelerated ascent is not monotone),
-    the step is halved and the momentum reset.
+
+class _DualBlock:
+    """One scale block of the p = 2 dual ascent: its kept pairs (ia, ib,
+    bound), their active leaves, and the block's own step state.
+
+    A dense block (`level_bounds` given, the instance's bound arrays of
+    the block's split levels) holds a multiplier for every pair of them,
+    zero-bound pairs included (their multipliers stay exactly 0), in the
+    instance's pair order; `kept` locates the kept pairs among them.  Any
+    other block holds its kept pairs only.
     """
-    active, la, lb = _active_leaves(ia, ib, n_leaves)
-    n, m = active.size, ia.size
+
+    def __init__(self, k, ia, ib, bound, n_leaves, nu, p, cfg, level_bounds=None):
+        self.k, self.ia, self.ib, self.bound = k, ia, ib, bound
+        self.active, self.la, self.lb = _active_leaves(ia, ib, n_leaves)
+        n = self.active.size
+        deg = np.bincount(self.la, minlength=n) + np.bincount(self.lb, minlength=n)
+        self.sigma = cfg.step_scale * (p * nu) / float((deg[self.la] + deg[self.lb]).max())
+        self.best = nu * float(np.sum(np.full(n, bound.max() / 2.0) ** p))
+        self.best_g = np.full(n, bound.max() / 2.0)
+        self.last_dual = -math.inf
+        self.tk = 1.0
+        self.level_bounds = level_bounds
+        if level_bounds is None:
+            self.pair_bound = bound
+            self.kept = np.arange(bound.size)
+        else:
+            self.pair_bound = np.concatenate([b.ravel() for b in level_bounds])
+            self.kept = np.flatnonzero(self.pair_bound > 0)
+        self.mu = np.zeros(self.pair_bound.size)
+        self.mu_prev = self.mu.copy()
+
+
+class _DenseMass:
+    """Multiplier mass and pair sums of one dense block, by axis reductions.
+
+    At split level j the multipliers are a (K^j, P, m, m) array: vertex,
+    sibling pair (c1, c2), leaf a under c1, leaf b under c2.  A leaf's mass
+    is summed as np.add.at sums it: from 0, its first-index pairs in pair
+    order (by level, pair, then b), then its second-index pairs (by level,
+    pair, then a).  So the runs go in that order: pair (c1, c2) of level j
+    adds its b-sums to the leaves under c1, then, after all first-index
+    runs, its a-sums to the leaves under c2.  Each run is one reduction
+    over an outer axis, which numpy adds term by term in order (over the
+    contiguous last axis it would sum pairwise, in another order): over a
+    of the pair's (vertex, a, b) slice, or over b of its transposed copy.
+    A run that must continue sums already made starts from them, put as
+    the first term ahead of the run's terms in a scratch array.  The tests
+    hold these sums to np.add.at's bit for bit.
+    """
+
+    def __init__(self, blk, y, pair_sum, s, g):
+        V, P, m, _ = blk.level_bounds[0].shape
+        K = s.size // (V * m)
+        pa, pb = np.triu_indices(K, 1)
+        self.leaf_mass, self.runs, self.sums = s, [], []
+        levels, start = [], 0
+        for bound in blk.level_bounds:
+            V, P, m, _ = bound.shape
+            seg = slice(start, start + bound.size)
+            start += bound.size
+            mu, out = y[seg].reshape(V, P, m, m), pair_sum[seg].reshape(V, P, m, m)
+            s_j, g_j = s.reshape(V, K, m), g.reshape(V, K, m)
+            levels.append((mu, s_j, np.empty((V, m + 1, m))))
+            for pair in range(P):
+                self.sums.append((out[:, pair], g_j[:, pa[pair], :, None], g_j[:, pb[pair], None, :]))
+        # The runs in summation order: (terms, the leaf masses they add to,
+        # scratch, the scratch rows for the terms or None, continue?).  A
+        # run continues if a run before it summed into any of its leaves;
+        # the masses start from 0 if some leaves of such a run have none.
+        touched = np.zeros(s.size, dtype=bool)
+        self.from_zero = False
+        for over_b, child in ((True, pa), (False, pb)):
+            for mu, s_j, scratch in levels:
+                t = touched.reshape(s_j.shape)
+                for pair, c in enumerate(child):
+                    cont = bool(t[:, c, :].any())
+                    self.from_zero |= cont and not t[:, c, :].all()
+                    t[:, c, :] = True
+                    terms = mu[:, pair].transpose(0, 2, 1) if over_b else mu[:, pair]
+                    body = scratch[:, 1:, :] if over_b or cont else None
+                    self.runs.append((terms, s_j[:, c, :], scratch, body, cont))
+
+    def mass(self):
+        if self.from_zero:
+            self.leaf_mass.fill(0.0)
+        for terms, out, scratch, body, cont in self.runs:
+            if cont:
+                scratch[:, 0, :] = out
+            if body is None:
+                np.add.reduce(terms, axis=1, out=out)
+            else:
+                np.copyto(body, terms)
+                np.add.reduce(scratch if cont else body, axis=1, out=out)
+
+    def pair_sums(self):
+        # g[a] + g[b] as a copy and an add, faster than one broadcast add
+        for out, first, second in self.sums:
+            np.copyto(out, second)
+            np.add(first, out, out=out)
+
+
+class _DualLayout:
+    """The multipliers of the unsolved dual blocks in shared flat arrays,
+    all advanced by one accelerated projected step at a time.
+
+    Dense blocks come first, then the others; block i owns the pair
+    entries `segments[i]` and the leaf entries `leaves[i]` (all n_leaves
+    of them, a leaf in no pair at mass 0).  Each dense block sums its
+    leaves' multiplier masses by `_DenseMass`.  The other blocks share one
+    gather for g[a] + g[b] and one bincount over all their first and then
+    all their second indices, which sums each leaf's mass in the order
+    np.add.at does.
+    """
+
+    def __init__(self, blocks, n_leaves):
+        dense = [b for b in blocks if b.level_bounds is not None]
+        index = [b for b in blocks if b.level_bounds is None]
+        self.blocks = blocks = dense + index
+        ends = np.cumsum([b.pair_bound.size for b in blocks])
+        self.segments = [slice(e - b.pair_bound.size, e) for e, b in zip(ends, blocks)]
+        self.leaves = [slice(i * n_leaves, (i + 1) * n_leaves) for i in range(len(blocks))]
+        self.mu = np.concatenate([b.mu for b in blocks])
+        self.mu_prev = np.concatenate([b.mu_prev for b in blocks])
+        self.bound = np.concatenate([b.pair_bound for b in blocks])
+        self.y, self.pair_sum = np.empty_like(self.mu), np.empty_like(self.mu)
+        self.s, self.g = np.zeros(len(blocks) * n_leaves), np.zeros(len(blocks) * n_leaves)
+        self.y_parts = [self.y[seg] for seg in self.segments]
+        self.step_parts = [self.pair_sum[seg] for seg in self.segments]
+        self.dense = [
+            _DenseMass(b, self.y[seg], self.pair_sum[seg], self.s[lv], self.g[lv])
+            for b, seg, lv in zip(dense, self.segments, self.leaves)
+        ]
+        first = len(dense)
+        self.index_pairs = slice(int(ends[first - 1]) if first else 0, None)
+        self.index_leaves = slice(first * n_leaves, None)
+        # the index blocks' pairs as leaf indices into s and g
+        offsets = [lv.start for lv in self.leaves[first:]]
+        none = np.zeros(0, dtype=np.intp)
+        self.ia = np.concatenate([none, *(b.ia + o for b, o in zip(index, offsets))])
+        self.ib = np.concatenate([none, *(b.ib + o for b, o in zip(index, offsets))])
+        self.first_then_second = np.concatenate([self.ia, self.ib]) - first * n_leaves
+
+    def _mass(self):
+        """Every leaf's multiplier mass under the multipliers in y, into s."""
+        for d in self.dense:
+            d.mass()
+        if self.ia.size:
+            w = self.y[self.index_pairs]
+            s = self.s[self.index_leaves]
+            s[:] = np.bincount(self.first_then_second, np.concatenate([w, w]), s.size)
+
+    def step(self, coef, p, nu, q_exp):
+        """One step of every block; coef[i] is block i's momentum coefficient."""
+        y = np.subtract(self.mu, self.mu_prev, out=self.y)
+        for part, c in zip(self.y_parts, coef):
+            part *= c
+        y += self.mu
+        np.maximum(y, 0.0, out=y)
+        self._mass()
+        g = np.divide(self.s, p * nu, out=self.g)
+        g **= q_exp
+        for d in self.dense:
+            d.pair_sums()
+        if self.ia.size:
+            np.add(g[self.ia], g[self.ib], out=self.pair_sum[self.index_pairs])
+        step = np.subtract(self.bound, self.pair_sum, out=self.pair_sum)
+        for part, blk in zip(self.step_parts, self.blocks):
+            part *= blk.sigma
+        step += y
+        self.mu, self.mu_prev = np.maximum(0.0, step, out=self.mu_prev), self.mu
+
+    def mu_mass(self):
+        """Every leaf's multiplier mass under the current multipliers."""
+        np.copyto(self.y, self.mu)
+        self._mass()
+        return self.s
+
+    def without(self, solved, n_leaves):
+        """The layout of the blocks not in `solved`, multipliers kept."""
+        for blk, seg in zip(self.blocks, self.segments):
+            blk.mu, blk.mu_prev = self.mu[seg], self.mu_prev[seg]
+        return _DualLayout([b for b in self.blocks if b.k not in solved], n_leaves)
+
+
+def _solve_dual_blocks(inst: HajlaszInstance, cfg: SolverConfig):
+    """Accelerated projected dual ascent on every scale block (used at p = 2).
+
+    All blocks advance in one loop, each with its own step sigma, momentum
+    and stop.  Every `cfg.check_every` steps each block computes its dual
+    lower bound and repairs the Lagrangian minimizer into its best primal
+    point (seeded with the symmetric feasible start g = max(bound)/2); a
+    block stops when their relative gap drops below cfg.rel_tol.  If a
+    check finds a block's dual value lower than before (the accelerated
+    ascent is not monotone), its step is halved and its momentum reset.
+    Returns scale -> (leaf array, BlockReport).
+    """
+    nu, p = inst.leaf_measure, inst.p
+    K, N, n_leaves = inst.f.K, inst.f.depth, inst.f.n_leaves
     q_exp = 1.0 / (p - 1.0)
-
-    def primal_from(s):
-        return (s / (p * nu)) ** q_exp
-
-    def multiplier_mass(mu_vec):
-        s = np.zeros(n)
-        np.add.at(s, la, mu_vec)
-        np.add.at(s, lb, mu_vec)
-        return s
-
-    deg = multiplier_mass(np.ones(m))
-    sigma = cfg.step_scale * (p * nu) / float((deg[la] + deg[lb]).max())
-
-    best = nu * float(np.sum(np.full(n, bound.max() / 2.0) ** p))
-    best_g = np.full(n, bound.max() / 2.0)
-    last_dual = -math.inf
-    mu = np.zeros(m)
-    mu_prev = mu.copy()
-    tk = 1.0
+    blocks = []
+    for k, (ia, ib, bound) in inst.constraints.items():
+        levels = [j for j, kj in enumerate(inst.scale_of_level) if kj == k]
+        level_pairs = sum(inst.level_bounds[j].size for j in levels)
+        dense = (
+            K ** (2 * N - levels[-1] - 2) >= _DENSE_MIN_RUN
+            and ia.size >= _DENSE_MIN_KEPT * level_pairs
+        )
+        level_bounds = [inst.level_bounds[j] for j in levels] if dense else None
+        blocks.append(_DualBlock(k, ia, ib, bound, n_leaves, nu, p, cfg, level_bounds))
+    if not blocks:
+        return {}
+    lay = _DualLayout(blocks, n_leaves)
+    solved = {}
     for t in range(cfg.max_iters):
-        tk1 = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * tk * tk))
-        y = np.maximum(mu + ((tk - 1.0) / tk1) * (mu - mu_prev), 0.0)
-        tk = tk1
-        g = primal_from(multiplier_mass(y))
-        mu_prev = mu
-        mu = np.maximum(0.0, y + sigma * (bound - (g[la] + g[lb])))
-        if (t + 1) % cfg.check_every == 0:
-            g, dual = _dual_point(nu, p, multiplier_mass(mu), mu, bound)
+        coef = []
+        for blk in lay.blocks:
+            tk1 = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * blk.tk * blk.tk))
+            coef.append((blk.tk - 1.0) / tk1)
+            blk.tk = tk1
+        lay.step(coef, p, nu, q_exp)
+        if (t + 1) % cfg.check_every:
+            continue
+        s = lay.mu_mass()
+        for blk, seg, lv in zip(lay.blocks, lay.segments, lay.leaves):
+            g, dual = _dual_point(nu, p, s[lv][blk.active], lay.mu[seg][blk.kept], blk.bound)
             gf = g.copy()
-            _repair(gf, la, lb, bound)
+            _repair(gf, blk.la, blk.lb, blk.bound)
             primal = nu * float(np.sum(gf**p))
-            if primal < best:
-                best = primal
-                best_g = gf.copy()
-            if best - dual <= cfg.rel_tol * max(best, 1e-300):
+            if primal < blk.best:
+                blk.best = primal
+                blk.best_g = gf.copy()
+            if blk.best - dual <= cfg.rel_tol * max(blk.best, 1e-300):
                 out = np.zeros(n_leaves)
-                out[active] = best_g
-                gap = (best - dual) / best
-                return out, BlockReport("dual-ascent", t + 1, gap, gap <= cfg.rel_tol)
-            if dual < last_dual:
-                sigma *= 0.5
-                mu_prev = mu.copy()
-                tk = 1.0
-            last_dual = dual
+                out[blk.active] = blk.best_g
+                gap = (blk.best - dual) / blk.best
+                solved[blk.k] = out, BlockReport("dual-ascent", t + 1, gap, gap <= cfg.rel_tol)
+                continue
+            if dual < blk.last_dual:
+                blk.sigma *= 0.5
+                lay.mu_prev[seg] = lay.mu[seg]
+                blk.tk = 1.0
+            blk.last_dual = dual
+        if len(solved) == len(blocks):
+            return solved
+        if any(blk.k in solved for blk in lay.blocks):
+            lay = lay.without(solved, n_leaves)
     raise ConvergenceError(
         f"dual ascent did not certify the optimum within {cfg.max_iters} iterations"
     )
@@ -409,6 +631,12 @@ def _solve_scale_ipm(nu, p, ia, ib, bound, n_leaves, block, cfg: SolverConfig):
             out = np.zeros(n_leaves)
             out[active] = unit * candidates[values.index(primal)]
             _repair(out, ia, ib, bound)
+            # Remove the slack left on every constraint: the objective is
+            # homogeneous, so scaling g down until the tightest pair is
+            # exactly tight keeps it feasible and can only lower the value,
+            # by up to p times the relative slack.
+            out *= float(np.max(bound / (out[ia] + out[ib])))
+            _repair(out, ia, ib, bound)
             gap = (primal - dual) / primal
             return out, BlockReport("interior-point", t + 1, gap, gap <= cfg.rel_tol)
     raise ConvergenceError(
@@ -431,13 +659,13 @@ def hajlasz_minimize(
     g: dict[int, np.ndarray] = {k: np.zeros(n_leaves) for k in inst.scales}
     method = {1.0: "lp", 2.0: "dual-ascent"}.get(float(inst.p), "interior-point")
     blocks: dict[int, BlockReport] = {}
+    solved = _solve_dual_blocks(inst, cfg) if method == "dual-ascent" else {}
     for k, (ia, ib, bound) in inst.constraints.items():
         if method == "lp":
             g[k], blocks[k] = _solve_scale_lp(nu, ia, ib, bound, n_leaves)
         elif method == "dual-ascent":
-            gk, blocks[k] = _solve_scale_dual(nu, inst.p, ia, ib, bound, n_leaves, cfg)
-            _repair(gk, ia, ib, bound)
-            g[k] = gk
+            g[k], blocks[k] = solved[k]
+            _repair(g[k], ia, ib, bound)
         else:
             block = K ** (N - inst.coarsest_level[k])
             g[k], blocks[k] = _solve_scale_ipm(

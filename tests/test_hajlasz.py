@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import treetrace.hajlasz as hajlasz
 from treetrace import (
+    BlockReport,
     BoundaryFunction,
     ConvergenceError,
     EnergyParams,
@@ -17,7 +21,7 @@ from treetrace import (
     hajlasz_oracle,
     scale_for_distance,
 )
-from treetrace.hajlasz import _solve_scale_dual, _solve_scale_ipm
+from treetrace.hajlasz import _active_leaves, _dual_point, _repair, _solve_scale_ipm
 from treetrace.harness import fit_log_slope
 
 LN2 = math.log(2.0)
@@ -128,6 +132,33 @@ def test_solver_reports_nonconvergence():
         hajlasz_minimize(inst, SolverConfig(max_iters=120, rel_tol=0.0))
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("check_every", 0),
+        ("check_every", -5),
+        ("check_every", 2.5),
+        ("max_iters", 0),
+        ("step_scale", 0.0),
+        ("step_scale", -1.0),
+        ("step_scale", math.nan),
+        ("step_scale", math.inf),
+        ("rel_tol", math.nan),
+        ("rel_tol", -1e-8),
+        ("rel_tol", math.inf),
+    ],
+)
+def test_solver_config_rejects_bad_values(field, value):
+    # each used to fail only inside the solver: ZeroDivisionError at the
+    # first step, or ConvergenceError after 100,000 steps
+    with pytest.raises(ValueError, match=field):
+        SolverConfig(**{field: value})
+
+
+def test_solver_config_accepts_zero_tolerance():
+    assert SolverConfig(rel_tol=0.0).rel_tol == 0.0
+
+
 # --------------------------------------------------------------------- oracle
 
 
@@ -209,6 +240,21 @@ def test_interior_point_converges_at_extreme_exponents(p, seed, depth):
     assert sol.converged and hajlasz_feasible(inst, sol.g)
 
 
+@pytest.mark.parametrize("p", [1.5, 3.0, 6.0, 8.0])
+def test_interior_point_two_leaves_closed_form(p):
+    # one pair: the optimum splits the bound evenly, value 2 nu (bound/2)^p;
+    # at p >= 6 the constraint slack left by the Newton iterates used to
+    # put the value 1.1e-9 above it
+    for seed in range(4):
+        inst = random_instance(seed, depth=1, p=p)
+        (k, (_, _, bound)), = inst.constraints.items()
+        sol = hajlasz_minimize(inst)
+        closed = 2.0 * inst.leaf_measure * (bound[0] / 2.0) ** p
+        assert sol.blocks[k].method == "interior-point"
+        assert hajlasz_feasible(inst, sol.g, rtol=0.0)
+        assert abs(sol.value - closed) <= 1e-12 * closed
+
+
 def test_interior_point_is_homogeneous():
     inst = random_instance(4, depth=4, p=1.5)
     scaled = HajlaszInstance(
@@ -229,7 +275,7 @@ def test_interior_point_matches_dual_ascent_at_p2(K, depth):
         for k, (ia, ib, bound) in inst.constraints.items():
             block = K ** (depth - inst.coarsest_level[k])
             g_ip, rep = _solve_scale_ipm(nu, 2.0, ia, ib, bound, n, block, cfg)
-            g_da, _ = _solve_scale_dual(nu, 2.0, ia, ib, bound, n, cfg)
+            g_da, _ = _per_block_dual_ascent(nu, 2.0, ia, ib, bound, n, cfg)
             v_ip, v_da = nu * np.sum(g_ip**2), nu * np.sum(g_da**2)
             assert rep.method == "interior-point" and rep.converged
             assert abs(v_ip - v_da) <= 2.0 * cfg.rel_tol * max(v_ip, v_da)
@@ -257,6 +303,149 @@ def test_solution_reports_each_block(p, method):
     assert sol.iterations == sum(b.iterations for b in sol.blocks.values()) > 0
     assert all(b.rel_gap <= SolverConfig().rel_tol for b in sol.blocks.values())
     assert sol.converged
+
+
+# ---------------------------------------- p = 2 against its per-block form
+
+
+def _per_block_dual_ascent(nu, p, ia, ib, bound, n_leaves, cfg: SolverConfig):
+    """Reference p = 2 solver: accelerated projected dual ascent on one
+    scale block, its multiplier mass summed by np.add.at.
+
+    Maintains the best repaired primal point (seeded with the symmetric
+    feasible start g = max(bound)/2) and the dual lower bound; returns when
+    their relative gap drops below cfg.rel_tol.  If a gap check finds the
+    dual value lower than before (the accelerated ascent is not monotone),
+    the step is halved and the momentum reset.
+    """
+    active, la, lb = _active_leaves(ia, ib, n_leaves)
+    n, m = active.size, ia.size
+    q_exp = 1.0 / (p - 1.0)
+
+    def primal_from(s):
+        return (s / (p * nu)) ** q_exp
+
+    def multiplier_mass(mu_vec):
+        s = np.zeros(n)
+        np.add.at(s, la, mu_vec)
+        np.add.at(s, lb, mu_vec)
+        return s
+
+    deg = multiplier_mass(np.ones(m))
+    sigma = cfg.step_scale * (p * nu) / float((deg[la] + deg[lb]).max())
+
+    best = nu * float(np.sum(np.full(n, bound.max() / 2.0) ** p))
+    best_g = np.full(n, bound.max() / 2.0)
+    last_dual = -math.inf
+    mu = np.zeros(m)
+    mu_prev = mu.copy()
+    tk = 1.0
+    for t in range(cfg.max_iters):
+        tk1 = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * tk * tk))
+        y = np.maximum(mu + ((tk - 1.0) / tk1) * (mu - mu_prev), 0.0)
+        tk = tk1
+        g = primal_from(multiplier_mass(y))
+        mu_prev = mu
+        mu = np.maximum(0.0, y + sigma * (bound - (g[la] + g[lb])))
+        if (t + 1) % cfg.check_every == 0:
+            g, dual = _dual_point(nu, p, multiplier_mass(mu), mu, bound)
+            gf = g.copy()
+            _repair(gf, la, lb, bound)
+            primal = nu * float(np.sum(gf**p))
+            if primal < best:
+                best = primal
+                best_g = gf.copy()
+            if best - dual <= cfg.rel_tol * max(best, 1e-300):
+                out = np.zeros(n_leaves)
+                out[active] = best_g
+                gap = (best - dual) / best
+                return out, BlockReport("dual-ascent", t + 1, gap, gap <= cfg.rel_tol)
+            if dual < last_dual:
+                sigma *= 0.5
+                mu_prev = mu.copy()
+                tk = 1.0
+            last_dual = dual
+    raise ConvergenceError("dual ascent did not certify the optimum")
+
+
+def _assert_matches_per_block(inst, cfg=None):
+    """hajlasz_minimize at p = 2 gives, bit for bit, the value, gradient
+    arrays and block reports of solving each block on its own."""
+    cfg = cfg or SolverConfig()
+    nu, n = inst.leaf_measure, inst.f.n_leaves
+    g = {k: np.zeros(n) for k in inst.scales}
+    blocks = {}
+    for k, (ia, ib, bound) in inst.constraints.items():
+        g[k], blocks[k] = _per_block_dual_ascent(nu, inst.p, ia, ib, bound, n, cfg)
+        _repair(g[k], ia, ib, bound)
+    value = sum(nu * float(np.sum(arr**inst.p)) for arr in g.values())
+
+    sol = hajlasz_minimize(inst, cfg)
+    assert sol.method == "dual-ascent"
+    assert list(sol.g) == list(g)
+    for k in g:
+        assert np.array_equal(sol.g[k], g[k]), k
+    assert sol.blocks == blocks
+    assert sol.value == value
+    assert sol.iterations == sum(b.iterations for b in blocks.values())
+
+
+# Every block in the dense form, the default choice of form, and every
+# block in the index form: (smallest run, smallest kept share).
+FORMS = [(1, 0.0), (hajlasz._DENSE_MIN_RUN, hajlasz._DENSE_MIN_KEPT), (2**62, 0.0)]
+
+
+def _use_form(mp, form):
+    mp.setattr(hajlasz, "_DENSE_MIN_RUN", form[0])
+    mp.setattr(hajlasz, "_DENSE_MIN_KEPT", form[1])
+
+
+@st.composite
+def _p2_instances(draw):
+    K = draw(st.sampled_from([2, 3]))
+    depth = draw(st.integers(1, 6 if K == 2 else 4))
+    family = draw(st.sampled_from(["iid-uniform", "lacunary", "cell-indicator"]))
+    # at 0.3 several split levels share one scale
+    epsilon = draw(st.sampled_from([LN2, 0.3]))
+    seed = draw(st.integers(0, 1000))
+    f = generate(family, K=K, depth=depth, seed=seed, epsilon=epsilon, theta=0.5)
+    return HajlaszInstance(f, 0.5, 2.0, epsilon)
+
+
+@pytest.mark.parametrize("form", FORMS)
+@settings(max_examples=50, deadline=None)
+@given(inst=_p2_instances())
+def test_dual_ascent_matches_per_block_oracle(form, inst):
+    with pytest.MonkeyPatch.context() as mp:
+        _use_form(mp, form)
+        _assert_matches_per_block(inst)
+
+
+@pytest.mark.parametrize(
+    "K, depth, epsilon, family, seed",
+    [
+        (2, 8, LN2, "iid-uniform", 0),
+        # one block with every pair kept (dense), then blocks with few kept
+        (2, 8, LN2, "cell-indicator", 4),
+        (2, 8, LN2, "cell-indicator", 1),
+        (2, 7, 0.3, "lacunary", 1),
+        (3, 5, LN2, "cell-indicator", 2),
+        (3, 5, 0.3, "iid-uniform", 3),
+    ],
+)
+def test_dual_ascent_matches_per_block_oracle_deep(K, depth, epsilon, family, seed):
+    f = generate(family, K=K, depth=depth, seed=seed, epsilon=epsilon, theta=0.5)
+    _assert_matches_per_block(HajlaszInstance(f, 0.5, 2.0, epsilon))
+
+
+@pytest.mark.parametrize("form", FORMS)
+@pytest.mark.parametrize("K, depth, epsilon", [(2, 5, LN2), (2, 5, 0.3), (3, 3, 0.3)])
+def test_dual_ascent_matches_per_block_oracle_other_steps(form, K, depth, epsilon):
+    cfg = SolverConfig(check_every=30, step_scale=0.7)
+    f = generate("iid-uniform", K=K, depth=depth, seed=4, epsilon=epsilon, theta=0.5)
+    with pytest.MonkeyPatch.context() as mp:
+        _use_form(mp, form)
+        _assert_matches_per_block(HajlaszInstance(f, 0.5, 2.0, epsilon), cfg)
 
 
 # -------------------------------------------------------------- comparability

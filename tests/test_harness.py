@@ -1,13 +1,21 @@
 import csv
+import errno
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import treetrace
+
 from treetrace import (
     BoundaryFunction,
+    HajlaszInstance,
     TreeFunction,
     generate,
+    hajlasz_minimize,
     indicator_function,
     load_config,
     verify_ahlfors,
@@ -303,6 +311,51 @@ def test_cli_failed_property_exits_1_without_error(tmp_path, capsys):
     assert text.err == ""
 
 
+def test_cli_closed_standard_output_keeps_the_report_and_verdict(tmp_path):
+    # `treetrace verify ... --out r.csv | head`: the reader is gone before
+    # the summary is printed; the report is still written and the exit
+    # code is still the verdict, with nothing on standard error
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("p = 4\ndepths = 2,3\nseeds = 0,1\n")
+    argv = ["verify", "equivalence", "--config", str(cfg), "--out"]
+    verdict = main(argv + [str(tmp_path / "direct.csv")])
+    assert verdict in (0, 1)
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(treetrace.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "treetrace", *argv, str(tmp_path / "piped.csv")],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == verdict
+    assert proc.stderr == b""
+    assert (tmp_path / "piped.csv").read_bytes() == (tmp_path / "direct.csv").read_bytes()
+
+
+def test_cli_failing_standard_output_exits_2_with_one_error_line(monkeypatch, capsys):
+    # any write error on standard output other than a gone reader (here a
+    # full disk under a redirect) is an error like any other
+    class FullDisk:
+        def write(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr(sys, "stdout", FullDisk())
+    assert main(["verify", "roundtrip", "--depth", "3", "--seed", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"treetrace: error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+
+
 def test_single_depth_slope_is_untested():
     report = verify_trace_bound(small_cfg(seeds=(0, 1), depths=(4,)))
     assert report.stats("ratio").slope is None
@@ -370,3 +423,27 @@ def test_cli_verify_equivalence_reports_how_the_double_sum_was_computed(tmp_path
     assert rows["7"]["double_integral_stderr"] == ""
     assert rows["8"]["double_integral_method"] == "mc"
     assert 0.0 < float(rows["8"]["double_integral_stderr"]) < float(rows["8"]["double_integral"])
+
+
+def test_cli_verify_equivalence_reports_how_the_hajlasz_energy_was_reached(tmp_path):
+    out = tmp_path / "report.csv"
+    assert main(["verify", "equivalence", "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.open()))
+    cfg = load_config()
+    assert len(rows) == len(cfg.depths) * len(cfg.seeds)
+    for row in rows:
+        if int(row["depth"]) > cfg.hajlasz_max_depth:
+            assert row["hajlasz_energy"] == ""
+            assert row["hajlasz_method"] == row["hajlasz_iterations"] == ""
+            assert row["hajlasz_rel_gap"] == ""
+            continue
+        assert row["hajlasz_method"] == "dual-ascent"
+        assert int(row["hajlasz_iterations"]) > 0
+        assert 0.0 <= float(row["hajlasz_rel_gap"]) <= 1e-8
+    # the columns are those of the solver's own solution
+    row = next(r for r in rows if r["depth"] == "5" and r["seed"] == "3")
+    f = generate("iid-uniform", K=2, depth=5, seed=3)
+    sol = hajlasz_minimize(HajlaszInstance(f, cfg.resolved_theta, 2.0, cfg.epsilon))
+    assert float(row["hajlasz_energy"]) == sol.value
+    assert int(row["hajlasz_iterations"]) == sol.iterations
+    assert float(row["hajlasz_rel_gap"]) == max(b.rel_gap for b in sol.blocks.values())
