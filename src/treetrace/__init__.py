@@ -1,17 +1,6 @@
 """Dyadic norms, Orlicz-Sobolev norms and trace/extension operators on
 truncated regular K-ary trees and their Cantor-type boundaries."""
 
-from .boundary import (
-    BoundaryMeasure,
-    DyadicCell,
-    ahlfors_ratio,
-    boundary_distance,
-    cell_children,
-    cell_parent,
-    leaf_cell,
-    leaf_index,
-    split_level,
-)
 from .boundary_norms import (
     BoundaryFunction,
     EnergyParams,
@@ -58,6 +47,7 @@ from .operators import extend, star_majorant, trace
 from .tree import (
     EdgePoint,
     TreeParams,
+    ahlfors_ratio,
     arclength,
     ball_measure,
     doubling_ratios,
@@ -68,6 +58,7 @@ from .tree import (
     min_shift_constant,
     residual_measure,
     sample_ball_centers,
+    split_distances,
     tree_measure,
     vertex_distance,
 )

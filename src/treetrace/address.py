@@ -31,6 +31,7 @@ __all__ = [
     "digits_index",
     "index_digits",
     "cell_leaves",
+    "child_minus_parent",
     "level_digits",
     "level_addresses",
     "write_function_csv",
@@ -73,6 +74,13 @@ def cell_leaves(K: int, depth: int, digits) -> slice:
     block = K ** (depth - len(digits))
     idx = digits_index(K, digits)
     return slice(idx * block, (idx + 1) * block)
+
+
+def child_minus_parent(K: int, levels) -> list[np.ndarray]:
+    """Per pair of consecutive levels of `levels` (one flat array per
+    level, top down): the value of every vertex of the lower level minus
+    the value of its parent."""
+    return [levels[n] - np.repeat(levels[n - 1], K) for n in range(1, len(levels))]
 
 
 def level_digits(K: int, level: int, start: int, stop: int) -> np.ndarray:

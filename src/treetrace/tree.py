@@ -12,6 +12,11 @@ Vertices are addressed by their digit path from the root (a tuple of
 integers in [0, K)); within a level they are ordered lexicographically,
 so the level-n vertex with flat index i has parent i // K at level n-1.
 `treetrace.address` converts and validates addresses.
+
+The boundary is the set of infinite rays from the root; the cell of a
+vertex is the set of rays through it, with mass K^(-n) at level n.  Two
+rays whose addresses split at level n are 2 e^(-epsilon*n) / epsilon
+apart (`split_distances`), an ultrametric.
 """
 
 from __future__ import annotations
@@ -31,6 +36,8 @@ __all__ = [
     "min_shift_constant",
     "edge_length",
     "arclength",
+    "split_distances",
+    "ahlfors_ratio",
     "vertex_distance",
     "edge_mass",
     "edge_measure",
@@ -66,6 +73,8 @@ class TreeParams:
                  minimal admissible value, which None selects
     depth        truncation level N (>= 1); vertices live on levels 0..N
     quad_order   Gauss-Legendre order used for all edge integrals
+
+    The real parameters must be finite.
     """
 
     K: int
@@ -79,6 +88,10 @@ class TreeParams:
     def __post_init__(self) -> None:
         if self.K < 2:
             raise ValueError("K must be at least 2")
+        for name in ("epsilon", "beta", "lambda2", "C_const"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
         if self.beta <= math.log(self.K):
@@ -101,10 +114,6 @@ class TreeParams:
     @property
     def diameter(self) -> float:
         return 2.0 / self.epsilon
-
-    def smoothness_exponent(self, p: float) -> float:
-        """The exponent 1 - (beta - log K) / (epsilon * p) paired with p."""
-        return 1.0 - (self.beta - math.log(self.K)) / (self.epsilon * p)
 
 
 def make_tree_params(
@@ -138,6 +147,23 @@ def edge_length(params: TreeParams, n: int) -> float:
         raise ValueError(f"edge level {n} out of range [0, {params.depth})")
     eps = params.epsilon
     return (1.0 - math.exp(-eps)) / eps * math.exp(-eps * n)
+
+
+def split_distances(epsilon: float, count: int) -> np.ndarray:
+    """Distances (2/epsilon) e^(-epsilon*n), n = 0..count-1, between two
+    boundary points whose addresses split at level n: twice the arclength
+    from a level-n vertex down to the boundary."""
+    return 2.0 / epsilon * np.exp(-epsilon * np.arange(count))
+
+
+def ahlfors_ratio(params: TreeParams, digits) -> float:
+    """Mass K^(-n) of the boundary cell with the given level-n address
+    divided by its diameter scale (the level-n split distance) to the
+    power Q.  The uniform boundary mass is Ahlfors Q-regular: the ratio
+    is the same for every cell."""
+    n = len(check_digits(params.K, digits, params.depth))
+    r = float(split_distances(params.epsilon, n + 1)[n])
+    return float(params.K) ** -n / r**params.hausdorff_dim
 
 
 def vertex_distance(params: TreeParams, x, y) -> float:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .address import read_function_csv, write_function_csv
+from .address import child_minus_parent, read_function_csv, write_function_csv
 from .tree import TreeParams, arclength, edge_length, edge_measure, _gauss_nodes
 from .young import YoungModular, YoungPhi, luxemburg_gauge
 
@@ -70,11 +70,8 @@ def edge_slopes(F: TreeFunction, params: TreeParams) -> list[np.ndarray]:
     """Signed arclength slope per edge; entry n covers the level n -> n+1 edges,
     indexed by the child vertex."""
     _check_shape(F, params)
-    out = []
-    for n in range(F.depth):
-        parent = np.repeat(F.levels[n], F.K)
-        out.append((F.levels[n + 1] - parent) / edge_length(params, n))
-    return out
+    diffs = child_minus_parent(F.K, F.levels)
+    return [diff / edge_length(params, n) for n, diff in enumerate(diffs)]
 
 
 def upper_gradient_edges(F: TreeFunction, params: TreeParams) -> list[np.ndarray]:

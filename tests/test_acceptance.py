@@ -10,7 +10,6 @@ import numpy as np
 
 from treetrace import (
     BoundaryFunction,
-    DyadicCell,
     EnergyParams,
     HajlaszInstance,
     YoungPhi,
@@ -131,7 +130,7 @@ def test_criterion_05_ahlfors_constancy():
                 for _ in range(level):
                     j, d = divmod(j, K)
                     digits.append(d)
-                ratios.append(ahlfors_ratio(p, DyadicCell(K, tuple(reversed(digits)))))
+                ratios.append(ahlfors_ratio(p, tuple(reversed(digits))))
         worst = max(worst, max(ratios) / min(ratios) - 1.0)
     _criterion(5, "Ahlfors ratio constancy", worst <= 1e-12, f"max spread {worst:.3g}")
 

@@ -1,4 +1,5 @@
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from treetrace.address import (
     CHUNK_ROWS,
     cell_leaves,
     check_digits,
+    child_minus_parent,
     digits_index,
     index_digits,
     level_addresses,
@@ -233,6 +235,37 @@ def test_cell_leaves_blocks():
     assert cell_leaves(3, 2, (2, 1)) == slice(7, 8)
     with pytest.raises(ValueError):
         cell_leaves(2, 2, (0, 0, 0))
+
+
+def test_child_cell_masses_sum_to_parent():
+    # a cell's mass is its share of the leaves; the children's leaf blocks
+    # tile the parent's, so their masses add up to the parent's exactly
+    depth = 4
+
+    def mass(K, digits):
+        block = cell_leaves(K, depth, digits)
+        return Fraction(block.stop - block.start, K**depth)
+
+    for K in (2, 3):
+        assert mass(K, ()) == 1
+        for digits in ((), (0,), (K - 1, 0), (K - 1, 0, 1)):
+            kids = [digits + (d,) for d in range(K)]
+            blocks = [cell_leaves(K, depth, c) for c in kids]
+            parent = cell_leaves(K, depth, digits)
+            assert blocks[0].start == parent.start and blocks[-1].stop == parent.stop
+            assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+            assert sum(mass(K, c) for c in kids) == mass(K, digits)
+            assert all(mass(K, digits) == K * mass(K, c) for c in kids)
+            assert mass(K, digits) == Fraction(1, K ** len(digits))
+    assert mass(2, (0, 1, 1)) == Fraction(1, 8)
+    assert mass(3, (0, 2)) == Fraction(1, 9)
+
+
+def test_child_minus_parent_values():
+    levels = [np.array([1.0]), np.array([3.0, 5.0]), np.arange(4.0)]
+    diffs = child_minus_parent(2, levels)
+    assert [d.tolist() for d in diffs] == [[2.0, 4.0], [-3.0, -2.0, -3.0, -2.0]]
+    assert child_minus_parent(2, levels[:1]) == []
 
 
 def test_vertex_distance_validates_addresses():

@@ -217,6 +217,14 @@ def test_modular_rejects_mismatched_exponent():
         dyadic_orlicz_modular(f, eparams(p=2.0), YoungPhi(1.5))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_energy_params_reject_non_finite_epsilon(bad):
+    with pytest.raises(ValueError, match="epsilon must be finite"):
+        eparams(epsilon=bad)
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        eparams(epsilon=-1.0)
+
+
 # ------------------------------------------------------------ besov gauge norm
 
 

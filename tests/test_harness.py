@@ -302,6 +302,53 @@ def test_cli_bad_input_exits_2_with_one_error_line(tmp_path, capsys):
     assert capsys.readouterr().err.count("treetrace: error: ") == 2
 
 
+@pytest.mark.parametrize(
+    "line, code",
+    [
+        ("slope_tol = 0.0", 1),
+        ("spread_max = 1.0", 1),
+        ("slope_tol = nan", 2),
+        ("spread_max = nan", 2),
+        ("slope_tol = -0.1", 2),
+        ("spread_max = 0.5", 2),
+    ],
+)
+def test_cli_verify_rejects_tolerances_that_would_disable_a_check(tmp_path, capsys, line, code):
+    # NaN compares false, so a NaN tolerance used to pass every sweep
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"seeds = 0,1\ndepths = 4,5\n{line}\n")
+    assert main(["verify", "trace-bound", "--config", str(cfg)]) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        name = line.split()[0]
+        assert err.startswith(f"treetrace: error: {name} must be")
+    else:
+        assert err == ""
+
+
+@pytest.mark.parametrize("key", ["epsilon", "beta", "lambda2"])
+def test_cli_verify_ahlfors_rejects_non_finite_geometry(tmp_path, capsys, key):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"{key} = nan\n")
+    assert main(["verify", "ahlfors", "--config", str(cfg)]) == 2
+    text = capsys.readouterr()
+    assert text.err == f"treetrace: error: {key} must be finite, got nan\n"
+    assert text.out == ""
+
+
+@pytest.mark.parametrize(
+    "text, line, key",
+    [("K = two", 2, "K"), ("depths = 4,x", 2, "depths"), ("epsilon = 1.0.0", 2, "epsilon")],
+)
+def test_cli_config_value_errors_name_the_key_and_line(tmp_path, capsys, text, line, key):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"# geometry\n{text}\n")
+    assert main(["verify", "ahlfors", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"treetrace: error: {cfg}, line {line}: bad value for {key}: ")
+    assert err.count("\n") == 1
+
+
 def test_cli_failed_property_exits_1_without_error(tmp_path, capsys):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("seeds = 0,1\ndepths = 3,4\nslope_tol = 0.000001\n")

@@ -8,6 +8,7 @@ from scipy import integrate
 
 from treetrace import (
     EdgePoint,
+    ahlfors_ratio,
     arclength,
     ball_measure,
     doubling_ratios,
@@ -18,9 +19,11 @@ from treetrace import (
     min_shift_constant,
     residual_measure,
     sample_ball_centers,
+    split_distances,
     tree_measure,
     vertex_distance,
 )
+from treetrace.address import index_digits
 from treetrace.tree import TreeParams
 
 LN2 = math.log(2.0)
@@ -36,7 +39,6 @@ def std_params(depth=8, K=2, epsilon=LN2, beta=2 * LN2, lambda2=0.0, quad_order=
 def test_params_derived_quantities():
     p = std_params()
     assert p.hausdorff_dim == pytest.approx(1.0, abs=1e-15)
-    assert p.smoothness_exponent(2.0) == pytest.approx(0.5, abs=1e-15)
     assert p.diameter == pytest.approx(2.0 / LN2)
 
 
@@ -63,6 +65,16 @@ def test_params_rejections():
         make_tree_params(2, LN2, 2 * LN2, 0.0, 4, c_const=1.0)
     with pytest.raises(ValueError, match="C_const"):
         TreeParams(2, LN2, 2 * LN2, 0.0, 0.5, 4)
+
+
+@pytest.mark.parametrize("name", ["epsilon", "beta", "lambda2", "C_const"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_params_reject_non_finite_values(name, bad):
+    # NaN passes every comparison in the range checks, so it needs its own
+    args = dict(K=2, epsilon=LN2, beta=2 * LN2, lambda2=0.0, C_const=None, depth=4)
+    args[name] = bad
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        TreeParams(**args)
 
 
 def test_params_none_shift_is_the_minimal_one():
@@ -110,6 +122,74 @@ def test_ray_length_and_diameter():
     tail = math.exp(-p.epsilon * p.depth) / p.epsilon
     assert total + tail == pytest.approx(1.0 / p.epsilon, rel=1e-14)
     assert p.diameter == pytest.approx(2.0 / p.epsilon)
+
+
+# ----------------------------------------------- boundary distance and mass
+
+
+def _split_level(K, depth, a, b):
+    """Length of the common address prefix of two distinct leaves."""
+    da, db = index_digits(K, depth, a), index_digits(K, depth, b)
+    return next(k for k in range(depth) if da[k] != db[k])
+
+
+def test_split_distances_values():
+    p = std_params()
+    d = split_distances(p.epsilon, p.depth)
+    # leaves 00 and 01 split at level 1, leaves 00 and 10 at level 0
+    assert d[_split_level(2, 2, 0b00, 0b01)] == pytest.approx(1.0 / LN2, rel=1e-12)
+    assert d[_split_level(2, 2, 0b00, 0b10)] == pytest.approx(p.diameter, rel=1e-12)
+    # twice the length of a ray below the split vertex
+    ray = 1.0 / p.epsilon
+    for k in range(p.depth):
+        assert d[k] == pytest.approx(2.0 * (ray - arclength(p, k)), rel=1e-12)
+
+
+def test_split_distances_ultrametric_triple():
+    d = split_distances(LN2, 2)
+    a, b, c = 0b00, 0b01, 0b10
+    dab, dac, dbc = (d[_split_level(2, 2, x, y)] for x, y in ((a, b), (a, c), (b, c)))
+    assert dab < dac
+    assert dac == pytest.approx(dbc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(0, 26), st.integers(0, 26), st.integers(0, 26))
+def test_split_distances_ultrametric_inequality(K, i, j, k):
+    depth = 3
+    i, j, k = (x % K**depth for x in (i, j, k))
+    if len({i, j, k}) < 3:
+        return
+    d = split_distances(LN2, depth)
+    dab = d[_split_level(K, depth, i, j)]
+    dbc = d[_split_level(K, depth, j, k)]
+    dac = d[_split_level(K, depth, i, k)]
+    assert dac <= max(dab, dbc) + 1e-12
+
+
+def test_ahlfors_ratio_binary_tree_value():
+    p = std_params()
+    expected = LN2 / 2.0  # (epsilon/2)^Q with Q = 1
+    for n in range(9):
+        assert ahlfors_ratio(p, (0,) * n) == pytest.approx(expected, rel=1e-12)
+
+
+def test_ahlfors_ratio_constant_across_cells_and_levels():
+    p = make_tree_params(3, 1.0, 2.0, 0.0, 8)
+    vals = [
+        ahlfors_ratio(p, digits)
+        for n in range(9)
+        for digits in ((0,) * n, (2,) * n, (1,) * n)
+    ]
+    assert max(vals) / min(vals) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_ahlfors_ratio_checks_the_address():
+    p = std_params(depth=3)
+    with pytest.raises(ValueError, match="digit 2 out of range"):
+        ahlfors_ratio(p, (0, 2))
+    with pytest.raises(ValueError, match="longer than depth 3"):
+        ahlfors_ratio(p, (0,) * 4)
 
 
 # ------------------------------------------------------------ vertex distance
