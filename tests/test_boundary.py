@@ -1,22 +1,28 @@
+"""Cells, masses, split levels and split distances of the dyadic boundary.
+
+A boundary cell is the set of leaves below a vertex address; its mass is
+its share of the K^depth leaves, cell_leaves gives its leaf block, and the
+split distance of two leaves depends only on the level where their
+addresses first differ.
+"""
+
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from treetrace import (
-    BoundaryMeasure,
-    DyadicCell,
+    BoundaryFunction,
     ahlfors_ratio,
-    boundary_distance,
-    cell_children,
-    cell_parent,
-    leaf_cell,
-    leaf_index,
+    arclength,
+    cell_average,
+    lp_norm,
     make_tree_params,
-    split_level,
+    split_distances,
+    vertex_distance,
 )
+from treetrace.address import cell_leaves, digits_index, index_digits, level_addresses
 
 LN2 = math.log(2.0)
 
@@ -25,101 +31,110 @@ def params(K=2, epsilon=LN2, depth=8):
     return make_tree_params(K, epsilon, 2 * math.log(max(K, 2)) + 0.5, 0.0, depth)
 
 
+def mass(K, depth, digits):
+    """Exact uniform mass of a cell: its share of the leaves."""
+    block = cell_leaves(K, depth, digits)
+    return Fraction(block.stop - block.start, K**depth)
+
+
+def children(K, digits):
+    return [tuple(digits) + (d,) for d in range(K)]
+
+
 def test_parent_drops_last_digit():
-    assert cell_parent(DyadicCell(2, (0, 1))) == DyadicCell(2, (0,))
-    with pytest.raises(ValueError):
-        cell_parent(DyadicCell(2, ()))
+    # the parent of flat index i is i // K, the address without its last digit
+    for K, depth in ((2, 4), (3, 3)):
+        for i in range(K**depth):
+            digits = index_digits(K, depth, i)
+            assert digits_index(K, digits[:-1]) == i // K
+            parent, leaf = cell_leaves(K, depth, digits[:-1]), cell_leaves(K, depth, digits)
+            assert parent.start <= leaf.start < leaf.stop <= parent.stop
+    assert index_digits(2, 1, digits_index(2, (0, 1)) // 2) == (0,)
 
 
 def test_children_enumeration_and_truncation():
-    root = DyadicCell(2, ())
-    assert cell_children(root) == [DyadicCell(2, (0,)), DyadicCell(2, (1,))]
+    depth = 2
+    root = cell_leaves(2, depth, ())
+    blocks = [cell_leaves(2, depth, c) for c in children(2, ())]
+    assert children(2, ()) == [(0,), (1,)]
+    assert blocks == [slice(0, 2), slice(2, 4)]
+    assert blocks[0].start == root.start and blocks[-1].stop == root.stop
+    # a leaf has no children inside a tree of depth 2
     with pytest.raises(ValueError):
-        cell_children(DyadicCell(2, (0, 1)), max_level=2)
+        cell_leaves(2, depth, (0, 1, 0))
 
 
 def test_cell_measure_relations():
-    child = DyadicCell(3, (0, 2))
-    assert cell_parent(child).measure == pytest.approx(3 * child.measure)
-    assert child.measure_exact == Fraction(1, 9)
+    depth = 4
+    child = (0, 2)
+    assert mass(3, depth, child[:-1]) == 3 * mass(3, depth, child)
+    assert mass(3, depth, child) == Fraction(1, 9)
+    # the mass in the Ahlfors ratio is the same K^-n
+    p = params(K=3, depth=depth)
+    r = split_distances(p.epsilon, depth + 1)[len(child)]
+    assert ahlfors_ratio(p, child) * r**p.hausdorff_dim == pytest.approx(
+        float(mass(3, depth, child)), rel=1e-12
+    )
 
 
 def test_measure_additivity_exact_rationals():
+    depth = 3
     for K in (2, 3):
         for digits in ((), (0,), (K - 1, 0)):
-            cell = DyadicCell(K, digits)
-            kids = cell_children(cell)
-            assert sum(c.measure_exact for c in kids) == cell.measure_exact
+            kids = children(K, digits)
+            assert sum(mass(K, depth, c) for c in kids) == mass(K, depth, digits)
 
 
 def test_boundary_measure_total_and_cells():
-    nu = BoundaryMeasure(2)
-    assert nu.total == 1.0
-    assert nu.of(DyadicCell(2, (0, 1, 1))) == pytest.approx(0.125)
+    depth = 3
+    one = BoundaryFunction(2, depth, np.ones(2**depth))
+    assert lp_norm(one, 1.0) == 1.0
+    assert mass(2, depth, ()) == 1
+    values = np.zeros(2**depth)
+    values[cell_leaves(2, depth, (0, 1, 1))] = 1.0
+    indicator = BoundaryFunction(2, depth, values)
+    assert lp_norm(indicator, 1.0) == pytest.approx(0.125)
+    assert mass(2, depth, (0, 1, 1)) == Fraction(1, 8)
+    # an address of a ternary tree is no cell of the binary one
     with pytest.raises(ValueError):
-        nu.of(DyadicCell(3, ()))
+        cell_leaves(2, depth, (2,))
+    with pytest.raises(ValueError):
+        cell_average(one, (0, 2))
 
 
 def test_split_level_values_and_errors():
-    assert split_level(DyadicCell(2, (0, 0, 0)), DyadicCell(2, (0, 1, 0))) == 1
-    assert split_level(DyadicCell(2, (0, 1)), DyadicCell(2, (1, 1))) == 0
-    assert split_level(DyadicCell(2, (0, 1, 0)), DyadicCell(2, (0, 1, 1))) == 2
+    # two leaves splitting at level k are 2 (arclength(N) - arclength(k)) apart
+    p = params(depth=3)
+
+    def at_split(k):
+        return 2.0 * (arclength(p, 3) - arclength(p, k))
+
+    assert vertex_distance(p, (0, 0, 0), (0, 1, 0)) == pytest.approx(at_split(1), rel=1e-12)
+    assert vertex_distance(p, (0, 1, 0), (1, 1, 0)) == pytest.approx(at_split(0), rel=1e-12)
+    assert vertex_distance(p, (0, 1, 0), (0, 1, 1)) == pytest.approx(at_split(2), rel=1e-12)
+    assert vertex_distance(p, (0, 1, 1), (0, 1, 1)) == 0.0
     with pytest.raises(ValueError):
-        split_level(DyadicCell(2, (0, 1)), DyadicCell(2, (0, 1)))
+        vertex_distance(p, (0, 2, 0), (0, 1, 0))
     with pytest.raises(ValueError):
-        split_level(DyadicCell(2, (0,)), DyadicCell(2, (0, 1)))
+        vertex_distance(p, (0, 1, 0, 1), (0, 1, 0))
 
 
 def test_boundary_distance_values():
     p = params()
-    d = boundary_distance(p, DyadicCell(2, (0, 0)), DyadicCell(2, (0, 1)))
-    assert d == pytest.approx(1.0 / LN2, rel=1e-12)  # split level 1
-    d0 = boundary_distance(p, DyadicCell(2, (0, 0)), DyadicCell(2, (1, 0)))
-    assert d0 == pytest.approx(p.diameter, rel=1e-12)  # split level 0
-
-
-def test_boundary_distance_ultrametric_triple():
-    p = params()
-    a, b, c = DyadicCell(2, (0, 0)), DyadicCell(2, (0, 1)), DyadicCell(2, (1, 0))
-    assert boundary_distance(p, a, b) < boundary_distance(p, a, c)
-    assert boundary_distance(p, a, c) == pytest.approx(boundary_distance(p, b, c))
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(0, 7), st.integers(0, 7), st.integers(0, 7))
-def test_boundary_distance_ultrametric_inequality(i, j, k):
-    p = params(depth=3)
-    cells = [leaf_cell(2, 3, x) for x in (i, j, k)]
-    a, b, c = cells
-    if a == b or b == c or a == c:
-        return
-    dab = boundary_distance(p, a, b)
-    dbc = boundary_distance(p, b, c)
-    dac = boundary_distance(p, a, c)
-    assert dac <= max(dab, dbc) + 1e-12
-
-
-def test_ahlfors_ratio_binary_tree_value():
-    p = params()
-    expected = LN2 / 2.0  # (epsilon/2)^Q with Q = 1
-    for n in range(9):
-        assert ahlfors_ratio(p, DyadicCell(2, (0,) * n)) == pytest.approx(
-            expected, rel=1e-12
-        )
-
-
-def test_ahlfors_ratio_constant_across_cells_and_levels():
-    p = make_tree_params(3, 1.0, 2.0, 0.0, 8)
-    vals = []
-    for n in range(9):
-        for digits in ((0,) * n, (2,) * n, tuple([1] * n)):
-            vals.append(ahlfors_ratio(p, DyadicCell(3, digits)))
-    assert max(vals) / min(vals) == pytest.approx(1.0, abs=1e-12)
+    d = split_distances(p.epsilon, p.depth)
+    assert d[1] == pytest.approx(1.0 / LN2, rel=1e-12)  # split level 1
+    assert d[0] == pytest.approx(p.diameter, rel=1e-12)  # split level 0
+    # the boundary distance is the leaves' tree distance plus the two rays
+    # below the leaves, each 1/epsilon - arclength(depth) long
+    rays = 2.0 * (1.0 / p.epsilon - arclength(p, p.depth))
+    a, b = (0,) * p.depth, (0, 1) + (0,) * (p.depth - 2)
+    assert d[1] == pytest.approx(vertex_distance(p, a, b) + rays, rel=1e-12)
 
 
 def test_leaf_cell_roundtrip_and_serialization():
     for K, depth in ((2, 5), (3, 4)):
         for i in range(K**depth):
-            cell = leaf_cell(K, depth, i)
-            assert leaf_index(cell) == i
-    assert leaf_cell(3, 3, 7).address_string() == "021"
+            digits = index_digits(K, depth, i)
+            assert digits_index(K, digits) == i
+            assert cell_leaves(K, depth, digits) == slice(i, i + 1)
+    assert level_addresses(3, 3, 7, 8) == ["021"]
