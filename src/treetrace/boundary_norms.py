@@ -119,6 +119,8 @@ class EnergyParams:
              e^(-eps*n) of level n)
     lam      level log-weight of the power energy
     lambda2  level log-weight of the Orlicz energy
+
+    p, epsilon, lambda2 and lam must be finite.
     """
 
     theta: float
@@ -128,12 +130,13 @@ class EnergyParams:
     lambda2: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("p", "epsilon", "lambda2", "lam"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not 0.0 <= self.theta < 1.0:
             raise ValueError("theta must lie in [0, 1)")
         if self.p < 1:
             raise ValueError("p must be at least 1")
-        if not math.isfinite(self.epsilon):
-            raise ValueError(f"epsilon must be finite, got {self.epsilon!r}")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
 
@@ -156,7 +159,7 @@ def _gauge(rho: YoungModular, tol: float) -> float:
 
 def orlicz_norm(f: BoundaryFunction, phi: YoungPhi, tol: float = 1e-10) -> float:
     """Gauge norm for the uniform leaf measure (total mass 1)."""
-    return _gauge(YoungModular(phi, [(np.abs(f.values), 1.0 / f.n_leaves)]), tol)
+    return _gauge(YoungModular(phi, np.abs(f.values), [(f.n_leaves, 1.0 / f.n_leaves)]), tol)
 
 
 def dyadic_energy(f: BoundaryFunction, params: EnergyParams) -> float:
@@ -183,16 +186,18 @@ def _energy_modular(
         raise ValueError("phi.p must match params.p")
     eps, theta, p, lam2 = params.epsilon, params.theta, params.p, params.lambda2
     diffs = child_minus_parent(f.K, f.level_averages())
-    return YoungModular(
-        phi,
-        [
-            (
-                np.abs(diff) * math.exp(eps * n),
-                math.exp(eps * n * (theta - 1.0) * p) * float(n) ** lam2 * float(f.K) ** -n,
-            )
-            for n, diff in enumerate(diffs, start=1)
-        ],
-    )
+    segments = [
+        (diff.size, math.exp(eps * n * (theta - 1.0) * p) * float(n) ** lam2 * float(f.K) ** -n)
+        for n, diff in enumerate(diffs, start=1)
+    ]
+    a = np.concatenate(diffs)
+    del diffs  # before the modular allocates its own array
+    np.abs(a, out=a)
+    start = 0
+    for n, (size, _) in enumerate(segments, start=1):
+        a[start : start + size] *= math.exp(eps * n)
+        start += size
+    return YoungModular(phi, a, segments)
 
 
 def dyadic_orlicz_modular(

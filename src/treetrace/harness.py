@@ -140,8 +140,10 @@ class ExperimentConfig:
     with those formulas where an experiment assumes them.  `pair_budget`
     and `mc_samples` matter only for the double sum at p other than 1 and
     the even integers up to 100: its pairs are enumerated while
-    K^(2*depth) <= pair_budget and sampled `mc_samples` times beyond.
-    `slope_tol` must be nonnegative and `spread_max` at least 1.
+    K^(2*depth) <= pair_budget and sampled `mc_samples` times beyond;
+    `pair_budget` must be at least 1 and `mc_samples` at least 2.
+    `hajlasz_max_depth` must be nonnegative (0 runs no Hajlasz program),
+    `slope_tol` nonnegative and `spread_max` at least 1.
     """
 
     K: int = 2
@@ -166,8 +168,15 @@ class ExperimentConfig:
     emit_plot_data: bool = False
 
     def __post_init__(self) -> None:
-        if self.n_balls < 1:
-            raise ValueError("n_balls must be at least 1")
+        # mc_samples: the Monte Carlo standard error needs two samples
+        for name, least in (
+            ("n_balls", 1),
+            ("mc_samples", 2),
+            ("pair_budget", 1),
+            ("hajlasz_max_depth", 0),
+        ):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}")
         # written so that NaN fails too: it would silently pass every check
         if not self.slope_tol >= 0.0:
             raise ValueError(f"slope_tol must be nonnegative, got {self.slope_tol!r}")
@@ -212,6 +221,7 @@ class ExperimentConfig:
 
     def validate_trace_hypotheses(self) -> None:
         """Standing assumptions of the trace/extension bounds."""
+        self.phi()  # admissibility of (p, lambda1)
         cod = self.codimension
         if not 0.0 < cod < self.p:
             raise ValueError(
@@ -222,14 +232,13 @@ class ExperimentConfig:
             raise ValueError(
                 f"theta = {self.theta} does not match the required exponent {matched}"
             )
-        self.phi()  # admissibility of (p, lambda1)
 
     def validate_equivalence_hypotheses(self) -> None:
+        self.phi()
         if self.lam is not None and abs(self.lam - (self.lambda1 + self.lambda2)) > 1e-12:
             raise ValueError("equivalence runs require lam = lambda1 + lambda2")
         if not 0.0 < self.resolved_theta < 1.0:
             raise ValueError("equivalence runs require 0 < theta < 1")
-        self.phi()
 
 
 def fit_log_slope(depths, values) -> float:
@@ -480,8 +489,13 @@ def tail_constant(epsilon: float, theta: float, p: float, lam: float) -> float:
         raise ValueError("theta must be below 1 for the tail series to converge")
     total, n = 0.0, 1
     while True:
-        term = q**n * float(n) ** lam
+        try:
+            term = q**n * float(n) ** lam
+        except OverflowError:
+            term = math.inf
         total += term
+        if not math.isfinite(total):
+            raise ValueError(f"tail series overflows at n = {n} for lam = {lam!r}")
         if term < 1e-15 * total and n > 1:
             return total
         n += 1

@@ -83,35 +83,38 @@ def upper_gradient_edges(F: TreeFunction, params: TreeParams) -> list[np.ndarray
 def _function_modular(
     F: TreeFunction, params: TreeParams, phi: YoungPhi, lam: float | None
 ) -> YoungModular:
-    """Phi(|F|) against the mass density, one (edges, nodes) block per level:
-    |F| at the Gauss-Legendre nodes of every edge, weighted by the
+    """Phi(|F|) against the mass density, one (edges, nodes) segment per
+    level: |F| at the Gauss-Legendre nodes of every edge, weighted by the
     quadrature weight times the density at each node."""
     if lam is None:
         lam = params.lambda2
-    beta, c_shift = params.beta, params.C_const
+    K, beta, c_shift = F.K, params.beta, params.C_const
     gx, gw = _gauss_nodes(params.quad_order)
-    blocks = []
+    a = np.empty(gx.size * sum(K ** (n + 1) for n in range(F.depth)))
+    segments, start = [], 0
     for n, slope in enumerate(edge_slopes(F, params)):
         tau = n + 0.5 * (gx + 1.0)
         a_off = arclength(params, tau) - arclength(params, n)
-        dens = 0.5 * gw * np.exp(-beta * tau) * (tau + c_shift) ** lam
-        vals = np.multiply.outer(slope, a_off)
-        vals += np.repeat(F.levels[n], F.K)[:, None]
-        blocks.append((np.abs(vals, out=vals), dens))
-    return YoungModular(phi, blocks)
+        vals = a[start : start + slope.size * gx.size].reshape(-1, gx.size)
+        np.multiply.outer(slope, a_off, out=vals)
+        by_parent = vals.reshape(-1, K, gx.size)
+        by_parent += F.levels[n][:, None, None]
+        np.abs(vals, out=vals)
+        segments.append((vals.size, 0.5 * gw * np.exp(-beta * tau) * (tau + c_shift) ** lam))
+        start += vals.size
+    del slope  # the deepest level's slopes; the modular allocates A next
+    return YoungModular(phi, a, segments)
 
 
 def _gradient_modular(
     F: TreeFunction, params: TreeParams, phi: YoungPhi, lam: float | None
 ) -> YoungModular:
     """Phi(g) for the per-edge upper gradient g, weighted by the edge mass."""
-    return YoungModular(
-        phi,
-        [
-            (g, edge_measure(params, n, lam))
-            for n, g in enumerate(upper_gradient_edges(F, params))
-        ],
-    )
+    grads = upper_gradient_edges(F, params)
+    segments = [(g.size, edge_measure(params, n, lam)) for n, g in enumerate(grads)]
+    a = np.concatenate(grads)
+    del grads  # before the modular allocates its own array
+    return YoungModular(phi, a, segments)
 
 
 def _gauge(rho: YoungModular, tol: float) -> float:

@@ -3,18 +3,23 @@
 Every norm in this package is either a plain power-mean or the gauge of a
 modular: a map k -> rho(k) that is non-increasing on (0, inf) and tends
 to 0 as k grows.  The gauge is inf{k > 0 : rho(k) <= 1}.  `YoungModular`
-builds the modulars sum w * Phi(a / k) once per function, with the
-amplitudes rescaled to a largest value of 1.  The solver treats rho as a
-black box (no derivatives): it finds the root of log rho(e^x) by secant
-extrapolation outward from k = 1 and then Illinois regula falsi on the
-bracket, which is exact after two samples for a pure power.  It tracks
-all evaluations and raises if they ever contradict monotonicity.
+builds the modulars sum w * Phi(a / k) once per function, over one flat
+array of amplitudes rescaled to a largest value of 1.  Since
+Phi(a/k) = k^-p * a^p * log(e + a/k)^lambda1, it precomputes w * a^p:
+at lambda1 = 0 an evaluation is then O(1), and otherwise one log pass
+over the amplitudes, run in fixed chunks through one scratch buffer.
+The solver treats rho as a black box (no derivatives): it finds the root
+of log rho(e^x) by secant extrapolation outward from k = 1 and then
+Illinois regula falsi on the bracket, which is exact after two samples
+for a pure power.  It tracks all evaluations and raises if they ever
+contradict monotonicity.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +39,8 @@ _LOG2 = math.log(2.0)
 # bracketing steps in log k: at most a factor 2^16, and k within e^(+-700)
 _MAX_STEP = 16.0 * _LOG2
 _MAX_LOG = 700.0
+# elements per pass of a modular evaluation: the size of its scratch buffer
+_CHUNK = 1 << 14
 
 
 class GaugeBracketError(RuntimeError):
@@ -50,12 +57,16 @@ class YoungPhi:
 
     Admissible ranges: p > 1 with any real lambda1, or p = 1 with
     lambda1 >= 0.  Outside them the function fails to be convex near 0.
+    Both exponents must be finite.
     """
 
     p: float
     lambda1: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("p", "lambda1"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.p < 1:
             raise ValueError("p must be at least 1")
         if self.p == 1 and self.lambda1 < 0:
@@ -77,58 +88,97 @@ def phi_eval(phi: YoungPhi, t):
 
 
 class YoungModular:
-    """The modular k -> sum over blocks (a, w) of sum_ij w_j Phi(a_ij / k).
+    """The modular k -> sum_i w_i Phi(a_i / k) over one flat amplitude array.
 
-    Each block is an array of nonnegative amplitudes a, read as rows of
-    len(w) entries, with the weights w (a scalar or a vector) applied
-    along each row.  Everything that does not depend on k is built once.
-    The amplitudes are stored divided by their largest value `scale`
-    (in place: the arrays passed in are taken over).  Calling the object
-    evaluates the modular of a / scale, whose gauge is of order 1 however
-    large or small a is; by homogeneity the gauge of a is `scale` times
-    that gauge, and `value(k)` is the modular of a itself.
+    `a` is a flat array of nonnegative amplitudes in consecutive segments:
+    `segments` lists (size, w) in order, and a segment of `size` entries
+    is read as rows of len(w) entries with the weights w (a scalar or a
+    vector) applied along each row.  The array is taken over and divided
+    in place by its largest value `scale`.  Calling the object evaluates
+    the modular of a / scale, whose gauge is of order 1 however large or
+    small a is; by homogeneity the gauge of a is `scale` times that gauge,
+    and `value(k)` is the modular of a itself.
+
+    Since Phi(a/k) = k^-p * a^p * log(e + a/k)^lambda1, the build stores
+    A = w * a^p / 2^e, with 2^e the power of two at the largest weight (so
+    that tiny weights do not fall into subnormals), and its sum.  An
+    evaluation is 2^e * k^-p times sum A, in O(1), at lambda1 = 0; at
+    lambda1 = 1 it is sum A * log(a + e*k) - log k * sum A, one add, one
+    log and one dot per chunk of `_CHUNK` elements in one reused buffer;
+    other lambda1 add a subtract and a power per chunk.
     """
 
-    def __init__(self, phi: YoungPhi, blocks) -> None:
+    def __init__(self, phi: YoungPhi, a: np.ndarray, segments) -> None:
         self.phi = phi
-        self.blocks = []
-        for a, w in blocks:
-            w = np.atleast_1d(np.asarray(w, dtype=float))
-            self.blocks.append((np.asarray(a, dtype=float).reshape(-1, w.size), w))
-        self.scale = max((float(a.max()) for a, _ in self.blocks if a.size), default=0.0)
+        p, lam = phi.p, phi.lambda1
+        weights = [np.atleast_1d(np.asarray(w, dtype=float)) for _, w in segments]
+        if sum(size for size, _ in segments) != a.size:
+            raise ValueError("segment sizes must add up to the amplitude count")
+        self.scale = float(a.max()) if a.size else 0.0
         if self.scale > 0.0:
-            for a, _ in self.blocks:
-                a /= self.scale
-        size = max((a.size for a, _ in self.blocks), default=0)
-        self._t = np.empty(size)
-        self._s = np.empty(size if phi.lambda1 != 0.0 else 0)
+            a /= self.scale
+        self._exp = math.frexp(max((float(w.max()) for w in weights), default=0.0))[1]
+        # A = w a^p / 2^e, in place of a where the log term does not need a
+        if lam == 0.0:
+            a **= p
+            weighted = a
+        else:
+            weighted = a**p
+        start = 0
+        for (size, _), w in zip(segments, weights):
+            seg = weighted[start : start + size].reshape(-1, w.size)
+            seg *= np.ldexp(w, -self._exp)
+            start += size
+        self._total = float(np.sum(weighted))
+        self._chunks = []
+        if lam != 0.0 and self._total > 0.0:
+            buf = np.empty(min(a.size, _CHUNK))
+            self._chunks = [
+                (a[i : i + _CHUNK], weighted[i : i + _CHUNK], buf[: min(_CHUNK, a.size - i)])
+                for i in range(0, a.size, _CHUNK)
+            ]
 
     def __call__(self, k: float) -> float:
-        p, lam = self.phi.p, self.phi.lambda1
+        if self._total == 0.0:
+            return 0.0
+        factor = _times_power(self._exp, k, self.phi.p)
+        lam = self.phi.lambda1
+        if lam == 0.0 or factor == 0.0:
+            return factor * self._total
+        # log(e + a/k) = log(a + e*k) - log k
+        ek, log_k = math.e * k, math.log(k)
         total = 0.0
-        for a, w in self.blocks:
-            # Phi(a / k) = (a/k)^p * log(e + a/k)^lambda1, in the buffers
-            t = np.divide(a, k, out=self._t[: a.size].reshape(a.shape))
-            if lam != 0.0:
-                s = np.add(t, math.e, out=self._s[: a.size].reshape(a.shape))
-                np.log(s, out=s)
-                if lam != 1.0:
-                    s **= lam
-            t **= p
-            if lam != 0.0:
-                t *= s
-            if w.size == 1:
-                t *= w[0]
-                total += float(np.sum(t))
-            else:
-                total += float(np.sum(t @ w))
-        return total
+        for a, weighted, buf in self._chunks:
+            np.add(a, ek, out=buf)
+            np.log(buf, out=buf)
+            if lam != 1.0:
+                buf -= log_k
+                buf **= lam
+            total += float(weighted @ buf)
+        if lam == 1.0:
+            total -= log_k * self._total
+        return factor * total
 
     def value(self, k: float) -> float:
         """The modular of the amplitudes as given, at k."""
         if k <= 0:
             raise ValueError("k must be positive")
         return self(k / self.scale) if self.scale > 0.0 else 0.0
+
+
+def _times_power(e: int, k: float, p: float) -> float:
+    """2^e * k^-p for k > 0: +inf where it overflows, and through
+    logarithms where k^-p alone leaves the normal range."""
+    try:
+        t = k**-p
+        if t >= sys.float_info.min:
+            return math.ldexp(t, e)
+    except OverflowError:
+        pass
+    try:
+        return math.exp(e * _LOG2 - p * math.log(k))
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)

@@ -225,6 +225,13 @@ def test_energy_params_reject_non_finite_epsilon(bad):
         eparams(epsilon=-1.0)
 
 
+@pytest.mark.parametrize("key", ["p", "lam", "lambda2"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_energy_params_reject_non_finite_exponents(key, bad):
+    with pytest.raises(ValueError, match=f"{key} must be finite"):
+        eparams(**{key: bad})
+
+
 # ------------------------------------------------------------ besov gauge norm
 
 

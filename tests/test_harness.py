@@ -132,6 +132,14 @@ def test_tail_constant_matches_direct_sum():
     assert tail_constant(eps, theta, p, lam) == pytest.approx(direct, rel=1e-12)
 
 
+@pytest.mark.parametrize("lam", [1e308, 1e3, math.inf, math.nan])
+def test_tail_constant_rejects_a_series_that_overflows(lam):
+    # its terms overflowed into an OverflowError, or summed to inf and ran
+    # a million terms into a RuntimeError
+    with pytest.raises(ValueError, match="lam"):
+        tail_constant(LN2, 0.5, 2.0, lam)
+
+
 # ------------------------------------------------------------------- drivers
 
 
@@ -440,6 +448,57 @@ def test_cli_verify_doubling_rejects_too_few_balls(tmp_path, capsys, n_balls):
     assert capsys.readouterr().err == "treetrace: error: n_balls must be at least 1\n"
     with pytest.raises(ValueError, match="n_balls must be at least 1"):
         ExperimentConfig(n_balls=0)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("mc_samples = 0", "mc_samples must be at least 2"),
+        ("mc_samples = 1", "mc_samples must be at least 2"),
+        ("pair_budget = 0", "pair_budget must be at least 1"),
+        ("pair_budget = -5", "pair_budget must be at least 1"),
+        ("hajlasz_max_depth = -1", "hajlasz_max_depth must be at least 0"),
+    ],
+)
+def test_cli_verify_equivalence_rejects_bad_sweep_counts(tmp_path, capsys, line, message):
+    # these were accepted: the Hajlasz column then silently read "not run",
+    # and a bad Monte Carlo count failed only where that path was reached
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"seeds = 0\ndepths = 3,4\n{line}\n")
+    assert main(["verify", "equivalence", "--config", str(cfg)]) == 2
+    text = capsys.readouterr()
+    assert text.err == f"treetrace: error: {message}\n"
+    assert text.out == ""
+
+
+def test_hajlasz_max_depth_zero_runs_no_hajlasz_program():
+    report = verify_equivalences(small_cfg(depths=(3, 4), hajlasz_max_depth=0))
+    assert report.sampled_columns() == ["double_vs_dyadic", "besov_vs_composite"]
+
+
+@pytest.mark.parametrize(
+    "line, key",
+    [
+        ("p = nan", "p"),
+        ("p = inf", "p"),
+        ("lambda1 = nan", "lambda1"),
+        ("lambda1 = inf", "lambda1"),
+        ("lam = nan", "lam"),
+        ("lambda2 = nan", "lambda2"),
+        ("lambda2 = inf", "lambda2"),
+    ],
+)
+@pytest.mark.parametrize("check", ["trace-bound", "extension-bound", "equivalence"])
+def test_cli_verify_rejects_non_finite_exponents(tmp_path, capsys, line, key, check):
+    # lambda1 = inf and lam = nan passed trace-bound; lambda1 = nan stopped
+    # on "modular returned NaN"
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"seeds = 0\ndepths = 3,4\n{line}\n")
+    assert main(["verify", check, "--config", str(cfg)]) == 2
+    text = capsys.readouterr()
+    value = line.split()[2]
+    assert text.err == f"treetrace: error: {key} must be finite, got {value}\n"
+    assert text.out == ""
 
 
 @pytest.mark.parametrize("key", ["depths", "seeds"])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from treetrace import (
     vertex_distance,
 )
 import treetrace.tree_norms as tree_norms
+from treetrace.young import _CHUNK
 from treetrace.harness import generate
 
 LN2 = math.log(2.0)
@@ -242,6 +244,25 @@ def test_newtonian_norm_gauge_evaluations(monkeypatch, lambda1, most):
     newtonian_norm(_extend_boundary(u.values, 12), std_params(12), YoungPhi(2.0, lambda1))
     assert len(counts) == 2
     assert max(counts) <= most
+
+
+def test_newtonian_norm_memory_is_two_amplitude_arrays_and_a_chunk():
+    # K = 2, N = 16, lambda1 = 1: the function modular holds the amplitudes
+    # a at the Gauss nodes of every edge and A = w a^p, one flat array each,
+    # and evaluates in chunks of one scratch buffer; the gradient modular
+    # comes after it, an eighth of its size
+    depth = 16
+    F = generate("random-vertex", K=2, depth=depth, seed=3)
+    params = std_params(depth)
+    amplitude_bytes = 8 * params.quad_order * (2 ** (depth + 1) - 2)
+    tracemalloc.start()
+    try:
+        newtonian_norm(F, params, YoungPhi(2.0, 1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # slack: the Python objects and per-level weights, far below a level's values
+    assert peak <= 2 * amplitude_bytes + 8 * _CHUNK + 2**16
 
 
 def _extend_boundary(values, depth):

@@ -14,6 +14,7 @@ from treetrace import (
     phi_diagnostics,
     phi_eval,
 )
+from treetrace.young import _CHUNK
 
 
 def test_phi_values():
@@ -31,6 +32,13 @@ def test_phi_rejects_negative_argument():
         phi_eval(phi, -0.1)
     with pytest.raises(ValueError):
         phi_eval(phi, np.array([0.5, -1.0]))
+
+
+@pytest.mark.parametrize("key", ["p", "lambda1"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_phi_rejects_non_finite_exponents(key, value):
+    with pytest.raises(ValueError, match=f"{key} must be finite"):
+        YoungPhi(**{"p": 2.0, key: value})
 
 
 def test_phi_admissibility():
@@ -253,34 +261,88 @@ def test_young_modular_matches_direct_sum():
     rows = rng.uniform(0.0, 5.0, size=(7, 3))
     dens = rng.uniform(0.1, 1.0, size=3)
     flat = rng.uniform(0.0, 2.0, size=11)
-    for phi in (YoungPhi(2.0), YoungPhi(1.5, -0.5), YoungPhi(3.0, 1.0)):
-        mod = YoungModular(phi, [(rows.copy(), dens), (flat.copy(), 0.25)])
-        assert mod.scale == pytest.approx(rows.max())
-        for k in (0.3, 1.0, 4.0):
-            direct = float(np.sum(dens * phi_eval(phi, rows / k)))
-            direct += 0.25 * float(np.sum(phi_eval(phi, flat / k)))
-            assert mod.value(k) == pytest.approx(direct, rel=1e-12)
-            assert mod(k) == pytest.approx(mod.value(k * mod.scale), rel=1e-12)
+    for p in (1.0, 1.5, 2.0, 3.0):
+        for lambda1 in (0.0, 1.0, -0.5, 2.0):
+            if p == 1.0 and lambda1 < 0.0:
+                continue  # not admissible
+            phi = YoungPhi(p, lambda1)
+            for weight in (1.0, 1e-150, 1e-300):
+                a = np.concatenate([rows.ravel(), flat])
+                segments = [(rows.size, weight * dens), (flat.size, 0.25 * weight)]
+                mod = YoungModular(phi, a, segments)
+                assert mod.scale == pytest.approx(rows.max())
+                for k in (0.3, 1.0, 4.0):
+                    direct = float(np.sum(weight * dens * phi_eval(phi, rows / k)))
+                    direct += 0.25 * weight * float(np.sum(phi_eval(phi, flat / k)))
+                    assert mod.value(k) == pytest.approx(direct, rel=1e-12)
+                    assert mod(k) == pytest.approx(mod.value(k * mod.scale), rel=1e-12)
+
+
+def test_young_modular_rejects_segments_that_do_not_cover_the_amplitudes():
+    with pytest.raises(ValueError, match="segment sizes"):
+        YoungModular(YoungPhi(2.0), np.ones(5), [(4, 1.0)])
 
 
 def test_young_modular_of_zero_amplitudes():
-    mod = YoungModular(YoungPhi(2.0, 1.0), [(np.zeros(4), 1.0)])
+    mod = YoungModular(YoungPhi(2.0, 1.0), np.zeros(4), [(4, 1.0)])
     assert mod.scale == 0.0
     assert mod.value(1.0) == 0.0
+    assert mod(1e-300) == 0.0
     with pytest.raises(ValueError):
         mod.value(0.0)
 
 
 @pytest.mark.parametrize("lambda1", [0.0, 1.0, -0.5])
 def test_young_modular_scalar_weight_sums_like_a_one_column_product(lambda1):
-    # a scalar-weight block scales in place and sums; the result is the
-    # same bytes as summing the (m, 1) @ (1,) product
+    # a scalar weight is a one-column weight vector, and an evaluation is
+    # 2^e k^-p sum_i A_i L_i with A = w a^p / 2^e (2^e at the weight) and
+    # L = log(a + e k) - log k to the lambda1, in chunks of _CHUNK elements,
+    # each summed by one dot product; at lambda1 = 1 the log k term is
+    # taken out of the sum, at lambda1 = 0 the sum of A is taken at build
     phi = YoungPhi(2.0, lambda1)
     rng = np.random.default_rng(5)
     for size in (1, 7, 4096, 65_537):
         a = rng.random(size) * 3.0
         w = 0.37
-        mod = YoungModular(phi, [(a.copy(), w)])
+        mod = YoungModular(phi, a.copy(), [(size, w)])
+        column = YoungModular(phi, a.copy(), [(size, np.array([w]))])
+        e = math.frexp(w)[1]
+        weighted = (a / mod.scale) ** 2 * math.ldexp(w, -e)
+        total = float(np.sum(weighted))
         for k in (0.4, 1.0, 2.5):
-            t = phi_eval(phi, (a / mod.scale) / k).reshape(-1, 1)
-            assert mod(k) == float(np.sum(t @ np.array([w])))
+            expect = total
+            if lambda1 != 0.0:
+                expect = 0.0
+                for i in range(0, size, _CHUNK):
+                    log = np.log(a[i : i + _CHUNK] / mod.scale + math.e * k)
+                    if lambda1 != 1.0:
+                        log = (log - math.log(k)) ** lambda1
+                    expect += float(weighted[i : i + _CHUNK] @ log)
+                if lambda1 == 1.0:
+                    expect -= math.log(k) * total
+            expect *= math.ldexp(k**-2.0, e)
+            assert mod(k) == column(k) == expect
+
+
+@pytest.mark.parametrize("lambda1", [0.0, 1.0])
+def test_young_modular_gauge_of_extreme_weights(lambda1):
+    # k^-p overflows near the gauge of weights of 1e-310; the modular
+    # evaluates 2^e k^-p through logarithms there instead of raising
+    phi = YoungPhi(2.0, lambda1)
+    a = np.array([1.0, 0.5, 0.25])
+
+    def direct(weight, k):
+        t = a / k
+        terms = math.log(weight) + 2.0 * np.log(t) + lambda1 * np.log(np.log(math.e + t))
+        return float(np.sum(np.exp(terms)))
+
+    for weight in (1e-310, 1e-200, 1e200):
+        mod = YoungModular(phi, a.copy(), [(3, weight)])
+        k = luxemburg_gauge(mod)
+        assert mod(k) == pytest.approx(direct(weight, k), rel=1e-12)
+        assert direct(weight, k) <= 1.0 + 1e-12
+        assert direct(weight, k * (1.0 - 2e-10)) > 1.0
+    mod = YoungModular(phi, a.copy(), [(3, 1e-310)])
+    assert mod(1e-300) == pytest.approx(direct(1e-310, 1e-300), rel=1e-12)
+    assert mod(1e-320) == math.inf
+    assert mod(1e300) == 0.0
