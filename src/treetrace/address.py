@@ -1,10 +1,19 @@
-"""Vertex addresses of a regular K-ary tree, and the function-CSV codec.
+"""Vertex addresses of a regular K-ary tree, the level-order layout of
+arrays over its vertices, and the function-CSV codec.
 
 A level-n vertex is addressed by its digit path d_1 .. d_n from the root,
 digits in [0, K).  Within a level the vertices are ordered
 lexicographically, so the path has flat index sum_j d_j K^(n-j) and the
 parent of index i is i // K.  For K <= 10 a path is written as the string
 of its digits ("021"); the root's address is the empty string.
+
+An array over the vertices of levels 0..N is stored in level order, the
+levels one after another, so that level n is `level_slice(K, n)` and
+vertex i has the children K i + 1 .. K i + K.  Only this module relies on
+that layout.  `parents_and_children` views an array as its internal
+vertices and an (internal vertices, K) array of edges, row i the children
+of vertex i, so the edges from level n to level n + 1 are its rows
+`level_slice(K, n)`; `child_minus_parent` takes their difference.
 
 A function CSV file holds a `K,N` header, the line `<K>,<N>`, the line
 `address,value`, then one `address,value` row per vertex of the levels
@@ -31,7 +40,10 @@ __all__ = [
     "digits_index",
     "index_digits",
     "cell_leaves",
+    "level_slice",
+    "parents_and_children",
     "child_minus_parent",
+    "function_values",
     "level_digits",
     "level_addresses",
     "write_function_csv",
@@ -76,11 +88,40 @@ def cell_leaves(K: int, depth: int, digits) -> slice:
     return slice(idx * block, (idx + 1) * block)
 
 
-def child_minus_parent(K: int, levels) -> list[np.ndarray]:
-    """Per pair of consecutive levels of `levels` (one flat array per
-    level, top down): the value of every vertex of the lower level minus
-    the value of its parent."""
-    return [levels[n] - np.repeat(levels[n - 1], K) for n in range(1, len(levels))]
+def level_slice(K: int, n: int) -> slice:
+    """The entries of level n in a level-order array."""
+    start = (K**n - 1) // (K - 1)
+    return slice(start, start + K**n)
+
+
+def parents_and_children(K: int, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Views of a level-order array: its internal vertices, and the
+    (internal vertices, K) array whose row i holds the children of vertex i."""
+    internal = (values.size - 1) // K
+    return values[:internal], values[1:].reshape(internal, K)
+
+
+def child_minus_parent(K: int, values: np.ndarray) -> np.ndarray:
+    """(internal vertices, K) array of a level-order array: row i holds the
+    values of the children of vertex i minus the value of vertex i."""
+    parents, children = parents_and_children(K, values)
+    return children - parents[:, None]
+
+
+def function_values(K: int, depth: int, values, first: int) -> np.ndarray:
+    """`values` as a float array (taken over if it is one), checked to be finite
+    values in level order on the levels first..depth of a K-ary tree."""
+    if K < 2:
+        raise ValueError("K must be at least 2")
+    if depth < 1:
+        raise ValueError("depth must be at least 1")
+    values = np.asarray(values, dtype=float)
+    size = level_slice(K, depth).stop - level_slice(K, first).start
+    if values.shape != (size,):
+        raise ValueError(f"expected {size} values on levels {first}..{depth}, got {values.shape}")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("function values must be finite")
+    return values
 
 
 def level_digits(K: int, level: int, start: int, stop: int) -> np.ndarray:
@@ -106,15 +147,17 @@ def level_addresses(K: int, level: int, start: int, stop: int) -> list[str]:
     return block.tobytes().decode("ascii").splitlines()
 
 
-def write_function_csv(path, K: int, depth: int, levels) -> None:
-    """Write the value arrays of levels depth+1-len(levels) .. depth."""
+def write_function_csv(path, K: int, depth: int, values: np.ndarray, first: int) -> None:
+    """Write the level-order values of the levels first..depth."""
     _check_k(K)
-    first = depth + 1 - len(levels)
+    offset = level_slice(K, first).start
     with open(path, "w", newline="") as fh:
         fh.write(f"K,N\n{K},{depth}\naddress,value\n")
-        for n, values in enumerate(levels, start=first):
-            for start in range(0, len(values), CHUNK_ROWS):
-                chunk = values[start : start + CHUNK_ROWS].tolist()
+        for n in range(first, depth + 1):
+            rows = level_slice(K, n)
+            level = values[rows.start - offset : rows.stop - offset]
+            for start in range(0, level.size, CHUNK_ROWS):
+                chunk = level[start : start + CHUNK_ROWS].tolist()
                 # one %-format per chunk: the bytes of f"{addr},{v:.17g}\n" per row
                 fields = [None] * (2 * len(chunk))
                 fields[0::2] = level_addresses(K, n, start, start + len(chunk))
@@ -122,24 +165,24 @@ def write_function_csv(path, K: int, depth: int, levels) -> None:
                 fh.write(("%s,%.17g\n" * len(chunk)) % tuple(fields))
 
 
-def read_function_csv(path, leaves_only: bool) -> tuple[int, int, list[np.ndarray]]:
-    """(K, N, value arrays) of a function CSV: one array for the leaves when
-    `leaves_only`, else one per level 0..N."""
+def read_function_csv(path, leaves_only: bool) -> tuple[int, int, np.ndarray]:
+    """(K, N, values) of a function CSV: the leaf values when `leaves_only`,
+    else the level-order values of the levels 0..N."""
     with open(path) as fh:
         K, depth = _read_header([fh.readline().strip() for _ in range(3)])
         line = 4
+        # each level is allocated once the rows above it are read
         levels = []
         for n in range(depth if leaves_only else 0, depth + 1):
-            parts = []
+            levels.append(np.empty(K**n))
             for start in range(0, K**n, CHUNK_ROWS):
                 want = level_addresses(K, n, start, min(start + CHUNK_ROWS, K**n))
-                parts.append(_read_rows(fh, want, line))
+                levels[-1][start : start + len(want)] = _read_rows(fh, want, line)
                 line += len(want)
-            levels.append(np.concatenate(parts))
         for at, row in enumerate(fh, start=line):
             if row.strip():
                 raise ValueError(f"line {at}: extra row {row.strip()!r} after the last address")
-    return K, depth, levels
+    return K, depth, levels[0] if leaves_only else np.concatenate(levels)
 
 
 def _read_header(lines: list[str]) -> tuple[int, int]:

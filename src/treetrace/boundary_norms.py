@@ -2,8 +2,9 @@
 
 A boundary function is piecewise constant on the K^N leaf cells, stored
 as one flat array in lexicographic address order, so the cell of a vertex
-is a contiguous block and cell averages are plain block means.  On top of
-that representation the module provides
+is a contiguous block and cell averages are plain block means, given for
+every vertex in the level order of `treetrace.address`.  On top of that
+representation the module provides
 
 * power-mean and Luxemburg (gauge) norms for the uniform cell measure,
 * two multiscale energies built from differences of successive cell
@@ -27,12 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .address import (
-    cell_leaves,
-    child_minus_parent,
-    read_function_csv,
-    write_function_csv,
-)
+from .address import cell_leaves, child_minus_parent, function_values, level_slice
+from .address import read_function_csv, write_function_csv
 from .tree import split_distances
 from .young import YoungModular, YoungPhi, luxemburg_gauge
 
@@ -59,21 +56,11 @@ MAX_CLOSED_FORM_P = 100
 
 
 class BoundaryFunction:
-    """Piecewise-constant function on the K^depth leaf cells."""
+    """Piecewise-constant function on the K^depth leaf cells (a float array is taken over)."""
 
     def __init__(self, K: int, depth: int, values) -> None:
-        if K < 2:
-            raise ValueError("K must be at least 2")
-        if depth < 1:
-            raise ValueError("depth must be at least 1")
-        values = np.asarray(values, dtype=float).copy()
-        if values.shape != (K**depth,):
-            raise ValueError(f"expected {K**depth} leaf values, got {values.shape}")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("leaf values must be finite")
-        self.K = K
-        self.depth = depth
-        self.values = values
+        self.values = function_values(K, depth, values, first=depth)
+        self.K, self.depth = K, depth
 
     @property
     def n_leaves(self) -> int:
@@ -83,30 +70,26 @@ class BoundaryFunction:
     def leaf_measure(self) -> float:
         return float(self.K) ** -self.depth
 
-    def level_averages(self) -> list[np.ndarray]:
-        """Cell averages for every level, bottom-up; entry n has K^n values.
-
-        The deepest entry is the leaf array itself (no arithmetic applied),
-        so resolution-preserving roundtrips stay bitwise exact.
-        """
-        out = [self.values]
-        cur = self.values
-        for _ in range(self.depth):
-            cur = cur.reshape(-1, self.K).mean(axis=1)
-            out.append(cur)
-        out.reverse()
+    def level_averages(self) -> np.ndarray:
+        """The average over the cell of every vertex, in level order.  The
+        leaves are copied in unchanged, so resolution-preserving roundtrips
+        stay bitwise exact."""
+        K = self.K
+        out = np.empty(level_slice(K, self.depth).stop)
+        out[level_slice(K, self.depth)] = self.values
+        for n in reversed(range(self.depth)):
+            out[level_slice(K, n)] = out[level_slice(K, n + 1)].reshape(-1, K).mean(axis=1)
         return out
 
     def scaled(self, factor: float) -> "BoundaryFunction":
         return BoundaryFunction(self.K, self.depth, self.values * factor)
 
     def to_csv(self, path) -> None:
-        write_function_csv(path, self.K, self.depth, [self.values])
+        write_function_csv(path, self.K, self.depth, self.values, first=self.depth)
 
     @classmethod
     def from_csv(cls, path) -> "BoundaryFunction":
-        K, depth, (values,) = read_function_csv(path, leaves_only=True)
-        return cls(K, depth, values)
+        return cls(*read_function_csv(path, leaves_only=True))
 
 
 @dataclass(frozen=True)
@@ -171,9 +154,12 @@ def dyadic_energy(f: BoundaryFunction, params: EnergyParams) -> float:
     eps, theta, p, lam = params.epsilon, params.theta, params.p, params.lam
     diffs = child_minus_parent(f.K, f.level_averages())
     total = 0.0
-    for n, diff in enumerate(diffs, start=1):
-        s = float(f.K) ** -n * float(np.sum(np.abs(diff) ** p))
-        total += math.exp(eps * n * theta * p) * float(n) ** lam * s
+    for n in range(1, f.depth + 1):
+        s = float(f.K) ** -n * float(np.sum(np.abs(diffs[level_slice(f.K, n - 1)]) ** p))
+        try:
+            total += math.exp(eps * n * theta * p) * float(n) ** lam * s
+        except OverflowError:
+            raise ValueError(f"the level-{n} weight overflows at lam = {lam!r}") from None
     return total
 
 
@@ -186,18 +172,13 @@ def _energy_modular(
         raise ValueError("phi.p must match params.p")
     eps, theta, p, lam2 = params.epsilon, params.theta, params.p, params.lambda2
     diffs = child_minus_parent(f.K, f.level_averages())
-    segments = [
-        (diff.size, math.exp(eps * n * (theta - 1.0) * p) * float(n) ** lam2 * float(f.K) ** -n)
-        for n, diff in enumerate(diffs, start=1)
-    ]
-    a = np.concatenate(diffs)
-    del diffs  # before the modular allocates its own array
-    np.abs(a, out=a)
-    start = 0
-    for n, (size, _) in enumerate(segments, start=1):
-        a[start : start + size] *= math.exp(eps * n)
-        start += size
-    return YoungModular(phi, a, segments)
+    np.abs(diffs, out=diffs)
+    segments = []
+    for n in range(1, f.depth + 1):
+        diffs[level_slice(f.K, n - 1)] *= math.exp(eps * n)
+        weight = math.exp(eps * n * (theta - 1.0) * p) * float(n) ** lam2 * float(f.K) ** -n
+        segments.append((f.K**n, weight))
+    return YoungModular(phi, diffs.reshape(-1), segments)
 
 
 def dyadic_orlicz_modular(

@@ -28,7 +28,6 @@ from .boundary_norms import (
     orlicz_besov_norm,
     orlicz_norm,
 )
-from .hajlasz import ConvergenceError
 from .harness import (
     BOUNDARY_FAMILIES,
     TREE_FAMILIES,
@@ -44,7 +43,6 @@ from .harness import (
 )
 from .operators import extend, trace
 from .tree_norms import TreeFunction
-from .young import GaugeBracketError
 
 _VERIFY_DRIVERS = {
     "trace-bound": verify_trace_bound,
@@ -121,7 +119,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _run(args)
-    except (ValueError, OSError, ConvergenceError, GaugeBracketError) as exc:
+    except (ValueError, OSError, ArithmeticError, RuntimeError) as exc:
         print(f"treetrace: error: {exc}", file=sys.stderr)
         return 2
 

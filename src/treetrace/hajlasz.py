@@ -185,26 +185,18 @@ class SolverConfig:
     rel_tol is the certified relative duality gap at which a block stops
     and max_iters the cap on its iterations (dual-ascent steps at p = 2,
     Newton steps otherwise), beyond which ConvergenceError is raised.
-    check_every (how often the gap and the step adaptation are evaluated)
-    and step_scale (a factor on the inverse-Lipschitz step estimate) apply
-    to the p = 2 dual ascent only.  max_iters and check_every must be
-    positive integers, rel_tol finite and >= 0, step_scale finite and > 0.
+    max_iters must be a positive integer, rel_tol finite and >= 0.
     """
 
     max_iters: int = 100_000
     rel_tol: float = 1e-8
-    check_every: int = 50
-    step_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("max_iters", "check_every"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        value = self.max_iters
+        if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 1:
+            raise ValueError(f"max_iters must be a positive integer, got {value!r}")
         if not 0.0 <= self.rel_tol < math.inf:
             raise ValueError(f"rel_tol must be finite and >= 0, got {self.rel_tol!r}")
-        if not 0.0 < self.step_scale < math.inf:
-            raise ValueError(f"step_scale must be finite and > 0, got {self.step_scale!r}")
 
 
 @dataclass(frozen=True)
@@ -290,6 +282,9 @@ def _dual_point(nu, p, s, mu, bound):
     return g, q if math.isfinite(q) else -math.inf
 
 
+# Dual-ascent steps between two gap checks of a p = 2 block; a check halves
+# the step if the dual value fell, so much closer checks collapse the step.
+_CHECK_EVERY = 50
 # Smallest run (the pairs of one sibling pair over all vertices of a split
 # level, K^(2N - j - 2) of them) for which every level of a dual block
 # must qualify for the block to be held densely; below it, the numpy calls
@@ -313,12 +308,12 @@ class _DualBlock:
     other block holds its kept pairs only.
     """
 
-    def __init__(self, k, ia, ib, bound, n_leaves, nu, p, cfg, level_bounds=None):
+    def __init__(self, k, ia, ib, bound, n_leaves, nu, p, level_bounds=None):
         self.k, self.ia, self.ib, self.bound = k, ia, ib, bound
         self.active, self.la, self.lb = _active_leaves(ia, ib, n_leaves)
         n = self.active.size
         deg = np.bincount(self.la, minlength=n) + np.bincount(self.lb, minlength=n)
-        self.sigma = cfg.step_scale * (p * nu) / float((deg[self.la] + deg[self.lb]).max())
+        self.sigma = (p * nu) / float((deg[self.la] + deg[self.lb]).max())
         self.best = nu * float(np.sum(np.full(n, bound.max() / 2.0) ** p))
         self.best_g = np.full(n, bound.max() / 2.0)
         self.last_dual = -math.inf
@@ -490,7 +485,7 @@ def _solve_dual_blocks(inst: HajlaszInstance, cfg: SolverConfig):
     """Accelerated projected dual ascent on every scale block (used at p = 2).
 
     All blocks advance in one loop, each with its own step sigma, momentum
-    and stop.  Every `cfg.check_every` steps each block computes its dual
+    and stop.  Every `_CHECK_EVERY` steps each block computes its dual
     lower bound and repairs the Lagrangian minimizer into its best primal
     point (seeded with the symmetric feasible start g = max(bound)/2); a
     block stops when their relative gap drops below cfg.rel_tol.  If a
@@ -510,7 +505,7 @@ def _solve_dual_blocks(inst: HajlaszInstance, cfg: SolverConfig):
             and ia.size >= _DENSE_MIN_KEPT * level_pairs
         )
         level_bounds = [inst.level_bounds[j] for j in levels] if dense else None
-        blocks.append(_DualBlock(k, ia, ib, bound, n_leaves, nu, p, cfg, level_bounds))
+        blocks.append(_DualBlock(k, ia, ib, bound, n_leaves, nu, p, level_bounds))
     if not blocks:
         return {}
     lay = _DualLayout(blocks, n_leaves)
@@ -522,7 +517,7 @@ def _solve_dual_blocks(inst: HajlaszInstance, cfg: SolverConfig):
             coef.append((blk.tk - 1.0) / tk1)
             blk.tk = tk1
         lay.step(coef, p, nu, q_exp)
-        if (t + 1) % cfg.check_every:
+        if (t + 1) % _CHECK_EVERY:
             continue
         s = lay.mu_mass()
         for blk, seg, lv in zip(lay.blocks, lay.segments, lay.leaves):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .address import cell_leaves, check_digits, child_minus_parent, index_digits
+from .address import cell_leaves, check_digits, child_minus_parent, index_digits, level_slice
 from .boundary_norms import (
     DEFAULT_PAIR_BUDGET,
     BoundaryFunction,
@@ -127,7 +127,7 @@ def generate(
         u = BoundaryFunction(K, depth, rng.uniform(size=K**depth))
         return extend(u)
     # random-vertex
-    return TreeFunction(K, depth, [rng.uniform(size=K**n) for n in range(depth + 1)])
+    return TreeFunction(K, depth, rng.uniform(size=level_slice(K, depth).stop))
 
 
 @dataclass
@@ -547,13 +547,12 @@ def chi_exceed_fraction(f: BoundaryFunction, theta: float, epsilon: float) -> fl
     """Fraction of cells (levels 1..depth) whose average jump exceeds the
     threshold e^(-eps*n*(theta+1)/2) separating the two regimes of the
     logarithmic factor."""
+    jumps = np.abs(child_minus_parent(f.K, f.level_averages()))
     exceed = 0
-    total = 0
-    for n, diff in enumerate(child_minus_parent(f.K, f.level_averages()), start=1):
+    for n in range(1, f.depth + 1):
         thr = math.exp(-epsilon * n * (theta + 1.0) / 2.0)
-        exceed += int(np.sum(np.abs(diff) > thr))
-        total += diff.size
-    return exceed / total
+        exceed += int(np.sum(jumps[level_slice(f.K, n - 1)] > thr))
+    return exceed / jumps.size
 
 
 def verify_equivalences(cfg: ExperimentConfig) -> RatioReport:

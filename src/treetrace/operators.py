@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .address import check_digits, digits_index
+from .address import check_digits, digits_index, level_slice
 from .boundary_norms import BoundaryFunction
 from .tree_norms import TreeFunction
 
@@ -20,7 +20,7 @@ __all__ = ["trace", "extend", "star_majorant"]
 
 def trace(F: TreeFunction) -> BoundaryFunction:
     """Boundary function whose value on a leaf cell is the deepest vertex value."""
-    return BoundaryFunction(F.K, F.depth, F.levels[F.depth])
+    return BoundaryFunction(F.K, F.depth, F.values[level_slice(F.K, F.depth)].copy())
 
 
 def extend(u: BoundaryFunction) -> TreeFunction:
@@ -37,6 +37,6 @@ def star_majorant(F: TreeFunction, leaf_digits) -> float:
     digits = check_digits(F.K, leaf_digits)
     if len(digits) != F.depth:
         raise ValueError("leaf address must have length equal to the depth")
-    leaf = digits_index(F.K, digits)
-    chain = np.array([F.levels[n][leaf // F.K ** (F.depth - n)] for n in range(F.depth + 1)])
+    K, N, leaf = F.K, F.depth, digits_index(F.K, digits)
+    chain = np.array([F.values[level_slice(K, n)][leaf // K ** (N - n)] for n in range(N + 1)])
     return abs(chain[0]) + float(np.sum(np.abs(np.diff(chain))))

@@ -1,25 +1,26 @@
 """Functions on the truncated tree and their Orlicz-Sobolev norms.
 
-A tree function stores one value per vertex on levels 0..N and is read as
-piecewise linear in arclength along every edge.  For that class the
-minimal upper gradient is constant on each edge and equals the difference
-quotient |F(child) - F(parent)| / edge_length, so the gradient part of
-the norm is an exact finite sum while the function part is a per-edge
-Gauss-Legendre integral of Phi(|F|) against the mass density.  CSV files
-list every level's rows, through the codec in `treetrace.address`.
+A tree function stores one value per vertex on levels 0..N, in the level
+order of `treetrace.address`, and is read as piecewise linear in arclength
+along every edge.  For that class the minimal upper gradient is constant
+on each edge and equals the difference quotient |F(child) - F(parent)| /
+edge_length, so the gradient part of the norm is an exact finite sum
+while the function part is a per-edge Gauss-Legendre integral of Phi(|F|)
+against the mass density.  CSV files list every level's rows, through
+the codec in `treetrace.address`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .address import child_minus_parent, read_function_csv, write_function_csv
+from .address import child_minus_parent, function_values, level_slice, parents_and_children
+from .address import read_function_csv, write_function_csv
 from .tree import TreeParams, arclength, edge_length, edge_measure, _gauss_nodes
 from .young import YoungModular, YoungPhi, luxemburg_gauge
 
 __all__ = [
     "TreeFunction",
-    "edge_slopes",
     "upper_gradient_edges",
     "tree_lphi_modular",
     "gradient_lphi_modular",
@@ -28,37 +29,21 @@ __all__ = [
 
 
 class TreeFunction:
-    """Vertex values on levels 0..depth, lexicographic within each level."""
+    """Vertex values on levels 0..depth in level order (a float array is taken over)."""
 
-    def __init__(self, K: int, depth: int, levels) -> None:
-        if K < 2:
-            raise ValueError("K must be at least 2")
-        if depth < 1:
-            raise ValueError("depth must be at least 1")
-        if len(levels) != depth + 1:
-            raise ValueError(f"expected {depth + 1} level arrays, got {len(levels)}")
-        stored = []
-        for n, arr in enumerate(levels):
-            arr = np.asarray(arr, dtype=float).copy()
-            if arr.shape != (K**n,):
-                raise ValueError(f"level {n} must hold {K**n} values")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("vertex values must be finite")
-            stored.append(arr)
-        self.K = K
-        self.depth = depth
-        self.levels = stored
+    def __init__(self, K: int, depth: int, values) -> None:
+        self.values = function_values(K, depth, values, first=0)
+        self.K, self.depth = K, depth
 
     def scaled(self, factor: float) -> "TreeFunction":
-        return TreeFunction(self.K, self.depth, [lv * factor for lv in self.levels])
+        return TreeFunction(self.K, self.depth, self.values * factor)
 
     def to_csv(self, path) -> None:
-        write_function_csv(path, self.K, self.depth, self.levels)
+        write_function_csv(path, self.K, self.depth, self.values, first=0)
 
     @classmethod
     def from_csv(cls, path) -> "TreeFunction":
-        K, depth, levels = read_function_csv(path, leaves_only=False)
-        return cls(K, depth, levels)
+        return cls(*read_function_csv(path, leaves_only=False))
 
 
 def _check_shape(F: TreeFunction, params: TreeParams) -> None:
@@ -66,18 +51,14 @@ def _check_shape(F: TreeFunction, params: TreeParams) -> None:
         raise ValueError("tree function shape does not match tree parameters")
 
 
-def edge_slopes(F: TreeFunction, params: TreeParams) -> list[np.ndarray]:
-    """Signed arclength slope per edge; entry n covers the level n -> n+1 edges,
-    indexed by the child vertex."""
+def upper_gradient_edges(F: TreeFunction, params: TreeParams) -> np.ndarray:
+    """Per-edge upper gradient of the piecewise-linear interpolant, minimal for
+    that class: |F(child) - F(parent)| / edge_length, one row per parent."""
     _check_shape(F, params)
-    diffs = child_minus_parent(F.K, F.levels)
-    return [diff / edge_length(params, n) for n, diff in enumerate(diffs)]
-
-
-def upper_gradient_edges(F: TreeFunction, params: TreeParams) -> list[np.ndarray]:
-    """Per-edge upper gradient of the piecewise-linear interpolant: the
-    absolute difference quotient, minimal for this class of functions."""
-    return [np.abs(s) for s in edge_slopes(F, params)]
+    grads = child_minus_parent(F.K, F.values)
+    for n in range(F.depth):
+        grads[level_slice(F.K, n)] /= edge_length(params, n)
+    return np.abs(grads, out=grads)
 
 
 def _function_modular(
@@ -85,24 +66,28 @@ def _function_modular(
 ) -> YoungModular:
     """Phi(|F|) against the mass density, one (edges, nodes) segment per
     level: |F| at the Gauss-Legendre nodes of every edge, weighted by the
-    quadrature weight times the density at each node."""
+    quadrature weight times the density at each node.  |F| is built in `a`
+    itself, slopes as in `upper_gradient_edges`, with no per-edge array."""
     if lam is None:
         lam = params.lambda2
-    K, beta, c_shift = F.K, params.beta, params.C_const
+    _check_shape(F, params)
+    beta, c_shift = params.beta, params.C_const
     gx, gw = _gauss_nodes(params.quad_order)
-    a = np.empty(gx.size * sum(K ** (n + 1) for n in range(F.depth)))
-    segments, start = [], 0
-    for n, slope in enumerate(edge_slopes(F, params)):
+    parents, children = parents_and_children(F.K, F.values)
+    a = np.empty(children.size * gx.size)
+    vals = a.reshape(*children.shape, gx.size)
+    np.subtract(children[:, :, None], parents[:, None, None], out=vals)
+    segments = []
+    for n in range(F.depth):
+        rows = level_slice(F.K, n)
         tau = n + 0.5 * (gx + 1.0)
         a_off = arclength(params, tau) - arclength(params, n)
-        vals = a[start : start + slope.size * gx.size].reshape(-1, gx.size)
-        np.multiply.outer(slope, a_off, out=vals)
-        by_parent = vals.reshape(-1, K, gx.size)
-        by_parent += F.levels[n][:, None, None]
-        np.abs(vals, out=vals)
-        segments.append((vals.size, 0.5 * gw * np.exp(-beta * tau) * (tau + c_shift) ** lam))
-        start += vals.size
-    del slope  # the deepest level's slopes; the modular allocates A next
+        level = vals[rows]
+        level /= edge_length(params, n)
+        level *= a_off
+        level += parents[rows, None, None]
+        segments.append((level.size, 0.5 * gw * np.exp(-beta * tau) * (tau + c_shift) ** lam))
+    np.abs(a, out=a)
     return YoungModular(phi, a, segments)
 
 
@@ -111,10 +96,8 @@ def _gradient_modular(
 ) -> YoungModular:
     """Phi(g) for the per-edge upper gradient g, weighted by the edge mass."""
     grads = upper_gradient_edges(F, params)
-    segments = [(g.size, edge_measure(params, n, lam)) for n, g in enumerate(grads)]
-    a = np.concatenate(grads)
-    del grads  # before the modular allocates its own array
-    return YoungModular(phi, a, segments)
+    segments = [(F.K ** (n + 1), edge_measure(params, n, lam)) for n in range(F.depth)]
+    return YoungModular(phi, grads.reshape(-1), segments)
 
 
 def _gauge(rho: YoungModular, tol: float) -> float:

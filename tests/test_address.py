@@ -16,7 +16,9 @@ from treetrace.address import (
     digits_index,
     index_digits,
     level_addresses,
+    level_slice,
 )
+from treetrace.harness import _FAMILY_CODES
 from treetrace.tree import make_tree_params
 
 # ------------------------------------------------------------------ oracle
@@ -28,6 +30,11 @@ def oracle_address(K, level, index):
         index, d = divmod(index, K)
         digits.append(str(d))
     return "".join(reversed(digits))
+
+
+def split_levels(F):
+    """The level-order values of a tree function as one array per level."""
+    return [F.values[level_slice(F.K, n)] for n in range(F.depth + 1)]
 
 
 def oracle_write(path, K, depth, levels):
@@ -71,7 +78,7 @@ def same_bits(a, b):
 )
 def test_writer_matches_per_row_oracle_and_roundtrips_bitwise(K, depth, pool, seed):
     u = BoundaryFunction(K, depth, fill(pool, K**depth, seed))
-    F = TreeFunction(K, depth, [fill(pool, K**n, seed + n) for n in range(depth + 1)])
+    F = TreeFunction(K, depth, np.concatenate([fill(pool, K**n, seed + n) for n in range(depth + 1)]))
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         u.to_csv(tmp / "u.csv")
@@ -80,17 +87,16 @@ def test_writer_matches_per_row_oracle_and_roundtrips_bitwise(K, depth, pool, se
         assert same_bits(BoundaryFunction.from_csv(tmp / "u.csv").values, u.values)
 
         F.to_csv(tmp / "F.csv")
-        oracle_write(tmp / "F0.csv", K, depth, F.levels)
+        oracle_write(tmp / "F0.csv", K, depth, split_levels(F))
         assert (tmp / "F.csv").read_bytes() == (tmp / "F0.csv").read_bytes()
-        G = TreeFunction.from_csv(tmp / "F.csv")
-        assert all(same_bits(a, b) for a, b in zip(G.levels, F.levels))
+        assert same_bits(TreeFunction.from_csv(tmp / "F.csv").values, F.values)
 
 
 def test_writer_matches_oracle_across_chunks(tmp_path):
     # levels of several chunks, the last one partial, in both file kinds
     u = generate("iid-uniform", K=3, depth=9, seed=3)
     assert u.n_leaves % CHUNK_ROWS and u.n_leaves > 2 * CHUNK_ROWS
-    for fn, levels in ((u, [u.values]), (extend(u), extend(u).levels)):
+    for fn, levels in ((u, [u.values]), (extend(u), split_levels(extend(u)))):
         fn.to_csv(tmp_path / "new.csv")
         oracle_write(tmp_path / "old.csv", 3, 9, levels)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
@@ -100,7 +106,7 @@ def test_k_above_ten_is_rejected(tmp_path):
     with pytest.raises(ValueError, match="K <= 10"):
         BoundaryFunction(11, 1, np.zeros(11)).to_csv(tmp_path / "u.csv")
     with pytest.raises(ValueError, match="K <= 10"):
-        TreeFunction(12, 1, [np.zeros(1), np.zeros(12)]).to_csv(tmp_path / "F.csv")
+        TreeFunction(12, 1, np.zeros(13)).to_csv(tmp_path / "F.csv")
     (tmp_path / "k11.csv").write_text("K,N\n11,1\naddress,value\n")
     with pytest.raises(ValueError, match="K <= 10"):
         BoundaryFunction.from_csv(tmp_path / "k11.csv")
@@ -262,10 +268,66 @@ def test_child_cell_masses_sum_to_parent():
 
 
 def test_child_minus_parent_values():
-    levels = [np.array([1.0]), np.array([3.0, 5.0]), np.arange(4.0)]
-    diffs = child_minus_parent(2, levels)
-    assert [d.tolist() for d in diffs] == [[2.0, 4.0], [-3.0, -2.0, -3.0, -2.0]]
-    assert child_minus_parent(2, levels[:1]) == []
+    # levels [1], [3, 5], [0, 1, 2, 3] in level order: one row per parent
+    values = np.array([1.0, 3.0, 5.0, 0.0, 1.0, 2.0, 3.0])
+    diffs = child_minus_parent(2, values)
+    assert diffs.tolist() == [[2.0, 4.0], [-3.0, -2.0], [-3.0, -2.0]]
+    assert child_minus_parent(2, values[:1]).shape == (0, 2)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([2, 3, 10]), st.integers(1, 5), st.data())
+def test_level_order_rows_pair_each_vertex_with_its_parent(K, depth, data):
+    size = level_slice(K, depth).stop
+    assert [level_slice(K, n).stop for n in range(depth)] == [
+        level_slice(K, n + 1).start for n in range(depth)
+    ]
+    values = np.random.default_rng(depth).uniform(size=size)
+    diffs = child_minus_parent(K, values)
+    assert diffs.shape == (level_slice(K, depth).start, K)
+    for n in data.draw(st.lists(st.integers(0, depth - 1), min_size=1, max_size=5)):
+        rows = diffs[level_slice(K, n)]
+        i = data.draw(st.integers(0, K**n - 1))
+        c = data.draw(st.integers(0, K - 1))
+        child = index_digits(K, n + 1, i * K + c)
+        assert child[:-1] == index_digits(K, n, i) and child[-1] == c
+        parent_value = values[level_slice(K, n)][digits_index(K, child[:-1])]
+        child_value = values[level_slice(K, n + 1)][digits_index(K, child)]
+        assert rows[i, c] == child_value - parent_value
+
+
+def oracle_level_averages(u):
+    """The former list form: the leaves, then each level's block means,
+    bottom up, returned top down."""
+    out = [u.values]
+    cur = u.values
+    for _ in range(u.depth):
+        cur = cur.reshape(-1, u.K).mean(axis=1)
+        out.append(cur)
+    return out[::-1]
+
+
+# bounded so that no block sum overflows
+finite_pool = st.lists(
+    st.one_of(st.sampled_from(SPECIAL), st.floats(-1e300, 1e300)), min_size=1, max_size=12
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([2, 3, 10]), st.integers(1, 5), finite_pool, st.integers(0, 2**32 - 1))
+def test_level_averages_match_the_per_level_oracle_bitwise(K, depth, pool, seed):
+    u = BoundaryFunction(K, depth, fill(pool, K**depth, seed))
+    averages = u.level_averages()
+    assert same_bits(averages, np.concatenate(oracle_level_averages(u)))
+    assert same_bits(averages[level_slice(K, depth)], u.values)
+
+
+@pytest.mark.parametrize("K, depth", [(2, 7), (2, 16), (3, 5)])
+def test_random_vertex_stream_matches_per_level_draws(K, depth):
+    F = generate("random-vertex", K=K, depth=depth, seed=11)
+    rng = np.random.default_rng([_FAMILY_CODES["random-vertex"], 11, depth, K])
+    levels = [rng.uniform(size=K**n) for n in range(depth + 1)]
+    assert same_bits(F.values, np.concatenate(levels))
 
 
 def test_vertex_distance_validates_addresses():

@@ -232,6 +232,13 @@ def test_energy_params_reject_non_finite_exponents(key, bad):
         eparams(**{key: bad})
 
 
+def test_dyadic_energy_level_weight_overflow_names_lam():
+    # n^lam at n = 2 used to end in an OverflowError from float(n) ** lam
+    f = random_f(2, 3, seed=0)
+    with pytest.raises(ValueError, match="level-2 weight overflows at lam = 1e[+]308"):
+        dyadic_energy(f, eparams(lam=1e308))
+
+
 # ------------------------------------------------------------ besov gauge norm
 
 

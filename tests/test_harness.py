@@ -241,7 +241,7 @@ def test_constant_tree_function_ratio_finite():
 
     cfg = ExperimentConfig()
     tp = cfg.tree_params(4)
-    F = TreeFunction(2, 4, [np.full(2**n, 3.0) for n in range(5)])
+    F = TreeFunction(2, 4, np.full(31, 3.0))
     phi = YoungPhi(2.0)
     num = orlicz_besov_norm(trace(F), cfg.energy_params(), phi)
     den = newtonian_norm(F, tp, phi)
@@ -308,6 +308,35 @@ def test_cli_bad_input_exits_2_with_one_error_line(tmp_path, capsys):
     cfg.write_text("colour = 3\n")
     assert main(["verify", "roundtrip", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err.count("treetrace: error: ") == 2
+
+
+def test_cli_huge_lambda1_exits_2_with_one_error_line(tmp_path, capsys):
+    # n^lam overflowed in dyadic_energy: exit 1 with an OverflowError traceback
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("seeds = 0\ndepths = 3,4\nlambda1 = 1e308\n")
+    assert main(["verify", "equivalence", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err == "treetrace: error: the level-2 weight overflows at lam = 1e+308\n"
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [
+        OverflowError("overflow"),
+        ZeroDivisionError("division"),
+        treetrace.ConvergenceError("no certificate"),
+        treetrace.GaugeBracketError("no bracket"),
+        treetrace.young.NonMonotoneModularError("not monotone"),
+    ],
+    ids=lambda exc: type(exc).__name__,
+)
+def test_cli_errors_inside_a_computation_exit_2(monkeypatch, capsys, exc):
+    def crash(cfg):
+        raise exc
+
+    monkeypatch.setitem(treetrace.cli._VERIFY_DRIVERS, "roundtrip", crash)
+    assert main(["verify", "roundtrip", "--depth", "3", "--seed", "0"]) == 2
+    assert capsys.readouterr().err == f"treetrace: error: {exc}\n"
 
 
 @pytest.mark.parametrize(

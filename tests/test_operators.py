@@ -23,21 +23,20 @@ LN2 = math.log(2.0)
 def test_extension_hand_values():
     u = BoundaryFunction(2, 2, [1.0, 0.0, 0.0, 0.0])
     F = extend(u)
-    assert F.levels[0][0] == 0.25
-    assert list(F.levels[1]) == [0.5, 0.0]
-    assert list(F.levels[2]) == [1.0, 0.0, 0.0, 0.0]
+    assert list(F.values) == [0.25, 0.5, 0.0, 1.0, 0.0, 0.0, 0.0]
 
 
 def test_extension_of_constant_is_constant():
     u = BoundaryFunction(3, 2, np.full(9, 1.5))
     F = extend(u)
-    for lv in F.levels:
-        assert np.all(lv == 1.5)
+    assert F.values.size == 13 and np.all(F.values == 1.5)
 
 
 def test_trace_of_constant():
     F = extend(BoundaryFunction(2, 3, np.full(8, -2.0)))
     assert np.all(trace(F).values == -2.0)
+    # trace copies the leaves, so the two functions share no memory
+    assert not np.shares_memory(trace(F).values, F.values)
 
 
 @pytest.mark.parametrize("K,depth", [(2, 1), (2, 5), (3, 3)])
@@ -55,8 +54,7 @@ def test_operators_linear():
     a, b = 2.5, -1.25
     comb = BoundaryFunction(2, 4, a * u.values + b * v.values)
     Fu, Fv, Fc = extend(u), extend(v), extend(comb)
-    for lc, lu, lv in zip(Fc.levels, Fu.levels, Fv.levels):
-        assert np.max(np.abs(lc - (a * lu + b * lv))) <= 1e-12
+    assert np.max(np.abs(Fc.values - (a * Fu.values + b * Fv.values))) <= 1e-12
     tc = trace(Fc).values
     assert np.max(np.abs(tc - (a * trace(Fu).values + b * trace(Fv).values))) <= 1e-12
 

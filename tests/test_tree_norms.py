@@ -19,6 +19,7 @@ from treetrace import (
     vertex_distance,
 )
 import treetrace.tree_norms as tree_norms
+from treetrace.address import level_slice
 from treetrace.young import _CHUNK
 from treetrace.harness import generate
 
@@ -30,12 +31,12 @@ def std_params(depth, K=2, lambda2=0.0, quad_order=8):
 
 
 def constant_tree(K, depth, c):
-    return TreeFunction(K, depth, [np.full(K**n, c) for n in range(depth + 1)])
+    return TreeFunction(K, depth, np.full(level_slice(K, depth).stop, c))
 
 
 def unit_indicator_extension():
     """Cell averages of the indicator of one depth-2 cell on the binary tree."""
-    return TreeFunction(2, 2, [[0.25], [0.5, 0.0], [1.0, 0.0, 0.0, 0.0]])
+    return TreeFunction(2, 2, [0.25, 0.5, 0.0, 1.0, 0.0, 0.0, 0.0])
 
 
 # ------------------------------------------------------------- edge gradients
@@ -44,14 +45,14 @@ def unit_indicator_extension():
 def test_gradients_zero_for_constant():
     p = std_params(3)
     grads = upper_gradient_edges(constant_tree(2, 3, 5.0), p)
-    assert all(np.all(g == 0.0) for g in grads)
+    assert grads.shape == (7, 2) and np.all(grads == 0.0)
 
 
 def test_gradient_difference_quotient_value():
     p = std_params(2)
     F = unit_indicator_extension()
     grads = upper_gradient_edges(F, p)
-    # |1/2 - 1/4| / edge_length(0) = ln2 / 2
+    # row 0 holds the root's edges: |1/2 - 1/4| / edge_length(0) = ln2 / 2
     assert grads[0][0] == pytest.approx(LN2 / 2.0, rel=1e-12)
     assert grads[0][0] == pytest.approx(0.25 / 0.7213475204444817, rel=1e-12)
 
@@ -60,8 +61,8 @@ def test_gradient_scaling():
     p = std_params(3)
     F = generate("random-vertex", K=2, depth=3, seed=0)
     G = F.scaled(-4.0)
-    for gf, gg in zip(upper_gradient_edges(F, p), upper_gradient_edges(G, p)):
-        assert np.allclose(gg, 4.0 * gf, rtol=1e-14)
+    gf, gg = upper_gradient_edges(F, p), upper_gradient_edges(G, p)
+    assert np.allclose(gg, 4.0 * gf, rtol=1e-14)
 
 
 def test_upper_gradient_inequality_random_pairs():
@@ -69,6 +70,8 @@ def test_upper_gradient_inequality_random_pairs():
     p = std_params(5)
     F = generate("random-vertex", K=2, depth=5, seed=1)
     grads = upper_gradient_edges(F, p)
+    # the level n -> n + 1 edges, indexed by the child within its level
+    grads = [grads[level_slice(2, n)].reshape(-1) for n in range(5)]
     lengths = [(1 - math.exp(-LN2)) / LN2 * math.exp(-LN2 * n) for n in range(5)]
     rng = np.random.default_rng(2)
     for _ in range(1000):
@@ -92,7 +95,7 @@ def test_upper_gradient_inequality_random_pairs():
             idx = 0
             for d in addr:
                 idx = idx * 2 + d
-            return F.levels[len(addr)][idx]
+            return F.values[level_slice(2, len(addr))][idx]
 
         assert abs(value_at(z) - value_at(y)) <= path + 1e-9
         assert vertex_distance(p, z, y) >= 0  # addresses are valid
@@ -126,8 +129,8 @@ def test_tree_modular_against_adaptive_quadrature():
     total = 0.0
     for n in range(2):
         for child in range(2 ** (n + 1)):
-            fp = F.levels[n][child // 2]
-            fc = F.levels[n + 1][child]
+            fp = F.values[level_slice(2, n)][child // 2]
+            fc = F.values[level_slice(2, n + 1)][child]
             slope = (fc - fp) / (arc(n + 1) - arc(n))
 
             def integrand(t):
@@ -168,9 +171,10 @@ def test_gradient_modular_is_exact_sum():
     F = generate("random-vertex", K=2, depth=4, seed=5)
     phi = YoungPhi(2.0, -1.0)
     grads = upper_gradient_edges(F, p)
+    levels = [grads[level_slice(2, n)] for n in range(4)]
     expected = sum(
         edge_measure(p, n) * float(np.sum((g**2) * np.log(math.e + g) ** -1.0))
-        for n, g in enumerate(grads)
+        for n, g in enumerate(levels)
     )
     assert gradient_lphi_modular(F, p, phi) == pytest.approx(expected, rel=1e-12)
 
@@ -286,10 +290,14 @@ def test_newtonian_norm_monotone_under_deeper_truncation():
 
 
 def test_tree_function_shape_validation():
-    with pytest.raises(ValueError):
-        TreeFunction(2, 2, [[0.0], [0.0, 0.0]])
-    with pytest.raises(ValueError):
-        TreeFunction(2, 1, [[0.0], [0.0, math.inf]])
+    with pytest.raises(ValueError, match="expected 7 values"):
+        TreeFunction(2, 2, np.zeros(3))
+    with pytest.raises(ValueError, match="finite"):
+        TreeFunction(2, 1, [0.0, 0.0, math.inf])
+    # a float array is taken over, anything else converted
+    values = np.zeros(3)
+    assert TreeFunction(2, 1, values).values is values
+    assert TreeFunction(2, 1, [0, 1, 2]).values.dtype == np.float64
     p = std_params(3)
     with pytest.raises(ValueError):
         tree_lphi_modular(constant_tree(2, 2, 1.0), p, YoungPhi(2.0))
@@ -301,5 +309,4 @@ def test_tree_function_csv_roundtrip(tmp_path):
     F.to_csv(path)
     G = TreeFunction.from_csv(path)
     assert G.K == F.K and G.depth == F.depth
-    for a, b in zip(G.levels, F.levels):
-        assert np.array_equal(a, b)
+    assert np.array_equal(G.values, F.values)
