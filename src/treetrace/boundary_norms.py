@@ -176,7 +176,10 @@ def _energy_modular(
     segments = []
     for n in range(1, f.depth + 1):
         diffs[level_slice(f.K, n - 1)] *= math.exp(eps * n)
-        weight = math.exp(eps * n * (theta - 1.0) * p) * float(n) ** lam2 * float(f.K) ** -n
+        try:
+            weight = math.exp(eps * n * (theta - 1.0) * p) * float(n) ** lam2 * float(f.K) ** -n
+        except OverflowError:
+            raise ValueError(f"the level-{n} weight overflows at lambda2 = {lam2!r}") from None
         segments.append((f.K**n, weight))
     return YoungModular(phi, diffs.reshape(-1), segments)
 

@@ -11,10 +11,9 @@ g_k^p over all feasible systems.
 
 Scales that occur at no pair carry g_k = 0 at the optimum and are dropped.
 The objective and the constraints decouple across scales, so the program
-splits into one block per scale.  Each block is solved by one of three
+splits into one block per scale.  Each block is solved by one of two
 methods, recorded per block in `HajlaszSolution.blocks`:
 
-* p = 1: a linear program, solved exactly by HiGHS.
 * p = 2: accelerated projected ascent on the dual.  For multipliers
   mu >= 0 (one per pair) the Lagrangian minimizer is g_i = s_i / (2 nu),
   with s_i the multiplier mass on leaf i, so the dual is quadratic and the
@@ -28,21 +27,25 @@ methods, recorded per block in `HajlaszSolution.blocks`:
   the order np.add.at does over the block's first, then second, pair
   indices, so the iterates are those of solving each block on its own,
   bit for bit.
-* any other p > 1: a primal-dual interior-point method.  Each Newton step
-  solves (diag(nu p (p-1) g^(p-2) + z/g) + A^T diag(mu/s) A) dg = r, with
-  slacks s = A g - bound and multipliers mu (pairs) and z (g >= 0).  A
-  block's pairs split at levels j >= j0, its coarsest level, so each
-  pair lies inside one level-j0 vertex and the matrix is block-diagonal
-  over those K^j0 vertices; it is assembled with one bincount and solved
-  by one batched dense solve.  The repaired minimizer is scaled down
-  until its tightest pair holds with equality (the objective is
-  homogeneous), which removes the slack the Newton iterates keep.
+* every other p >= 1: a primal-dual interior-point method.  Each Newton
+  step solves (diag(nu p (p-1) g^(p-2) + z/g + delta) + A^T diag(mu/s) A)
+  dg = r, with slacks s = A g - bound and multipliers mu (pairs) and z
+  (g >= 0).  delta is 0 at p > 1; at p = 1, where the matrix has no
+  curvature term, the fixed delta = 1e-12 max(mu/s) keeps it nonsingular
+  (at p = 6 the same term drives a slack to 0).  A block's pairs
+  split at levels j >= j0, its coarsest level, so each pair lies inside
+  one level-j0 vertex and the matrix is block-diagonal over those K^j0
+  vertices; it is assembled with one bincount and solved by one batched
+  dense solve.  The repaired minimizer is scaled down until its tightest
+  pair holds with equality (the objective is homogeneous), which removes
+  the slack the Newton iterates keep.
 
-For p > 1 the dual function q(mu) = min_{g >= 0} L(g, mu) is a lower
-bound for every mu >= 0 and any repaired primal point an upper bound, so
-both iterative methods stop on the same certified relative gap.  A
-brute-force grid search over small instances serves as an independent
-check.
+The dual function q(mu) = min_{g >= 0} L(g, mu) is a lower bound for
+every mu >= 0 and any repaired primal point an upper bound, so both
+methods stop on the same certified relative gap.  At p = 1 the Lagrangian
+is bounded below only where the multiplier mass is at most nu, so the
+bound is taken at mu scaled down into that set.  A brute-force grid
+search over small instances serves as an independent check.
 """
 
 from __future__ import annotations
@@ -51,8 +54,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .boundary_norms import BoundaryFunction
 from .tree import split_distances
@@ -180,7 +181,7 @@ def hajlasz_feasible(inst: HajlaszInstance, g, rtol: float = 1e-9) -> bool:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs of the p > 1 solvers.
+    """Knobs of the solvers.
 
     rel_tol is the certified relative duality gap at which a block stops
     and max_iters the cap on its iterations (dual-ascent steps at p = 2,
@@ -203,10 +204,9 @@ class SolverConfig:
 class BlockReport:
     """How one scale block was solved.
 
-    method is "lp", "dual-ascent" or "interior-point"; iterations counts
-    HiGHS iterations, dual-ascent steps or Newton steps; rel_gap is the
-    final (upper - lower) / upper between the primal value and the dual
-    bound (for "lp", the dual value HiGHS reports).
+    method is "dual-ascent" or "interior-point"; iterations counts
+    dual-ascent steps or Newton steps; rel_gap is the final
+    (upper - lower) / upper between the primal value and the dual bound.
     """
 
     method: str
@@ -237,29 +237,6 @@ def _active_leaves(ia, ib, n_leaves):
     return active, remap[ia], remap[ib]
 
 
-def _solve_scale_lp(nu, ia, ib, bound, n_leaves):
-    active, la, lb = _active_leaves(ia, ib, n_leaves)
-    rows = np.repeat(np.arange(ia.size), 2)
-    cols = np.stack([la, lb], axis=1).ravel()
-    data = np.full(2 * ia.size, -1.0)
-    A = sparse.csr_matrix((data, (rows, cols)), shape=(ia.size, active.size))
-    res = linprog(
-        c=np.full(active.size, nu),
-        A_ub=A,
-        b_ub=-bound,
-        bounds=(0, None),
-        method="highs",
-    )
-    if res.status != 0:
-        raise ConvergenceError(f"linear program failed: {res.message}")
-    g = np.zeros(n_leaves)
-    g[active] = np.clip(res.x, 0.0, None)
-    _repair(g, ia, ib, bound)
-    primal = nu * float(np.sum(g))
-    dual = -float(np.dot(res.ineqlin.marginals, bound))
-    return g, BlockReport("lp", int(res.nit), (primal - dual) / primal, res.status == 0)
-
-
 def _repair(g, ia, ib, bound):
     """Raise both endpoints of every violated constraint by half the deficit.
 
@@ -275,7 +252,11 @@ def _dual_point(nu, p, s, mu, bound):
     """The Lagrangian minimizer g over g >= 0 and q(mu), its value, given
     the multiplier mass s = A^T mu; q(mu) bounds the block optimum from
     below for every mu >= 0.  Near p = 1 the power can overflow far from
-    the optimum; q(mu) is then -inf."""
+    the optimum; q(mu) is then -inf.  At p = 1, q(mu) is -inf unless
+    s <= nu, so the bound is q(t mu) = t (mu . bound) with
+    t = min(1, nu / max s), minimized by g = 0."""
+    if p == 1.0:
+        return np.zeros_like(s), min(1.0, nu / float(s.max())) * float(np.dot(mu, bound))
     with np.errstate(over="ignore", invalid="ignore"):
         g = (s / (p * nu)) ** (1.0 / (p - 1.0))
         q = nu * float(np.sum(g**p)) - float(np.dot(s, g)) + float(np.dot(mu, bound))
@@ -550,6 +531,9 @@ def _solve_dual_blocks(inst: HajlaszInstance, cfg: SolverConfig):
 
 _CENTRING = 0.1
 _TO_BOUNDARY = 0.99
+# at p = 1 the Newton matrix has no curvature term; this times the largest
+# mu/s is added to its diagonal to keep it nonsingular
+_DIAGONAL = 1e-12
 
 
 def _max_step(x, dx):
@@ -559,7 +543,7 @@ def _max_step(x, dx):
 
 
 def _solve_scale_ipm(nu, p, ia, ib, bound, n_leaves, block, cfg: SolverConfig):
-    """Primal-dual interior-point method on one scale block (p > 1).
+    """Primal-dual interior-point method on one scale block (p >= 1).
 
     Minimizes nu * sum g^p subject to s = A g - bound >= 0 and g >= 0, with
     multipliers mu >= 0 for the pairs and z >= 0 for g, where A g pairs up
@@ -573,8 +557,10 @@ def _solve_scale_ipm(nu, p, ia, ib, bound, n_leaves, block, cfg: SolverConfig):
     `block` consecutive leaves (a vertex of the block's coarsest level),
     so the matrix is assembled into a (n_leaves / block, block, block)
     array and solved batch by batch, with an identity row for each leaf in
-    no pair.  Stops on the certified gap between the better of the
-    repaired iterate and the repaired Lagrangian minimizer of mu, and q(mu).
+    no pair.  At p = 1 its diagonal also carries _DIAGONAL times the
+    largest mu/s.  Stops on the certified gap between the better of the
+    repaired iterate and the repaired Lagrangian minimizer of mu, and
+    q(mu).
     """
     active, la, lb = _active_leaves(ia, ib, n_leaves)
     n, m = active.size, ia.size
@@ -604,6 +590,8 @@ def _solve_scale_ipm(nu, p, ia, ib, bound, n_leaves, block, cfg: SolverConfig):
         target = _CENTRING * (float(np.dot(s, mu)) + float(np.dot(g, z))) / (m + n)
         w = mu / s
         diag[active] = nu * p * (p - 1.0) * g ** (p - 2.0) + z / g
+        if p == 1.0:
+            diag[active] += _DIAGONAL * w.max()
         rhs[active] = target / g - nu * p * g ** (p - 1.0) + pair_mass(target / s)
         system = np.bincount(
             cells, np.concatenate([w, w, w, w, diag]), n_leaves * block
@@ -653,13 +641,11 @@ def hajlasz_minimize(
     nu = inst.leaf_measure
     K, N, n_leaves = inst.f.K, inst.f.depth, inst.f.n_leaves
     g: dict[int, np.ndarray] = {k: np.zeros(n_leaves) for k in inst.scales}
-    method = {1.0: "lp", 2.0: "dual-ascent"}.get(float(inst.p), "interior-point")
+    method = "dual-ascent" if inst.p == 2.0 else "interior-point"
     blocks: dict[int, BlockReport] = {}
     solved = _solve_dual_blocks(inst, cfg) if method == "dual-ascent" else {}
     for k, (ia, ib, bound) in inst.constraints.items():
-        if method == "lp":
-            g[k], blocks[k] = _solve_scale_lp(nu, ia, ib, bound, n_leaves)
-        elif method == "dual-ascent":
+        if method == "dual-ascent":
             g[k], blocks[k] = solved[k]
             _repair(g[k], ia, ib, bound)
         else:

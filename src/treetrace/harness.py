@@ -567,10 +567,10 @@ def verify_equivalences(cfg: ExperimentConfig) -> RatioReport:
     how its double sum was computed: `double_integral_method` is `exact`
     or `mc` (`double_integral_is_exact`), and `double_integral_stderr` is
     the Monte Carlo standard error, empty when exact.  It also says how
-    its Hajlasz energy was reached: `hajlasz_method` (`lp`, `dual-ascent`
-    or `interior-point`), `hajlasz_iterations` summed over the scale
-    blocks and `hajlasz_rel_gap`, the largest certified gap of a block;
-    all three are empty past `hajlasz_max_depth`.
+    its Hajlasz energy was reached: `hajlasz_method` (`dual-ascent` at
+    p = 2, `interior-point` otherwise), `hajlasz_iterations` summed over
+    the scale blocks and `hajlasz_rel_gap`, the largest certified gap of a
+    block; all three are empty past `hajlasz_max_depth`.
     """
     cfg.validate_equivalence_hypotheses()
     family = cfg.family or "iid-uniform"

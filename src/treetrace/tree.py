@@ -74,7 +74,9 @@ class TreeParams:
     depth        truncation level N (>= 1); vertices live on levels 0..N
     quad_order   Gauss-Legendre order used for all edge integrals
 
-    The real parameters must be finite.
+    The real parameters must be finite, and so must the minimal C_const
+    and the density factor (t + C)^lambda2 on [0, depth], which must also
+    be positive.
     """
 
     K: int
@@ -97,12 +99,29 @@ class TreeParams:
         if self.beta <= math.log(self.K):
             raise ValueError("beta must exceed log K")
         cmin = min_shift_constant(self.K, self.epsilon, self.beta, self.lambda2)
+        if not math.isfinite(cmin):
+            raise ValueError(
+                "the minimal C_const = max(2 |lambda2| / (beta - log K), 2 log 4 / epsilon) "
+                f"is infinite at lambda2 = {self.lambda2!r}, beta = {self.beta!r}, "
+                f"epsilon = {self.epsilon!r}"
+            )
         if self.C_const is None:
             object.__setattr__(self, "C_const", cmin)
         elif self.C_const < cmin * (1.0 - 1e-12):
             raise ValueError(f"C_const must be at least {cmin!r}")
         if self.depth < 1:
             raise ValueError("depth must be at least 1")
+        # (t + C)^lambda2 is monotone in t, so its ends bound it on [0, depth]
+        for t in (0.0, float(self.depth)):
+            try:
+                factor = (t + self.C_const) ** self.lambda2
+            except OverflowError:
+                factor = math.inf
+            if not 0.0 < factor < math.inf:
+                raise ValueError(
+                    f"lambda2 = {self.lambda2!r} puts the density factor (t + C)^lambda2 "
+                    f"out of the float range at t = {t:g} (C = {self.C_const!r})"
+                )
         if self.quad_order < 2:
             raise ValueError("quad_order must be at least 2")
 

@@ -57,7 +57,8 @@ class YoungPhi:
 
     Admissible ranges: p > 1 with any real lambda1, or p = 1 with
     lambda1 >= 0.  Outside them the function fails to be convex near 0.
-    Both exponents must be finite.
+    Both exponents must be finite, and so must Phi(1) = log(e + 1)^lambda1,
+    which must also be positive (about |lambda1| <= 2.6e3).
     """
 
     p: float
@@ -71,6 +72,15 @@ class YoungPhi:
             raise ValueError("p must be at least 1")
         if self.p == 1 and self.lambda1 < 0:
             raise ValueError("p = 1 requires lambda1 >= 0")
+        try:
+            at_one = math.log(math.e + 1.0) ** self.lambda1
+        except OverflowError:
+            at_one = math.inf
+        if not 0.0 < at_one < math.inf:
+            raise ValueError(
+                f"lambda1 = {self.lambda1!r} puts Phi(1) = log(e + 1)^lambda1 "
+                "out of the float range"
+            )
 
     def __call__(self, t):
         return phi_eval(self, t)

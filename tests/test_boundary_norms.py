@@ -239,6 +239,16 @@ def test_dyadic_energy_level_weight_overflow_names_lam():
         dyadic_energy(f, eparams(lam=1e308))
 
 
+def test_orlicz_energy_level_weight_overflow_names_lambda2():
+    # n^lambda2 at n = 2 ended in an OverflowError from float(n) ** lam2,
+    # which named no key
+    f = random_f(2, 3, seed=0)
+    with pytest.raises(ValueError, match="level-2 weight overflows at lambda2 = 1e[+]308"):
+        dyadic_orlicz_modular(f, eparams(lambda2=1e308), YoungPhi(2.0))
+    with pytest.raises(ValueError, match="lambda2"):
+        orlicz_besov_norm(f, eparams(lambda2=1e308), YoungPhi(2.0))
+
+
 # ------------------------------------------------------------ besov gauge norm
 
 

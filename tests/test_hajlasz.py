@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
+from scipy.optimize import linprog
 
 import treetrace.hajlasz as hajlasz
 from treetrace import (
@@ -285,7 +287,7 @@ def test_coarsest_level_bounds_every_pair():
 
 
 @pytest.mark.parametrize(
-    "p, method", [(1.0, "lp"), (2.0, "dual-ascent"), (1.5, "interior-point")]
+    "p, method", [(1.0, "interior-point"), (2.0, "dual-ascent"), (1.5, "interior-point")]
 )
 def test_solution_reports_each_block(p, method):
     inst = random_instance(0, depth=3, p=p)
@@ -394,7 +396,7 @@ def _use_form(mp, form):
 
 
 @st.composite
-def _p2_instances(draw):
+def _instances(draw, p):
     K = draw(st.sampled_from([2, 3]))
     depth = draw(st.integers(1, 6 if K == 2 else 4))
     family = draw(st.sampled_from(["iid-uniform", "lacunary", "cell-indicator"]))
@@ -402,12 +404,12 @@ def _p2_instances(draw):
     epsilon = draw(st.sampled_from([LN2, 0.3]))
     seed = draw(st.integers(0, 1000))
     f = generate(family, K=K, depth=depth, seed=seed, epsilon=epsilon, theta=0.5)
-    return HajlaszInstance(f, 0.5, 2.0, epsilon)
+    return HajlaszInstance(f, 0.5, p, epsilon)
 
 
 @pytest.mark.parametrize("form", FORMS)
 @settings(max_examples=50, deadline=None)
-@given(inst=_p2_instances())
+@given(inst=_instances(2.0))
 def test_dual_ascent_matches_per_block_oracle(form, inst):
     with pytest.MonkeyPatch.context() as mp:
         _use_form(mp, form)
@@ -440,6 +442,82 @@ def test_dual_ascent_matches_per_block_oracle_other_steps(form, K, depth, epsilo
         _use_form(mp, form)
         mp.setattr(hajlasz, "_CHECK_EVERY", 30)
         _assert_matches_per_block(HajlaszInstance(f, 0.5, 2.0, epsilon))
+
+
+# ---------------------------------------- p = 1 against a linear program
+
+
+def _lp_block(nu, ia, ib, bound, n_leaves):
+    """Reference p = 1 solver: one scale block as a linear program,
+    min nu * sum g subject to g[a] + g[b] >= bound and g >= 0, solved by
+    HiGHS.  Returns the repaired minimizer."""
+    active, la, lb = _active_leaves(ia, ib, n_leaves)
+    rows = np.repeat(np.arange(ia.size), 2)
+    cols = np.stack([la, lb], axis=1).ravel()
+    data = np.full(2 * ia.size, -1.0)
+    A = sparse.csr_matrix((data, (rows, cols)), shape=(ia.size, active.size))
+    res = linprog(
+        c=np.full(active.size, nu), A_ub=A, b_ub=-bound, bounds=(0, None), method="highs"
+    )
+    assert res.status == 0, res.message
+    g = np.zeros(n_leaves)
+    g[active] = np.clip(res.x, 0.0, None)
+    _repair(g, ia, ib, bound)
+    return g
+
+
+def _assert_matches_lp(inst):
+    """The interior-point method at p = 1 is feasible and within 1e-8
+    relative of the linear program, block by block and in total."""
+    nu, n = inst.leaf_measure, inst.f.n_leaves
+    sol = hajlasz_minimize(inst)
+    assert sol.method == "interior-point" and sol.converged
+    assert hajlasz_feasible(inst, sol.g)
+    total = 0.0
+    for k, (ia, ib, bound) in inst.constraints.items():
+        lp = nu * float(np.sum(_lp_block(nu, ia, ib, bound, n)))
+        assert abs(nu * float(np.sum(sol.g[k])) - lp) <= 1e-8 * lp, k
+        total += lp
+    assert abs(sol.value - total) <= 1e-8 * total
+
+
+@settings(max_examples=50, deadline=None)
+@given(inst=_instances(1.0))
+def test_interior_point_matches_lp_oracle_at_p1(inst):
+    _assert_matches_lp(inst)
+
+
+@pytest.mark.parametrize(
+    "K, depth, epsilon, family, seed",
+    [
+        (2, 8, LN2, "iid-uniform", 0),
+        (2, 8, 0.3, "iid-uniform", 1),
+        (2, 8, 0.3, "lacunary", 2),
+        (3, 5, LN2, "iid-uniform", 0),
+        (3, 5, 0.3, "cell-indicator", 3),
+    ],
+)
+def test_interior_point_matches_lp_oracle_at_p1_deep(K, depth, epsilon, family, seed):
+    f = generate(family, K=K, depth=depth, seed=seed, epsilon=epsilon, theta=0.5)
+    _assert_matches_lp(HajlaszInstance(f, 0.5, 1.0, epsilon))
+
+
+def test_p1_newton_matrix_without_curvature_is_solved():
+    # p = 1 has no curvature term in the Newton matrix; without the fixed
+    # diagonal term this instance raised LinAlgError (singular matrix)
+    inst = random_instance(1, depth=3, p=1.0)
+    _assert_matches_lp(inst)
+
+
+def test_p1_dual_bound_scales_multipliers_into_the_domain():
+    # at p = 1 the Lagrangian is bounded below only where s <= nu, so the
+    # multipliers are scaled by min(1, nu / max s)
+    bound = np.array([1.0, 2.0])
+    mu = np.array([3.0, 1.0])
+    g, q = _dual_point(0.5, 1.0, np.array([4.0, 1.0]), mu, bound)
+    assert q == pytest.approx(0.125 * 5.0)
+    assert np.array_equal(g, np.zeros(2))
+    assert _dual_point(0.5, 1.0, np.array([0.25, 0.5]), mu, bound)[1] == 5.0
 
 
 # -------------------------------------------------------------- comparability

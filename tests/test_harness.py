@@ -311,12 +311,40 @@ def test_cli_bad_input_exits_2_with_one_error_line(tmp_path, capsys):
 
 
 def test_cli_huge_lambda1_exits_2_with_one_error_line(tmp_path, capsys):
-    # n^lam overflowed in dyadic_energy: exit 1 with an OverflowError traceback
+    # n^lam overflowed in dyadic_energy: exit 1 with an OverflowError
+    # traceback; YoungPhi now rejects this lambda1 before any energy
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("seeds = 0\ndepths = 3,4\nlambda1 = 1e308\n")
     assert main(["verify", "equivalence", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
-    assert err == "treetrace: error: the level-2 weight overflows at lam = 1e+308\n"
+    assert err == (
+        "treetrace: error: lambda1 = 1e+308 puts Phi(1) = log(e + 1)^lambda1 "
+        "out of the float range\n"
+    )
+
+
+@pytest.mark.parametrize("driver", ["trace-bound", "extension-bound"])
+def test_cli_huge_lambda1_is_an_input_error_for_the_tree_drivers(tmp_path, capsys, driver):
+    # Phi overflowed in the gauges and trace-bound still passed (exit 0)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("seeds = 0\ndepths = 3,4\nlambda1 = 1e308\n")
+    assert main(["verify", driver, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("treetrace: error: lambda1 = 1e+308 ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("lambda2", ["300", "1e308"])
+@pytest.mark.parametrize("driver", ["trace-bound", "extension-bound"])
+def test_cli_huge_lambda2_is_an_input_error(tmp_path, capsys, driver, lambda2):
+    # 300: (t + C)^300 overflowed, newtonian_norm = inf and the driver
+    # failed (exit 1); 1e308: an OverflowError naming no key (exit 2)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"seeds = 0\ndepths = 3,4\nlambda2 = {lambda2}\n")
+    assert main(["verify", driver, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("treetrace: error: ") and "lambda2" in err
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -395,6 +423,32 @@ def test_cli_failed_property_exits_1_without_error(tmp_path, capsys):
     assert text.err == ""
 
 
+def _package_env():
+    """The environment with this checkout's package first on the path."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(treetrace.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    return env
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test dependency only; importing it cost about 0.5 s and
+    # 50 MB on every run of the command-line tool
+    code = (
+        "import sys, treetrace, treetrace.cli; "
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=_package_env(),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_cli_closed_standard_output_keeps_the_report_and_verdict(tmp_path):
     # `treetrace verify ... --out r.csv | head`: the reader is gone before
     # the summary is printed; the report is still written and the exit
@@ -404,9 +458,6 @@ def test_cli_closed_standard_output_keeps_the_report_and_verdict(tmp_path):
     argv = ["verify", "equivalence", "--config", str(cfg), "--out"]
     verdict = main(argv + [str(tmp_path / "direct.csv")])
     assert verdict in (0, 1)
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(treetrace.__file__)))
-    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
@@ -414,7 +465,7 @@ def test_cli_closed_standard_output_keeps_the_report_and_verdict(tmp_path):
             [sys.executable, "-m", "treetrace", *argv, str(tmp_path / "piped.csv")],
             stdout=write_end,
             stderr=subprocess.PIPE,
-            env=env,
+            env=_package_env(),
             timeout=120,
         )
     finally:

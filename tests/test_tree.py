@@ -67,6 +67,20 @@ def test_params_rejections():
         TreeParams(2, LN2, 2 * LN2, 0.0, 0.5, 4)
 
 
+@pytest.mark.parametrize("lambda2", [300.0, -300.0, 1e308, -1e308])
+def test_params_reject_a_density_factor_out_of_float_range(lambda2):
+    # at 300 the minimal shift is C = 866 and (t + C)^300 overflowed in
+    # edge_mass and the tree modular (newtonian_norm = inf); at 1e308 the
+    # shift itself was inf
+    with pytest.raises(ValueError, match="lambda2"):
+        TreeParams(2, LN2, 2 * LN2, lambda2, None, 4)
+    with pytest.raises(ValueError, match="lambda2"):
+        make_tree_params(2, LN2, 2 * LN2, lambda2, 4, c_const=1e300)
+    # C = 2 * 100 / log 2 = 288.5 and (4 + C)^100 = 1.5e246 stay in range
+    p = TreeParams(2, LN2, 2 * LN2, 100.0, None, 4)
+    assert 0.0 < edge_measure(p, 3) < math.inf
+
+
 @pytest.mark.parametrize("name", ["epsilon", "beta", "lambda2", "C_const"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_params_reject_non_finite_values(name, bad):

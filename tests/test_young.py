@@ -41,10 +41,21 @@ def test_phi_rejects_non_finite_exponents(key, value):
         YoungPhi(**{"p": 2.0, key: value})
 
 
+@pytest.mark.parametrize("lambda1", [1e308, -1e308, 2610.0, -2740.0])
+def test_phi_rejects_lambda1_that_overflows_phi_at_one(lambda1):
+    # at 1e308 the gauges overflowed to meaningless values and trace-bound
+    # still passed
+    with pytest.raises(ValueError, match="lambda1"):
+        YoungPhi(2.0, lambda1)
+
+
 def test_phi_admissibility():
     YoungPhi(1.0, 0.0)
     YoungPhi(1.0, 2.0)
     YoungPhi(3.0, -4.0)
+    # log(e + 1)^lambda1 is still in the float range
+    YoungPhi(2.0, 2600.0)
+    YoungPhi(2.0, -2700.0)
     with pytest.raises(ValueError):
         YoungPhi(1.0, -0.5)
     with pytest.raises(ValueError):
