@@ -150,6 +150,9 @@ def _run(args) -> int:
 
     if args.command == "energy":
         f = BoundaryFunction.from_csv(args.input)
+        if f.K != cfg.K:
+            # theta and the level weights are resolved from the config's K
+            raise ValueError(f"{args.input} has K = {f.K}, the config has K = {cfg.K}")
         phi = cfg.phi()
         ep = cfg.energy_params()
         values = {

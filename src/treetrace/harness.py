@@ -137,11 +137,12 @@ class ExperimentConfig:
     lam defaults to lambda1 + lambda2 and theta to the matched smoothness
     exponent 1 - (beta - log K) / (epsilon * p); both can be pinned
     explicitly, in which case the hypothesis validators insist they agree
-    with those formulas where an experiment assumes them.  `pair_budget`
-    and `mc_samples` matter only for the double sum at p other than 1 and
-    the even integers up to 100: its pairs are enumerated while
-    K^(2*depth) <= pair_budget and sampled `mc_samples` times beyond;
-    `pair_budget` must be at least 1 and `mc_samples` at least 2.
+    with those formulas where an experiment assumes them.  `epsilon` must
+    be positive and `p` at least 1.  `pair_budget` and `mc_samples`
+    matter only for the double sum at non-integer p (and integer p above
+    100): its pairs are enumerated while K^(2*depth) <= pair_budget and
+    sampled `mc_samples` times beyond; `pair_budget` must be at least 1
+    and `mc_samples` at least 2.
     `hajlasz_max_depth` must be nonnegative (0 runs no Hajlasz program),
     `slope_tol` nonnegative and `spread_max` at least 1.
     """
@@ -177,6 +178,12 @@ class ExperimentConfig:
         ):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}")
+        # NaN passes these two and is rejected as not finite where the
+        # tree and energy parameters are built
+        if self.epsilon <= 0.0:
+            raise ValueError(f"epsilon must be positive, got {self.epsilon!r}")
+        if self.p < 1.0:
+            raise ValueError(f"p must be at least 1, got {self.p!r}")
         # written so that NaN fails too: it would silently pass every check
         if not self.slope_tol >= 0.0:
             raise ValueError(f"slope_tol must be nonnegative, got {self.slope_tol!r}")

@@ -235,20 +235,28 @@ def residual_measure(
 
     Sums K^(n+1) * edge_measure(n) for n >= from_level (default: depth)
     until the remaining tail is below 1e-12 relative.  from_level=0 gives
-    the total mass of the infinite tree.
+    the total mass of the infinite tree.  Each term is the quadrature of
+    one exponential, so factors that leave the float range beyond the
+    truncation do not spoil it; a total that does is a ValueError.
     """
     if lam is None:
         lam = params.lambda2
     start = params.depth if from_level is None else from_level
     if start < 0:
         raise ValueError("from_level must be nonnegative")
+    x, w = _gauss_nodes(params.quad_order)
     total = 0.0
     n = start
     while True:
-        term = params.K ** (n + 1) * edge_mass(
-            params.beta, params.C_const, lam, n, params.quad_order
-        )
+        tau = 0.5 * (x + 1.0) + n
+        log_density = (n + 1) * math.log(params.K) - params.beta * tau
+        log_density += lam * np.log(tau + params.C_const)
+        term = float(0.5 * np.sum(w * np.exp(log_density)))
         total += term
+        if not math.isfinite(total):
+            raise ValueError(
+                f"the residual mass overflows at lambda2 = {lam!r} (C = {params.C_const!r})"
+            )
         if term < 1e-14 * total and n > start:
             break
         n += 1

@@ -30,6 +30,10 @@ def eparams(theta=0.5, p=2.0, lam=0.0, lambda2=0.0, epsilon=LN2):
 
 
 def random_f(K, depth, seed, family="iid-uniform", theta=0.5):
+    if family == "clustered":
+        # values within 1e-3 of 1: every difference loses three digits
+        rng = np.random.default_rng(seed)
+        return BoundaryFunction(K, depth, 1.0 + 1e-3 * rng.uniform(-1.0, 1.0, K**depth))
     return generate(family, K=K, depth=depth, seed=seed, epsilon=LN2, theta=theta)
 
 
@@ -314,15 +318,18 @@ def test_double_integral_is_exact_predicate():
     assert double_integral_is_exact(2, 20, 2.0, 16384)
     assert double_integral_is_exact(3, 12, 6.0, 16384)
     assert double_integral_is_exact(2, 20, 100.0, 16384)
+    assert double_integral_is_exact(2, 20, 99.0, 16384)
+    assert not double_integral_is_exact(2, 20, 101.0, 16384)
     assert not double_integral_is_exact(2, 20, 102.0, 16384)
     assert double_integral_is_exact(2, 7, 1.7, 16384)
     assert not double_integral_is_exact(2, 8, 1.7, 16384)
-    assert not double_integral_is_exact(2, 8, 3.0, 16384)
-    assert double_integral_is_exact(2, 8, 3.0, 1 << 16)
+    assert double_integral_is_exact(2, 8, 3.0, 16384)
+    assert not double_integral_is_exact(2, 8, 2.5, 16384)
+    assert double_integral_is_exact(2, 8, 2.5, 1 << 16)
 
 
-@pytest.mark.parametrize("p", [1.0, 2.0, 4.0, 6.0])
-@pytest.mark.parametrize("family", ["iid-uniform", "lacunary", "cell-indicator"])
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0])
+@pytest.mark.parametrize("family", ["iid-uniform", "lacunary", "cell-indicator", "clustered"])
 def test_double_integral_closed_forms_match_naive_pair_loop(p, family):
     ep = eparams(p=p)
     for K, depth in ((2, 1), (2, 3), (2, 6), (3, 2), (3, 4)):
@@ -332,12 +339,12 @@ def test_double_integral_closed_forms_match_naive_pair_loop(p, family):
         )
 
 
-@pytest.mark.parametrize("p", [8.0, 30.0, 100.0])
-def test_double_integral_closed_form_keeps_its_digits_at_large_even_p(p):
+@pytest.mark.parametrize("p", [8.0, 30.0, 31.0, 99.0, 100.0])
+def test_double_integral_closed_form_keeps_its_digits_at_large_p(p):
     # shifting each block by its midrange keeps the alternating power-sum
     # terms from cancelling
     ep = eparams(p=p)
-    for family in ("iid-uniform", "lacunary"):
+    for family in ("iid-uniform", "lacunary", "clustered"):
         f = random_f(2, 5, seed=2, family=family)
         assert double_integral_energy(f, ep, pair_budget=0) == pytest.approx(
             naive_double_integral(f, ep), rel=1e-12
@@ -345,17 +352,21 @@ def test_double_integral_closed_form_keeps_its_digits_at_large_even_p(p):
 
 
 @pytest.mark.parametrize("K", [2, 3])
-@pytest.mark.parametrize("p", [1.0, 2.0, 4.0, 6.0])
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0])
 def test_double_integral_closed_forms_of_constants_are_zero(K, p):
     for c in (4.2, -1e-3, 1e200):
         f = BoundaryFunction(K, 4, np.full(K**4, c))
         assert double_integral_energy(f, eparams(p=p), pair_budget=0) == 0.0
 
 
-def test_double_integral_p2_at_depth_20_in_linear_memory():
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_double_integral_at_depth_20_in_linear_memory(p):
     K, depth = 2, 20
     f = random_f(K, depth, seed=1)
-    ep = eparams()
+    if p != 2.0:
+        # values 0 and 1, for which |x_a - x_b|^p = (x_a - x_b)^2
+        f = BoundaryFunction(K, depth, np.floor(2.0 * f.values))
+    ep = eparams(p=p)
     tracemalloc.start()
     try:
         value = double_integral_energy(f, ep)

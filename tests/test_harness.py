@@ -551,6 +551,56 @@ def test_cli_verify_equivalence_rejects_bad_sweep_counts(tmp_path, capsys, line,
     assert text.out == ""
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("epsilon = 0", "epsilon must be positive, got 0.0"),
+        ("epsilon = -1", "epsilon must be positive, got -1.0"),
+        ("p = 0", "p must be at least 1, got 0.0"),
+    ],
+)
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["verify", "trace-bound"],
+        ["verify", "extension-bound"],
+        ["verify", "equivalence"],
+        ["verify", "roundtrip"],
+        ["gen"],
+    ],
+)
+def test_cli_rejects_a_nonpositive_epsilon_and_p_below_1(tmp_path, capsys, line, message, command):
+    # epsilon = 0 ended in "float division by zero", epsilon = -1 passed
+    # roundtrip, and p = 0 divided by zero in roundtrip
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"seeds = 0\ndepths = 3,4\n{line}\n")
+    out = tmp_path / "out.csv"
+    assert main([*command, "--config", str(cfg), "--out", str(out)]) == 2
+    text = capsys.readouterr()
+    assert text.err == f"treetrace: error: {message}\n"
+    assert text.out == ""
+    assert not out.exists()
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(**{line.split()[0]: float(line.split()[2])})
+
+
+def test_cli_energy_rejects_a_function_of_another_K(tmp_path, capsys):
+    # theta comes from the config's K: a K = 3 file read with the default
+    # config reported dyadic_energy 0.4793 instead of 1.5172
+    k3 = tmp_path / "k3.txt"
+    k3.write_text("K = 3\nseeds = 0\ndepths = 3\n")
+    u_path = tmp_path / "u.csv"
+    assert main(["gen", "--config", str(k3), "--out", str(u_path)]) == 0
+    assert main(["energy", "--config", str(k3), "--input", str(u_path)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "energy.csv"
+    assert main(["energy", "--input", str(u_path), "--out", str(out)]) == 2
+    text = capsys.readouterr()
+    assert text.err == f"treetrace: error: {u_path} has K = 3, the config has K = 2\n"
+    assert text.out == ""
+    assert not out.exists()
+
+
 def test_hajlasz_max_depth_zero_runs_no_hajlasz_program():
     report = verify_equivalences(small_cfg(depths=(3, 4), hajlasz_max_depth=0))
     assert report.sampled_columns() == ["double_vs_dyadic", "besov_vs_composite"]
@@ -600,15 +650,29 @@ def test_cli_verify_equivalence_reports_how_the_double_sum_was_computed(tmp_path
     assert len(rows) == 8
     assert all(r["double_integral_method"] == "exact" for r in rows)
     assert all(r["double_integral_stderr"] == "" for r in rows)
-    # p = 3 beyond the budget is sampled, and its standard error is kept
+    # non-integer p beyond the budget is sampled, and its standard error is kept
     cfg = tmp_path / "cfg.txt"
-    cfg.write_text("p = 3\ndepths = 7,8\nseeds = 0,1\nmc_samples = 20000\n")
+    cfg.write_text("p = 2.5\ndepths = 7,8\nseeds = 0,1\nmc_samples = 20000\n")
     assert main(["verify", "equivalence", "--config", str(cfg), "--out", str(out)]) == 0
     rows = {r["depth"]: r for r in csv.DictReader(out.open()) if r["seed"] == "0"}
     assert rows["7"]["double_integral_method"] == "exact"
     assert rows["7"]["double_integral_stderr"] == ""
     assert rows["8"]["double_integral_method"] == "mc"
     assert 0.0 < float(rows["8"]["double_integral_stderr"]) < float(rows["8"]["double_integral"])
+
+
+def test_cli_verify_equivalence_at_p3_is_exact_beyond_the_pair_budget(tmp_path, capsys):
+    # depth 8 was sampled with 2000 pairs, 0.215 against the exact 0.145 at
+    # depth 7, and the slope +0.40 failed the sweep
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("p = 3\ndepths = 7,8\nseeds = 0\nmc_samples = 2000\n")
+    out = tmp_path / "report.csv"
+    assert main(["verify", "equivalence", "--config", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "report equivalence: PASS"
+    rows = list(csv.DictReader(out.open()))
+    assert [r["depth"] for r in rows] == ["7", "8"]
+    assert all(r["double_integral_method"] == "exact" for r in rows)
+    assert all(r["double_integral_stderr"] == "" for r in rows)
 
 
 def test_cli_verify_equivalence_reports_how_the_hajlasz_energy_was_reached(tmp_path):

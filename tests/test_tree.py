@@ -333,6 +333,30 @@ def test_tree_measure_complements_residual():
     assert tree_measure(p) + residual_measure(p) == pytest.approx(total, rel=1e-12)
 
 
+def test_residual_measure_at_a_large_accepted_lambda2():
+    # (t + C)^120 leaves the float range a few levels below the truncation,
+    # which used to end in "OverflowError: int too large to convert to float"
+    p = TreeParams(2, LN2, 2 * LN2, 120.0, None, 4)
+    with np.errstate(over="raise", invalid="raise"):
+        value = residual_measure(p)
+    # oracle: adaptive quadrature per edge with e^700 taken out
+    beta, c, lam = p.beta, p.C_const, p.lambda2
+    terms = []
+    for n in range(4, 400):
+        term, err = integrate.quad(
+            lambda t: math.exp((n + 1) * LN2 - beta * t + lam * math.log(t + c) - 700.0),
+            n,
+            n + 1,
+        )
+        assert err < 1e-12 * max(term, 1e-300)
+        terms.append(term)
+    assert value == pytest.approx(math.exp(700.0) * math.fsum(terms), rel=1e-12)
+    # one step further the total itself is out of range
+    q = TreeParams(2, LN2, 2 * LN2, 121.0, None, 1)
+    with pytest.raises(ValueError, match="lambda2 = 121"):
+        residual_measure(q, from_level=0)
+
+
 # ------------------------------------------------------------- ball measure
 
 
