@@ -138,7 +138,7 @@ def lp_norm(f: BoundaryFunction, p: float) -> float:
 
 def _gauge(rho: YoungModular, tol: float) -> float:
     """Luxemburg gauge of the amplitudes of rho as given (by homogeneity)."""
-    return rho.scale * luxemburg_gauge(rho, tol) if rho.scale > 0.0 else 0.0
+    return rho.scale * luxemburg_gauge(rho, tol, start=rho.start) if rho.scale > 0.0 else 0.0
 
 
 def orlicz_norm(f: BoundaryFunction, phi: YoungPhi, tol: float = 1e-10) -> float:

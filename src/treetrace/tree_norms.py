@@ -102,7 +102,7 @@ def _gradient_modular(
 
 def _gauge(rho: YoungModular, tol: float) -> float:
     """Luxemburg gauge of the amplitudes of rho as given (by homogeneity)."""
-    return rho.scale * luxemburg_gauge(rho, tol) if rho.scale > 0.0 else 0.0
+    return rho.scale * luxemburg_gauge(rho, tol, start=rho.start) if rho.scale > 0.0 else 0.0
 
 
 def tree_lphi_modular(

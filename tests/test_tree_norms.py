@@ -188,6 +188,16 @@ def test_modulars_reject_nonpositive_scale():
         gradient_lphi_modular(F, p, YoungPhi(2.0), k=-1.0)
 
 
+def test_modulars_reject_a_nan_scale_and_vanish_at_infinity():
+    p = std_params(3)
+    F = generate("random-vertex", K=2, depth=3, seed=1)
+    for phi in (YoungPhi(2.0), YoungPhi(2.0, 1.0)):
+        for modular in (tree_lphi_modular, gradient_lphi_modular):
+            with pytest.raises(ValueError, match="k must be positive, got nan"):
+                modular(F, p, phi, k=math.nan)
+            assert modular(F, p, phi, k=math.inf) == 0.0
+
+
 # ------------------------------------------------------------ newtonian norm
 
 
@@ -232,14 +242,14 @@ def test_newtonian_norm_gauge_evaluations(monkeypatch, lambda1, most):
     # K = 2, N = 12: each of the two gauges needs few modular evaluations
     counts = []
 
-    def counted_gauge(rho, *args):
+    def counted_gauge(rho, *args, **kwargs):
         calls = [0]
 
         def counted_rho(k):
             calls[0] += 1
             return rho(k)
 
-        out = luxemburg_gauge(counted_rho, *args)
+        out = luxemburg_gauge(counted_rho, *args, **kwargs)
         counts.append(calls[0])
         return out
 
@@ -248,6 +258,36 @@ def test_newtonian_norm_gauge_evaluations(monkeypatch, lambda1, most):
     newtonian_norm(_extend_boundary(u.values, 12), std_params(12), YoungPhi(2.0, lambda1))
     assert len(counts) == 2
     assert max(counts) <= most
+
+
+def test_newtonian_norm_gauges_start_at_the_mean_field_root(monkeypatch):
+    # K = 2, N = 10, p = 2: at lambda1 = 1 the gauge of the function modular
+    # takes at most 4 evaluations from its mean-field start (7 from k = 1);
+    # at lambda1 = 0 there is no start, and both gauges sample the k of
+    # the solver from k = 1 and give the same norm to the last bit
+    samples = []
+
+    def recorded_gauge(rho, *args, **kwargs):
+        ks = []
+
+        def recorded_rho(k):
+            ks.append(k)
+            return rho(k)
+
+        samples.append(ks)
+        return luxemburg_gauge(recorded_rho, *args, **kwargs)
+
+    monkeypatch.setattr(tree_norms, "luxemburg_gauge", recorded_gauge)
+    F = _extend_boundary(generate("iid-uniform", K=2, depth=10, seed=0).values, 10)
+    norm = newtonian_norm(F, std_params(10), YoungPhi(2.0, 1.0))
+    assert len(samples) == 2 and len(samples[0]) <= 4
+    assert norm == pytest.approx(13.477890177408504, rel=1e-10)
+    samples.clear()
+    assert newtonian_norm(F, std_params(10), YoungPhi(2.0)) == 8.457311177136713
+    assert samples == [
+        [1.0, 0.5, 0.7411361599716191, 0.7411361600012645],
+        [1.0, 0.5, 0.02225325463656671, 0.02225325463567658],
+    ]
 
 
 def test_newtonian_norm_memory_is_two_amplitude_arrays_and_a_chunk():

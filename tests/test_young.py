@@ -264,6 +264,76 @@ def test_gauge_bracket_closes_to_tol():
     assert 0.0 < k - lo <= tol * k
 
 
+def log_modular():
+    """p = 2, lambda1 = 1, a = linspace(0.1, 1, 100) and w = 0.01: gauge 0.70276."""
+    return YoungModular(YoungPhi(2.0, 1.0), np.linspace(0.1, 1.0, 100), [(100, 0.01)])
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, 1.0, math.inf])
+def test_gauge_rejects_a_tolerance_outside_0_1(tol):
+    assert luxemburg_gauge(log_modular()) == pytest.approx(0.70276, abs=5e-6)
+    with pytest.raises(ValueError, match="tol must lie in"):
+        luxemburg_gauge(log_modular(), tol)
+
+
+@pytest.mark.parametrize("max_doublings", [0, -3, 2.5])
+def test_gauge_rejects_a_step_count_that_is_not_a_positive_integer(max_doublings):
+    with pytest.raises(ValueError, match="max_doublings must be a positive integer"):
+        luxemburg_gauge(log_modular(), max_doublings=max_doublings)
+
+
+@pytest.mark.parametrize("start", [(math.nan, 2.0), (math.inf, 2.0), (0.0, 0.0), (0.0, -2.0)])
+def test_gauge_rejects_a_start_without_a_finite_point_and_positive_degree(start):
+    with pytest.raises(ValueError, match="start must be"):
+        luxemburg_gauge(log_modular(), start=start)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.floats(min_value=1.0, max_value=4.0),
+    st.sampled_from([-0.5, 0.5, 1.0, 2.5, 40.0]),
+    st.floats(min_value=-6.0, max_value=6.0),
+    st.integers(0, 2**31 - 1),
+)
+def test_gauge_from_the_mean_field_start_matches_the_oracle(p, lambda1, log_amplitude, seed):
+    # amplitudes over 6 decades below a largest one of 1e-6 to 1e6; the
+    # start may change the speed of the solver, never its answer, even
+    # when it is e^(+-300) away from the gauge
+    assume(p > 1.0 or lambda1 >= 0.0)
+    rng = np.random.default_rng(seed)
+    size = int(rng.integers(1, 200))
+    a = 10.0 ** (log_amplitude + rng.uniform(-6.0, 0.0, size=size))
+    w = rng.uniform(0.01, 1.0, size=size)
+    mod = YoungModular(YoungPhi(p, lambda1), a, [(size, w)])
+    assert mod.start is not None and mod.start[1] == p
+    samples = {}
+
+    def rho(k):
+        samples[k] = mod(k)
+        return samples[k]
+
+    tol = 1e-10
+    k = luxemburg_gauge(rho, tol, start=mod.start)
+    assert k == pytest.approx(bisection_gauge(mod), rel=1e-9)
+    assert samples[k] <= 1.0
+    lo = max(kk for kk, v in samples.items() if v > 1.0)
+    assert 0.0 < k - lo <= tol * k
+    for far in (-300.0, 300.0):
+        k_far = luxemburg_gauge(mod, tol, start=(far, p))
+        assert abs(k_far - k) <= tol * max(k, k_far)
+
+
+def test_gauge_start_is_none_at_lambda1_0_and_where_the_mean_field_solve_fails():
+    a = np.linspace(0.1, 1.0, 100)
+    assert YoungModular(YoungPhi(2.0), a.copy(), [(100, 0.01)]).start is None
+    # p = 1 and weights of 1e-310: the root lies near x = -711, where
+    # m e^-x overflows
+    assert YoungModular(YoungPhi(1.0, 1.0), a.copy(), [(100, 1e-310)]).start is None
+    # lambda1 = -40: p + lambda1 * t / ((e + t) log(e + t)) is negative
+    # near t = e (Phi itself decreases there), so Newton's method stops
+    assert YoungModular(YoungPhi(2.0, -40.0), a.copy(), [(100, 1e-3)]).start is None
+
+
 # ---------------------------------------------------------- the built modular
 
 
@@ -301,6 +371,14 @@ def test_young_modular_of_zero_amplitudes():
     assert mod(1e-300) == 0.0
     with pytest.raises(ValueError):
         mod.value(0.0)
+
+
+@pytest.mark.parametrize("lambda1", [0.0, 1.0])
+def test_young_modular_value_rejects_nan_and_vanishes_at_infinity(lambda1):
+    mod = YoungModular(YoungPhi(2.0, lambda1), np.linspace(0.1, 1.0, 100), [(100, 0.01)])
+    with pytest.raises(ValueError, match="k must be positive, got nan"):
+        mod.value(math.nan)
+    assert mod.value(math.inf) == 0.0
 
 
 @pytest.mark.parametrize("lambda1", [0.0, 1.0, -0.5])
