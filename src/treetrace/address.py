@@ -20,12 +20,20 @@ A function CSV file holds a `K,N` header, the line `<K>,<N>`, the line
 first..N: every address exactly once, level by level, lexicographic within
 a level.  A boundary function lists the leaves (first = N), a tree
 function every level (first = 0).  Values are written with 17 significant
-digits, so a file reads back to the written doubles bit for bit.  Files
-are written and read in chunks of CHUNK_ROWS rows; the reader compares
-each chunk's address column with the canonical addresses, so any other
-row order, a short or long address, a bad digit, a duplicate, missing or
-extra row, or a file of the other kind is a ValueError naming the first
-bad line.  Trailing blank lines are allowed.
+digits, so a file reads back to the written doubles bit for bit.  Trailing
+blank lines are allowed.
+
+Files are written and read in chunks of K^m rows, K^m the largest power
+of K that is at most CHUNK_ROWS; a level with fewer rows is one chunk.
+Chunk c of level n >= m then holds the addresses prefix + s, the prefix
+the (n - m)-digit address of c and s running over the m-digit suffixes
+in order, the same for every chunk.  Each read or write builds that
+suffix table once (`_chunks`); the writer joins it, with ",%.17g\n" after
+each suffix, around a chunk's prefix into one format string, and the
+reader joins it, with ",", to compare a chunk's whole address column in
+one string comparison.  Any other row order, a short or long address, a
+bad digit, a duplicate, missing or extra row, or a file of the other
+kind is a ValueError naming the first bad line.
 """
 
 from __future__ import annotations
@@ -153,16 +161,10 @@ def write_function_csv(path, K: int, depth: int, values: np.ndarray, first: int)
     offset = level_slice(K, first).start
     with open(path, "w", newline="") as fh:
         fh.write(f"K,N\n{K},{depth}\naddress,value\n")
-        for n in range(first, depth + 1):
-            rows = level_slice(K, n)
-            level = values[rows.start - offset : rows.stop - offset]
-            for start in range(0, level.size, CHUNK_ROWS):
-                chunk = level[start : start + CHUNK_ROWS].tolist()
-                # one %-format per chunk: the bytes of f"{addr},{v:.17g}\n" per row
-                fields = [None] * (2 * len(chunk))
-                fields[0::2] = level_addresses(K, n, start, start + len(chunk))
-                fields[1::2] = chunk
-                fh.write(("%s,%.17g\n" * len(chunk)) % tuple(fields))
+        for n, start, prefix, rows in _chunks(K, first, depth, ",%.17g\n"):
+            start += level_slice(K, n).start - offset
+            # the addresses are in the format: one %-format per chunk
+            fh.write(prefix.join(rows) % tuple(values[start : start + len(rows) - 1].tolist()))
 
 
 def read_function_csv(path, leaves_only: bool) -> tuple[int, int, np.ndarray]:
@@ -173,16 +175,37 @@ def read_function_csv(path, leaves_only: bool) -> tuple[int, int, np.ndarray]:
         line = 4
         # each level is allocated once the rows above it are read
         levels = []
-        for n in range(depth if leaves_only else 0, depth + 1):
-            levels.append(np.empty(K**n))
-            for start in range(0, K**n, CHUNK_ROWS):
-                want = level_addresses(K, n, start, min(start + CHUNK_ROWS, K**n))
-                levels[-1][start : start + len(want)] = _read_rows(fh, want, line)
-                line += len(want)
+        for n, start, prefix, rows in _chunks(K, depth if leaves_only else 0, depth, ","):
+            if start == 0:
+                levels.append(np.empty(K**n))
+            levels[-1][start : start + len(rows) - 1] = _read_rows(fh, prefix, rows, line)
+            line += len(rows) - 1
         for at, row in enumerate(fh, start=line):
             if row.strip():
                 raise ValueError(f"line {at}: extra row {row.strip()!r} after the last address")
     return K, depth, levels[0] if leaves_only else np.concatenate(levels)
+
+
+def _chunks(K: int, first: int, depth: int, tail: str):
+    """The chunks of the levels first..depth in file order, each as (level,
+    index of its first row, prefix, rows): prefix.join(rows) spells the
+    chunk's addresses, each followed by `tail`.
+
+    A chunk of level n is K^min(n, m) rows, K^m the largest power of K that
+    is at most CHUNK_ROWS, so its addresses are prefix + s, the prefix the
+    address of the chunk's index on level n - min(n, m) and s running over
+    the suffixes of length min(n, m); rows is ["", s + tail per suffix].
+    The rows of each suffix length are built once per call."""
+    m = 0
+    while K ** (m + 1) <= CHUNK_ROWS:
+        m += 1
+    tables = {}
+    for n in range(first, depth + 1):
+        j = min(n, m)
+        if j not in tables:
+            tables[j] = ["", *(s + tail for s in level_addresses(K, j, 0, K**j))]
+        for c in range(K ** (n - j)):
+            yield n, c * K**j, level_addresses(K, n - j, c, c + 1)[0], tables[j]
 
 
 def _read_header(lines: list[str]) -> tuple[int, int]:
@@ -200,11 +223,18 @@ def _read_header(lines: list[str]) -> tuple[int, int]:
     return K, depth
 
 
-def _read_rows(fh, want: list[str], line: int) -> np.ndarray:
-    """Values of the next len(want) rows, whose addresses must be `want`."""
-    rows = list(islice(fh, len(want)))
-    fields = ",".join(rows).split(",")
-    if len(rows) == len(want) and len(fields) == 2 * len(rows) and fields[0::2] == want:
+def _read_rows(fh, prefix: str, rows: list[str], line: int) -> np.ndarray:
+    """Values of the next len(rows) - 1 rows, whose address column must be
+    prefix.join(rows) with the tail "," (see `_chunks`)."""
+    got = list(islice(fh, len(rows) - 1))
+    fields = ",".join(got).split(",")
+    # once the counts match no field holds a comma: one string comparison
+    # then checks every address
+    if (
+        len(got) == len(rows) - 1
+        and len(fields) == 2 * len(got)
+        and ",".join(fields[0::2]) + "," == prefix.join(rows)
+    ):
         try:
             values = np.array(fields[1::2], dtype=float)
         except ValueError:
@@ -212,7 +242,7 @@ def _read_rows(fh, want: list[str], line: int) -> np.ndarray:
         else:
             if np.isfinite(values).all():
                 return values
-    raise ValueError(_first_bad_row(rows, want, line))
+    raise ValueError(_first_bad_row(got, [prefix + s[:-1] for s in rows[1:]], line))
 
 
 def _first_bad_row(rows: list[str], want: list[str], line: int) -> str:

@@ -42,9 +42,10 @@ __all__ = [
 ]
 
 _LOG2 = math.log(2.0)
-# bracketing steps in log k: at most a factor 2^16, and k within e^(+-700)
+# bracketing steps in log k: at most a factor 2^16, and k within the
+# positive doubles, from the smallest subnormal to the largest
 _MAX_STEP = 16.0 * _LOG2
-_MAX_LOG = 700.0
+_LOG_RANGE = (math.log(math.ulp(0.0)), math.log(sys.float_info.max))
 # elements per pass of a modular evaluation: the size of its scratch buffer
 _CHUNK = 1 << 14
 
@@ -61,10 +62,16 @@ class NonMonotoneModularError(RuntimeError):
 class YoungPhi:
     """The Young function t^p * log(e+t)^lambda1.
 
-    Admissible ranges: p > 1 with any real lambda1, or p = 1 with
-    lambda1 >= 0.  Outside them the function fails to be convex near 0.
-    Both exponents must be finite, and so must Phi(1) = log(e + 1)^lambda1,
-    which must also be positive (about |lambda1| <= 2.6e3).
+    Admissible: p >= 1 and lambda1 >= `_lowest_lambda1(p)` (about
+    -3.1462 p), and lambda1 >= 0 at p = 1.  Then Phi(0) = 0 and Phi
+    increases strictly on (0, inf), and it is convex near 0 (where it
+    behaves as t^p) and for large t.  At lambda1 >= 0 it is convex
+    everywhere; at lambda1 < 0 it need not be in between (p = 2,
+    lambda1 = -3 is not), which `phi_diagnostics` samples.  Below the
+    bound Phi decreases near t = 5.83, and at p = 1 with lambda1 < 0 it is
+    concave near 0.  Both exponents must be finite, and so must
+    Phi(1) = log(e + 1)^lambda1, which must also be positive (about
+    |lambda1| <= 2.6e3).
     """
 
     p: float
@@ -78,6 +85,11 @@ class YoungPhi:
             raise ValueError("p must be at least 1")
         if self.p == 1 and self.lambda1 < 0:
             raise ValueError("p = 1 requires lambda1 >= 0")
+        if self.lambda1 < 0 and self.lambda1 < _lowest_lambda1(self.p):
+            raise ValueError(
+                f"lambda1 = {self.lambda1!r} makes Phi decrease near t = 5.83: "
+                f"p = {self.p!r} needs lambda1 >= {_lowest_lambda1(self.p)!r}"
+            )
         try:
             at_one = math.log(math.e + 1.0) ** self.lambda1
         except OverflowError:
@@ -90,6 +102,19 @@ class YoungPhi:
 
     def __call__(self, t):
         return phi_eval(self, t)
+
+
+def _lowest_lambda1(p: float) -> float:
+    """The least lambda1 at which t^p log(e + t)^lambda1 increases on (0, inf).
+
+    Its derivative in log t is p + lambda1 t / ((e + t) log(e + t)).  The
+    fraction peaks where t = e log(e + t), at t = 5.83, with the value
+    e / (e + t) = 1 / (1 + log(e + t)) = 0.31784, so the bound is
+    -p (1 + log(e + t)) = -3.1462 p."""
+    t = math.e
+    for _ in range(40):  # a contraction by e / (e + t) < 0.32 per step
+        t = math.e * math.log(math.e + t)
+    return -p * (1.0 + t / math.e)
 
 
 def phi_eval(phi: YoungPhi, t):
@@ -347,8 +372,11 @@ def luxemburg_gauge(
     exact after two samples.  A start changes which samples are taken,
     not the answer.
 
-    Returns 0 when rho never exceeds 1 (in particular for rho identically
-    zero) and +inf when rho is infinite beyond the expansion range.  The
+    Log k stays within the positive doubles, so 0 means rho(k) <= 1 down
+    to the smallest subnormal, and +inf that rho(k) > 1 up to the largest
+    double (or that rho is infinite after `max_doublings` steps).  The
+    search also returns 0 when rho does not exceed 1 within its
+    `max_doublings` steps down, as for rho identically zero.  The
     returned k satisfies rho(k) <= 1, and the final bracket [lo, k] has
     k - lo <= tol * k.  `tol` must lie in (0, 1) and `max_doublings` be a
     positive integer.
@@ -364,11 +392,15 @@ def luxemburg_gauge(
     inner = 0.4 * tol
     # bracketing: (xa, ga) and (xb, gb) are the last two samples, x = log k
     xa, ga = math.nan, math.nan
-    xb = min(max(x0, -_MAX_LOG), _MAX_LOG)
+    lowest, highest = _LOG_RANGE
+    xb = min(max(x0, lowest), highest)
     vb = ev(math.exp(xb))
     gb = _log(vb)
     up = vb > 1.0
     for _ in range(max_doublings):
+        if xb == (highest if up else lowest):
+            # rho stays on one side of 1 to the end of the float range
+            return math.inf if up else 0.0
         step = _LOG2
         if math.isfinite(ga) and math.isfinite(gb) and ga != gb:
             slope = (gb - ga) / (xb - xa)
@@ -377,7 +409,7 @@ def luxemburg_gauge(
         elif degree is not None:
             step = min(abs(gb) / degree + inner, _MAX_STEP)
         xa, ga = xb, gb
-        xb = min(max(xa + step if up else xa - step, -_MAX_LOG), _MAX_LOG)
+        xb = min(max(xa + step if up else xa - step, lowest), highest)
         vb = ev(math.exp(xb))
         gb = _log(vb)
         if (vb > 1.0) != up:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from treetrace import BoundaryFunction, TreeFunction, extend, generate, vertex_distance
 from treetrace.address import (
+    _ORDER,
     CHUNK_ROWS,
     cell_leaves,
     check_digits,
@@ -92,14 +93,34 @@ def test_writer_matches_per_row_oracle_and_roundtrips_bitwise(K, depth, pool, se
         assert same_bits(TreeFunction.from_csv(tmp / "F.csv").values, F.values)
 
 
+def chunk_rows(K):
+    """Rows per chunk of the codec: the largest power of K that is at most
+    CHUNK_ROWS (a level with fewer rows is one chunk)."""
+    rows = K
+    while rows * K <= CHUNK_ROWS:
+        rows *= K
+    return rows
+
+
 def test_writer_matches_oracle_across_chunks(tmp_path):
-    # levels of several chunks, the last one partial, in both file kinds
-    u = generate("iid-uniform", K=3, depth=9, seed=3)
-    assert u.n_leaves % CHUNK_ROWS and u.n_leaves > 2 * CHUNK_ROWS
-    for fn, levels in ((u, [u.values]), (extend(u), split_levels(extend(u)))):
-        fn.to_csv(tmp_path / "new.csv")
-        oracle_write(tmp_path / "old.csv", 3, 9, levels)
-        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    # leaf levels of 4, 9 and 10 chunks of K^m rows (4096, 2187 and 1000),
+    # in both file kinds, with values over the whole float range
+    for K, depth in ((2, 14), (3, 9), (10, 4)):
+        assert K**depth >= 4 * chunk_rows(K) and chunk_rows(K) * K > CHUNK_ROWS
+        rng = np.random.default_rng(K)
+
+        def draw(size):
+            values = rng.standard_normal(size) * 10.0 ** rng.integers(-300, 300, size)
+            values[: len(SPECIAL)] = SPECIAL[:size]
+            return values
+
+        u = BoundaryFunction(K, depth, draw(K**depth))
+        F = TreeFunction(K, depth, np.concatenate([draw(K**n) for n in range(depth + 1)]))
+        for fn, levels in ((u, [u.values]), (F, split_levels(F))):
+            fn.to_csv(tmp_path / "new.csv")
+            oracle_write(tmp_path / "old.csv", K, depth, levels)
+            assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+            assert same_bits(type(fn).from_csv(tmp_path / "new.csv").values, fn.values)
 
 
 def test_k_above_ten_is_rejected(tmp_path):
@@ -192,6 +213,25 @@ def test_reader_names_the_line_beyond_the_first_chunk(tmp_path):
     (tmp_path / "F.csv").write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=f"line {row}:"):
         TreeFunction.from_csv(tmp_path / "F.csv")
+
+
+def test_reader_names_the_line_in_the_second_chunk_at_k_3(tmp_path):
+    # a leaf level of 3^8 rows is three chunks of 2187; the bad row is the
+    # eighth of the second
+    F = extend(generate("iid-uniform", K=3, depth=8, seed=2))
+    F.to_csv(tmp_path / "F.csv")
+    lines = (tmp_path / "F.csv").read_text().splitlines()
+    assert chunk_rows(3) == 2187
+    # the first leaf row sits after the header and levels 0..7
+    row = 4 + (3**8 - 1) // 2 + 2187 + 7
+    address = np.base_repr(2187 + 7, 3).zfill(8)
+    assert lines[row - 1].startswith(address + ",")
+    lines[row - 1] = lines[row]
+    (tmp_path / "F.csv").write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as err:
+        TreeFunction.from_csv(tmp_path / "F.csv")
+    got = np.base_repr(2187 + 8, 3).zfill(8)
+    assert str(err.value) == f"line {row}: expected address '{address}', got '{got}'; {_ORDER}"
 
 
 # --------------------------------------------------------------- addressing

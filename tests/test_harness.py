@@ -334,6 +334,17 @@ def test_cli_huge_lambda1_is_an_input_error_for_the_tree_drivers(tmp_path, capsy
     assert err.count("\n") == 1
 
 
+def test_cli_lambda1_that_makes_phi_decrease_is_an_input_error(tmp_path, capsys):
+    # the gauge solver stopped with 'rho(0.5) = 0.00187... exceeds
+    # rho(7.6e-06) = ...', naming no key
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("seeds = 0\ndepths = 3,4\nlambda1 = -40\n")
+    assert main(["verify", "trace-bound", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("treetrace: error: lambda1 = -40.0 makes Phi decrease near t = 5.83: ")
+    assert "needs lambda1 >= -6.29" in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("lambda2", ["300", "1e308"])
 @pytest.mark.parametrize("driver", ["trace-bound", "extension-bound"])
 def test_cli_huge_lambda2_is_an_input_error(tmp_path, capsys, driver, lambda2):

@@ -14,7 +14,7 @@ from treetrace import (
     phi_diagnostics,
     phi_eval,
 )
-from treetrace.young import _CHUNK
+from treetrace.young import _CHUNK, _mean_field_root
 
 
 def test_phi_values():
@@ -55,11 +55,34 @@ def test_phi_admissibility():
     YoungPhi(3.0, -4.0)
     # log(e + 1)^lambda1 is still in the float range
     YoungPhi(2.0, 2600.0)
-    YoungPhi(2.0, -2700.0)
+    # so is log(e + 1)^-2700, but Phi decreases near t = 5.83 there
+    with pytest.raises(ValueError, match="lambda1 = -2700.0 makes Phi decrease"):
+        YoungPhi(2.0, -2700.0)
     with pytest.raises(ValueError):
         YoungPhi(1.0, -0.5)
     with pytest.raises(ValueError):
         YoungPhi(0.5)
+
+
+def log_slope(p, lambda1, t):
+    """d log Phi / d log t of t^p log(e + t)^lambda1."""
+    return p + lambda1 * t / ((math.e + t) * np.log(math.e + t))
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 4.0])
+def test_phi_rejects_a_lambda1_that_makes_it_decrease(p):
+    # t / ((e + t) log(e + t)) peaks at 0.31784 near t = 5.83, so Phi
+    # increases exactly when lambda1 >= -p / 0.31784 = -3.1462 p; below
+    # that the gauge solver failed with a message that named no key
+    t = np.linspace(5.0, 7.0, 200_001)
+    lowest = -p / float(np.max(t / ((math.e + t) * np.log(math.e + t))))
+    assert lowest == pytest.approx(-3.1461932 * p, rel=1e-7)
+    YoungPhi(p, lowest * (1.0 - 1e-9))
+    assert np.all(log_slope(p, lowest * (1.0 - 1e-9), t) > 0.0)
+    below = lowest * (1.0 + 1e-6)
+    assert np.any(log_slope(p, below, t) < 0.0)
+    with pytest.raises(ValueError, match=rf"lambda1 = {below!r} makes Phi decrease .* needs lambda1 >= -"):
+        YoungPhi(p, below)
 
 
 def test_phi_strictly_increasing_on_samples():
@@ -170,6 +193,35 @@ def test_gauge_infinite_when_never_below_one():
 def test_gauge_bracket_failure():
     with pytest.raises(GaugeBracketError):
         luxemburg_gauge(lambda k: 2.0, max_doublings=30)
+
+
+def test_gauge_reaches_the_ends_of_the_float_range():
+    # log k was clamped to +-700: 1e-310 / k gave 0 and 1e305 / k raised
+    # GaugeBracketError
+    for c in (1e-310, 3e-306, 1e305, 1.5e308):
+        assert luxemburg_gauge(lambda k: c / k) == pytest.approx(c, rel=1e-9)
+    # beyond the ends: rho(k) > 1 at the largest double, rho(k) <= 1 at the
+    # smallest subnormal, each found without running out the 200 steps (the
+    # steps up from k = 1, each at most a factor 2^16, reach 1.8e308 in 64)
+    calls = []
+
+    def above(k):
+        calls.append(k)
+        return 1e300 / k * 1e10
+
+    assert luxemburg_gauge(above) == math.inf
+    assert len(calls) < 80
+    assert luxemburg_gauge(lambda k: 1e-200 / k * 1e-130) == 0.0
+
+
+def test_gauge_of_a_young_modular_below_e_minus_700():
+    # p = 1, lambda1 = 1 and weights of 1e-310: the gauge is 3.9e-306, near
+    # e^-703, and was reported as 0
+    mod = YoungModular(YoungPhi(1.0, 1.0), np.linspace(0.1, 1.0, 100), [(100, 1e-310)])
+    k = luxemburg_gauge(mod)
+    assert k == pytest.approx(bisection_gauge(mod, max_doublings=1100), rel=1e-9)
+    assert k == pytest.approx(3.8652e-306, rel=1e-4)
+    assert mod(k) <= 1.0
 
 
 def test_gauge_detects_non_monotone_modular():
@@ -329,9 +381,12 @@ def test_gauge_start_is_none_at_lambda1_0_and_where_the_mean_field_solve_fails()
     # p = 1 and weights of 1e-310: the root lies near x = -711, where
     # m e^-x overflows
     assert YoungModular(YoungPhi(1.0, 1.0), a.copy(), [(100, 1e-310)]).start is None
-    # lambda1 = -40: p + lambda1 * t / ((e + t) log(e + t)) is negative
-    # near t = e (Phi itself decreases there), so Newton's method stops
-    assert YoungModular(YoungPhi(2.0, -40.0), a.copy(), [(100, 1e-3)]).start is None
+    # a nonpositive slope p + lambda1 t / ((e + t) log(e + t)) stops Newton's
+    # method.  YoungPhi rejects every lambda1 that allows one, such as -40
+    # at p = 2 (the slope is -9.8 at t = e, reached from x = c / p = -1), so
+    # a modular meets it only within rounding of that bound
+    assert _mean_field_root(2.0, -40.0, -2.0, 1.0) is None
+    assert _mean_field_root(2.0, -6.29, -2.0, 1.0) is not None
 
 
 # ---------------------------------------------------------- the built modular
