@@ -24,6 +24,7 @@ from .hajlasz import (
     hajlasz_energy,
     hajlasz_feasible,
     hajlasz_minimize,
+    hajlasz_minimize_all,
     hajlasz_oracle,
     scale_for_distance,
 )

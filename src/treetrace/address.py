@@ -39,6 +39,7 @@ kind is a ValueError naming the first bad line.
 from __future__ import annotations
 
 import math
+import os
 from itertools import islice
 
 import numpy as np
@@ -171,14 +172,20 @@ def read_function_csv(path, leaves_only: bool) -> tuple[int, int, np.ndarray]:
     """(K, N, values) of a function CSV: the leaf values when `leaves_only`,
     else the level-order values of the levels 0..N."""
     with open(path) as fh:
+        size = os.fstat(fh.fileno()).st_size
         K, depth = _read_header([fh.readline().strip() for _ in range(3)])
         line = 4
-        # each level is allocated once the rows above it are read
+        # Each level is allocated once the rows above it are read, and only
+        # if the file can hold its rows, n digits, a comma and a value each:
+        # the rows of a level it cannot hold are checked without being
+        # stored, and fail.
         levels = []
         for n, start, prefix, rows in _chunks(K, depth if leaves_only else 0, depth, ","):
             if start == 0:
-                levels.append(np.empty(K**n))
-            levels[-1][start : start + len(rows) - 1] = _read_rows(fh, prefix, rows, line)
+                levels.append(np.empty(K**n) if K**n * (n + 2) <= size else None)
+            values = _read_rows(fh, prefix, rows, line)
+            if levels[-1] is not None:
+                levels[-1][start : start + len(rows) - 1] = values
             line += len(rows) - 1
         for at, row in enumerate(fh, start=line):
             if row.strip():

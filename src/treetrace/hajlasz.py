@@ -17,16 +17,19 @@ methods, recorded per block in `HajlaszSolution.blocks`:
 * p = 2: accelerated projected ascent on the dual.  For multipliers
   mu >= 0 (one per pair) the Lagrangian minimizer is g_i = s_i / (2 nu),
   with s_i the multiplier mass on leaf i, so the dual is quadratic and the
-  inverse-Lipschitz step is exact.  One loop steps all blocks, each with
-  its own step size, momentum and stop.  A block whose runs (one sibling
-  pair over all vertices of a level) are large, and most of whose level
-  pairs have a nonzero bound, holds its multipliers as dense
+  inverse-Lipschitz step is exact.  One loop steps all blocks of a batch
+  of instances, each block with its own step size, momentum and stop:
+  `hajlasz_minimize_all` takes the p = 2 instances in order into batches
+  of at most `_BATCH_PAIRS` = 2^15 leaf pairs (a larger instance alone),
+  which bounds the loop's memory at about 2 MB.  A block whose runs (one
+  sibling pair over all vertices of a level) are large, and most of whose
+  level pairs have a nonzero bound, holds its multipliers as dense
   (K^j, K(K-1)/2, m, m) arrays per split level j, so g[a] + g[b] is a
   broadcast add and the masses are sequential axis reductions; the other
-  blocks share one gather and one bincount over their kept pairs.  Both sum each leaf's mass in
-  the order np.add.at does over the block's first, then second, pair
-  indices, so the iterates are those of solving each block on its own,
-  bit for bit.
+  blocks share one gather, one bincount and one np.add.at over their kept
+  pairs.  Both sum each leaf's mass in the order np.add.at does over the
+  block's first, then second, pair indices, so the iterates are those of
+  solving each block on its own, bit for bit.
 * every other p >= 1: a primal-dual interior-point method.  Each Newton
   step solves (diag(nu p (p-1) g^(p-2) + z/g + delta) + A^T diag(mu/s) A)
   dg = r, with slacks s = A g - bound and multipliers mu (pairs) and z
@@ -68,6 +71,7 @@ __all__ = [
     "hajlasz_feasible",
     "hajlasz_energy",
     "hajlasz_minimize",
+    "hajlasz_minimize_all",
     "hajlasz_oracle",
 ]
 
@@ -230,8 +234,11 @@ class HajlaszSolution:
 
 
 def _active_leaves(ia, ib, n_leaves):
-    """The leaves that occur in some pair, and the pairs in their local indices."""
+    """The leaves that occur in some pair, and the pairs in their local
+    indices (ia and ib themselves when every leaf occurs)."""
     active = np.unique(np.concatenate([ia, ib]))
+    if active.size == n_leaves:
+        return active, ia, ib
     remap = np.full(n_leaves, -1)
     remap[active] = np.arange(active.size)
     return active, remap[ia], remap[ib]
@@ -278,36 +285,47 @@ _DENSE_MIN_RUN = 2048
 _DENSE_MIN_KEPT = 0.5
 
 
+# The p = 2 instances stepped by one loop hold at most this many leaf
+# pairs in all, K^N (K^N - 1) / 2 each; a larger instance runs alone.  The
+# loop's flat arrays take seven 8-byte entries per pair they step (1.8 MB
+# at the bound), beside the four per pair the instances hold themselves.
+_BATCH_PAIRS = 2**15
+
+
 class _DualBlock:
-    """One scale block of the p = 2 dual ascent: its kept pairs (ia, ib,
-    bound), their active leaves, and the block's own step state.
+    """One scale block of the p = 2 dual ascent: the scale k of the
+    instance at position `at`, its kept pairs (ia, ib, bound), their
+    active leaves, and the block's own step state.  Its momentum last
+    restarted at step `restart`; `gap` is its relative gap at the last
+    check (None before the first).
 
     A dense block (`level_bounds` given, the instance's bound arrays of
     the block's split levels) holds a multiplier for every pair of them,
     zero-bound pairs included (their multipliers stay exactly 0), in the
     instance's pair order; `kept` locates the kept pairs among them.  Any
-    other block holds its kept pairs only.
+    other block holds its kept pairs only.  Outside a layout the block
+    holds its own multipliers in mu and mu_prev, None while they are 0.
     """
 
-    def __init__(self, k, ia, ib, bound, n_leaves, nu, p, level_bounds=None):
-        self.k, self.ia, self.ib, self.bound = k, ia, ib, bound
+    def __init__(self, at, k, ia, ib, bound, n_leaves, nu, level_bounds=None):
+        self.at, self.k, self.ia, self.ib, self.bound = at, k, ia, ib, bound
+        self.n_leaves, self.nu = n_leaves, nu
         self.active, self.la, self.lb = _active_leaves(ia, ib, n_leaves)
         n = self.active.size
         deg = np.bincount(self.la, minlength=n) + np.bincount(self.lb, minlength=n)
-        self.sigma = (p * nu) / float((deg[self.la] + deg[self.lb]).max())
-        self.best = nu * float(np.sum(np.full(n, bound.max() / 2.0) ** p))
+        self.sigma = (2.0 * nu) / float((deg[self.la] + deg[self.lb]).max())
+        self.best = nu * float(np.sum(np.full(n, bound.max() / 2.0) ** 2.0))
         self.best_g = np.full(n, bound.max() / 2.0)
         self.last_dual = -math.inf
-        self.tk = 1.0
+        self.gap = None
+        self.restart = 0
         self.level_bounds = level_bounds
         if level_bounds is None:
-            self.pair_bound = bound
-            self.kept = np.arange(bound.size)
+            self.pair_bound, self.kept = bound, slice(None)
         else:
             self.pair_bound = np.concatenate([b.ravel() for b in level_bounds])
             self.kept = np.flatnonzero(self.pair_bound > 0)
-        self.mu = np.zeros(self.pair_bound.size)
-        self.mu_prev = self.mu.copy()
+        self.mu = self.mu_prev = None
 
 
 class _DenseMass:
@@ -328,21 +346,22 @@ class _DenseMass:
     hold these sums to np.add.at's bit for bit.
     """
 
-    def __init__(self, blk, y, pair_sum, s, g):
+    def __init__(self, blk, y, start, s, g):
         V, P, m, _ = blk.level_bounds[0].shape
         K = s.size // (V * m)
         pa, pb = np.triu_indices(K, 1)
         self.leaf_mass, self.runs, self.sums = s, [], []
-        levels, start = [], 0
+        levels = []
         for bound in blk.level_bounds:
             V, P, m, _ = bound.shape
             seg = slice(start, start + bound.size)
             start += bound.size
-            mu, out = y[seg].reshape(V, P, m, m), pair_sum[seg].reshape(V, P, m, m)
             s_j, g_j = s.reshape(V, K, m), g.reshape(V, K, m)
-            levels.append((mu, s_j, np.empty((V, m + 1, m))))
-            for pair in range(P):
-                self.sums.append((out[:, pair], g_j[:, pa[pair], :, None], g_j[:, pb[pair], None, :]))
+            levels.append((y[seg].reshape(V, P, m, m), s_j, np.empty((V, m + 1, m))))
+            # the level's entries of a flat pair array, as (V, P, m, m), and
+            # per sibling pair the g of its a and b leaves
+            pairs = [(g_j[:, a, :, None], g_j[:, b, None, :]) for a, b in zip(pa, pb)]
+            self.sums.append((seg, bound.shape, pairs))
         # The runs in summation order: (terms, the leaf masses they add to,
         # scratch, the scratch rows for the terms or None, continue?).  A
         # run continues if a run before it summed into any of its leaves;
@@ -372,82 +391,113 @@ class _DenseMass:
                 np.copyto(body, terms)
                 np.add.reduce(scratch if cont else body, axis=1, out=out)
 
-    def pair_sums(self):
-        # g[a] + g[b] as a copy and an add, faster than one broadcast add
-        for out, first, second in self.sums:
-            np.copyto(out, second)
-            np.add(first, out, out=out)
+    def pair_sums(self, flat):
+        """g[a] + g[b] of every pair, into the block's entries of flat."""
+        # as a copy and an add, faster than one broadcast add
+        for seg, shape, pairs in self.sums:
+            out = flat[seg].reshape(shape)
+            for pair, (first, second) in enumerate(pairs):
+                o = out[:, pair]
+                np.copyto(o, second)
+                np.add(first, o, out=o)
 
 
 class _DualLayout:
-    """The multipliers of the unsolved dual blocks in shared flat arrays,
-    all advanced by one accelerated projected step at a time.
+    """The multipliers of unsolved dual blocks, of one or more instances,
+    in shared flat arrays, all advanced by one accelerated projected step
+    at a time.
 
     Dense blocks come first, then the others; block i owns the pair
     entries `segments[i]` and the leaf entries `leaves[i]` (all n_leaves
-    of them, a leaf in no pair at mass 0).  Each dense block sums its
-    leaves' multiplier masses by `_DenseMass`.  The other blocks share one
-    gather for g[a] + g[b] and one bincount over all their first and then
-    all their second indices, which sums each leaf's mass in the order
-    np.add.at does.
+    of its instance, a leaf in no pair at mass 0).  Each dense block sums
+    its leaves' multiplier masses by `_DenseMass`.  The other blocks share
+    one gather for g[a] + g[b], and one bincount over all their first
+    indices continued by np.add.at over all their second ones, which sums
+    each leaf's mass in the order np.add.at does.  The blocks' constants are spread over the flat
+    arrays, the step sigma per pair and 2 nu per leaf, so each is applied
+    by one operation; consecutive blocks whose momentum restarted at the
+    same step share its coefficient, and `runs` holds their pair entries
+    as one slice each.
     """
 
-    def __init__(self, blocks, n_leaves):
+    def __init__(self, blocks):
         dense = [b for b in blocks if b.level_bounds is not None]
         index = [b for b in blocks if b.level_bounds is None]
         self.blocks = blocks = dense + index
-        ends = np.cumsum([b.pair_bound.size for b in blocks])
-        self.segments = [slice(e - b.pair_bound.size, e) for e, b in zip(ends, blocks)]
-        self.leaves = [slice(i * n_leaves, (i + 1) * n_leaves) for i in range(len(blocks))]
-        self.mu = np.concatenate([b.mu for b in blocks])
-        self.mu_prev = np.concatenate([b.mu_prev for b in blocks])
+        sizes = [b.pair_bound.size for b in blocks]
+        counts = [b.n_leaves for b in blocks]
+        ends, leaf_ends = np.cumsum(sizes).tolist(), np.cumsum(counts).tolist()
+        self.segments = [slice(e - n, e) for e, n in zip(ends, sizes)]
+        self.leaves = [slice(e - n, e) for e, n in zip(leaf_ends, counts)]
+        self.mu, self.mu_prev = np.zeros(ends[-1]), np.zeros(ends[-1])
+        for b, seg in zip(blocks, self.segments):
+            if b.mu is not None:
+                self.mu[seg], self.mu_prev[seg] = b.mu, b.mu_prev
+            b.mu = b.mu_prev = None
         self.bound = np.concatenate([b.pair_bound for b in blocks])
-        self.y, self.pair_sum = np.empty_like(self.mu), np.empty_like(self.mu)
-        self.s, self.g = np.zeros(len(blocks) * n_leaves), np.zeros(len(blocks) * n_leaves)
-        self.y_parts = [self.y[seg] for seg in self.segments]
-        self.step_parts = [self.pair_sum[seg] for seg in self.segments]
+        self.sigma = np.repeat([b.sigma for b in blocks], sizes)
+        self.two_nu = np.repeat([2.0 * b.nu for b in blocks], counts)
+        self.y = np.empty_like(self.mu)
+        self.s, self.g = np.zeros(leaf_ends[-1]), np.zeros(leaf_ends[-1])
         self.dense = [
-            _DenseMass(b, self.y[seg], self.pair_sum[seg], self.s[lv], self.g[lv])
+            _DenseMass(b, self.y, seg.start, self.s[lv], self.g[lv])
             for b, seg, lv in zip(dense, self.segments, self.leaves)
         ]
         first = len(dense)
-        self.index_pairs = slice(int(ends[first - 1]) if first else 0, None)
-        self.index_leaves = slice(first * n_leaves, None)
-        # the index blocks' pairs as leaf indices into s and g
-        offsets = [lv.start for lv in self.leaves[first:]]
-        none = np.zeros(0, dtype=np.intp)
-        self.ia = np.concatenate([none, *(b.ia + o for b, o in zip(index, offsets))])
-        self.ib = np.concatenate([none, *(b.ib + o for b, o in zip(index, offsets))])
-        self.first_then_second = np.concatenate([self.ia, self.ib]) - first * n_leaves
+        start = ends[first - 1] if first else 0
+        base = leaf_ends[first - 1] if first else 0
+        self.index_pairs = slice(start, None)
+        self.index_s, self.index_g = self.s[base:], self.g[base:]
+        # the index blocks' pairs as leaf indices into index_s and index_g
+        self.ia = np.empty(ends[-1] - start, dtype=np.intp)
+        self.ib = np.empty_like(self.ia)
+        for b, seg, lv in zip(index, self.segments[first:], self.leaves[first:]):
+            at = slice(seg.start - start, seg.stop - start)
+            np.add(b.ia, lv.start - base, out=self.ia[at])
+            np.add(b.ib, lv.start - base, out=self.ib[at])
+        self.set_runs()
+
+    def set_runs(self):
+        """Group consecutive blocks of one momentum restart into runs."""
+        runs = []
+        for blk, seg in zip(self.blocks, self.segments):
+            if runs and runs[-1][1] == blk.restart:
+                runs[-1] = slice(runs[-1][0].start, seg.stop), blk.restart
+            else:
+                runs.append((seg, blk.restart))
+        self.runs = [(self.y[seg], restart) for seg, restart in runs]
 
     def _mass(self):
         """Every leaf's multiplier mass under the multipliers in y, into s."""
         for d in self.dense:
             d.mass()
         if self.ia.size:
-            w = self.y[self.index_pairs]
-            s = self.s[self.index_leaves]
-            s[:] = np.bincount(self.first_then_second, np.concatenate([w, w]), s.size)
+            w, s = self.y[self.index_pairs], self.index_s
+            s[:] = np.bincount(self.ia, w, s.size)
+            np.add.at(s, self.ib, w)
 
-    def step(self, coef, p, nu, q_exp):
-        """One step of every block; coef[i] is block i's momentum coefficient."""
+    def step(self, t, momentum):
+        """Step t of every block; momentum[i] is the coefficient of the
+        i-th step after a restart."""
         y = np.subtract(self.mu, self.mu_prev, out=self.y)
-        for part, c in zip(self.y_parts, coef):
-            part *= c
+        for part, restart in self.runs:
+            part *= momentum[t - restart]
         y += self.mu
         np.maximum(y, 0.0, out=y)
         self._mass()
-        g = np.divide(self.s, p * nu, out=self.g)
-        g **= q_exp
+        np.divide(self.s, self.two_nu, out=self.g)
+        # mu_prev is dead once y is formed: the pair sums g[a] + g[b], then
+        # the step and the new multipliers, go there
+        step = self.mu_prev
         for d in self.dense:
-            d.pair_sums()
+            d.pair_sums(step)
         if self.ia.size:
-            np.add(g[self.ia], g[self.ib], out=self.pair_sum[self.index_pairs])
-        step = np.subtract(self.bound, self.pair_sum, out=self.pair_sum)
-        for part, blk in zip(self.step_parts, self.blocks):
-            part *= blk.sigma
+            out = np.take(self.index_g, self.ib, out=step[self.index_pairs])
+            np.add(self.index_g[self.ia], out, out=out)
+        np.subtract(self.bound, step, out=step)
+        step *= self.sigma
         step += y
-        self.mu, self.mu_prev = np.maximum(0.0, step, out=self.mu_prev), self.mu
+        self.mu, self.mu_prev = np.maximum(0.0, step, out=step), self.mu
 
     def mu_mass(self):
         """Every leaf's multiplier mass under the current multipliers."""
@@ -455,77 +505,99 @@ class _DualLayout:
         self._mass()
         return self.s
 
-    def without(self, solved, n_leaves):
-        """The layout of the blocks not in `solved`, multipliers kept."""
+    def unsolved(self, solved):
+        """The blocks not in `solved`, each given a copy of its multipliers."""
+        blocks = []
         for blk, seg in zip(self.blocks, self.segments):
-            blk.mu, blk.mu_prev = self.mu[seg], self.mu_prev[seg]
-        return _DualLayout([b for b in self.blocks if b.k not in solved], n_leaves)
+            if (blk.at, blk.k) not in solved:
+                blk.mu, blk.mu_prev = self.mu[seg].copy(), self.mu_prev[seg].copy()
+                blocks.append(blk)
+        return blocks
 
 
-def _solve_dual_blocks(inst: HajlaszInstance, cfg: SolverConfig):
-    """Accelerated projected dual ascent on every scale block (used at p = 2).
+def _solve_dual_blocks(batch, cfg: SolverConfig):
+    """Accelerated projected dual ascent on every scale block of the p = 2
+    instances `batch`, a list of (position, instance).
 
-    All blocks advance in one loop, each with its own step sigma, momentum
-    and stop.  Every `_CHECK_EVERY` steps each block computes its dual
-    lower bound and repairs the Lagrangian minimizer into its best primal
-    point (seeded with the symmetric feasible start g = max(bound)/2); a
-    block stops when their relative gap drops below cfg.rel_tol.  If a
-    check finds a block's dual value lower than before (the accelerated
-    ascent is not monotone), its step is halved and its momentum reset.
-    Returns scale -> (leaf array, BlockReport).
+    All blocks of all the instances advance in one loop, each with its own
+    step sigma, momentum and stop, so each takes the steps it would take
+    solved alone.  At p = 2 the Lagrangian minimizer is g = s / (2 nu).
+    Every `_CHECK_EVERY` steps each block computes its dual lower bound and
+    repairs the Lagrangian minimizer into its best primal point (seeded
+    with the symmetric feasible start g = max(bound)/2); a block stops when
+    their relative gap drops below cfg.rel_tol.  If a check finds a block's
+    dual value lower than before (the accelerated ascent is not monotone),
+    its step is halved and its momentum restarted.  Returns
+    (position, scale) -> (leaf array, BlockReport); the ConvergenceError
+    raised at cfg.max_iters names every block left uncertified.
     """
-    nu, p = inst.leaf_measure, inst.p
-    K, N, n_leaves = inst.f.K, inst.f.depth, inst.f.n_leaves
-    q_exp = 1.0 / (p - 1.0)
     blocks = []
-    for k, (ia, ib, bound) in inst.constraints.items():
-        levels = [j for j, kj in enumerate(inst.scale_of_level) if kj == k]
-        level_pairs = sum(inst.level_bounds[j].size for j in levels)
-        dense = (
-            K ** (2 * N - levels[-1] - 2) >= _DENSE_MIN_RUN
-            and ia.size >= _DENSE_MIN_KEPT * level_pairs
-        )
-        level_bounds = [inst.level_bounds[j] for j in levels] if dense else None
-        blocks.append(_DualBlock(k, ia, ib, bound, n_leaves, nu, p, level_bounds))
+    for at, inst in batch:
+        K, N, n_leaves = inst.f.K, inst.f.depth, inst.f.n_leaves
+        for k, (ia, ib, bound) in inst.constraints.items():
+            levels = [j for j, kj in enumerate(inst.scale_of_level) if kj == k]
+            level_pairs = sum(inst.level_bounds[j].size for j in levels)
+            dense = (
+                K ** (2 * N - levels[-1] - 2) >= _DENSE_MIN_RUN
+                and ia.size >= _DENSE_MIN_KEPT * level_pairs
+            )
+            level_bounds = [inst.level_bounds[j] for j in levels] if dense else None
+            blocks.append(
+                _DualBlock(at, k, ia, ib, bound, n_leaves, inst.leaf_measure, level_bounds)
+            )
     if not blocks:
         return {}
-    lay = _DualLayout(blocks, n_leaves)
-    solved = {}
+    lay = _DualLayout(blocks)
+    # the momentum coefficient of the i-th step after a restart
+    solved, momentum, tk = {}, [], 1.0
     for t in range(cfg.max_iters):
-        coef = []
-        for blk in lay.blocks:
-            tk1 = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * blk.tk * blk.tk))
-            coef.append((blk.tk - 1.0) / tk1)
-            blk.tk = tk1
-        lay.step(coef, p, nu, q_exp)
+        tk1 = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * tk * tk))
+        momentum.append((tk - 1.0) / tk1)
+        tk = tk1
+        lay.step(t, momentum)
         if (t + 1) % _CHECK_EVERY:
             continue
         s = lay.mu_mass()
+        before, restarted = len(solved), False
         for blk, seg, lv in zip(lay.blocks, lay.segments, lay.leaves):
-            g, dual = _dual_point(nu, p, s[lv][blk.active], lay.mu[seg][blk.kept], blk.bound)
-            gf = g.copy()
-            _repair(gf, blk.la, blk.lb, blk.bound)
-            primal = nu * float(np.sum(gf**p))
+            nu = blk.nu
+            g, dual = _dual_point(nu, 2.0, s[lv][blk.active], lay.mu[seg][blk.kept], blk.bound)
+            _repair(g, blk.la, blk.lb, blk.bound)
+            primal = nu * float(np.sum(g**2.0))
             if primal < blk.best:
-                blk.best = primal
-                blk.best_g = gf.copy()
+                blk.best, blk.best_g = primal, g
+            blk.gap = (blk.best - dual) / blk.best
             if blk.best - dual <= cfg.rel_tol * max(blk.best, 1e-300):
-                out = np.zeros(n_leaves)
+                out = np.zeros(blk.n_leaves)
                 out[blk.active] = blk.best_g
-                gap = (blk.best - dual) / blk.best
-                solved[blk.k] = out, BlockReport("dual-ascent", t + 1, gap, gap <= cfg.rel_tol)
+                report = BlockReport("dual-ascent", t + 1, blk.gap, blk.gap <= cfg.rel_tol)
+                solved[blk.at, blk.k] = out, report
                 continue
             if dual < blk.last_dual:
                 blk.sigma *= 0.5
+                lay.sigma[seg] = blk.sigma
                 lay.mu_prev[seg] = lay.mu[seg]
-                blk.tk = 1.0
+                blk.restart = t + 1
+                restarted = True
             blk.last_dual = dual
         if len(solved) == len(blocks):
             return solved
-        if any(blk.k in solved for blk in lay.blocks):
-            lay = lay.without(solved, n_leaves)
+        if len(solved) > before:
+            unsolved = lay.unsolved(solved)
+            # the old arrays go before the new ones are made
+            del lay, s
+            lay = _DualLayout(unsolved)
+        elif restarted:
+            lay.set_runs()
+    insts = dict(batch)
+    left = "; ".join(
+        f"instance {blk.at} (K={insts[blk.at].f.K}, depth {insts[blk.at].f.depth}) "
+        f"scale {blk.k}: "
+        + ("no gap check" if blk.gap is None else f"relative gap {blk.gap:.3g}")
+        for blk in lay.blocks
+    )
     raise ConvergenceError(
-        f"dual ascent did not certify the optimum within {cfg.max_iters} iterations"
+        f"dual ascent did not certify the optimum within {cfg.max_iters} iterations: {left}"
     )
 
 
@@ -637,16 +709,58 @@ def hajlasz_minimize(
     objective and one `BlockReport` per constrained scale.  Scales without
     constraints get the zero array.
     """
+    return hajlasz_minimize_all([inst], config)[0]
+
+
+def hajlasz_minimize_all(
+    instances, config: SolverConfig | None = None
+) -> list[HajlaszSolution]:
+    """`hajlasz_minimize` of each instance, in order.
+
+    The p = 2 instances are taken in order into batches whose pair counts,
+    K^N (K^N - 1) / 2 each, add up to at most `_BATCH_PAIRS` (a larger
+    instance alone), and the scale blocks of a batch share one dual-ascent
+    loop.  Each block takes the steps it takes solved alone, so every
+    solution is that of its instance alone, bit for bit.  The other
+    instances go block by block through the interior-point method.  A
+    ConvergenceError from a batch names each block it left uncertified,
+    with its instance's position in `instances`.
+    """
     cfg = config or SolverConfig()
+    instances = list(instances)
+    solved = {}
+    for batch in _batches(instances):
+        solved.update(_solve_dual_blocks(batch, cfg))
+    return [_solution(inst, at, solved, cfg) for at, inst in enumerate(instances)]
+
+
+def _batches(instances):
+    """The p = 2 instances as (position, instance), in `_BATCH_PAIRS` batches."""
+    batch, pairs = [], 0
+    for at, inst in enumerate(instances):
+        if inst.p != 2.0:
+            continue
+        size = inst.f.n_leaves * (inst.f.n_leaves - 1) // 2
+        if batch and pairs + size > _BATCH_PAIRS:
+            yield batch
+            batch, pairs = [], 0
+        batch.append((at, inst))
+        pairs += size
+    if batch:
+        yield batch
+
+
+def _solution(inst, at, solved, cfg) -> HajlaszSolution:
+    """The solution of the instance at position `at`, its dual-ascent
+    blocks taken from `solved`, the others solved here."""
     nu = inst.leaf_measure
     K, N, n_leaves = inst.f.K, inst.f.depth, inst.f.n_leaves
     g: dict[int, np.ndarray] = {k: np.zeros(n_leaves) for k in inst.scales}
     method = "dual-ascent" if inst.p == 2.0 else "interior-point"
     blocks: dict[int, BlockReport] = {}
-    solved = _solve_dual_blocks(inst, cfg) if method == "dual-ascent" else {}
     for k, (ia, ib, bound) in inst.constraints.items():
         if method == "dual-ascent":
-            g[k], blocks[k] = solved[k]
+            g[k], blocks[k] = solved[at, k]
             _repair(g[k], ia, ib, bound)
         else:
             block = K ** (N - inst.coarsest_level[k])

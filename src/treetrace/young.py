@@ -374,10 +374,11 @@ def luxemburg_gauge(
 
     Log k stays within the positive doubles, so 0 means rho(k) <= 1 down
     to the smallest subnormal, and +inf that rho(k) > 1 up to the largest
-    double (or that rho is infinite after `max_doublings` steps).  The
-    search also returns 0 when rho does not exceed 1 within its
-    `max_doublings` steps down, as for rho identically zero.  The
-    returned k satisfies rho(k) <= 1, and the final bracket [lo, k] has
+    double (or that rho is infinite after `max_doublings` steps), and 0
+    also that rho is 0 after `max_doublings` steps down, as for rho
+    identically zero.  Running out of steps with rho finite and above 1,
+    or positive and at most 1, raises GaugeBracketError.  The returned k
+    satisfies rho(k) <= 1, and the final bracket [lo, k] has
     k - lo <= tol * k.  `tol` must lie in (0, 1) and `max_doublings` be a
     positive integer.
     """
@@ -415,12 +416,14 @@ def luxemburg_gauge(
         if (vb > 1.0) != up:
             break
     else:
-        if not up:
+        # rho is still on the side of 1 it started on
+        if vb == 0.0:
             return 0.0
         if math.isinf(vb):
             return math.inf
+        side = ">" if up else "<="
         raise GaugeBracketError(
-            f"modular still {vb} > 1 after {max_doublings} doublings"
+            f"modular still {vb} {side} 1 after {max_doublings} doublings"
         )
     # Illinois regula falsi on g(lo) > 0 >= g(hi); gl and gh weight the
     # secant, and the weight of an end kept twice in a row is halved

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from treetrace import (
     hajlasz_energy,
     hajlasz_feasible,
     hajlasz_minimize,
+    hajlasz_minimize_all,
     hajlasz_oracle,
     scale_for_distance,
 )
@@ -363,9 +365,10 @@ def _per_block_dual_ascent(nu, p, ia, ib, bound, n_leaves, cfg: SolverConfig):
     raise ConvergenceError("dual ascent did not certify the optimum")
 
 
-def _assert_matches_per_block(inst):
-    """hajlasz_minimize at p = 2 gives, bit for bit, the value, gradient
-    arrays and block reports of solving each block on its own."""
+def _assert_matches_per_block(inst, sol=None):
+    """hajlasz_minimize at p = 2 (or the given solution of inst) gives, bit
+    for bit, the value, gradient arrays and block reports of solving each
+    block on its own."""
     cfg = SolverConfig()
     nu, n = inst.leaf_measure, inst.f.n_leaves
     g = {k: np.zeros(n) for k in inst.scales}
@@ -375,7 +378,8 @@ def _assert_matches_per_block(inst):
         _repair(g[k], ia, ib, bound)
     value = sum(nu * float(np.sum(arr**inst.p)) for arr in g.values())
 
-    sol = hajlasz_minimize(inst, cfg)
+    if sol is None:
+        sol = hajlasz_minimize(inst, cfg)
     assert sol.method == "dual-ascent"
     assert list(sol.g) == list(g)
     for k in g:
@@ -442,6 +446,129 @@ def test_dual_ascent_matches_per_block_oracle_other_steps(form, K, depth, epsilo
         _use_form(mp, form)
         mp.setattr(hajlasz, "_CHECK_EVERY", 30)
         _assert_matches_per_block(HajlaszInstance(f, 0.5, 2.0, epsilon))
+
+
+# ------------------------------------- batches of instances in one loop
+
+
+def _assert_same_solution(a, b):
+    assert (a.method, a.iterations, a.converged) == (b.method, b.iterations, b.converged)
+    assert list(a.g) == list(b.g)
+    for k in a.g:
+        assert np.array_equal(a.g[k], b.g[k]), k
+    assert a.blocks == b.blocks
+    assert a.value == b.value
+
+
+def _assert_batch_matches_alone(insts):
+    """Solution i of hajlasz_minimize_all(insts) is, bit for bit, that of
+    hajlasz_minimize(insts[i]) and, at p = 2, of the per-block oracle."""
+    sols = hajlasz_minimize_all(insts)
+    assert len(sols) == len(insts)
+    for inst, sol in zip(insts, sols):
+        _assert_same_solution(sol, hajlasz_minimize(inst))
+        if inst.p == 2.0:
+            _assert_matches_per_block(inst, sol)
+    return sols
+
+
+def _mixed_instances():
+    """Mixed depths, K, epsilon and families, a constant function (no
+    constraints) and a p = 1.5 instance in one list."""
+    insts = [
+        HajlaszInstance(
+            generate(family, K=K, depth=depth, seed=seed, epsilon=eps, theta=0.5), 0.5, 2.0, eps
+        )
+        for K, depth, eps, family, seed in [
+            (2, 4, LN2, "iid-uniform", 0),
+            (2, 6, 0.3, "lacunary", 1),
+            (3, 3, LN2, "cell-indicator", 2),
+            (2, 5, LN2, "cell-indicator", 3),
+            (3, 3, 0.3, "iid-uniform", 4),
+            (2, 7, LN2, "iid-uniform", 5),
+        ]
+    ]
+    insts.insert(2, HajlaszInstance(BoundaryFunction(2, 3, np.full(8, 0.25)), 0.5, 2.0, LN2))
+    insts.insert(4, random_instance(3, depth=3, p=1.5))
+    return insts
+
+
+@pytest.mark.parametrize("form", FORMS)
+def test_batch_matches_each_instance_alone(form):
+    with pytest.MonkeyPatch.context() as mp:
+        _use_form(mp, form)
+        sols = _assert_batch_matches_alone(_mixed_instances())
+    assert sols[2].value == 0.0 and sols[2].blocks == {}
+    assert sols[4].method == "interior-point"
+
+
+@pytest.mark.parametrize("batch_pairs", [1, 100, 2**13])
+def test_batch_split_does_not_change_results(batch_pairs):
+    insts = _mixed_instances()
+    whole = hajlasz_minimize_all(insts)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hajlasz, "_BATCH_PAIRS", batch_pairs)
+        assert len(list(hajlasz._batches(insts))) > 1
+        for a, b in zip(hajlasz_minimize_all(insts), whole):
+            _assert_same_solution(a, b)
+
+
+def test_batches_keep_input_order_within_the_pair_bound():
+    # K = 2: 2016 pairs at depth 6, 8128 at 7 and 32640 at 8
+    insts = [random_instance(s, depth=d) for d in (6, 7, 8) for s in range(8)]
+    insts.insert(3, random_instance(0, depth=2, p=1.5))
+    batches = [[at for at, _ in batch] for batch in hajlasz._batches(insts)]
+    assert [at for batch in batches for at in batch] == [i for i in range(25) if i != 3]
+    # 8 x 2016 + 2 x 8128 pairs, 4 x 8128, 2 x 8128, then one each
+    assert [len(b) for b in batches] == [10, 4, 2] + [1] * 8
+    for batch in batches:
+        pairs = sum(insts[at].f.n_leaves * (insts[at].f.n_leaves - 1) // 2 for at in batch)
+        assert pairs <= hajlasz._BATCH_PAIRS or len(batch) == 1
+
+
+@st.composite
+def _k2_instance_lists(draw):
+    # K = 2 only: some K = 3, epsilon = 0.3 instances do not certify
+    insts = []
+    for _ in range(draw(st.integers(1, 4))):
+        depth = draw(st.integers(1, 6))
+        family = draw(st.sampled_from(["iid-uniform", "lacunary", "cell-indicator"]))
+        epsilon = draw(st.sampled_from([LN2, 0.3]))
+        seed = draw(st.integers(0, 1000))
+        f = generate(family, K=2, depth=depth, seed=seed, epsilon=epsilon, theta=0.5)
+        insts.append(HajlaszInstance(f, 0.5, 2.0, epsilon))
+    return insts
+
+
+@settings(max_examples=25, deadline=None)
+@given(insts=_k2_instance_lists())
+def test_batch_matches_each_instance_alone_random(insts):
+    _assert_batch_matches_alone(insts)
+
+
+def test_batch_convergence_error_names_each_uncertified_block():
+    insts = [
+        random_instance(1),
+        HajlaszInstance(BoundaryFunction(2, 2, np.zeros(4)), 0.5, 2.0, LN2),
+        random_instance(2, depth=2, K=3),
+    ]
+    # no gap check within 30 steps: every block is left uncertified
+    with pytest.raises(ConvergenceError) as info:
+        hajlasz_minimize_all(insts, SolverConfig(max_iters=30))
+    message = str(info.value)
+    assert "within 30 iterations" in message
+    named = [(0, insts[0]), (2, insts[2])]
+    for at, inst in named:
+        for k in inst.constraints:
+            assert f"instance {at} (K={inst.f.K}, depth 2) scale {k}: no gap check" in message
+    assert message.count("scale") == sum(len(inst.constraints) for _, inst in named)
+    assert "instance 1 " not in message
+    # after gap checks each block names its last relative gap
+    with pytest.raises(ConvergenceError) as info:
+        hajlasz_minimize_all(insts[:1], SolverConfig(max_iters=120, rel_tol=0.0))
+    named = r"instance 0 \(K=2, depth 2\) scale -?\d+: relative gap (\S+?)(?:;|$)"
+    gaps = re.findall(named, str(info.value))
+    assert gaps and all(float(gap) > 0.0 for gap in gaps)
 
 
 # ---------------------------------------- p = 1 against a linear program

@@ -310,6 +310,18 @@ def test_cli_bad_input_exits_2_with_one_error_line(tmp_path, capsys):
     assert capsys.readouterr().err.count("treetrace: error: ") == 2
 
 
+@pytest.mark.parametrize("depth", [40, 62])
+def test_cli_huge_header_tiny_file_exits_2_naming_the_line(tmp_path, capsys, depth):
+    # the reader allocated the 2^depth leaf values from the header before
+    # reading a row: 8 TiB at depth 40, too big for numpy at 62
+    bad = tmp_path / "u.csv"
+    bad.write_text(f"K,N\n2,{depth}\naddress,value\n{'0' * depth},1.0\n")
+    assert main(["energy", "--input", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("treetrace: error: line 5: the file ends before the row")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_cli_huge_lambda1_exits_2_with_one_error_line(tmp_path, capsys):
     # n^lam overflowed in dyadic_energy: exit 1 with an OverflowError
     # traceback; YoungPhi now rejects this lambda1 before any energy
@@ -701,10 +713,17 @@ def test_cli_verify_equivalence_reports_how_the_hajlasz_energy_was_reached(tmp_p
         assert row["hajlasz_method"] == "dual-ascent"
         assert int(row["hajlasz_iterations"]) > 0
         assert 0.0 <= float(row["hajlasz_rel_gap"]) <= 1e-8
-    # the columns are those of the solver's own solution
-    row = next(r for r in rows if r["depth"] == "5" and r["seed"] == "3")
-    f = generate("iid-uniform", K=2, depth=5, seed=3)
-    sol = hajlasz_minimize(HajlaszInstance(f, cfg.resolved_theta, 2.0, cfg.epsilon))
-    assert float(row["hajlasz_energy"]) == sol.value
-    assert int(row["hajlasz_iterations"]) == sol.iterations
-    assert float(row["hajlasz_rel_gap"]) == max(b.rel_gap for b in sol.blocks.values())
+    # the columns are those of each instance solved alone, although the
+    # seeds of a depth share one solver loop
+    solved = 0
+    for row in rows:
+        depth = int(row["depth"])
+        if depth > cfg.hajlasz_max_depth:
+            continue
+        f = generate("iid-uniform", K=2, depth=depth, seed=int(row["seed"]))
+        sol = hajlasz_minimize(HajlaszInstance(f, cfg.resolved_theta, 2.0, cfg.epsilon))
+        assert float(row["hajlasz_energy"]) == sol.value
+        assert int(row["hajlasz_iterations"]) == sol.iterations
+        assert float(row["hajlasz_rel_gap"]) == max(b.rel_gap for b in sol.blocks.values())
+        solved += 1
+    assert solved == sum(d <= cfg.hajlasz_max_depth for d in cfg.depths) * len(cfg.seeds)

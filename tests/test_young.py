@@ -195,6 +195,18 @@ def test_gauge_bracket_failure():
         luxemburg_gauge(lambda k: 2.0, max_doublings=30)
 
 
+def test_gauge_steps_running_out_below_one_raise():
+    # the steps down used to end in 0.0 although the gauge is 1e-5
+    with pytest.raises(GaugeBracketError, match="<= 1 after 2 doublings"):
+        luxemburg_gauge(lambda k: (1e-5 / k) ** 2, max_doublings=2)
+    with pytest.raises(GaugeBracketError, match="> 1 after 1 doublings"):
+        luxemburg_gauge(lambda k: (1e5 / k) ** 2, max_doublings=1)
+    # a modular that is 0 at the last sample has gauge 0
+    assert luxemburg_gauge(lambda k: 0.0) == 0.0
+    assert luxemburg_gauge(lambda k: 0.0, max_doublings=1) == 0.0
+    assert luxemburg_gauge(lambda k: (1e-5 / k) ** 2) == pytest.approx(1e-5, rel=1e-9)
+
+
 def test_gauge_reaches_the_ends_of_the_float_range():
     # log k was clamped to +-700: 1e-310 / k gave 0 and 1e305 / k raised
     # GaugeBracketError
