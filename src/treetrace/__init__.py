@@ -5,7 +5,6 @@ from .boundary_norms import (
     BoundaryFunction,
     EnergyParams,
     MonteCarloEstimate,
-    cell_average,
     double_integral_energy,
     double_integral_energy_mc,
     double_integral_is_exact,
@@ -21,7 +20,6 @@ from .hajlasz import (
     HajlaszInstance,
     HajlaszSolution,
     SolverConfig,
-    hajlasz_energy,
     hajlasz_feasible,
     hajlasz_minimize,
     hajlasz_minimize_all,
@@ -44,7 +42,7 @@ from .harness import (
     verify_roundtrip,
     verify_trace_bound,
 )
-from .operators import extend, star_majorant, trace
+from .operators import extend, trace
 from .tree import (
     EdgePoint,
     TreeParams,
@@ -53,15 +51,11 @@ from .tree import (
     ball_measure,
     doubling_ratios,
     edge_length,
-    edge_mass,
     edge_measure,
-    make_tree_params,
     min_shift_constant,
     residual_measure,
     sample_ball_centers,
     split_distances,
-    tree_measure,
-    vertex_distance,
 )
 from .tree_norms import (
     TreeFunction,
@@ -73,11 +67,9 @@ from .tree_norms import (
 from .young import (
     GaugeBracketError,
     NonMonotoneModularError,
-    PhiDiagnostics,
     YoungModular,
     YoungPhi,
     luxemburg_gauge,
-    phi_diagnostics,
     phi_eval,
 )
 

@@ -8,10 +8,11 @@ exponents come from a flat key-value config file, overridable with
 
 Exit codes: 0 when the command succeeds (for verify: every asserted
 property holds), 1 when verify finds a property that fails, 2 on bad
-input or an error inside a computation, reported as one
-`treetrace: error: ...` line on standard error.  If the reader of
-standard output has gone (`| head`), the rest of the output is dropped
-and the command runs on: its files are written and its exit code stands.
+input or an error inside a computation (a failed allocation too),
+reported as one `treetrace: error: ...` line on standard error.  If the
+reader of standard output has gone (`| head`), the rest of the output is
+dropped and the command runs on: its files are written and its exit code
+stands.
 """
 
 from __future__ import annotations
@@ -117,11 +118,21 @@ def _config_from_args(args) -> "ExperimentConfig":
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    cfg = None
     try:
-        return _run(args)
+        cfg = _config_from_args(args)
+        return _run(args, cfg)
     except (ValueError, OSError, ArithmeticError, RuntimeError) as exc:
-        print(f"treetrace: error: {exc}", file=sys.stderr)
-        return 2
+        message = str(exc)
+    except MemoryError as exc:
+        # numpy's message names the size; `gen` samples the first depth
+        # and `verify` sweeps up to the largest
+        where = ""
+        if cfg is not None and args.command in ("gen", "verify"):
+            where = f" at depth {cfg.depths[0] if args.command == 'gen' else max(cfg.depths)}"
+        message = f"out of memory{where}: {exc}".rstrip(": ")
+    print(f"treetrace: error: {message}", file=sys.stderr)
+    return 2
 
 
 def _say(line: str) -> None:
@@ -135,9 +146,7 @@ def _say(line: str) -> None:
         os.dup2(devnull, sys.stdout.fileno())
 
 
-def _run(args) -> int:
-    cfg = _config_from_args(args)
-
+def _run(args, cfg) -> int:
     if args.command == "gen":
         seed = cfg.seeds[0]
         depth = cfg.depths[0]

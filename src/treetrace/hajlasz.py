@@ -69,7 +69,6 @@ __all__ = [
     "ConvergenceError",
     "scale_for_distance",
     "hajlasz_feasible",
-    "hajlasz_energy",
     "hajlasz_minimize",
     "hajlasz_minimize_all",
     "hajlasz_oracle",
@@ -776,10 +775,6 @@ def _solution(inst, at, solved, cfg) -> HajlaszSolution:
         method=method,
         blocks=blocks,
     )
-
-
-def hajlasz_energy(inst: HajlaszInstance, config: SolverConfig | None = None) -> float:
-    return hajlasz_minimize(inst, config).value
 
 
 def hajlasz_oracle(inst: HajlaszInstance, grid_resolution: int) -> float:

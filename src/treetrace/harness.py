@@ -33,13 +33,7 @@ from .boundary_norms import (
 from . import hajlasz
 from .hajlasz import HajlaszInstance
 from .operators import extend, trace
-from .tree import (
-    TreeParams,
-    ahlfors_ratio,
-    doubling_ratios,
-    make_tree_params,
-    sample_ball_centers,
-)
+from .tree import TreeParams, ahlfors_ratio, doubling_ratios, sample_ball_centers
 from .tree_norms import TreeFunction, gradient_lphi_modular, newtonian_norm
 from .young import YoungPhi
 
@@ -137,14 +131,14 @@ class ExperimentConfig:
     lam defaults to lambda1 + lambda2 and theta to the matched smoothness
     exponent 1 - (beta - log K) / (epsilon * p); both can be pinned
     explicitly, in which case the hypothesis validators insist they agree
-    with those formulas where an experiment assumes them.  `epsilon` must
-    be positive and `p` at least 1.  `pair_budget` and `mc_samples`
-    matter only for the double sum at non-integer p (and integer p above
-    100): its pairs are enumerated while K^(2*depth) <= pair_budget and
-    sampled `mc_samples` times beyond; `pair_budget` must be at least 1
-    and `mc_samples` at least 2.
-    `hajlasz_max_depth` must be nonnegative (0 runs no Hajlasz program),
-    `slope_tol` nonnegative and `spread_max` at least 1.
+    with those formulas where an experiment assumes them.  `K` must be at
+    least 2, `epsilon` positive and `p` at least 1.  `pair_budget` and
+    `mc_samples` matter only for the double sum at non-integer p (and
+    integer p above 100): its pairs are enumerated while K^(2*depth) <=
+    pair_budget and sampled `mc_samples` times beyond; `pair_budget` must
+    be at least 1 and `mc_samples` at least 2.  `hajlasz_max_depth` must
+    be nonnegative (0 runs no Hajlasz program), `slope_tol` nonnegative
+    and `spread_max` at least 1.
     """
 
     K: int = 2
@@ -169,8 +163,10 @@ class ExperimentConfig:
     emit_plot_data: bool = False
 
     def __post_init__(self) -> None:
-        # mc_samples: the Monte Carlo standard error needs two samples
+        # K comes first, so that every command rejects K < 2 alike, and
+        # mc_samples needs two samples for the Monte Carlo standard error
         for name, least in (
+            ("K", 2),
             ("n_balls", 1),
             ("mc_samples", 2),
             ("pair_budget", 1),
@@ -210,9 +206,7 @@ class ExperimentConfig:
         return self.lambda1 + self.lambda2
 
     def tree_params(self, depth: int) -> TreeParams:
-        return make_tree_params(
-            self.K, self.epsilon, self.beta, self.lambda2, depth, self.quad_order
-        )
+        return TreeParams(self.K, self.epsilon, self.beta, self.lambda2, depth, self.quad_order)
 
     def energy_params(self) -> EnergyParams:
         return EnergyParams(
@@ -267,7 +261,6 @@ class ColumnStats:
     maximum: float
     median: float
     slope: float | None
-    per_depth: dict[int, tuple[float, float, float]]
 
     @property
     def spread(self) -> float:
@@ -292,7 +285,6 @@ class RatioReport:
         self.slope_tol = slope_tol
         self.spread_max = spread_max
         self.extra_checks: list[tuple[str, bool]] = []
-        self.two_sided: TwoSidedFit | None = None
 
     def column(self, col):
         pts = [(r["depth"], r[col]) for r in self.rows if r.get(col) is not None]
@@ -304,12 +296,8 @@ class RatioReport:
         depths, values = self.column(col)
         if values.size == 0:
             raise ValueError(f"no samples for column {col!r}")
-        per_depth = {}
-        for d in sorted(set(int(x) for x in depths)):
-            sel = values[depths == d]
-            per_depth[d] = (float(sel.min()), float(sel.max()), float(np.median(sel)))
         finite = bool(np.all(np.isfinite(values)))
-        if len(per_depth) < 2:
+        if np.unique(depths).size < 2:
             slope = None
         elif finite and np.all(values > 0):
             slope = fit_log_slope(depths, values)
@@ -321,7 +309,6 @@ class RatioReport:
             maximum=float(values.max()),
             median=float(np.median(values)),
             slope=slope,
-            per_depth=per_depth,
         )
 
     def sampled_columns(self) -> list[str]:
@@ -518,7 +505,6 @@ class TwoSidedFit:
     lambda1: float
     C: float
     C_prime: float
-    base_depth: int
 
     def check(self, energy: float, modular: float, widen: float = 1.0) -> bool:
         C = self.C * widen
@@ -536,7 +522,7 @@ class TwoSidedFit:
         return abs(energy - modular) <= slack
 
 
-def fit_two_sided(pairs, lambda1: float, c_prime: float, base_depth: int) -> TwoSidedFit:
+def fit_two_sided(pairs, lambda1: float, c_prime: float) -> TwoSidedFit:
     """Smallest C making the two-sided comparison hold on the given
     (energy, modular) pairs, with the additive constant supplied analytically."""
     C = 1.0
@@ -547,7 +533,7 @@ def fit_two_sided(pairs, lambda1: float, c_prime: float, base_depth: int) -> Two
             C = max(C, modular / energy, (energy - c_prime) / modular)
         elif lambda1 < 0:
             C = max(C, energy / modular, (modular - c_prime) / energy)
-    return TwoSidedFit(lambda1=lambda1, C=C, C_prime=c_prime, base_depth=base_depth)
+    return TwoSidedFit(lambda1=lambda1, C=C, C_prime=c_prime)
 
 
 def chi_exceed_fraction(f: BoundaryFunction, theta: float, epsilon: float) -> float:
@@ -655,13 +641,12 @@ def verify_equivalences(cfg: ExperimentConfig) -> RatioReport:
             for r in rows
             if r["depth"] == base
         ]
-        fit = fit_two_sided(base_pairs, cfg.lambda1, c_prime, base)
+        fit = fit_two_sided(base_pairs, cfg.lambda1, c_prime)
         ok = all(
             fit.check(r["weighted_energy"], r["orlicz_modular"], widen=2.0)
             for r in rows
         )
         report.extra_checks.append((f"two-sided fit C={fit.C:.4g}", ok))
-        report.two_sided = fit
     return report
 
 
@@ -743,12 +728,19 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(int(s) for s in text.split(",") if s.strip())
 
 
+def _parse_bool(text: str) -> bool:
+    word = text.lower()
+    if word not in ("1", "0", "true", "false", "yes", "no"):
+        raise ValueError(f"expected 1/0, true/false or yes/no, got {text!r}")
+    return word in ("1", "true", "yes")
+
+
 # config-file key -> parser of its value text
 _PARSERS = {
     **dict.fromkeys("K quad_order n_balls hajlasz_max_depth pair_budget mc_samples".split(), int),
     **dict.fromkeys("epsilon beta p lambda1 lambda2 lam theta slope_tol spread_max".split(), float),
     **dict.fromkeys(("seeds", "depths"), _parse_int_list),
-    "emit_plot_data": lambda text: text.lower() in ("1", "true", "yes"),
+    "emit_plot_data": _parse_bool,
     "family": str,
     "out": str,
 }

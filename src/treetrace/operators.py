@@ -9,13 +9,11 @@ so trace-after-extend is the exact identity.
 
 from __future__ import annotations
 
-import numpy as np
-
-from .address import check_digits, digits_index, level_slice
+from .address import level_slice
 from .boundary_norms import BoundaryFunction
 from .tree_norms import TreeFunction
 
-__all__ = ["trace", "extend", "star_majorant"]
+__all__ = ["trace", "extend"]
 
 
 def trace(F: TreeFunction) -> BoundaryFunction:
@@ -26,17 +24,3 @@ def trace(F: TreeFunction) -> BoundaryFunction:
 def extend(u: BoundaryFunction) -> TreeFunction:
     """Tree function whose vertex values are the cell averages of u."""
     return TreeFunction(u.K, u.depth, u.level_averages())
-
-
-def star_majorant(F: TreeFunction, leaf_digits) -> float:
-    """|F(root)| plus the total variation of F along the ancestor chain of a leaf.
-
-    Equals the arclength integral of the per-edge gradient along that ray
-    and dominates |trace(F)| at the leaf.  Diagnostic only.
-    """
-    digits = check_digits(F.K, leaf_digits)
-    if len(digits) != F.depth:
-        raise ValueError("leaf address must have length equal to the depth")
-    K, N, leaf = F.K, F.depth, digits_index(F.K, digits)
-    chain = np.array([F.values[level_slice(K, n)][leaf // K ** (N - n)] for n in range(N + 1)])
-    return abs(chain[0]) + float(np.sum(np.abs(np.diff(chain))))

@@ -32,16 +32,12 @@ from .address import check_digits
 __all__ = [
     "TreeParams",
     "EdgePoint",
-    "make_tree_params",
     "min_shift_constant",
     "edge_length",
     "arclength",
     "split_distances",
     "ahlfors_ratio",
-    "vertex_distance",
-    "edge_mass",
     "edge_measure",
-    "tree_measure",
     "residual_measure",
     "ball_measure",
     "sample_ball_centers",
@@ -69,10 +65,10 @@ class TreeParams:
     epsilon      metric decay rate (> 0)
     beta         mass decay rate (> log K)
     lambda2      mass log-exponent
-    C_const      shift in the (t + C)^lambda2 factor; never below the
-                 minimal admissible value, which None selects
     depth        truncation level N (>= 1); vertices live on levels 0..N
     quad_order   Gauss-Legendre order used for all edge integrals
+    C_const      shift in the (t + C)^lambda2 factor; never below the
+                 minimal admissible value, which None selects
 
     The real parameters must be finite, and so must the minimal C_const
     and the density factor (t + C)^lambda2 on [0, depth], which must also
@@ -83,9 +79,9 @@ class TreeParams:
     epsilon: float
     beta: float
     lambda2: float
-    C_const: float | None
     depth: int
     quad_order: int = 8
+    C_const: float | None = None
 
     def __post_init__(self) -> None:
         if self.K < 2:
@@ -135,23 +131,6 @@ class TreeParams:
         return 2.0 / self.epsilon
 
 
-def make_tree_params(
-    K: int,
-    epsilon: float,
-    beta: float,
-    lambda2: float,
-    depth: int,
-    quad_order: int = 8,
-    c_const: float | None = None,
-) -> TreeParams:
-    """Build a validated bundle; C_const defaults to the minimal admissible value.
-
-    A caller-supplied ``c_const`` may only enlarge the shift.  `TreeParams`
-    does the validation.
-    """
-    return TreeParams(K, epsilon, beta, lambda2, c_const, depth, quad_order)
-
-
 def arclength(params: TreeParams, tau) -> float | np.ndarray:
     """Metric distance from the root to level coordinate tau along any ray."""
     eps = params.epsilon
@@ -185,52 +164,22 @@ def ahlfors_ratio(params: TreeParams, digits) -> float:
     return float(params.K) ** -n / r**params.hausdorff_dim
 
 
-def vertex_distance(params: TreeParams, x, y) -> float:
-    """Geodesic distance between two vertices, through their common ancestor."""
-    x = check_digits(params.K, x, params.depth)
-    y = check_digits(params.K, y, params.depth)
-    k = 0
-    for a, b in zip(x, y):
-        if a != b:
-            break
-        k += 1
-    ax = arclength(params, len(x))
-    ay = arclength(params, len(y))
-    ak = arclength(params, k)
-    return (ax - ak) + (ay - ak)
+def edge_measure(params: TreeParams, n: int) -> float:
+    """Mass of a single edge between levels n and n+1: the Gauss-Legendre
+    value of the integral of e^(-beta*t) * (t + C)^lambda2 over [n, n+1].
 
-
-def edge_mass(beta: float, c_shift: float, lam: float, n: float, order: int = 8) -> float:
-    """Gauss-Legendre value of the mass of one edge between levels n and n+1,
-    i.e. the integral of e^(-beta*t) * (t + c_shift)^lam over [n, n+1]."""
-    x, w = _gauss_nodes(order)
+    With lambda2 = 0 this equals (e^(-beta*n) - e^(-beta*(n+1))) / beta up
+    to quadrature error far below 1e-12 relative.
+    """
+    if n < 0:
+        raise ValueError("edge level must be nonnegative")
+    beta, c_shift, lam = params.beta, params.C_const, params.lambda2
+    x, w = _gauss_nodes(params.quad_order)
     tau = 0.5 * (x + 1.0) + n
     return float(0.5 * np.sum(w * np.exp(-beta * tau) * (tau + c_shift) ** lam))
 
 
-def edge_measure(params: TreeParams, n: int, lam: float | None = None) -> float:
-    """Mass of a single edge between levels n and n+1.
-
-    With lam=0 this equals (e^(-beta*n) - e^(-beta*(n+1))) / beta up to
-    quadrature error far below 1e-12 relative.
-    """
-    if n < 0:
-        raise ValueError("edge level must be nonnegative")
-    if lam is None:
-        lam = params.lambda2
-    return edge_mass(params.beta, params.C_const, lam, n, params.quad_order)
-
-
-def tree_measure(params: TreeParams, lam: float | None = None) -> float:
-    """Total mass of the truncated tree (levels 0..depth)."""
-    return sum(
-        params.K ** (n + 1) * edge_measure(params, n, lam) for n in range(params.depth)
-    )
-
-
-def residual_measure(
-    params: TreeParams, lam: float | None = None, from_level: int | None = None
-) -> float:
+def residual_measure(params: TreeParams, from_level: int | None = None) -> float:
     """Mass of the infinite tree beyond the truncation level.
 
     Sums K^(n+1) * edge_measure(n) for n >= from_level (default: depth)
@@ -239,8 +188,6 @@ def residual_measure(
     one exponential, so factors that leave the float range beyond the
     truncation do not spoil it; a total that does is a ValueError.
     """
-    if lam is None:
-        lam = params.lambda2
     start = params.depth if from_level is None else from_level
     if start < 0:
         raise ValueError("from_level must be nonnegative")
@@ -250,12 +197,13 @@ def residual_measure(
     while True:
         tau = 0.5 * (x + 1.0) + n
         log_density = (n + 1) * math.log(params.K) - params.beta * tau
-        log_density += lam * np.log(tau + params.C_const)
+        log_density += params.lambda2 * np.log(tau + params.C_const)
         term = float(0.5 * np.sum(w * np.exp(log_density)))
         total += term
         if not math.isfinite(total):
             raise ValueError(
-                f"the residual mass overflows at lambda2 = {lam!r} (C = {params.C_const!r})"
+                f"the residual mass overflows at lambda2 = {params.lambda2!r} "
+                f"(C = {params.C_const!r})"
             )
         if term < 1e-14 * total and n > start:
             break
@@ -310,7 +258,6 @@ def _ball_masses(
     levels: np.ndarray,
     ax: np.ndarray,
     radii: np.ndarray,
-    lam: float | None = None,
 ) -> np.ndarray:
     """Masses of the balls of radii `radii` around points on edges at
     `levels`, at arclengths `ax` from the root.
@@ -334,10 +281,8 @@ def _ball_masses(
     path, so it rounds as a walk from the center does.  The balls are taken
     `_BALL_CHUNK` at a time.
     """
-    if lam is None:
-        lam = params.lambda2
     K, N, eps = params.K, params.depth, params.epsilon
-    beta, c_shift = params.beta, params.C_const
+    beta, c_shift, lam = params.beta, params.C_const, params.lambda2
     gx, gw = _gauss_nodes(params.quad_order)
     a_lev = (1.0 - np.exp(-eps * np.arange(N + 1))) / eps
     a_lo, a_hi = a_lev[:-1], a_lev[1:]
@@ -390,9 +335,7 @@ def _ball_masses(
     return out
 
 
-def ball_measure(
-    params: TreeParams, center: EdgePoint, radius: float, lam: float | None = None
-) -> float:
+def ball_measure(params: TreeParams, center: EdgePoint, radius: float) -> float:
     """Exact mass of the metric ball around a point on an edge.
 
     A ball meets every edge in a (possibly empty) arclength interval; the
@@ -402,23 +345,20 @@ def ball_measure(
     """
     radius = _check_radii([radius])
     levels, ax = _center_arclengths(params, [center])
-    return float(_ball_masses(params, levels, ax, radius, lam)[0])
+    return float(_ball_masses(params, levels, ax, radius)[0])
 
 
 def sample_ball_centers(
-    params: TreeParams,
-    n_balls: int,
-    seed: int,
-    radius_grid: tuple[float, ...] | None = None,
+    params: TreeParams, n_balls: int, seed: int
 ) -> tuple[list[EdgePoint], list[float]]:
-    """Draw ball centers (points on edges) and radii for doubling checks.
+    """Draw ball centers (points on edges) and radii for doubling checks;
+    the radii are the diameter divided by 1, 2, 4 or 8.
 
     Centers are reusable on any tree of at least the same depth, which is
     what truncation-stability comparisons need.
     """
-    if radius_grid is None:
-        d = params.diameter
-        radius_grid = (d, d / 2.0, d / 4.0, d / 8.0)
+    d = params.diameter
+    radius_grid = (d, d / 2.0, d / 4.0, d / 8.0)
     rng = np.random.default_rng(seed)
     centers, radii = [], []
     for _ in range(n_balls):
@@ -431,15 +371,12 @@ def sample_ball_centers(
 
 
 def doubling_ratios(
-    params: TreeParams,
-    centers: list[EdgePoint],
-    radii: list[float],
-    lam: float | None = None,
+    params: TreeParams, centers: list[EdgePoint], radii: list[float]
 ) -> np.ndarray:
     """Ratios mass(B(x, 2r)) / mass(B(x, r)) for the given balls."""
     if len(centers) != len(radii):
         raise ValueError("need one radius per center")
     r = _check_radii(radii)
     levels, ax = _center_arclengths(params, centers)
-    small = _ball_masses(params, levels, ax, r, lam)
-    return _ball_masses(params, levels, ax, 2.0 * r, lam) / small
+    small = _ball_masses(params, levels, ax, r)
+    return _ball_masses(params, levels, ax, 2.0 * r) / small

@@ -35,9 +35,6 @@ class TreeFunction:
         self.values = function_values(K, depth, values, first=0)
         self.K, self.depth = K, depth
 
-    def scaled(self, factor: float) -> "TreeFunction":
-        return TreeFunction(self.K, self.depth, self.values * factor)
-
     def to_csv(self, path) -> None:
         write_function_csv(path, self.K, self.depth, self.values, first=0)
 
@@ -61,17 +58,13 @@ def upper_gradient_edges(F: TreeFunction, params: TreeParams) -> np.ndarray:
     return np.abs(grads, out=grads)
 
 
-def _function_modular(
-    F: TreeFunction, params: TreeParams, phi: YoungPhi, lam: float | None
-) -> YoungModular:
+def _function_modular(F: TreeFunction, params: TreeParams, phi: YoungPhi) -> YoungModular:
     """Phi(|F|) against the mass density, one (edges, nodes) segment per
     level: |F| at the Gauss-Legendre nodes of every edge, weighted by the
     quadrature weight times the density at each node.  |F| is built in `a`
     itself, slopes as in `upper_gradient_edges`, with no per-edge array."""
-    if lam is None:
-        lam = params.lambda2
     _check_shape(F, params)
-    beta, c_shift = params.beta, params.C_const
+    beta, c_shift, lam = params.beta, params.C_const, params.lambda2
     gx, gw = _gauss_nodes(params.quad_order)
     parents, children = parents_and_children(F.K, F.values)
     a = np.empty(children.size * gx.size)
@@ -91,57 +84,41 @@ def _function_modular(
     return YoungModular(phi, a, segments)
 
 
-def _gradient_modular(
-    F: TreeFunction, params: TreeParams, phi: YoungPhi, lam: float | None
-) -> YoungModular:
+def _gradient_modular(F: TreeFunction, params: TreeParams, phi: YoungPhi) -> YoungModular:
     """Phi(g) for the per-edge upper gradient g, weighted by the edge mass."""
     grads = upper_gradient_edges(F, params)
-    segments = [(F.K ** (n + 1), edge_measure(params, n, lam)) for n in range(F.depth)]
+    segments = [(F.K ** (n + 1), edge_measure(params, n)) for n in range(F.depth)]
     return YoungModular(phi, grads.reshape(-1), segments)
 
 
-def _gauge(rho: YoungModular, tol: float) -> float:
+def _gauge(rho: YoungModular) -> float:
     """Luxemburg gauge of the amplitudes of rho as given (by homogeneity)."""
-    return rho.scale * luxemburg_gauge(rho, tol, start=rho.start) if rho.scale > 0.0 else 0.0
+    return rho.scale * luxemburg_gauge(rho, start=rho.start) if rho.scale > 0.0 else 0.0
 
 
 def tree_lphi_modular(
-    F: TreeFunction,
-    params: TreeParams,
-    phi: YoungPhi,
-    k: float = 1.0,
-    lam: float | None = None,
+    F: TreeFunction, params: TreeParams, phi: YoungPhi, k: float = 1.0
 ) -> float:
     """Integral of Phi(|F|/k) over the truncated tree against the mass density.
 
     F is interpolated linearly in arclength on each edge; each edge integral
     uses the tree's Gauss-Legendre order on the composite integrand.
     """
-    return _function_modular(F, params, phi, lam).value(k)
+    return _function_modular(F, params, phi).value(k)
 
 
 def gradient_lphi_modular(
-    F: TreeFunction,
-    params: TreeParams,
-    phi: YoungPhi,
-    k: float = 1.0,
-    lam: float | None = None,
+    F: TreeFunction, params: TreeParams, phi: YoungPhi, k: float = 1.0
 ) -> float:
     """Integral of Phi(g/k) for the per-edge upper gradient g.
 
     g is constant on each edge, so this is the exact sum of
     Phi(g_edge / k) * edge mass over all edges.
     """
-    return _gradient_modular(F, params, phi, lam).value(k)
+    return _gradient_modular(F, params, phi).value(k)
 
 
-def newtonian_norm(
-    F: TreeFunction,
-    params: TreeParams,
-    phi: YoungPhi,
-    lam: float | None = None,
-    tol: float = 1e-10,
-) -> float:
+def newtonian_norm(F: TreeFunction, params: TreeParams, phi: YoungPhi) -> float:
     """Gauge norm of F plus gauge norm of its minimal per-edge upper gradient."""
-    fn_gauge = _gauge(_function_modular(F, params, phi, lam), tol)
-    return fn_gauge + _gauge(_gradient_modular(F, params, phi, lam), tol)
+    fn_gauge = _gauge(_function_modular(F, params, phi))
+    return fn_gauge + _gauge(_gradient_modular(F, params, phi))

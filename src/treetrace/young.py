@@ -32,9 +32,7 @@ import numpy as np
 
 __all__ = [
     "YoungPhi",
-    "PhiDiagnostics",
     "phi_eval",
-    "phi_diagnostics",
     "YoungModular",
     "luxemburg_gauge",
     "GaugeBracketError",
@@ -67,9 +65,8 @@ class YoungPhi:
     increases strictly on (0, inf), and it is convex near 0 (where it
     behaves as t^p) and for large t.  At lambda1 >= 0 it is convex
     everywhere; at lambda1 < 0 it need not be in between (p = 2,
-    lambda1 = -3 is not), which `phi_diagnostics` samples.  Below the
-    bound Phi decreases near t = 5.83, and at p = 1 with lambda1 < 0 it is
-    concave near 0.  Both exponents must be finite, and so must
+    lambda1 = -3 is not).  Below the bound Phi decreases near t = 5.83,
+    and at p = 1 with lambda1 < 0 it is concave near 0.  Both exponents must be finite, and so must
     Phi(1) = log(e + 1)^lambda1, which must also be positive (about
     |lambda1| <= 2.6e3).
     """
@@ -257,67 +254,6 @@ def _times_power(e: int, k: float, p: float) -> float:
         return math.exp(e * _LOG2 - p * math.log(k))
     except OverflowError:
         return math.inf
-
-
-@dataclass(frozen=True)
-class PhiDiagnostics:
-    """Sampled convexity, doubling constant and power sandwich of a Young function."""
-
-    convexity_ok: bool
-    delta2_sup: float
-    sandwich_delta: float
-    sandwich_scale: float
-    sandwich_start: float
-    sandwich_ok: bool
-
-
-def phi_diagnostics(
-    phi: YoungPhi, t_grid: np.ndarray | None = None, delta: float = 0.5
-) -> PhiDiagnostics:
-    """Probe a Young function on a grid.
-
-    Checks midpoint convexity on consecutive grid triples, samples the
-    doubling constant sup Phi(2t)/Phi(t), and searches for a scale k and a
-    threshold T with t^max(p-delta,1) <= Phi(k t) and Phi(t) <= (k t)^(p+delta)
-    for all sampled t >= T.
-    """
-    if t_grid is None:
-        t_grid = np.logspace(-8.0, 8.0, 241)
-    t_grid = np.asarray(t_grid, dtype=float)
-    if np.any(t_grid <= 0) or np.any(np.diff(t_grid) <= 0):
-        raise ValueError("t_grid must be positive and increasing")
-
-    vals = phi_eval(phi, t_grid)
-    mids = phi_eval(phi, 0.5 * (t_grid[:-2] + t_grid[2:]))
-    convexity_ok = bool(np.all(mids <= 0.5 * (vals[:-2] + vals[2:]) * (1 + 1e-12)))
-
-    delta2_sup = float(np.max(phi_eval(phi, 2.0 * t_grid) / vals))
-
-    q_lo = max(phi.p - delta, 1.0)
-    q_hi = phi.p + delta
-    sandwich_scale = math.nan
-    sandwich_start = math.nan
-    sandwich_ok = False
-    for k in (1.0, 2.0, 4.0, 8.0, 16.0):
-        lower = t_grid**q_lo <= phi_eval(phi, k * t_grid) * (1 + 1e-12)
-        upper = vals <= (k * t_grid) ** q_hi * (1 + 1e-12)
-        good = lower & upper
-        # want both inequalities on the whole sampled tail above some T
-        tail_ok = np.flatnonzero(~good)
-        start_idx = 0 if tail_ok.size == 0 else int(tail_ok[-1]) + 1
-        if start_idx < len(t_grid) - 8:
-            sandwich_scale = k
-            sandwich_start = float(t_grid[start_idx])
-            sandwich_ok = True
-            break
-    return PhiDiagnostics(
-        convexity_ok=convexity_ok,
-        delta2_sup=delta2_sup,
-        sandwich_delta=delta,
-        sandwich_scale=sandwich_scale,
-        sandwich_start=sandwich_start,
-        sandwich_ok=sandwich_ok,
-    )
 
 
 class _EvalLog:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treetrace import BoundaryFunction, TreeFunction, extend, generate, vertex_distance
+from treetrace import BoundaryFunction, TreeFunction, extend, generate
 from treetrace.address import (
     _ORDER,
     CHUNK_ROWS,
@@ -20,7 +20,6 @@ from treetrace.address import (
     level_slice,
 )
 from treetrace.harness import _FAMILY_CODES
-from treetrace.tree import make_tree_params
 
 # ------------------------------------------------------------------ oracle
 
@@ -371,8 +370,8 @@ def test_random_vertex_stream_matches_per_level_draws(K, depth):
 
 
 def test_vertex_distance_validates_addresses():
-    p = make_tree_params(2, 0.7, 2.0, 0.0, 3)
+    # the addresses of a vertex pair at K = 2, depth 3
     with pytest.raises(ValueError, match="digit 2"):
-        vertex_distance(p, (0, 2), (1,))
+        check_digits(2, (0, 2), 3)
     with pytest.raises(ValueError, match="longer than depth"):
-        vertex_distance(p, (0, 0, 0, 0), (1,))
+        check_digits(2, (0, 0, 0, 0), 3)

@@ -15,20 +15,24 @@ import pytest
 from treetrace import (
     BoundaryFunction,
     ahlfors_ratio,
+    TreeParams,
     arclength,
-    cell_average,
     lp_norm,
-    make_tree_params,
     split_distances,
-    vertex_distance,
 )
-from treetrace.address import cell_leaves, digits_index, index_digits, level_addresses
+from treetrace.address import (
+    cell_leaves,
+    check_digits,
+    digits_index,
+    index_digits,
+    level_addresses,
+)
 
 LN2 = math.log(2.0)
 
 
 def params(K=2, epsilon=LN2, depth=8):
-    return make_tree_params(K, epsilon, 2 * math.log(max(K, 2)) + 0.5, 0.0, depth)
+    return TreeParams(K, epsilon, 2 * math.log(max(K, 2)) + 0.5, 0.0, depth)
 
 
 def mass(K, depth, digits):
@@ -99,24 +103,31 @@ def test_boundary_measure_total_and_cells():
     with pytest.raises(ValueError):
         cell_leaves(2, depth, (2,))
     with pytest.raises(ValueError):
-        cell_average(one, (0, 2))
+        cell_leaves(2, depth, (0, 2))
 
 
 def test_split_level_values_and_errors():
-    # two leaves splitting at level k are 2 (arclength(N) - arclength(k)) apart
+    # two leaves splitting at level k are 2 (arclength(N) - arclength(k))
+    # apart in the tree; split_distances[k] adds the two rays below them
     p = params(depth=3)
+    d = split_distances(p.epsilon, 3)
+    rays = 2.0 * (1.0 / p.epsilon - arclength(p, 3))
 
-    def at_split(k):
-        return 2.0 * (arclength(p, 3) - arclength(p, k))
+    def split_level(a, b):
+        a, b = check_digits(2, a, 3), check_digits(2, b, 3)
+        return next((k for k in range(3) if a[k] != b[k]), 3)
 
-    assert vertex_distance(p, (0, 0, 0), (0, 1, 0)) == pytest.approx(at_split(1), rel=1e-12)
-    assert vertex_distance(p, (0, 1, 0), (1, 1, 0)) == pytest.approx(at_split(0), rel=1e-12)
-    assert vertex_distance(p, (0, 1, 0), (0, 1, 1)) == pytest.approx(at_split(2), rel=1e-12)
-    assert vertex_distance(p, (0, 1, 1), (0, 1, 1)) == 0.0
+    assert split_level((0, 0, 0), (0, 1, 0)) == 1
+    assert split_level((0, 1, 0), (1, 1, 0)) == 0
+    assert split_level((0, 1, 0), (0, 1, 1)) == 2
+    assert split_level((0, 1, 1), (0, 1, 1)) == 3
+    for k in range(3):
+        at_split = 2.0 * (arclength(p, 3) - arclength(p, k))
+        assert d[k] - rays == pytest.approx(at_split, rel=1e-12)
     with pytest.raises(ValueError):
-        vertex_distance(p, (0, 2, 0), (0, 1, 0))
+        split_level((0, 2, 0), (0, 1, 0))
     with pytest.raises(ValueError):
-        vertex_distance(p, (0, 1, 0, 1), (0, 1, 0))
+        split_level((0, 1, 0, 1), (0, 1, 0))
 
 
 def test_boundary_distance_values():
@@ -127,8 +138,8 @@ def test_boundary_distance_values():
     # the boundary distance is the leaves' tree distance plus the two rays
     # below the leaves, each 1/epsilon - arclength(depth) long
     rays = 2.0 * (1.0 / p.epsilon - arclength(p, p.depth))
-    a, b = (0,) * p.depth, (0, 1) + (0,) * (p.depth - 2)
-    assert d[1] == pytest.approx(vertex_distance(p, a, b) + rays, rel=1e-12)
+    leaves = 2.0 * (arclength(p, p.depth) - arclength(p, 1))  # split at level 1
+    assert d[1] == pytest.approx(leaves + rays, rel=1e-12)
 
 
 def test_leaf_cell_roundtrip_and_serialization():

@@ -10,7 +10,6 @@ from treetrace import (
     BoundaryFunction,
     EnergyParams,
     YoungPhi,
-    cell_average,
     double_integral_energy,
     double_integral_energy_mc,
     double_integral_is_exact,
@@ -21,6 +20,7 @@ from treetrace import (
     orlicz_besov_norm,
     orlicz_norm,
 )
+from treetrace.address import cell_leaves, check_digits, digits_index, level_slice
 
 LN2 = math.log(2.0)
 
@@ -103,38 +103,47 @@ def naive_double_integral(f, params):
 # ------------------------------------------------------------------- averages
 
 
+def level_average(f, digits):
+    """The entry of `level_averages()` for the cell with the given address."""
+    digits = check_digits(f.K, digits, f.depth)
+    return f.level_averages()[level_slice(f.K, len(digits))][digits_index(f.K, digits)]
+
+
 def test_cell_average_constant():
     f = BoundaryFunction(2, 3, np.full(8, 2.5))
     for digits in ((), (0,), (1, 1), (0, 1, 0)):
-        assert cell_average(f, digits) == pytest.approx(2.5)
+        assert level_average(f, digits) == pytest.approx(2.5)
 
 
 def test_cell_average_hand_case():
     f = BoundaryFunction(2, 2, [1.0, 0.0, 0.0, 0.0])
-    assert cell_average(f, (0,)) == pytest.approx(0.5)
-    assert cell_average(f, ()) == pytest.approx(0.25)
-    assert cell_average(f, (0, 0)) == 1.0
+    assert level_average(f, (0,)) == pytest.approx(0.5)
+    assert level_average(f, ()) == pytest.approx(0.25)
+    assert level_average(f, (0, 0)) == 1.0
 
 
 def test_cell_average_matches_naive_oracle():
     f = random_f(3, 3, seed=2)
     for digits in ((), (1,), (2, 0), (0, 1, 2)):
-        assert cell_average(f, digits) == pytest.approx(
-            naive_cell_average(f, digits), rel=1e-13
-        )
+        naive = naive_cell_average(f, digits)
+        assert level_average(f, digits) == pytest.approx(naive, rel=1e-13)
+        block = f.values[cell_leaves(f.K, f.depth, digits)]
+        assert block.mean() == pytest.approx(naive, rel=1e-13)
 
 
 def test_cell_average_parent_is_mean_of_children():
     f = random_f(2, 4, seed=3)
     for digits in ((), (0,), (1, 0), (0, 1, 1)):
-        kids = [cell_average(f, tuple(digits) + (d,)) for d in range(2)]
-        assert cell_average(f, digits) == pytest.approx(sum(kids) / 2.0, rel=1e-13)
+        kids = [level_average(f, tuple(digits) + (d,)) for d in range(2)]
+        assert level_average(f, digits) == pytest.approx(sum(kids) / 2.0, rel=1e-13)
 
 
 def test_cell_average_rejects_deep_cell():
     f = BoundaryFunction(2, 2, [1.0, 0.0, 0.0, 0.0])
     with pytest.raises(ValueError):
-        cell_average(f, (0, 0, 0))
+        level_average(f, (0, 0, 0))
+    with pytest.raises(ValueError):
+        cell_leaves(f.K, f.depth, (0, 0, 0))
 
 
 # ---------------------------------------------------------------------- norms

@@ -18,7 +18,6 @@ from treetrace import (
     SolverConfig,
     dyadic_energy,
     generate,
-    hajlasz_energy,
     hajlasz_feasible,
     hajlasz_minimize,
     hajlasz_minimize_all,
@@ -99,7 +98,7 @@ def test_feasible_rejects_negative_gradient():
 def test_energy_constant_function_is_zero():
     f = BoundaryFunction(2, 2, np.full(4, 1.0))
     inst = HajlaszInstance(f, 0.5, 2.0, LN2)
-    assert hajlasz_energy(inst) == 0.0
+    assert hajlasz_minimize(inst).value == 0.0
 
 
 def test_energy_lp_analytic_value():
@@ -108,14 +107,14 @@ def test_energy_lp_analytic_value():
     inst = two_leaf_instance(p=1.0)
     expected = 0.5 * math.sqrt(LN2 / 2.0)
     assert expected == pytest.approx(0.29435250562886867, abs=1e-12)
-    assert hajlasz_energy(inst) == pytest.approx(expected, abs=1e-9)
+    assert hajlasz_minimize(inst).value == pytest.approx(expected, abs=1e-9)
 
 
 def test_energy_p2_analytic_value():
     # symmetric optimum g = c/2 each: objective 2 * (1/2) * (c/2)^2 = c^2/4
     inst = two_leaf_instance(p=2.0)
     c = math.sqrt(LN2 / 2.0)
-    assert hajlasz_energy(inst) == pytest.approx(c**2 / 4.0, rel=1e-6)
+    assert hajlasz_minimize(inst).value == pytest.approx(c**2 / 4.0, rel=1e-6)
 
 
 def test_solution_feasible_and_symmetric():
@@ -127,7 +126,7 @@ def test_solution_feasible_and_symmetric():
     f = inst.f
     swapped = BoundaryFunction(2, 2, np.concatenate([f.values[2:], f.values[:2]]))
     inst2 = HajlaszInstance(swapped, 0.5, 2.0, LN2)
-    assert hajlasz_energy(inst2) == pytest.approx(hajlasz_energy(inst), rel=1e-6)
+    assert hajlasz_minimize(inst2).value == pytest.approx(hajlasz_minimize(inst).value, rel=1e-6)
 
 
 def test_solver_reports_nonconvergence():
@@ -200,7 +199,7 @@ def test_solver_within_oracle_bracket(p, depth):
     res = 16
     for seed in range(6):
         inst = random_instance(seed, depth=depth, p=p)
-        energy = hajlasz_energy(inst)
+        energy = hajlasz_minimize(inst).value
         oracle = hajlasz_oracle(inst, res)
         # the oracle is an upper bound; rounding the minimizer up to the
         # grid costs at most the step bound
@@ -657,7 +656,7 @@ def test_hajlasz_tracks_dyadic_energy_over_depths():
         for seed in range(5):
             f = generate("iid-uniform", K=2, depth=depth, seed=seed)
             inst = HajlaszInstance(f, 0.5, 2.0, LN2)
-            ratios.append(hajlasz_energy(inst) / dyadic_energy(f, ep))
+            ratios.append(hajlasz_minimize(inst).value / dyadic_energy(f, ep))
             depths.append(depth)
     ratios = np.asarray(ratios)
     assert np.all(np.isfinite(ratios)) and np.all(ratios > 0)

@@ -153,8 +153,8 @@ def test_trace_bound_report_passes():
     report = verify_trace_bound(small_cfg())
     assert report.passed
     st = report.stats("ratio")
-    assert st.count == 9 and st.finite
-    assert set(st.per_depth) == {3, 4, 5}
+    assert st.count == 9 and st.finite and st.slope is not None
+    assert set(report.column("ratio")[0]) == {3, 4, 5}
 
 
 def test_trace_bound_rejects_boundary_family():
@@ -176,7 +176,9 @@ def test_extension_bound_rejects_tree_family():
 def test_equivalence_report_with_two_sided_fit():
     report = verify_equivalences(small_cfg(lambda1=1.0))
     assert report.passed
-    assert report.two_sided.C >= 1.0
+    [(label, ok)] = report.extra_checks
+    assert ok and label.startswith("two-sided fit C=")
+    assert float(label.removeprefix("two-sided fit C=")) >= 1.0
     rows_with_chi = [r for r in report.rows if 0.0 <= r["chi_fraction"] <= 1.0]
     assert len(rows_with_chi) == len(report.rows)
 
@@ -727,3 +729,48 @@ def test_cli_verify_equivalence_reports_how_the_hajlasz_energy_was_reached(tmp_p
         assert float(row["hajlasz_rel_gap"]) == max(b.rel_gap for b in sol.blocks.values())
         solved += 1
     assert solved == sum(d <= cfg.hajlasz_max_depth for d in cfg.depths) * len(cfg.seeds)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["verify", check] for check in sorted(treetrace.cli._VERIFY_DRIVERS)] + [["gen"]],
+    ids=lambda command: command[-1],
+)
+def test_cli_rejects_k_below_2_first_with_one_message(tmp_path, capsys, command):
+    # trace-bound and extension-bound used to fail on the trace hypotheses
+    # and equivalence on theta, each with its own message
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("K = 1\nseeds = 0\ndepths = 3\n")
+    out = tmp_path / "out.csv"
+    assert main([*command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "treetrace: error: K must be at least 2\n"
+
+
+@pytest.mark.parametrize("command", [["verify", "trace-bound"], ["gen"]], ids=lambda c: c[-1])
+def test_cli_out_of_memory_exits_2_naming_the_size_and_depth(tmp_path, capsys, command):
+    # the first array at depth 50 holds 2^50 doubles, 8 PiB: more than the
+    # address space, so the allocation fails at once without touching memory
+    out = tmp_path / "out.csv"
+    assert main([*command, "--depth", "50", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("treetrace: error: out of memory at depth 50: ")
+    assert "8.00 PiB" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [("1", True), ("TRUE", True), ("Yes", True), ("0", False), ("false", False), ("NO", False)],
+)
+def test_config_emit_plot_data_words(tmp_path, text, value):
+    path = tmp_path / "cfg.txt"
+    path.write_text(f"emit_plot_data = {text}\n")
+    assert load_config(str(path)).emit_plot_data is value
+
+
+@pytest.mark.parametrize("text", ["ture", "on", "2", ""])
+def test_config_rejects_an_unknown_emit_plot_data_word(tmp_path, text):
+    # a misspelt "true" used to load silently as False
+    path = tmp_path / "cfg.txt"
+    path.write_text(f"seeds = 0\nemit_plot_data = {text}\n")
+    with pytest.raises(ValueError, match=r"cfg\.txt, line 2: bad value for emit_plot_data"):
+        load_config(str(path))

@@ -6,13 +6,12 @@ import pytest
 from treetrace import (
     BoundaryFunction,
     EnergyParams,
+    TreeParams,
     YoungPhi,
     dyadic_orlicz_modular,
     extend,
     generate,
     gradient_lphi_modular,
-    make_tree_params,
-    star_majorant,
     trace,
 )
 from treetrace.harness import fit_log_slope
@@ -59,41 +58,13 @@ def test_operators_linear():
     assert np.max(np.abs(tc - (a * trace(Fu).values + b * trace(Fv).values))) <= 1e-12
 
 
-def test_star_majorant_hand_value():
-    F = extend(BoundaryFunction(2, 2, [1.0, 0.0, 0.0, 0.0]))
-    # 1/4 + |1/2 - 1/4| + |1 - 1/2| = 1
-    assert star_majorant(F, (0, 0)) == pytest.approx(1.0, abs=1e-15)
-    assert star_majorant(F, (1, 1)) == pytest.approx(0.25 + 0.25 + 0.0)
-
-
-def test_star_majorant_constant():
-    F = extend(BoundaryFunction(2, 3, np.full(8, -3.0)))
-    for leaf in ((0, 0, 0), (1, 0, 1)):
-        assert star_majorant(F, leaf) == pytest.approx(3.0)
-
-
-def test_star_majorant_dominates_trace():
-    for seed in range(100):
-        F = generate("random-vertex", K=2, depth=4, seed=seed)
-        tr = trace(F).values
-        for i in range(16):
-            digits = tuple(int(c) for c in format(i, "04b"))
-            assert star_majorant(F, digits) >= abs(tr[i]) - 1e-12
-
-
-def test_star_majorant_rejects_short_address():
-    F = extend(BoundaryFunction(2, 3, np.zeros(8)))
-    with pytest.raises(ValueError):
-        star_majorant(F, (0, 1))
-
-
 def test_gradient_energy_comparison_stable_in_depth():
     # the gradient modular of an extension tracks the dyadic Orlicz energy
     # of the boundary datum, uniformly over the truncation depth
     phi = YoungPhi(2.0, 1.0)
     ratios, depths = [], []
     for depth in range(4, 9):
-        tp = make_tree_params(2, LN2, 2 * LN2, 0.0, depth)
+        tp = TreeParams(2, LN2, 2 * LN2, 0.0, depth)
         ep = EnergyParams(theta=0.5, p=2.0, epsilon=LN2, lambda2=0.0)
         for seed in range(5):
             u = generate("iid-uniform", K=2, depth=depth, seed=seed)

@@ -8,29 +8,30 @@ from scipy import integrate
 
 from treetrace import (
     EdgePoint,
+    TreeParams,
     ahlfors_ratio,
     arclength,
     ball_measure,
     doubling_ratios,
     edge_length,
-    edge_mass,
     edge_measure,
-    make_tree_params,
     min_shift_constant,
     residual_measure,
     sample_ball_centers,
     split_distances,
-    tree_measure,
-    vertex_distance,
 )
-from treetrace.address import index_digits
-from treetrace.tree import TreeParams
+from treetrace.address import check_digits, index_digits
 
 LN2 = math.log(2.0)
 
 
 def std_params(depth=8, K=2, epsilon=LN2, beta=2 * LN2, lambda2=0.0, quad_order=8):
-    return make_tree_params(K, epsilon, beta, lambda2, depth, quad_order)
+    return TreeParams(K, epsilon, beta, lambda2, depth, quad_order)
+
+
+def truncated_mass(params):
+    """Mass of the truncated tree: K^(n+1) edges of mass edge_measure(n) per level."""
+    return sum(params.K ** (n + 1) * edge_measure(params, n) for n in range(params.depth))
 
 
 # ---------------------------------------------------------------- parameters
@@ -44,7 +45,7 @@ def test_params_derived_quantities():
 
 def test_params_minimal_shift_value():
     # max{2*|1|/(2 - ln 3), 2*ln 4} = 2*ln 4
-    p = make_tree_params(3, 1.0, 2.0, 1.0, 4)
+    p = TreeParams(3, 1.0, 2.0, 1.0, 4)
     expected = max(2.0 / (2.0 - math.log(3.0)), 2.0 * math.log(4.0))
     assert expected == pytest.approx(2.772588722239781, abs=1e-12)
     assert p.C_const == pytest.approx(expected, abs=1e-12)
@@ -52,32 +53,32 @@ def test_params_minimal_shift_value():
 
 def test_params_rejections():
     with pytest.raises(ValueError, match="beta must exceed log K"):
-        make_tree_params(2, LN2, LN2, 0.0, 4)
+        TreeParams(2, LN2, LN2, 0.0, 4)
     with pytest.raises(ValueError, match="K must be at least 2"):
-        make_tree_params(1, LN2, 2 * LN2, 0.0, 4)
+        TreeParams(1, LN2, 2 * LN2, 0.0, 4)
     with pytest.raises(ValueError, match="epsilon must be positive"):
-        make_tree_params(2, 0.0, 2 * LN2, 0.0, 4)
+        TreeParams(2, 0.0, 2 * LN2, 0.0, 4)
     with pytest.raises(ValueError, match="depth"):
-        make_tree_params(2, LN2, 2 * LN2, 0.0, 0)
+        TreeParams(2, LN2, 2 * LN2, 0.0, 0)
     with pytest.raises(ValueError, match="quad_order"):
-        make_tree_params(2, LN2, 2 * LN2, 0.0, 4, quad_order=1)
+        TreeParams(2, LN2, 2 * LN2, 0.0, 4, quad_order=1)
     with pytest.raises(ValueError, match="C_const"):
-        make_tree_params(2, LN2, 2 * LN2, 0.0, 4, c_const=1.0)
+        TreeParams(2, LN2, 2 * LN2, 0.0, 4, C_const=1.0)
     with pytest.raises(ValueError, match="C_const"):
-        TreeParams(2, LN2, 2 * LN2, 0.0, 0.5, 4)
+        TreeParams(2, LN2, 2 * LN2, 0.0, 4, 8, 0.5)
 
 
 @pytest.mark.parametrize("lambda2", [300.0, -300.0, 1e308, -1e308])
 def test_params_reject_a_density_factor_out_of_float_range(lambda2):
     # at 300 the minimal shift is C = 866 and (t + C)^300 overflowed in
-    # edge_mass and the tree modular (newtonian_norm = inf); at 1e308 the
-    # shift itself was inf
+    # the edge masses and the tree modular (newtonian_norm = inf); at 1e308
+    # the shift itself was inf
     with pytest.raises(ValueError, match="lambda2"):
-        TreeParams(2, LN2, 2 * LN2, lambda2, None, 4)
+        TreeParams(2, LN2, 2 * LN2, lambda2, 4)
     with pytest.raises(ValueError, match="lambda2"):
-        make_tree_params(2, LN2, 2 * LN2, lambda2, 4, c_const=1e300)
+        TreeParams(2, LN2, 2 * LN2, lambda2, 4, C_const=1e300)
     # C = 2 * 100 / log 2 = 288.5 and (4 + C)^100 = 1.5e246 stay in range
-    p = TreeParams(2, LN2, 2 * LN2, 100.0, None, 4)
+    p = TreeParams(2, LN2, 2 * LN2, 100.0, 4)
     assert 0.0 < edge_measure(p, 3) < math.inf
 
 
@@ -85,7 +86,7 @@ def test_params_reject_a_density_factor_out_of_float_range(lambda2):
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_params_reject_non_finite_values(name, bad):
     # NaN passes every comparison in the range checks, so it needs its own
-    args = dict(K=2, epsilon=LN2, beta=2 * LN2, lambda2=0.0, C_const=None, depth=4)
+    args = dict(K=2, epsilon=LN2, beta=2 * LN2, lambda2=0.0, depth=4, C_const=None)
     args[name] = bad
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         TreeParams(**args)
@@ -93,13 +94,13 @@ def test_params_reject_non_finite_values(name, bad):
 
 def test_params_none_shift_is_the_minimal_one():
     cmin = min_shift_constant(2, LN2, 2 * LN2, 1.0)
-    assert TreeParams(2, LN2, 2 * LN2, 1.0, None, 4).C_const == cmin
-    assert make_tree_params(2, LN2, 2 * LN2, 1.0, 4).C_const == cmin
+    assert TreeParams(2, LN2, 2 * LN2, 1.0, 4, C_const=None).C_const == cmin
+    assert TreeParams(2, LN2, 2 * LN2, 1.0, 4).C_const == cmin
 
 
 def test_params_shift_can_only_grow():
     cmin = min_shift_constant(2, LN2, 2 * LN2, 0.0)
-    p = make_tree_params(2, LN2, 2 * LN2, 0.0, 4, c_const=cmin + 3.0)
+    p = TreeParams(2, LN2, 2 * LN2, 0.0, 4, C_const=cmin + 3.0)
     assert p.C_const == pytest.approx(cmin + 3.0)
 
 
@@ -189,7 +190,7 @@ def test_ahlfors_ratio_binary_tree_value():
 
 
 def test_ahlfors_ratio_constant_across_cells_and_levels():
-    p = make_tree_params(3, 1.0, 2.0, 0.0, 8)
+    p = TreeParams(3, 1.0, 2.0, 0.0, 8)
     vals = [
         ahlfors_ratio(p, digits)
         for n in range(9)
@@ -207,13 +208,30 @@ def test_ahlfors_ratio_checks_the_address():
 
 
 # ------------------------------------------------------------ vertex distance
+# The geodesic between two vertices runs through their common ancestor at
+# the level k of their common address prefix, so its length is a sum of
+# arclength differences; check_digits validates the addresses.
+
+
+def _vertex_distance(p, x, y):
+    x, y = check_digits(p.K, x, p.depth), check_digits(p.K, y, p.depth)
+    k = next((i for i, (a, b) in enumerate(zip(x, y)) if a != b), min(len(x), len(y)))
+    return (arclength(p, len(x)) - arclength(p, k)) + (arclength(p, len(y)) - arclength(p, k))
 
 
 def test_vertex_distance_basic_values():
     p = std_params()
-    assert vertex_distance(p, (), ()) == 0.0
-    assert vertex_distance(p, (), (0,)) == pytest.approx(0.7213475204444817, rel=1e-12)
-    assert vertex_distance(p, (0,), (1,)) == pytest.approx(1.4426950408889634, rel=1e-12)
+    assert _vertex_distance(p, (), ()) == 0.0
+    assert _vertex_distance(p, (), (0,)) == pytest.approx(0.7213475204444817, rel=1e-12)
+    assert _vertex_distance(p, (0,), (1,)) == pytest.approx(1.4426950408889634, rel=1e-12)
+    # two level-N vertices that split at level k, each continued by a ray
+    # of length 1/epsilon - arclength(N), are split_distances[k] apart
+    d = split_distances(p.epsilon, p.depth)
+    tails = 2.0 * (1.0 / p.epsilon - arclength(p, p.depth))
+    for k in range(p.depth):
+        x = (0,) * p.depth
+        y = (0,) * k + (1,) + (0,) * (p.depth - k - 1)
+        assert _vertex_distance(p, x, y) + tails == pytest.approx(d[k], rel=1e-12)
 
 
 def test_vertex_distance_symmetry_and_identity():
@@ -223,8 +241,8 @@ def test_vertex_distance_symmetry_and_identity():
         n1, n2 = rng.integers(0, 6, size=2)
         x = tuple(rng.integers(0, 2, size=n1))
         y = tuple(rng.integers(0, 2, size=n2))
-        assert vertex_distance(p, x, y) == pytest.approx(vertex_distance(p, y, x), abs=1e-15)
-        assert vertex_distance(p, x, x) == 0.0
+        assert _vertex_distance(p, x, y) == pytest.approx(_vertex_distance(p, y, x), abs=1e-15)
+        assert _vertex_distance(p, x, x) == 0.0
 
 
 @settings(max_examples=60, deadline=None)
@@ -239,8 +257,8 @@ def test_vertex_distance_additive_along_chain(digits, cut1, cut2):
     a, b = sorted((min(cut1, len(digits)), min(cut2, len(digits))))
     z = tuple(digits)
     x, y = z[:a], z[:b]
-    d_xz = vertex_distance(p, x, z)
-    d_sum = vertex_distance(p, x, y) + vertex_distance(p, y, z)
+    d_xz = _vertex_distance(p, x, z)
+    d_sum = _vertex_distance(p, x, y) + _vertex_distance(p, y, z)
     assert d_xz == pytest.approx(d_sum, abs=1e-12)
 
 
@@ -250,17 +268,17 @@ def test_vertex_distance_triangle_inequality():
     for _ in range(100):
         pts = [tuple(rng.integers(0, 3, size=rng.integers(0, 6))) for _ in range(3)]
         x, y, z = pts
-        assert vertex_distance(p, x, z) <= (
-            vertex_distance(p, x, y) + vertex_distance(p, y, z) + 1e-12
+        assert _vertex_distance(p, x, z) <= (
+            _vertex_distance(p, x, y) + _vertex_distance(p, y, z) + 1e-12
         )
 
 
 def test_vertex_distance_rejects_bad_addresses():
     p = std_params(depth=3)
-    with pytest.raises(ValueError):
-        vertex_distance(p, (0, 2), ())
-    with pytest.raises(ValueError):
-        vertex_distance(p, (0,) * 4, ())
+    with pytest.raises(ValueError, match="digit 2 out of range"):
+        check_digits(p.K, (0, 2), p.depth)
+    with pytest.raises(ValueError, match="longer than depth 3"):
+        check_digits(p.K, (0,) * 4, p.depth)
 
 
 # ---------------------------------------------------------------- edge measure
@@ -271,29 +289,31 @@ def test_edge_measure_closed_form_at_lambda_zero():
     beta = p.beta
     for n in range(11):
         closed = (math.exp(-beta * n) - math.exp(-beta * (n + 1))) / beta
-        assert edge_measure(p, n, 0.0) == pytest.approx(closed, rel=1e-12)
-    assert edge_measure(p, 0, 0.0) == pytest.approx(0.75 / (2 * LN2), rel=1e-12)
+        assert edge_measure(p, n) == pytest.approx(closed, rel=1e-12)
+    assert edge_measure(p, 0) == pytest.approx(0.75 / (2 * LN2), rel=1e-12)
 
 
 def test_edge_measure_exponential_shift_at_lambda_zero():
     p = std_params()
-    assert edge_measure(p, 1, 0.0) == pytest.approx(
-        math.exp(-p.beta) * edge_measure(p, 0, 0.0), rel=1e-12
+    assert edge_measure(p, 1) == pytest.approx(
+        math.exp(-p.beta) * edge_measure(p, 0), rel=1e-12
     )
 
 
 def test_edge_mass_weighted_against_adaptive_quadrature():
-    # raw quadrature helper, checked with a shift below the bundle's minimum
-    beta, c, lam = 2 * LN2, 2.0034, 1.0
+    # epsilon = 1.5 and beta = 2 admit the shift 2.0034 (the minimum is 1.848)
+    beta, c, lam = 2.0, 2.0034, 1.0
+    p = TreeParams(2, 1.5, beta, lam, 1, C_const=c)
     oracle, err = integrate.quad(lambda t: math.exp(-beta * t) * (t + c) ** lam, 0.0, 1.0)
     assert err < 1e-12
-    assert edge_mass(beta, c, lam, 0, order=8) == pytest.approx(oracle, rel=1e-10)
+    assert edge_measure(p, 0) == pytest.approx(oracle, rel=1e-10)
 
 
 def test_edge_mass_matches_tenfold_order():
+    # beta = 2 admits the shift 4 at every lambda2 here (the minimum is 4)
     for lam in (-1.5, 0.7, 2.0):
-        lo = edge_mass(2 * LN2, 4.0, lam, 3, order=8)
-        hi = edge_mass(2 * LN2, 4.0, lam, 3, order=80)
+        lo = edge_measure(TreeParams(2, LN2, 2.0, lam, 4, C_const=4.0), 3)
+        hi = edge_measure(TreeParams(2, LN2, 2.0, lam, 4, quad_order=80, C_const=4.0), 3)
         assert lo == pytest.approx(hi, rel=1e-12)
 
 
@@ -330,13 +350,13 @@ def test_residual_measure_ratio_per_level():
 def test_tree_measure_complements_residual():
     p = std_params(depth=6, lambda2=1.0)
     total = residual_measure(p, from_level=0)
-    assert tree_measure(p) + residual_measure(p) == pytest.approx(total, rel=1e-12)
+    assert truncated_mass(p) + residual_measure(p) == pytest.approx(total, rel=1e-12)
 
 
 def test_residual_measure_at_a_large_accepted_lambda2():
     # (t + C)^120 leaves the float range a few levels below the truncation,
     # which used to end in "OverflowError: int too large to convert to float"
-    p = TreeParams(2, LN2, 2 * LN2, 120.0, None, 4)
+    p = TreeParams(2, LN2, 2 * LN2, 120.0, 4)
     with np.errstate(over="raise", invalid="raise"):
         value = residual_measure(p)
     # oracle: adaptive quadrature per edge with e^700 taken out
@@ -352,7 +372,7 @@ def test_residual_measure_at_a_large_accepted_lambda2():
         terms.append(term)
     assert value == pytest.approx(math.exp(700.0) * math.fsum(terms), rel=1e-12)
     # one step further the total itself is out of range
-    q = TreeParams(2, LN2, 2 * LN2, 121.0, None, 1)
+    q = TreeParams(2, LN2, 2 * LN2, 121.0, 1)
     with pytest.raises(ValueError, match="lambda2 = 121"):
         residual_measure(q, from_level=0)
 
@@ -392,13 +412,11 @@ def _level_distances(params, center):
     return dist, anc, ax
 
 
-def _per_edge_ball_measure(params, center, radius, lam=None):
+def _per_edge_ball_measure(params, center, radius):
     """Reference ball mass: one clipped interval and one quadrature per
     edge, over all K^N edges, level by level."""
-    if lam is None:
-        lam = params.lambda2
     K, N, eps = params.K, params.depth, params.epsilon
-    beta, c_shift = params.beta, params.C_const
+    beta, c_shift, lam = params.beta, params.C_const, params.lambda2
     dist, anc, ax = _level_distances(params, center)
     a_lev = (1.0 - np.exp(-eps * np.arange(N + 1))) / eps
     gx, gw = np.polynomial.legendre.leggauss(params.quad_order)
@@ -488,7 +506,7 @@ def test_ball_measure_against_riemann_oracle(center, radius):
 def test_ball_measure_full_radius_is_total_mass():
     p = std_params(depth=4)
     c = EdgePoint(1, 2, 0.4)
-    assert ball_measure(p, c, p.diameter) == pytest.approx(tree_measure(p), rel=1e-12)
+    assert ball_measure(p, c, p.diameter) == pytest.approx(truncated_mass(p), rel=1e-12)
 
 
 def test_ball_measure_monotone_in_radius():
@@ -527,7 +545,7 @@ def _balls(draw):
     K = draw(st.sampled_from((2, 3, 4)))
     depth = draw(st.integers(1, 6))
     lam = draw(st.sampled_from((-0.5, 0.0, 1.0)))
-    p = make_tree_params(K, LN2, 2.0 * math.log(K) + 0.3, lam, depth)
+    p = TreeParams(K, LN2, 2.0 * math.log(K) + 0.3, lam, depth)
     level = draw(st.integers(0, depth - 1))
     index = draw(st.integers(0, K ** (level + 1) - 1))
     offset = draw(st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0)))
@@ -546,7 +564,7 @@ def test_ball_measure_matches_per_edge_oracle(ball):
 
 def test_ball_measure_independent_of_child_index():
     for K, depth in ((2, 5), (3, 4)):
-        p = make_tree_params(K, LN2, 2.0 * math.log(K) + 0.3, 1.0, depth)
+        p = TreeParams(K, LN2, 2.0 * math.log(K) + 0.3, 1.0, depth)
         for level in range(depth):
             for radius in (0.05, 0.6, 1.9):
                 masses = [
@@ -569,7 +587,7 @@ def test_ball_measure_nan_radius_rejected_and_inf_is_total_mass():
     with pytest.raises(ValueError, match="one radius per center"):
         doubling_ratios(p, centers, [0.5])
     assert ball_measure(p, EdgePoint(1, 2, 0.5), math.inf) == pytest.approx(
-        tree_measure(p), rel=1e-12
+        truncated_mass(p), rel=1e-12
     )
     assert np.array_equal(doubling_ratios(p, centers, [math.inf] * 2), [1.0, 1.0])
 
@@ -580,7 +598,7 @@ def test_ball_measure_deep_tree():
     centers, _ = sample_ball_centers(p, 36, seed=3)
     centers += [EdgePoint(0, 0, 0.0), EdgePoint(19, 2**20 - 1, 1.0)]
     radii = p.diameter * np.array([1e-3, 1e-2, 0.1, 0.25, 0.5, 1.0])
-    total = tree_measure(p)
+    total = truncated_mass(p)
     for c in centers:
         masses = [ball_measure(p, c, r) for r in radii]
         assert 0 < masses[0] and all(a <= b for a, b in zip(masses, masses[1:]))
