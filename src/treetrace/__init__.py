@@ -19,7 +19,6 @@ from .hajlasz import (
     ConvergenceError,
     HajlaszInstance,
     HajlaszSolution,
-    SolverConfig,
     hajlasz_feasible,
     hajlasz_minimize,
     hajlasz_minimize_all,
@@ -70,7 +69,6 @@ from .young import (
     YoungModular,
     YoungPhi,
     luxemburg_gauge,
-    phi_eval,
 )
 
 __version__ = "0.1.0"

@@ -197,9 +197,10 @@ def orlicz_besov_norm(f: BoundaryFunction, params: EnergyParams, phi: YoungPhi) 
 
 @dataclass(frozen=True)
 class MonteCarloEstimate:
+    """A Monte Carlo estimate and its standard error."""
+
     value: float
     stderr: float
-    n_samples: int
 
 
 def _has_closed_form(p: float) -> bool:
@@ -327,4 +328,4 @@ def double_integral_energy_mc(
     )
     est = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(n_samples))
-    return MonteCarloEstimate(est, se, n_samples)
+    return MonteCarloEstimate(est, se)

@@ -68,7 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--emit-plot-data",
         action="store_true",
-        help="also write (depth, ratio) series next to the report",
+        help="also write (depth, ratio) series next to the report (ratio checks only)",
     )
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -198,13 +198,17 @@ def _run(args, cfg) -> int:
     report = _VERIFY_DRIVERS[args.check](cfg)
     for line in report.summary_lines():
         _say(line)
+    plots = hasattr(report, "plot_data")
     if cfg.out:
         report.to_csv(cfg.out)
         _say(f"wrote report rows to {cfg.out}")
-        if cfg.emit_plot_data and hasattr(report, "plot_data"):
+        if cfg.emit_plot_data and plots:
             plot_path = cfg.out + ".plot.csv"
             report.plot_data(plot_path)
             _say(f"wrote plot data to {plot_path}")
+    if cfg.emit_plot_data and not plots:
+        # not an error: a config shared by several checks may set the key
+        _say(f"verify {args.check} writes no plot data: emit_plot_data ignored")
     return 0 if report.passed else 1
 
 

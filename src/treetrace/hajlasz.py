@@ -12,7 +12,7 @@ g_k^p over all feasible systems.
 Scales that occur at no pair carry g_k = 0 at the optimum and are dropped.
 The objective and the constraints decouple across scales, so the program
 splits into one block per scale.  Each block is solved by one of two
-methods, recorded per block in `HajlaszSolution.blocks`:
+methods, named in `HajlaszSolution.method`:
 
 * p = 2: accelerated projected ascent on the dual.  For multipliers
   mu >= 0 (one per pair) the Lagrangian minimizer is g_i = s_i / (2 nu),
@@ -63,7 +63,6 @@ from .tree import split_distances
 
 __all__ = [
     "HajlaszInstance",
-    "SolverConfig",
     "HajlaszSolution",
     "BlockReport",
     "ConvergenceError",
@@ -77,6 +76,11 @@ __all__ = [
 _ORACLE_MAX_LEAVES = 8
 _ORACLE_MAX_SCALES = 3
 _ORACLE_POINT_BUDGET = 20_000_000
+# a block stops at this certified relative duality gap, and raises
+# ConvergenceError after this many iterations (dual-ascent steps at p = 2,
+# Newton steps otherwise)
+_REL_TOL = 1e-8
+_MAX_ITERS = 100_000
 
 
 class ConvergenceError(RuntimeError):
@@ -183,51 +187,26 @@ def hajlasz_feasible(inst: HajlaszInstance, g, rtol: float = 1e-9) -> bool:
 
 
 @dataclass(frozen=True)
-class SolverConfig:
-    """Knobs of the solvers.
-
-    rel_tol is the certified relative duality gap at which a block stops
-    and max_iters the cap on its iterations (dual-ascent steps at p = 2,
-    Newton steps otherwise), beyond which ConvergenceError is raised.
-    max_iters must be a positive integer, rel_tol finite and >= 0.
-    """
-
-    max_iters: int = 100_000
-    rel_tol: float = 1e-8
-
-    def __post_init__(self) -> None:
-        value = self.max_iters
-        if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 1:
-            raise ValueError(f"max_iters must be a positive integer, got {value!r}")
-        if not 0.0 <= self.rel_tol < math.inf:
-            raise ValueError(f"rel_tol must be finite and >= 0, got {self.rel_tol!r}")
-
-
-@dataclass(frozen=True)
 class BlockReport:
-    """How one scale block was solved.
+    """How one scale block was solved: iterations counts its dual-ascent
+    steps or Newton steps, and rel_gap is the final (upper - lower) / upper
+    between the primal value and the dual bound, within `_REL_TOL` (a
+    block that does not certify raises ConvergenceError)."""
 
-    method is "dual-ascent" or "interior-point"; iterations counts
-    dual-ascent steps or Newton steps; rel_gap is the final
-    (upper - lower) / upper between the primal value and the dual bound.
-    """
-
-    method: str
     iterations: int
     rel_gap: float
-    converged: bool
 
 
 @dataclass
 class HajlaszSolution:
-    """Solver output.  blocks maps each constrained scale to its report;
-    iterations is the sum of their iterations and converged holds when
-    every block converged."""
+    """Solver output.  method is "dual-ascent" (p = 2) or
+    "interior-point", the method of every block; blocks maps each
+    constrained scale to its report, and iterations is the sum of their
+    iterations."""
 
     value: float
     g: dict[int, np.ndarray] = field(repr=False)
     iterations: int
-    converged: bool
     method: str
     blocks: dict[int, BlockReport]
 
@@ -514,7 +493,7 @@ class _DualLayout:
         return blocks
 
 
-def _solve_dual_blocks(batch, cfg: SolverConfig):
+def _solve_dual_blocks(batch):
     """Accelerated projected dual ascent on every scale block of the p = 2
     instances `batch`, a list of (position, instance).
 
@@ -524,11 +503,11 @@ def _solve_dual_blocks(batch, cfg: SolverConfig):
     Every `_CHECK_EVERY` steps each block computes its dual lower bound and
     repairs the Lagrangian minimizer into its best primal point (seeded
     with the symmetric feasible start g = max(bound)/2); a block stops when
-    their relative gap drops below cfg.rel_tol.  If a check finds a block's
+    their relative gap drops below `_REL_TOL`.  If a check finds a block's
     dual value lower than before (the accelerated ascent is not monotone),
     its step is halved and its momentum restarted.  Returns
     (position, scale) -> (leaf array, BlockReport); the ConvergenceError
-    raised at cfg.max_iters names every block left uncertified.
+    raised at `_MAX_ITERS` names every block left uncertified.
     """
     blocks = []
     for at, inst in batch:
@@ -549,7 +528,7 @@ def _solve_dual_blocks(batch, cfg: SolverConfig):
     lay = _DualLayout(blocks)
     # the momentum coefficient of the i-th step after a restart
     solved, momentum, tk = {}, [], 1.0
-    for t in range(cfg.max_iters):
+    for t in range(_MAX_ITERS):
         tk1 = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * tk * tk))
         momentum.append((tk - 1.0) / tk1)
         tk = tk1
@@ -566,11 +545,10 @@ def _solve_dual_blocks(batch, cfg: SolverConfig):
             if primal < blk.best:
                 blk.best, blk.best_g = primal, g
             blk.gap = (blk.best - dual) / blk.best
-            if blk.best - dual <= cfg.rel_tol * max(blk.best, 1e-300):
+            if blk.best - dual <= _REL_TOL * max(blk.best, 1e-300):
                 out = np.zeros(blk.n_leaves)
                 out[blk.active] = blk.best_g
-                report = BlockReport("dual-ascent", t + 1, blk.gap, blk.gap <= cfg.rel_tol)
-                solved[blk.at, blk.k] = out, report
+                solved[blk.at, blk.k] = out, BlockReport(t + 1, blk.gap)
                 continue
             if dual < blk.last_dual:
                 blk.sigma *= 0.5
@@ -596,7 +574,7 @@ def _solve_dual_blocks(batch, cfg: SolverConfig):
         for blk in lay.blocks
     )
     raise ConvergenceError(
-        f"dual ascent did not certify the optimum within {cfg.max_iters} iterations: {left}"
+        f"dual ascent did not certify the optimum within {_MAX_ITERS} iterations: {left}"
     )
 
 
@@ -613,7 +591,7 @@ def _max_step(x, dx):
     return min(1.0, float(np.min(-x[neg] / dx[neg]))) if neg.any() else 1.0
 
 
-def _solve_scale_ipm(nu, p, ia, ib, bound, n_leaves, block, cfg: SolverConfig):
+def _solve_scale_ipm(nu, p, ia, ib, bound, n_leaves, block):
     """Primal-dual interior-point method on one scale block (p >= 1).
 
     Minimizes nu * sum g^p subject to s = A g - bound >= 0 and g >= 0, with
@@ -657,7 +635,7 @@ def _solve_scale_ipm(nu, p, ia, ib, bound, n_leaves, block, cfg: SolverConfig):
     s = g[la] + g[lb] - b
     start = p * nu * float(np.sum(g**p)) / (m + n)
     mu, z = start / s, start / g
-    for t in range(cfg.max_iters):
+    for t in range(_MAX_ITERS):
         target = _CENTRING * (float(np.dot(s, mu)) + float(np.dot(g, z))) / (m + n)
         w = mu / s
         diag[active] = nu * p * (p - 1.0) * g ** (p - 2.0) + z / g
@@ -682,7 +660,7 @@ def _solve_scale_ipm(nu, p, ia, ib, bound, n_leaves, block, cfg: SolverConfig):
             _repair(c, la, lb, b)
         values = [nu * float(np.sum(c**p)) for c in candidates]
         primal = min(values)
-        if primal - dual <= cfg.rel_tol * primal:
+        if primal - dual <= _REL_TOL * primal:
             out = np.zeros(n_leaves)
             out[active] = unit * candidates[values.index(primal)]
             _repair(out, ia, ib, bound)
@@ -692,28 +670,25 @@ def _solve_scale_ipm(nu, p, ia, ib, bound, n_leaves, block, cfg: SolverConfig):
             # by up to p times the relative slack.
             out *= float(np.max(bound / (out[ia] + out[ib])))
             _repair(out, ia, ib, bound)
-            gap = (primal - dual) / primal
-            return out, BlockReport("interior-point", t + 1, gap, gap <= cfg.rel_tol)
+            return out, BlockReport(t + 1, (primal - dual) / primal)
     raise ConvergenceError(
-        f"interior-point method did not certify the optimum within {cfg.max_iters} iterations"
+        f"interior-point method did not certify the optimum within {_MAX_ITERS} iterations"
     )
 
 
-def hajlasz_minimize(
-    inst: HajlaszInstance, config: SolverConfig | None = None
-) -> HajlaszSolution:
+def hajlasz_minimize(inst: HajlaszInstance) -> HajlaszSolution:
     """Minimize the p-th-power objective over feasible gradient systems.
 
     Returns the per-scale minimizers (guaranteed feasible), the summed
     objective and one `BlockReport` per constrained scale.  Scales without
-    constraints get the zero array.
+    constraints get the zero array.  Every block stops at a certified
+    relative gap of `_REL_TOL` = 1e-8; one that has not reached it after
+    `_MAX_ITERS` = 100,000 iterations raises ConvergenceError.
     """
-    return hajlasz_minimize_all([inst], config)[0]
+    return hajlasz_minimize_all([inst])[0]
 
 
-def hajlasz_minimize_all(
-    instances, config: SolverConfig | None = None
-) -> list[HajlaszSolution]:
+def hajlasz_minimize_all(instances) -> list[HajlaszSolution]:
     """`hajlasz_minimize` of each instance, in order.
 
     The p = 2 instances are taken in order into batches whose pair counts,
@@ -725,12 +700,11 @@ def hajlasz_minimize_all(
     ConvergenceError from a batch names each block it left uncertified,
     with its instance's position in `instances`.
     """
-    cfg = config or SolverConfig()
     instances = list(instances)
     solved = {}
     for batch in _batches(instances):
-        solved.update(_solve_dual_blocks(batch, cfg))
-    return [_solution(inst, at, solved, cfg) for at, inst in enumerate(instances)]
+        solved.update(_solve_dual_blocks(batch))
+    return [_solution(inst, at, solved) for at, inst in enumerate(instances)]
 
 
 def _batches(instances):
@@ -749,7 +723,7 @@ def _batches(instances):
         yield batch
 
 
-def _solution(inst, at, solved, cfg) -> HajlaszSolution:
+def _solution(inst, at, solved) -> HajlaszSolution:
     """The solution of the instance at position `at`, its dual-ascent
     blocks taken from `solved`, the others solved here."""
     nu = inst.leaf_measure
@@ -763,15 +737,12 @@ def _solution(inst, at, solved, cfg) -> HajlaszSolution:
             _repair(g[k], ia, ib, bound)
         else:
             block = K ** (N - inst.coarsest_level[k])
-            g[k], blocks[k] = _solve_scale_ipm(
-                nu, inst.p, ia, ib, bound, n_leaves, block, cfg
-            )
+            g[k], blocks[k] = _solve_scale_ipm(nu, inst.p, ia, ib, bound, n_leaves, block)
     value = sum(nu * float(np.sum(arr**inst.p)) for arr in g.values())
     return HajlaszSolution(
         value=value,
         g=g,
         iterations=sum(b.iterations for b in blocks.values()),
-        converged=all(b.converged for b in blocks.values()),
         method=method,
         blocks=blocks,
     )

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import bisect
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 
@@ -32,7 +31,6 @@ import numpy as np
 
 __all__ = [
     "YoungPhi",
-    "phi_eval",
     "YoungModular",
     "luxemburg_gauge",
     "GaugeBracketError",
@@ -44,6 +42,10 @@ _LOG2 = math.log(2.0)
 # positive doubles, from the smallest subnormal to the largest
 _MAX_STEP = 16.0 * _LOG2
 _LOG_RANGE = (math.log(math.ulp(0.0)), math.log(sys.float_info.max))
+# the gauge's final bracket [lo, k] has k - lo <= _TOL * k, and its search
+# for a bracket takes at most _MAX_DOUBLINGS steps
+_TOL = 1e-10
+_MAX_DOUBLINGS = 200
 # elements per pass of a modular evaluation: the size of its scratch buffer
 _CHUNK = 1 << 14
 
@@ -98,7 +100,14 @@ class YoungPhi:
             )
 
     def __call__(self, t):
-        return phi_eval(self, t)
+        """t^p * log(e+t)^lambda1 for scalar or array t >= 0."""
+        arr = np.asarray(t, dtype=float)
+        if np.any(arr < 0):
+            raise ValueError("Young functions take nonnegative arguments")
+        out = arr**self.p * np.log(math.e + arr) ** self.lambda1
+        if np.isscalar(t) or arr.ndim == 0:
+            return float(out)
+        return out
 
 
 def _lowest_lambda1(p: float) -> float:
@@ -112,17 +121,6 @@ def _lowest_lambda1(p: float) -> float:
     for _ in range(40):  # a contraction by e / (e + t) < 0.32 per step
         t = math.e * math.log(math.e + t)
     return -p * (1.0 + t / math.e)
-
-
-def phi_eval(phi: YoungPhi, t):
-    """Evaluate t^p * log(e+t)^lambda1 for scalar or array t >= 0."""
-    arr = np.asarray(t, dtype=float)
-    if np.any(arr < 0):
-        raise ValueError("Young functions take nonnegative arguments")
-    out = arr**phi.p * np.log(math.e + arr) ** phi.lambda1
-    if np.isscalar(t) or arr.ndim == 0:
-        return float(out)
-    return out
 
 
 class YoungModular:
@@ -288,21 +286,19 @@ def _log(v: float) -> float:
     return math.log(v) if v > 0.0 else -math.inf
 
 
-def luxemburg_gauge(
-    rho, tol: float = 1e-10, max_doublings: int = 200, start: tuple[float, float] | None = None
-) -> float:
+def luxemburg_gauge(rho, start: tuple[float, float] | None = None) -> float:
     """inf{k > 0 : rho(k) <= 1} for a non-increasing modular rho.
 
     Finds the root of g(x) = log rho(e^x), derivative-free.  From
     x = log k = 0, or from x0 when `start` = (x0, p) is given, it steps
-    outward until the crossing is bracketed (at most `max_doublings`
+    outward until the crossing is bracketed (at most `_MAX_DOUBLINGS` = 200
     steps): by the secant extrapolation through the last two samples when
     they give one; else, with a start, along the slope -p of a modular of
-    degree p to 0.4 * tol past the root of that line, which brackets the
+    degree p to 0.4 * `_TOL` past the root of that line, which brackets the
     root wherever g falls at least as fast as -p (a `YoungModular` with
     lambda1 >= 0 does), and by the largest step while rho is 0 or inf;
     else by a factor 2.  It then runs Illinois regula falsi on the
-    bracket, keeping every iterate at least 0.4 * tol (in log k) inside
+    bracket, keeping every iterate at least 0.4 * `_TOL` (in log k) inside
     it so that both ends close, and bisects in log k while an end value
     is 0 or inf.  For a pure power modular g is linear, so the secant is
     exact after two samples.  A start changes which samples are taken,
@@ -310,23 +306,18 @@ def luxemburg_gauge(
 
     Log k stays within the positive doubles, so 0 means rho(k) <= 1 down
     to the smallest subnormal, and +inf that rho(k) > 1 up to the largest
-    double (or that rho is infinite after `max_doublings` steps), and 0
-    also that rho is 0 after `max_doublings` steps down, as for rho
+    double (or that rho is infinite after `_MAX_DOUBLINGS` steps), and 0
+    also that rho is 0 after `_MAX_DOUBLINGS` steps down, as for rho
     identically zero.  Running out of steps with rho finite and above 1,
     or positive and at most 1, raises GaugeBracketError.  The returned k
     satisfies rho(k) <= 1, and the final bracket [lo, k] has
-    k - lo <= tol * k.  `tol` must lie in (0, 1) and `max_doublings` be a
-    positive integer.
+    k - lo <= `_TOL` * k, with `_TOL` = 1e-10.
     """
-    if not 0.0 < tol < 1.0:
-        raise ValueError(f"tol must lie in (0, 1), got {tol!r}")
-    if not (isinstance(max_doublings, numbers.Integral) and max_doublings >= 1):
-        raise ValueError(f"max_doublings must be a positive integer, got {max_doublings!r}")
     x0, degree = (0.0, None) if start is None else start
     if start is not None and not (math.isfinite(x0) and 0.0 < degree < math.inf):
         raise ValueError(f"start must be a finite log k and a positive degree, got {start!r}")
     ev = _EvalLog(rho)
-    inner = 0.4 * tol
+    inner = 0.4 * _TOL
     # bracketing: (xa, ga) and (xb, gb) are the last two samples, x = log k
     xa, ga = math.nan, math.nan
     lowest, highest = _LOG_RANGE
@@ -334,7 +325,7 @@ def luxemburg_gauge(
     vb = ev(math.exp(xb))
     gb = _log(vb)
     up = vb > 1.0
-    for _ in range(max_doublings):
+    for _ in range(_MAX_DOUBLINGS):
         if xb == (highest if up else lowest):
             # rho stays on one side of 1 to the end of the float range
             return math.inf if up else 0.0
@@ -359,14 +350,14 @@ def luxemburg_gauge(
             return math.inf
         side = ">" if up else "<="
         raise GaugeBracketError(
-            f"modular still {vb} {side} 1 after {max_doublings} doublings"
+            f"modular still {vb} {side} 1 after {_MAX_DOUBLINGS} doublings"
         )
     # Illinois regula falsi on g(lo) > 0 >= g(hi); gl and gh weight the
     # secant, and the weight of an end kept twice in a row is halved
     (xl, gl), (xh, gh) = ((xa, ga), (xb, gb)) if up else ((xb, gb), (xa, ga))
     moved = ""
     for _ in range(200):
-        if math.exp(xh) - math.exp(xl) <= tol * math.exp(xh):
+        if math.exp(xh) - math.exp(xl) <= _TOL * math.exp(xh):
             break
         if math.isfinite(gl) and math.isfinite(gh):
             x = xl + (xh - xl) * gl / (gl - gh)

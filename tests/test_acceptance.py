@@ -27,7 +27,6 @@ from treetrace import (
     hajlasz_oracle,
     luxemburg_gauge,
     orlicz_norm,
-    phi_eval,
     sample_ball_centers,
     trace,
 )
@@ -249,8 +248,8 @@ def test_criterion_11_gauge_correctness():
             k = luxemburg_gauge(lambda kk: (c / kk) ** p)
             worst = max(worst, abs((c / k) ** p - 1.0))
     phi = YoungPhi(2.0)
-    k = luxemburg_gauge(lambda kk: 4.0 * phi_eval(phi, 5.0 / kk))
-    worst = max(worst, abs(4.0 * phi_eval(phi, 5.0 / k) - 1.0))
+    k = luxemburg_gauge(lambda kk: 4.0 * phi(5.0 / kk))
+    worst = max(worst, abs(4.0 * phi(5.0 / k) - 1.0))
     k = luxemburg_gauge(lambda kk: math.exp(5.0 - kk))
     worst = max(worst, abs(math.exp(5.0 - k) - 1.0))
     ok = ok and worst <= 1e-9

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import errno
 import math
 import os
@@ -97,7 +98,7 @@ def test_config_file_parsing(tmp_path):
     path = tmp_path / "cfg.txt"
     path.write_text(
         "# geometry\nK = 2\nepsilon = 0.6931471805599453\n"
-        "beta = 1.0397207708399179\np = 2\nlambda1 = 1.0\nlambda = 1.0\n"
+        "beta = 1.0397207708399179\np = 2\nlambda1 = 1.0\nlam = 1.0\n"
         "seeds = 0..3\ndepths = 3,4\nfamily = lacunary\nemit_plot_data = true\n"
     )
     cfg = load_config(str(path))
@@ -115,6 +116,43 @@ def test_config_file_rejects_unknown_key(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("frobnicate = 1\n")
     with pytest.raises(ValueError, match="unknown config key"):
+        load_config(str(path))
+
+
+def _config_text(value) -> str:
+    """A field value as a config-file value."""
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def test_config_file_keys_are_the_config_fields(tmp_path):
+    # every field set away from its default, written as one line each and
+    # read back equal: the dataclass is the one list of config keys
+    cfg = ExperimentConfig(
+        K=3, epsilon=0.5, beta=1.75, p=2.5, lambda1=0.5, lambda2=0.25, lam=0.75,
+        theta=0.375, family="lacunary", seeds=(1, 4), depths=(3, 5), quad_order=6,
+        slope_tol=0.2, spread_max=50.0, n_balls=10, hajlasz_max_depth=3,
+        pair_budget=99, mc_samples=7, out="r.csv", emit_plot_data=True,
+    )
+    default = ExperimentConfig()
+    path = tmp_path / "cfg.txt"
+    lines = []
+    for f in dataclasses.fields(ExperimentConfig):
+        assert getattr(cfg, f.name) != getattr(default, f.name), f.name
+        lines.append(f"{f.name} = {_config_text(getattr(cfg, f.name))}\n")
+    path.write_text("".join(lines))
+    assert load_config(str(path)) == cfg
+
+
+@pytest.mark.parametrize("line, key", [("lambda = 1", "lambda"), ("N = 5", "N")])
+def test_config_file_has_no_aliases(tmp_path, line, key):
+    # `lambda` and `N` used to be read as `lam` and `depths`
+    path = tmp_path / "cfg.txt"
+    path.write_text(f"seeds = 0\n{line}\n")
+    with pytest.raises(ValueError, match=rf"cfg\.txt, line 2: unknown config key '{key}'"):
         load_config(str(path))
 
 
@@ -254,6 +292,59 @@ def test_cli_verify_failure_exit_code(tmp_path):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("seeds = 0,1\ndepths = 3,4\nslope_tol = 0.000001\n")
     assert main(["verify", "trace-bound", "--config", str(cfg)]) == 1
+
+
+@pytest.mark.parametrize("check", ["roundtrip", "doubling", "ahlfors"])
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_cli_check_without_plot_data_says_so(tmp_path, capsys, check, via):
+    # --emit-plot-data used to be dropped without a word for these checks;
+    # a config shared with the ratio checks may set it, so it stays exit 0
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("seeds = 0\ndepths = 3,4\nn_balls = 20\n")
+    extra = ["--emit-plot-data"]
+    if via == "config":
+        cfg.write_text(cfg.read_text() + "emit_plot_data = yes\n")
+        extra = []
+    out = tmp_path / "report.csv"
+    assert main(["verify", check, "--config", str(cfg), "--out", str(out), *extra]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2:] == [
+        f"wrote report rows to {out}",
+        f"verify {check} writes no plot data: emit_plot_data ignored",
+    ]
+    assert out.exists() and not (tmp_path / "report.csv.plot.csv").exists()
+
+
+@pytest.mark.parametrize("check", ["trace-bound", "equivalence", "doubling"])
+@pytest.mark.parametrize("source", ["config", "flag"])
+def test_cli_rejects_a_negative_seed_naming_seeds(tmp_path, capsys, check, source):
+    # a negative seed used to reach numpy ("expected non-negative integer"),
+    # and verify doubling, which draws its balls with seed 0, took it silently
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("seeds = 0,-1\ndepths = 3\n")
+    argv = ["verify", check, "--config", str(cfg)]
+    if source == "flag":
+        cfg.write_text("depths = 3\n")
+        argv += ["--seed", "-3"]
+    assert main(argv) == 2
+    text = capsys.readouterr()
+    worst = -1 if source == "config" else -3
+    assert text.err == f"treetrace: error: seeds must be nonnegative, got {worst}\n"
+    assert text.out == ""
+
+
+@pytest.mark.parametrize(
+    "command", [["verify", "roundtrip"], ["verify", "equivalence"], ["verify", "ahlfors"], ["gen"]],
+    ids=lambda command: command[-1],
+)
+@pytest.mark.parametrize("depth", [0, -2])
+def test_cli_rejects_a_depth_below_1_naming_depths(tmp_path, capsys, command, depth):
+    # a negative depth used to reach numpy ("expected non-negative integer")
+    out = tmp_path / "out.csv"
+    assert main([*command, "--depth", str(depth), "--seed", "0", "--out", str(out)]) == 2
+    text = capsys.readouterr()
+    assert text.err == f"treetrace: error: depths must be at least 1, got {depth}\n"
+    assert text.out == ""
 
 
 def test_cli_verify_exit_codes(tmp_path, capsys):
