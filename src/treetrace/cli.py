@@ -198,17 +198,17 @@ def _run(args, cfg) -> int:
     report = _VERIFY_DRIVERS[args.check](cfg)
     for line in report.summary_lines():
         _say(line)
-    plots = hasattr(report, "plot_data")
     if cfg.out:
         report.to_csv(cfg.out)
         _say(f"wrote report rows to {cfg.out}")
-        if cfg.emit_plot_data and plots:
-            plot_path = cfg.out + ".plot.csv"
-            report.plot_data(plot_path)
-            _say(f"wrote plot data to {plot_path}")
-    if cfg.emit_plot_data and not plots:
-        # not an error: a config shared by several checks may set the key
+    # neither skip is an error: a config shared by several runs may set the key
+    if cfg.emit_plot_data and not hasattr(report, "plot_data"):
         _say(f"verify {args.check} writes no plot data: emit_plot_data ignored")
+    elif cfg.emit_plot_data and not cfg.out:
+        _say(f"verify {args.check} writes plot data next to --out: none written")
+    elif cfg.emit_plot_data:
+        report.plot_data(cfg.out + ".plot.csv")
+        _say(f"wrote plot data to {cfg.out}.plot.csv")
     return 0 if report.passed else 1
 
 

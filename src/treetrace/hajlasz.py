@@ -17,13 +17,14 @@ methods, named in `HajlaszSolution.method`:
 * p = 2: accelerated projected ascent on the dual.  For multipliers
   mu >= 0 (one per pair) the Lagrangian minimizer is g_i = s_i / (2 nu),
   with s_i the multiplier mass on leaf i, so the dual is quadratic and the
-  inverse-Lipschitz step is exact.  One loop steps all blocks of a batch
-  of instances, each block with its own step size, momentum and stop:
-  `hajlasz_minimize_all` takes the p = 2 instances in order into batches
-  of at most `_BATCH_PAIRS` = 2^15 leaf pairs (a larger instance alone),
-  which bounds the loop's memory at about 2 MB.  A block whose runs (one
-  sibling pair over all vertices of a level) are large, and most of whose
-  level pairs have a nonzero bound, holds its multipliers as dense
+  inverse-Lipschitz step 2 nu / max(deg_a + deg_b) is exact; a block keeps
+  it and restarts its momentum when its dual value falls.  One loop steps
+  all blocks of a batch of instances, each with its own step, momentum and
+  stop: `hajlasz_minimize_all` takes the p = 2 instances in order into
+  batches of at most `_BATCH_PAIRS` = 2^15 leaf pairs (a larger instance
+  alone), which bounds the loop's memory at about 2 MB.  A block whose
+  runs (one sibling pair over all vertices of a level) are large, and most
+  of whose level pairs have a nonzero bound, holds its multipliers as dense
   (K^j, K(K-1)/2, m, m) arrays per split level j, so g[a] + g[b] is a
   broadcast add and the masses are sequential axis reductions; the other
   blocks share one gather, one bincount and one np.add.at over their kept
@@ -248,8 +249,8 @@ def _dual_point(nu, p, s, mu, bound):
     return g, q if math.isfinite(q) else -math.inf
 
 
-# Dual-ascent steps between two gap checks of a p = 2 block; a check halves
-# the step if the dual value fell, so much closer checks collapse the step.
+# Dual-ascent steps between two gap checks of a p = 2 block; a check
+# restarts the block's momentum if its dual value fell.
 _CHECK_EVERY = 50
 # Smallest run (the pairs of one sibling pair over all vertices of a split
 # level, K^(2N - j - 2) of them) for which every level of a dual block
@@ -499,13 +500,13 @@ def _solve_dual_blocks(batch):
 
     All blocks of all the instances advance in one loop, each with its own
     step sigma, momentum and stop, so each takes the steps it would take
-    solved alone.  At p = 2 the Lagrangian minimizer is g = s / (2 nu).
-    Every `_CHECK_EVERY` steps each block computes its dual lower bound and
-    repairs the Lagrangian minimizer into its best primal point (seeded
-    with the symmetric feasible start g = max(bound)/2); a block stops when
-    their relative gap drops below `_REL_TOL`.  If a check finds a block's
-    dual value lower than before (the accelerated ascent is not monotone),
-    its step is halved and its momentum restarted.  Returns
+    solved alone.  At p = 2 the Lagrangian minimizer is g = s / (2 nu), and
+    sigma = 2 nu / max(deg_a + deg_b), set once per block, is the inverse
+    Lipschitz constant of the dual's gradient.  Every `_CHECK_EVERY` steps
+    each block computes its dual lower bound and repairs the Lagrangian
+    minimizer into its best primal point (from the feasible g = max(bound)/2);
+    it stops when their relative gap drops below `_REL_TOL` and restarts its
+    momentum when its dual value fell (the ascent is not monotone).  Returns
     (position, scale) -> (leaf array, BlockReport); the ConvergenceError
     raised at `_MAX_ITERS` names every block left uncertified.
     """
@@ -551,8 +552,6 @@ def _solve_dual_blocks(batch):
                 solved[blk.at, blk.k] = out, BlockReport(t + 1, blk.gap)
                 continue
             if dual < blk.last_dual:
-                blk.sigma *= 0.5
-                lay.sigma[seg] = blk.sigma
                 lay.mu_prev[seg] = lay.mu[seg]
                 blk.restart = t + 1
                 restarted = True

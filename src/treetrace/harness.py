@@ -587,8 +587,8 @@ def verify_equivalences(cfg: ExperimentConfig) -> RatioReport:
         fs = [generate_for(cfg, family, depth, seed) for seed in cfg.seeds]
         solutions = [None] * len(fs)
         if depth <= cfg.hajlasz_max_depth:
-            # through the module attribute, so that a wrapper put there (the
-            # benchmark's tracer) sees it
+            # this calls no hajlasz_minimize, so a wrapper of that function
+            # (the benchmark's tracer) neither times nor counts these programs
             solutions = hajlasz.hajlasz_minimize_all(
                 [HajlaszInstance(f, ep.theta, ep.p, cfg.epsilon) for f in fs]
             )

@@ -240,19 +240,23 @@ def test_interior_point_is_homogeneous():
         np.testing.assert_allclose(b.g[k], 1e-80 * a.g[k], rtol=1e-12, atol=0.0)
 
 
+def _assert_matches_ipm(inst, g):
+    """The p = 2 gradient arrays g give, block by block, the value of the
+    interior-point method within twice _REL_TOL: both certify _REL_TOL."""
+    nu, n = inst.leaf_measure, inst.f.n_leaves
+    for k, (ia, ib, bound) in inst.constraints.items():
+        block = inst.f.K ** (inst.f.depth - inst.coarsest_level[k])
+        g_ip, rep = _solve_scale_ipm(nu, 2.0, ia, ib, bound, n, block)
+        v_ip, v_da = nu * np.sum(g_ip**2), nu * np.sum(g[k] ** 2)
+        assert rep.rel_gap <= hajlasz._REL_TOL
+        assert abs(v_ip - v_da) <= 2.0 * hajlasz._REL_TOL * max(v_ip, v_da), k
+
+
 @pytest.mark.parametrize("K, depth", [(2, 1), (2, 3), (2, 6), (3, 3)])
 def test_interior_point_matches_dual_ascent_at_p2(K, depth):
-    # both methods certify _REL_TOL, so their values differ by at most twice it
     for seed in range(3):
         inst = random_instance(seed, depth=depth, p=2.0, K=K)
-        nu, n = inst.leaf_measure, inst.f.n_leaves
-        for k, (ia, ib, bound) in inst.constraints.items():
-            block = K ** (depth - inst.coarsest_level[k])
-            g_ip, rep = _solve_scale_ipm(nu, 2.0, ia, ib, bound, n, block)
-            g_da, _ = _per_block_dual_ascent(nu, 2.0, ia, ib, bound, n)
-            v_ip, v_da = nu * np.sum(g_ip**2), nu * np.sum(g_da**2)
-            assert rep.rel_gap <= hajlasz._REL_TOL
-            assert abs(v_ip - v_da) <= 2.0 * hajlasz._REL_TOL * max(v_ip, v_da)
+        _assert_matches_ipm(inst, hajlasz_minimize(inst).g)
 
 
 def test_coarsest_level_bounds_every_pair():
@@ -286,9 +290,10 @@ def _per_block_dual_ascent(nu, p, ia, ib, bound, n_leaves):
 
     Maintains the best repaired primal point (seeded with the symmetric
     feasible start g = max(bound)/2) and the dual lower bound; returns when
-    their relative gap drops below hajlasz._REL_TOL.  If a gap check finds the
-    dual value lower than before (the accelerated ascent is not monotone),
-    the step is halved and the momentum reset.
+    their relative gap drops below hajlasz._REL_TOL.  The step is the
+    inverse Lipschitz constant of the dual's gradient, fixed for the block;
+    if a gap check finds the dual value lower than before (the accelerated
+    ascent is not monotone), the momentum is reset.
     """
     active, la, lb = _active_leaves(ia, ib, n_leaves)
     n, m = active.size, ia.size
@@ -332,7 +337,6 @@ def _per_block_dual_ascent(nu, p, ia, ib, bound, n_leaves):
                 out[active] = best_g
                 return out, BlockReport(t + 1, (best - dual) / best)
             if dual < last_dual:
-                sigma *= 0.5
                 mu_prev = mu.copy()
                 tk = 1.0
             last_dual = dual
@@ -403,11 +407,18 @@ def test_dual_ascent_matches_per_block_oracle(form, inst):
         (2, 7, 0.3, "lacunary", 1),
         (3, 5, LN2, "cell-indicator", 2),
         (3, 5, 0.3, "iid-uniform", 3),
+        # halving the step whenever the dual value fell stalled these two
+        # short of the certified gap for 100,000 steps
+        (3, 4, 0.3, "iid-uniform", 22),
+        (2, 8, 0.3, "lacunary", 3),
     ],
 )
 def test_dual_ascent_matches_per_block_oracle_deep(K, depth, epsilon, family, seed):
     f = generate(family, K=K, depth=depth, seed=seed, epsilon=epsilon, theta=0.5)
-    _assert_matches_per_block(HajlaszInstance(f, 0.5, 2.0, epsilon))
+    inst = HajlaszInstance(f, 0.5, 2.0, epsilon)
+    sol = hajlasz_minimize(inst)
+    _assert_matches_per_block(inst, sol)
+    _assert_matches_ipm(inst, sol.g)
 
 
 @pytest.mark.parametrize("form", FORMS)

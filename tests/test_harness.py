@@ -315,6 +315,17 @@ def test_cli_check_without_plot_data_says_so(tmp_path, capsys, check, via):
     assert out.exists() and not (tmp_path / "report.csv.plot.csv").exists()
 
 
+def test_cli_plot_data_without_out_says_so(tmp_path, capsys, monkeypatch):
+    # the plot data goes next to --out; without it the flag used to be
+    # dropped without a word
+    monkeypatch.chdir(tmp_path)
+    argv = ["verify", "trace-bound", "--emit-plot-data", "--depth", "3", "--seed", "0"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "verify trace-bound writes plot data next to --out: none written"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("check", ["trace-bound", "equivalence", "doubling"])
 @pytest.mark.parametrize("source", ["config", "flag"])
 def test_cli_rejects_a_negative_seed_naming_seeds(tmp_path, capsys, check, source):
