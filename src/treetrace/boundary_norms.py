@@ -61,6 +61,7 @@ class BoundaryFunction:
     def __init__(self, K: int, depth: int, values) -> None:
         self.values = function_values(K, depth, values, first=depth)
         self.K, self.depth = K, depth
+        self._averages = None
 
     @property
     def n_leaves(self) -> int:
@@ -73,13 +74,17 @@ class BoundaryFunction:
     def level_averages(self) -> np.ndarray:
         """The average over the cell of every vertex, in level order.  The
         leaves are copied in unchanged, so resolution-preserving roundtrips
-        stay bitwise exact."""
-        K = self.K
-        out = np.empty(level_slice(K, self.depth).stop)
-        out[level_slice(K, self.depth)] = self.values
-        for n in reversed(range(self.depth)):
-            out[level_slice(K, n)] = out[level_slice(K, n + 1)].reshape(-1, K).mean(axis=1)
-        return out
+        stay bitwise exact.  Memoized: computed on the first call, after
+        which every call returns the same read-only array."""
+        if self._averages is None:
+            K = self.K
+            out = np.empty(level_slice(K, self.depth).stop)
+            out[level_slice(K, self.depth)] = self.values
+            for n in reversed(range(self.depth)):
+                out[level_slice(K, n)] = out[level_slice(K, n + 1)].reshape(-1, K).mean(axis=1)
+            out.flags.writeable = False
+            self._averages = out
+        return self._averages
 
     def to_csv(self, path) -> None:
         write_function_csv(path, self.K, self.depth, self.values, first=self.depth)

@@ -292,6 +292,7 @@ class RatioReport:
         self.slope_tol = slope_tol
         self.spread_max = spread_max
         self.extra_checks: list[tuple[str, bool]] = []
+        self._stats: dict[str, ColumnStats] = {}
 
     def column(self, col):
         pts = [(r["depth"], r[col]) for r in self.rows if r.get(col) is not None]
@@ -300,6 +301,13 @@ class RatioReport:
         return depths, values
 
     def stats(self, col) -> ColumnStats:
+        """Summary of one column, computed on the first call: the rows are
+        not changed after construction."""
+        if col not in self._stats:
+            self._stats[col] = self._column_stats(col)
+        return self._stats[col]
+
+    def _column_stats(self, col) -> ColumnStats:
         depths, values = self.column(col)
         if values.size == 0:
             raise ValueError(f"no samples for column {col!r}")
@@ -605,7 +613,7 @@ def verify_equivalences(cfg: ExperimentConfig) -> RatioReport:
                 h_energy, h_method, h_iterations = sol.value, sol.method, sol.iterations
                 h_gap = max((b.rel_gap for b in sol.blocks.values()), default=0.0)
                 h_ratio = h_energy / e_plain
-            e_weighted = dyadic_energy(f, ep)
+            e_weighted = e_plain if ep == ep_plain else dyadic_energy(f, ep)
             modular = dyadic_orlicz_modular(f, ep, phi)
             besov = orlicz_besov_norm(f, ep, phi)
             composite = orlicz_norm(f, phi) + e_weighted ** (1.0 / ep.p)

@@ -45,10 +45,15 @@ __all__ = [
 ]
 
 
+# entries of each per-(TreeParams, level) cache: every level of a few dozen trees
+_LEVEL_CACHE = 1024
+
+
 @lru_cache(maxsize=32)
 def _gauss_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1].  Cached; do not mutate."""
+    """Gauss-Legendre nodes and weights on [-1, 1].  Cached, read-only."""
     x, w = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = w.flags.writeable = False
     return x, w
 
 
@@ -164,9 +169,11 @@ def ahlfors_ratio(params: TreeParams, digits) -> float:
     return float(params.K) ** -n / r**params.hausdorff_dim
 
 
+@lru_cache(maxsize=_LEVEL_CACHE)
 def edge_measure(params: TreeParams, n: int) -> float:
     """Mass of a single edge between levels n and n+1: the Gauss-Legendre
     value of the integral of e^(-beta*t) * (t + C)^lambda2 over [n, n+1].
+    Memoized per (params, n).
 
     With lambda2 = 0 this equals (e^(-beta*n) - e^(-beta*(n+1))) / beta up
     to quadrature error far below 1e-12 relative.

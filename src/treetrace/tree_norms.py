@@ -12,11 +12,13 @@ the codec in `treetrace.address`.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .address import child_minus_parent, function_values, level_slice, parents_and_children
 from .address import read_function_csv, write_function_csv
-from .tree import TreeParams, arclength, edge_length, edge_measure, _gauss_nodes
+from .tree import TreeParams, arclength, edge_length, edge_measure, _gauss_nodes, _LEVEL_CACHE
 from .young import YoungModular, YoungPhi, luxemburg_gauge
 
 __all__ = [
@@ -48,6 +50,19 @@ def _check_shape(F: TreeFunction, params: TreeParams) -> None:
         raise ValueError("tree function shape does not match tree parameters")
 
 
+@lru_cache(maxsize=_LEVEL_CACHE)
+def _level_table(params: TreeParams, n: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """Edge length of level n, and the arclength offsets of the Gauss-Legendre
+    nodes of its edges from the parent and their quadrature weight times the
+    mass density.  Memoized per (params, n); the arrays are read-only."""
+    gx, gw = _gauss_nodes(params.quad_order)
+    tau = n + 0.5 * (gx + 1.0)
+    a_off = arclength(params, tau) - arclength(params, n)
+    weights = 0.5 * gw * np.exp(-params.beta * tau) * (tau + params.C_const) ** params.lambda2
+    a_off.flags.writeable = weights.flags.writeable = False
+    return edge_length(params, n), a_off, weights
+
+
 def upper_gradient_edges(F: TreeFunction, params: TreeParams) -> np.ndarray:
     """Per-edge upper gradient of the piecewise-linear interpolant, minimal for
     that class: |F(child) - F(parent)| / edge_length, one row per parent."""
@@ -62,26 +77,29 @@ def _function_modular(F: TreeFunction, params: TreeParams, phi: YoungPhi) -> You
     """Phi(|F|) against the mass density, one (edges, nodes) segment per
     level: |F| at the Gauss-Legendre nodes of every edge, weighted by the
     quadrature weight times the density at each node.  |F| is built in `a`
-    itself, slopes as in `upper_gradient_edges`, with no per-edge array."""
+    itself from one slope per edge, as in `upper_gradient_edges`."""
     _check_shape(F, params)
-    beta, c_shift, lam = params.beta, params.C_const, params.lambda2
-    gx, gw = _gauss_nodes(params.quad_order)
     parents, children = parents_and_children(F.K, F.values)
-    a = np.empty(children.size * gx.size)
-    vals = a.reshape(*children.shape, gx.size)
-    np.subtract(children[:, :, None], parents[:, None, None], out=vals)
+    a = np.empty(children.size * params.quad_order)
+    vals = a.reshape(*children.shape, params.quad_order)
+    # the slopes go to the head of `a` (an array of their own raised the peak
+    # RSS) and the levels are filled deepest first: the nodes of level n
+    # start at quad_order times the offset of its slopes, past the slopes of
+    # the shallower levels still to be read; numpy buffers the slopes of a
+    # level whose nodes overlap them
+    slopes = a[: children.size].reshape(children.shape)
+    np.subtract(children, parents[:, None], out=slopes)
     segments = []
-    for n in range(F.depth):
+    for n in reversed(range(F.depth)):
         rows = level_slice(F.K, n)
-        tau = n + 0.5 * (gx + 1.0)
-        a_off = arclength(params, tau) - arclength(params, n)
+        length, a_off, weights = _level_table(params, n)
+        slopes[rows] /= length
         level = vals[rows]
-        level /= edge_length(params, n)
-        level *= a_off
+        np.multiply(slopes[rows, :, None], a_off, out=level)
         level += parents[rows, None, None]
-        segments.append((level.size, 0.5 * gw * np.exp(-beta * tau) * (tau + c_shift) ** lam))
+        segments.append((level.size, weights))
     np.abs(a, out=a)
-    return YoungModular(phi, a, segments)
+    return YoungModular(phi, a, segments[::-1])
 
 
 def _gradient_modular(F: TreeFunction, params: TreeParams, phi: YoungPhi) -> YoungModular:

@@ -15,6 +15,7 @@ from treetrace import (
     BoundaryFunction,
     HajlaszInstance,
     TreeFunction,
+    dyadic_energy,
     generate,
     hajlasz_minimize,
     indicator_function,
@@ -219,6 +220,38 @@ def test_equivalence_report_with_two_sided_fit():
     assert float(label.removeprefix("two-sided fit C=")) >= 1.0
     rows_with_chi = [r for r in report.rows if 0.0 <= r["chi_fraction"] <= 1.0]
     assert len(rows_with_chi) == len(report.rows)
+
+
+@pytest.mark.parametrize("lambda1, per_row", [(0.0, 1), (1.0, 2)])
+def test_equivalence_computes_the_power_energy_once_without_level_weights(
+    monkeypatch, lambda1, per_row
+):
+    # at lam = 0 the weighted energy is the plain one and is not recomputed
+    calls = []
+
+    def counted(f, params):
+        calls.append(params)
+        return dyadic_energy(f, params)
+
+    monkeypatch.setattr(treetrace.harness, "dyadic_energy", counted)
+    report = verify_equivalences(small_cfg(depths=(3, 4), lambda1=lambda1))
+    assert len(calls) == per_row * len(report.rows)
+
+
+def test_report_stats_are_computed_once_per_column(monkeypatch):
+    fits = []
+
+    def counted(depths, values):
+        fits.append(len(values))
+        return fit_log_slope(depths, values)
+
+    monkeypatch.setattr(treetrace.harness, "fit_log_slope", counted)
+    report = verify_extension_bound(small_cfg())
+    assert report.passed
+    report.summary_lines()
+    assert report.passed
+    assert report.stats("ratio") is report.stats("ratio")
+    assert fits == [9, 9]
 
 
 def test_equivalence_skips_hajlasz_beyond_cap():

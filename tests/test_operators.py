@@ -46,6 +46,15 @@ def test_roundtrip_identity_bitwise(K, depth):
     assert np.array_equal(v.values, u.values)
 
 
+def test_level_averages_are_computed_once_read_only_and_shared_with_extend():
+    u = BoundaryFunction(2, 4, np.random.default_rng(1).uniform(size=16))
+    averages = u.level_averages()
+    assert u.level_averages() is averages
+    with pytest.raises(ValueError, match="read-only"):
+        averages[0] = 0.0
+    assert extend(u).values is averages
+
+
 def test_operators_linear():
     rng = np.random.default_rng(0)
     u = BoundaryFunction(2, 4, rng.uniform(size=16))

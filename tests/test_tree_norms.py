@@ -9,6 +9,8 @@ from treetrace import (
     TreeFunction,
     TreeParams,
     YoungPhi,
+    arclength,
+    edge_length,
     edge_measure,
     luxemburg_gauge,
     gradient_lphi_modular,
@@ -151,6 +153,31 @@ def test_tree_modular_against_adaptive_quadrature():
             part, err = integrate.quad(integrand, n, n + 1, epsabs=1e-13, epsrel=1e-12)
             total += part
     assert tree_lphi_modular(F, p, phi) == pytest.approx(total, rel=1e-10)
+
+
+@pytest.mark.parametrize("K, depth, quad_order", [(2, 6, 8), (3, 4, 5), (9, 2, 8), (4, 3, 2)])
+def test_tree_modular_amplitudes_match_the_per_level_oracle_bitwise(
+    monkeypatch, K, depth, quad_order
+):
+    # the slopes are kept in the amplitude array itself; at K >= quad_order
+    # the nodes of every level overlap its slopes
+    params = TreeParams(K, LN2, math.log(K) + 1.0, 0.5, depth, quad_order)
+    F = TreeFunction(K, depth, np.random.default_rng(K).normal(size=level_slice(K, depth).stop))
+    monkeypatch.setattr(tree_norms, "YoungModular", lambda phi, a, segments: (a, segments))
+    a, segments = tree_norms._function_modular(F, params, YoungPhi(2.0))
+    gx, gw = np.polynomial.legendre.leggauss(quad_order)
+    parts = []
+    for n in range(depth):
+        parents = F.values[level_slice(K, n)]
+        children = F.values[level_slice(K, n + 1)].reshape(-1, K)
+        tau = n + 0.5 * (gx + 1.0)
+        a_off = arclength(params, tau) - arclength(params, n)
+        slopes = (children - parents[:, None]) / edge_length(params, n)
+        parts.append(np.abs(slopes[:, :, None] * a_off + parents[:, None, None]).reshape(-1))
+        weights = 0.5 * gw * np.exp(-params.beta * tau) * (tau + params.C_const) ** 0.5
+        assert segments[n][0] == parts[-1].size
+        assert np.array_equal(segments[n][1], weights)
+    assert np.array_equal(a, np.concatenate(parts))
 
 
 def test_tree_modular_matches_tenfold_quadrature_order():
@@ -333,6 +360,19 @@ def test_newtonian_norm_monotone_under_deeper_truncation():
         F = _extend_boundary(values, depth)
         norms.append(newtonian_norm(F, std_params(depth), phi))
     assert all(b >= a - 1e-12 for a, b in zip(norms, norms[1:]))
+
+
+def test_level_tables_are_memoized_and_read_only():
+    # one table per (TreeParams, level): equal parameters share it
+    table = tree_norms._level_table(std_params(5), 3)
+    assert tree_norms._level_table(std_params(5), 3) is table
+    for arr in table[1:]:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+    mass = edge_measure(std_params(5), 3)
+    hits = edge_measure.cache_info().hits
+    assert edge_measure(std_params(5), 3) == mass
+    assert edge_measure.cache_info().hits == hits + 1
 
 
 def test_tree_function_shape_validation():
