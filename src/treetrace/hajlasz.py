@@ -590,7 +590,7 @@ def _max_step(x, dx):
     return min(1.0, float(np.min(-x[neg] / dx[neg]))) if neg.any() else 1.0
 
 
-def _solve_scale_ipm(nu, p, ia, ib, bound, n_leaves, block):
+def _solve_scale_ipm(nu, p, ia, ib, bound, n_leaves, block, where):
     """Primal-dual interior-point method on one scale block (p >= 1).
 
     Minimizes nu * sum g^p subject to s = A g - bound >= 0 and g >= 0, with
@@ -608,7 +608,9 @@ def _solve_scale_ipm(nu, p, ia, ib, bound, n_leaves, block):
     no pair.  At p = 1 its diagonal also carries _DIAGONAL times the
     largest mu/s.  Stops on the certified gap between the better of the
     repaired iterate and the repaired Lagrangian minimizer of mu, and
-    q(mu).
+    q(mu).  A Newton system that is not finite or not solvable raises
+    ConvergenceError at once, as the iteration cap does; `where` names the
+    block in the message.
     """
     active, la, lb = _active_leaves(ia, ib, n_leaves)
     n, m = active.size, ia.size
@@ -634,17 +636,26 @@ def _solve_scale_ipm(nu, p, ia, ib, bound, n_leaves, block):
     s = g[la] + g[lb] - b
     start = p * nu * float(np.sum(g**p)) / (m + n)
     mu, z = start / s, start / g
+    stop = f"interior-point method at p = {p:g} did not certify the optimum of {where}"
     for t in range(_MAX_ITERS):
         target = _CENTRING * (float(np.dot(s, mu)) + float(np.dot(g, z))) / (m + n)
-        w = mu / s
-        diag[active] = nu * p * (p - 1.0) * g ** (p - 2.0) + z / g
-        if p == 1.0:
-            diag[active] += _DIAGONAL * w.max()
-        rhs[active] = target / g - nu * p * g ** (p - 1.0) + pair_mass(target / s)
+        # a slack or a leaf value can underflow; the check below stops there
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            w = mu / s
+            diag[active] = nu * p * (p - 1.0) * g ** (p - 2.0) + z / g
+            if p == 1.0:
+                diag[active] += _DIAGONAL * w.max()
+            rhs[active] = target / g - nu * p * g ** (p - 1.0) + pair_mass(target / s)
         system = np.bincount(
             cells, np.concatenate([w, w, w, w, diag]), n_leaves * block
         ).reshape(-1, block, block)
-        dg = np.linalg.solve(system, rhs.reshape(-1, block, 1)).ravel()[active]
+        if not (np.isfinite(system).all() and np.isfinite(rhs).all()):
+            raise ConvergenceError(f"{stop}: its Newton system is not finite after {t} steps")
+        try:
+            dg = np.linalg.solve(system, rhs.reshape(-1, block, 1)).ravel()[active]
+        except np.linalg.LinAlgError:
+            singular = f"{stop}: its Newton matrix is singular after {t} steps"
+            raise ConvergenceError(singular) from None
         ds = dg[la] + dg[lb]
         dmu = target / s - mu - w * ds
         dz = target / g - z - (z / g) * dg
@@ -657,7 +668,9 @@ def _solve_scale_ipm(nu, p, ia, ib, bound, n_leaves, block):
         candidates = [g.copy(), gd] if math.isfinite(dual) else [g.copy()]
         for c in candidates:
             _repair(c, la, lb, b)
-        values = [nu * float(np.sum(c**p)) for c in candidates]
+        # far from the optimum the Lagrangian minimizer's value can overflow
+        with np.errstate(over="ignore"):
+            values = [nu * float(np.sum(c**p)) for c in candidates]
         primal = min(values)
         if primal - dual <= _REL_TOL * primal:
             out = np.zeros(n_leaves)
@@ -670,9 +683,7 @@ def _solve_scale_ipm(nu, p, ia, ib, bound, n_leaves, block):
             out *= float(np.max(bound / (out[ia] + out[ib])))
             _repair(out, ia, ib, bound)
             return out, BlockReport(t + 1, (primal - dual) / primal)
-    raise ConvergenceError(
-        f"interior-point method did not certify the optimum within {_MAX_ITERS} iterations"
-    )
+    raise ConvergenceError(f"{stop} within {_MAX_ITERS} iterations")
 
 
 def hajlasz_minimize(inst: HajlaszInstance) -> HajlaszSolution:
@@ -736,7 +747,10 @@ def _solution(inst, at, solved) -> HajlaszSolution:
             _repair(g[k], ia, ib, bound)
         else:
             block = K ** (N - inst.coarsest_level[k])
-            g[k], blocks[k] = _solve_scale_ipm(nu, inst.p, ia, ib, bound, n_leaves, block)
+            where = f"instance {at} (K={K}, depth {N}) scale {k}"
+            g[k], blocks[k] = _solve_scale_ipm(
+                nu, inst.p, ia, ib, bound, n_leaves, block, where
+            )
     value = sum(nu * float(np.sum(arr**inst.p)) for arr in g.values())
     return HajlaszSolution(
         value=value,

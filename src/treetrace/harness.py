@@ -269,6 +269,18 @@ class ColumnStats:
     median: float
     slope: float | None
 
+    @classmethod
+    def of(cls, depths, values) -> ColumnStats:
+        """Stats of the samples `values`, taken at `depths`."""
+        if np.unique(depths).size < 2:
+            slope = None
+        elif np.all(np.isfinite(values)) and np.all(values > 0):
+            slope = fit_log_slope(depths, values)
+        else:
+            slope = math.inf
+        median = float(np.median(values))
+        return cls(int(values.size), float(values.min()), float(values.max()), median, slope)
+
     @property
     def spread(self) -> float:
         if self.minimum <= 0:
@@ -279,80 +291,46 @@ class ColumnStats:
     def finite(self) -> bool:
         return math.isfinite(self.minimum) and math.isfinite(self.maximum)
 
+    def within(self, slope_tol: float, spread_max: float) -> bool:
+        """Finite and positive, with no depth trend beyond slope_tol and a
+        spread of at most spread_max."""
+        trend = self.slope is not None and abs(self.slope) > slope_tol
+        return self.finite and self.minimum > 0 and not trend and self.spread <= spread_max
+
 
 class RatioReport:
-    """Per-sample ratio values plus the stability verdict over a depth sweep."""
+    """Per-sample ratio values and their verdict over a depth sweep, both
+    fixed at construction.  `stats` holds the `ColumnStats` of each ratio
+    column with a sample; a column with none was not run (skipped at every
+    depth, say) and does not count.  `passed` needs some sampled column,
+    every one `within` slope_tol and spread_max, and every (label, passed)
+    pair of `extra_checks` passed."""
 
-    def __init__(self, name, rows, ratio_columns, slope_tol, spread_max):
+    def __init__(self, name, rows, ratio_columns, slope_tol, spread_max, extra_checks=()):
         self.name = name
         self.rows = sorted(
             rows, key=lambda r: (r["seed"], r["depth"], str(r.get("family", "")))
         )
         self.ratio_columns = tuple(ratio_columns)
-        self.slope_tol = slope_tol
-        self.spread_max = spread_max
-        self.extra_checks: list[tuple[str, bool]] = []
-        self._stats: dict[str, ColumnStats] = {}
-
-    def column(self, col):
-        pts = [(r["depth"], r[col]) for r in self.rows if r.get(col) is not None]
-        depths = np.array([d for d, _ in pts], dtype=float)
-        values = np.array([v for _, v in pts], dtype=float)
-        return depths, values
-
-    def stats(self, col) -> ColumnStats:
-        """Summary of one column, computed on the first call: the rows are
-        not changed after construction."""
-        if col not in self._stats:
-            self._stats[col] = self._column_stats(col)
-        return self._stats[col]
-
-    def _column_stats(self, col) -> ColumnStats:
-        depths, values = self.column(col)
-        if values.size == 0:
-            raise ValueError(f"no samples for column {col!r}")
-        finite = bool(np.all(np.isfinite(values)))
-        if np.unique(depths).size < 2:
-            slope = None
-        elif finite and np.all(values > 0):
-            slope = fit_log_slope(depths, values)
-        else:
-            slope = math.inf
-        return ColumnStats(
-            count=int(values.size),
-            minimum=float(values.min()),
-            maximum=float(values.max()),
-            median=float(np.median(values)),
-            slope=slope,
+        self.extra_checks = tuple(extra_checks)
+        self.stats: dict[str, ColumnStats] = {}
+        for col in self.ratio_columns:
+            pts = [(r["depth"], r[col]) for r in self.rows if r.get(col) is not None]
+            if pts:
+                self.stats[col] = ColumnStats.of(*np.array(pts, dtype=float).T)
+        self.passed = (
+            bool(self.stats)
+            and all(st.within(slope_tol, spread_max) for st in self.stats.values())
+            and all(ok for _, ok in self.extra_checks)
         )
-
-    def sampled_columns(self) -> list[str]:
-        """The ratio columns with at least one sample; the others were not run
-        (an optional column, say, skipped at every depth of the sweep)."""
-        return [c for c in self.ratio_columns if self.column(c)[1].size]
-
-    @property
-    def passed(self) -> bool:
-        sampled = self.sampled_columns()
-        if not sampled:
-            return False
-        for col in sampled:
-            st = self.stats(col)
-            if not st.finite or st.minimum <= 0:
-                return False
-            trend = st.slope is not None and abs(st.slope) > self.slope_tol
-            if trend or st.spread > self.spread_max:
-                return False
-        return all(ok for _, ok in self.extra_checks)
 
     def summary_lines(self) -> list[str]:
         lines = [f"report {self.name}: {'PASS' if self.passed else 'FAIL'}"]
-        sampled = self.sampled_columns()
         for col in self.ratio_columns:
-            if col not in sampled:
+            st = self.stats.get(col)
+            if st is None:
                 lines.append(f"  {col}: not run (no samples)")
                 continue
-            st = self.stats(col)
             slope = "n/a (one depth)" if st.slope is None else f"{st.slope:+.4f}"
             lines.append(
                 f"  {col}: n={st.count} min={st.minimum:.6g} max={st.maximum:.6g}"
@@ -574,7 +552,10 @@ def verify_equivalences(cfg: ExperimentConfig) -> RatioReport:
     multiplicative constant doubled, on the deeper ones.  Each row says
     how its double sum was computed: `double_integral_method` is `exact`
     or `mc` (`double_integral_is_exact`), and `double_integral_stderr` is
-    the Monte Carlo standard error, empty when exact.  It also says how
+    the Monte Carlo standard error, empty when exact.  A sampled double sum
+    is reported but not judged: its `double_vs_dyadic` is left empty, as
+    `hajlasz_vs_dyadic` is past `hajlasz_max_depth`, since Monte Carlo noise
+    is no evidence of a depth trend.  Each row also says how
     its Hajlasz energy was reached: `hajlasz_method` (`dual-ascent` at
     p = 2, `interior-point` otherwise), `hajlasz_iterations` summed over
     the scale blocks and `hajlasz_rel_gap`, the largest certified gap of a
@@ -635,34 +616,28 @@ def verify_equivalences(cfg: ExperimentConfig) -> RatioReport:
                     "besov_norm": besov,
                     "composite_norm": composite,
                     "chi_fraction": chi_exceed_fraction(f, ep.theta, cfg.epsilon),
-                    "double_vs_dyadic": b_energy / e_plain,
+                    "double_vs_dyadic": b_energy / e_plain if b_stderr is None else None,
                     "hajlasz_vs_dyadic": h_ratio,
                     "besov_vs_composite": besov / composite,
                 }
             )
-    report = RatioReport(
+    extra_checks = []
+    if cfg.lambda1 != 0.0:
+        lam_for_tail = cfg.resolved_lam if cfg.lambda1 > 0 else cfg.lambda2
+        c_prime = tail_constant(cfg.epsilon, ep.theta, ep.p, lam_for_tail)
+        energies = [(r["weighted_energy"], r["orlicz_modular"]) for r in rows]
+        base = [e for e, r in zip(energies, rows) if r["depth"] == min(cfg.depths)]
+        fit = fit_two_sided(base, cfg.lambda1, c_prime)
+        ok = all(fit.check(e, m, widen=2.0) for e, m in energies)
+        extra_checks.append((f"two-sided fit C={fit.C:.4g}", ok))
+    return RatioReport(
         "equivalence",
         rows,
         ("double_vs_dyadic", "hajlasz_vs_dyadic", "besov_vs_composite"),
         cfg.slope_tol,
         cfg.spread_max,
+        extra_checks,
     )
-    if cfg.lambda1 != 0.0:
-        lam_for_tail = cfg.resolved_lam if cfg.lambda1 > 0 else cfg.lambda2
-        c_prime = tail_constant(cfg.epsilon, ep.theta, ep.p, lam_for_tail)
-        base = min(cfg.depths)
-        base_pairs = [
-            (r["weighted_energy"], r["orlicz_modular"])
-            for r in rows
-            if r["depth"] == base
-        ]
-        fit = fit_two_sided(base_pairs, cfg.lambda1, c_prime)
-        ok = all(
-            fit.check(r["weighted_energy"], r["orlicz_modular"], widen=2.0)
-            for r in rows
-        )
-        report.extra_checks.append((f"two-sided fit C={fit.C:.4g}", ok))
-    return report
 
 
 def verify_roundtrip(cfg: ExperimentConfig) -> CheckReport:

@@ -246,7 +246,7 @@ def _assert_matches_ipm(inst, g):
     nu, n = inst.leaf_measure, inst.f.n_leaves
     for k, (ia, ib, bound) in inst.constraints.items():
         block = inst.f.K ** (inst.f.depth - inst.coarsest_level[k])
-        g_ip, rep = _solve_scale_ipm(nu, 2.0, ia, ib, bound, n, block)
+        g_ip, rep = _solve_scale_ipm(nu, 2.0, ia, ib, bound, n, block, f"scale {k}")
         v_ip, v_da = nu * np.sum(g_ip**2), nu * np.sum(g[k] ** 2)
         assert rep.rel_gap <= hajlasz._REL_TOL
         assert abs(v_ip - v_da) <= 2.0 * hajlasz._REL_TOL * max(v_ip, v_da), k
@@ -257,6 +257,27 @@ def test_interior_point_matches_dual_ascent_at_p2(K, depth):
     for seed in range(3):
         inst = random_instance(seed, depth=depth, p=2.0, K=K)
         _assert_matches_ipm(inst, hajlasz_minimize(inst).g)
+
+
+@pytest.mark.parametrize(
+    "p, scale, failure",
+    [
+        # an overflowing mu / s: all 100,000 steps ran before the error
+        (32.0, -2, "Newton system is not finite"),
+        # numpy's LinAlgError, which the CLI printed as "Singular matrix"
+        (64.0, -1, "Newton matrix is singular"),
+    ],
+)
+def test_interior_point_stops_at_its_first_failed_newton_step(p, scale, failure):
+    f = generate("iid-uniform", K=2, depth=3, seed=0)
+    with pytest.raises(ConvergenceError) as info:
+        hajlasz_minimize(HajlaszInstance(f, 0.5, p, LN2))
+    match = re.fullmatch(
+        f"interior-point method at p = {p:g} did not certify the optimum of instance 0"
+        rf" \(K=2, depth 3\) scale {scale}: its {failure} after (\d+) steps",
+        str(info.value),
+    )
+    assert match and int(match[1]) < 2000
 
 
 def test_coarsest_level_bounds_every_pair():
@@ -511,21 +532,12 @@ def test_batches_keep_input_order_within_the_pair_bound():
 
 
 @st.composite
-def _k2_instance_lists(draw):
-    # K = 2 only: some K = 3, epsilon = 0.3 instances do not certify
-    insts = []
-    for _ in range(draw(st.integers(1, 4))):
-        depth = draw(st.integers(1, 6))
-        family = draw(st.sampled_from(["iid-uniform", "lacunary", "cell-indicator"]))
-        epsilon = draw(st.sampled_from([LN2, 0.3]))
-        seed = draw(st.integers(0, 1000))
-        f = generate(family, K=2, depth=depth, seed=seed, epsilon=epsilon, theta=0.5)
-        insts.append(HajlaszInstance(f, 0.5, 2.0, epsilon))
-    return insts
+def _instance_lists(draw):
+    return [draw(_instances(2.0)) for _ in range(draw(st.integers(1, 4)))]
 
 
 @settings(max_examples=25, deadline=None)
-@given(insts=_k2_instance_lists())
+@given(insts=_instance_lists())
 def test_batch_matches_each_instance_alone_random(insts):
     _assert_batch_matches_alone(insts)
 

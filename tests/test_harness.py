@@ -3,6 +3,7 @@ import dataclasses
 import errno
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -28,7 +29,14 @@ from treetrace import (
     verify_trace_bound,
 )
 from treetrace.cli import main
-from treetrace.harness import ExperimentConfig, fit_log_slope, tail_constant
+from treetrace.harness import (
+    BOUNDARY_FAMILIES,
+    ExperimentConfig,
+    RatioReport,
+    chi_exceed_fraction,
+    fit_log_slope,
+    tail_constant,
+)
 
 LN2 = math.log(2.0)
 
@@ -179,6 +187,33 @@ def test_tail_constant_rejects_a_series_that_overflows(lam):
         tail_constant(LN2, 0.5, 2.0, lam)
 
 
+def _chi_by_cells(f, theta, epsilon):
+    """chi_exceed_fraction cell by cell: each cell of levels 1..depth
+    against its parent, from the leaf values."""
+    exceed = cells = 0
+    for n in range(1, f.depth + 1):
+        thr = math.exp(-epsilon * n * (theta + 1.0) / 2.0)
+        avg = f.values.reshape(f.K**n, -1).mean(axis=1)
+        parent = f.values.reshape(f.K ** (n - 1), -1).mean(axis=1)
+        for c in range(f.K**n):
+            cells += 1
+            exceed += bool(abs(avg[c] - parent[c // f.K]) > thr)
+    return exceed / cells
+
+
+@pytest.mark.parametrize("K, depth", [(2, 5), (3, 3)])
+@pytest.mark.parametrize("family", BOUNDARY_FAMILIES)
+def test_chi_exceed_fraction_counts_the_cells_over_the_threshold(K, depth, family):
+    fractions = []
+    for seed in range(4):
+        f = generate(family, K=K, depth=depth, seed=seed, epsilon=LN2, theta=0.5)
+        fractions.append(chi_exceed_fraction(f, 0.5, LN2))
+        assert fractions[-1] == _chi_by_cells(f, 0.5, LN2)
+    assert max(fractions) > 0.0
+    constant = BoundaryFunction(K, depth, np.full(K**depth, 0.7))
+    assert chi_exceed_fraction(constant, 0.5, LN2) == 0.0
+
+
 # ------------------------------------------------------------------- drivers
 
 
@@ -191,9 +226,9 @@ def small_cfg(**kw):
 def test_trace_bound_report_passes():
     report = verify_trace_bound(small_cfg())
     assert report.passed
-    st = report.stats("ratio")
+    st = report.stats["ratio"]
     assert st.count == 9 and st.finite and st.slope is not None
-    assert set(report.column("ratio")[0]) == {3, 4, 5}
+    assert {r["depth"] for r in report.rows if r["ratio"] is not None} == {3, 4, 5}
 
 
 def test_trace_bound_rejects_boundary_family():
@@ -247,11 +282,32 @@ def test_report_stats_are_computed_once_per_column(monkeypatch):
 
     monkeypatch.setattr(treetrace.harness, "fit_log_slope", counted)
     report = verify_extension_bound(small_cfg())
+    # construction fits each column once; the verdict and the summary
+    # read what it stored
+    assert fits == [9, 9]
     assert report.passed
     report.summary_lines()
     assert report.passed
-    assert report.stats("ratio") is report.stats("ratio")
+    assert set(report.stats) == {"ratio", "energy_ratio"}
     assert fits == [9, 9]
+
+
+def test_equivalence_leaves_a_sampled_double_sum_unjudged():
+    # depth 8 at p = 2.5 is past the default pair budget, so its double sum
+    # is sampled: a 2,000-sample ratio of 0.395 against an exact 0.268 made
+    # the depth slope +0.39 and the report FAIL
+    report = verify_equivalences(
+        small_cfg(p=2.5, depths=(7, 8), seeds=(0,), mc_samples=2000)
+    )
+    exact, sampled = report.rows
+    assert exact["double_integral_method"] == "exact"
+    assert exact["double_vs_dyadic"] == exact["double_integral"] / exact["dyadic_energy"]
+    assert sampled["double_integral_method"] == "mc"
+    assert sampled["double_integral"] > 0 and sampled["double_integral_stderr"] > 0
+    assert sampled["double_vs_dyadic"] is None
+    st = report.stats["double_vs_dyadic"]
+    assert st.count == 1 and st.slope is None
+    assert report.passed
 
 
 def test_equivalence_skips_hajlasz_beyond_cap():
@@ -411,15 +467,16 @@ def test_report_with_an_unsampled_column_is_not_run():
     # hajlasz_max_depth below every depth: that column has no samples and
     # counts neither for nor against the verdict
     report = verify_equivalences(small_cfg(depths=(4,), hajlasz_max_depth=3))
-    assert report.sampled_columns() == ["double_vs_dyadic", "besov_vs_composite"]
+    assert list(report.stats) == ["double_vs_dyadic", "besov_vs_composite"]
     assert report.passed
     assert "  hajlasz_vs_dyadic: not run (no samples)" in report.summary_lines()
 
 
 def test_report_with_no_sampled_column_fails():
-    report = verify_trace_bound(small_cfg(seeds=(0,), depths=(3,)))
-    report.rows = []
+    report = RatioReport("trace-bound", [], ("ratio",), 0.1, 100.0)
+    assert report.stats == {}
     assert not report.passed
+    assert report.summary_lines() == ["report trace-bound: FAIL", "  ratio: not run (no samples)"]
 
 
 def test_cli_verify_equivalence_beyond_hajlasz_depth(tmp_path, capsys):
@@ -481,6 +538,22 @@ def test_cli_huge_lambda1_is_an_input_error_for_the_tree_drivers(tmp_path, capsy
     err = capsys.readouterr().err
     assert err.startswith("treetrace: error: lambda1 = 1e+308 ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("p", [32, 150])
+def test_cli_failed_interior_point_step_exits_2_with_one_error_line(tmp_path, capsys, p):
+    # the interior-point method ran all 100,000 steps (8 s), printing numpy
+    # overflow warnings first, and its message named no p, block or instance
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"p = {p}\nseeds = 0\ndepths = 3,4\n")
+    assert main(["verify", "equivalence", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(
+        f"treetrace: error: interior-point method at p = {p} did not certify the optimum"
+        r" of instance 0 \(K=2, depth \d\) scale -?\d+: its Newton system is not finite"
+        r" after \d+ steps\n",
+        err,
+    )
 
 
 def test_cli_lambda1_that_makes_phi_decrease_is_an_input_error(tmp_path, capsys):
@@ -653,12 +726,13 @@ def test_cli_failing_standard_output_exits_2_with_one_error_line(monkeypatch, ca
 
 def test_single_depth_slope_is_untested():
     report = verify_trace_bound(small_cfg(seeds=(0, 1), depths=(4,)))
-    assert report.stats("ratio").slope is None
+    assert report.stats["ratio"].slope is None
     assert report.passed
     assert "slope=n/a (one depth)" in report.summary_lines()[1]
     # two depths: the slope is fitted and printed as before
     two = verify_trace_bound(small_cfg(seeds=(0, 1), depths=(3, 4)))
-    assert two.stats("ratio").slope == fit_log_slope(*two.column("ratio"))
+    depths, ratios = zip(*((r["depth"], r["ratio"]) for r in two.rows))
+    assert two.stats["ratio"].slope == fit_log_slope(depths, ratios)
     assert "slope=+" in two.summary_lines()[1] or "slope=-" in two.summary_lines()[1]
 
 
@@ -763,7 +837,7 @@ def test_cli_energy_rejects_a_function_of_another_K(tmp_path, capsys):
 
 def test_hajlasz_max_depth_zero_runs_no_hajlasz_program():
     report = verify_equivalences(small_cfg(depths=(3, 4), hajlasz_max_depth=0))
-    assert report.sampled_columns() == ["double_vs_dyadic", "besov_vs_composite"]
+    assert list(report.stats) == ["double_vs_dyadic", "besov_vs_composite"]
 
 
 @pytest.mark.parametrize(
