@@ -1,0 +1,68 @@
+"""The default outputs stay as committed under tests/golden/.
+
+Each case of tests/golden/regenerate.py is rerun and every output compared
+with its golden file: text exactly, numbers to 1e-12 relative (so that a
+change in numpy's summation order does not fail it), and the same lines,
+the same columns and the same files.  A change that moves a number
+regenerates the files with that script and says so.
+"""
+
+import importlib.util
+import math
+import re
+from pathlib import Path
+
+import pytest
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+_spec = importlib.util.spec_from_file_location("regenerate", GOLDEN / "regenerate.py")
+regenerate = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(regenerate)
+
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?\b(?:nan|inf)\b")
+RTOL = 1e-12
+
+
+def _close(x: float, y: float) -> bool:
+    return x == y or (math.isnan(x) and math.isnan(y)) or abs(x - y) <= RTOL * max(abs(x), abs(y))
+
+
+def assert_same_output(expected: str, actual: str, where: str) -> None:
+    """Line by line: the text between numbers equal, the numbers within RTOL."""
+    want, got = expected.splitlines(), actual.splitlines()
+    assert len(got) == len(want), f"{where}: {len(got)} lines, expected {len(want)}"
+    for line, (w, g) in enumerate(zip(want, got), 1):
+        assert NUMBER.split(g) == NUMBER.split(w), f"{where}:{line}: {g!r}, expected {w!r}"
+        for x, y in zip(NUMBER.findall(w), NUMBER.findall(g)):
+            assert _close(float(x), float(y)), f"{where}:{line}: {y} != {x}"
+
+
+@pytest.mark.parametrize("case", list(regenerate.CASES))
+def test_outputs_match_golden(case, tmp_path):
+    outputs = regenerate.run(case, tmp_path)
+    golden = {p.name: p.read_text() for p in (GOLDEN / case).iterdir()}
+    assert sorted(outputs) == sorted(golden)
+    for name, text in golden.items():
+        assert_same_output(text, outputs[name], f"{case}/{name}")
+
+
+@pytest.mark.parametrize(
+    "actual",
+    [
+        "a,b\n1,2.5\n",  # a missing row
+        "a,b\n1,2.5\n3,4\n5,6\n",  # an extra row
+        "a\n1\n3\n",  # a missing column
+        "a,b,c\n1,2.5,0\n3,4,0\n",  # an extra column
+        "a,B\n1,2.5\n3,4\n",  # other text
+        "a,b\n1,2.5000000001\n3,4\n",  # a number moved by 4e-11
+    ],
+)
+def test_comparison_fails_on_any_change(actual):
+    with pytest.raises(AssertionError):
+        assert_same_output("a,b\n1,2.5\n3,4\n", actual, "report.csv")
+
+
+def test_comparison_allows_rounding_in_the_last_digits():
+    assert_same_output(
+        "x 0.30000000000000004,nan\n", "x 0.29999999999999999,nan\n", "report.csv"
+    )
