@@ -24,13 +24,15 @@ methods, named in `HajlaszSolution.method`:
   batches of at most `_BATCH_PAIRS` = 2^15 leaf pairs (a larger instance
   alone), which bounds the loop's memory at about 2 MB.  A block whose
   runs (one sibling pair over all vertices of a level) are large, and most
-  of whose level pairs have a nonzero bound, holds its multipliers as dense
-  (K^j, K(K-1)/2, m, m) arrays per split level j, so g[a] + g[b] is a
-  broadcast add and the masses are sequential axis reductions; the other
-  blocks share one gather, one bincount and one np.add.at over their kept
-  pairs.  Both sum each leaf's mass in the order np.add.at does over the
-  block's first, then second, pair indices, so the iterates are those of
-  solving each block on its own, bit for bit.
+  of whose level pairs have a nonzero bound, is held in the dense form:
+  its multipliers are (K^j, K(K-1)/2, m, m) arrays per split level j, so
+  g[a] + g[b] is a broadcast add and the masses are axis sums.  The other
+  blocks are held in the index form, one gather, one bincount and one
+  np.add.at over their kept pairs.  A block's form depends on its
+  instance only and its sums on its own arrays only, so a solution is the
+  same bit for bit alone or in any batch.  The two forms sum a leaf's
+  mass in different orders; both stop at the certified gap, so their
+  values agree within it.
 * every other p >= 1: a primal-dual interior-point method.  Each Newton
   step solves (diag(nu p (p-1) g^(p-2) + z/g + delta) + A^T diag(mu/s) A)
   dg = r, with slacks s = A g - bound and multipliers mu (pairs) and z
@@ -82,6 +84,9 @@ _ORACLE_POINT_BUDGET = 20_000_000
 # Newton steps otherwise)
 _REL_TOL = 1e-8
 _MAX_ITERS = 100_000
+# hajlasz_feasible accepts a pair whose g[a] + g[b] falls short of its bound
+# by this much relative
+_FEASIBLE_RTOL = 1e-9
 
 
 class ConvergenceError(RuntimeError):
@@ -166,9 +171,10 @@ class HajlaszInstance:
         return spread * float(self.split_distances.min()) ** -self.theta
 
 
-def hajlasz_feasible(inst: HajlaszInstance, g, rtol: float = 1e-9) -> bool:
+def hajlasz_feasible(inst: HajlaszInstance, g) -> bool:
     """Whether the gradient system g (mapping scale -> leaf array) satisfies
-    every pair constraint.  Negative entries are rejected outright."""
+    every pair constraint, to `_FEASIBLE_RTOL` relative.  Negative entries
+    are rejected outright."""
     arrays = {}
     for k, arr in g.items():
         arr = np.asarray(arr, dtype=float)
@@ -182,7 +188,7 @@ def hajlasz_feasible(inst: HajlaszInstance, g, rtol: float = 1e-9) -> bool:
         if arr is None:
             return False
         lhs = arr[ia] + arr[ib]
-        if np.any(lhs < bound * (1.0 - rtol) - 1e-15):
+        if np.any(lhs < bound * (1.0 - _FEASIBLE_RTOL) - 1e-15):
             return False
     return True
 
@@ -307,80 +313,6 @@ class _DualBlock:
         self.mu = self.mu_prev = None
 
 
-class _DenseMass:
-    """Multiplier mass and pair sums of one dense block, by axis reductions.
-
-    At split level j the multipliers are a (K^j, P, m, m) array: vertex,
-    sibling pair (c1, c2), leaf a under c1, leaf b under c2.  A leaf's mass
-    is summed as np.add.at sums it: from 0, its first-index pairs in pair
-    order (by level, pair, then b), then its second-index pairs (by level,
-    pair, then a).  So the runs go in that order: pair (c1, c2) of level j
-    adds its b-sums to the leaves under c1, then, after all first-index
-    runs, its a-sums to the leaves under c2.  Each run is one reduction
-    over an outer axis, which numpy adds term by term in order (over the
-    contiguous last axis it would sum pairwise, in another order): over a
-    of the pair's (vertex, a, b) slice, or over b of its transposed copy.
-    A run that must continue sums already made starts from them, put as
-    the first term ahead of the run's terms in a scratch array.  The tests
-    hold these sums to np.add.at's bit for bit.
-    """
-
-    def __init__(self, blk, y, start, s, g):
-        V, P, m, _ = blk.level_bounds[0].shape
-        K = s.size // (V * m)
-        pa, pb = np.triu_indices(K, 1)
-        self.leaf_mass, self.runs, self.sums = s, [], []
-        levels = []
-        for bound in blk.level_bounds:
-            V, P, m, _ = bound.shape
-            seg = slice(start, start + bound.size)
-            start += bound.size
-            s_j, g_j = s.reshape(V, K, m), g.reshape(V, K, m)
-            levels.append((y[seg].reshape(V, P, m, m), s_j, np.empty((V, m + 1, m))))
-            # the level's entries of a flat pair array, as (V, P, m, m), and
-            # per sibling pair the g of its a and b leaves
-            pairs = [(g_j[:, a, :, None], g_j[:, b, None, :]) for a, b in zip(pa, pb)]
-            self.sums.append((seg, bound.shape, pairs))
-        # The runs in summation order: (terms, the leaf masses they add to,
-        # scratch, the scratch rows for the terms or None, continue?).  A
-        # run continues if a run before it summed into any of its leaves;
-        # the masses start from 0 if some leaves of such a run have none.
-        touched = np.zeros(s.size, dtype=bool)
-        self.from_zero = False
-        for over_b, child in ((True, pa), (False, pb)):
-            for mu, s_j, scratch in levels:
-                t = touched.reshape(s_j.shape)
-                for pair, c in enumerate(child):
-                    cont = bool(t[:, c, :].any())
-                    self.from_zero |= cont and not t[:, c, :].all()
-                    t[:, c, :] = True
-                    terms = mu[:, pair].transpose(0, 2, 1) if over_b else mu[:, pair]
-                    body = scratch[:, 1:, :] if over_b or cont else None
-                    self.runs.append((terms, s_j[:, c, :], scratch, body, cont))
-
-    def mass(self):
-        if self.from_zero:
-            self.leaf_mass.fill(0.0)
-        for terms, out, scratch, body, cont in self.runs:
-            if cont:
-                scratch[:, 0, :] = out
-            if body is None:
-                np.add.reduce(terms, axis=1, out=out)
-            else:
-                np.copyto(body, terms)
-                np.add.reduce(scratch if cont else body, axis=1, out=out)
-
-    def pair_sums(self, flat):
-        """g[a] + g[b] of every pair, into the block's entries of flat."""
-        # as a copy and an add, faster than one broadcast add
-        for seg, shape, pairs in self.sums:
-            out = flat[seg].reshape(shape)
-            for pair, (first, second) in enumerate(pairs):
-                o = out[:, pair]
-                np.copyto(o, second)
-                np.add(first, o, out=o)
-
-
 class _DualLayout:
     """The multipliers of unsolved dual blocks, of one or more instances,
     in shared flat arrays, all advanced by one accelerated projected step
@@ -388,15 +320,18 @@ class _DualLayout:
 
     Dense blocks come first, then the others; block i owns the pair
     entries `segments[i]` and the leaf entries `leaves[i]` (all n_leaves
-    of its instance, a leaf in no pair at mass 0).  Each dense block sums
-    its leaves' multiplier masses by `_DenseMass`.  The other blocks share
-    one gather for g[a] + g[b], and one bincount over all their first
-    indices continued by np.add.at over all their second ones, which sums
-    each leaf's mass in the order np.add.at does.  The blocks' constants are spread over the flat
-    arrays, the step sigma per pair and 2 nu per leaf, so each is applied
-    by one operation; consecutive blocks whose momentum restarted at the
-    same step share its coefficient, and `runs` holds their pair entries
-    as one slice each.
+    of its instance, a leaf in no pair at mass 0).  At split level j a
+    dense block's multipliers are a (K^j, P, m, m) array: vertex, sibling
+    pair (c1, c2), leaf a under c1, leaf b under c2.  Its leaves' masses
+    are plain reductions: for each pair, the leaves under c1 add the sums
+    over b and the leaves under c2 the sums over a.  The other blocks
+    share one gather for g[a] + g[b], and one bincount over all their
+    first indices continued by np.add.at over all their second ones.  The
+    blocks' constants are spread over the flat arrays, the step sigma per
+    pair and 2 nu per leaf, so each is applied by one operation;
+    consecutive blocks whose momentum restarted at the same step share
+    its coefficient, and `runs` holds their pair entries as one slice
+    each.
     """
 
     def __init__(self, blocks):
@@ -418,13 +353,22 @@ class _DualLayout:
         self.two_nu = np.repeat([2.0 * b.nu for b in blocks], counts)
         self.y = np.empty_like(self.mu)
         self.s, self.g = np.zeros(leaf_ends[-1]), np.zeros(leaf_ends[-1])
-        self.dense = [
-            _DenseMass(b, self.y, seg.start, self.s[lv], self.g[lv])
-            for b, seg, lv in zip(dense, self.segments, self.leaves)
-        ]
         first = len(dense)
         start = ends[first - 1] if first else 0
         base = leaf_ends[first - 1] if first else 0
+        # per split level of a dense block: its pair entries, their
+        # (V, P, m, m) shape, the (V, K, m) views of its leaves' s and g,
+        # and its sibling pairs (c1, c2) in order
+        self.dense_s, self.dense = self.s[:base], []
+        for b, seg, lv in zip(dense, self.segments, self.leaves):
+            at = seg.start
+            for bound in b.level_bounds:
+                V, _, m, _ = bound.shape
+                K = b.n_leaves // (V * m)
+                s, g = self.s[lv].reshape(V, K, m), self.g[lv].reshape(V, K, m)
+                pairs = list(zip(*np.triu_indices(K, 1)))
+                self.dense.append((slice(at, at + bound.size), bound.shape, s, g, pairs))
+                at += bound.size
         self.index_pairs = slice(start, None)
         self.index_s, self.index_g = self.s[base:], self.g[base:]
         # the index blocks' pairs as leaf indices into index_s and index_g
@@ -448,12 +392,28 @@ class _DualLayout:
 
     def _mass(self):
         """Every leaf's multiplier mass under the multipliers in y, into s."""
-        for d in self.dense:
-            d.mass()
+        self.dense_s.fill(0.0)
+        for seg, shape, s, _, pairs in self.dense:
+            mu = self.y[seg].reshape(shape)
+            over_b, over_a = mu.sum(axis=3), mu.sum(axis=2)
+            for q, (c1, c2) in enumerate(pairs):
+                s[:, c1] += over_b[:, q]
+                s[:, c2] += over_a[:, q]
         if self.ia.size:
             w, s = self.y[self.index_pairs], self.index_s
             s[:] = np.bincount(self.ia, w, s.size)
             np.add.at(s, self.ib, w)
+
+    def pair_sums(self, flat):
+        """g[a] + g[b] of every pair of the dense blocks, into their
+        entries of flat."""
+        for seg, shape, _, g, pairs in self.dense:
+            out = flat[seg].reshape(shape)
+            # as a copy and an add, faster than one broadcast add
+            for q, (c1, c2) in enumerate(pairs):
+                o = out[:, q]
+                np.copyto(o, g[:, c2, None, :])
+                np.add(g[:, c1, :, None], o, out=o)
 
     def step(self, t, momentum):
         """Step t of every block; momentum[i] is the coefficient of the
@@ -468,8 +428,7 @@ class _DualLayout:
         # mu_prev is dead once y is formed: the pair sums g[a] + g[b], then
         # the step and the new multipliers, go there
         step = self.mu_prev
-        for d in self.dense:
-            d.pair_sums(step)
+        self.pair_sums(step)
         if self.ia.size:
             out = np.take(self.index_g, self.ib, out=step[self.index_pairs])
             np.add(self.index_g[self.ia], out, out=out)
@@ -494,6 +453,20 @@ class _DualLayout:
         return blocks
 
 
+def _dense_bounds(inst, k):
+    """The bound arrays of the split levels of scale k if its p = 2 block is
+    held in the dense form, else None."""
+    K, N = inst.f.K, inst.f.depth
+    levels = [j for j, kj in enumerate(inst.scale_of_level) if kj == k]
+    level_pairs = sum(inst.level_bounds[j].size for j in levels)
+    if (
+        K ** (2 * N - levels[-1] - 2) >= _DENSE_MIN_RUN
+        and inst.constraints[k][0].size >= _DENSE_MIN_KEPT * level_pairs
+    ):
+        return [inst.level_bounds[j] for j in levels]
+    return None
+
+
 def _solve_dual_blocks(batch):
     """Accelerated projected dual ascent on every scale block of the p = 2
     instances `batch`, a list of (position, instance).
@@ -510,20 +483,13 @@ def _solve_dual_blocks(batch):
     (position, scale) -> (leaf array, BlockReport); the ConvergenceError
     raised at `_MAX_ITERS` names every block left uncertified.
     """
-    blocks = []
-    for at, inst in batch:
-        K, N, n_leaves = inst.f.K, inst.f.depth, inst.f.n_leaves
-        for k, (ia, ib, bound) in inst.constraints.items():
-            levels = [j for j, kj in enumerate(inst.scale_of_level) if kj == k]
-            level_pairs = sum(inst.level_bounds[j].size for j in levels)
-            dense = (
-                K ** (2 * N - levels[-1] - 2) >= _DENSE_MIN_RUN
-                and ia.size >= _DENSE_MIN_KEPT * level_pairs
-            )
-            level_bounds = [inst.level_bounds[j] for j in levels] if dense else None
-            blocks.append(
-                _DualBlock(at, k, ia, ib, bound, n_leaves, inst.leaf_measure, level_bounds)
-            )
+    blocks = [
+        _DualBlock(
+            at, k, ia, ib, bound, inst.f.n_leaves, inst.leaf_measure, _dense_bounds(inst, k)
+        )
+        for at, inst in batch
+        for k, (ia, ib, bound) in inst.constraints.items()
+    ]
     if not blocks:
         return {}
     lay = _DualLayout(blocks)
@@ -704,8 +670,10 @@ def hajlasz_minimize_all(instances) -> list[HajlaszSolution]:
     The p = 2 instances are taken in order into batches whose pair counts,
     K^N (K^N - 1) / 2 each, add up to at most `_BATCH_PAIRS` (a larger
     instance alone), and the scale blocks of a batch share one dual-ascent
-    loop.  Each block takes the steps it takes solved alone, so every
-    solution is that of its instance alone, bit for bit.  The other
+    loop.  Each block takes the steps it takes solved alone, in the form
+    (dense or index) its instance alone decides, so every solution is that
+    of its instance alone, bit for bit; a block solved in the other form
+    would agree within the certified gap.  The other
     instances go block by block through the interior-point method.  A
     ConvergenceError from a batch names each block it left uncertified,
     with its instance's position in `instances`.

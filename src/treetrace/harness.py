@@ -245,8 +245,12 @@ class ExperimentConfig:
         self.phi()
         if self.lam is not None and abs(self.lam - (self.lambda1 + self.lambda2)) > 1e-12:
             raise ValueError("equivalence runs require lam = lambda1 + lambda2")
-        if not 0.0 < self.resolved_theta < 1.0:
-            raise ValueError("equivalence runs require 0 < theta < 1")
+        theta = self.resolved_theta
+        if not 0.0 < theta < 1.0:
+            got = f"theta = {theta:g}"
+            if self.theta is None:
+                got = f"theta is unset, and 1 - (beta - log K)/(epsilon p) = {theta:.6g}"
+            raise ValueError(f"equivalence runs require 0 < theta < 1, but {got}")
 
 
 def fit_log_slope(depths, values) -> float:

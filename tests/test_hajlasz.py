@@ -222,11 +222,11 @@ def test_interior_point_two_leaves_closed_form(p):
     # put the value 1.1e-9 above it
     for seed in range(4):
         inst = random_instance(seed, depth=1, p=p)
-        (k, (_, _, bound)), = inst.constraints.items()
+        (k, (ia, ib, bound)), = inst.constraints.items()
         sol = hajlasz_minimize(inst)
         closed = 2.0 * inst.leaf_measure * (bound[0] / 2.0) ** p
         assert sol.method == "interior-point"
-        assert hajlasz_feasible(inst, sol.g, rtol=0.0)
+        assert np.all(sol.g[k][ia] + sol.g[k][ib] >= bound)
         assert abs(sol.value - closed) <= 1e-12 * closed
 
 
@@ -240,6 +240,11 @@ def test_interior_point_is_homogeneous():
         np.testing.assert_allclose(b.g[k], 1e-80 * a.g[k], rtol=1e-12, atol=0.0)
 
 
+def _assert_within_gap(a, b, what):
+    """Two values that each certify _REL_TOL agree within twice it."""
+    assert abs(a - b) <= 2.0 * hajlasz._REL_TOL * max(a, b), what
+
+
 def _assert_matches_ipm(inst, g):
     """The p = 2 gradient arrays g give, block by block, the value of the
     interior-point method within twice _REL_TOL: both certify _REL_TOL."""
@@ -247,9 +252,8 @@ def _assert_matches_ipm(inst, g):
     for k, (ia, ib, bound) in inst.constraints.items():
         block = inst.f.K ** (inst.f.depth - inst.coarsest_level[k])
         g_ip, rep = _solve_scale_ipm(nu, 2.0, ia, ib, bound, n, block, f"scale {k}")
-        v_ip, v_da = nu * np.sum(g_ip**2), nu * np.sum(g[k] ** 2)
         assert rep.rel_gap <= hajlasz._REL_TOL
-        assert abs(v_ip - v_da) <= 2.0 * hajlasz._REL_TOL * max(v_ip, v_da), k
+        _assert_within_gap(nu * np.sum(g_ip**2), nu * np.sum(g[k] ** 2), k)
 
 
 @pytest.mark.parametrize("K, depth", [(2, 1), (2, 3), (2, 6), (3, 3)])
@@ -365,9 +369,11 @@ def _per_block_dual_ascent(nu, p, ia, ib, bound, n_leaves):
 
 
 def _assert_matches_per_block(inst, sol=None):
-    """hajlasz_minimize at p = 2 (or the given solution of inst) gives, bit
-    for bit, the value, gradient arrays and block reports of solving each
-    block on its own."""
+    """hajlasz_minimize at p = 2 (or the given solution of inst) gives the
+    solution of solving each block on its own: bit for bit (gradient array
+    and block report) for a block in the index form, and within the
+    certified gap for one in the dense form, which adds up its multiplier
+    masses in another order."""
     nu, n = inst.leaf_measure, inst.f.n_leaves
     g = {k: np.zeros(n) for k in inst.scales}
     blocks = {}
@@ -380,11 +386,21 @@ def _assert_matches_per_block(inst, sol=None):
         sol = hajlasz_minimize(inst)
     assert sol.method == "dual-ascent"
     assert list(sol.g) == list(g)
+    assert set(sol.blocks) == set(blocks)
+    assert sol.iterations == sum(b.iterations for b in sol.blocks.values())
+    dense = [k for k in inst.constraints if hajlasz._dense_bounds(inst, k) is not None]
     for k in g:
-        assert np.array_equal(sol.g[k], g[k]), k
-    assert sol.blocks == blocks
-    assert sol.value == value
-    assert sol.iterations == sum(b.iterations for b in blocks.values())
+        if k in dense:
+            assert sol.blocks[k].rel_gap <= hajlasz._REL_TOL
+            _assert_within_gap(nu * np.sum(sol.g[k] ** 2), nu * np.sum(g[k] ** 2), k)
+        else:
+            assert np.array_equal(sol.g[k], g[k]), k
+            assert sol.blocks.get(k) == blocks.get(k), k
+    assert hajlasz_feasible(inst, sol.g)
+    if dense:
+        _assert_within_gap(sol.value, value, "value")
+    else:
+        assert sol.value == value
 
 
 # Every block in the dense form, the default choice of form, and every
@@ -395,6 +411,35 @@ FORMS = [(1, 0.0), (hajlasz._DENSE_MIN_RUN, hajlasz._DENSE_MIN_KEPT), (2**62, 0.
 def _use_form(mp, form):
     mp.setattr(hajlasz, "_DENSE_MIN_RUN", form[0])
     mp.setattr(hajlasz, "_DENSE_MIN_KEPT", form[1])
+
+
+@pytest.mark.parametrize("K, depth", [(2, 6), (3, 4)])
+def test_dense_masses_match_the_index_form(K, depth):
+    # at epsilon = 0.3 several split levels share one scale, so a block
+    # spans several levels; random multipliers on its kept pairs
+    rng = np.random.default_rng(K)
+    f = generate("iid-uniform", K=K, depth=depth, seed=7, epsilon=0.3, theta=0.5)
+    inst = HajlaszInstance(f, 0.5, 2.0, 0.3)
+    n, spans = f.n_leaves, 0
+    with pytest.MonkeyPatch.context() as mp:
+        _use_form(mp, FORMS[0])
+        for k, (ia, ib, bound) in inst.constraints.items():
+            level_bounds = hajlasz._dense_bounds(inst, k)
+            spans += len(level_bounds) > 1
+            dense = hajlasz._DualLayout(
+                [hajlasz._DualBlock(0, k, ia, ib, bound, n, 1.0, level_bounds)]
+            )
+            index = hajlasz._DualLayout([hajlasz._DualBlock(0, k, ia, ib, bound, n, 1.0)])
+            w = rng.uniform(size=ia.size)
+            dense.mu[dense.blocks[0].kept], index.mu[:] = w, w
+            s_dense, s_index = dense.mu_mass(), index.mu_mass()
+            np.testing.assert_allclose(s_dense, s_index, rtol=1e-13, atol=0.0)
+            # and the pair sums g[a] + g[b] of the kept pairs, exactly
+            dense.g[:] = rng.uniform(size=n)
+            flat = np.zeros(dense.mu.size)
+            dense.pair_sums(flat)
+            assert np.array_equal(flat[dense.blocks[0].kept], dense.g[ia] + dense.g[ib])
+    assert spans
 
 
 @st.composite

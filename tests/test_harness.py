@@ -103,6 +103,22 @@ def test_config_rejects_bad_hypotheses():
         ExperimentConfig(lambda1=1.0, lam=0.0).validate_equivalence_hypotheses()
 
 
+@pytest.mark.parametrize(
+    "keys, got",
+    [
+        # 1 - (2 ln 2 - ln 2)/(ln 2 * 1) = 0
+        ({"p": 1.0}, "theta is unset, and 1 - (beta - log K)/(epsilon p) = 0"),
+        ({"epsilon": 1e-4, "beta": 0.7}, "1 - (beta - log K)/(epsilon p) = -33.2641"),
+        ({"theta": 1.5}, "but theta = 1.5"),
+    ],
+)
+def test_equivalence_theta_error_names_the_resolved_value(keys, got):
+    with pytest.raises(ValueError) as info:
+        ExperimentConfig(**keys).validate_equivalence_hypotheses()
+    assert "equivalence runs require 0 < theta < 1" in str(info.value)
+    assert got in str(info.value)
+
+
 def test_config_file_parsing(tmp_path):
     path = tmp_path / "cfg.txt"
     path.write_text(
