@@ -90,7 +90,30 @@ _FEASIBLE_RTOL = 1e-9
 
 
 class ConvergenceError(RuntimeError):
-    """The solver hit its iteration cap before certifying its tolerance."""
+    """The solver hit its iteration cap, or could not take a Newton step,
+    before it certified its tolerance.
+
+    `blocks` lists each block it left uncertified as (position, block,
+    why): the position of the block's instance among those solved together,
+    the block ("(K=2, depth 4) scale 3") and what stopped it.  The message
+    is `what` followed by those blocks, each one's instance named by
+    `names` (position -> name, "instance <position>" by default).
+    """
+
+    def __init__(self, what, blocks=(), names=None):
+        self.what, self.blocks = what, tuple(blocks)
+        names = names or {}
+        super().__init__(
+            what
+            + "; ".join(
+                f"{names.get(at, f'instance {at}')} {block}: {why}"
+                for at, block, why in self.blocks
+            )
+        )
+
+    def named(self, names) -> ConvergenceError:
+        """The same error with the instance at position i named names[i]."""
+        return ConvergenceError(self.what, self.blocks, names)
 
 
 def scale_for_distance(d: float) -> int:
@@ -142,8 +165,8 @@ class HajlaszInstance:
             self.level_bounds.append(bound)
             keep = bound > 0
             if keep.any():
-                ia = np.broadcast_to(leaf[:, pa, :, None], bound.shape)[keep]
-                ib = np.broadcast_to(leaf[:, pb, None, :], bound.shape)[keep]
+                ia = leaf[:, pa, :, None].repeat(m, axis=3)[keep]
+                ib = leaf[:, pb, None, :].repeat(m, axis=2)[keep]
                 per_scale.setdefault(self.scale_of_level[j], []).append((ia, ib, bound[keep]))
 
         self.constraints: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
@@ -221,7 +244,8 @@ class HajlaszSolution:
 def _active_leaves(ia, ib, n_leaves):
     """The leaves that occur in some pair, and the pairs in their local
     indices (ia and ib themselves when every leaf occurs)."""
-    active = np.unique(np.concatenate([ia, ib]))
+    counts = np.bincount(ia, minlength=n_leaves) + np.bincount(ib, minlength=n_leaves)
+    active = np.flatnonzero(counts)
     if active.size == n_leaves:
         return active, ia, ib
     remap = np.full(n_leaves, -1)
@@ -233,11 +257,14 @@ def _repair(g, ia, ib, bound):
     """Raise both endpoints of every violated constraint by half the deficit.
 
     Entries only grow, so one pass restores feasibility for all constraints."""
-    deficit = bound - (g[ia] + g[ib])
+    deficit = g[ia]
+    deficit += g[ib]
+    np.subtract(bound, deficit, out=deficit)
     viol = deficit > 0
     if viol.any():
-        np.add.at(g, ia[viol], 0.5 * deficit[viol])
-        np.add.at(g, ib[viol], 0.5 * deficit[viol])
+        half = 0.5 * deficit[viol]
+        np.add.at(g, ia[viol], half)
+        np.add.at(g, ib[viol], half)
 
 
 def _dual_point(nu, p, s, mu, bound):
@@ -297,6 +324,8 @@ class _DualBlock:
         self.n_leaves, self.nu = n_leaves, nu
         self.active, self.la, self.lb = _active_leaves(ia, ib, n_leaves)
         n = self.active.size
+        # selects the active leaves from an array over all leaves
+        self.active_sel = slice(None) if n == n_leaves else self.active
         deg = np.bincount(self.la, minlength=n) + np.bincount(self.lb, minlength=n)
         self.sigma = (2.0 * nu) / float((deg[self.la] + deg[self.lb]).max())
         self.best = nu * float(np.sum(np.full(n, bound.max() / 2.0) ** 2.0))
@@ -378,6 +407,7 @@ class _DualLayout:
             at = slice(seg.start - start, seg.stop - start)
             np.add(b.ia, lv.start - base, out=self.ia[at])
             np.add(b.ib, lv.start - base, out=self.ib[at])
+        self.n_dense, self.index_leaves = first, slice(base, None)
         self.set_runs()
 
     def set_runs(self):
@@ -430,7 +460,9 @@ class _DualLayout:
         step = self.mu_prev
         self.pair_sums(step)
         if self.ia.size:
-            out = np.take(self.index_g, self.ib, out=step[self.index_pairs])
+            # mode "clip" (the indices are in range) writes straight into
+            # out; the default "raise" goes through a buffer
+            out = np.take(self.index_g, self.ib, out=step[self.index_pairs], mode="clip")
             np.add(self.index_g[self.ia], out, out=out)
         np.subtract(self.bound, step, out=step)
         step *= self.sigma
@@ -442,6 +474,39 @@ class _DualLayout:
         np.copyto(self.y, self.mu)
         self._mass()
         return self.s
+
+    def gap_points(self):
+        """Each block's dual value q(mu) under the current multipliers mu,
+        and the value and active-leaf array of its repaired Lagrangian
+        minimizer g = s / (2 nu): (dual, primal, g) in block order.  The
+        elementwise work is done once for all blocks, and the repair once
+        for all index blocks (a leaf's raises add up in its own pair order,
+        as they do in its block alone); each block sums over its own active
+        leaves, so every number is that of the block alone."""
+        s = self.mu_mass()
+        # far from the optimum the squares can overflow; q is then -inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = s / self.two_nu
+            square = g**2.0
+            duals = []
+            for blk, seg, lv in zip(self.blocks, self.segments, self.leaves):
+                a = blk.active_sel
+                q = (
+                    blk.nu * float(square[lv][a].sum())
+                    - float(s[lv][a].dot(g[lv][a]))
+                    + float(self.mu[seg][blk.kept].dot(blk.bound))
+                )
+                duals.append(q if math.isfinite(q) else -math.inf)
+        for blk, lv in zip(self.blocks[: self.n_dense], self.leaves):
+            _repair(g[lv], blk.ia, blk.ib, blk.bound)
+        if self.ia.size:
+            _repair(g[self.index_leaves], self.ia, self.ib, self.bound[self.index_pairs])
+        square = g**2.0
+        points = []
+        for blk, lv, dual in zip(self.blocks, self.leaves, duals):
+            a = blk.active_sel
+            points.append((dual, blk.nu * float(square[lv][a].sum()), g[lv][a]))
+        return points
 
     def unsolved(self, solved):
         """The blocks not in `solved`, each given a copy of its multipliers."""
@@ -477,7 +542,8 @@ def _solve_dual_blocks(batch):
     sigma = 2 nu / max(deg_a + deg_b), set once per block, is the inverse
     Lipschitz constant of the dual's gradient.  Every `_CHECK_EVERY` steps
     each block computes its dual lower bound and repairs the Lagrangian
-    minimizer into its best primal point (from the feasible g = max(bound)/2);
+    minimizer into its best primal point (from the feasible g = max(bound)/2),
+    all blocks at once (`_DualLayout.gap_points`);
     it stops when their relative gap drops below `_REL_TOL` and restarts its
     momentum when its dual value fell (the ascent is not monotone).  Returns
     (position, scale) -> (leaf array, BlockReport); the ConvergenceError
@@ -502,15 +568,10 @@ def _solve_dual_blocks(batch):
         lay.step(t, momentum)
         if (t + 1) % _CHECK_EVERY:
             continue
-        s = lay.mu_mass()
         before, restarted = len(solved), False
-        for blk, seg, lv in zip(lay.blocks, lay.segments, lay.leaves):
-            nu = blk.nu
-            g, dual = _dual_point(nu, 2.0, s[lv][blk.active], lay.mu[seg][blk.kept], blk.bound)
-            _repair(g, blk.la, blk.lb, blk.bound)
-            primal = nu * float(np.sum(g**2.0))
+        for (dual, primal, g), blk, seg in zip(lay.gap_points(), lay.blocks, lay.segments):
             if primal < blk.best:
-                blk.best, blk.best_g = primal, g
+                blk.best, blk.best_g = primal, g.copy()
             blk.gap = (blk.best - dual) / blk.best
             if blk.best - dual <= _REL_TOL * max(blk.best, 1e-300):
                 out = np.zeros(blk.n_leaves)
@@ -527,20 +588,26 @@ def _solve_dual_blocks(batch):
         if len(solved) > before:
             unsolved = lay.unsolved(solved)
             # the old arrays go before the new ones are made
-            del lay, s
+            del lay
             lay = _DualLayout(unsolved)
         elif restarted:
             lay.set_runs()
     insts = dict(batch)
-    left = "; ".join(
-        f"instance {blk.at} (K={insts[blk.at].f.K}, depth {insts[blk.at].f.depth}) "
-        f"scale {blk.k}: "
-        + ("no gap check" if blk.gap is None else f"relative gap {blk.gap:.3g}")
-        for blk in lay.blocks
-    )
     raise ConvergenceError(
-        f"dual ascent did not certify the optimum within {_MAX_ITERS} iterations: {left}"
+        f"dual ascent did not certify the optimum within {_MAX_ITERS} iterations: ",
+        [
+            (
+                blk.at,
+                _block_name(insts[blk.at], blk.k),
+                "no gap check" if blk.gap is None else f"relative gap {blk.gap:.3g}",
+            )
+            for blk in lay.blocks
+        ],
     )
+
+
+def _block_name(inst, k):
+    return f"(K={inst.f.K}, depth {inst.f.depth}) scale {k}"
 
 
 _CENTRING = 0.1
@@ -575,8 +642,8 @@ def _solve_scale_ipm(nu, p, ia, ib, bound, n_leaves, block, where):
     largest mu/s.  Stops on the certified gap between the better of the
     repaired iterate and the repaired Lagrangian minimizer of mu, and
     q(mu).  A Newton system that is not finite or not solvable raises
-    ConvergenceError at once, as the iteration cap does; `where` names the
-    block in the message.
+    ConvergenceError at once, as the iteration cap does; `where`, the
+    block's instance position and name, names the block in the error.
     """
     active, la, lb = _active_leaves(ia, ib, n_leaves)
     n, m = active.size, ia.size
@@ -602,7 +669,7 @@ def _solve_scale_ipm(nu, p, ia, ib, bound, n_leaves, block, where):
     s = g[la] + g[lb] - b
     start = p * nu * float(np.sum(g**p)) / (m + n)
     mu, z = start / s, start / g
-    stop = f"interior-point method at p = {p:g} did not certify the optimum of {where}"
+    stop = f"interior-point method at p = {p:g} did not certify the optimum of "
     for t in range(_MAX_ITERS):
         target = _CENTRING * (float(np.dot(s, mu)) + float(np.dot(g, z))) / (m + n)
         # a slack or a leaf value can underflow; the check below stops there
@@ -616,12 +683,13 @@ def _solve_scale_ipm(nu, p, ia, ib, bound, n_leaves, block, where):
             cells, np.concatenate([w, w, w, w, diag]), n_leaves * block
         ).reshape(-1, block, block)
         if not (np.isfinite(system).all() and np.isfinite(rhs).all()):
-            raise ConvergenceError(f"{stop}: its Newton system is not finite after {t} steps")
+            not_finite = f"its Newton system is not finite after {t} steps"
+            raise ConvergenceError(stop, [(*where, not_finite)])
         try:
             dg = np.linalg.solve(system, rhs.reshape(-1, block, 1)).ravel()[active]
         except np.linalg.LinAlgError:
-            singular = f"{stop}: its Newton matrix is singular after {t} steps"
-            raise ConvergenceError(singular) from None
+            singular = f"its Newton matrix is singular after {t} steps"
+            raise ConvergenceError(stop, [(*where, singular)]) from None
         ds = dg[la] + dg[lb]
         dmu = target / s - mu - w * ds
         dz = target / g - z - (z / g) * dg
@@ -649,7 +717,8 @@ def _solve_scale_ipm(nu, p, ia, ib, bound, n_leaves, block, where):
             out *= float(np.max(bound / (out[ia] + out[ib])))
             _repair(out, ia, ib, bound)
             return out, BlockReport(t + 1, (primal - dual) / primal)
-    raise ConvergenceError(f"{stop} within {_MAX_ITERS} iterations")
+    gap = f"relative gap {(primal - dual) / primal:.3g} after {_MAX_ITERS} iterations"
+    raise ConvergenceError(stop, [(*where, gap)])
 
 
 def hajlasz_minimize(inst: HajlaszInstance) -> HajlaszSolution:
@@ -665,40 +734,48 @@ def hajlasz_minimize(inst: HajlaszInstance) -> HajlaszSolution:
 
 
 def hajlasz_minimize_all(instances) -> list[HajlaszSolution]:
-    """`hajlasz_minimize` of each instance, in order.
+    """`hajlasz_minimize` of each instance of the iterable `instances`, in
+    order.
 
-    The p = 2 instances are taken in order into batches whose pair counts,
-    K^N (K^N - 1) / 2 each, add up to at most `_BATCH_PAIRS` (a larger
-    instance alone), and the scale blocks of a batch share one dual-ascent
-    loop.  Each block takes the steps it takes solved alone, in the form
-    (dense or index) its instance alone decides, so every solution is that
-    of its instance alone, bit for bit; a block solved in the other form
-    would agree within the certified gap.  The other
-    instances go block by block through the interior-point method.  A
-    ConvergenceError from a batch names each block it left uncertified,
-    with its instance's position in `instances`.
+    The iterable is consumed batch by batch.  The p = 2 instances go in
+    order into a batch until the next one would take its pair count, K^N
+    (K^N - 1) / 2 per instance, past `_BATCH_PAIRS` (a larger instance goes
+    alone); then the scale blocks of the batch are solved in one
+    dual-ascent loop, their solutions built and the batch's instances
+    dropped before the next instance is taken.  The other instances go
+    block by block through the interior-point method as they arrive.  So
+    one batch of instances is alive at a time when `instances` builds them
+    lazily; a sweep at the default config (21,056 pairs) is one batch and
+    one loop, whose instances, arrays and temporaries peak at 2.7 MB.  Each block takes the
+    steps it takes solved alone, in the form (dense or index) its instance
+    alone decides, so every solution is that of its instance alone, bit for
+    bit; a block solved in the other form would agree within the certified
+    gap.  A ConvergenceError names each block it left uncertified by its
+    instance's position in `instances`.
     """
-    instances = list(instances)
-    solved = {}
-    for batch in _batches(instances):
-        solved.update(_solve_dual_blocks(batch))
-    return [_solution(inst, at, solved) for at, inst in enumerate(instances)]
-
-
-def _batches(instances):
-    """The p = 2 instances as (position, instance), in `_BATCH_PAIRS` batches."""
-    batch, pairs = [], 0
-    for at, inst in enumerate(instances):
+    solutions, batch, pairs = [], [], 0
+    for inst in instances:
         if inst.p != 2.0:
+            solutions.append(_solution(inst, len(solutions), {}))
             continue
         size = inst.f.n_leaves * (inst.f.n_leaves - 1) // 2
         if batch and pairs + size > _BATCH_PAIRS:
-            yield batch
+            _solve_batch(batch, solutions)
             batch, pairs = [], 0
-        batch.append((at, inst))
+        batch.append((len(solutions), inst))
+        solutions.append(None)
         pairs += size
     if batch:
-        yield batch
+        _solve_batch(batch, solutions)
+    return solutions
+
+
+def _solve_batch(batch, solutions):
+    """Solve the p = 2 instances `batch`, a list of (position, instance),
+    into their places in `solutions`."""
+    solved = _solve_dual_blocks(batch)
+    for at, inst in batch:
+        solutions[at] = _solution(inst, at, solved)
 
 
 def _solution(inst, at, solved) -> HajlaszSolution:
@@ -715,9 +792,8 @@ def _solution(inst, at, solved) -> HajlaszSolution:
             _repair(g[k], ia, ib, bound)
         else:
             block = K ** (N - inst.coarsest_level[k])
-            where = f"instance {at} (K={K}, depth {N}) scale {k}"
             g[k], blocks[k] = _solve_scale_ipm(
-                nu, inst.p, ia, ib, bound, n_leaves, block, where
+                nu, inst.p, ia, ib, bound, n_leaves, block, (at, _block_name(inst, k))
             )
     value = sum(nu * float(np.sum(arr**inst.p)) for arr in g.values())
     return HajlaszSolution(

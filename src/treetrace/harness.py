@@ -31,7 +31,7 @@ from .boundary_norms import (
     orlicz_norm,
 )
 from . import hajlasz
-from .hajlasz import HajlaszInstance
+from .hajlasz import ConvergenceError, HajlaszInstance
 from .operators import extend, trace
 from .tree import TreeParams, ahlfors_ratio, doubling_ratios, sample_ball_centers
 from .tree_norms import TreeFunction, gradient_lphi_modular, newtonian_norm
@@ -564,9 +564,14 @@ def verify_equivalences(cfg: ExperimentConfig) -> RatioReport:
     p = 2, `interior-point` otherwise), `hajlasz_iterations` summed over
     the scale blocks and `hajlasz_rel_gap`, the largest certified gap of a
     block; all three are empty past `hajlasz_max_depth`.  The Hajlasz
-    programs of one depth are solved by one `hajlasz_minimize_all` call,
-    whose p = 2 batches share a dual-ascent loop; every value is that of
-    solving the instance alone.
+    programs of the whole sweep, depth by depth and then seed by seed, are
+    solved by one `hajlasz_minimize_all` call.  Only the samples of those
+    depths are generated up front; each instance is built when the call
+    takes it, and each p = 2 batch is solved in one dual-ascent loop and
+    dropped before the next instance is built.  The default sweep (21,056
+    pairs) is one batch, whose 24 instances and loop arrays peak at about
+    2.7 MB.  Every value is that of solving the instance alone; a
+    ConvergenceError names each uncertified block by its seed and depth.
     """
     cfg.validate_equivalence_hypotheses()
     family = cfg.family or "iid-uniform"
@@ -575,17 +580,31 @@ def verify_equivalences(cfg: ExperimentConfig) -> RatioReport:
     phi = cfg.phi()
     ep = cfg.energy_params()
     ep_plain = EnergyParams(theta=ep.theta, p=ep.p, epsilon=ep.epsilon)
+    # the positions in cfg.depths of the depths with a Hajlasz column, their
+    # samples and the solutions of their programs
+    solved_at = [i for i, depth in enumerate(cfg.depths) if depth <= cfg.hajlasz_max_depth]
+    samples = {
+        i: [generate_for(cfg, family, cfg.depths[i], seed) for seed in cfg.seeds]
+        for i in solved_at
+    }
+    try:
+        # this calls no hajlasz_minimize, so a wrapper of that function
+        # (the benchmark's tracer) neither times nor counts these programs
+        solved = hajlasz.hajlasz_minimize_all(
+            HajlaszInstance(f, ep.theta, ep.p, cfg.epsilon) for i in solved_at for f in samples[i]
+        )
+    except ConvergenceError as err:
+        seeds = [seed for _ in solved_at for seed in cfg.seeds]
+        raise err.named({at: f"seed {seed}" for at, seed in enumerate(seeds)}) from None
+    n = len(cfg.seeds)
+    solutions = {i: solved[j * n : (j + 1) * n] for j, i in enumerate(solved_at)}
     rows = []
-    for depth in cfg.depths:
-        fs = [generate_for(cfg, family, depth, seed) for seed in cfg.seeds]
-        solutions = [None] * len(fs)
-        if depth <= cfg.hajlasz_max_depth:
-            # this calls no hajlasz_minimize, so a wrapper of that function
-            # (the benchmark's tracer) neither times nor counts these programs
-            solutions = hajlasz.hajlasz_minimize_all(
-                [HajlaszInstance(f, ep.theta, ep.p, cfg.epsilon) for f in fs]
-            )
-        for seed, f, sol in zip(cfg.seeds, fs, solutions):
+    for i, depth in enumerate(cfg.depths):
+        if i in samples:
+            fs = samples.pop(i)
+        else:
+            fs = [generate_for(cfg, family, depth, seed) for seed in cfg.seeds]
+        for seed, f, sol in zip(cfg.seeds, fs, solutions.get(i, [None] * n)):
             e_plain = dyadic_energy(f, ep_plain)
             if double_integral_is_exact(f.K, depth, ep_plain.p, cfg.pair_budget):
                 b_energy = double_integral_energy(f, ep_plain, cfg.pair_budget)

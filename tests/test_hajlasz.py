@@ -1,5 +1,6 @@
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -552,22 +553,46 @@ def test_batch_matches_each_instance_alone(form):
     assert sols[4].method == "interior-point"
 
 
+def _record_batches(mp, solve=True):
+    """Record the instance positions of each batch that hajlasz_minimize_all
+    solves, in order.  Without `solve`, every block gets the zero array
+    (which the solution repairs) and no loop runs."""
+    batches = []
+    solve_blocks = hajlasz._solve_dual_blocks
+
+    def record(batch):
+        batches.append([at for at, _ in batch])
+        if solve:
+            return solve_blocks(batch)
+        return {
+            (at, k): (np.zeros(inst.f.n_leaves), BlockReport(0, 0.0))
+            for at, inst in batch
+            for k in inst.constraints
+        }
+
+    mp.setattr(hajlasz, "_solve_dual_blocks", record)
+    return batches
+
+
 @pytest.mark.parametrize("batch_pairs", [1, 100, 2**13])
 def test_batch_split_does_not_change_results(batch_pairs):
     insts = _mixed_instances()
     whole = hajlasz_minimize_all(insts)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hajlasz, "_BATCH_PAIRS", batch_pairs)
-        assert len(list(hajlasz._batches(insts))) > 1
-        for a, b in zip(hajlasz_minimize_all(insts), whole):
+        batches = _record_batches(mp)
+        for a, b in zip(hajlasz_minimize_all(iter(insts)), whole):
             _assert_same_solution(a, b)
+        assert len(batches) > 1
 
 
-def test_batches_keep_input_order_within_the_pair_bound():
+def test_batches_keep_input_order_within_the_pair_bound(monkeypatch):
     # K = 2: 2016 pairs at depth 6, 8128 at 7 and 32640 at 8
     insts = [random_instance(s, depth=d) for d in (6, 7, 8) for s in range(8)]
     insts.insert(3, random_instance(0, depth=2, p=1.5))
-    batches = [[at for at, _ in batch] for batch in hajlasz._batches(insts)]
+    batches = _record_batches(monkeypatch, solve=False)
+    sols = hajlasz_minimize_all(insts)
+    assert len(sols) == 25 and sols[3].method == "interior-point"
     assert [at for batch in batches for at in batch] == [i for i in range(25) if i != 3]
     # 8 x 2016 + 2 x 8128 pairs, 4 x 8128, 2 x 8128, then one each
     assert [len(b) for b in batches] == [10, 4, 2] + [1] * 8
@@ -605,6 +630,7 @@ def test_batch_convergence_error_names_each_uncertified_block(monkeypatch):
             assert f"instance {at} (K={inst.f.K}, depth 2) scale {k}: no gap check" in message
     assert message.count("scale") == sum(len(inst.constraints) for _, inst in named)
     assert "instance 1 " not in message
+    assert {at for at, _, _ in info.value.blocks} == {0, 2}
     # after gap checks each block names its last relative gap
     monkeypatch.setattr(hajlasz, "_MAX_ITERS", 120)
     monkeypatch.setattr(hajlasz, "_REL_TOL", 0.0)
@@ -613,6 +639,59 @@ def test_batch_convergence_error_names_each_uncertified_block(monkeypatch):
     named = r"instance 0 \(K=2, depth 2\) scale -?\d+: relative gap (\S+?)(?:;|$)"
     gaps = re.findall(named, str(info.value))
     assert gaps and all(float(gap) > 0.0 for gap in gaps)
+
+
+def test_each_batch_is_released_before_the_next_is_taken(monkeypatch):
+    # 28 pairs at depth 3 and 120 at depth 4 against a bound of 100: the
+    # batches are [0, 1, 2], [3], [4, 6] and [7], with the p = 1.5
+    # instance 5 solved on arrival
+    monkeypatch.setattr(hajlasz, "_BATCH_PAIRS", 100)
+    specs = [(3, 2.0), (3, 2.0), (3, 2.0), (4, 2.0), (3, 2.0), (3, 1.5), (3, 2.0), (4, 2.0)]
+    batches = _record_batches(monkeypatch)
+    refs, alive_at_build = [], []
+
+    def tracked(inst):
+        refs.append(weakref.ref(inst))
+        return inst
+
+    def instances():
+        for seed, (depth, p) in enumerate(specs):
+            alive_at_build.append({at for at, ref in enumerate(refs) if ref() is not None})
+            yield tracked(random_instance(seed, depth=depth, p=p))
+
+    sols = hajlasz_minimize_all(instances())
+    assert batches == [[0, 1, 2], [3], [4, 6], [7]]
+    batch_of = {at: set(batch) for batch in batches for at in batch}
+    for at in range(1, len(specs)):
+        # only the open batch, that of the last p = 2 instance taken, and
+        # the instance taken last may still be alive
+        last = max(j for j in range(at) if j in batch_of)
+        assert alive_at_build[at] <= {j for j in batch_of[last] if j < at} | {at - 1}, at
+    # the first instance of a batch arrives while the batch before is alive
+    assert alive_at_build[3] == {0, 1, 2} and alive_at_build[4] == {3}
+    assert not any(ref() for ref in refs)
+    for seed, ((depth, p), sol) in enumerate(zip(specs, sols)):
+        _assert_same_solution(sol, hajlasz_minimize(random_instance(seed, depth=depth, p=p)))
+
+
+@pytest.mark.parametrize("K", [2, 3])
+def test_active_leaves_match_the_unique_reference(K):
+    rng = np.random.default_rng(K)
+    partial = 0
+    for depth in (1, 2, 3):
+        n = K**depth
+        ia, ib = np.triu_indices(n, 1)
+        for share in (0.05, 0.2, 0.5, 1.0):
+            keep = rng.random(ia.size) < share
+            a, b = ia[keep], ib[keep]
+            reference = np.unique(np.concatenate([a, b]))
+            active, la, lb = _active_leaves(a, b, n)
+            assert active.dtype == reference.dtype and np.array_equal(active, reference)
+            assert np.array_equal(active[la], a) and np.array_equal(active[lb], b)
+            if active.size == n:
+                assert la is a and lb is b
+            partial += active.size < n
+    assert partial >= 3
 
 
 # ---------------------------------------- p = 1 against a linear program

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import treetrace
-
+import treetrace.hajlasz as hajlasz
 from treetrace import (
     BoundaryFunction,
     HajlaszInstance,
@@ -559,17 +559,44 @@ def test_cli_huge_lambda1_is_an_input_error_for_the_tree_drivers(tmp_path, capsy
 @pytest.mark.parametrize("p", [32, 150])
 def test_cli_failed_interior_point_step_exits_2_with_one_error_line(tmp_path, capsys, p):
     # the interior-point method ran all 100,000 steps (8 s), printing numpy
-    # overflow warnings first, and its message named no p, block or instance
+    # overflow warnings first, and its message named no p, block or instance;
+    # the block is named by its seed and depth, not its place in the sweep
+    depth = {32: 3, 150: 4}[p]
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(f"p = {p}\nseeds = 0\ndepths = 3,4\n")
     assert main(["verify", "equivalence", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert re.fullmatch(
         f"treetrace: error: interior-point method at p = {p} did not certify the optimum"
-        r" of instance 0 \(K=2, depth \d\) scale -?\d+: its Newton system is not finite"
+        rf" of seed 0 \(K=2, depth {depth}\) scale -?\d+: its Newton system is not finite"
         r" after \d+ steps\n",
         err,
     )
+
+
+def test_cli_uncertified_dual_ascent_names_each_block_by_seed_and_depth(
+    tmp_path, capsys, monkeypatch
+):
+    # the sweep's four programs share one dual-ascent loop; no gap check
+    # within 30 steps leaves every block uncertified
+    monkeypatch.setattr(hajlasz, "_MAX_ITERS", 30)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("seeds = 3,5\ndepths = 3,4\n")
+    assert main(["verify", "equivalence", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "treetrace: error: dual ascent did not certify the optimum within 30 iterations: "
+    )
+    assert err.count("\n") == 1 and "instance" not in err
+    blocks = 0
+    for depth in (3, 4):
+        for seed in (3, 5):
+            f = generate("iid-uniform", K=2, depth=depth, seed=seed)
+            inst = HajlaszInstance(f, load_config().resolved_theta, 2.0, LN2)
+            for k in inst.constraints:
+                assert f"seed {seed} (K=2, depth {depth}) scale {k}: no gap check" in err
+                blocks += 1
+    assert err.count("scale") == blocks
 
 
 def test_cli_lambda1_that_makes_phi_decrease_is_an_input_error(tmp_path, capsys):
@@ -925,9 +952,21 @@ def test_cli_verify_equivalence_at_p3_is_exact_beyond_the_pair_budget(tmp_path, 
     assert all(r["double_integral_stderr"] == "" for r in rows)
 
 
-def test_cli_verify_equivalence_reports_how_the_hajlasz_energy_was_reached(tmp_path):
+def test_cli_verify_equivalence_reports_how_the_hajlasz_energy_was_reached(
+    tmp_path, monkeypatch
+):
+    # one hajlasz_minimize_all call per sweep, however many depths
+    calls = []
+    minimize_all = hajlasz.hajlasz_minimize_all
+
+    def counted(instances):
+        calls.append(None)
+        return minimize_all(instances)
+
+    monkeypatch.setattr(hajlasz, "hajlasz_minimize_all", counted)
     out = tmp_path / "report.csv"
     assert main(["verify", "equivalence", "--out", str(out)]) == 0
+    assert len(calls) == 1
     rows = list(csv.DictReader(out.open()))
     cfg = load_config()
     assert len(rows) == len(cfg.depths) * len(cfg.seeds)
@@ -941,7 +980,7 @@ def test_cli_verify_equivalence_reports_how_the_hajlasz_energy_was_reached(tmp_p
         assert int(row["hajlasz_iterations"]) > 0
         assert 0.0 <= float(row["hajlasz_rel_gap"]) <= 1e-8
     # the columns are those of each instance solved alone, although the
-    # seeds of a depth share one solver loop
+    # whole sweep shares one solver loop
     solved = 0
     for row in rows:
         depth = int(row["depth"])
