@@ -142,6 +142,15 @@ def orlicz_norm(f: BoundaryFunction, phi: YoungPhi) -> float:
     return _gauge(YoungModular(phi, np.abs(f.values), [(f.n_leaves, 1.0 / f.n_leaves)]))
 
 
+def _level_weight(n: int, eps: float, t: float, p: float, lam: float, key: str) -> float:
+    """e^(eps*n*t*p) * n^lam, the weight of level n; an overflow is a
+    ValueError naming lam as `key`."""
+    try:
+        return math.exp(eps * n * t * p) * float(n) ** lam
+    except OverflowError:
+        raise ValueError(f"the level-{n} weight overflows at {key} = {lam!r}") from None
+
+
 def dyadic_energy(f: BoundaryFunction, params: EnergyParams) -> float:
     """Weighted multiscale power energy of the cell-average differences.
 
@@ -153,10 +162,7 @@ def dyadic_energy(f: BoundaryFunction, params: EnergyParams) -> float:
     total = 0.0
     for n in range(1, f.depth + 1):
         s = float(f.K) ** -n * float(np.sum(np.abs(diffs[level_slice(f.K, n - 1)]) ** p))
-        try:
-            total += math.exp(eps * n * theta * p) * float(n) ** lam * s
-        except OverflowError:
-            raise ValueError(f"the level-{n} weight overflows at lam = {lam!r}") from None
+        total += _level_weight(n, eps, theta, p, lam, "lam") * s
     return total
 
 
@@ -173,10 +179,7 @@ def _energy_modular(
     segments = []
     for n in range(1, f.depth + 1):
         diffs[level_slice(f.K, n - 1)] *= math.exp(eps * n)
-        try:
-            weight = math.exp(eps * n * (theta - 1.0) * p) * float(n) ** lam2 * float(f.K) ** -n
-        except OverflowError:
-            raise ValueError(f"the level-{n} weight overflows at lambda2 = {lam2!r}") from None
+        weight = _level_weight(n, eps, theta - 1.0, p, lam2, "lambda2") * float(f.K) ** -n
         segments.append((f.K**n, weight))
     return YoungModular(phi, diffs.reshape(-1), segments)
 

@@ -32,6 +32,7 @@ from .boundary_norms import (
 from .harness import (
     BOUNDARY_FAMILIES,
     TREE_FAMILIES,
+    _write_rows_csv,
     generate,  # unused here, but the benchmark's tracer wraps cli.generate
     generate_for,
     load_config,
@@ -174,10 +175,7 @@ def _run(args, cfg) -> int:
         for key, val in values.items():
             _say(f"{key} = {val:.12g}")
         if cfg.out:
-            with open(cfg.out, "w", newline="") as fh:
-                fh.write("quantity,value\n")
-                for key, val in values.items():
-                    fh.write(f"{key},{val:.17g}\n")
+            _write_rows_csv(cfg.out, [{"quantity": k, "value": v} for k, v in values.items()])
         return 0
 
     if args.command == "extend":

@@ -27,10 +27,10 @@ methods, named in `HajlaszSolution.method`:
   of whose level pairs have a nonzero bound, is held in the dense form:
   its multipliers are (K^j, K(K-1)/2, m, m) arrays per split level j, so
   g[a] + g[b] is a broadcast add and the masses are axis sums.  The other
-  blocks are held in the index form, one gather, one bincount and one
-  np.add.at over their kept pairs.  A block's form depends on its
-  instance only and its sums on its own arrays only, so a solution is the
-  same bit for bit alone or in any batch.  The two forms sum a leaf's
+  blocks are held in the index form, one gather and two bincounts (first
+  indices, then second) over their kept pairs.  A block's form depends on
+  its instance only and its sums on its own arrays only, so a solution is
+  the same bit for bit alone or in any batch.  The two forms sum a leaf's
   mass in different orders; both stop at the certified gap, so their
   values agree within it.
 * every other p >= 1: a primal-dual interior-point method.  Each Newton
@@ -241,11 +241,16 @@ class HajlaszSolution:
     blocks: dict[int, BlockReport]
 
 
+def _pair_mass(ia, ib, w, n):
+    """A^T w: each of the n leaves' sum of w over its pairs (ia, ib), its
+    first-index pairs summed apart from its second-index ones; w None counts."""
+    return np.bincount(ia, w, n) + np.bincount(ib, w, n)
+
+
 def _active_leaves(ia, ib, n_leaves):
     """The leaves that occur in some pair, and the pairs in their local
     indices (ia and ib themselves when every leaf occurs)."""
-    counts = np.bincount(ia, minlength=n_leaves) + np.bincount(ib, minlength=n_leaves)
-    active = np.flatnonzero(counts)
+    active = np.flatnonzero(_pair_mass(ia, ib, None, n_leaves))
     if active.size == n_leaves:
         return active, ia, ib
     remap = np.full(n_leaves, -1)
@@ -326,10 +331,10 @@ class _DualBlock:
         n = self.active.size
         # selects the active leaves from an array over all leaves
         self.active_sel = slice(None) if n == n_leaves else self.active
-        deg = np.bincount(self.la, minlength=n) + np.bincount(self.lb, minlength=n)
+        deg = _pair_mass(self.la, self.lb, None, n)
         self.sigma = (2.0 * nu) / float((deg[self.la] + deg[self.lb]).max())
-        self.best = nu * float(np.sum(np.full(n, bound.max() / 2.0) ** 2.0))
         self.best_g = np.full(n, bound.max() / 2.0)
+        self.best = nu * float(np.sum(self.best_g**2.0))
         self.last_dual = -math.inf
         self.gap = None
         self.restart = 0
@@ -354,8 +359,8 @@ class _DualLayout:
     pair (c1, c2), leaf a under c1, leaf b under c2.  Its leaves' masses
     are plain reductions: for each pair, the leaves under c1 add the sums
     over b and the leaves under c2 the sums over a.  The other blocks
-    share one gather for g[a] + g[b], and one bincount over all their
-    first indices continued by np.add.at over all their second ones.  The
+    share one gather for g[a] + g[b], and one `_pair_mass` (a bincount
+    over all their first indices plus one over all their second ones).  The
     blocks' constants are spread over the flat arrays, the step sigma per
     pair and 2 nu per leaf, so each is applied by one operation;
     consecutive blocks whose momentum restarted at the same step share
@@ -430,9 +435,8 @@ class _DualLayout:
                 s[:, c1] += over_b[:, q]
                 s[:, c2] += over_a[:, q]
         if self.ia.size:
-            w, s = self.y[self.index_pairs], self.index_s
-            s[:] = np.bincount(self.ia, w, s.size)
-            np.add.at(s, self.ib, w)
+            s = self.index_s
+            s[:] = _pair_mass(self.ia, self.ib, self.y[self.index_pairs], s.size)
 
     def pair_sums(self, flat):
         """g[a] + g[b] of every pair of the dense blocks, into their
@@ -660,9 +664,6 @@ def _solve_scale_ipm(nu, p, ia, ib, bound, n_leaves, block, where):
     diag = np.ones(n_leaves)
     rhs = np.zeros(n_leaves)
 
-    def pair_mass(w):
-        return np.bincount(la, w, n) + np.bincount(lb, w, n)
-
     g = np.zeros(n)
     np.maximum.at(g, la, b)
     np.maximum.at(g, lb, b)
@@ -678,7 +679,8 @@ def _solve_scale_ipm(nu, p, ia, ib, bound, n_leaves, block, where):
             diag[active] = nu * p * (p - 1.0) * g ** (p - 2.0) + z / g
             if p == 1.0:
                 diag[active] += _DIAGONAL * w.max()
-            rhs[active] = target / g - nu * p * g ** (p - 1.0) + pair_mass(target / s)
+            rhs[active] = target / g - nu * p * g ** (p - 1.0)
+            rhs[active] += _pair_mass(la, lb, target / s, n)
         system = np.bincount(
             cells, np.concatenate([w, w, w, w, diag]), n_leaves * block
         ).reshape(-1, block, block)
@@ -698,7 +700,7 @@ def _solve_scale_ipm(nu, p, ia, ib, bound, n_leaves, block, where):
         )
         g, s, mu, z = g + step * dg, s + step * ds, mu + step * dmu, z + step * dz
 
-        gd, dual = _dual_point(nu, p, pair_mass(mu), mu, b)
+        gd, dual = _dual_point(nu, p, _pair_mass(la, lb, mu, n), mu, b)
         candidates = [g.copy(), gd] if math.isfinite(dual) else [g.copy()]
         for c in candidates:
             _repair(c, la, lb, b)

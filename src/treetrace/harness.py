@@ -67,13 +67,8 @@ _EXACT_TOL = 1e-12
 BOUNDARY_FAMILIES = ("iid-uniform", "cell-indicator", "lacunary")
 TREE_FAMILIES = ("extension-of-boundary", "random-vertex")
 
-_FAMILY_CODES = {
-    "iid-uniform": 1,
-    "cell-indicator": 2,
-    "lacunary": 3,
-    "extension-of-boundary": 4,
-    "random-vertex": 5,
-}
+# the code in each sample's seed: reordering the families changes every sample
+_FAMILY_CODES = {name: code for code, name in enumerate(BOUNDARY_FAMILIES + TREE_FAMILIES, 1)}
 
 
 def indicator_function(K: int, depth: int, cell_digits) -> BoundaryFunction:
@@ -375,8 +370,6 @@ class CheckReport:
 
 
 def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return str(v).lower()
     if isinstance(v, float):
         return f"{v:.17g}"
     return str(v)
@@ -408,12 +401,19 @@ def generate_for(cfg: ExperimentConfig, family: str, depth: int, seed: int):
     )
 
 
+def _sweep_family(cfg: ExperimentConfig, check: str, families, kind: str) -> str:
+    """The family a sweep samples: cfg.family, by default the first of
+    `families`; a family not among them is a ValueError."""
+    family = cfg.family or families[0]
+    if family not in families:
+        raise ValueError(f"{check} needs a {kind} family, got {family!r}")
+    return family
+
+
 def verify_trace_bound(cfg: ExperimentConfig) -> RatioReport:
     """Ratio of the boundary gauge norm of the trace to the tree norm."""
     cfg.validate_trace_hypotheses()
-    family = cfg.family or "extension-of-boundary"
-    if family not in TREE_FAMILIES:
-        raise ValueError(f"trace-bound needs a tree-function family, got {family!r}")
+    family = _sweep_family(cfg, "trace-bound", TREE_FAMILIES, "tree-function")
     phi = cfg.phi()
     ep = cfg.energy_params()
     rows = []
@@ -440,9 +440,7 @@ def verify_extension_bound(cfg: ExperimentConfig) -> RatioReport:
     """Ratio of the tree norm of the extension to the boundary gauge norm,
     plus the two-sided gradient-energy comparison for the same samples."""
     cfg.validate_trace_hypotheses()
-    family = cfg.family or "iid-uniform"
-    if family not in BOUNDARY_FAMILIES:
-        raise ValueError(f"extension-bound needs a boundary family, got {family!r}")
+    family = _sweep_family(cfg, "extension-bound", BOUNDARY_FAMILIES, "boundary")
     phi = cfg.phi()
     ep = cfg.energy_params()
     rows = []
@@ -494,6 +492,12 @@ def tail_constant(epsilon: float, theta: float, p: float, lam: float) -> float:
             raise RuntimeError("tail series did not converge")
 
 
+def _oriented(lambda1: float, energy: float, modular: float) -> tuple[float, float]:
+    """(energy, modular) at lambda1 > 0, else (modular, energy): the pair
+    (x, y) that the comparison at lambda1 != 0 bounds as y / C <= x <= C y + C'."""
+    return (energy, modular) if lambda1 > 0 else (modular, energy)
+
+
 @dataclass
 class TwoSidedFit:
     """Constants (C, C_prime) of a two-sided comparison between the power
@@ -506,17 +510,10 @@ class TwoSidedFit:
     def check(self, energy: float, modular: float, widen: float = 1.0) -> bool:
         C = self.C * widen
         slack = 1e-9 * (1.0 + abs(energy) + abs(modular))
-        if self.lambda1 > 0:
-            return (
-                modular / C <= energy + slack
-                and energy <= C * modular + self.C_prime + slack
-            )
-        if self.lambda1 < 0:
-            return (
-                energy / C <= modular + slack
-                and modular <= C * energy + self.C_prime + slack
-            )
-        return abs(energy - modular) <= slack
+        if self.lambda1 == 0.0:
+            return abs(energy - modular) <= slack
+        x, y = _oriented(self.lambda1, energy, modular)
+        return y / C <= x + slack and x <= C * y + self.C_prime + slack
 
 
 def fit_two_sided(pairs, lambda1: float, c_prime: float) -> TwoSidedFit:
@@ -524,12 +521,9 @@ def fit_two_sided(pairs, lambda1: float, c_prime: float) -> TwoSidedFit:
     (energy, modular) pairs, with the additive constant supplied analytically."""
     C = 1.0
     for energy, modular in pairs:
-        if energy <= 0 or modular <= 0:
-            continue
-        if lambda1 > 0:
-            C = max(C, modular / energy, (energy - c_prime) / modular)
-        elif lambda1 < 0:
-            C = max(C, energy / modular, (modular - c_prime) / energy)
+        if lambda1 != 0.0 and energy > 0 and modular > 0:
+            x, y = _oriented(lambda1, energy, modular)
+            C = max(C, y / x, (x - c_prime) / y)
     return TwoSidedFit(lambda1=lambda1, C=C, C_prime=c_prime)
 
 
@@ -574,9 +568,7 @@ def verify_equivalences(cfg: ExperimentConfig) -> RatioReport:
     ConvergenceError names each uncertified block by its seed and depth.
     """
     cfg.validate_equivalence_hypotheses()
-    family = cfg.family or "iid-uniform"
-    if family not in BOUNDARY_FAMILIES:
-        raise ValueError(f"equivalence needs a boundary family, got {family!r}")
+    family = _sweep_family(cfg, "equivalence", BOUNDARY_FAMILIES, "boundary")
     phi = cfg.phi()
     ep = cfg.energy_params()
     ep_plain = EnergyParams(theta=ep.theta, p=ep.p, epsilon=ep.epsilon)
@@ -767,11 +759,12 @@ def load_config(path: str | None = None, **overrides) -> ExperimentConfig:
 
     File lines look like ``key = value``, the key an `ExperimentConfig`
     field; '#' starts a comment.  Seed and depth lists accept either comma
-    lists (``4,5,6``) or ranges (``0..19``).  An unknown key or a value
-    that does not parse is a ValueError naming the file line.  The
-    overrides are field values, None meaning unset.
+    lists (``4,5,6``) or ranges (``0..19``).  An unknown key, a key set
+    twice or a value that does not parse is a ValueError naming the file
+    line.  The overrides are field values, None meaning unset.
     """
     values: dict = {}
+    seen: dict[str, int] = {}  # key -> the line that set it
     if path is not None:
         with open(path) as fh:
             for lineno, raw in enumerate(fh, start=1):
@@ -786,6 +779,9 @@ def load_config(path: str | None = None, **overrides) -> ExperimentConfig:
                 text = text.strip()
                 if key not in _PARSERS:
                     raise ValueError(f"{where}: unknown config key {key!r}")
+                if key in seen:
+                    raise ValueError(f"{where}: {key} set twice, first on line {seen[key]}")
+                seen[key] = lineno
                 try:
                     values[key] = _PARSERS[key](text)
                 except ValueError as exc:

@@ -291,7 +291,7 @@ def _ball_masses(
     K, N, eps = params.K, params.depth, params.epsilon
     beta, c_shift, lam = params.beta, params.C_const, params.lambda2
     gx, gw = _gauss_nodes(params.quad_order)
-    a_lev = (1.0 - np.exp(-eps * np.arange(N + 1))) / eps
+    a_lev = arclength(params, np.arange(N + 1))
     a_lo, a_hi = a_lev[:-1], a_lev[1:]
     lev = np.arange(N)
     # inc[j] = a_lev[j] - a_lev[j-1]: the step of a parent distance from

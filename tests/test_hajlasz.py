@@ -285,6 +285,16 @@ def test_interior_point_stops_at_its_first_failed_newton_step(p, scale, failure)
     assert match and int(match[1]) < 2000
 
 
+def test_interior_point_iteration_cap_names_the_block_and_its_gap(monkeypatch):
+    monkeypatch.setattr(hajlasz, "_MAX_ITERS", 3)
+    with pytest.raises(ConvergenceError) as info:
+        hajlasz_minimize(random_instance(0, depth=3, p=3.0))
+    assert str(info.value) == (
+        "interior-point method at p = 3 did not certify the optimum of instance 0"
+        " (K=2, depth 3) scale -2: relative gap 0.465 after 3 iterations"
+    )
+
+
 def test_coarsest_level_bounds_every_pair():
     inst = random_instance(0, depth=4, K=3)
     N = inst.f.depth
@@ -312,7 +322,8 @@ def test_solution_reports_each_block(p, method):
 
 def _per_block_dual_ascent(nu, p, ia, ib, bound, n_leaves):
     """Reference p = 2 solver: accelerated projected dual ascent on one
-    scale block, its multiplier mass summed by np.add.at.
+    scale block, each leaf's multiplier mass summed over its first-index
+    pairs and its second-index pairs apart, then added.
 
     Maintains the best repaired primal point (seeded with the symmetric
     feasible start g = max(bound)/2) and the dual lower bound; returns when
@@ -329,10 +340,7 @@ def _per_block_dual_ascent(nu, p, ia, ib, bound, n_leaves):
         return (s / (p * nu)) ** q_exp
 
     def multiplier_mass(mu_vec):
-        s = np.zeros(n)
-        np.add.at(s, la, mu_vec)
-        np.add.at(s, lb, mu_vec)
-        return s
+        return np.bincount(la, mu_vec, n) + np.bincount(lb, mu_vec, n)
 
     deg = multiplier_mass(np.ones(m))
     sigma = (p * nu) / float((deg[la] + deg[lb]).max())

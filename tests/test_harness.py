@@ -17,10 +17,14 @@ from treetrace import (
     HajlaszInstance,
     TreeFunction,
     dyadic_energy,
+    dyadic_orlicz_modular,
     generate,
     hajlasz_minimize,
     indicator_function,
     load_config,
+    lp_norm,
+    orlicz_besov_norm,
+    orlicz_norm,
     verify_ahlfors,
     verify_doubling,
     verify_equivalences,
@@ -144,6 +148,22 @@ def test_config_file_rejects_unknown_key(tmp_path):
         load_config(str(path))
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # the second line won: this ran seed 5 alone
+        ("seeds = 0..3\nseeds = 5\n", "line 2: seeds set twice, first on line 1"),
+        ("seeds = 0\ndepths 4\n", "line 2: bad config line: depths 4"),
+    ],
+)
+def test_config_file_rejects_a_malformed_line(tmp_path, text, message):
+    path = tmp_path / "cfg.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError) as err:
+        load_config(str(path))
+    assert str(err.value) == f"{path}, {message}"
+
+
 def _config_text(value) -> str:
     """A field value as a config-file value."""
     if isinstance(value, bool):
@@ -250,6 +270,21 @@ def test_trace_bound_report_passes():
 def test_trace_bound_rejects_boundary_family():
     with pytest.raises(ValueError, match="tree-function family"):
         verify_trace_bound(small_cfg(family="iid-uniform"))
+
+
+@pytest.mark.parametrize(
+    "check, family, kind",
+    [
+        ("trace-bound", "iid-uniform", "tree-function"),
+        ("extension-bound", "random-vertex", "boundary"),
+        ("equivalence", "random-vertex", "boundary"),
+    ],
+)
+def test_cli_sweep_rejects_a_family_of_the_other_kind(capsys, check, family, kind):
+    assert main(["verify", check, "--family", family, "--seed", "0", "--depth", "3"]) == 2
+    text = capsys.readouterr()
+    assert text.err == f"treetrace: error: {check} needs a {kind} family, got '{family}'\n"
+    assert text.out == ""
 
 
 def test_extension_bound_report_passes():
@@ -377,6 +412,27 @@ def test_cli_gen_energy_extend_trace(tmp_path):
     a = BoundaryFunction.from_csv(u_path)
     b = BoundaryFunction.from_csv(back_path)
     assert np.array_equal(a.values, b.values)
+
+
+@pytest.mark.parametrize("line", ["K = 2", "K = 3", "lambda1 = 1"])
+def test_cli_energy_out_writes_the_five_values(tmp_path, line):
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text(f"{line}\nseeds = 0\ndepths = 4\n")
+    u_path, out = tmp_path / "u.csv", tmp_path / "energy.csv"
+    assert main(["gen", "--config", str(cfg_path), "--out", str(u_path)]) == 0
+    argv = ["energy", "--config", str(cfg_path), "--input", str(u_path), "--out", str(out)]
+    assert main(argv) == 0
+    cfg, f = load_config(str(cfg_path)), BoundaryFunction.from_csv(u_path)
+    phi, ep = cfg.phi(), cfg.energy_params()
+    values = {
+        "lp_norm": lp_norm(f, cfg.p),
+        "orlicz_norm": orlicz_norm(f, phi),
+        "dyadic_energy": dyadic_energy(f, ep),
+        "dyadic_orlicz_modular": dyadic_orlicz_modular(f, ep, phi),
+        "orlicz_besov_norm": orlicz_besov_norm(f, ep, phi),
+    }
+    rows = "".join(f"{key},{value:.17g}\n" for key, value in values.items())
+    assert out.read_bytes() == f"quantity,value\n{rows}".encode()
 
 
 def test_constant_tree_function_ratio_finite():
@@ -571,6 +627,17 @@ def test_cli_failed_interior_point_step_exits_2_with_one_error_line(tmp_path, ca
         rf" of seed 0 \(K=2, depth {depth}\) scale -?\d+: its Newton system is not finite"
         r" after \d+ steps\n",
         err,
+    )
+
+
+def test_cli_interior_point_iteration_cap_exits_2_naming_the_seed(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(hajlasz, "_MAX_ITERS", 3)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("p = 3\nseeds = 0\ndepths = 3\n")
+    assert main(["verify", "equivalence", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        "treetrace: error: interior-point method at p = 3 did not certify the optimum of"
+        " seed 0 (K=2, depth 3) scale -2: relative gap 0.465 after 3 iterations\n"
     )
 
 

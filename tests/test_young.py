@@ -253,6 +253,26 @@ def test_gauge_detects_non_monotone_modular():
         luxemburg_gauge(rho)
 
 
+def test_gauge_rejects_a_nan_modular():
+    with pytest.raises(ValueError, match="modular returned NaN"):
+        luxemburg_gauge(lambda k: math.nan)
+
+
+def test_gauge_detects_a_modular_that_grows_with_k():
+    # rho(2) = 4 exceeds rho(1) = 2, the sample below it
+    with pytest.raises(NonMonotoneModularError, match=r"rho\(2\.0\) = 4\.0 exceeds rho\(1\.0\)"):
+        luxemburg_gauge(lambda k: 2.0 * k)
+
+
+def test_gauge_bisects_while_an_end_of_the_bracket_is_infinite():
+    def rho(k):
+        return math.inf if k < 0.9 else (0.85 / k) ** 2
+
+    k = luxemburg_gauge(rho)
+    assert k == pytest.approx(0.9, rel=1e-10)
+    assert rho(k) <= 1.0
+
+
 # ------------------------------------------------- the gauge against an oracle
 
 
