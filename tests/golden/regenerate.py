@@ -14,7 +14,10 @@ The cases:
   also write their plot data (`--emit-plot-data`);
 * `equivalence` at lambda1 = 1;
 * `trace-bound` and `extension-bound` at lambda1 = 1, depths 12,14,16,
-  seeds 0 and 1 only, to keep the test short.
+  seeds 0 and 1 only, to keep the test short;
+* `equivalence` at lambda1 = 1, depths 6,8, hajlasz_max_depth = 8, seeds
+  0 and 1: its depth-8 Hajlasz blocks take the dense dual-ascent form,
+  which the default sweep never reaches.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ CONFIG = "config.cfg"
 
 _LAMBDA1 = "lambda1 = 1\n"
 _DEEP = "lambda1 = 1\ndepths = 12,14,16\nseeds = 0,1\n"
+_DENSE = "lambda1 = 1\ndepths = 6,8\nhajlasz_max_depth = 8\nseeds = 0,1\n"
 
 # case -> (config file text or None, the arguments after `treetrace verify`)
 CASES = {
@@ -48,6 +52,7 @@ CASES = {
     "equivalence-lambda1": (_LAMBDA1, ["equivalence"]),
     "trace-bound-deep": (_DEEP, ["trace-bound"]),
     "extension-bound-deep": (_DEEP, ["extension-bound"]),
+    "equivalence-dense": (_DENSE, ["equivalence"]),
 }
 
 
