@@ -327,13 +327,12 @@ class _DualBlock:
     def __init__(self, at, k, ia, ib, bound, n_leaves, nu, level_bounds=None):
         self.at, self.k, self.ia, self.ib, self.bound = at, k, ia, ib, bound
         self.n_leaves, self.nu = n_leaves, nu
-        self.active, self.la, self.lb = _active_leaves(ia, ib, n_leaves)
-        n = self.active.size
+        deg = _pair_mass(ia, ib, None, n_leaves)
+        self.active = np.flatnonzero(deg)
         # selects the active leaves from an array over all leaves
-        self.active_sel = slice(None) if n == n_leaves else self.active
-        deg = _pair_mass(self.la, self.lb, None, n)
-        self.sigma = (2.0 * nu) / float((deg[self.la] + deg[self.lb]).max())
-        self.best_g = np.full(n, bound.max() / 2.0)
+        self.active_sel = slice(None) if self.active.size == n_leaves else self.active
+        self.sigma = (2.0 * nu) / float((deg[ia] + deg[ib]).max())
+        self.best_g = np.full(self.active.size, bound.max() / 2.0)
         self.best = nu * float(np.sum(self.best_g**2.0))
         self.last_dual = -math.inf
         self.gap = None
@@ -748,12 +747,12 @@ def hajlasz_minimize_all(instances) -> list[HajlaszSolution]:
     block by block through the interior-point method as they arrive.  So
     one batch of instances is alive at a time when `instances` builds them
     lazily; a sweep at the default config (21,056 pairs) is one batch and
-    one loop, whose instances, arrays and temporaries peak at 2.7 MB.  Each block takes the
-    steps it takes solved alone, in the form (dense or index) its instance
-    alone decides, so every solution is that of its instance alone, bit for
-    bit; a block solved in the other form would agree within the certified
-    gap.  A ConvergenceError names each block it left uncertified by its
-    instance's position in `instances`.
+    one loop.  Each block takes the steps it takes solved alone, in the
+    form (dense or index) its instance alone decides, so every solution is
+    that of its instance alone, bit for bit; a block solved in the other
+    form would agree within the certified gap.  A ConvergenceError names
+    each block it left uncertified by its instance's position in
+    `instances`.
     """
     solutions, batch, pairs = [], [], 0
     for inst in instances:

@@ -553,50 +553,26 @@ def verify_equivalences(cfg: ExperimentConfig) -> RatioReport:
     the Monte Carlo standard error, empty when exact.  A sampled double sum
     is reported but not judged: its `double_vs_dyadic` is left empty, as
     `hajlasz_vs_dyadic` is past `hajlasz_max_depth`, since Monte Carlo noise
-    is no evidence of a depth trend.  Each row also says how
-    its Hajlasz energy was reached: `hajlasz_method` (`dual-ascent` at
-    p = 2, `interior-point` otherwise), `hajlasz_iterations` summed over
-    the scale blocks and `hajlasz_rel_gap`, the largest certified gap of a
-    block; all three are empty past `hajlasz_max_depth`.  The Hajlasz
-    programs of the whole sweep, depth by depth and then seed by seed, are
-    solved by one `hajlasz_minimize_all` call.  Only the samples of those
-    depths are generated up front; each instance is built when the call
-    takes it, and each p = 2 batch is solved in one dual-ascent loop and
-    dropped before the next instance is built.  The default sweep (21,056
-    pairs) is one batch, whose 24 instances and loop arrays peak at about
-    2.7 MB.  Every value is that of solving the instance alone; a
-    ConvergenceError names each uncertified block by its seed and depth.
+    is no evidence of a depth trend.  Each row also says how its Hajlasz
+    energy was reached: `hajlasz_method` (`dual-ascent` at p = 2,
+    `interior-point` otherwise), `hajlasz_iterations` summed over the
+    scale blocks and `hajlasz_rel_gap`, the largest certified gap of a
+    block; all three are empty past `hajlasz_max_depth`.  One pass over
+    the sweep (depth by depth, then seed by seed) builds every row; then
+    one `hajlasz_minimize_all` call, which builds each instance as it
+    takes it, fills in the rows up to `hajlasz_max_depth`.  Every value
+    is that of solving the instance alone; a ConvergenceError names each
+    uncertified block by its seed and depth.
     """
     cfg.validate_equivalence_hypotheses()
     family = _sweep_family(cfg, "equivalence", BOUNDARY_FAMILIES, "boundary")
     phi = cfg.phi()
     ep = cfg.energy_params()
     ep_plain = EnergyParams(theta=ep.theta, p=ep.p, epsilon=ep.epsilon)
-    # the positions in cfg.depths of the depths with a Hajlasz column, their
-    # samples and the solutions of their programs
-    solved_at = [i for i, depth in enumerate(cfg.depths) if depth <= cfg.hajlasz_max_depth]
-    samples = {
-        i: [generate_for(cfg, family, cfg.depths[i], seed) for seed in cfg.seeds]
-        for i in solved_at
-    }
-    try:
-        # this calls no hajlasz_minimize, so a wrapper of that function
-        # (the benchmark's tracer) neither times nor counts these programs
-        solved = hajlasz.hajlasz_minimize_all(
-            HajlaszInstance(f, ep.theta, ep.p, cfg.epsilon) for i in solved_at for f in samples[i]
-        )
-    except ConvergenceError as err:
-        seeds = [seed for _ in solved_at for seed in cfg.seeds]
-        raise err.named({at: f"seed {seed}" for at, seed in enumerate(seeds)}) from None
-    n = len(cfg.seeds)
-    solutions = {i: solved[j * n : (j + 1) * n] for j, i in enumerate(solved_at)}
-    rows = []
-    for i, depth in enumerate(cfg.depths):
-        if i in samples:
-            fs = samples.pop(i)
-        else:
-            fs = [generate_for(cfg, family, depth, seed) for seed in cfg.seeds]
-        for seed, f, sol in zip(cfg.seeds, fs, solutions.get(i, [None] * n)):
+    rows, solve = [], []  # solve: (row, sample) of each Hajlasz program
+    for depth in cfg.depths:
+        for seed in cfg.seeds:
+            f = generate_for(cfg, family, depth, seed)
             e_plain = dyadic_energy(f, ep_plain)
             if double_integral_is_exact(f.K, depth, ep_plain.p, cfg.pair_budget):
                 b_energy = double_integral_energy(f, ep_plain, cfg.pair_budget)
@@ -604,38 +580,47 @@ def verify_equivalences(cfg: ExperimentConfig) -> RatioReport:
             else:
                 est = double_integral_energy_mc(f, ep_plain, cfg.mc_samples, seed)
                 b_energy, b_method, b_stderr = est.value, "mc", est.stderr
-            h_energy = h_ratio = h_method = h_iterations = h_gap = None
-            if sol is not None:
-                h_energy, h_method, h_iterations = sol.value, sol.method, sol.iterations
-                h_gap = max((b.rel_gap for b in sol.blocks.values()), default=0.0)
-                h_ratio = h_energy / e_plain
             e_weighted = e_plain if ep == ep_plain else dyadic_energy(f, ep)
-            modular = dyadic_orlicz_modular(f, ep, phi)
             besov = orlicz_besov_norm(f, ep, phi)
             composite = orlicz_norm(f, phi) + e_weighted ** (1.0 / ep.p)
-            rows.append(
-                {
-                    "seed": seed,
-                    "depth": depth,
-                    "family": family,
-                    "dyadic_energy": e_plain,
-                    "double_integral": b_energy,
-                    "double_integral_method": b_method,
-                    "double_integral_stderr": b_stderr,
-                    "hajlasz_energy": h_energy,
-                    "hajlasz_method": h_method,
-                    "hajlasz_iterations": h_iterations,
-                    "hajlasz_rel_gap": h_gap,
-                    "weighted_energy": e_weighted,
-                    "orlicz_modular": modular,
-                    "besov_norm": besov,
-                    "composite_norm": composite,
-                    "chi_fraction": chi_exceed_fraction(f, ep.theta, cfg.epsilon),
-                    "double_vs_dyadic": b_energy / e_plain if b_stderr is None else None,
-                    "hajlasz_vs_dyadic": h_ratio,
-                    "besov_vs_composite": besov / composite,
-                }
-            )
+            row = {
+                "seed": seed,
+                "depth": depth,
+                "family": family,
+                "dyadic_energy": e_plain,
+                "double_integral": b_energy,
+                "double_integral_method": b_method,
+                "double_integral_stderr": b_stderr,
+                "hajlasz_energy": None,
+                "hajlasz_method": None,
+                "hajlasz_iterations": None,
+                "hajlasz_rel_gap": None,
+                "weighted_energy": e_weighted,
+                "orlicz_modular": dyadic_orlicz_modular(f, ep, phi),
+                "besov_norm": besov,
+                "composite_norm": composite,
+                "chi_fraction": chi_exceed_fraction(f, ep.theta, cfg.epsilon),
+                "double_vs_dyadic": b_energy / e_plain if b_stderr is None else None,
+                "hajlasz_vs_dyadic": None,
+                "besov_vs_composite": besov / composite,
+            }
+            rows.append(row)
+            if depth <= cfg.hajlasz_max_depth:
+                solve.append((row, f))
+    try:
+        # this calls no hajlasz_minimize, so a wrapper of that function
+        # (the benchmark's tracer) neither times nor counts these programs
+        solved = hajlasz.hajlasz_minimize_all(
+            HajlaszInstance(f, ep.theta, ep.p, cfg.epsilon) for _, f in solve
+        )
+    except ConvergenceError as err:
+        raise err.named({at: f"seed {row['seed']}" for at, (row, _) in enumerate(solve)}) from None
+    for (row, _), sol in zip(solve, solved):
+        row["hajlasz_energy"] = sol.value
+        row["hajlasz_method"] = sol.method
+        row["hajlasz_iterations"] = sol.iterations
+        row["hajlasz_rel_gap"] = max((b.rel_gap for b in sol.blocks.values()), default=0.0)
+        row["hajlasz_vs_dyadic"] = sol.value / row["dyadic_energy"]
     extra_checks = []
     if cfg.lambda1 != 0.0:
         lam_for_tail = cfg.resolved_lam if cfg.lambda1 > 0 else cfg.lambda2
