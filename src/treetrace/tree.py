@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .address import check_digits
+from .address import check_digits, digits_index
 
 __all__ = [
     "TreeParams",
@@ -245,9 +245,10 @@ def _check_radii(radii) -> np.ndarray:
     return r
 
 
-def _center_arclengths(params: TreeParams, centers) -> tuple[np.ndarray, np.ndarray]:
-    """Validated edge levels of the centers and their arclengths from the root."""
-    K, N = params.K, params.depth
+def _center_offsets(params: TreeParams, centers) -> tuple[np.ndarray, np.ndarray]:
+    """Validated edge levels of the centers and their offsets: the
+    arclength from the top vertex of the center's edge down to it."""
+    K, N, eps = params.K, params.depth, params.epsilon
     for c in centers:
         if not 0 <= c.level < N:
             raise ValueError("center level out of range")
@@ -256,22 +257,22 @@ def _center_arclengths(params: TreeParams, centers) -> tuple[np.ndarray, np.ndar
         if not 0.0 <= c.offset <= 1.0:
             raise ValueError("center offset must lie in [0, 1]")
     levels = np.array([c.level for c in centers], dtype=np.int64)
-    ax = np.array([arclength(params, c.level + c.offset) for c in centers], dtype=float)
-    return levels, ax
+    offsets = np.array([c.offset for c in centers], dtype=float)
+    return levels, -np.expm1(-eps * offsets) * np.exp(-eps * levels) / eps
 
 
 def _ball_masses(
     params: TreeParams,
     levels: np.ndarray,
-    ax: np.ndarray,
+    sx: np.ndarray,
     radii: np.ndarray,
 ) -> np.ndarray:
     """Masses of the balls of radii `radii` around points on edges at
-    `levels`, at arclengths `ax` from the root.
+    `levels`, at arclengths `sx` below the top vertex of their edge.
 
-    A ball meets every edge in a (possibly empty) arclength interval that
-    depends only on the distance from the center to the end through which
-    the edge is entered.  Seen from a center on an edge at level nx, the
+    A ball meets every edge in a (possibly empty) interval that depends
+    only on the distance from the center to the end through which the
+    edge is entered.  Seen from a center on an edge at level nx, the
     edges at level j fall into N + 2 distance classes:
 
       k <= min(j, nx)  parent off the center's ancestor chain, branching
@@ -283,20 +284,24 @@ def _ball_masses(
                        K^(j-nx) of them, entered from the parent
 
     so the mass is a sum of count x (Gauss-Legendre integral of the mass
-    density over the clipped interval): O(N^2) work per ball, at any depth.
-    Each parent distance is a running sum of the edge lengths down its
-    path, so it rounds as a walk from the center does.  The balls are taken
-    `_BALL_CHUNK` at a time.
+    density over the clipped interval): O(N^2) work per ball.  Interval
+    ends are arclengths below the top vertex of their edge, not from the
+    root (which round to 1/epsilon deep down), so they keep their relative
+    precision at any depth.  Each parent distance is a running sum of the
+    edge lengths down its path, so it rounds as a walk from the center
+    does.  The balls are taken `_BALL_CHUNK` at a time.
     """
     K, N, eps = params.K, params.depth, params.epsilon
     beta, c_shift, lam = params.beta, params.C_const, params.lambda2
     gx, gw = _gauss_nodes(params.quad_order)
-    a_lev = arclength(params, np.arange(N + 1))
-    a_lo, a_hi = a_lev[:-1], a_lev[1:]
     lev = np.arange(N)
-    # inc[j] = a_lev[j] - a_lev[j-1]: the step of a parent distance from
-    # level j-1 to level j; steps[k, j] adds it below the branch level k
-    inc = np.concatenate(([0.0], np.diff(a_lev)[:-1]))
+    # to_boundary[j]: the distance from a level-j vertex to the boundary;
+    # length[j]: the length of an edge from level j to j + 1
+    to_boundary = np.exp(-eps * np.arange(N + 1)) / eps
+    length = -np.expm1(-eps) * to_boundary[:-1]
+    # inc[j] = length[j-1]: the step of a parent distance from level j-1
+    # to level j; steps[k, j] adds it below the branch level k
+    inc = np.concatenate(([0.0], length[:-1]))
     steps = np.where(lev[None, :] > lev[:, None], inc, 0.0)
     # counts[nx, class, j]: rows 0..N-1 branch levels, then chain, subtree
     n, k, j = lev[:, None, None], lev[None, :, None], lev[None, None, :]
@@ -312,26 +317,32 @@ def _ball_masses(
     out = np.empty(len(levels))
     for s in range(0, len(levels), _BALL_CHUNK):
         nx = levels[s : s + _BALL_CHUNK, None]
-        x = ax[s : s + _BALL_CHUNK, None]
+        x = sx[s : s + _BALL_CHUNK, None]
         r = radii[s : s + _BALL_CHUNK, None]
         B = len(nx)
+        # up[:, j]: the distance from the center up to its level-j ancestor
+        up = (to_boundary - to_boundary[nx]) + x
         branch = np.tile(steps, (B, 1, 1))
-        branch[:, lev, lev] = x - a_lo
-        below = np.where(lev == nx + 1, a_lev[nx + 1] - x, np.where(lev > nx + 1, inc, 0.0))
+        branch[:, lev, lev] = up[:, :N]
+        below = np.where(lev == nx + 1, length[nx] - x, np.where(lev > nx + 1, inc, 0.0))
         chain = lev < nx
-        lo = np.tile(a_lo, (B, N + 2, 1))
+        # each class's interval [lo, hi] of arclengths below the top vertex
+        lo = np.zeros((B, N + 2, N))
         hi = np.empty_like(lo)
-        hi[:, :N] = a_lo + (r[:, :, None] - np.cumsum(branch, axis=2))
-        lo[:, N] = np.where(chain, a_hi - (r - (x - a_hi)), x - r)
-        hi[:, N] = np.where(chain, a_hi, x + r)
-        hi[:, N + 1] = a_lo + (r - np.cumsum(below, axis=1))
-        np.clip(lo, a_lo, a_hi, out=lo)
-        np.clip(hi, a_lo, a_hi, out=hi)
+        hi[:, :N] = r[:, :, None] - np.cumsum(branch, axis=2)
+        lo[:, N] = np.where(chain, length - (r - up[:, 1:]), x - r)
+        hi[:, N] = np.where(chain, length, x + r)
+        hi[:, N + 1] = r - np.cumsum(below, axis=1)
+        np.clip(lo, 0.0, length, out=lo)
+        np.clip(hi, 0.0, length, out=hi)
         count = counts[nx[:, 0]]
         mask = (count > 0) & (hi > lo)
-        tlo = -np.log1p(-eps * lo[mask]) / eps
-        thi = -np.log1p(-eps * hi[mask]) / eps
-        mid = 0.5 * (tlo + thi)
+        # arclength a below a level-j vertex is at level j + t, where
+        # e^(-eps t) = 1 - a / to_boundary[j]
+        at = np.broadcast_to(lev, mask.shape)[mask]
+        tlo = -np.log1p(-lo[mask] / to_boundary[at]) / eps
+        thi = -np.log1p(-hi[mask] / to_boundary[at]) / eps
+        mid = at + 0.5 * (tlo + thi)
         half = 0.5 * (thi - tlo)
         tau = mid[:, None] + half[:, None] * gx[None, :]
         dens = np.exp(-beta * tau) * (tau + c_shift) ** lam
@@ -351,8 +362,8 @@ def ball_measure(params: TreeParams, center: EdgePoint, radius: float) -> float:
     gives the total mass.
     """
     radius = _check_radii([radius])
-    levels, ax = _center_arclengths(params, [center])
-    return float(_ball_masses(params, levels, ax, radius)[0])
+    levels, sx = _center_offsets(params, [center])
+    return float(_ball_masses(params, levels, sx, radius)[0])
 
 
 def sample_ball_centers(
@@ -362,7 +373,8 @@ def sample_ball_centers(
     the radii are the diameter divided by 1, 2, 4 or 8.
 
     Centers are reusable on any tree of at least the same depth, which is
-    what truncation-stability comparisons need.
+    what truncation-stability comparisons need.  A child index past int64
+    is drawn digit by digit; a ball's mass does not depend on it.
     """
     d = params.diameter
     radius_grid = (d, d / 2.0, d / 4.0, d / 8.0)
@@ -370,7 +382,10 @@ def sample_ball_centers(
     centers, radii = [], []
     for _ in range(n_balls):
         lev = int(rng.integers(0, params.depth))
-        idx = int(rng.integers(0, params.K ** (lev + 1)))
+        if params.K ** (lev + 1) <= 2**63:  # every index fits in int64
+            idx = int(rng.integers(0, params.K ** (lev + 1)))
+        else:
+            idx = digits_index(params.K, rng.integers(0, params.K, lev + 1))
         off = float(rng.uniform(0.02, 0.98))
         centers.append(EdgePoint(lev, idx, off))
         radii.append(float(radius_grid[int(rng.integers(0, len(radius_grid)))]))
@@ -384,6 +399,6 @@ def doubling_ratios(
     if len(centers) != len(radii):
         raise ValueError("need one radius per center")
     r = _check_radii(radii)
-    levels, ax = _center_arclengths(params, centers)
-    small = _ball_masses(params, levels, ax, r)
-    return _ball_masses(params, levels, ax, 2.0 * r) / small
+    levels, sx = _center_offsets(params, centers)
+    small = _ball_masses(params, levels, sx, r)
+    return _ball_masses(params, levels, sx, 2.0 * r) / small

@@ -86,6 +86,16 @@ def test_feasible_single_constraint_equality():
     assert not hajlasz_feasible(inst, {k: np.zeros(2)})
 
 
+def test_feasible_needs_every_constrained_scale():
+    inst = two_leaf_instance()
+    k = inst.scales[0]
+    g = {k: np.full(2, 1.0)}
+    assert hajlasz_feasible(inst, g)
+    # a constrained scale absent from g is a violated constraint, not a zero
+    assert not hajlasz_feasible(inst, {k + 1: np.full(2, 1.0)})
+    assert not hajlasz_feasible(inst, {})
+
+
 def test_feasible_rejects_negative_gradient():
     inst = two_leaf_instance()
     with pytest.raises(ValueError):

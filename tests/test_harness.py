@@ -373,6 +373,15 @@ def test_roundtrip_doubling_ahlfors_drivers():
     assert verify_ahlfors(ExperimentConfig(K=3, beta=2.5, epsilon=1.0)).passed
 
 
+@pytest.mark.parametrize("K,depth", [(2, 65), (3, 40)])
+def test_cli_verify_doubling_passes_past_the_int64_child_index(tmp_path, capsys, K, depth):
+    # K^(level + 1) child indices outgrow int64 at these depths
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"K = {K}\ndepths = {depth}\nn_balls = 50\n")
+    assert main(["verify", "doubling", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "report doubling: PASS"
+
+
 def test_report_csv_bytes_reproducible(tmp_path):
     cfg = small_cfg(seeds=(0, 1), depths=(3, 4))
     p1, p2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
@@ -549,6 +558,25 @@ def test_report_with_no_sampled_column_fails():
     assert report.stats == {}
     assert not report.passed
     assert report.summary_lines() == ["report trace-bound: FAIL", "  ratio: not run (no samples)"]
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.5, math.nan])
+def test_column_with_a_nonpositive_or_nan_sample_fails(bad):
+    rows = [
+        {"seed": 0, "depth": 3, "ratio": 1.0},
+        {"seed": 0, "depth": 4, "ratio": bad},
+        {"seed": 1, "depth": 4, "ratio": 1.1},
+    ]
+    report = RatioReport("trace-bound", rows, ("ratio",), 0.1, 100.0)
+    st = report.stats["ratio"]
+    # no log-slope can be fitted through a ratio that is not positive
+    assert st.slope == math.inf
+    assert not report.passed
+    assert report.summary_lines()[0] == "report trace-bound: FAIL"
+    assert "slope=+inf" in report.summary_lines()[1]
+    if bad <= 0:
+        assert st.spread == math.inf
+        assert "spread=inf" in report.summary_lines()[1]
 
 
 def test_cli_verify_equivalence_beyond_hajlasz_depth(tmp_path, capsys):

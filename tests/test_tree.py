@@ -392,57 +392,68 @@ def _level_distances(params, center):
     """Distances from `center` to every vertex, one array per level.
 
     Returns (per-level distance arrays, ancestor chain of the center edge's
-    child endpoint, arclength of the center from the root).
+    child endpoint, the center's arclength below the top vertex of its
+    edge, the edge lengths per level).  Every distance is a walk from the
+    center, a sum of edge lengths and the center's offset, so it keeps its
+    relative precision at any depth.
     """
     K, N, eps = params.K, params.depth, params.epsilon
     nx, cx = center.level, center.child_index
-    a_lev = (1.0 - np.exp(-eps * np.arange(N + 1))) / eps
-    ax = float(arclength(params, nx + center.offset))
+    length = -np.expm1(-eps) * np.exp(-eps * np.arange(N)) / eps
+    sx = -math.expm1(-eps * center.offset) * math.exp(-eps * nx) / eps
     # anc[j] = flat index of the level-j ancestor of the child endpoint
     anc = [cx // K ** (nx + 1 - j) for j in range(nx + 2)]
+    # up[j]: the distance from the center up to its level-j ancestor
+    up = [0.0] * (nx + 1)
+    up[nx] = sx
+    for j in range(nx - 1, -1, -1):
+        up[j] = up[j + 1] + length[j]
 
-    dist = [np.array([ax])]
+    dist = [np.array([up[0]])]
     for j in range(1, N + 1):
-        d = np.repeat(dist[j - 1], K) + (a_lev[j] - a_lev[j - 1])
+        d = np.repeat(dist[j - 1], K) + length[j - 1]
         if j <= nx:
-            d[anc[j]] = ax - a_lev[j]
+            d[anc[j]] = up[j]
         elif j == nx + 1:
-            d[anc[j]] = a_lev[j] - ax
+            d[anc[j]] = length[nx] - sx
         dist.append(d)
-    return dist, anc, ax
+    return dist, anc, sx, length
 
 
 def _per_edge_ball_measure(params, center, radius):
     """Reference ball mass: one clipped interval and one quadrature per
-    edge, over all K^N edges, level by level."""
+    edge, over all K^N edges, level by level.  Each interval is taken in
+    arclength below the top vertex of its edge."""
     K, N, eps = params.K, params.depth, params.epsilon
     beta, c_shift, lam = params.beta, params.C_const, params.lambda2
-    dist, anc, ax = _level_distances(params, center)
-    a_lev = (1.0 - np.exp(-eps * np.arange(N + 1))) / eps
+    dist, anc, sx, length = _level_distances(params, center)
     gx, gw = np.polynomial.legendre.leggauss(params.quad_order)
 
     total = 0.0
     for j in range(N):
         # edges from level j to j+1, indexed by the child vertex
-        lo = np.full(K ** (j + 1), a_lev[j])
-        hi = a_lev[j] + (radius - np.repeat(dist[j], K))
+        lo = np.zeros(K ** (j + 1))
+        hi = radius - np.repeat(dist[j], K)
         if j + 1 <= center.level:
             # the chain edge above the center is entered from its lower end
             i = anc[j + 1]
-            hi[i] = a_lev[j + 1]
-            lo[i] = a_lev[j + 1] - (radius - dist[j + 1][i])
+            hi[i] = length[j]
+            lo[i] = length[j] - (radius - dist[j + 1][i])
         elif j == center.level:
             i = center.child_index
-            lo[i] = ax - radius
-            hi[i] = ax + radius
-        np.clip(lo, a_lev[j], a_lev[j + 1], out=lo)
-        np.clip(hi, a_lev[j], a_lev[j + 1], out=hi)
+            lo[i] = sx - radius
+            hi[i] = sx + radius
+        np.clip(lo, 0.0, length[j], out=lo)
+        np.clip(hi, 0.0, length[j], out=hi)
         mask = hi > lo
         if not mask.any():
             continue
-        tlo = -np.log1p(-eps * lo[mask]) / eps
-        thi = -np.log1p(-eps * hi[mask]) / eps
-        mid = 0.5 * (tlo + thi)
+        # an arclength a below a level-j vertex sits at level j + t with
+        # e^(-eps t) = 1 - eps e^(eps j) a
+        scale = eps * math.exp(eps * j)
+        tlo = -np.log1p(-scale * lo[mask]) / eps
+        thi = -np.log1p(-scale * hi[mask]) / eps
+        mid = j + 0.5 * (tlo + thi)
         half = 0.5 * (thi - tlo)
         tau = mid[:, None] + half[:, None] * gx[None, :]
         dens = np.exp(-beta * tau) * (tau + c_shift) ** lam
@@ -590,6 +601,31 @@ def test_ball_measure_nan_radius_rejected_and_inf_is_total_mass():
         truncated_mass(p), rel=1e-12
     )
     assert np.array_equal(doubling_ratios(p, centers, [math.inf] * 2), [1.0, 1.0])
+
+
+@pytest.mark.parametrize("shift", [10, 20, 30, 40])
+def test_ball_measure_is_self_similar_deep_in_the_tree(shift):
+    # at lambda2 = 0 the subtree below a level-L vertex is the whole tree
+    # with distances scaled by e^(-eps L) and masses by e^(-beta L)
+    eps = LN2
+    beta = 2.0 * LN2
+    top = ball_measure(TreeParams(2, eps, beta, 0.0, 20), EdgePoint(6, 5, 0.5), 0.1)
+    deep = ball_measure(
+        TreeParams(2, eps, beta, 0.0, 20 + shift),
+        EdgePoint(6 + shift, 5, 0.5),
+        0.1 * math.exp(-eps * shift),
+    )
+    assert deep * math.exp(beta * shift) == pytest.approx(top, rel=1e-9)
+
+
+def test_sample_ball_centers_past_the_int64_child_index():
+    # K^(level + 1) passes int64 at level 39 for K = 3: every index is valid
+    p = TreeParams(3, LN2, 2.0 * math.log(3) + 0.3, 0.0, 60)
+    centers, radii = sample_ball_centers(p, 200, seed=1)
+    assert max(c.level for c in centers) >= 40
+    for c in centers:
+        assert 0 <= c.child_index < 3 ** (c.level + 1)
+    assert np.all(np.isfinite(doubling_ratios(p, centers, radii)))
 
 
 def test_ball_measure_deep_tree():
