@@ -339,7 +339,7 @@ def _ball_masses(
         mask = (count > 0) & (hi > lo)
         # arclength a below a level-j vertex is at level j + t, where
         # e^(-eps t) = 1 - a / to_boundary[j]
-        at = np.broadcast_to(lev, mask.shape)[mask]
+        ball, _, at = np.nonzero(mask)
         tlo = -np.log1p(-lo[mask] / to_boundary[at]) / eps
         thi = -np.log1p(-hi[mask] / to_boundary[at]) / eps
         mid = at + 0.5 * (tlo + thi)
@@ -347,9 +347,7 @@ def _ball_masses(
         tau = mid[:, None] + half[:, None] * gx[None, :]
         dens = np.exp(-beta * tau) * (tau + c_shift) ** lam
         quad = half * (dens @ gw)
-        out[s : s + B] = np.bincount(
-            np.nonzero(mask)[0], weights=count[mask] * quad, minlength=B
-        )
+        out[s : s + B] = np.bincount(ball, weights=count[mask] * quad, minlength=B)
     return out
 
 
