@@ -226,8 +226,8 @@ def double_integral_is_exact(
 
 
 def _level_pair_sums(f: BoundaryFunction, p: float):
-    """Yield (n, S) for n = depth-1 down to 0, where S[v] is the sum of
-    |f_a - f_b|^p over ordered pairs of leaves in block v of level n.
+    """Yield (n, s, S) for n = depth-1 down to 0, where S[v] * 2^s is the
+    sum of |f_a - f_b|^p over ordered pairs of leaves in block v of level n.
 
     Integer p <= MAX_CLOSED_FORM_P: each block sorted (the K sorted child
     blocks merged by a stable sort) and shifted by its midrange to y, so
@@ -239,8 +239,11 @@ def _level_pair_sums(f: BoundaryFunction, p: float):
     block-sized arrays at every p.  A constant block shifts to zeros and
     gives exactly 0.  With |y| at most half the range, the alternating
     terms keep their digits: within 2.3e-16 relative of a compensated sum
-    over all pairs at p = 1, 2, 3, 7, 8, 30, 31 and 99.  Other p: every
-    pair enumerated, K^(2*depth) in all.
+    over all pairs at p = 1, 2, 3, 7, 8, 30, 31 and 99.  Each level's y
+    is scaled by a power of two 2^-e that puts its largest |y| in
+    [1/2, 1), and s = e p, so that S stays in the normal float range where
+    the pair sums themselves would not; the scaling commutes with
+    rounding.  Other p: every pair enumerated, K^(2*depth) in all, s = 0.
     """
     K, N, x = f.K, f.depth, f.values
     if _has_closed_form(p):
@@ -248,6 +251,8 @@ def _level_pair_sums(f: BoundaryFunction, p: float):
         for n in reversed(range(N)):
             x = np.sort(x.reshape(K**n, -1), axis=1, kind="stable")
             y = x - (x[:, :1] + 0.5 * (x[:, -1:] - x[:, :1]))
+            e = int(np.frexp(np.abs(y).max())[1])
+            np.ldexp(y, -e, out=y)
             acc = np.arange(1.0, y.shape[1] + 1) * y  # Q_0(b) y_b, Q_0(b) = b + 1
             power, prefix = y.copy(), np.empty_like(y)
             for k in range(1, p + 1):
@@ -257,11 +262,11 @@ def _level_pair_sums(f: BoundaryFunction, p: float):
                 np.cumsum(power, axis=1, out=prefix)
                 prefix *= (-1) ** k * float(math.comb(p, k))
                 acc += prefix
-            yield n, 2.0 * acc.sum(axis=1)
+            yield n, e * p, 2.0 * acc.sum(axis=1)
     else:
         for n in reversed(range(N)):
             blocks = x.reshape(K**n, -1)
-            yield n, (np.abs(blocks[:, :, None] - blocks[:, None, :]) ** p).sum(axis=(1, 2))
+            yield n, 0, (np.abs(blocks[:, :, None] - blocks[:, None, :]) ** p).sum(axis=(1, 2))
 
 
 def double_integral_energy(
@@ -279,10 +284,7 @@ def double_integral_energy(
     over a block (`_level_pair_sums`).  At integer p <= MAX_CLOSED_FORM_P
     the cost is O(p * depth * K^depth) at any depth; at other p pairs are
     enumerated and the call is rejected beyond `pair_budget`
-    (`double_integral_is_exact`).  Each S is a float before it is
-    weighted, so a block sum below the normal range (about 2.2e-308)
-    loses digits: at p = 100, K = 2, N = 3 on values 1 + 1e-3 U(-1, 1)
-    the block sums are subnormal and the result is 1.9e-12 relative off.
+    (`double_integral_is_exact`).
     """
     K, N, p = f.K, f.depth, params.p
     if not double_integral_is_exact(K, N, p, pair_budget):
@@ -291,14 +293,22 @@ def double_integral_energy(
             f"<= {pair_budget}; use the Monte Carlo estimator instead"
         )
     d = split_distances(params.epsilon, N)
-    cross = [0.0] * N
-    below = np.zeros(K**N)  # a level-N block is one leaf: no pairs
-    for n, sums in _level_pair_sums(f, p):
-        cross[n] = float((sums - below.reshape(-1, K).sum(axis=1)).sum())
-        below = sums
+    cross, scale = [0.0] * N, [0] * N
+    below, below_scale = np.zeros(K**N), 0  # a level-N block is one leaf: no pairs
+    for n, s, sums in _level_pair_sums(f, p):
+        children = np.ldexp(below.reshape(-1, K).sum(axis=1), below_scale - s)
+        cross[n], scale[n] = float((sums - children).sum()), s
+        below, below_scale = sums, s
     total = 0.0
     for n in range(N):
-        total += float(K) ** (n - 2 * N) / d[n] ** (params.theta * p) * cross[n]
+        # weight x cross x 2^scale as one product of mantissas and one
+        # exponent, so that no factor alone leaves the float range
+        mw, ew = math.frexp(float(K) ** (n - 2 * N) / d[n] ** (params.theta * p))
+        mc, ec = math.frexp(cross[n])
+        try:
+            total += math.ldexp(mw * mc, ew + ec + scale[n])
+        except OverflowError:
+            raise ValueError(f"the double sum overflows at p = {p:g}") from None
     return total
 
 

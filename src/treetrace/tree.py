@@ -3,10 +3,12 @@
 Every vertex has exactly K children and every edge is a unit interval in
 the level coordinate.  The metric density along an edge at level t is
 e^(-epsilon*t), so each ray from the root has finite length 1/epsilon and
-the tree has diameter 2/epsilon.  Mass is carried by the edges with
-density e^(-beta*t) * (t + C)^lambda in the same coordinate; beta > log K
-makes the total mass finite, and `residual_measure` reports how much of it
-a depth-N truncation discards.
+the tree has diameter 2/epsilon.  Every length is an arclength below a
+vertex, precise at any epsilon and depth.  Mass is carried by the edges
+with density e^(-beta*t) * (t + C)^lambda in the same coordinate; beta >
+log K makes the total mass finite, and `residual_measure` reports how much
+of it a depth-N truncation discards.  This module owns the edge
+quadrature: edge and ball masses, and the per-level `edge_quadrature`.
 
 Vertices are addressed by their digit path from the root (a tuple of
 integers in [0, K)); within a level they are ordered lexicographically,
@@ -38,6 +40,7 @@ __all__ = [
     "split_distances",
     "ahlfors_ratio",
     "edge_measure",
+    "edge_quadrature",
     "residual_measure",
     "ball_measure",
     "sample_ball_centers",
@@ -136,20 +139,27 @@ class TreeParams:
         return 2.0 / self.epsilon
 
 
+def _arc_below(eps: float, level, t):
+    """Arclength e^(-eps*level) (1 - e^(-eps*t)) / eps from a vertex at `level`
+    down to level + t, precise at any eps and depth; t = inf: to the boundary."""
+    return np.exp(-eps * level) * -np.expm1(-eps * t) / eps
+
+
+def _mass_density(params: TreeParams, weight, tau):
+    """`weight` times the mass density e^(-beta*tau) (tau + C)^lambda2, left to right."""
+    return weight * np.exp(-params.beta * tau) * (tau + params.C_const) ** params.lambda2
+
+
 def arclength(params: TreeParams, tau) -> float | np.ndarray:
     """Metric distance from the root to level coordinate tau along any ray."""
-    eps = params.epsilon
-    if np.isscalar(tau):
-        return (1.0 - math.exp(-eps * tau)) / eps
-    return (1.0 - np.exp(-eps * np.asarray(tau, dtype=float))) / eps
+    return _arc_below(params.epsilon, 0, np.asarray(tau, dtype=float))
 
 
 def edge_length(params: TreeParams, n: int) -> float:
     """Metric length of any edge between levels n and n+1."""
     if not 0 <= n < params.depth:
         raise ValueError(f"edge level {n} out of range [0, {params.depth})")
-    eps = params.epsilon
-    return (1.0 - math.exp(-eps)) / eps * math.exp(-eps * n)
+    return float(_arc_below(params.epsilon, n, 1.0))
 
 
 def split_distances(epsilon: float, count: int) -> np.ndarray:
@@ -180,10 +190,21 @@ def edge_measure(params: TreeParams, n: int) -> float:
     """
     if n < 0:
         raise ValueError("edge level must be nonnegative")
-    beta, c_shift, lam = params.beta, params.C_const, params.lambda2
     x, w = _gauss_nodes(params.quad_order)
-    tau = 0.5 * (x + 1.0) + n
-    return float(0.5 * np.sum(w * np.exp(-beta * tau) * (tau + c_shift) ** lam))
+    return float(0.5 * np.sum(_mass_density(params, w, 0.5 * (x + 1.0) + n)))
+
+
+@lru_cache(maxsize=_LEVEL_CACHE)
+def edge_quadrature(params: TreeParams, n: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """The Gauss-Legendre rule of the edges between levels n and n+1: edge
+    length, node arclengths below the parent, and node weights times the
+    mass density.  Memoized per (params, n); the arrays are read-only."""
+    gx, gw = _gauss_nodes(params.quad_order)
+    t = 0.5 * (gx + 1.0)
+    offsets = _arc_below(params.epsilon, n, t)
+    weights = _mass_density(params, 0.5 * gw, n + t)
+    offsets.flags.writeable = weights.flags.writeable = False
+    return edge_length(params, n), offsets, weights
 
 
 def residual_measure(params: TreeParams, from_level: int | None = None) -> float:
@@ -203,6 +224,7 @@ def residual_measure(params: TreeParams, from_level: int | None = None) -> float
     n = start
     while True:
         tau = 0.5 * (x + 1.0) + n
+        # the density in log form, the edge count inside: no factor overflows
         log_density = (n + 1) * math.log(params.K) - params.beta * tau
         log_density += params.lambda2 * np.log(tau + params.C_const)
         term = float(0.5 * np.sum(w * np.exp(log_density)))
@@ -234,21 +256,19 @@ class EdgePoint:
     offset: float
 
 
-# balls per batch of `_ball_masses`; fixes the size of its temporaries
-_BALL_CHUNK = 128
+# elements of each (balls, N + 2, N) temporary of `_ball_masses`
+_BALL_CHUNK = 1 << 12
 
 
-def _check_radii(radii) -> np.ndarray:
+def _balls(params: TreeParams, centers, radii) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validated edge levels of the centers, their offsets (the arclength
+    from the top vertex of the center's edge down to it) and the radii."""
+    K, N, eps = params.K, params.depth, params.epsilon
+    if len(centers) != len(radii):
+        raise ValueError("need one radius per center")
     r = np.asarray(radii, dtype=float)
     if not np.all(r > 0):
         raise ValueError("radius must be positive")
-    return r
-
-
-def _center_offsets(params: TreeParams, centers) -> tuple[np.ndarray, np.ndarray]:
-    """Validated edge levels of the centers and their offsets: the
-    arclength from the top vertex of the center's edge down to it."""
-    K, N, eps = params.K, params.depth, params.epsilon
     for c in centers:
         if not 0 <= c.level < N:
             raise ValueError("center level out of range")
@@ -258,7 +278,7 @@ def _center_offsets(params: TreeParams, centers) -> tuple[np.ndarray, np.ndarray
             raise ValueError("center offset must lie in [0, 1]")
     levels = np.array([c.level for c in centers], dtype=np.int64)
     offsets = np.array([c.offset for c in centers], dtype=float)
-    return levels, -np.expm1(-eps * offsets) * np.exp(-eps * levels) / eps
+    return levels, _arc_below(eps, levels, offsets), r
 
 
 def _ball_masses(
@@ -289,37 +309,38 @@ def _ball_masses(
     root (which round to 1/epsilon deep down), so they keep their relative
     precision at any depth.  Each parent distance is a running sum of the
     edge lengths down its path, so it rounds as a walk from the center
-    does.  The balls are taken `_BALL_CHUNK` at a time.
+    does.  The balls are taken as many at a time as keep each
+    (balls, N + 2, N) array within `_BALL_CHUNK` elements.
     """
     K, N, eps = params.K, params.depth, params.epsilon
-    beta, c_shift, lam = params.beta, params.C_const, params.lambda2
     gx, gw = _gauss_nodes(params.quad_order)
     lev = np.arange(N)
     # to_boundary[j]: the distance from a level-j vertex to the boundary;
     # length[j]: the length of an edge from level j to j + 1
-    to_boundary = np.exp(-eps * np.arange(N + 1)) / eps
-    length = -np.expm1(-eps) * to_boundary[:-1]
+    to_boundary = _arc_below(eps, np.arange(N + 1), np.inf)
+    length = _arc_below(eps, lev, 1.0)
     # inc[j] = length[j-1]: the step of a parent distance from level j-1
     # to level j; steps[k, j] adds it below the branch level k
     inc = np.concatenate(([0.0], length[:-1]))
-    steps = np.where(lev[None, :] > lev[:, None], inc, 0.0)
-    # counts[nx, class, j]: rows 0..N-1 branch levels, then chain, subtree
-    n, k, j = lev[:, None, None], lev[None, :, None], lev[None, None, :]
-    counts = np.concatenate(
-        [
-            np.where((k <= j) & (k <= n), (K - 1) * float(K) ** (j - k), 0.0),
-            np.where(j <= n, 1.0, 0.0),
-            np.where(j > n, float(K) ** (j - n), 0.0),
-        ],
-        axis=1,
-    )
+    k, j = lev[:, None], lev[None, :]
+    steps = np.where(j > k, inc, 0.0)
+    # the rows of the class counts over j: branch level k, a zero row, then
+    # the chain and the subtree class of a center at level k
+    fan = np.where(k <= j, (K - 1) * float(K) ** (j - k), 0.0)
+    subtree = np.where(j > k, float(K) ** (j - k), 0.0)
+    rows = np.concatenate([fan, np.zeros((1, N)), np.where(j <= k, 1.0, 0.0), subtree])
 
     out = np.empty(len(levels))
-    for s in range(0, len(levels), _BALL_CHUNK):
-        nx = levels[s : s + _BALL_CHUNK, None]
-        x = sx[s : s + _BALL_CHUNK, None]
-        r = radii[s : s + _BALL_CHUNK, None]
+    size = max(1, _BALL_CHUNK // ((N + 2) * N))
+    for s in range(0, len(levels), size):
+        nx = levels[s : s + size, None]
+        x = sx[s : s + size, None]
+        r = radii[s : s + size, None]
         B = len(nx)
+        # count[ball, class, j]: the branch levels (the zero row past the
+        # center's level), then chain, subtree
+        branch_rows = np.where(lev <= nx, lev, N)
+        count = rows[np.concatenate([branch_rows, N + 1 + nx, 2 * N + 1 + nx], axis=1)]
         # up[:, j]: the distance from the center up to its level-j ancestor
         up = (to_boundary - to_boundary[nx]) + x
         branch = np.tile(steps, (B, 1, 1))
@@ -335,7 +356,6 @@ def _ball_masses(
         hi[:, N + 1] = r - np.cumsum(below, axis=1)
         np.clip(lo, 0.0, length, out=lo)
         np.clip(hi, 0.0, length, out=hi)
-        count = counts[nx[:, 0]]
         mask = (count > 0) & (hi > lo)
         # arclength a below a level-j vertex is at level j + t, where
         # e^(-eps t) = 1 - a / to_boundary[j]
@@ -345,8 +365,7 @@ def _ball_masses(
         mid = at + 0.5 * (tlo + thi)
         half = 0.5 * (thi - tlo)
         tau = mid[:, None] + half[:, None] * gx[None, :]
-        dens = np.exp(-beta * tau) * (tau + c_shift) ** lam
-        quad = half * (dens @ gw)
+        quad = half * (_mass_density(params, 1.0, tau) @ gw)
         out[s : s + B] = np.bincount(ball, weights=count[mask] * quad, minlength=B)
     return out
 
@@ -359,9 +378,7 @@ def ball_measure(params: TreeParams, center: EdgePoint, radius: float) -> float:
     per distance class of edges (see `_ball_masses`).  An infinite radius
     gives the total mass.
     """
-    radius = _check_radii([radius])
-    levels, sx = _center_offsets(params, [center])
-    return float(_ball_masses(params, levels, sx, radius)[0])
+    return float(_ball_masses(params, *_balls(params, [center], [radius]))[0])
 
 
 def sample_ball_centers(
@@ -394,9 +411,6 @@ def doubling_ratios(
     params: TreeParams, centers: list[EdgePoint], radii: list[float]
 ) -> np.ndarray:
     """Ratios mass(B(x, 2r)) / mass(B(x, r)) for the given balls."""
-    if len(centers) != len(radii):
-        raise ValueError("need one radius per center")
-    r = _check_radii(radii)
-    levels, sx = _center_offsets(params, centers)
+    levels, sx, r = _balls(params, centers, radii)
     small = _ball_masses(params, levels, sx, r)
     return _ball_masses(params, levels, sx, 2.0 * r) / small

@@ -6,19 +6,18 @@ along every edge.  For that class the minimal upper gradient is constant
 on each edge and equals the difference quotient |F(child) - F(parent)| /
 edge_length, so the gradient part of the norm is an exact finite sum
 while the function part is a per-edge Gauss-Legendre integral of Phi(|F|)
-against the mass density.  CSV files list every level's rows, through
-the codec in `treetrace.address`.
+against the mass density, by the per-level rule of `edge_quadrature`:
+`treetrace.tree` owns the edge quadrature.  CSV files list every level's
+rows, through the codec in `treetrace.address`.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
 from .address import child_minus_parent, function_values, level_slice, parents_and_children
 from .address import read_function_csv, write_function_csv
-from .tree import TreeParams, arclength, edge_length, edge_measure, _gauss_nodes, _LEVEL_CACHE
+from .tree import TreeParams, edge_length, edge_measure, edge_quadrature
 from .young import YoungModular, YoungPhi, luxemburg_gauge
 
 __all__ = [
@@ -50,19 +49,6 @@ def _check_shape(F: TreeFunction, params: TreeParams) -> None:
         raise ValueError("tree function shape does not match tree parameters")
 
 
-@lru_cache(maxsize=_LEVEL_CACHE)
-def _level_table(params: TreeParams, n: int) -> tuple[float, np.ndarray, np.ndarray]:
-    """Edge length of level n, and the arclength offsets of the Gauss-Legendre
-    nodes of its edges from the parent and their quadrature weight times the
-    mass density.  Memoized per (params, n); the arrays are read-only."""
-    gx, gw = _gauss_nodes(params.quad_order)
-    tau = n + 0.5 * (gx + 1.0)
-    a_off = arclength(params, tau) - arclength(params, n)
-    weights = 0.5 * gw * np.exp(-params.beta * tau) * (tau + params.C_const) ** params.lambda2
-    a_off.flags.writeable = weights.flags.writeable = False
-    return edge_length(params, n), a_off, weights
-
-
 def upper_gradient_edges(F: TreeFunction, params: TreeParams) -> np.ndarray:
     """Per-edge upper gradient of the piecewise-linear interpolant, minimal for
     that class: |F(child) - F(parent)| / edge_length, one row per parent."""
@@ -92,7 +78,7 @@ def _function_modular(F: TreeFunction, params: TreeParams, phi: YoungPhi) -> You
     segments = []
     for n in reversed(range(F.depth)):
         rows = level_slice(F.K, n)
-        length, a_off, weights = _level_table(params, n)
+        length, a_off, weights = edge_quadrature(params, n)
         slopes[rows] /= length
         level = vals[rows]
         np.multiply(slopes[rows, :, None], a_off, out=level)

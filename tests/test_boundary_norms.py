@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from treetrace import (
     lp_norm,
     orlicz_besov_norm,
     orlicz_norm,
+    split_distances,
 )
 from treetrace.address import cell_leaves, check_digits, digits_index, level_slice
 
@@ -358,6 +360,33 @@ def test_double_integral_closed_form_keeps_its_digits_at_large_p(p):
         assert double_integral_energy(f, ep, pair_budget=0) == pytest.approx(
             naive_double_integral(f, ep), rel=1e-12
         )
+
+
+def test_double_integral_keeps_its_digits_below_the_normal_range():
+    # p = 100 on values within 1e-3 of 1: the block pair sums fall below
+    # 2.2e-308 and lost digits (1.9e-12 relative) until each level was
+    # scaled by a power of two; the oracle sums every pair exactly, with
+    # the same float level weights
+    K, N, p = 2, 3, 100
+    x = 1.0 + 1e-3 * np.random.default_rng(5).uniform(-1.0, 1.0, K**N)
+    ep = eparams(p=float(p))
+    d = split_distances(ep.epsilon, N)
+    want = Fraction(0)
+    for a in range(K**N):
+        for b in range(K**N):
+            if a != b:
+                k = next(j for j in range(N) if a // K ** (N - 1 - j) != b // K ** (N - 1 - j))
+                weight = float(K) ** (k - 2 * N) / d[k] ** (ep.theta * p)
+                want += Fraction(weight) * (Fraction(x[a]) - Fraction(x[b])) ** p
+    got = double_integral_energy(BoundaryFunction(K, N, x), ep)
+    assert abs(Fraction(got) - want) <= Fraction(1e-14) * want
+
+
+def test_double_integral_overflow_is_an_error():
+    # (2e4)^100 leaves the float range: the sum was NaN
+    f = BoundaryFunction(2, 3, 1e4 * np.random.default_rng(5).uniform(-1.0, 1.0, 8))
+    with pytest.raises(ValueError, match="the double sum overflows at p = 100"):
+        double_integral_energy(f, eparams(p=100.0))
 
 
 @pytest.mark.parametrize("K", [2, 3])

@@ -293,6 +293,23 @@ def test_extension_bound_report_passes():
     assert {"ratio", "energy_ratio"} <= set(report.ratio_columns)
 
 
+@pytest.mark.parametrize("K", [2, 3])
+@pytest.mark.parametrize("epsilon", [LN2, 0.3, 1e-6, 1e-9])
+def test_extension_bound_energy_ratio_is_its_closed_form(K, epsilon):
+    # p = 2, lambda1 = lambda2 = 0 and the matched theta: per cell, the
+    # gradient term over the dyadic term is the same at every level, so
+    # every row has (e^beta - 1) / beta * (epsilon / (e^epsilon - 1))^2,
+    # 1.5 ln 2 at the default geometry; edge lengths written as
+    # 1 - e^(-epsilon) lost up to 5.6e-8 of it at epsilon = 1e-9
+    beta = math.log(K) + epsilon
+    cfg = ExperimentConfig(K=K, epsilon=epsilon, beta=beta, seeds=(0, 1), depths=(3, 5))
+    want = math.expm1(beta) / beta * (epsilon / math.expm1(epsilon)) ** 2
+    rows = verify_extension_bound(cfg).rows
+    assert len(rows) == 4
+    for row in rows:
+        assert row["energy_ratio"] == pytest.approx(want, rel=1e-12)
+
+
 def test_extension_bound_rejects_tree_family():
     with pytest.raises(ValueError, match="boundary family"):
         verify_extension_bound(small_cfg(family="random-vertex"))

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from treetrace import (
     split_distances,
 )
 from treetrace.address import check_digits, index_digits
+from treetrace.tree import edge_quadrature
 
 LN2 = math.log(2.0)
 
@@ -113,6 +116,21 @@ def test_edge_length_against_quadrature_oracle():
     assert err < 1e-12
     assert edge_length(p, 0) == pytest.approx(oracle, rel=1e-12)
     assert edge_length(p, 0) == pytest.approx(0.7213475204444817, abs=1e-15)
+
+
+def test_gauss_node_offsets_are_precise_deep_in_the_tree():
+    # the arclength of each node below its parent vertex at level 30,
+    # against e^(-eps n) (1 - e^(-eps t)) / eps to 50 digits; written as a
+    # difference of arclengths from the root it was 9.3e-6 off
+    p, n = std_params(depth=31), 30
+    _, offsets, _ = edge_quadrature(p, n)
+    gx, _ = np.polynomial.legendre.leggauss(p.quad_order)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        eps = Decimal(p.epsilon)
+        for a, t in zip(offsets, 0.5 * (gx + 1.0)):
+            want = (-eps * n).exp() * (1 - (-eps * Decimal(float(t))).exp()) / eps
+            assert abs(Decimal(float(a)) - want) <= Decimal("1e-14") * want
 
 
 def test_edge_length_geometric_decay():
@@ -601,6 +619,22 @@ def test_ball_measure_nan_radius_rejected_and_inf_is_total_mass():
         truncated_mass(p), rel=1e-12
     )
     assert np.array_equal(doubling_ratios(p, centers, [math.inf] * 2), [1.0, 1.0])
+
+
+def test_doubling_ratios_memory_is_quadratic_in_the_depth():
+    # each chunk of balls takes its class counts from its own center levels:
+    # at depth 150 the (N, N + 2, N) table of every center level alone took
+    # 27 MB, and the call peaked at 91 MB
+    p = std_params(depth=150)
+    centers, radii = sample_ball_centers(p, 20, 0)
+    tracemalloc.start()
+    try:
+        ratios = doubling_ratios(p, centers, radii)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(ratios)) and np.all(ratios >= 1.0)
+    assert peak < 12e6
 
 
 @pytest.mark.parametrize("shift", [10, 20, 30, 40])

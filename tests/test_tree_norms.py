@@ -9,7 +9,6 @@ from treetrace import (
     TreeFunction,
     TreeParams,
     YoungPhi,
-    arclength,
     edge_length,
     edge_measure,
     luxemburg_gauge,
@@ -19,6 +18,7 @@ from treetrace import (
     upper_gradient_edges,
 )
 import treetrace.tree_norms as tree_norms
+from treetrace.tree import edge_quadrature
 from treetrace.address import level_slice
 from treetrace.young import _CHUNK
 from treetrace.harness import generate
@@ -170,8 +170,11 @@ def test_tree_modular_amplitudes_match_the_per_level_oracle_bitwise(
     for n in range(depth):
         parents = F.values[level_slice(K, n)]
         children = F.values[level_slice(K, n + 1)].reshape(-1, K)
-        tau = n + 0.5 * (gx + 1.0)
-        a_off = arclength(params, tau) - arclength(params, n)
+        t = 0.5 * (gx + 1.0)
+        tau = n + t
+        # the arclength of each node below the parent vertex
+        eps = params.epsilon
+        a_off = np.exp(-eps * n) * -np.expm1(-eps * t) / eps
         slopes = (children - parents[:, None]) / edge_length(params, n)
         parts.append(np.abs(slopes[:, :, None] * a_off + parents[:, None, None]).reshape(-1))
         weights = 0.5 * gw * np.exp(-params.beta * tau) * (tau + params.C_const) ** 0.5
@@ -316,10 +319,10 @@ def test_newtonian_norm_gauges_start_at_the_mean_field_root(monkeypatch):
     assert len(samples) == 2 and len(samples[0]) <= 4
     assert norm == pytest.approx(13.477890177408504, rel=1e-10)
     samples.clear()
-    assert newtonian_norm(F, std_params(10), YoungPhi(2.0)) == 8.457311177136713
+    assert newtonian_norm(F, std_params(10), YoungPhi(2.0)) == 8.457311177415708
     assert samples == [
-        [1.0, 0.5, 0.7411361599716191, 0.7411361600012645],
-        [1.0, 0.5, 0.02225325463656671, 0.02225325463567658],
+        [1.0, 0.5, 0.7411361599716186, 0.7411361599419732],
+        [1.0, 0.5, 0.02225325463656665, 0.022253254637456782],
     ]
 
 
@@ -364,8 +367,8 @@ def test_newtonian_norm_monotone_under_deeper_truncation():
 
 def test_level_tables_are_memoized_and_read_only():
     # one table per (TreeParams, level): equal parameters share it
-    table = tree_norms._level_table(std_params(5), 3)
-    assert tree_norms._level_table(std_params(5), 3) is table
+    table = edge_quadrature(std_params(5), 3)
+    assert edge_quadrature(std_params(5), 3) is table
     for arr in table[1:]:
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0.0
