@@ -52,7 +52,6 @@ from .tree import (
     edge_length,
     edge_measure,
     min_shift_constant,
-    residual_measure,
     sample_ball_centers,
     split_distances,
 )

@@ -39,6 +39,7 @@ __all__ = [
     "EnergyParams",
     "MonteCarloEstimate",
     "DEFAULT_PAIR_BUDGET",
+    "MC_SAMPLES",
     "lp_norm",
     "orlicz_norm",
     "dyadic_energy",
@@ -50,6 +51,8 @@ __all__ = [
 ]
 
 DEFAULT_PAIR_BUDGET = 16384
+# leaf pairs the `verify equivalence` sweep samples per Monte Carlo double sum
+MC_SAMPLES = 200_000
 # integer p above this is enumerated: the exact sum costs p prefix sums
 # per level and was checked against the enumeration up to here
 MAX_CLOSED_FORM_P = 100
@@ -143,12 +146,22 @@ def orlicz_norm(f: BoundaryFunction, phi: YoungPhi) -> float:
 
 
 def _level_weight(n: int, eps: float, t: float, p: float, lam: float, key: str) -> float:
-    """e^(eps*n*t*p) * n^lam, the weight of level n; an overflow is a
-    ValueError naming lam as `key`."""
+    """e^(eps*n*t*p) * n^lam, the weight of level n.  A weight beyond the
+    float range is a ValueError naming the factor that left it: p for
+    e^(eps*n*t*p), lam as `key` for n^lam, and both for their product."""
+    where = f"the level-{n} weight"
     try:
-        return math.exp(eps * n * t * p) * float(n) ** lam
+        growth = math.exp(eps * n * t * p)
     except OverflowError:
-        raise ValueError(f"the level-{n} weight overflows at {key} = {lam!r}") from None
+        raise ValueError(f"{where} e^(eps n theta p) overflows at p = {p:g}") from None
+    try:
+        power = float(n) ** lam
+    except OverflowError:
+        raise ValueError(f"{where} overflows at {key} = {lam!r}") from None
+    weight = growth * power
+    if not math.isfinite(weight):
+        raise ValueError(f"{where} overflows at p = {p:g} and {key} = {lam!r}")
+    return weight
 
 
 def dyadic_energy(f: BoundaryFunction, params: EnergyParams) -> float:

@@ -20,6 +20,7 @@ import numpy as np
 from .address import cell_leaves, check_digits, child_minus_parent, index_digits, level_slice
 from .boundary_norms import (
     DEFAULT_PAIR_BUDGET,
+    MC_SAMPLES,
     BoundaryFunction,
     EnergyParams,
     double_integral_energy,
@@ -129,14 +130,15 @@ class ExperimentConfig:
     exponent 1 - (beta - log K) / (epsilon * p); both can be pinned
     explicitly, in which case the hypothesis validators insist they agree
     with those formulas where an experiment assumes them.  `K` must be at
-    least 2, `epsilon` positive and `p` at least 1.  `pair_budget` and
-    `mc_samples` matter only for the double sum at non-integer p (and
+    least 2, `epsilon` positive and `p` at least 1.  The tree of each depth
+    takes the minimal shift C and the order-8 edge rule (`TreeParams`).
+    `pair_budget` matters only for the double sum at non-integer p (and
     integer p above 100): its pairs are enumerated while K^(2*depth) <=
-    pair_budget and sampled `mc_samples` times beyond; `pair_budget` must
-    be at least 1 and `mc_samples` at least 2.  `hajlasz_max_depth` must
-    be nonnegative (0 runs no Hajlasz program), `slope_tol` nonnegative,
-    `spread_max` at least 1, every seed nonnegative and every depth at
-    least 1.  The fields are the config-file keys (`load_config`).
+    pair_budget and sampled `MC_SAMPLES` times beyond; it must be at least
+    1.  `hajlasz_max_depth` must be nonnegative (0 runs no Hajlasz
+    program), `slope_tol` nonnegative, `spread_max` at least 1, every seed
+    nonnegative and every depth at least 1.  The fields are the
+    config-file keys (`load_config`).
     """
 
     K: int = 2
@@ -150,23 +152,19 @@ class ExperimentConfig:
     family: str | None = None
     seeds: tuple[int, ...] = tuple(range(8))
     depths: tuple[int, ...] = (4, 5, 6, 7)
-    quad_order: int = 8
     slope_tol: float = 0.1
     spread_max: float = 100.0
     n_balls: int = 1000
     hajlasz_max_depth: int = 6
     pair_budget: int = DEFAULT_PAIR_BUDGET
-    mc_samples: int = 200_000
     out: str | None = None
     emit_plot_data: bool = False
 
     def __post_init__(self) -> None:
-        # K comes first, so that every command rejects K < 2 alike, and
-        # mc_samples needs two samples for the Monte Carlo standard error
+        # K comes first, so that every command rejects K < 2 alike
         for name, least in (
             ("K", 2),
             ("n_balls", 1),
-            ("mc_samples", 2),
             ("pair_budget", 1),
             ("hajlasz_max_depth", 0),
         ):
@@ -208,7 +206,7 @@ class ExperimentConfig:
         return self.lambda1 + self.lambda2
 
     def tree_params(self, depth: int) -> TreeParams:
-        return TreeParams(self.K, self.epsilon, self.beta, self.lambda2, depth, self.quad_order)
+        return TreeParams(self.K, self.epsilon, self.beta, self.lambda2, depth)
 
     def energy_params(self) -> EnergyParams:
         return EnergyParams(
@@ -578,7 +576,7 @@ def verify_equivalences(cfg: ExperimentConfig) -> RatioReport:
                 b_energy = double_integral_energy(f, ep_plain, cfg.pair_budget)
                 b_method, b_stderr = "exact", None
             else:
-                est = double_integral_energy_mc(f, ep_plain, cfg.mc_samples, seed)
+                est = double_integral_energy_mc(f, ep_plain, MC_SAMPLES, seed)
                 b_energy, b_method, b_stderr = est.value, "mc", est.stderr
             e_weighted = e_plain if ep == ep_plain else dyadic_energy(f, ep)
             besov = orlicz_besov_norm(f, ep, phi)

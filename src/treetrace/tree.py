@@ -6,9 +6,11 @@ e^(-epsilon*t), so each ray from the root has finite length 1/epsilon and
 the tree has diameter 2/epsilon.  Every length is an arclength below a
 vertex, precise at any epsilon and depth.  Mass is carried by the edges
 with density e^(-beta*t) * (t + C)^lambda in the same coordinate; beta >
-log K makes the total mass finite, and `residual_measure` reports how much
-of it a depth-N truncation discards.  This module owns the edge
-quadrature: edge and ball masses, and the per-level `edge_quadrature`.
+log K makes the total mass finite, and C is the least shift that makes the
+density admissible (`min_shift_constant`).  This module owns the edge
+quadrature, one Gauss-Legendre rule of order `QUAD_ORDER` = 8 on every
+edge: the per-level `edge_quadrature`, the edge masses (the sums of its
+weights) and the ball masses.
 
 Vertices are addressed by their digit path from the root (a tuple of
 integers in [0, K)); within a level they are ordered lexicographically,
@@ -24,14 +26,15 @@ apart (`split_distances`), an ultrametric.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cache, lru_cache
 
 import numpy as np
 
 from .address import check_digits, digits_index
 
 __all__ = [
+    "QUAD_ORDER",
     "TreeParams",
     "EdgePoint",
     "min_shift_constant",
@@ -41,21 +44,27 @@ __all__ = [
     "ahlfors_ratio",
     "edge_measure",
     "edge_quadrature",
-    "residual_measure",
     "ball_measure",
     "sample_ball_centers",
     "doubling_ratios",
 ]
 
 
-# entries of each per-(TreeParams, level) cache: every level of a few dozen trees
+# entries of the per-(TreeParams, level) cache of `edge_quadrature`: every
+# level of a few dozen trees
 _LEVEL_CACHE = 1024
 
 
-@lru_cache(maxsize=32)
-def _gauss_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1].  Cached, read-only."""
-    x, w = np.polynomial.legendre.leggauss(order)
+# the order of the Gauss-Legendre rule of every edge integral
+QUAD_ORDER = 8
+
+
+@cache
+def _gauss_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The nodes and weights of the edge rule on [-1, 1], read-only.  Built
+    on first use, so that a run that integrates over no edge does not
+    import numpy.polynomial, which numpy 2 loads lazily (about 2 MB)."""
+    x, w = np.polynomial.legendre.leggauss(QUAD_ORDER)
     x.flags.writeable = w.flags.writeable = False
     return x, w
 
@@ -69,18 +78,16 @@ def min_shift_constant(K: int, epsilon: float, beta: float, lambda2: float) -> f
 class TreeParams:
     """Validated parameter bundle for one truncated tree.
 
-    K            branching factor (>= 2)
-    epsilon      metric decay rate (> 0)
-    beta         mass decay rate (> log K)
-    lambda2      mass log-exponent
-    depth        truncation level N (>= 1); vertices live on levels 0..N
-    quad_order   Gauss-Legendre order used for all edge integrals
-    C_const      shift in the (t + C)^lambda2 factor; never below the
-                 minimal admissible value, which None selects
+    K        branching factor (>= 2)
+    epsilon  metric decay rate (> 0)
+    beta     mass decay rate (> log K)
+    lambda2  mass log-exponent
+    depth    truncation level N (>= 1); vertices live on levels 0..N
 
-    The real parameters must be finite, and so must the minimal C_const
-    and the density factor (t + C)^lambda2 on [0, depth], which must also
-    be positive.
+    The shift `C_const` in the (t + C)^lambda2 factor is derived, not set:
+    it is the minimal admissible value `min_shift_constant`.  The real
+    parameters must be finite, and so must C_const and the density factor
+    (t + C)^lambda2 on [0, depth], which must also be positive.
     """
 
     K: int
@@ -88,15 +95,14 @@ class TreeParams:
     beta: float
     lambda2: float
     depth: int
-    quad_order: int = 8
-    C_const: float | None = None
+    C_const: float = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.K < 2:
             raise ValueError("K must be at least 2")
-        for name in ("epsilon", "beta", "lambda2", "C_const"):
+        for name in ("epsilon", "beta", "lambda2"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
@@ -109,25 +115,20 @@ class TreeParams:
                 f"is infinite at lambda2 = {self.lambda2!r}, beta = {self.beta!r}, "
                 f"epsilon = {self.epsilon!r}"
             )
-        if self.C_const is None:
-            object.__setattr__(self, "C_const", cmin)
-        elif self.C_const < cmin * (1.0 - 1e-12):
-            raise ValueError(f"C_const must be at least {cmin!r}")
+        object.__setattr__(self, "C_const", cmin)
         if self.depth < 1:
             raise ValueError("depth must be at least 1")
         # (t + C)^lambda2 is monotone in t, so its ends bound it on [0, depth]
         for t in (0.0, float(self.depth)):
             try:
-                factor = (t + self.C_const) ** self.lambda2
+                factor = (t + cmin) ** self.lambda2
             except OverflowError:
                 factor = math.inf
             if not 0.0 < factor < math.inf:
                 raise ValueError(
                     f"lambda2 = {self.lambda2!r} puts the density factor (t + C)^lambda2 "
-                    f"out of the float range at t = {t:g} (C = {self.C_const!r})"
+                    f"out of the float range at t = {t:g} (C = {cmin!r})"
                 )
-        if self.quad_order < 2:
-            raise ValueError("quad_order must be at least 2")
 
     @property
     def hausdorff_dim(self) -> float:
@@ -180,26 +181,11 @@ def ahlfors_ratio(params: TreeParams, digits) -> float:
 
 
 @lru_cache(maxsize=_LEVEL_CACHE)
-def edge_measure(params: TreeParams, n: int) -> float:
-    """Mass of a single edge between levels n and n+1: the Gauss-Legendre
-    value of the integral of e^(-beta*t) * (t + C)^lambda2 over [n, n+1].
-    Memoized per (params, n).
-
-    With lambda2 = 0 this equals (e^(-beta*n) - e^(-beta*(n+1))) / beta up
-    to quadrature error far below 1e-12 relative.
-    """
-    if n < 0:
-        raise ValueError("edge level must be nonnegative")
-    x, w = _gauss_nodes(params.quad_order)
-    return float(0.5 * np.sum(_mass_density(params, w, 0.5 * (x + 1.0) + n)))
-
-
-@lru_cache(maxsize=_LEVEL_CACHE)
 def edge_quadrature(params: TreeParams, n: int) -> tuple[float, np.ndarray, np.ndarray]:
     """The Gauss-Legendre rule of the edges between levels n and n+1: edge
     length, node arclengths below the parent, and node weights times the
     mass density.  Memoized per (params, n); the arrays are read-only."""
-    gx, gw = _gauss_nodes(params.quad_order)
+    gx, gw = _gauss_rule()
     t = 0.5 * (gx + 1.0)
     offsets = _arc_below(params.epsilon, n, t)
     weights = _mass_density(params, 0.5 * gw, n + t)
@@ -207,39 +193,15 @@ def edge_quadrature(params: TreeParams, n: int) -> tuple[float, np.ndarray, np.n
     return edge_length(params, n), offsets, weights
 
 
-def residual_measure(params: TreeParams, from_level: int | None = None) -> float:
-    """Mass of the infinite tree beyond the truncation level.
+def edge_measure(params: TreeParams, n: int) -> float:
+    """Mass of a single edge between levels n and n+1: the sum of the node
+    weights of `edge_quadrature`, the Gauss-Legendre value of the integral
+    of e^(-beta*t) * (t + C)^lambda2 over [n, n+1], for 0 <= n < depth.
 
-    Sums K^(n+1) * edge_measure(n) for n >= from_level (default: depth)
-    until the remaining tail is below 1e-12 relative.  from_level=0 gives
-    the total mass of the infinite tree.  Each term is the quadrature of
-    one exponential, so factors that leave the float range beyond the
-    truncation do not spoil it; a total that does is a ValueError.
+    With lambda2 = 0 this equals (e^(-beta*n) - e^(-beta*(n+1))) / beta up
+    to quadrature error far below 1e-12 relative.
     """
-    start = params.depth if from_level is None else from_level
-    if start < 0:
-        raise ValueError("from_level must be nonnegative")
-    x, w = _gauss_nodes(params.quad_order)
-    total = 0.0
-    n = start
-    while True:
-        tau = 0.5 * (x + 1.0) + n
-        # the density in log form, the edge count inside: no factor overflows
-        log_density = (n + 1) * math.log(params.K) - params.beta * tau
-        log_density += params.lambda2 * np.log(tau + params.C_const)
-        term = float(0.5 * np.sum(w * np.exp(log_density)))
-        total += term
-        if not math.isfinite(total):
-            raise ValueError(
-                f"the residual mass overflows at lambda2 = {params.lambda2!r} "
-                f"(C = {params.C_const!r})"
-            )
-        if term < 1e-14 * total and n > start:
-            break
-        n += 1
-        if n - start > 100_000:
-            raise RuntimeError("residual series did not converge")
-    return total
+    return float(np.sum(edge_quadrature(params, n)[2]))
 
 
 @dataclass(frozen=True)
@@ -313,7 +275,7 @@ def _ball_masses(
     (balls, N + 2, N) array within `_BALL_CHUNK` elements.
     """
     K, N, eps = params.K, params.depth, params.epsilon
-    gx, gw = _gauss_nodes(params.quad_order)
+    gx, gw = _gauss_rule()
     lev = np.arange(N)
     # to_boundary[j]: the distance from a level-j vertex to the boundary;
     # length[j]: the length of an edge from level j to j + 1

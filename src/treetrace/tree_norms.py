@@ -17,7 +17,7 @@ import numpy as np
 
 from .address import child_minus_parent, function_values, level_slice, parents_and_children
 from .address import read_function_csv, write_function_csv
-from .tree import TreeParams, edge_length, edge_measure, edge_quadrature
+from .tree import QUAD_ORDER, TreeParams, edge_length, edge_measure, edge_quadrature
 from .young import YoungModular, YoungPhi, luxemburg_gauge
 
 __all__ = [
@@ -66,11 +66,11 @@ def _function_modular(F: TreeFunction, params: TreeParams, phi: YoungPhi) -> You
     itself from one slope per edge, as in `upper_gradient_edges`."""
     _check_shape(F, params)
     parents, children = parents_and_children(F.K, F.values)
-    a = np.empty(children.size * params.quad_order)
-    vals = a.reshape(*children.shape, params.quad_order)
+    a = np.empty(children.size * QUAD_ORDER)
+    vals = a.reshape(*children.shape, QUAD_ORDER)
     # the slopes go to the head of `a` (an array of their own raised the peak
     # RSS) and the levels are filled deepest first: the nodes of level n
-    # start at quad_order times the offset of its slopes, past the slopes of
+    # start at QUAD_ORDER times the offset of its slopes, past the slopes of
     # the shallower levels still to be read; numpy buffers the slopes of a
     # level whose nodes overlap them
     slopes = a[: children.size].reshape(children.shape)
@@ -106,7 +106,8 @@ def tree_lphi_modular(
     """Integral of Phi(|F|/k) over the truncated tree against the mass density.
 
     F is interpolated linearly in arclength on each edge; each edge integral
-    uses the tree's Gauss-Legendre order on the composite integrand.
+    uses the tree's Gauss-Legendre rule (`edge_quadrature`) on the
+    composite integrand.
     """
     return _function_modular(F, params, phi).value(k)
 

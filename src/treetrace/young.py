@@ -208,10 +208,14 @@ class YoungModular:
         return factor * total
 
     def value(self, k: float) -> float:
-        """The modular of the amplitudes as given, at k."""
+        """The modular of the amplitudes as given, at k; a value beyond the
+        float range is a ValueError naming p (a call may return inf)."""
         if not k > 0:
             raise ValueError(f"k must be positive, got {k!r}")
-        return self(k / self.scale) if self.scale > 0.0 else 0.0
+        value = self(k / self.scale) if self.scale > 0.0 else 0.0
+        if not math.isfinite(value):
+            raise ValueError(f"the modular at k = {k!r} overflows at p = {self.phi.p:g}")
+        return value
 
 
 def _mean_field_root(p: float, lam: float, c: float, m: float) -> float | None:

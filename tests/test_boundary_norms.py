@@ -254,6 +254,22 @@ def test_dyadic_energy_level_weight_overflow_names_lam():
         dyadic_energy(f, eparams(lam=1e308))
 
 
+def test_dyadic_energy_level_weight_overflow_names_p():
+    # e^(eps n theta p) at n = 11, p = 100 overflowed, and the error blamed
+    # lam = 0.0
+    f = random_f(2, 12, seed=0)
+    with pytest.raises(ValueError, match=r"level-11 weight e\^\(eps n theta p\) overflows at p = 100$"):
+        dyadic_energy(f, eparams(theta=0.99, p=100.0))
+
+
+def test_dyadic_energy_level_weight_product_overflow_is_an_error():
+    # e^(eps n theta p) = 1.1e298 and n^lam = 2.6e10 are finite at n = 11,
+    # but their product is not: dyadic_energy returned inf
+    f = random_f(2, 11, seed=0)
+    with pytest.raises(ValueError, match="level-11 weight overflows at p = 180 and lam = 10.0"):
+        dyadic_energy(f, eparams(theta=0.5, p=180.0, lam=10.0))
+
+
 def test_orlicz_energy_level_weight_overflow_names_lambda2():
     # n^lambda2 at n = 2 ended in an OverflowError from float(n) ** lam2,
     # which named no key

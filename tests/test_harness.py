@@ -178,9 +178,9 @@ def test_config_file_keys_are_the_config_fields(tmp_path):
     # read back equal: the dataclass is the one list of config keys
     cfg = ExperimentConfig(
         K=3, epsilon=0.5, beta=1.75, p=2.5, lambda1=0.5, lambda2=0.25, lam=0.75,
-        theta=0.375, family="lacunary", seeds=(1, 4), depths=(3, 5), quad_order=6,
+        theta=0.375, family="lacunary", seeds=(1, 4), depths=(3, 5),
         slope_tol=0.2, spread_max=50.0, n_balls=10, hajlasz_max_depth=3,
-        pair_budget=99, mc_samples=7, out="r.csv", emit_plot_data=True,
+        pair_budget=99, out="r.csv", emit_plot_data=True,
     )
     default = ExperimentConfig()
     path = tmp_path / "cfg.txt"
@@ -296,18 +296,22 @@ def test_extension_bound_report_passes():
 @pytest.mark.parametrize("K", [2, 3])
 @pytest.mark.parametrize("epsilon", [LN2, 0.3, 1e-6, 1e-9])
 def test_extension_bound_energy_ratio_is_its_closed_form(K, epsilon):
-    # p = 2, lambda1 = lambda2 = 0 and the matched theta: per cell, the
-    # gradient term over the dyadic term is the same at every level, so
-    # every row has (e^beta - 1) / beta * (epsilon / (e^epsilon - 1))^2,
-    # 1.5 ln 2 at the default geometry; edge lengths written as
-    # 1 - e^(-epsilon) lost up to 5.6e-8 of it at epsilon = 1e-9
+    # lambda1 = lambda2 = 0 and the matched theta: per cell, the gradient
+    # term over the dyadic term is the same at every level, so every row
+    # has (e^beta - 1) / beta * (epsilon / (e^epsilon - 1))^p, 1.5 ln 2 at
+    # the default geometry and p = 2; edge lengths written as
+    # 1 - e^(-epsilon) lost up to 5.6e-8 of it at epsilon = 1e-9.  p runs
+    # inside the test, which keeps one test id per (epsilon, K)
     beta = math.log(K) + epsilon
-    cfg = ExperimentConfig(K=K, epsilon=epsilon, beta=beta, seeds=(0, 1), depths=(3, 5))
-    want = math.expm1(beta) / beta * (epsilon / math.expm1(epsilon)) ** 2
-    rows = verify_extension_bound(cfg).rows
-    assert len(rows) == 4
-    for row in rows:
-        assert row["energy_ratio"] == pytest.approx(want, rel=1e-12)
+    for p in (2.0, 8.0, 32.0, 100.0):
+        cfg = ExperimentConfig(
+            K=K, epsilon=epsilon, beta=beta, p=p, seeds=(0, 1), depths=(3, 5)
+        )
+        want = math.expm1(beta) / beta * (epsilon / math.expm1(epsilon)) ** p
+        rows = verify_extension_bound(cfg).rows
+        assert len(rows) == 4
+        for row in rows:
+            assert row["energy_ratio"] == pytest.approx(want, rel=1e-12), p
 
 
 def test_extension_bound_rejects_tree_family():
@@ -364,9 +368,7 @@ def test_equivalence_leaves_a_sampled_double_sum_unjudged():
     # depth 8 at p = 2.5 is past the default pair budget, so its double sum
     # is sampled: a 2,000-sample ratio of 0.395 against an exact 0.268 made
     # the depth slope +0.39 and the report FAIL
-    report = verify_equivalences(
-        small_cfg(p=2.5, depths=(7, 8), seeds=(0,), mc_samples=2000)
-    )
+    report = verify_equivalences(small_cfg(p=2.5, depths=(7, 8), seeds=(0,)))
     exact, sampled = report.rows
     assert exact["double_integral_method"] == "exact"
     assert exact["double_vs_dyadic"] == exact["double_integral"] / exact["dyadic_energy"]
@@ -922,22 +924,60 @@ def test_cli_verify_doubling_rejects_too_few_balls(tmp_path, capsys, n_balls):
 @pytest.mark.parametrize(
     "line, message",
     [
-        ("mc_samples = 0", "mc_samples must be at least 2"),
-        ("mc_samples = 1", "mc_samples must be at least 2"),
         ("pair_budget = 0", "pair_budget must be at least 1"),
         ("pair_budget = -5", "pair_budget must be at least 1"),
         ("hajlasz_max_depth = -1", "hajlasz_max_depth must be at least 0"),
     ],
 )
 def test_cli_verify_equivalence_rejects_bad_sweep_counts(tmp_path, capsys, line, message):
-    # these were accepted: the Hajlasz column then silently read "not run",
-    # and a bad Monte Carlo count failed only where that path was reached
+    # these were accepted: the Hajlasz column then silently read "not run"
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(f"seeds = 0\ndepths = 3,4\n{line}\n")
     assert main(["verify", "equivalence", "--config", str(cfg)]) == 2
     text = capsys.readouterr()
     assert text.err == f"treetrace: error: {message}\n"
     assert text.out == ""
+
+
+def test_cli_verify_equivalence_names_p_when_a_level_weight_overflows(tmp_path, capsys):
+    # e^(eps n theta p) overflows at level 11 and p = 100; the error named
+    # lam = 0.0, which is not what overflowed
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("p = 100\nhajlasz_max_depth = 0\ndepths = 10,11,12\n")
+    assert main(["verify", "equivalence", "--config", str(cfg)]) == 2
+    text = capsys.readouterr()
+    assert text.err == (
+        "treetrace: error: the level-11 weight e^(eps n theta p) overflows at p = 100\n"
+    )
+    assert text.out == ""
+
+
+def test_cli_verify_extension_bound_modular_beyond_the_float_range_is_an_error(
+    tmp_path, capsys
+):
+    # at p = 100 and depth 12 both modulars were inf, energy_ratio NaN, and
+    # the report said FAIL with spread=nan: a float-range limit, not a verdict
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("p = 100\n")
+    argv = ["verify", "extension-bound", "--config", str(cfg), "--depth", "12", "--seed", "0"]
+    assert main(argv) == 2
+    text = capsys.readouterr()
+    assert text.err == "treetrace: error: the modular at k = 1.0 overflows at p = 100\n"
+    assert text.out == ""
+
+
+@pytest.mark.parametrize("line", ["quad_order = 8", "mc_samples = 2000"])
+def test_cli_config_rejects_the_removed_settings(tmp_path, capsys, line):
+    # the edge rule is always order 8 and the Monte Carlo sample count a
+    # constant: neither is a config key any more
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"seeds = 0\n{line}\n")
+    key = line.split(" ")[0]
+    assert main(["verify", "equivalence", "--config", str(cfg)]) == 2
+    text = capsys.readouterr()
+    assert text.err == f"treetrace: error: {cfg}, line 2: unknown config key '{key}'\n"
+    assert text.out == ""
+    assert len(dataclasses.fields(ExperimentConfig)) == 18
 
 
 @pytest.mark.parametrize(
@@ -1041,7 +1081,7 @@ def test_cli_verify_equivalence_reports_how_the_double_sum_was_computed(tmp_path
     assert all(r["double_integral_stderr"] == "" for r in rows)
     # non-integer p beyond the budget is sampled, and its standard error is kept
     cfg = tmp_path / "cfg.txt"
-    cfg.write_text("p = 2.5\ndepths = 7,8\nseeds = 0,1\nmc_samples = 20000\n")
+    cfg.write_text("p = 2.5\ndepths = 7,8\nseeds = 0,1\n")
     assert main(["verify", "equivalence", "--config", str(cfg), "--out", str(out)]) == 0
     rows = {r["depth"]: r for r in csv.DictReader(out.open()) if r["seed"] == "0"}
     assert rows["7"]["double_integral_method"] == "exact"
@@ -1054,7 +1094,7 @@ def test_cli_verify_equivalence_at_p3_is_exact_beyond_the_pair_budget(tmp_path, 
     # depth 8 was sampled with 2000 pairs, 0.215 against the exact 0.145 at
     # depth 7, and the slope +0.40 failed the sweep
     cfg = tmp_path / "cfg.txt"
-    cfg.write_text("p = 3\ndepths = 7,8\nseeds = 0\nmc_samples = 2000\n")
+    cfg.write_text("p = 3\ndepths = 7,8\nseeds = 0\n")
     out = tmp_path / "report.csv"
     assert main(["verify", "equivalence", "--config", str(cfg), "--out", str(out)]) == 0
     assert capsys.readouterr().out.splitlines()[0] == "report equivalence: PASS"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from decimal import Decimal, localcontext
@@ -18,18 +19,17 @@ from treetrace import (
     edge_length,
     edge_measure,
     min_shift_constant,
-    residual_measure,
     sample_ball_centers,
     split_distances,
 )
 from treetrace.address import check_digits, index_digits
-from treetrace.tree import edge_quadrature
+from treetrace.tree import QUAD_ORDER, edge_quadrature
 
 LN2 = math.log(2.0)
 
 
-def std_params(depth=8, K=2, epsilon=LN2, beta=2 * LN2, lambda2=0.0, quad_order=8):
-    return TreeParams(K, epsilon, beta, lambda2, depth, quad_order)
+def std_params(depth=8, K=2, epsilon=LN2, beta=2 * LN2, lambda2=0.0):
+    return TreeParams(K, epsilon, beta, lambda2, depth)
 
 
 def truncated_mass(params):
@@ -63,12 +63,15 @@ def test_params_rejections():
         TreeParams(2, 0.0, 2 * LN2, 0.0, 4)
     with pytest.raises(ValueError, match="depth"):
         TreeParams(2, LN2, 2 * LN2, 0.0, 0)
-    with pytest.raises(ValueError, match="quad_order"):
-        TreeParams(2, LN2, 2 * LN2, 0.0, 4, quad_order=1)
-    with pytest.raises(ValueError, match="C_const"):
-        TreeParams(2, LN2, 2 * LN2, 0.0, 4, C_const=1.0)
-    with pytest.raises(ValueError, match="C_const"):
-        TreeParams(2, LN2, 2 * LN2, 0.0, 4, 8, 0.5)
+    # the quadrature order and the shift are not parameters
+    with pytest.raises(TypeError, match="quad_order"):
+        TreeParams(2, LN2, 2 * LN2, 0.0, 4, quad_order=8)
+    with pytest.raises(TypeError, match="C_const"):
+        TreeParams(2, LN2, 2 * LN2, 0.0, 4, C_const=4.0)
+    with pytest.raises(TypeError):
+        TreeParams(2, LN2, 2 * LN2, 0.0, 4, 8)
+    init = [f.name for f in dataclasses.fields(TreeParams) if f.init]
+    assert init == ["K", "epsilon", "beta", "lambda2", "depth"]
 
 
 @pytest.mark.parametrize("lambda2", [300.0, -300.0, 1e308, -1e308])
@@ -78,33 +81,26 @@ def test_params_reject_a_density_factor_out_of_float_range(lambda2):
     # the shift itself was inf
     with pytest.raises(ValueError, match="lambda2"):
         TreeParams(2, LN2, 2 * LN2, lambda2, 4)
-    with pytest.raises(ValueError, match="lambda2"):
-        TreeParams(2, LN2, 2 * LN2, lambda2, 4, C_const=1e300)
     # C = 2 * 100 / log 2 = 288.5 and (4 + C)^100 = 1.5e246 stay in range
     p = TreeParams(2, LN2, 2 * LN2, 100.0, 4)
     assert 0.0 < edge_measure(p, 3) < math.inf
 
 
-@pytest.mark.parametrize("name", ["epsilon", "beta", "lambda2", "C_const"])
+@pytest.mark.parametrize("name", ["epsilon", "beta", "lambda2"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_params_reject_non_finite_values(name, bad):
     # NaN passes every comparison in the range checks, so it needs its own
-    args = dict(K=2, epsilon=LN2, beta=2 * LN2, lambda2=0.0, depth=4, C_const=None)
+    args = dict(K=2, epsilon=LN2, beta=2 * LN2, lambda2=0.0, depth=4)
     args[name] = bad
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         TreeParams(**args)
 
 
 def test_params_none_shift_is_the_minimal_one():
+    # the shift is derived, and equal parameters are equal trees
     cmin = min_shift_constant(2, LN2, 2 * LN2, 1.0)
-    assert TreeParams(2, LN2, 2 * LN2, 1.0, 4, C_const=None).C_const == cmin
     assert TreeParams(2, LN2, 2 * LN2, 1.0, 4).C_const == cmin
-
-
-def test_params_shift_can_only_grow():
-    cmin = min_shift_constant(2, LN2, 2 * LN2, 0.0)
-    p = TreeParams(2, LN2, 2 * LN2, 0.0, 4, C_const=cmin + 3.0)
-    assert p.C_const == pytest.approx(cmin + 3.0)
+    assert TreeParams(2, LN2, 2 * LN2, 1.0, 4) == TreeParams(2, LN2, 2 * LN2, 1.0, 4)
 
 
 # ---------------------------------------------------------------- edge length
@@ -124,7 +120,7 @@ def test_gauss_node_offsets_are_precise_deep_in_the_tree():
     # difference of arclengths from the root it was 9.3e-6 off
     p, n = std_params(depth=31), 30
     _, offsets, _ = edge_quadrature(p, n)
-    gx, _ = np.polynomial.legendre.leggauss(p.quad_order)
+    gx, _ = np.polynomial.legendre.leggauss(QUAD_ORDER)
     with localcontext() as ctx:
         ctx.prec = 50
         eps = Decimal(p.epsilon)
@@ -319,20 +315,45 @@ def test_edge_measure_exponential_shift_at_lambda_zero():
 
 
 def test_edge_mass_weighted_against_adaptive_quadrature():
-    # epsilon = 1.5 and beta = 2 admit the shift 2.0034 (the minimum is 1.848)
-    beta, c, lam = 2.0, 2.0034, 1.0
-    p = TreeParams(2, 1.5, beta, lam, 1, C_const=c)
+    # epsilon = 1.5 and beta = 2 take the minimal shift 2 log 4 / 1.5 = 1.848
+    beta, lam = 2.0, 1.0
+    p = TreeParams(2, 1.5, beta, lam, 1)
+    c = p.C_const
+    assert c == pytest.approx(1.8483924814931874, rel=1e-15)
     oracle, err = integrate.quad(lambda t: math.exp(-beta * t) * (t + c) ** lam, 0.0, 1.0)
     assert err < 1e-12
     assert edge_measure(p, 0) == pytest.approx(oracle, rel=1e-10)
 
 
 def test_edge_mass_matches_tenfold_order():
-    # beta = 2 admits the shift 4 at every lambda2 here (the minimum is 4)
+    # the order-8 rule against an order-80 one on the same edge; beta = 2
+    # takes the shift 4 at every lambda2 here
+    gx, gw = np.polynomial.legendre.leggauss(10 * QUAD_ORDER)
+    tau = 3.0 + 0.5 * (gx + 1.0)
     for lam in (-1.5, 0.7, 2.0):
-        lo = edge_measure(TreeParams(2, LN2, 2.0, lam, 4, C_const=4.0), 3)
-        hi = edge_measure(TreeParams(2, LN2, 2.0, lam, 4, quad_order=80, C_const=4.0), 3)
-        assert lo == pytest.approx(hi, rel=1e-12)
+        p = TreeParams(2, LN2, 2.0, lam, 4)
+        assert p.C_const == 4.0
+        hi = 0.5 * float(np.sum(gw * np.exp(-2.0 * tau) * (tau + 4.0) ** lam))
+        assert edge_measure(p, 3) == pytest.approx(hi, rel=1e-12)
+
+
+@pytest.mark.parametrize("K", [2, 3])
+@pytest.mark.parametrize("lambda2", [-1.0, 0.0, 1.0])
+def test_edge_measure_is_the_sum_of_the_edge_rule_weights(K, lambda2):
+    # every level whose mass factor e^(-beta (n + 1)) is at least 1e-290,
+    # where no product of the density is subnormal: one definition of the
+    # edge mass, and the same bits as the rule's own sum 0.5 * sum(w * density)
+    beta = math.log(K) + LN2
+    last = int(290 * math.log(10.0) / beta) - 1
+    p = TreeParams(K, LN2, beta, lambda2, last + 1)
+    gx, gw = np.polynomial.legendre.leggauss(QUAD_ORDER)
+    for n in range(last + 1):
+        assert math.exp(-beta * (n + 1)) >= 1e-290
+        mass = edge_measure(p, n)
+        assert mass == float(np.sum(edge_quadrature(p, n)[2]))
+        tau = 0.5 * (gx + 1.0) + n
+        dens = gw * np.exp(-beta * tau) * (tau + p.C_const) ** lambda2
+        assert mass == float(0.5 * np.sum(dens))
 
 
 def test_edge_measure_negative_level_rejected():
@@ -341,58 +362,17 @@ def test_edge_measure_negative_level_rejected():
         edge_measure(p, -1)
 
 
-# ------------------------------------------------------------- residual mass
+# ---------------------------------------------------------------- total mass
 
 
-def test_residual_measure_total_mass_geometric_oracle():
-    p = std_params()
-    # sum over n of K^(n+1) * m0 * e^(-beta*n), ratio K e^(-beta) = 1/2
+def test_edge_masses_sum_to_the_geometric_total_mass():
+    # sum over n of K^(n+1) * m0 * e^(-beta*n), ratio K e^(-beta) = 1/2;
+    # 60 levels leave out 2^-60 of it
+    p = std_params(depth=60)
     m0 = 0.75 / (2 * LN2)
     oracle = 2.0 * m0 / (1.0 - 0.5)
     assert oracle == pytest.approx(2.1640425613334453, abs=1e-12)
-    assert residual_measure(p, from_level=0) == pytest.approx(oracle, rel=1e-12)
-
-
-def test_residual_measure_decreases_with_depth():
-    p = std_params()
-    vals = [residual_measure(p, from_level=n) for n in range(8)]
-    assert all(a > b for a, b in zip(vals, vals[1:]))
-
-
-def test_residual_measure_ratio_per_level():
-    p = std_params(depth=10)
-    total = residual_measure(p, from_level=0)
-    assert residual_measure(p, from_level=10) == pytest.approx(total * 0.5**10, rel=1e-12)
-
-
-def test_tree_measure_complements_residual():
-    p = std_params(depth=6, lambda2=1.0)
-    total = residual_measure(p, from_level=0)
-    assert truncated_mass(p) + residual_measure(p) == pytest.approx(total, rel=1e-12)
-
-
-def test_residual_measure_at_a_large_accepted_lambda2():
-    # (t + C)^120 leaves the float range a few levels below the truncation,
-    # which used to end in "OverflowError: int too large to convert to float"
-    p = TreeParams(2, LN2, 2 * LN2, 120.0, 4)
-    with np.errstate(over="raise", invalid="raise"):
-        value = residual_measure(p)
-    # oracle: adaptive quadrature per edge with e^700 taken out
-    beta, c, lam = p.beta, p.C_const, p.lambda2
-    terms = []
-    for n in range(4, 400):
-        term, err = integrate.quad(
-            lambda t: math.exp((n + 1) * LN2 - beta * t + lam * math.log(t + c) - 700.0),
-            n,
-            n + 1,
-        )
-        assert err < 1e-12 * max(term, 1e-300)
-        terms.append(term)
-    assert value == pytest.approx(math.exp(700.0) * math.fsum(terms), rel=1e-12)
-    # one step further the total itself is out of range
-    q = TreeParams(2, LN2, 2 * LN2, 121.0, 1)
-    with pytest.raises(ValueError, match="lambda2 = 121"):
-        residual_measure(q, from_level=0)
+    assert truncated_mass(p) == pytest.approx(oracle, rel=1e-12)
 
 
 # ------------------------------------------------------------- ball measure
@@ -445,7 +425,7 @@ def _per_edge_ball_measure(params, center, radius):
     K, N, eps = params.K, params.depth, params.epsilon
     beta, c_shift, lam = params.beta, params.C_const, params.lambda2
     dist, anc, sx, length = _level_distances(params, center)
-    gx, gw = np.polynomial.legendre.leggauss(params.quad_order)
+    gx, gw = np.polynomial.legendre.leggauss(QUAD_ORDER)
 
     total = 0.0
     for j in range(N):

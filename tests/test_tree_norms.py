@@ -18,7 +18,7 @@ from treetrace import (
     upper_gradient_edges,
 )
 import treetrace.tree_norms as tree_norms
-from treetrace.tree import edge_quadrature
+from treetrace.tree import QUAD_ORDER, edge_quadrature
 from treetrace.address import level_slice
 from treetrace.young import _CHUNK
 from treetrace.harness import generate
@@ -26,8 +26,8 @@ from treetrace.harness import generate
 LN2 = math.log(2.0)
 
 
-def std_params(depth, K=2, lambda2=0.0, quad_order=8):
-    return TreeParams(K, LN2, 2 * LN2, lambda2, depth, quad_order)
+def std_params(depth, K=2, lambda2=0.0):
+    return TreeParams(K, LN2, 2 * LN2, lambda2, depth)
 
 
 def truncated_mass(params):
@@ -155,17 +155,15 @@ def test_tree_modular_against_adaptive_quadrature():
     assert tree_lphi_modular(F, p, phi) == pytest.approx(total, rel=1e-10)
 
 
-@pytest.mark.parametrize("K, depth, quad_order", [(2, 6, 8), (3, 4, 5), (9, 2, 8), (4, 3, 2)])
-def test_tree_modular_amplitudes_match_the_per_level_oracle_bitwise(
-    monkeypatch, K, depth, quad_order
-):
-    # the slopes are kept in the amplitude array itself; at K >= quad_order
+@pytest.mark.parametrize("K, depth", [(2, 6), (3, 4), (9, 2), (4, 3)])
+def test_tree_modular_amplitudes_match_the_per_level_oracle_bitwise(monkeypatch, K, depth):
+    # the slopes are kept in the amplitude array itself; at K >= QUAD_ORDER
     # the nodes of every level overlap its slopes
-    params = TreeParams(K, LN2, math.log(K) + 1.0, 0.5, depth, quad_order)
+    params = TreeParams(K, LN2, math.log(K) + 1.0, 0.5, depth)
     F = TreeFunction(K, depth, np.random.default_rng(K).normal(size=level_slice(K, depth).stop))
     monkeypatch.setattr(tree_norms, "YoungModular", lambda phi, a, segments: (a, segments))
     a, segments = tree_norms._function_modular(F, params, YoungPhi(2.0))
-    gx, gw = np.polynomial.legendre.leggauss(quad_order)
+    gx, gw = np.polynomial.legendre.leggauss(QUAD_ORDER)
     parts = []
     for n in range(depth):
         parents = F.values[level_slice(K, n)]
@@ -184,13 +182,23 @@ def test_tree_modular_amplitudes_match_the_per_level_oracle_bitwise(
 
 
 def test_tree_modular_matches_tenfold_quadrature_order():
-    lo = std_params(3, lambda2=-1.0, quad_order=8)
-    hi = std_params(3, lambda2=-1.0, quad_order=80)
+    # the order-8 rule against an order-80 one on every edge
+    p = std_params(3, lambda2=-1.0)
     F = generate("random-vertex", K=2, depth=3, seed=4)
     phi = YoungPhi(2.0, 1.0)
-    assert tree_lphi_modular(F, lo, phi) == pytest.approx(
-        tree_lphi_modular(F, hi, phi), rel=1e-10
-    )
+    gx, gw = np.polynomial.legendre.leggauss(10 * QUAD_ORDER)
+    t = 0.5 * (gx + 1.0)
+    hi = 0.0
+    for n in range(3):
+        parents = F.values[level_slice(2, n)]
+        children = F.values[level_slice(2, n + 1)].reshape(-1, 2)
+        slopes = (children - parents[:, None]) / edge_length(p, n)
+        offsets = np.exp(-p.epsilon * n) * -np.expm1(-p.epsilon * t) / p.epsilon
+        vals = np.abs(slopes[:, :, None] * offsets + parents[:, None, None])
+        tau = n + t
+        weights = 0.5 * gw * np.exp(-p.beta * tau) * (tau + p.C_const) ** -1.0
+        hi += float(np.sum(phi(vals) * weights))
+    assert tree_lphi_modular(F, p, phi) == pytest.approx(hi, rel=1e-10)
 
 
 def test_gradient_modular_hand_sum():
@@ -334,7 +342,7 @@ def test_newtonian_norm_memory_is_two_amplitude_arrays_and_a_chunk():
     depth = 16
     F = generate("random-vertex", K=2, depth=depth, seed=3)
     params = std_params(depth)
-    amplitude_bytes = 8 * params.quad_order * (2 ** (depth + 1) - 2)
+    amplitude_bytes = 8 * QUAD_ORDER * (2 ** (depth + 1) - 2)
     tracemalloc.start()
     try:
         newtonian_norm(F, params, YoungPhi(2.0, 1.0))
@@ -366,16 +374,16 @@ def test_newtonian_norm_monotone_under_deeper_truncation():
 
 
 def test_level_tables_are_memoized_and_read_only():
-    # one table per (TreeParams, level): equal parameters share it
+    # one table per (TreeParams, level): equal parameters share it, and
+    # the edge mass is read from it
     table = edge_quadrature(std_params(5), 3)
     assert edge_quadrature(std_params(5), 3) is table
     for arr in table[1:]:
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0.0
-    mass = edge_measure(std_params(5), 3)
-    hits = edge_measure.cache_info().hits
-    assert edge_measure(std_params(5), 3) == mass
-    assert edge_measure.cache_info().hits == hits + 1
+    hits = edge_quadrature.cache_info().hits
+    assert edge_measure(std_params(5), 3) == float(np.sum(table[2]))
+    assert edge_quadrature.cache_info().hits == hits + 1
 
 
 def test_tree_function_shape_validation():

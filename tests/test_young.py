@@ -455,6 +455,18 @@ def test_young_modular_of_zero_amplitudes():
 
 
 @pytest.mark.parametrize("lambda1", [0.0, 1.0])
+def test_young_modular_value_beyond_the_float_range_is_an_error(lambda1):
+    # the modular of amplitudes 1e200 at k = 1 and p = 2 is 1e400: value
+    # returned inf, while the rescaled modular that the gauges call stays
+    # in range and a call at a tiny k may still give inf
+    mod = YoungModular(YoungPhi(2.0, lambda1), np.full(4, 1e200), [(4, 0.25)])
+    with pytest.raises(ValueError, match="the modular at k = 1.0 overflows at p = 2$"):
+        mod.value(1.0)
+    assert mod.value(1e200) == pytest.approx(math.log(math.e + 1.0) ** lambda1)
+    assert mod(1e-300) == math.inf
+
+
+@pytest.mark.parametrize("lambda1", [0.0, 1.0])
 def test_young_modular_value_rejects_nan_and_vanishes_at_infinity(lambda1):
     mod = YoungModular(YoungPhi(2.0, lambda1), np.linspace(0.1, 1.0, 100), [(100, 0.01)])
     with pytest.raises(ValueError, match="k must be positive, got nan"):
