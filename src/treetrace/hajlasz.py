@@ -117,15 +117,11 @@ class ConvergenceError(RuntimeError):
 
 
 def scale_for_distance(d: float) -> int:
-    """The integer k with 2^(-k-1) <= d < 2^(-k)."""
-    if d <= 0:
-        raise ValueError("distance must be positive")
-    k = int(math.floor(-math.log2(d)))
-    while 2.0**-k <= d:
-        k -= 1
-    while 2.0 ** (-k - 1) > d:
-        k += 1
-    return k
+    """The integer k with 2^(-k-1) <= d < 2^(-k), for a finite positive d
+    (-1024 from 2^1023 up): frexp's exponent e has 2^(e-1) <= d < 2^e."""
+    if not 0.0 < d < math.inf:
+        raise ValueError(f"distance must be finite and positive, got {d!r}")
+    return -math.frexp(d)[1]
 
 
 class HajlaszInstance:

@@ -4,10 +4,10 @@ equivalence of the boundary energies.
 
 A "bounded ratio" claim is operationalized as two thresholds on a sweep
 over depths: the least-squares slope of log(ratio) against depth must stay
-within +-slope_tol of zero, and the spread max/min of the sampled ratios
-must stay below spread_max.  Reports sort their rows on (seed, depth)
-before serialization so identical configurations produce identical CSV
-bytes.
+within +-SLOPE_TOL of zero, and the spread max/min of the sampled ratios
+must stay at most SPREAD_MAX.  A column that is an identity of the config
+is no evidence of either.  Reports sort their rows on (seed, depth) before
+serialization so identical configurations produce identical CSV bytes.
 """
 
 from __future__ import annotations
@@ -64,6 +64,10 @@ __all__ = [
 LN2 = math.log(2.0)
 # the largest error the exact checks (roundtrip, ahlfors) allow
 _EXACT_TOL = 1e-12
+# the PASS rule of a ratio column: |slope of log(ratio)| and max/min at most
+# these, read when a report is built
+SLOPE_TOL = 0.1
+SPREAD_MAX = 100.0
 
 BOUNDARY_FAMILIES = ("iid-uniform", "cell-indicator", "lacunary")
 TREE_FAMILIES = ("extension-of-boundary", "random-vertex")
@@ -126,19 +130,19 @@ def generate(
 class ExperimentConfig:
     """Geometry, exponents and sweep lists for one experiment run.
 
-    lam defaults to lambda1 + lambda2 and theta to the matched smoothness
-    exponent 1 - (beta - log K) / (epsilon * p); both can be pinned
-    explicitly, in which case the hypothesis validators insist they agree
-    with those formulas where an experiment assumes them.  `K` must be at
-    least 2, `epsilon` positive and `p` at least 1.  The tree of each depth
+    The power energy's level weight is n^lam with lam = lambda1 + lambda2
+    (`energy_params`), as the equivalence theorem fixes it.  theta defaults
+    to the matched smoothness exponent 1 - (beta - log K) / (epsilon * p);
+    it can be pinned explicitly, in which case the trace validator insists
+    it agrees with that formula.  `K` must be at least 2, `epsilon`
+    positive and `p` at least 1.  The tree of each depth
     takes the minimal shift C and the order-8 edge rule (`TreeParams`).
     `pair_budget` matters only for the double sum at non-integer p (and
     integer p above 100): its pairs are enumerated while K^(2*depth) <=
     pair_budget and sampled `MC_SAMPLES` times beyond; it must be at least
     1.  `hajlasz_max_depth` must be nonnegative (0 runs no Hajlasz
-    program), `slope_tol` nonnegative, `spread_max` at least 1, every seed
-    nonnegative and every depth at least 1.  The fields are the
-    config-file keys (`load_config`).
+    program), every seed nonnegative and every depth at least 1.  The
+    fields are the config-file keys (`load_config`).
     """
 
     K: int = 2
@@ -147,13 +151,10 @@ class ExperimentConfig:
     p: float = 2.0
     lambda1: float = 0.0
     lambda2: float = 0.0
-    lam: float | None = None
     theta: float | None = None
     family: str | None = None
     seeds: tuple[int, ...] = tuple(range(8))
     depths: tuple[int, ...] = (4, 5, 6, 7)
-    slope_tol: float = 0.1
-    spread_max: float = 100.0
     n_balls: int = 1000
     hajlasz_max_depth: int = 6
     pair_budget: int = DEFAULT_PAIR_BUDGET
@@ -176,11 +177,6 @@ class ExperimentConfig:
             raise ValueError(f"epsilon must be positive, got {self.epsilon!r}")
         if self.p < 1.0:
             raise ValueError(f"p must be at least 1, got {self.p!r}")
-        # written so that NaN fails too: it would silently pass every check
-        if not self.slope_tol >= 0.0:
-            raise ValueError(f"slope_tol must be nonnegative, got {self.slope_tol!r}")
-        if not self.spread_max >= 1.0:
-            raise ValueError(f"spread_max must be at least 1, got {self.spread_max!r}")
         for name in ("depths", "seeds"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must not be empty")
@@ -199,21 +195,26 @@ class ExperimentConfig:
             return self.theta
         return 1.0 - self.codimension / self.p
 
-    @property
-    def resolved_lam(self) -> float:
-        if self.lam is not None:
-            return self.lam
-        return self.lambda1 + self.lambda2
+    def _theta_is(self) -> str:
+        """The resolved theta, said as how it was reached."""
+        theta = self.resolved_theta
+        if self.theta is None:
+            return f"theta is unset, and 1 - (beta - log K)/(epsilon p) = {theta:.6g}"
+        return f"theta = {theta:g}"
 
     def tree_params(self, depth: int) -> TreeParams:
         return TreeParams(self.K, self.epsilon, self.beta, self.lambda2, depth)
 
     def energy_params(self) -> EnergyParams:
+        """The energy exponents, with lam = lambda1 + lambda2."""
+        # a NaN theta passes, so that EnergyParams names the key that is not finite
+        if self.resolved_theta < 0.0 or self.resolved_theta >= 1.0:
+            raise ValueError(f"the energies need 0 <= theta < 1, but {self._theta_is()}")
         return EnergyParams(
             theta=self.resolved_theta,
             p=self.p,
             epsilon=self.epsilon,
-            lam=self.resolved_lam,
+            lam=self.lambda1 + self.lambda2,
             lambda2=self.lambda2,
         )
 
@@ -236,14 +237,8 @@ class ExperimentConfig:
 
     def validate_equivalence_hypotheses(self) -> None:
         self.phi()
-        if self.lam is not None and abs(self.lam - (self.lambda1 + self.lambda2)) > 1e-12:
-            raise ValueError("equivalence runs require lam = lambda1 + lambda2")
-        theta = self.resolved_theta
-        if not 0.0 < theta < 1.0:
-            got = f"theta = {theta:g}"
-            if self.theta is None:
-                got = f"theta is unset, and 1 - (beta - log K)/(epsilon p) = {theta:.6g}"
-            raise ValueError(f"equivalence runs require 0 < theta < 1, but {got}")
+        if not 0.0 < self.resolved_theta < 1.0:
+            raise ValueError(f"equivalence runs require 0 < theta < 1, but {self._theta_is()}")
 
 
 def fit_log_slope(depths, values) -> float:
@@ -288,36 +283,41 @@ class ColumnStats:
     def finite(self) -> bool:
         return math.isfinite(self.minimum) and math.isfinite(self.maximum)
 
-    def within(self, slope_tol: float, spread_max: float) -> bool:
-        """Finite and positive, with no depth trend beyond slope_tol and a
-        spread of at most spread_max."""
-        trend = self.slope is not None and abs(self.slope) > slope_tol
-        return self.finite and self.minimum > 0 and not trend and self.spread <= spread_max
+    def within(self) -> bool:
+        """Finite and positive, with no depth trend beyond SLOPE_TOL and a
+        spread of at most SPREAD_MAX."""
+        trend = self.slope is not None and abs(self.slope) > SLOPE_TOL
+        return self.finite and self.minimum > 0 and not trend and self.spread <= SPREAD_MAX
 
 
 class RatioReport:
     """Per-sample ratio values and their verdict over a depth sweep, both
     fixed at construction.  `stats` holds the `ColumnStats` of each ratio
     column with a sample; a column with none was not run (skipped at every
-    depth, say) and does not count.  `passed` needs some sampled column,
-    every one `within` slope_tol and spread_max, and every (label, passed)
+    depth, say) and does not count.  `identities` names the columns that
+    are identities of the config, so that they hold whatever the sample:
+    they are judged, but are no evidence; `evidence` lists the sampled
+    columns that are not.  `passed` needs some evidence, every sampled
+    column `within` SLOPE_TOL and SPREAD_MAX, and every (label, passed)
     pair of `extra_checks` passed."""
 
-    def __init__(self, name, rows, ratio_columns, slope_tol, spread_max, extra_checks=()):
+    def __init__(self, name, rows, ratio_columns, extra_checks=(), identities=()):
         self.name = name
         self.rows = sorted(
             rows, key=lambda r: (r["seed"], r["depth"], str(r.get("family", "")))
         )
         self.ratio_columns = tuple(ratio_columns)
         self.extra_checks = tuple(extra_checks)
+        self.identities = tuple(identities)
         self.stats: dict[str, ColumnStats] = {}
         for col in self.ratio_columns:
             pts = [(r["depth"], r[col]) for r in self.rows if r.get(col) is not None]
             if pts:
                 self.stats[col] = ColumnStats.of(*np.array(pts, dtype=float).T)
+        self.evidence = [col for col in self.stats if col not in self.identities]
         self.passed = (
-            bool(self.stats)
-            and all(st.within(slope_tol, spread_max) for st in self.stats.values())
+            bool(self.evidence)
+            and all(st.within() for st in self.stats.values())
             and all(ok for _, ok in self.extra_checks)
         )
 
@@ -335,6 +335,11 @@ class RatioReport:
             )
         for label, ok in self.extra_checks:
             lines.append(f"  {label}: {'PASS' if ok else 'FAIL'}")
+        if self.stats and not self.evidence:
+            lines.append(
+                f"  no evidence: every sampled column ({', '.join(self.stats)})"
+                " is an identity of the config"
+            )
         return lines
 
     def to_csv(self, path) -> None:
@@ -431,7 +436,7 @@ def verify_trace_bound(cfg: ExperimentConfig) -> RatioReport:
                     "ratio": numer / denom,
                 }
             )
-    return RatioReport("trace-bound", rows, ("ratio",), cfg.slope_tol, cfg.spread_max)
+    return RatioReport("trace-bound", rows, ("ratio",))
 
 
 def verify_extension_bound(cfg: ExperimentConfig) -> RatioReport:
@@ -464,9 +469,7 @@ def verify_extension_bound(cfg: ExperimentConfig) -> RatioReport:
                     "energy_ratio": gmod / dmod,
                 }
             )
-    return RatioReport(
-        "extension-bound", rows, ("ratio", "energy_ratio"), cfg.slope_tol, cfg.spread_max
-    )
+    return RatioReport("extension-bound", rows, ("ratio", "energy_ratio"))
 
 
 def tail_constant(epsilon: float, theta: float, p: float, lam: float) -> float:
@@ -499,7 +502,8 @@ def _oriented(lambda1: float, energy: float, modular: float) -> tuple[float, flo
 @dataclass
 class TwoSidedFit:
     """Constants (C, C_prime) of a two-sided comparison between the power
-    energy and the Orlicz energy, fitted on base-depth samples."""
+    energy and the Orlicz energy at lambda1 != 0, fitted on base-depth
+    samples."""
 
     lambda1: float
     C: float
@@ -508,18 +512,17 @@ class TwoSidedFit:
     def check(self, energy: float, modular: float, widen: float = 1.0) -> bool:
         C = self.C * widen
         slack = 1e-9 * (1.0 + abs(energy) + abs(modular))
-        if self.lambda1 == 0.0:
-            return abs(energy - modular) <= slack
         x, y = _oriented(self.lambda1, energy, modular)
         return y / C <= x + slack and x <= C * y + self.C_prime + slack
 
 
 def fit_two_sided(pairs, lambda1: float, c_prime: float) -> TwoSidedFit:
-    """Smallest C making the two-sided comparison hold on the given
-    (energy, modular) pairs, with the additive constant supplied analytically."""
+    """Smallest C making the two-sided comparison at lambda1 != 0 hold on
+    the given (energy, modular) pairs, with the additive constant supplied
+    analytically."""
     C = 1.0
     for energy, modular in pairs:
-        if lambda1 != 0.0 and energy > 0 and modular > 0:
+        if energy > 0 and modular > 0:
             x, y = _oriented(lambda1, energy, modular)
             C = max(C, y / x, (x - c_prime) / y)
     return TwoSidedFit(lambda1=lambda1, C=C, C_prime=c_prime)
@@ -560,7 +563,9 @@ def verify_equivalences(cfg: ExperimentConfig) -> RatioReport:
     one `hajlasz_minimize_all` call, which builds each instance as it
     takes it, fills in the rows up to `hajlasz_max_depth`.  Every value
     is that of solving the instance alone; a ConvergenceError names each
-    uncertified block by its seed and depth.
+    uncertified block by its seed and depth.  At lambda1 = 0 the Orlicz
+    energy is the weighted power energy, so `besov_vs_composite` is 1 by
+    identity and no evidence on its own.
     """
     cfg.validate_equivalence_hypotheses()
     family = _sweep_family(cfg, "equivalence", BOUNDARY_FAMILIES, "boundary")
@@ -621,7 +626,7 @@ def verify_equivalences(cfg: ExperimentConfig) -> RatioReport:
         row["hajlasz_vs_dyadic"] = sol.value / row["dyadic_energy"]
     extra_checks = []
     if cfg.lambda1 != 0.0:
-        lam_for_tail = cfg.resolved_lam if cfg.lambda1 > 0 else cfg.lambda2
+        lam_for_tail = ep.lam if cfg.lambda1 > 0 else cfg.lambda2
         c_prime = tail_constant(cfg.epsilon, ep.theta, ep.p, lam_for_tail)
         energies = [(r["weighted_energy"], r["orlicz_modular"]) for r in rows]
         base = [e for e, r in zip(energies, rows) if r["depth"] == min(cfg.depths)]
@@ -632,9 +637,8 @@ def verify_equivalences(cfg: ExperimentConfig) -> RatioReport:
         "equivalence",
         rows,
         ("double_vs_dyadic", "hajlasz_vs_dyadic", "besov_vs_composite"),
-        cfg.slope_tol,
-        cfg.spread_max,
         extra_checks,
+        identities=("besov_vs_composite",) if cfg.lambda1 == 0.0 else (),
     )
 
 
@@ -698,7 +702,7 @@ def verify_ahlfors(cfg: ExperimentConfig) -> CheckReport:
     `_EXACT_TOL` relative."""
     depth = max(cfg.depths)
     tp = cfg.tree_params(depth)
-    ratios = [ahlfors_ratio(tp, (0,) * n) for n in range(depth + 1)]
+    ratios = [ahlfors_ratio(tp, n) for n in range(depth + 1)]
     spread = max(ratios) / min(ratios) - 1.0
     rows = [{"seed": 0, "depth": n, "ratio": r} for n, r in enumerate(ratios)]
     return CheckReport(

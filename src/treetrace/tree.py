@@ -31,7 +31,7 @@ from functools import cache, lru_cache
 
 import numpy as np
 
-from .address import check_digits, digits_index
+from .address import digits_index
 
 __all__ = [
     "QUAD_ORDER",
@@ -170,12 +170,13 @@ def split_distances(epsilon: float, count: int) -> np.ndarray:
     return 2.0 / epsilon * np.exp(-epsilon * np.arange(count))
 
 
-def ahlfors_ratio(params: TreeParams, digits) -> float:
-    """Mass K^(-n) of the boundary cell with the given level-n address
-    divided by its diameter scale (the level-n split distance) to the
-    power Q.  The uniform boundary mass is Ahlfors Q-regular: the ratio
-    is the same for every cell."""
-    n = len(check_digits(params.K, digits, params.depth))
+def ahlfors_ratio(params: TreeParams, n: int) -> float:
+    """Mass K^(-n) of a level-n boundary cell divided by its diameter scale
+    (the level-n split distance) to the power Q, for 0 <= n <= depth.  The
+    uniform boundary mass is Ahlfors Q-regular: every cell of a level has
+    the same mass and diameter, and the ratio is the same at every level."""
+    if not 0 <= n <= params.depth:
+        raise ValueError(f"level {n} out of range 0..{params.depth}")
     r = float(split_distances(params.epsilon, n + 1)[n])
     return float(params.K) ** -n / r**params.hausdorff_dim
 

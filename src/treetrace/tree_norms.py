@@ -100,27 +100,23 @@ def _gauge(rho: YoungModular) -> float:
     return rho.scale * luxemburg_gauge(rho, start=rho.start) if rho.scale > 0.0 else 0.0
 
 
-def tree_lphi_modular(
-    F: TreeFunction, params: TreeParams, phi: YoungPhi, k: float = 1.0
-) -> float:
-    """Integral of Phi(|F|/k) over the truncated tree against the mass density.
+def tree_lphi_modular(F: TreeFunction, params: TreeParams, phi: YoungPhi) -> float:
+    """Integral of Phi(|F|) over the truncated tree against the mass density.
 
     F is interpolated linearly in arclength on each edge; each edge integral
     uses the tree's Gauss-Legendre rule (`edge_quadrature`) on the
     composite integrand.
     """
-    return _function_modular(F, params, phi).value(k)
+    return _function_modular(F, params, phi).value(1.0)
 
 
-def gradient_lphi_modular(
-    F: TreeFunction, params: TreeParams, phi: YoungPhi, k: float = 1.0
-) -> float:
-    """Integral of Phi(g/k) for the per-edge upper gradient g.
+def gradient_lphi_modular(F: TreeFunction, params: TreeParams, phi: YoungPhi) -> float:
+    """Integral of Phi(g) for the per-edge upper gradient g.
 
     g is constant on each edge, so this is the exact sum of
-    Phi(g_edge / k) * edge mass over all edges.
+    Phi(g_edge) * edge mass over all edges.
     """
-    return _gradient_modular(F, params, phi).value(k)
+    return _gradient_modular(F, params, phi).value(1.0)
 
 
 def newtonian_norm(F: TreeFunction, params: TreeParams, phi: YoungPhi) -> float:

@@ -117,15 +117,7 @@ def test_criterion_05_ahlfors_constancy():
     worst = 0.0
     for K, epsilon, beta in ((2, LN2, 2 * LN2), (3, 1.0, 2.0)):
         p = TreeParams(K, epsilon, beta, 0.0, 8)
-        ratios = []
-        for level in range(9):
-            for idx in range(K**level):
-                digits = []
-                j = idx
-                for _ in range(level):
-                    j, d = divmod(j, K)
-                    digits.append(d)
-                ratios.append(ahlfors_ratio(p, tuple(reversed(digits))))
+        ratios = [ahlfors_ratio(p, level) for level in range(9)]
         worst = max(worst, max(ratios) / min(ratios) - 1.0)
     _criterion(5, "Ahlfors ratio constancy", worst <= 1e-12, f"max spread {worst:.3g}")
 

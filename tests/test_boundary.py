@@ -76,7 +76,7 @@ def test_cell_measure_relations():
     # the mass in the Ahlfors ratio is the same K^-n
     p = params(K=3, depth=depth)
     r = split_distances(p.epsilon, depth + 1)[len(child)]
-    assert ahlfors_ratio(p, child) * r**p.hausdorff_dim == pytest.approx(
+    assert ahlfors_ratio(p, len(child)) * r**p.hausdorff_dim == pytest.approx(
         float(mass(3, depth, child)), rel=1e-12
     )
 

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 import weakref
 
 import numpy as np
@@ -43,11 +44,21 @@ def random_instance(seed, depth=2, p=2.0, K=2):
 
 
 def test_scale_for_distance_annulus_contract():
-    for d in (2.885, 1.4427, 0.51, 0.5, 0.25, 1.0, 3.9, 1e-5):
+    # every power of two of the double range and its two neighbours: 2^1023
+    # and up raised OverflowError from 2.0**-k
+    powers = [math.ldexp(1.0, e) for e in range(-1074, 1024)]
+    near = [math.nextafter(x, to) for x in powers for to in (0.0, math.inf)]
+    extra = [2.885, 1.4427, 0.51, 0.25, 3.9, 1e-5, sys.float_info.max]
+    for d in powers + [x for x in near if 0.0 < x < math.inf] + extra:
         k = scale_for_distance(d)
-        assert 2.0 ** (-k - 1) <= d < 2.0**-k
-    with pytest.raises(ValueError):
-        scale_for_distance(0.0)
+        assert math.ldexp(1.0, -k - 1) <= d, d
+        # 2^1024 is beyond the double range: k = -1024 says only d >= 2^1023
+        assert k == -1024 or d < math.ldexp(1.0, -k), d
+    assert scale_for_distance(math.ldexp(1.0, 1023)) == -1024
+    assert scale_for_distance(sys.float_info.max) == -1024
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="distance must be finite and positive"):
+            scale_for_distance(bad)
 
 
 def test_instance_scales_cover_every_pair():

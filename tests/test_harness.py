@@ -91,7 +91,8 @@ def test_lacunary_needs_scale_arguments():
 def test_config_defaults_and_derived():
     cfg = ExperimentConfig()
     assert cfg.resolved_theta == pytest.approx(0.5)
-    assert cfg.resolved_lam == 0.0
+    assert cfg.energy_params().lam == 0.0
+    assert ExperimentConfig(lambda1=0.5, lambda2=0.25).energy_params().lam == 0.75
     cfg.validate_trace_hypotheses()
 
 
@@ -103,8 +104,6 @@ def test_config_rejects_bad_hypotheses():
         ExperimentConfig(p=1.0).validate_trace_hypotheses()
     with pytest.raises(ValueError, match="lambda1"):
         ExperimentConfig(p=1.0, beta=1.5 * LN2, lambda1=-1.0).validate_trace_hypotheses()
-    with pytest.raises(ValueError, match="lam"):
-        ExperimentConfig(lambda1=1.0, lam=0.0).validate_equivalence_hypotheses()
 
 
 @pytest.mark.parametrize(
@@ -127,13 +126,13 @@ def test_config_file_parsing(tmp_path):
     path = tmp_path / "cfg.txt"
     path.write_text(
         "# geometry\nK = 2\nepsilon = 0.6931471805599453\n"
-        "beta = 1.0397207708399179\np = 2\nlambda1 = 1.0\nlam = 1.0\n"
+        "beta = 1.0397207708399179\np = 2\nlambda1 = 1.0\n"
         "seeds = 0..3\ndepths = 3,4\nfamily = lacunary\nemit_plot_data = true\n"
     )
     cfg = load_config(str(path))
     assert cfg.seeds == (0, 1, 2, 3)
     assert cfg.depths == (3, 4)
-    assert cfg.lam == 1.0
+    assert cfg.lambda1 == 1.0
     assert cfg.family == "lacunary"
     assert cfg.emit_plot_data
     # overrides win
@@ -177,9 +176,9 @@ def test_config_file_keys_are_the_config_fields(tmp_path):
     # every field set away from its default, written as one line each and
     # read back equal: the dataclass is the one list of config keys
     cfg = ExperimentConfig(
-        K=3, epsilon=0.5, beta=1.75, p=2.5, lambda1=0.5, lambda2=0.25, lam=0.75,
+        K=3, epsilon=0.5, beta=1.75, p=2.5, lambda1=0.5, lambda2=0.25,
         theta=0.375, family="lacunary", seeds=(1, 4), depths=(3, 5),
-        slope_tol=0.2, spread_max=50.0, n_balls=10, hajlasz_max_depth=3,
+        n_balls=10, hajlasz_max_depth=3,
         pair_budget=99, out="r.csv", emit_plot_data=True,
     )
     default = ExperimentConfig()
@@ -477,9 +476,10 @@ def test_constant_tree_function_ratio_finite():
     assert 0 < num / den < math.inf
 
 
-def test_cli_verify_failure_exit_code(tmp_path):
+def test_cli_verify_failure_exit_code(tmp_path, monkeypatch):
+    monkeypatch.setattr(treetrace.harness, "SLOPE_TOL", 1e-6)
     cfg = tmp_path / "cfg.txt"
-    cfg.write_text("seeds = 0,1\ndepths = 3,4\nslope_tol = 0.000001\n")
+    cfg.write_text("seeds = 0,1\ndepths = 3,4\n")
     assert main(["verify", "trace-bound", "--config", str(cfg)]) == 1
 
 
@@ -573,7 +573,7 @@ def test_report_with_an_unsampled_column_is_not_run():
 
 
 def test_report_with_no_sampled_column_fails():
-    report = RatioReport("trace-bound", [], ("ratio",), 0.1, 100.0)
+    report = RatioReport("trace-bound", [], ("ratio",))
     assert report.stats == {}
     assert not report.passed
     assert report.summary_lines() == ["report trace-bound: FAIL", "  ratio: not run (no samples)"]
@@ -586,7 +586,7 @@ def test_column_with_a_nonpositive_or_nan_sample_fails(bad):
         {"seed": 0, "depth": 4, "ratio": bad},
         {"seed": 1, "depth": 4, "ratio": 1.1},
     ]
-    report = RatioReport("trace-bound", rows, ("ratio",), 0.1, 100.0)
+    report = RatioReport("trace-bound", rows, ("ratio",))
     st = report.stats["ratio"]
     # no log-slope can be fitted through a ratio that is not positive
     assert st.slope == math.inf
@@ -757,30 +757,6 @@ def test_cli_errors_inside_a_computation_exit_2(monkeypatch, capsys, exc):
     assert capsys.readouterr().err == f"treetrace: error: {exc}\n"
 
 
-@pytest.mark.parametrize(
-    "line, code",
-    [
-        ("slope_tol = 0.0", 1),
-        ("spread_max = 1.0", 1),
-        ("slope_tol = nan", 2),
-        ("spread_max = nan", 2),
-        ("slope_tol = -0.1", 2),
-        ("spread_max = 0.5", 2),
-    ],
-)
-def test_cli_verify_rejects_tolerances_that_would_disable_a_check(tmp_path, capsys, line, code):
-    # NaN compares false, so a NaN tolerance used to pass every sweep
-    cfg = tmp_path / "cfg.txt"
-    cfg.write_text(f"seeds = 0,1\ndepths = 4,5\n{line}\n")
-    assert main(["verify", "trace-bound", "--config", str(cfg)]) == code
-    err = capsys.readouterr().err
-    if code == 2:
-        name = line.split()[0]
-        assert err.startswith(f"treetrace: error: {name} must be")
-    else:
-        assert err == ""
-
-
 @pytest.mark.parametrize("key", ["epsilon", "beta", "lambda2"])
 def test_cli_verify_ahlfors_rejects_non_finite_geometry(tmp_path, capsys, key):
     cfg = tmp_path / "cfg.txt"
@@ -804,9 +780,10 @@ def test_cli_config_value_errors_name_the_key_and_line(tmp_path, capsys, text, l
     assert err.count("\n") == 1
 
 
-def test_cli_failed_property_exits_1_without_error(tmp_path, capsys):
+def test_cli_failed_property_exits_1_without_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(treetrace.harness, "SLOPE_TOL", 1e-6)
     cfg = tmp_path / "cfg.txt"
-    cfg.write_text("seeds = 0,1\ndepths = 3,4\nslope_tol = 0.000001\n")
+    cfg.write_text("seeds = 0,1\ndepths = 3,4\n")
     assert main(["verify", "trace-bound", "--config", str(cfg)]) == 1
     text = capsys.readouterr()
     assert text.out.splitlines()[0] == "report trace-bound: FAIL"
@@ -966,10 +943,20 @@ def test_cli_verify_extension_bound_modular_beyond_the_float_range_is_an_error(
     assert text.out == ""
 
 
-@pytest.mark.parametrize("line", ["quad_order = 8", "mc_samples = 2000"])
+@pytest.mark.parametrize(
+    "line",
+    [
+        "quad_order = 8",
+        "mc_samples = 2000",
+        "lam = 0.0",
+        "slope_tol = 0.1",
+        "spread_max = 100.0",
+    ],
+)
 def test_cli_config_rejects_the_removed_settings(tmp_path, capsys, line):
-    # the edge rule is always order 8 and the Monte Carlo sample count a
-    # constant: neither is a config key any more
+    # the edge rule is always order 8, the Monte Carlo sample count and the
+    # PASS thresholds are constants, and lam is always lambda1 + lambda2:
+    # none is a config key any more, not even at its old default
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(f"seeds = 0\n{line}\n")
     key = line.split(" ")[0]
@@ -977,7 +964,67 @@ def test_cli_config_rejects_the_removed_settings(tmp_path, capsys, line):
     text = capsys.readouterr()
     assert text.err == f"treetrace: error: {cfg}, line 2: unknown config key '{key}'\n"
     assert text.out == ""
-    assert len(dataclasses.fields(ExperimentConfig)) == 18
+    assert len(dataclasses.fields(ExperimentConfig)) == 15
+
+
+@pytest.mark.parametrize(
+    "lambda1, verdict, code",
+    [(0.0, "FAIL", 1), (1.0, "PASS", 0)],
+)
+def test_cli_verify_equivalence_needs_a_column_that_is_not_an_identity(
+    tmp_path, capsys, lambda1, verdict, code
+):
+    # both double sums are Monte Carlo (not judged) and no Hajlasz program
+    # runs, so besov_vs_composite is the one sampled column; at lambda1 = 0
+    # it is 1 by identity and used to PASS on its own
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(
+        f"p = 1.5\nlambda1 = {lambda1}\nhajlasz_max_depth = 0\ndepths = 8,9\nseeds = 0,1\n"
+    )
+    assert main(["verify", "equivalence", "--config", str(cfg)]) == code
+    text = capsys.readouterr()
+    lines = text.out.splitlines()
+    assert lines[0] == f"report equivalence: {verdict}"
+    assert "  double_vs_dyadic: not run (no samples)" in lines
+    reason = (
+        "  no evidence: every sampled column (besov_vs_composite) is an identity of the config"
+    )
+    assert (reason in lines) == (lambda1 == 0.0)
+    assert text.err == ""
+
+
+def test_report_whose_columns_are_all_identities_fails():
+    rows = [{"seed": 0, "depth": d, "ratio": 1.0, "other": 2.0} for d in (3, 4)]
+    alone = RatioReport("equivalence", rows, ("ratio",), identities=("ratio",))
+    assert not alone.passed
+    assert alone.summary_lines()[-1] == (
+        "  no evidence: every sampled column (ratio) is an identity of the config"
+    )
+    # beside a column that is evidence, an identity is judged as before
+    both = RatioReport("equivalence", rows, ("ratio", "other"), identities=("ratio",))
+    plain = RatioReport("equivalence", rows, ("ratio", "other"))
+    assert both.passed and both.summary_lines() == plain.summary_lines()
+
+
+def test_cli_energy_names_the_derived_theta(tmp_path, capsys):
+    # energy said only "theta must lie in [0, 1)" where verify equivalence
+    # named the formula that gave it
+    f = tmp_path / "f.csv"
+    generate("iid-uniform", K=2, depth=3, seed=0).to_csv(f)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("beta = 5\n")
+    derived = "theta is unset, and 1 - (beta - log K)/(epsilon p) = -2.10674"
+    assert main(["energy", "--config", str(cfg), "--input", str(f)]) == 2
+    assert capsys.readouterr().err == (
+        f"treetrace: error: the energies need 0 <= theta < 1, but {derived}\n"
+    )
+    assert main(["verify", "equivalence", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        f"treetrace: error: equivalence runs require 0 < theta < 1, but {derived}\n"
+    )
+    cfg.write_text("theta = 1.5\n")
+    assert main(["energy", "--config", str(cfg), "--input", str(f)]) == 2
+    assert capsys.readouterr().err.endswith("but theta = 1.5\n")
 
 
 @pytest.mark.parametrize(
@@ -1042,14 +1089,13 @@ def test_hajlasz_max_depth_zero_runs_no_hajlasz_program():
         ("p = inf", "p"),
         ("lambda1 = nan", "lambda1"),
         ("lambda1 = inf", "lambda1"),
-        ("lam = nan", "lam"),
         ("lambda2 = nan", "lambda2"),
         ("lambda2 = inf", "lambda2"),
     ],
 )
 @pytest.mark.parametrize("check", ["trace-bound", "extension-bound", "equivalence"])
 def test_cli_verify_rejects_non_finite_exponents(tmp_path, capsys, line, key, check):
-    # lambda1 = inf and lam = nan passed trace-bound; lambda1 = nan stopped
+    # lambda1 = inf passed trace-bound; lambda1 = nan stopped
     # on "modular returned NaN"
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(f"seeds = 0\ndepths = 3,4\n{line}\n")

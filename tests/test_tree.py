@@ -200,25 +200,22 @@ def test_ahlfors_ratio_binary_tree_value():
     p = std_params()
     expected = LN2 / 2.0  # (epsilon/2)^Q with Q = 1
     for n in range(9):
-        assert ahlfors_ratio(p, (0,) * n) == pytest.approx(expected, rel=1e-12)
+        assert ahlfors_ratio(p, n) == pytest.approx(expected, rel=1e-12)
 
 
 def test_ahlfors_ratio_constant_across_cells_and_levels():
+    # every level-n cell has mass K^-n and the level-n split distance as its
+    # diameter, so the ratio takes only the level
     p = TreeParams(3, 1.0, 2.0, 0.0, 8)
-    vals = [
-        ahlfors_ratio(p, digits)
-        for n in range(9)
-        for digits in ((0,) * n, (2,) * n, (1,) * n)
-    ]
+    vals = [ahlfors_ratio(p, n) for n in range(9)]
     assert max(vals) / min(vals) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_ahlfors_ratio_checks_the_address():
     p = std_params(depth=3)
-    with pytest.raises(ValueError, match="digit 2 out of range"):
-        ahlfors_ratio(p, (0, 2))
-    with pytest.raises(ValueError, match="longer than depth 3"):
-        ahlfors_ratio(p, (0,) * 4)
+    for n in (-1, 4):
+        with pytest.raises(ValueError, match=f"level {n} out of range 0..3"):
+            ahlfors_ratio(p, n)
 
 
 # ------------------------------------------------------------ vertex distance

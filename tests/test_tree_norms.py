@@ -223,23 +223,13 @@ def test_gradient_modular_is_exact_sum():
     assert gradient_lphi_modular(F, p, phi) == pytest.approx(expected, rel=1e-12)
 
 
-def test_modulars_reject_nonpositive_scale():
+def test_modulars_take_no_scale():
+    # the modulars are at scale 1; the gauges scale through YoungModular
     p = std_params(2)
     F = constant_tree(2, 2, 1.0)
-    with pytest.raises(ValueError):
-        tree_lphi_modular(F, p, YoungPhi(2.0), k=0.0)
-    with pytest.raises(ValueError):
-        gradient_lphi_modular(F, p, YoungPhi(2.0), k=-1.0)
-
-
-def test_modulars_reject_a_nan_scale_and_vanish_at_infinity():
-    p = std_params(3)
-    F = generate("random-vertex", K=2, depth=3, seed=1)
-    for phi in (YoungPhi(2.0), YoungPhi(2.0, 1.0)):
-        for modular in (tree_lphi_modular, gradient_lphi_modular):
-            with pytest.raises(ValueError, match="k must be positive, got nan"):
-                modular(F, p, phi, k=math.nan)
-            assert modular(F, p, phi, k=math.inf) == 0.0
+    for modular in (tree_lphi_modular, gradient_lphi_modular):
+        with pytest.raises(TypeError):
+            modular(F, p, YoungPhi(2.0), k=2.0)
 
 
 # ------------------------------------------------------------ newtonian norm
