@@ -38,7 +38,7 @@ __all__ = [
     "BoundaryFunction",
     "EnergyParams",
     "MonteCarloEstimate",
-    "DEFAULT_PAIR_BUDGET",
+    "PAIR_BUDGET",
     "MC_SAMPLES",
     "lp_norm",
     "orlicz_norm",
@@ -50,7 +50,9 @@ __all__ = [
     "double_integral_energy_mc",
 ]
 
-DEFAULT_PAIR_BUDGET = 16384
+# leaf pairs the double sum enumerates at most, at a p with no closed form;
+# read at call time
+PAIR_BUDGET = 16384
 # leaf pairs the `verify equivalence` sweep samples per Monte Carlo double sum
 MC_SAMPLES = 200_000
 # integer p above this is enumerated: the exact sum costs p prefix sums
@@ -228,14 +230,12 @@ def _has_closed_form(p: float) -> bool:
     return float(p).is_integer() and 1 <= p <= MAX_CLOSED_FORM_P
 
 
-def double_integral_is_exact(
-    K: int, depth: int, p: float, pair_budget: int = DEFAULT_PAIR_BUDGET
-) -> bool:
+def double_integral_is_exact(K: int, depth: int, p: float) -> bool:
     """Whether `double_integral_energy` computes the seminorm at this size:
     always at integer p <= MAX_CLOSED_FORM_P (sorted prefix power sums),
-    otherwise while the K^(2*depth) leaf pairs fit in `pair_budget`.
+    otherwise while the K^(2*depth) leaf pairs fit in `PAIR_BUDGET`.
     Where it does not, use `double_integral_energy_mc`."""
-    return _has_closed_form(p) or K ** (2 * depth) <= pair_budget
+    return _has_closed_form(p) or K ** (2 * depth) <= PAIR_BUDGET
 
 
 def _level_pair_sums(f: BoundaryFunction, p: float):
@@ -282,11 +282,7 @@ def _level_pair_sums(f: BoundaryFunction, p: float):
             yield n, 0, (np.abs(blocks[:, :, None] - blocks[:, None, :]) ** p).sum(axis=(1, 2))
 
 
-def double_integral_energy(
-    f: BoundaryFunction,
-    params: EnergyParams,
-    pair_budget: int = DEFAULT_PAIR_BUDGET,
-) -> float:
+def double_integral_energy(f: BoundaryFunction, params: EnergyParams) -> float:
     """Exact double-sum fractional seminorm (to the p-th power).
 
     Ordered pairs of distinct leaves (a, b) with split level k contribute
@@ -296,14 +292,14 @@ def double_integral_energy(
     sum is S(v) minus the S of the children of v, with S the pair sum
     over a block (`_level_pair_sums`).  At integer p <= MAX_CLOSED_FORM_P
     the cost is O(p * depth * K^depth) at any depth; at other p pairs are
-    enumerated and the call is rejected beyond `pair_budget`
+    enumerated and the call is rejected beyond `PAIR_BUDGET` leaf pairs
     (`double_integral_is_exact`).
     """
     K, N, p = f.K, f.depth, params.p
-    if not double_integral_is_exact(K, N, p, pair_budget):
+    if not double_integral_is_exact(K, N, p):
         raise ValueError(
             f"exact pair enumeration at p = {p:g} needs K^(2N) = {K ** (2 * N)} "
-            f"<= {pair_budget}; use the Monte Carlo estimator instead"
+            f"<= {PAIR_BUDGET}; use the Monte Carlo estimator instead"
         )
     d = split_distances(params.epsilon, N)
     cross, scale = [0.0] * N, [0] * N

@@ -4,7 +4,8 @@ Subcommands: gen (sample a function family to CSV), energy (norms and
 energies of a boundary function), extend / trace (apply the operators to
 CSV data), and verify (run one of the empirical checks).  Geometry and
 exponents come from a flat key-value config file, overridable with
---seed / --depth.
+--seed / --depth; where the output goes comes from the command line
+alone (--out, --emit-plot-data).
 
 Exit codes: 0 when the command succeeds (for verify: every asserted
 property holds), 1 when verify finds a property that fails, 2 on bad
@@ -110,10 +111,6 @@ def _config_from_args(args) -> "ExperimentConfig":
         overrides["depths"] = (args.depth,)
     if getattr(args, "family", None):
         overrides["family"] = args.family
-    if args.out:
-        overrides["out"] = args.out
-    if args.emit_plot_data:
-        overrides["emit_plot_data"] = True
     return load_config(args.config, **overrides)
 
 
@@ -152,7 +149,7 @@ def _run(args, cfg) -> int:
         seed = cfg.seeds[0]
         depth = cfg.depths[0]
         fn = generate_for(cfg, args.family, depth, seed)
-        out = cfg.out or "function.csv"
+        out = args.out or "function.csv"
         fn.to_csv(out)
         kind = "tree" if args.family in TREE_FAMILIES else "boundary"
         _say(f"wrote {kind} function ({args.family}, seed {seed}, depth {depth}) to {out}")
@@ -174,20 +171,20 @@ def _run(args, cfg) -> int:
         }
         for key, val in values.items():
             _say(f"{key} = {val:.12g}")
-        if cfg.out:
-            _write_rows_csv(cfg.out, [{"quantity": k, "value": v} for k, v in values.items()])
+        if args.out:
+            _write_rows_csv(args.out, [{"quantity": k, "value": v} for k, v in values.items()])
         return 0
 
     if args.command == "extend":
         u = BoundaryFunction.from_csv(args.input)
-        out = cfg.out or "extension.csv"
+        out = args.out or "extension.csv"
         extend(u).to_csv(out)
         _say(f"wrote extension to {out}")
         return 0
 
     if args.command == "trace":
         F = TreeFunction.from_csv(args.input)
-        out = cfg.out or "trace.csv"
+        out = args.out or "trace.csv"
         trace(F).to_csv(out)
         _say(f"wrote trace to {out}")
         return 0
@@ -196,17 +193,18 @@ def _run(args, cfg) -> int:
     report = _VERIFY_DRIVERS[args.check](cfg)
     for line in report.summary_lines():
         _say(line)
-    if cfg.out:
-        report.to_csv(cfg.out)
-        _say(f"wrote report rows to {cfg.out}")
-    # neither skip is an error: a config shared by several runs may set the key
-    if cfg.emit_plot_data and not hasattr(report, "plot_data"):
+    if args.out:
+        report.to_csv(args.out)
+        _say(f"wrote report rows to {args.out}")
+    # neither skip is an error: a command line shared by several checks may
+    # pass the flag
+    if args.emit_plot_data and not hasattr(report, "plot_data"):
         _say(f"verify {args.check} writes no plot data: emit_plot_data ignored")
-    elif cfg.emit_plot_data and not cfg.out:
+    elif args.emit_plot_data and not args.out:
         _say(f"verify {args.check} writes plot data next to --out: none written")
-    elif cfg.emit_plot_data:
-        report.plot_data(cfg.out + ".plot.csv")
-        _say(f"wrote plot data to {cfg.out}.plot.csv")
+    elif args.emit_plot_data:
+        report.plot_data(args.out + ".plot.csv")
+        _say(f"wrote plot data to {args.out}.plot.csv")
     return 0 if report.passed else 1
 
 

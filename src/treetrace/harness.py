@@ -18,8 +18,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .address import cell_leaves, check_digits, child_minus_parent, index_digits, level_slice
+from . import boundary_norms
 from .boundary_norms import (
-    DEFAULT_PAIR_BUDGET,
     MC_SAMPLES,
     BoundaryFunction,
     EnergyParams,
@@ -131,18 +131,15 @@ class ExperimentConfig:
     """Geometry, exponents and sweep lists for one experiment run.
 
     The power energy's level weight is n^lam with lam = lambda1 + lambda2
-    (`energy_params`), as the equivalence theorem fixes it.  theta defaults
-    to the matched smoothness exponent 1 - (beta - log K) / (epsilon * p);
-    it can be pinned explicitly, in which case the trace validator insists
-    it agrees with that formula.  `K` must be at least 2, `epsilon`
-    positive and `p` at least 1.  The tree of each depth
-    takes the minimal shift C and the order-8 edge rule (`TreeParams`).
-    `pair_budget` matters only for the double sum at non-integer p (and
-    integer p above 100): its pairs are enumerated while K^(2*depth) <=
-    pair_budget and sampled `MC_SAMPLES` times beyond; it must be at least
-    1.  `hajlasz_max_depth` must be nonnegative (0 runs no Hajlasz
-    program), every seed nonnegative and every depth at least 1.  The
-    fields are the config-file keys (`load_config`).
+    (`energy_params`), as the equivalence theorem fixes it, and the
+    smoothness exponent is always the matched one, `resolved_theta` =
+    1 - (beta - log K) / (epsilon * p), as the trace theorem fixes it.
+    `K` must be at least 2, `epsilon` positive and `p` at least 1.  The
+    tree of each depth takes the minimal shift C and the order-8 edge
+    rule (`TreeParams`).  `hajlasz_max_depth` must be nonnegative (0 runs
+    no Hajlasz program), every seed nonnegative and every depth at least
+    1.  The fields are the config-file keys (`load_config`); where the
+    output goes is the command line's (`treetrace.cli`).
     """
 
     K: int = 2
@@ -151,24 +148,15 @@ class ExperimentConfig:
     p: float = 2.0
     lambda1: float = 0.0
     lambda2: float = 0.0
-    theta: float | None = None
     family: str | None = None
     seeds: tuple[int, ...] = tuple(range(8))
     depths: tuple[int, ...] = (4, 5, 6, 7)
     n_balls: int = 1000
     hajlasz_max_depth: int = 6
-    pair_budget: int = DEFAULT_PAIR_BUDGET
-    out: str | None = None
-    emit_plot_data: bool = False
 
     def __post_init__(self) -> None:
         # K comes first, so that every command rejects K < 2 alike
-        for name, least in (
-            ("K", 2),
-            ("n_balls", 1),
-            ("pair_budget", 1),
-            ("hajlasz_max_depth", 0),
-        ):
+        for name, least in (("K", 2), ("n_balls", 1), ("hajlasz_max_depth", 0)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}")
         # NaN passes these two and is rejected as not finite where the
@@ -190,17 +178,18 @@ class ExperimentConfig:
         return (self.beta - math.log(self.K)) / self.epsilon
 
     @property
+    def pair_budget(self) -> int:
+        """`boundary_norms.PAIR_BUDGET`, not a setting; the benchmark reads it here."""
+        return boundary_norms.PAIR_BUDGET
+
+    @property
     def resolved_theta(self) -> float:
-        if self.theta is not None:
-            return self.theta
+        """The matched smoothness exponent 1 - (beta - log K)/(epsilon p)."""
         return 1.0 - self.codimension / self.p
 
     def _theta_is(self) -> str:
         """The resolved theta, said as how it was reached."""
-        theta = self.resolved_theta
-        if self.theta is None:
-            return f"theta is unset, and 1 - (beta - log K)/(epsilon p) = {theta:.6g}"
-        return f"theta = {theta:g}"
+        return f"theta = 1 - (beta - log K)/(epsilon p) = {self.resolved_theta:.6g}"
 
     def tree_params(self, depth: int) -> TreeParams:
         return TreeParams(self.K, self.epsilon, self.beta, self.lambda2, depth)
@@ -228,11 +217,6 @@ class ExperimentConfig:
         if not 0.0 < cod < self.p:
             raise ValueError(
                 "trace/extension bounds need p > (beta - log K)/epsilon > 0"
-            )
-        matched = 1.0 - cod / self.p
-        if self.theta is not None and abs(self.theta - matched) > 1e-9:
-            raise ValueError(
-                f"theta = {self.theta} does not match the required exponent {matched}"
             )
 
     def validate_equivalence_hypotheses(self) -> None:
@@ -577,8 +561,8 @@ def verify_equivalences(cfg: ExperimentConfig) -> RatioReport:
         for seed in cfg.seeds:
             f = generate_for(cfg, family, depth, seed)
             e_plain = dyadic_energy(f, ep_plain)
-            if double_integral_is_exact(f.K, depth, ep_plain.p, cfg.pair_budget):
-                b_energy = double_integral_energy(f, ep_plain, cfg.pair_budget)
+            if double_integral_is_exact(f.K, depth, ep_plain.p):
+                b_energy = double_integral_energy(f, ep_plain)
                 b_method, b_stderr = "exact", None
             else:
                 est = double_integral_energy_mc(f, ep_plain, MC_SAMPLES, seed)
@@ -721,22 +705,13 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(int(s) for s in text.split(",") if s.strip())
 
 
-def _parse_bool(text: str) -> bool:
-    word = text.lower()
-    if word not in ("1", "0", "true", "false", "yes", "no"):
-        raise ValueError(f"expected 1/0, true/false or yes/no, got {text!r}")
-    return word in ("1", "true", "yes")
-
-
 # config-file key -> parser of its value text: one key per ExperimentConfig
 # field, parsed by the field's annotation
 _TYPE_PARSERS = {
     "int": int,
     "float": float,
-    "float | None": float,
     "str | None": str,
     "tuple[int, ...]": _parse_int_list,
-    "bool": _parse_bool,
 }
 _PARSERS = {f.name: _TYPE_PARSERS[f.type] for f in fields(ExperimentConfig)}
 

@@ -174,11 +174,20 @@ def ahlfors_ratio(params: TreeParams, n: int) -> float:
     """Mass K^(-n) of a level-n boundary cell divided by its diameter scale
     (the level-n split distance) to the power Q, for 0 <= n <= depth.  The
     uniform boundary mass is Ahlfors Q-regular: every cell of a level has
-    the same mass and diameter, and the ratio is the same at every level."""
+    the same mass and diameter, and the ratio is the same at every level.
+    A ratio below the float range, where the diameter scale to the power
+    Q overflows (small epsilon), is a ValueError naming epsilon and Q."""
     if not 0 <= n <= params.depth:
         raise ValueError(f"level {n} out of range 0..{params.depth}")
     r = float(split_distances(params.epsilon, n + 1)[n])
-    return float(params.K) ** -n / r**params.hausdorff_dim
+    Q = params.hausdorff_dim
+    try:
+        return float(params.K) ** -n / r**Q
+    except OverflowError:
+        raise ValueError(
+            f"the level-{n} diameter^Q overflows at epsilon = {params.epsilon!r} "
+            f"(Q = log K / epsilon = {Q:.6g}): the ratio is below the float range"
+        ) from None
 
 
 @lru_cache(maxsize=_LEVEL_CACHE)
@@ -321,10 +330,14 @@ def _ball_masses(
         np.clip(hi, 0.0, length, out=hi)
         mask = (count > 0) & (hi > lo)
         # arclength a below a level-j vertex is at level j + t, where
-        # e^(-eps t) = 1 - a / to_boundary[j]
+        # e^(-eps t) = 1 - a / to_boundary[j]; an end at the edge's length
+        # is t = 1 exactly, since past eps = 36.7 the ratio length /
+        # to_boundary = 1 - e^(-eps) rounds to 1, and log1p(-1) = -inf
         ball, _, at = np.nonzero(mask)
-        tlo = -np.log1p(-lo[mask] / to_boundary[at]) / eps
-        thi = -np.log1p(-hi[mask] / to_boundary[at]) / eps
+        ends = np.stack((lo[mask], hi[mask]))
+        full = ends >= length[at]
+        inner = -np.log1p(-np.where(full, 0.0, ends) / to_boundary[at]) / eps
+        tlo, thi = np.where(full, 1.0, inner)
         mid = at + 0.5 * (tlo + thi)
         half = 0.5 * (thi - tlo)
         tau = mid[:, None] + half[:, None] * gx[None, :]

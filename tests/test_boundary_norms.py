@@ -22,6 +22,7 @@ from treetrace import (
     orlicz_norm,
     split_distances,
 )
+from treetrace import boundary_norms
 from treetrace.address import cell_leaves, check_digits, digits_index, level_slice
 
 LN2 = math.log(2.0)
@@ -337,43 +338,55 @@ def test_double_integral_budget_rejection():
     # p = 1.7 has no closed form, so the enumeration budget still applies
     f = random_f(2, 8, seed=0)
     with pytest.raises(ValueError, match="pair"):
-        double_integral_energy(f, eparams(theta=0.35, p=1.7), pair_budget=16384)
+        double_integral_energy(f, eparams(theta=0.35, p=1.7))
 
 
-def test_double_integral_is_exact_predicate():
-    assert double_integral_is_exact(2, 20, 1.0, 16384)
-    assert double_integral_is_exact(2, 20, 2.0, 16384)
-    assert double_integral_is_exact(3, 12, 6.0, 16384)
-    assert double_integral_is_exact(2, 20, 100.0, 16384)
-    assert double_integral_is_exact(2, 20, 99.0, 16384)
-    assert not double_integral_is_exact(2, 20, 101.0, 16384)
-    assert not double_integral_is_exact(2, 20, 102.0, 16384)
-    assert double_integral_is_exact(2, 7, 1.7, 16384)
-    assert not double_integral_is_exact(2, 8, 1.7, 16384)
-    assert double_integral_is_exact(2, 8, 3.0, 16384)
-    assert not double_integral_is_exact(2, 8, 2.5, 16384)
-    assert double_integral_is_exact(2, 8, 2.5, 1 << 16)
+def test_double_integral_is_exact_predicate(monkeypatch):
+    assert boundary_norms.PAIR_BUDGET == 16384
+    assert double_integral_is_exact(2, 20, 1.0)
+    assert double_integral_is_exact(2, 20, 2.0)
+    assert double_integral_is_exact(3, 12, 6.0)
+    assert double_integral_is_exact(2, 20, 100.0)
+    assert double_integral_is_exact(2, 20, 99.0)
+    assert not double_integral_is_exact(2, 20, 101.0)
+    assert not double_integral_is_exact(2, 20, 102.0)
+    assert double_integral_is_exact(2, 7, 1.7)
+    assert not double_integral_is_exact(2, 8, 1.7)
+    assert double_integral_is_exact(2, 8, 3.0)
+    assert not double_integral_is_exact(2, 8, 2.5)
+    # the budget is read at call time
+    monkeypatch.setattr(boundary_norms, "PAIR_BUDGET", 1 << 16)
+    assert double_integral_is_exact(2, 8, 2.5)
+
+
+def test_double_integral_takes_no_pair_budget():
+    f = random_f(2, 3, seed=0)
+    with pytest.raises(TypeError):
+        double_integral_energy(f, eparams(), pair_budget=1)
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0])
 @pytest.mark.parametrize("family", ["iid-uniform", "lacunary", "cell-indicator", "clustered"])
-def test_double_integral_closed_forms_match_naive_pair_loop(p, family):
+def test_double_integral_closed_forms_match_naive_pair_loop(p, family, monkeypatch):
+    # no pair fits the budget, so each value is the closed form's
+    monkeypatch.setattr(boundary_norms, "PAIR_BUDGET", 0)
     ep = eparams(p=p)
     for K, depth in ((2, 1), (2, 3), (2, 6), (3, 2), (3, 4)):
         f = random_f(K, depth, seed=K + depth, family=family)
-        assert double_integral_energy(f, ep, pair_budget=0) == pytest.approx(
+        assert double_integral_energy(f, ep) == pytest.approx(
             naive_double_integral(f, ep), rel=1e-12
         )
 
 
 @pytest.mark.parametrize("p", [8.0, 30.0, 31.0, 99.0, 100.0])
-def test_double_integral_closed_form_keeps_its_digits_at_large_p(p):
+def test_double_integral_closed_form_keeps_its_digits_at_large_p(p, monkeypatch):
     # shifting each block by its midrange keeps the alternating power-sum
     # terms from cancelling
+    monkeypatch.setattr(boundary_norms, "PAIR_BUDGET", 0)
     ep = eparams(p=p)
     for family in ("iid-uniform", "lacunary", "clustered"):
         f = random_f(2, 5, seed=2, family=family)
-        assert double_integral_energy(f, ep, pair_budget=0) == pytest.approx(
+        assert double_integral_energy(f, ep) == pytest.approx(
             naive_double_integral(f, ep), rel=1e-12
         )
 
@@ -407,10 +420,11 @@ def test_double_integral_overflow_is_an_error():
 
 @pytest.mark.parametrize("K", [2, 3])
 @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0])
-def test_double_integral_closed_forms_of_constants_are_zero(K, p):
+def test_double_integral_closed_forms_of_constants_are_zero(K, p, monkeypatch):
+    monkeypatch.setattr(boundary_norms, "PAIR_BUDGET", 0)
     for c in (4.2, -1e-3, 1e200):
         f = BoundaryFunction(K, 4, np.full(K**4, c))
-        assert double_integral_energy(f, eparams(p=p), pair_budget=0) == 0.0
+        assert double_integral_energy(f, eparams(p=p)) == 0.0
 
 
 @pytest.mark.parametrize("p", [2.0, 3.0])
@@ -455,7 +469,7 @@ def test_double_integral_monte_carlo_agrees_beyond_the_enumeration():
 def test_double_integral_monte_carlo_agrees():
     ep = eparams()
     f = random_f(2, 5, seed=11)
-    exact = double_integral_energy(f, ep, pair_budget=1 << 20)
+    exact = double_integral_energy(f, ep)
     est = double_integral_energy_mc(f, ep, n_samples=100_000, seed=1)
     assert est.stderr > 0
     assert abs(est.value - exact) <= 3.0 * est.stderr
@@ -470,19 +484,16 @@ def test_double_vs_dyadic_interval_stable_under_refinement():
     ep = eparams()
     families = ("iid-uniform", "cell-indicator", "lacunary")
 
-    def ratios(depth, budget):
+    def ratios(depth):
         out = []
         for family in families:
             for seed in range(30):
                 f = random_f(2, depth, seed, family=family)
-                out.append(
-                    double_integral_energy(f, ep, pair_budget=budget)
-                    / dyadic_energy(f, ep)
-                )
+                out.append(double_integral_energy(f, ep) / dyadic_energy(f, ep))
         return np.asarray(out)
 
-    shallow = ratios(4, 1 << 16)
-    deep = ratios(8, 1 << 16)
+    shallow = ratios(4)
+    deep = ratios(8)
     c1, c2 = shallow.min(), shallow.max()
     assert np.all(deep >= c1 / 2.0)
     assert np.all(deep <= c2 * 2.0)

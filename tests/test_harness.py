@@ -97,8 +97,6 @@ def test_config_defaults_and_derived():
 
 
 def test_config_rejects_bad_hypotheses():
-    with pytest.raises(ValueError, match="theta"):
-        ExperimentConfig(theta=0.7).validate_trace_hypotheses()
     # p too small for the codimension
     with pytest.raises(ValueError, match="p >"):
         ExperimentConfig(p=1.0).validate_trace_hypotheses()
@@ -110,9 +108,8 @@ def test_config_rejects_bad_hypotheses():
     "keys, got",
     [
         # 1 - (2 ln 2 - ln 2)/(ln 2 * 1) = 0
-        ({"p": 1.0}, "theta is unset, and 1 - (beta - log K)/(epsilon p) = 0"),
+        ({"p": 1.0}, "theta = 1 - (beta - log K)/(epsilon p) = 0"),
         ({"epsilon": 1e-4, "beta": 0.7}, "1 - (beta - log K)/(epsilon p) = -33.2641"),
-        ({"theta": 1.5}, "but theta = 1.5"),
     ],
 )
 def test_equivalence_theta_error_names_the_resolved_value(keys, got):
@@ -127,17 +124,16 @@ def test_config_file_parsing(tmp_path):
     path.write_text(
         "# geometry\nK = 2\nepsilon = 0.6931471805599453\n"
         "beta = 1.0397207708399179\np = 2\nlambda1 = 1.0\n"
-        "seeds = 0..3\ndepths = 3,4\nfamily = lacunary\nemit_plot_data = true\n"
+        "seeds = 0..3\ndepths = 3,4\nfamily = lacunary\n"
     )
     cfg = load_config(str(path))
     assert cfg.seeds == (0, 1, 2, 3)
     assert cfg.depths == (3, 4)
     assert cfg.lambda1 == 1.0
     assert cfg.family == "lacunary"
-    assert cfg.emit_plot_data
     # overrides win
-    cfg2 = load_config(str(path), seeds=(9,), out="x.csv")
-    assert cfg2.seeds == (9,) and cfg2.out == "x.csv"
+    cfg2 = load_config(str(path), seeds=(9,), family="iid-uniform")
+    assert cfg2.seeds == (9,) and cfg2.family == "iid-uniform"
 
 
 def test_config_file_rejects_unknown_key(tmp_path):
@@ -165,8 +161,6 @@ def test_config_file_rejects_a_malformed_line(tmp_path, text, message):
 
 def _config_text(value) -> str:
     """A field value as a config-file value."""
-    if isinstance(value, bool):
-        return "yes" if value else "no"
     if isinstance(value, tuple):
         return ",".join(str(v) for v in value)
     return repr(value) if isinstance(value, float) else str(value)
@@ -177,9 +171,8 @@ def test_config_file_keys_are_the_config_fields(tmp_path):
     # read back equal: the dataclass is the one list of config keys
     cfg = ExperimentConfig(
         K=3, epsilon=0.5, beta=1.75, p=2.5, lambda1=0.5, lambda2=0.25,
-        theta=0.375, family="lacunary", seeds=(1, 4), depths=(3, 5),
+        family="lacunary", seeds=(1, 4), depths=(3, 5),
         n_balls=10, hajlasz_max_depth=3,
-        pair_budget=99, out="r.csv", emit_plot_data=True,
     )
     default = ExperimentConfig()
     path = tmp_path / "cfg.txt"
@@ -400,6 +393,34 @@ def test_cli_verify_doubling_passes_past_the_int64_child_index(tmp_path, capsys,
     assert capsys.readouterr().out.splitlines()[0] == "report doubling: PASS"
 
 
+@pytest.mark.parametrize("epsilon", [37.0, 40.0])
+def test_verify_doubling_is_finite_at_large_epsilon(epsilon):
+    # at epsilon = 37 the sup ratio was nan at depth 5 and the check FAILed
+    cfg = ExperimentConfig(epsilon=epsilon, beta=50.0, seeds=(0,), depths=(3, 4))
+    report = verify_doubling(cfg)
+    [row] = report.rows
+    assert math.isfinite(row["sup_ratio"]) and math.isfinite(row["sup_ratio_deeper"])
+    assert report.passed
+
+
+@pytest.mark.parametrize("epsilon, code", [("0.005", 2), ("0.0057", 2), ("0.006", 0)])
+def test_cli_verify_ahlfors_at_small_epsilon_names_the_key(tmp_path, capsys, epsilon, code):
+    # below 0.006 it exited 2 with "(34, 'Numerical result out of range')"
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"epsilon = {epsilon}\nbeta = 1\n")
+    assert main(["verify", "ahlfors", "--config", str(cfg)]) == code
+    text = capsys.readouterr()
+    if code == 0:
+        assert text.out.startswith("report ahlfors: PASS\n") and text.err == ""
+    else:
+        q = LN2 / float(epsilon)
+        assert text.err == (
+            f"treetrace: error: the level-0 diameter^Q overflows at epsilon = {epsilon} "
+            f"(Q = log K / epsilon = {q:.6g}): the ratio is below the float range\n"
+        )
+        assert text.out == ""
+
+
 def test_report_csv_bytes_reproducible(tmp_path):
     cfg = small_cfg(seeds=(0, 1), depths=(3, 4))
     p1, p2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
@@ -484,18 +505,16 @@ def test_cli_verify_failure_exit_code(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("check", ["roundtrip", "doubling", "ahlfors"])
-@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("via", ["flag"])
 def test_cli_check_without_plot_data_says_so(tmp_path, capsys, check, via):
     # --emit-plot-data used to be dropped without a word for these checks;
-    # a config shared with the ratio checks may set it, so it stays exit 0
+    # a command line shared with the ratio checks may pass it, so it stays
+    # exit 0 (the flag is the one way to ask: a config file cannot)
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("seeds = 0\ndepths = 3,4\nn_balls = 20\n")
-    extra = ["--emit-plot-data"]
-    if via == "config":
-        cfg.write_text(cfg.read_text() + "emit_plot_data = yes\n")
-        extra = []
     out = tmp_path / "report.csv"
-    assert main(["verify", check, "--config", str(cfg), "--out", str(out), *extra]) == 0
+    argv = ["verify", check, "--config", str(cfg), "--out", str(out), "--emit-plot-data"]
+    assert main(argv) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[-2:] == [
         f"wrote report rows to {out}",
@@ -901,8 +920,6 @@ def test_cli_verify_doubling_rejects_too_few_balls(tmp_path, capsys, n_balls):
 @pytest.mark.parametrize(
     "line, message",
     [
-        ("pair_budget = 0", "pair_budget must be at least 1"),
-        ("pair_budget = -5", "pair_budget must be at least 1"),
         ("hajlasz_max_depth = -1", "hajlasz_max_depth must be at least 0"),
     ],
 )
@@ -951,12 +968,18 @@ def test_cli_verify_extension_bound_modular_beyond_the_float_range_is_an_error(
         "lam = 0.0",
         "slope_tol = 0.1",
         "spread_max = 100.0",
+        "theta = 0.5",
+        "pair_budget = 16384",
+        "out = r.csv",
+        "emit_plot_data = yes",
     ],
 )
 def test_cli_config_rejects_the_removed_settings(tmp_path, capsys, line):
-    # the edge rule is always order 8, the Monte Carlo sample count and the
-    # PASS thresholds are constants, and lam is always lambda1 + lambda2:
-    # none is a config key any more, not even at its old default
+    # the edge rule is always order 8, the Monte Carlo sample count, the
+    # pair budget and the PASS thresholds are constants, lam is always
+    # lambda1 + lambda2 and theta always the matched exponent, and the
+    # output settings are flags: none is a config key any more, not even
+    # at its old default
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(f"seeds = 0\n{line}\n")
     key = line.split(" ")[0]
@@ -964,7 +987,10 @@ def test_cli_config_rejects_the_removed_settings(tmp_path, capsys, line):
     text = capsys.readouterr()
     assert text.err == f"treetrace: error: {cfg}, line 2: unknown config key '{key}'\n"
     assert text.out == ""
-    assert len(dataclasses.fields(ExperimentConfig)) == 15
+    assert [f.name for f in dataclasses.fields(ExperimentConfig)] == [
+        "K", "epsilon", "beta", "p", "lambda1", "lambda2", "family",
+        "seeds", "depths", "n_balls", "hajlasz_max_depth",
+    ]
 
 
 @pytest.mark.parametrize(
@@ -1013,7 +1039,7 @@ def test_cli_energy_names_the_derived_theta(tmp_path, capsys):
     generate("iid-uniform", K=2, depth=3, seed=0).to_csv(f)
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("beta = 5\n")
-    derived = "theta is unset, and 1 - (beta - log K)/(epsilon p) = -2.10674"
+    derived = "theta = 1 - (beta - log K)/(epsilon p) = -2.10674"
     assert main(["energy", "--config", str(cfg), "--input", str(f)]) == 2
     assert capsys.readouterr().err == (
         f"treetrace: error: the energies need 0 <= theta < 1, but {derived}\n"
@@ -1022,9 +1048,6 @@ def test_cli_energy_names_the_derived_theta(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"treetrace: error: equivalence runs require 0 < theta < 1, but {derived}\n"
     )
-    cfg.write_text("theta = 1.5\n")
-    assert main(["energy", "--config", str(cfg), "--input", str(f)]) == 2
-    assert capsys.readouterr().err.endswith("but theta = 1.5\n")
 
 
 @pytest.mark.parametrize(
@@ -1219,20 +1242,14 @@ def test_cli_out_of_memory_exits_2_naming_the_size_and_depth(tmp_path, capsys, c
     assert "8.00 PiB" in err and err.count("\n") == 1
 
 
-@pytest.mark.parametrize(
-    "text, value",
-    [("1", True), ("TRUE", True), ("Yes", True), ("0", False), ("false", False), ("NO", False)],
-)
-def test_config_emit_plot_data_words(tmp_path, text, value):
-    path = tmp_path / "cfg.txt"
-    path.write_text(f"emit_plot_data = {text}\n")
-    assert load_config(str(path)).emit_plot_data is value
-
-
 @pytest.mark.parametrize("text", ["ture", "on", "2", ""])
 def test_config_rejects_an_unknown_emit_plot_data_word(tmp_path, text):
-    # a misspelt "true" used to load silently as False
+    # a misspelt "true" used to load silently as False; the plot data is
+    # now asked for by --emit-plot-data alone, so the line is rejected
+    # whatever its word
     path = tmp_path / "cfg.txt"
     path.write_text(f"seeds = 0\nemit_plot_data = {text}\n")
-    with pytest.raises(ValueError, match=r"cfg\.txt, line 2: bad value for emit_plot_data"):
+    with pytest.raises(
+        ValueError, match=r"cfg\.txt, line 2: unknown config key 'emit_plot_data'"
+    ):
         load_config(str(path))

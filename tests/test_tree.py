@@ -654,3 +654,32 @@ def test_ball_measure_deep_tree():
     r = [float(x) for x in np.resize(radii[:-1], len(centers))]
     ratios = doubling_ratios(p, centers, r)
     assert np.all(np.isfinite(ratios)) and np.all(ratios >= 1.0)
+
+
+@pytest.mark.parametrize("epsilon, beta", [(36.7, 50.0), (37.0, 50.0), (40.0, 50.0), (50.0, 60.0)])
+def test_ball_masses_at_large_epsilon_sum_the_edge_masses(epsilon, beta):
+    # past epsilon = 36.7, 1 - e^(-epsilon) rounds to 1, so an interval end
+    # clipped to an edge's length was put at level offset -log1p(-1) = inf:
+    # the total mass at epsilon = 40 was NaN, not the edge-mass sum 0.0389
+    p = TreeParams(2, epsilon, beta, 0.0, 4)
+    total = truncated_mass(p)
+    for c in (EdgePoint(0, 0, 0.5), EdgePoint(1, 2, 0.25), EdgePoint(3, 15, 0.9)):
+        assert ball_measure(p, c, math.inf) == pytest.approx(total, rel=1e-15, abs=0)
+        assert ball_measure(p, c, p.diameter) == pytest.approx(total, rel=1e-15, abs=0)
+    centers, radii = sample_ball_centers(p, 200, seed=0)
+    ratios = doubling_ratios(p, centers, radii)
+    assert np.all(np.isfinite(ratios)) and np.all(ratios >= 1.0 - 1e-12)
+
+
+@pytest.mark.parametrize("epsilon", [0.005, 0.0057])
+def test_ahlfors_ratio_below_the_float_range_names_epsilon_and_q(epsilon):
+    # (2/epsilon)^Q with Q = log K / epsilon overflows once
+    # Q log(2/epsilon) > 709.8; it raised a bare OverflowError
+    p = TreeParams(2, epsilon, 1.0, 0.0, 7)
+    q = LN2 / epsilon
+    with pytest.raises(ValueError) as info:
+        ahlfors_ratio(p, 0)
+    assert str(info.value) == (
+        f"the level-0 diameter^Q overflows at epsilon = {epsilon!r} "
+        f"(Q = log K / epsilon = {q:.6g}): the ratio is below the float range"
+    )
