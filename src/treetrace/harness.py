@@ -134,12 +134,15 @@ class ExperimentConfig:
     (`energy_params`), as the equivalence theorem fixes it, and the
     smoothness exponent is always the matched one, `resolved_theta` =
     1 - (beta - log K) / (epsilon * p), as the trace theorem fixes it.
-    `K` must be at least 2, `epsilon` positive and `p` at least 1.  The
-    tree of each depth takes the minimal shift C and the order-8 edge
-    rule (`TreeParams`).  `hajlasz_max_depth` must be nonnegative (0 runs
-    no Hajlasz program), every seed nonnegative and every depth at least
-    1.  The fields are the config-file keys (`load_config`); where the
-    output goes is the command line's (`treetrace.cli`).
+    The three ratio drivers check the paper's standing hypothesis, p >
+    (beta - log K)/epsilon > 0, that is 0 < theta < 1, before they sample
+    (`_sweep`).  `K` must be at least 2, `epsilon` positive and `p` at
+    least 1.  The tree of each depth takes the minimal shift C and the
+    order-8 edge rule (`TreeParams`).  `hajlasz_max_depth` must be
+    nonnegative (0 runs no Hajlasz program), every seed nonnegative and
+    every depth at least 1.  The fields are the config-file keys
+    (`load_config`); where the output goes is the command line's
+    (`treetrace.cli`).
     """
 
     K: int = 2
@@ -209,20 +212,6 @@ class ExperimentConfig:
 
     def phi(self) -> YoungPhi:
         return YoungPhi(self.p, self.lambda1)
-
-    def validate_trace_hypotheses(self) -> None:
-        """Standing assumptions of the trace/extension bounds."""
-        self.phi()  # admissibility of (p, lambda1)
-        cod = self.codimension
-        if not 0.0 < cod < self.p:
-            raise ValueError(
-                "trace/extension bounds need p > (beta - log K)/epsilon > 0"
-            )
-
-    def validate_equivalence_hypotheses(self) -> None:
-        self.phi()
-        if not 0.0 < self.resolved_theta < 1.0:
-            raise ValueError(f"equivalence runs require 0 < theta < 1, but {self._theta_is()}")
 
 
 def fit_log_slope(depths, values) -> float:
@@ -388,71 +377,76 @@ def generate_for(cfg: ExperimentConfig, family: str, depth: int, seed: int):
     )
 
 
-def _sweep_family(cfg: ExperimentConfig, check: str, families, kind: str) -> str:
-    """The family a sweep samples: cfg.family, by default the first of
-    `families`; a family not among them is a ValueError."""
+def _samples(cfg: ExperimentConfig, family: str):
+    """(row head, sample) of `family` at each depth, then each seed, the
+    head being {"seed", "depth", "family"}; each sample is drawn as it is
+    taken."""
+    return (
+        ({"seed": seed, "depth": depth, "family": family}, generate_for(cfg, family, depth, seed))
+        for depth in cfg.depths
+        for seed in cfg.seeds
+    )
+
+
+def _sweep(cfg: ExperimentConfig, check: str, families, kind: str):
+    """The samples of a ratio sweep (`_samples`), once the config meets the
+    standing hypothesis of `check`: (p, lambda1) admissible (`cfg.phi`) and
+    p > (beta - log K)/epsilon > 0, that is 0 < theta < 1.  The family is
+    cfg.family, by default the first of `families`; a family not among them
+    is a ValueError."""
+    cfg.phi()
+    if not 0.0 < cfg.resolved_theta < 1.0:
+        raise ValueError(
+            f"{check} needs p > (beta - log K)/epsilon > 0, that is 0 < theta < 1,"
+            f" but {cfg._theta_is()}"
+        )
     family = cfg.family or families[0]
     if family not in families:
         raise ValueError(f"{check} needs a {kind} family, got {family!r}")
-    return family
+    return _samples(cfg, family)
 
 
 def verify_trace_bound(cfg: ExperimentConfig) -> RatioReport:
-    """Ratio of the boundary gauge norm of the trace to the tree norm."""
-    cfg.validate_trace_hypotheses()
-    family = _sweep_family(cfg, "trace-bound", TREE_FAMILIES, "tree-function")
+    """Ratio of the boundary gauge norm of the trace to the tree norm, on
+    a sweep of a tree family (`_sweep`)."""
+    samples = _sweep(cfg, "trace-bound", TREE_FAMILIES, "tree-function")
     phi = cfg.phi()
     ep = cfg.energy_params()
     rows = []
-    for depth in cfg.depths:
-        tp = cfg.tree_params(depth)
-        for seed in cfg.seeds:
-            F = generate_for(cfg, family, depth, seed)
-            numer = orlicz_besov_norm(trace(F), ep, phi)
-            denom = newtonian_norm(F, tp, phi)
-            rows.append(
-                {
-                    "seed": seed,
-                    "depth": depth,
-                    "family": family,
-                    "besov_norm": numer,
-                    "newtonian_norm": denom,
-                    "ratio": numer / denom,
-                }
-            )
+    for head, F in samples:
+        tp = cfg.tree_params(head["depth"])
+        numer = orlicz_besov_norm(trace(F), ep, phi)
+        denom = newtonian_norm(F, tp, phi)
+        rows.append({**head, "besov_norm": numer, "newtonian_norm": denom, "ratio": numer / denom})
     return RatioReport("trace-bound", rows, ("ratio",))
 
 
 def verify_extension_bound(cfg: ExperimentConfig) -> RatioReport:
     """Ratio of the tree norm of the extension to the boundary gauge norm,
-    plus the two-sided gradient-energy comparison for the same samples."""
-    cfg.validate_trace_hypotheses()
-    family = _sweep_family(cfg, "extension-bound", BOUNDARY_FAMILIES, "boundary")
+    plus the two-sided gradient-energy comparison for the same samples, on
+    a sweep of a boundary family (`_sweep`)."""
+    samples = _sweep(cfg, "extension-bound", BOUNDARY_FAMILIES, "boundary")
     phi = cfg.phi()
     ep = cfg.energy_params()
     rows = []
-    for depth in cfg.depths:
-        tp = cfg.tree_params(depth)
-        for seed in cfg.seeds:
-            u = generate_for(cfg, family, depth, seed)
-            G = extend(u)
-            numer = newtonian_norm(G, tp, phi)
-            denom = orlicz_besov_norm(u, ep, phi)
-            gmod = gradient_lphi_modular(G, tp, phi)
-            dmod = dyadic_orlicz_modular(u, ep, phi)
-            rows.append(
-                {
-                    "seed": seed,
-                    "depth": depth,
-                    "family": family,
-                    "newtonian_norm": numer,
-                    "besov_norm": denom,
-                    "gradient_modular": gmod,
-                    "dyadic_modular": dmod,
-                    "ratio": numer / denom,
-                    "energy_ratio": gmod / dmod,
-                }
-            )
+    for head, u in samples:
+        tp = cfg.tree_params(head["depth"])
+        G = extend(u)
+        numer = newtonian_norm(G, tp, phi)
+        denom = orlicz_besov_norm(u, ep, phi)
+        gmod = gradient_lphi_modular(G, tp, phi)
+        dmod = dyadic_orlicz_modular(u, ep, phi)
+        rows.append(
+            {
+                **head,
+                "newtonian_norm": numer,
+                "besov_norm": denom,
+                "gradient_modular": gmod,
+                "dyadic_modular": dmod,
+                "ratio": numer / denom,
+                "energy_ratio": gmod / dmod,
+            }
+        )
     return RatioReport("extension-bound", rows, ("ratio", "energy_ratio"))
 
 
@@ -551,49 +545,44 @@ def verify_equivalences(cfg: ExperimentConfig) -> RatioReport:
     energy is the weighted power energy, so `besov_vs_composite` is 1 by
     identity and no evidence on its own.
     """
-    cfg.validate_equivalence_hypotheses()
-    family = _sweep_family(cfg, "equivalence", BOUNDARY_FAMILIES, "boundary")
+    samples = _sweep(cfg, "equivalence", BOUNDARY_FAMILIES, "boundary")
     phi = cfg.phi()
     ep = cfg.energy_params()
     ep_plain = EnergyParams(theta=ep.theta, p=ep.p, epsilon=ep.epsilon)
     rows, solve = [], []  # solve: (row, sample) of each Hajlasz program
-    for depth in cfg.depths:
-        for seed in cfg.seeds:
-            f = generate_for(cfg, family, depth, seed)
-            e_plain = dyadic_energy(f, ep_plain)
-            if double_integral_is_exact(f.K, depth, ep_plain.p):
-                b_energy = double_integral_energy(f, ep_plain)
-                b_method, b_stderr = "exact", None
-            else:
-                est = double_integral_energy_mc(f, ep_plain, MC_SAMPLES, seed)
-                b_energy, b_method, b_stderr = est.value, "mc", est.stderr
-            e_weighted = e_plain if ep == ep_plain else dyadic_energy(f, ep)
-            besov = orlicz_besov_norm(f, ep, phi)
-            composite = orlicz_norm(f, phi) + e_weighted ** (1.0 / ep.p)
-            row = {
-                "seed": seed,
-                "depth": depth,
-                "family": family,
-                "dyadic_energy": e_plain,
-                "double_integral": b_energy,
-                "double_integral_method": b_method,
-                "double_integral_stderr": b_stderr,
-                "hajlasz_energy": None,
-                "hajlasz_method": None,
-                "hajlasz_iterations": None,
-                "hajlasz_rel_gap": None,
-                "weighted_energy": e_weighted,
-                "orlicz_modular": dyadic_orlicz_modular(f, ep, phi),
-                "besov_norm": besov,
-                "composite_norm": composite,
-                "chi_fraction": chi_exceed_fraction(f, ep.theta, cfg.epsilon),
-                "double_vs_dyadic": b_energy / e_plain if b_stderr is None else None,
-                "hajlasz_vs_dyadic": None,
-                "besov_vs_composite": besov / composite,
-            }
-            rows.append(row)
-            if depth <= cfg.hajlasz_max_depth:
-                solve.append((row, f))
+    for head, f in samples:
+        e_plain = dyadic_energy(f, ep_plain)
+        if double_integral_is_exact(f.K, f.depth, ep_plain.p):
+            b_energy = double_integral_energy(f, ep_plain)
+            b_method, b_stderr = "exact", None
+        else:
+            est = double_integral_energy_mc(f, ep_plain, MC_SAMPLES, head["seed"])
+            b_energy, b_method, b_stderr = est.value, "mc", est.stderr
+        e_weighted = e_plain if ep == ep_plain else dyadic_energy(f, ep)
+        besov = orlicz_besov_norm(f, ep, phi)
+        composite = orlicz_norm(f, phi) + e_weighted ** (1.0 / ep.p)
+        row = {
+            **head,
+            "dyadic_energy": e_plain,
+            "double_integral": b_energy,
+            "double_integral_method": b_method,
+            "double_integral_stderr": b_stderr,
+            "hajlasz_energy": None,
+            "hajlasz_method": None,
+            "hajlasz_iterations": None,
+            "hajlasz_rel_gap": None,
+            "weighted_energy": e_weighted,
+            "orlicz_modular": dyadic_orlicz_modular(f, ep, phi),
+            "besov_norm": besov,
+            "composite_norm": composite,
+            "chi_fraction": chi_exceed_fraction(f, ep.theta, cfg.epsilon),
+            "double_vs_dyadic": b_energy / e_plain if b_stderr is None else None,
+            "hajlasz_vs_dyadic": None,
+            "besov_vs_composite": besov / composite,
+        }
+        rows.append(row)
+        if f.depth <= cfg.hajlasz_max_depth:
+            solve.append((row, f))
     try:
         # this calls no hajlasz_minimize, so a wrapper of that function
         # (the benchmark's tracer) neither times nor counts these programs
@@ -631,15 +620,10 @@ def verify_roundtrip(cfg: ExperimentConfig) -> CheckReport:
     rows = []
     worst = 0.0
     for family in BOUNDARY_FAMILIES:
-        for depth in cfg.depths:
-            for seed in cfg.seeds:
-                u = generate_for(cfg, family, depth, seed)
-                v = trace(extend(u))
-                err = float(np.max(np.abs(v.values - u.values)))
-                worst = max(worst, err)
-                rows.append(
-                    {"seed": seed, "depth": depth, "family": family, "max_error": err}
-                )
+        for head, u in _samples(cfg, family):
+            err = float(np.max(np.abs(trace(extend(u)).values - u.values)))
+            worst = max(worst, err)
+            rows.append({**head, "max_error": err})
     return CheckReport(
         "roundtrip",
         worst <= _EXACT_TOL,

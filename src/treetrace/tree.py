@@ -26,6 +26,7 @@ apart (`split_distances`), an ultrametric.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
 
@@ -175,19 +176,21 @@ def ahlfors_ratio(params: TreeParams, n: int) -> float:
     (the level-n split distance) to the power Q, for 0 <= n <= depth.  The
     uniform boundary mass is Ahlfors Q-regular: every cell of a level has
     the same mass and diameter, and the ratio is the same at every level.
-    A ratio below the float range, where the diameter scale to the power
-    Q overflows (small epsilon), is a ValueError naming epsilon and Q."""
+    It is taken in logs, so that neither factor leaves the float range at
+    any depth.  A ratio below the float range (small epsilon, where the
+    diameter scale to the power Q overflows) is a ValueError naming
+    epsilon and Q."""
     if not 0 <= n <= params.depth:
         raise ValueError(f"level {n} out of range 0..{params.depth}")
-    r = float(split_distances(params.epsilon, n + 1)[n])
-    Q = params.hausdorff_dim
-    try:
-        return float(params.K) ** -n / r**Q
-    except OverflowError:
+    eps, Q = params.epsilon, params.hausdorff_dim
+    # log K^(-n) - Q log r_n, with r_n = (2/epsilon) e^(-epsilon n)
+    ratio = math.exp(-n * math.log(params.K) - Q * (math.log(2.0 / eps) - eps * n))
+    if ratio < sys.float_info.min:
         raise ValueError(
-            f"the level-{n} diameter^Q overflows at epsilon = {params.epsilon!r} "
+            f"the level-{n} diameter^Q overflows at epsilon = {eps!r} "
             f"(Q = log K / epsilon = {Q:.6g}): the ratio is below the float range"
-        ) from None
+        )
+    return ratio
 
 
 @lru_cache(maxsize=_LEVEL_CACHE)
@@ -282,7 +285,10 @@ def _ball_masses(
     precision at any depth.  Each parent distance is a running sum of the
     edge lengths down its path, so it rounds as a walk from the center
     does.  The balls are taken as many at a time as keep each
-    (balls, N + 2, N) array within `_BALL_CHUNK` elements.
+    (balls, N + 2, N) array within `_BALL_CHUNK` elements.  A mass below
+    the normal float range (a small ball deep in the tree, where the mass
+    density underflows) is a ValueError naming the center's level and the
+    radius, not a subnormal or zero mass.
     """
     K, N, eps = params.K, params.depth, params.epsilon
     gx, gw = _gauss_rule()
@@ -343,6 +349,13 @@ def _ball_masses(
         tau = mid[:, None] + half[:, None] * gx[None, :]
         quad = half * (_mass_density(params, 1.0, tau) @ gw)
         out[s : s + B] = np.bincount(ball, weights=count[mask] * quad, minlength=B)
+    low = np.flatnonzero(out < sys.float_info.min)
+    if low.size:
+        i = low[0]
+        raise ValueError(
+            f"the mass of the ball of radius {float(radii[i])!r} around a point on a "
+            f"level-{int(levels[i])} edge is below the float range"
+        )
     return out
 
 

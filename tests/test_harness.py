@@ -93,15 +93,25 @@ def test_config_defaults_and_derived():
     assert cfg.resolved_theta == pytest.approx(0.5)
     assert cfg.energy_params().lam == 0.0
     assert ExperimentConfig(lambda1=0.5, lambda2=0.25).energy_params().lam == 0.75
-    cfg.validate_trace_hypotheses()
+
+
+# the three ratio drivers, each with the name it gives in its errors
+RATIO_DRIVERS = [
+    ("trace-bound", verify_trace_bound),
+    ("extension-bound", verify_extension_bound),
+    ("equivalence", verify_equivalences),
+]
+HYPOTHESIS = "needs p > (beta - log K)/epsilon > 0, that is 0 < theta < 1, but "
 
 
 def test_config_rejects_bad_hypotheses():
-    # p too small for the codimension
-    with pytest.raises(ValueError, match="p >"):
-        ExperimentConfig(p=1.0).validate_trace_hypotheses()
-    with pytest.raises(ValueError, match="lambda1"):
-        ExperimentConfig(p=1.0, beta=1.5 * LN2, lambda1=-1.0).validate_trace_hypotheses()
+    for check, driver in RATIO_DRIVERS:
+        # p too small for the codimension
+        with pytest.raises(ValueError, match=f"{check} needs p >"):
+            driver(ExperimentConfig(p=1.0, seeds=(0,), depths=(3,)))
+        # (p, lambda1) is checked first, by phi
+        with pytest.raises(ValueError, match="lambda1"):
+            driver(ExperimentConfig(p=1.0, beta=1.5 * LN2, lambda1=-1.0, seeds=(0,), depths=(3,)))
 
 
 @pytest.mark.parametrize(
@@ -114,9 +124,24 @@ def test_config_rejects_bad_hypotheses():
 )
 def test_equivalence_theta_error_names_the_resolved_value(keys, got):
     with pytest.raises(ValueError) as info:
-        ExperimentConfig(**keys).validate_equivalence_hypotheses()
-    assert "equivalence runs require 0 < theta < 1" in str(info.value)
+        verify_equivalences(ExperimentConfig(**keys))
+    assert str(info.value).startswith(f"equivalence {HYPOTHESIS}")
     assert got in str(info.value)
+
+
+@pytest.mark.parametrize("check", [c for c, _ in RATIO_DRIVERS])
+def test_ratio_drivers_reject_p_1_with_one_message_naming_the_check(tmp_path, capsys, check):
+    # trace-bound and extension-bound said "trace/extension bounds need
+    # p > (beta - log K)/epsilon > 0", equivalence "equivalence runs require
+    # 0 < theta < 1": two messages for the one hypothesis
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("p = 1\nseeds = 0\ndepths = 3\n")
+    assert main(["verify", check, "--config", str(cfg)]) == 2
+    text = capsys.readouterr()
+    assert text.err == (
+        f"treetrace: error: {check} {HYPOTHESIS}theta = 1 - (beta - log K)/(epsilon p) = 0\n"
+    )
+    assert text.out == ""
 
 
 def test_config_file_parsing(tmp_path):
@@ -401,6 +426,20 @@ def test_verify_doubling_is_finite_at_large_epsilon(epsilon):
     [row] = report.rows
     assert math.isfinite(row["sup_ratio"]) and math.isfinite(row["sup_ratio_deeper"])
     assert report.passed
+
+
+@pytest.mark.parametrize(
+    "K, epsilon, beta, depth",
+    [(2, LN2, 2 * LN2, 1060), (2, LN2, 2 * LN2, 1080), (3, 1.0, 2.5, 700)],
+)
+def test_verify_ahlfors_passes_deep_in_the_tree(K, epsilon, beta, depth):
+    # K^(-n) and the split distance to the power Q fall below the normal
+    # float range: at depth 1060 the ratio lost digits and the check FAILed
+    # with a spread of 5.3e-6, at 1080 (and at K = 3, depth 700) it was 0/0
+    cfg = ExperimentConfig(K=K, epsilon=epsilon, beta=beta, depths=(depth,))
+    report = verify_ahlfors(cfg)
+    assert report.passed
+    assert len(report.rows) == depth + 1
 
 
 @pytest.mark.parametrize("epsilon, code", [("0.005", 2), ("0.0057", 2), ("0.006", 0)])
@@ -1045,9 +1084,7 @@ def test_cli_energy_names_the_derived_theta(tmp_path, capsys):
         f"treetrace: error: the energies need 0 <= theta < 1, but {derived}\n"
     )
     assert main(["verify", "equivalence", "--config", str(cfg)]) == 2
-    assert capsys.readouterr().err == (
-        f"treetrace: error: equivalence runs require 0 < theta < 1, but {derived}\n"
-    )
+    assert capsys.readouterr().err == f"treetrace: error: equivalence {HYPOTHESIS}{derived}\n"
 
 
 @pytest.mark.parametrize(

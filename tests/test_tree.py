@@ -629,6 +629,29 @@ def test_ball_measure_is_self_similar_deep_in_the_tree(shift):
     assert deep * math.exp(beta * shift) == pytest.approx(top, rel=1e-9)
 
 
+@pytest.mark.parametrize("level", [530, 540])
+def test_ball_mass_below_the_float_range_is_an_error(level):
+    # the mass density e^(-beta t) underflows near t = 745 / beta: the ball
+    # of radius 0.1 e^(-eps L) at the middle of a level-L edge had a
+    # subnormal mass 1.1e-320 at L = 530 and 0 at L = 540, where its
+    # doubling ratio was nan
+    p = std_params(depth=560)
+    r = 0.1 * math.exp(-LN2 * level)
+    said = (
+        f"the mass of the ball of radius {r!r} around a point on a level-{level} edge "
+        "is below the float range"
+    )
+    center = EdgePoint(level, 0, 0.5)
+    with pytest.raises(ValueError) as info:
+        ball_measure(p, center, r)
+    assert str(info.value) == said
+    with pytest.raises(ValueError) as info:
+        doubling_ratios(p, [center], [r])
+    assert str(info.value) == said
+    # 30 levels up the same ball still has a normal mass
+    assert ball_measure(p, EdgePoint(500, 0, 0.5), 0.1 * math.exp(-LN2 * 500)) > 1e-303
+
+
 def test_sample_ball_centers_past_the_int64_child_index():
     # K^(level + 1) passes int64 at level 39 for K = 3: every index is valid
     p = TreeParams(3, LN2, 2.0 * math.log(3) + 0.3, 0.0, 60)
