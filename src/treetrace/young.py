@@ -5,9 +5,13 @@ modular: a map k -> rho(k) that is non-increasing on (0, inf) and tends
 to 0 as k grows.  The gauge is inf{k > 0 : rho(k) <= 1}.  `YoungModular`
 builds the modulars sum w * Phi(a / k) once per function, over one flat
 array of amplitudes rescaled to a largest value of 1.  Since
-Phi(a/k) = k^-p * a^p * log(e + a/k)^lambda1, it precomputes w * a^p:
-at lambda1 = 0 an evaluation is then O(1), and otherwise one log pass
-over the amplitudes, run in fixed chunks through one scratch buffer.
+Phi(a/k) = k^-p * a^p * log(e + a/k)^lambda1, an evaluation reads
+w * a^p.  At lambda1 = 0 the build puts w * a^p in place of the
+amplitudes and sums it, and an evaluation is O(1).  Otherwise it keeps
+only the amplitudes, and each evaluation forms w * a^p beside one log
+pass, in fixed chunks through a scratch buffer: one float per amplitude
+(one newtonian_norm at K = 2, N = 20, lambda1 = 1 peaks at 183 MB, where
+keeping w * a^p as well took 309 MB).
 At lambda1 != 0 the build also solves the mean-field equation, rho = 1
 with every amplitude replaced by their mean weighted by w * a^p, for a
 start k0.  The solver treats rho as a black box (no derivatives): it
@@ -135,18 +139,23 @@ class YoungModular:
     small a is; by homogeneity the gauge of a is `scale` times that gauge,
     and `value(k)` is the modular of a itself.
 
-    Since Phi(a/k) = k^-p * a^p * log(e + a/k)^lambda1, the build stores
-    A = w * a^p / 2^e, with 2^e the power of two at the largest weight (so
-    that tiny weights do not fall into subnormals), and its sum.  An
-    evaluation is 2^e * k^-p times sum A, in O(1), at lambda1 = 0; at
-    lambda1 = 1 it is sum A * log(a + e*k) - log k * sum A, one add, one
-    log and one dot per chunk of `_CHUNK` elements in one reused buffer;
-    other lambda1 add a subtract and a power per chunk.
+    Since Phi(a/k) = k^-p * a^p * log(e + a/k)^lambda1, an evaluation
+    reads A = w * a^p / 2^e, with 2^e the power of two at the largest
+    weight (so that tiny weights do not fall into subnormals).  At
+    lambda1 = 0 the build puts A in place of a and keeps sum A, and an
+    evaluation is 2^e * k^-p times sum A, in O(1).  Otherwise the modular
+    keeps a alone and forms A for each chunk of `_CHUNK` elements in a
+    reused buffer: a power, and a multiply by a float or by a view of the
+    segment's weight row repeated to chunk length (`_chunk_weights`).  At
+    lambda1 = 1 an evaluation is sum A * log(a + e*k) - log k * sum A:
+    besides forming A, one add, one log and one dot per chunk in a second
+    buffer; other lambda1 add a subtract and a power per chunk.  It holds
+    one float per amplitude, plus at most a chunk per segment.
 
-    At lambda1 != 0 the build takes one more dot per chunk, for the
-    A-weighted mean m = sum A a / sum A, and solves the mean-field
-    equation p x = log(2^e sum A) + lambda1 log log(e + m e^-x), which is
-    rho(e^x) = 1 with every amplitude replaced by m, for the `start`
+    At lambda1 != 0 the build forms A once, for sum A (summed chunk by
+    chunk) and the A-weighted mean m = sum A a / sum A, and solves the
+    mean-field equation p x = log(2^e sum A) + lambda1 log log(e + m e^-x),
+    which is rho(e^x) = 1 with every amplitude replaced by m, for the `start`
     (x, p) that `luxemburg_gauge` takes.  `start` is None at lambda1 = 0,
     where evaluations are O(1), and where that solve fails.
     """
@@ -161,48 +170,53 @@ class YoungModular:
         if self.scale > 0.0:
             a /= self.scale
         self._exp = math.frexp(max((float(w.max()) for w in weights), default=0.0))[1]
-        # A = w a^p / 2^e, in place of a where the log term does not need a
-        if lam == 0.0:
-            a **= p
-            weighted = a
-        else:
-            weighted = a**p
-        start = 0
-        for (size, _), w in zip(segments, weights):
-            seg = weighted[start : start + size].reshape(-1, w.size)
-            seg *= np.ldexp(w, -self._exp)
-            start += size
-        self._total = float(np.sum(weighted))
-        self._chunks = []
+        weights = [np.ldexp(w, -self._exp) for w in weights]
         self.start = None
-        if lam != 0.0 and self._total > 0.0:
-            buf = np.empty(min(a.size, _CHUNK))
-            self._chunks = [
-                (a[i : i + _CHUNK], weighted[i : i + _CHUNK], buf[: min(_CHUNK, a.size - i)])
-                for i in range(0, a.size, _CHUNK)
-            ]
-            mean = sum(float(wa @ aa) for aa, wa, _ in self._chunks) / self._total
-            x0 = _mean_field_root(p, lam, self._exp * _LOG2 + math.log(self._total), mean)
+        if lam == 0.0:
+            # A = w a^p / 2^e in place of a, summed once
+            a **= p
+            start = 0
+            for (size, _), w in zip(segments, weights):
+                seg = a[start : start + size].reshape(-1, w.size)
+                seg *= w
+                start += size
+            self._total = float(np.sum(a))
+            return
+        # the log term needs a: A is formed per chunk, in a scratch buffer
+        weighted, buf = np.empty(min(a.size, _CHUNK)), np.empty(min(a.size, _CHUNK))
+        self._chunks = [
+            (a[i : i + _CHUNK], pieces, weighted[: a.size - i], buf[: a.size - i])
+            for i, pieces in zip(range(0, a.size, _CHUNK), _chunk_weights(segments, weights))
+        ]
+        self._total, dot = 0.0, 0.0
+        for chunk, pieces, A, _ in self._chunks:
+            _form(A, chunk, p, pieces)
+            self._total += float(np.sum(A))
+            dot += float(A @ chunk)
+        if self._total > 0.0:
+            c = self._exp * _LOG2 + math.log(self._total)
+            x0 = _mean_field_root(p, lam, c, dot / self._total)
             if x0 is not None:
                 self.start = (x0, p)
 
     def __call__(self, k: float) -> float:
         if self._total == 0.0:
             return 0.0
-        factor = _times_power(self._exp, k, self.phi.p)
-        lam = self.phi.lambda1
+        p, lam = self.phi.p, self.phi.lambda1
+        factor = _times_power(self._exp, k, p)
         if lam == 0.0 or factor == 0.0:
             return factor * self._total
         # log(e + a/k) = log(a + e*k) - log k
         ek, log_k = math.e * k, math.log(k)
         total = 0.0
-        for a, weighted, buf in self._chunks:
+        for a, pieces, A, buf in self._chunks:
+            _form(A, a, p, pieces)
             np.add(a, ek, out=buf)
             np.log(buf, out=buf)
             if lam != 1.0:
                 buf -= log_k
                 buf **= lam
-            total += float(weighted @ buf)
+            total += float(A @ buf)
         if lam == 1.0:
             total -= log_k * self._total
         return factor * total
@@ -216,6 +230,40 @@ class YoungModular:
         if not math.isfinite(value):
             raise ValueError(f"the modular at k = {k!r} overflows at p = {self.phi.p:g}")
         return value
+
+
+def _chunk_weights(segments, weights):
+    """The weights of each `_CHUNK` elements of the flat amplitude array, as
+    (lo, hi, w) pieces in chunk positions: w is a float for a one-entry
+    weight row, else a view of the segment's row repeated to chunk length,
+    at the row phase where the piece starts.  Each segment repeats its row
+    once, so only a chunk that crosses a segment end has several pieces."""
+    chunks, start = [], 0
+    for (size, _), w in zip(segments, weights):
+        row = float(w[0]) if w.size == 1 else np.tile(w, min(size, _CHUNK) // w.size + 2)
+        pos, end = start, start + size
+        while pos < end:
+            first = pos - pos % _CHUNK
+            if first == pos:
+                chunks.append([])
+            hi = min(end, first + _CHUNK)
+            phase = (pos - start) % w.size
+            piece = row if w.size == 1 else row[phase : phase + hi - pos]
+            chunks[-1].append((pos - first, hi - first, piece))
+            pos = hi
+        start = end
+    return chunks
+
+
+def _form(out: np.ndarray, a: np.ndarray, p: float, pieces) -> None:
+    """A = w a^p / 2^e for one chunk of amplitudes a, into `out`.  At p = 2
+    np.square gives the bits of np.power in a third of the time."""
+    if p == 2.0:
+        np.square(a, out=out)
+    else:
+        np.power(a, p, out=out)
+    for lo, hi, w in pieces:
+        out[lo:hi] *= w
 
 
 def _mean_field_root(p: float, lam: float, c: float, m: float) -> float | None:

@@ -7,7 +7,9 @@ Run from the repository root:
 Each case runs one `treetrace verify` command in an empty directory, with
 `--out report.csv` and, where the case has one, a config file.  Its
 standard output and every file it writes go to tests/golden/<case>/.  A
-change that moves a number in these outputs regenerates them and says so.
+change that moves a number in these outputs regenerates them and says so:
+for each case the script prints the largest relative change of any number
+against the files it replaces.
 
 The cases:
 * the six verify drivers at the default config; the three ratio checks
@@ -24,7 +26,9 @@ from __future__ import annotations
 
 import contextlib
 import io
+import math
 import os
+import re
 import shutil
 import sys
 import tempfile
@@ -36,6 +40,8 @@ GOLDEN = Path(__file__).resolve().parent
 REPORT = "report.csv"
 STDOUT = "stdout.txt"
 CONFIG = "config.cfg"
+# a number in an output, as tests/test_golden.py compares them
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?\b(?:nan|inf)\b")
 
 _LAMBDA1 = "lambda1 = 1\n"
 _DEEP = "lambda1 = 1\ndepths = 12,14,16\nseeds = 0,1\n"
@@ -77,15 +83,51 @@ def run(case: str, workdir: Path) -> dict[str, str]:
     return outputs
 
 
+def relative_change(x: float, y: float) -> float:
+    """|x - y| / max(|x|, |y|); 0 for equal numbers or two NaNs, and inf
+    where one of them is not finite and they differ."""
+    if x == y or (math.isnan(x) and math.isnan(y)):
+        return 0.0
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return math.inf
+    return abs(x - y) / max(abs(x), abs(y))
+
+
+def largest_change(old: dict[str, str], new: dict[str, str]) -> float | None:
+    """The largest relative change of any number from the outputs `old` to
+    `new` ({file name: text}); None where they differ in anything else: the
+    files, the lines or the text between the numbers."""
+    if sorted(old) != sorted(new):
+        return None
+    largest = 0.0
+    for name, text in old.items():
+        was, now = text.splitlines(), new[name].splitlines()
+        if len(was) != len(now):
+            return None
+        for w, n in zip(was, now):
+            if NUMBER.split(w) != NUMBER.split(n):
+                return None
+            for x, y in zip(NUMBER.findall(w), NUMBER.findall(n)):
+                largest = max(largest, relative_change(float(x), float(y)))
+    return largest
+
+
 def main() -> int:
     for case in CASES:
         target = GOLDEN / case
+        old = {p.name: p.read_text() for p in target.iterdir()} if target.is_dir() else None
+        with tempfile.TemporaryDirectory() as tmp:
+            outputs = run(case, Path(tmp))
         shutil.rmtree(target, ignore_errors=True)
         target.mkdir()
-        with tempfile.TemporaryDirectory() as tmp:
-            for name, text in run(case, Path(tmp)).items():
-                (target / name).write_text(text)
-        print(f"wrote {target}")
+        for name, text in outputs.items():
+            (target / name).write_text(text)
+        if old is None:
+            change = "a new case"
+        else:
+            largest = largest_change(old, outputs)
+            change = "text changed" if largest is None else f"largest relative change {largest:.2g}"
+        print(f"wrote {target}: {change}")
     return 0
 
 

@@ -9,7 +9,6 @@ regenerates the files with that script and says so.
 
 import importlib.util
 import math
-import re
 from pathlib import Path
 
 import pytest
@@ -19,12 +18,12 @@ _spec = importlib.util.spec_from_file_location("regenerate", GOLDEN / "regenerat
 regenerate = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(regenerate)
 
-NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?\b(?:nan|inf)\b")
+NUMBER = regenerate.NUMBER
 RTOL = 1e-12
 
 
 def _close(x: float, y: float) -> bool:
-    return x == y or (math.isnan(x) and math.isnan(y)) or abs(x - y) <= RTOL * max(abs(x), abs(y))
+    return regenerate.relative_change(x, y) <= RTOL
 
 
 def assert_same_output(expected: str, actual: str, where: str) -> None:
@@ -55,6 +54,7 @@ def test_outputs_match_golden(case, tmp_path):
         "a,b,c\n1,2.5,0\n3,4,0\n",  # an extra column
         "a,B\n1,2.5\n3,4\n",  # other text
         "a,b\n1,2.5000000001\n3,4\n",  # a number moved by 4e-11
+        "a,b\n1,inf\n3,4\n",  # a number that became infinite
     ],
 )
 def test_comparison_fails_on_any_change(actual):
@@ -66,3 +66,18 @@ def test_comparison_allows_rounding_in_the_last_digits():
     assert_same_output(
         "x 0.30000000000000004,nan\n", "x 0.29999999999999999,nan\n", "report.csv"
     )
+
+
+def test_largest_change_is_over_every_number_and_none_on_other_text():
+    old = {"report.csv": "a,b\n1,2.5\n3,nan\n", "stdout.txt": "ratio 0\n"}
+    assert regenerate.largest_change(old, dict(old)) == 0.0
+    moved = {"report.csv": "a,b\n1,2.5000000001\n3,nan\n", "stdout.txt": "ratio 0\n"}
+    assert regenerate.largest_change(old, moved) == pytest.approx(4e-11, rel=1e-3)
+    assert regenerate.largest_change(old, {**old, "stdout.txt": "ratio 1e-300\n"}) == 1.0
+    assert regenerate.largest_change(old, {**old, "stdout.txt": "ratio inf\n"}) == math.inf
+    for other in (
+        {**old, "stdout.txt": "ratio: 0\n"},  # other text
+        {**old, "stdout.txt": "ratio 0\nratio 0\n"},  # an extra line
+        {"report.csv": old["report.csv"]},  # a missing file
+    ):
+        assert regenerate.largest_change(old, other) is None

@@ -438,6 +438,29 @@ def test_young_modular_matches_direct_sum():
                     direct += 0.25 * weight * float(np.sum(phi(flat / k)))
                     assert mod.value(k) == pytest.approx(direct, rel=1e-12)
                     assert mod(k) == pytest.approx(mod.value(k * mod.scale), rel=1e-12)
+    # more than three chunks: a scalar segment of 5 entries puts the 8-entry
+    # rows of the next two segments at row phase 3 at every chunk boundary,
+    # each of those segments ends inside a chunk, and a scalar segment ends
+    # the array inside its last chunk
+    rows8 = [rng.uniform(0.0, 5.0, size=(3 * _CHUNK // 16 + i, 8)) for i in (0, 1)]
+    dens8 = [rng.uniform(0.1, 1.0, size=8) for _ in rows8]
+    head, tail = rng.uniform(0.0, 2.0, size=5), rng.uniform(0.0, 2.0, size=7)
+    sizes = [head.size, rows8[0].size, rows8[1].size, tail.size]
+    assert sum(sizes) > 3 * _CHUNK
+    assert all((c - 5) % 8 == 3 for c in range(_CHUNK, sum(sizes), _CHUNK))
+    for p in (1.5, 2.0, 3.0):
+        for lambda1 in (1.0, -0.5, 2.0):
+            phi = YoungPhi(p, lambda1)
+            for weight in (1.0, 1e-300):
+                a = np.concatenate([head, rows8[0].ravel(), rows8[1].ravel(), tail])
+                ws = [0.5 * weight, weight * dens8[0], 0.7 * weight * dens8[1], 2.0 * weight]
+                mod = YoungModular(phi, a, list(zip(sizes, ws)))
+                for k in (0.3, 1.0, 4.0):
+                    direct = 0.5 * weight * float(np.sum(phi(head / k)))
+                    for r, w in zip(rows8, ws[1:3]):
+                        direct += float(np.sum(w * phi(r / k)))
+                    direct += 2.0 * weight * float(np.sum(phi(tail / k)))
+                    assert mod.value(k) == pytest.approx(direct, rel=1e-12)
 
 
 def test_young_modular_rejects_segments_that_do_not_cover_the_amplitudes():
@@ -480,7 +503,8 @@ def test_young_modular_scalar_weight_sums_like_a_one_column_product(lambda1):
     # 2^e k^-p sum_i A_i L_i with A = w a^p / 2^e (2^e at the weight) and
     # L = log(a + e k) - log k to the lambda1, in chunks of _CHUNK elements,
     # each summed by one dot product; at lambda1 = 1 the log k term is
-    # taken out of the sum, at lambda1 = 0 the sum of A is taken at build
+    # taken out of the sum; the sum of A is taken at build, over the whole
+    # array at lambda1 = 0 and chunk by chunk otherwise
     phi = YoungPhi(2.0, lambda1)
     rng = np.random.default_rng(5)
     for size in (1, 7, 4096, 65_537):
@@ -490,7 +514,10 @@ def test_young_modular_scalar_weight_sums_like_a_one_column_product(lambda1):
         column = YoungModular(phi, a.copy(), [(size, np.array([w]))])
         e = math.frexp(w)[1]
         weighted = (a / mod.scale) ** 2 * math.ldexp(w, -e)
-        total = float(np.sum(weighted))
+        if lambda1 == 0.0:
+            total = float(np.sum(weighted))
+        else:
+            total = sum(float(np.sum(weighted[i : i + _CHUNK])) for i in range(0, size, _CHUNK))
         for k in (0.4, 1.0, 2.5):
             expect = total
             if lambda1 != 0.0:
