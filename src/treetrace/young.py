@@ -8,10 +8,14 @@ array of amplitudes rescaled to a largest value of 1.  Since
 Phi(a/k) = k^-p * a^p * log(e + a/k)^lambda1, an evaluation reads
 w * a^p.  At lambda1 = 0 the build puts w * a^p in place of the
 amplitudes and sums it, and an evaluation is O(1).  Otherwise it keeps
-only the amplitudes, and each evaluation forms w * a^p beside one log
-pass, in fixed chunks through a scratch buffer: one float per amplitude
-(one newtonian_norm at K = 2, N = 20, lambda1 = 1 peaks at 183 MB, where
-keeping w * a^p as well took 309 MB).
+only the amplitudes, and a full pass forms w * a^p beside one log pass,
+in fixed chunks through two scratch buffers: one float per amplitude (one
+newtonian_norm at K = 2, N = 20, lambda1 = 1 peaks at 183 MB, where
+keeping w * a^p as well took 309 MB).  Each full pass at x = log k also
+records the sum's first two derivatives in x, and a later call within a
+radius r(lambda1) of a recorded x (8.7e-6 at lambda1 = 1) is answered by
+the second-order expansion there, whose remainder is at most 2^-53 of
+the value.
 At lambda1 != 0 the build also solves the mean-field equation, rho = 1
 with every amplitude replaced by their mean weighted by w * a^p, for a
 start k0.  The solver treats rho as a black box (no derivatives): it
@@ -20,8 +24,10 @@ at lambda1 = 0), first along the slope -p of the degree and then by
 secant extrapolation, and then by Illinois regula falsi on the bracket,
 which is exact after two samples for a pure power.  The start saves
 evaluations (4 instead of 7 for a large tree modular at lambda1 = 1) and
-never moves the answer.  The solver tracks all evaluations and raises
-if they ever contradict monotonicity.
+never moves the answer.  Its later samples lie close to the first: at
+K = 2, N = 16 the gauge of a tree function makes one full pass.  The
+solver tracks all evaluations and raises if they ever contradict
+monotonicity.
 """
 
 from __future__ import annotations
@@ -70,11 +76,14 @@ class YoungPhi:
     -3.1462 p), and lambda1 >= 0 at p = 1.  Then Phi(0) = 0 and Phi
     increases strictly on (0, inf), and it is convex near 0 (where it
     behaves as t^p) and for large t.  At lambda1 >= 0 it is convex
-    everywhere; at lambda1 < 0 it need not be in between (p = 2,
-    lambda1 = -3 is not).  Below the bound Phi decreases near t = 5.83,
-    and at p = 1 with lambda1 < 0 it is concave near 0.  Both exponents must be finite, and so must
-    Phi(1) = log(e + 1)^lambda1, which must also be positive (about
-    |lambda1| <= 2.6e3).
+    everywhere.  At lambda1 < 0 it is convex down to a floor of its own,
+    -0.564 at p = 1.2, -1.422 at p = 1.5, -2.875 at p = 2 and -5.830 at
+    p = 3, and not between that floor and the monotonicity bound (p = 2,
+    lambda1 = -3 is not): there the Luxemburg gauge is a quasi-norm, and
+    the config accepts it.  Below the bound Phi decreases near t = 5.83,
+    and at p = 1 with lambda1 < 0 it is concave near 0.  Both exponents
+    must be finite, and so must Phi(1) = log(e + 1)^lambda1, which must
+    also be positive (about |lambda1| <= 2.6e3).
     """
 
     p: float
@@ -147,10 +156,20 @@ class YoungModular:
     keeps a alone and forms A for each chunk of `_CHUNK` elements in a
     reused buffer: a power, and a multiply by a float or by a view of the
     segment's weight row repeated to chunk length (`_chunk_weights`).  At
-    lambda1 = 1 an evaluation is sum A * log(a + e*k) - log k * sum A:
+    lambda1 = 1 a full pass is sum A * log(a + e*k) - log k * sum A:
     besides forming A, one add, one log and one dot per chunk in a second
     buffer; other lambda1 add a subtract and a power per chunk.  It holds
     one float per amplitude, plus at most a chunk per segment.
+
+    A full pass at x = log k records the point (x, F, F', F'') of
+    F = sum A l^lambda1, l = log(e + a/k), the value before 2^e k^-p; the
+    derivatives take three more sums in the same buffers (`_pass`).  A
+    call at x' takes the recorded point nearest to it, h = x' - x, and
+    when |h| <= r(lambda1) returns 2^e k'^-p (F + h F' + h^2 F''/2) with
+    no pass over the amplitudes; else it makes a full pass, which records
+    its own point.  Within the radius r (`_expansion_radius`) the Taylor
+    remainder is at most 2^-53 of the value, so an expanded value agrees
+    with a full pass to rounding (about 1e-15 relative).
 
     At lambda1 != 0 the build forms A once, for sum A (summed chunk by
     chunk) and the A-weighted mean m = sum A a / sum A, and solves the
@@ -188,6 +207,11 @@ class YoungModular:
             (a[i : i + _CHUNK], pieces, weighted[: a.size - i], buf[: a.size - i])
             for i, pieces in zip(range(0, a.size, _CHUNK), _chunk_weights(segments, weights))
         ]
+        # (x, F, F', F'') at x = log k of each full pass, and how far from
+        # one in x the expansion there answers a call
+        self._points: list[tuple[float, float, float, float]] = []
+        self._radius = _expansion_radius(lam)
+        self._passes = 0
         self._total, dot = 0.0, 0.0
         for chunk, pieces, A, _ in self._chunks:
             _form(A, chunk, p, pieces)
@@ -206,20 +230,66 @@ class YoungModular:
         factor = _times_power(self._exp, k, p)
         if lam == 0.0 or factor == 0.0:
             return factor * self._total
-        # log(e + a/k) = log(a + e*k) - log k
-        ek, log_k = math.e * k, math.log(k)
-        total = 0.0
+        x = math.log(k)
+        if self._points:
+            x0, F, dF, d2F = min(self._points, key=lambda point: abs(x - point[0]))
+            h = x - x0
+            if abs(h) <= self._radius:
+                return factor * (F + h * dF + 0.5 * h * h * d2F)
+        return factor * self._pass(k, x)
+
+    def _pass(self, k: float, log_k: float) -> float:
+        """F at x = log k, recording (x, F, F', F'') where all are finite:
+        with s = a / (a + e*k), F' = -lambda1 S1 and F'' = lambda1
+        (lambda1 - 1) S2 + lambda1 (S1 - S3), S1 = sum A l^(lambda1-1) s,
+        S2 = sum A l^(lambda1-2) s^2, S3 = sum A l^(lambda1-1) s^2."""
+        lam = self.phi.lambda1
+        ek = math.e * k
+
+        def log_term(a, out):  # l = log(a + e*k) - log k
+            np.add(a, ek, out=out)
+            np.log(out, out=out)
+            out -= log_k
+
+        def fraction(a, out):  # s = a / (a + e*k) = -dl/dx
+            np.add(a, ek, out=out)
+            np.divide(a, out, out=out)
+
+        total, s1, s2, s3 = 0.0, 0.0, 0.0, 0.0
         for a, pieces, A, buf in self._chunks:
-            _form(A, a, p, pieces)
-            np.add(a, ek, out=buf)
-            np.log(buf, out=buf)
-            if lam != 1.0:
-                buf -= log_k
-                buf **= lam
+            _form(A, a, self.phi.p, pieces)
+            if lam == 1.0:
+                fraction(a, buf)
+                s1 += float(A @ buf)
+                np.square(buf, out=buf)
+                s3 += float(A @ buf)
+                np.add(a, ek, out=buf)
+                np.log(buf, out=buf)
+                total += float(A @ buf)
+                continue
+            # A is folded into each product in turn, as buf holds one factor
+            log_term(a, buf)
+            buf **= lam
             total += float(A @ buf)
+            A *= buf
+            log_term(a, buf)
+            A /= buf
+            fraction(a, buf)
+            A *= buf
+            s1 += float(np.sum(A))  # sum A l^(lambda1 - 1) s
+            s3 += float(A @ buf)  # sum A l^(lambda1 - 1) s^2
+            A *= buf
+            log_term(a, buf)
+            A /= buf
+            s2 += float(np.sum(A))  # sum A l^(lambda1 - 2) s^2
         if lam == 1.0:
             total -= log_k * self._total
-        return factor * total
+        # F' = -lambda1 S1 and F'' = lambda1 (lambda1 - 1) S2 + lambda1 (S1 - S3)
+        point = (log_k, total, -lam * s1, lam * (lam - 1.0) * s2 + lam * (s1 - s3))
+        if all(math.isfinite(v) for v in point):
+            self._points.append(point)
+        self._passes += 1
+        return total
 
     def value(self, k: float) -> float:
         """The modular of the amplitudes as given, at k; a value beyond the
@@ -264,6 +334,27 @@ def _form(out: np.ndarray, a: np.ndarray, p: float, pieces) -> None:
         np.power(a, p, out=out)
     for lo, hi, w in pieces:
         out[lo:hi] *= w
+
+
+def _expansion_radius(lam: float) -> float:
+    """The largest |h| <= 1/2 with |h|^3 / 6 * c * (1 - |h|)^(-2 |lam|) <=
+    2^-53, c = |lam (lam - 1) (lam - 2)| + 3 |lam (lam - 1)| + |lam|.
+
+    The remainder of the second-order expansion of F = sum A l^lam at x is
+    at most |h|^3 / 6 times the largest |F'''| between x and x + h.  Per
+    element dl/dx = -s and ds/dx = -s (1 - s), with 0 <= s < 1 and l >= 1,
+    so |F'''| <= c F; and l moves by at most |h|, so F between is within a
+    factor (1 - |h|)^-|lam| of F at either end.  Within the radius the
+    remainder is thus at most 2^-53 of the value answered.  The radius is
+    8.7e-6 at lam = 1 and 1.9e-6 at lam = -3."""
+    c = abs(lam * (lam - 1.0) * (lam - 2.0)) + 3.0 * abs(lam * (lam - 1.0)) + abs(lam)
+    # the fixed point of r = r0 (1 - r)^(2 |lam| / 3), a contraction by
+    # about 2 |lam| r / 3 < 1e-5 per step; only |lam| < 1e-15 reaches 1/2
+    r0 = (6.0 * 2.0**-53 / c) ** (1.0 / 3.0)
+    r = min(r0, 0.5)
+    for _ in range(4):
+        r = min(r0 * (1.0 - r) ** (2.0 * abs(lam) / 3.0), 0.5)
+    return r
 
 
 def _mean_field_root(p: float, lam: float, c: float, m: float) -> float | None:

@@ -2,14 +2,16 @@
 
 Run from the repository root:
 
-    PYTHONPATH=src python tests/golden/regenerate.py
+    PYTHONPATH=src python tests/golden/regenerate.py [--check] [case ...]
 
 Each case runs one `treetrace verify` command in an empty directory, with
 `--out report.csv` and, where the case has one, a config file.  Its
 standard output and every file it writes go to tests/golden/<case>/.  A
 change that moves a number in these outputs regenerates them and says so:
 for each case the script prints the largest relative change of any number
-against the files it replaces.
+against the files it replaces.  Named cases are the only ones run (all of
+them by default), and `--check` prints each one's largest change and
+writes nothing.
 
 The cases:
 * the six verify drivers at the default config; the three ratio checks
@@ -19,11 +21,14 @@ The cases:
   seeds 0 and 1 only, to keep the test short;
 * `equivalence` at lambda1 = 1, depths 6,8, hajlasz_max_depth = 8, seeds
   0 and 1: its depth-8 Hajlasz blocks take the dense dual-ascent form,
-  which the default sweep never reaches.
+  which the default sweep never reaches;
+* `trace-bound` at p = 1.5, lambda1 = 2, depths 8,10, seeds 0 and 1: the
+  modular pass at a lambda1 other than 0 and 1, and at a p other than 2.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import math
@@ -46,6 +51,7 @@ NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?\b(?:nan|in
 _LAMBDA1 = "lambda1 = 1\n"
 _DEEP = "lambda1 = 1\ndepths = 12,14,16\nseeds = 0,1\n"
 _DENSE = "lambda1 = 1\ndepths = 6,8\nhajlasz_max_depth = 8\nseeds = 0,1\n"
+_P15_LAMBDA2 = "p = 1.5\nlambda1 = 2\ndepths = 8,10\nseeds = 0,1\n"
 
 # case -> (config file text or None, the arguments after `treetrace verify`)
 CASES = {
@@ -59,6 +65,7 @@ CASES = {
     "trace-bound-deep": (_DEEP, ["trace-bound"]),
     "extension-bound-deep": (_DEEP, ["extension-bound"]),
     "equivalence-dense": (_DENSE, ["equivalence"]),
+    "trace-bound-p1.5-lambda2": (_P15_LAMBDA2, ["trace-bound"]),
 }
 
 
@@ -112,22 +119,32 @@ def largest_change(old: dict[str, str], new: dict[str, str]) -> float | None:
     return largest
 
 
-def main() -> int:
-    for case in CASES:
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="Regenerate the golden outputs.")
+    parser.add_argument("cases", nargs="*", metavar="case", help="the cases to run (default: all)")
+    parser.add_argument(
+        "--check", action="store_true", help="print each case's largest change and write nothing"
+    )
+    args = parser.parse_args(argv)
+    unknown = [case for case in args.cases if case not in CASES]
+    if unknown:
+        parser.error(f"unknown case {unknown[0]!r}; the cases are {', '.join(CASES)}")
+    for case in args.cases or CASES:
         target = GOLDEN / case
         old = {p.name: p.read_text() for p in target.iterdir()} if target.is_dir() else None
         with tempfile.TemporaryDirectory() as tmp:
             outputs = run(case, Path(tmp))
-        shutil.rmtree(target, ignore_errors=True)
-        target.mkdir()
-        for name, text in outputs.items():
-            (target / name).write_text(text)
         if old is None:
             change = "a new case"
         else:
             largest = largest_change(old, outputs)
             change = "text changed" if largest is None else f"largest relative change {largest:.2g}"
-        print(f"wrote {target}: {change}")
+        if not args.check:
+            shutil.rmtree(target, ignore_errors=True)
+            target.mkdir()
+            for name, text in outputs.items():
+                (target / name).write_text(text)
+        print(f"{'checked' if args.check else 'wrote'} {target}: {change}")
     return 0
 
 

@@ -9,6 +9,7 @@ regenerates the files with that script and says so.
 
 import importlib.util
 import math
+import shutil
 from pathlib import Path
 
 import pytest
@@ -81,3 +82,41 @@ def test_largest_change_is_over_every_number_and_none_on_other_text():
         {"report.csv": old["report.csv"]},  # a missing file
     ):
         assert regenerate.largest_change(old, other) is None
+
+
+def _golden_copy(tmp_path, monkeypatch, cases):
+    """A copy of the golden files of `cases` under tmp_path, taken as the
+    golden directory, with the first number of each stdout.txt moved."""
+    monkeypatch.setattr(regenerate, "GOLDEN", tmp_path)
+    moved = {}
+    for case in cases:
+        shutil.copytree(GOLDEN / case, tmp_path / case)
+        path = tmp_path / case / regenerate.STDOUT
+        moved[case] = NUMBER.sub(lambda m: repr(float(m.group()) + 0.5), path.read_text(), count=1)
+        path.write_text(moved[case])
+    return moved
+
+
+def test_regenerate_writes_only_the_named_cases(tmp_path, monkeypatch, capsys):
+    moved = _golden_copy(tmp_path, monkeypatch, ["roundtrip", "doubling"])
+    assert regenerate.main(["roundtrip"]) == 0
+    assert capsys.readouterr().out == (
+        f"wrote {tmp_path / 'roundtrip'}: largest relative change 1\n"
+    )
+    for name in ("report.csv", regenerate.STDOUT):
+        golden = (GOLDEN / "roundtrip" / name).read_text()
+        assert (tmp_path / "roundtrip" / name).read_text() == golden
+    assert (tmp_path / "doubling" / regenerate.STDOUT).read_text() == moved["doubling"]
+
+
+def test_regenerate_check_prints_the_change_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    moved = _golden_copy(tmp_path, monkeypatch, ["roundtrip"])
+    before = {p.name: p.stat().st_mtime_ns for p in (tmp_path / "roundtrip").iterdir()}
+    assert regenerate.main(["--check", "roundtrip"]) == 0
+    assert capsys.readouterr().out == (
+        f"checked {tmp_path / 'roundtrip'}: largest relative change 1\n"
+    )
+    assert (tmp_path / "roundtrip" / regenerate.STDOUT).read_text() == moved["roundtrip"]
+    assert {p.name: p.stat().st_mtime_ns for p in (tmp_path / "roundtrip").iterdir()} == before
+    with pytest.raises(SystemExit):
+        regenerate.main(["--check", "no-such-case"])

@@ -11,6 +11,7 @@ from treetrace import (
     YoungPhi,
     edge_length,
     edge_measure,
+    extend,
     luxemburg_gauge,
     gradient_lphi_modular,
     newtonian_norm,
@@ -322,6 +323,56 @@ def test_newtonian_norm_gauges_start_at_the_mean_field_root(monkeypatch):
         [1.0, 0.5, 0.7411361599716186, 0.7411361599419732],
         [1.0, 0.5, 0.02225325463656665, 0.022253254637456782],
     ]
+
+
+def _gauged_modulars(monkeypatch):
+    """The modulars whose gauges newtonian_norm takes, in order, each with
+    the k that its gauge returned."""
+    gauged = []
+
+    def recorded_gauge(rho, *args, **kwargs):
+        k = luxemburg_gauge(rho, *args, **kwargs)
+        gauged.append((rho, k))
+        return k
+
+    monkeypatch.setattr(tree_norms, "luxemburg_gauge", recorded_gauge)
+    return gauged
+
+
+def test_newtonian_norm_gauges_take_few_full_passes(monkeypatch):
+    # K = 2, N = 16, lambda1 = 1: the later evaluations of each gauge lie
+    # within the expansion radius of an earlier full pass.  Every
+    # evaluation was a full pass: 4 for the function gauge, 6 for the
+    # gradient gauge
+    gauged = _gauged_modulars(monkeypatch)
+    F = _extend_boundary(generate("iid-uniform", K=2, depth=16, seed=0).values, 16)
+    newtonian_norm(F, std_params(16), YoungPhi(2.0, 1.0))
+    (function, _), (gradient, _) = gauged
+    assert function._passes == 1
+    assert gradient._passes <= 3
+
+
+@pytest.mark.parametrize("config", ["trace-bound", "extension-bound"])
+def test_newtonian_norm_gauges_answer_the_full_pass_modular(monkeypatch, config):
+    # on the depth-12 samples of the deep golden sweeps (lambda1 = 1, seeds
+    # 0 and 1) each gauge's k has rho(k) <= 1 < rho(k (1 - 1e-10)), with rho
+    # taken by a full pass of a modular built afresh for each value
+    from treetrace.harness import BOUNDARY_FAMILIES, TREE_FAMILIES, ExperimentConfig, _samples
+
+    cfg = ExperimentConfig(lambda1=1.0, depths=(12,), seeds=(0, 1))
+    phi = cfg.phi()
+    gauged = _gauged_modulars(monkeypatch)
+    if config == "trace-bound":
+        samples = [F for _, F in _samples(cfg, TREE_FAMILIES[0])]
+    else:
+        samples = [extend(u) for _, u in _samples(cfg, BOUNDARY_FAMILIES[0])]
+    params = cfg.tree_params(12)
+    for F in samples:
+        gauged.clear()
+        newtonian_norm(F, params, phi)
+        builds = (tree_norms._function_modular, tree_norms._gradient_modular)
+        for build, (_, k) in zip(builds, gauged):
+            assert build(F, params, phi)(k) <= 1.0 < build(F, params, phi)(k * (1.0 - 1e-10))
 
 
 def test_newtonian_norm_memory_is_one_amplitude_array_and_chunks_per_level():

@@ -13,7 +13,7 @@ from treetrace import (
     luxemburg_gauge,
 )
 import treetrace.young as young
-from treetrace.young import _CHUNK, _mean_field_root
+from treetrace.young import _CHUNK, _expansion_radius, _mean_field_root
 
 
 def test_phi_values():
@@ -555,3 +555,69 @@ def test_young_modular_gauge_of_extreme_weights(lambda1):
     assert mod(1e-300) == pytest.approx(direct(1e-310, 1e-300), rel=1e-12)
     assert mod(1e-320) == math.inf
     assert mod(1e300) == 0.0
+
+
+# ------------------------------------------- the expansion at a recorded pass
+
+
+def expansion_amplitudes(rng):
+    """Over two chunks of amplitudes in three segments: a scalar weight, a
+    4-entry weight row that crosses a chunk end, and a scalar weight; a
+    hundredth of them 0 and the rest over six decades."""
+    sizes = [1_000, 4 * (_CHUNK // 2 + 1_001), _CHUNK // 3]
+    a = 10.0 ** rng.uniform(-6.0, 0.0, size=sum(sizes))
+    a[rng.random(a.size) < 0.01] = 0.0
+    weights = [0.3, rng.uniform(0.1, 1.0, size=4), 1e-3]
+    return a, list(zip(sizes, weights))
+
+
+ADMISSIBLE = [
+    (p, lambda1)
+    for p in (1.0, 1.5, 2.0, 3.0)
+    for lambda1 in (-2.0, -0.5, 0.5, 1.0, 2.0, 3.0)
+    if p > 1.0 or lambda1 >= 0.0
+]
+
+
+@pytest.mark.parametrize("p, lambda1", ADMISSIBLE)
+def test_young_modular_expansion_matches_a_full_pass_within_its_radius(p, lambda1):
+    # a call within the radius r of a full pass in log k is answered from
+    # that pass's (x, F, F', F''), to rounding; one just beyond r makes a
+    # full pass of its own.  r in log k is matched up to 1e-8 of it, since
+    # log(exp(x + h)) - x is h only to about 1e-16 absolute
+    phi = YoungPhi(p, lambda1)
+    rng = np.random.default_rng(int(10 * p + lambda1) + 7)
+    a, segments = expansion_amplitudes(rng)
+    r = _expansion_radius(lambda1)
+    for x0 in (math.log(1e-4), 0.0, math.log(30.0)):
+        mod = YoungModular(phi, a.copy(), segments)
+        assert mod(math.exp(x0)) > 0.0 and mod._passes == 1
+        for h in (r, -r, 0.1 * r, -0.1 * r):
+            k = math.exp(x0 + h * (1.0 - 1e-8))
+            full = YoungModular(phi, a.copy(), segments)(k)
+            assert mod(k) == pytest.approx(full, rel=4e-15, abs=0.0)
+        assert mod._passes == 1
+        beyond = math.exp(x0 + r * (1.0 + 1e-8))
+        mod(beyond)
+        assert mod._passes == 2
+        # the nearest of the two recorded points answers
+        mod(math.exp(x0 + 2.0 * r))
+        assert mod._passes == 2
+
+
+def test_expansion_radius_solves_the_remainder_bound():
+    # |h|^3 / 6 c (1 - |h|)^(-2 |lambda1|) is 2^-53 at r, up to rounding
+    def bound(lambda1, h):
+        c = abs(lambda1 * (lambda1 - 1) * (lambda1 - 2))
+        c += 3 * abs(lambda1 * (lambda1 - 1)) + abs(lambda1)
+        return h**3 / 6 * c * (1 - h) ** (-2 * abs(lambda1))
+
+    assert _expansion_radius(1.0) == pytest.approx(8.7334e-6, rel=1e-4)
+    assert _expansion_radius(-3.0) == pytest.approx(1.8879e-6, rel=1e-4)
+    for lambda1 in (-2.0, -0.5, 0.5, 1.0, 2.0, 3.0, 1e-12, 2600.0):
+        r = _expansion_radius(lambda1)
+        assert bound(lambda1, r * (1.0 - 1e-12)) <= 2.0**-53 < bound(lambda1, r * (1.0 + 1e-12))
+    # near lambda1 = 0 the radius would approach 1; it stops at 1/2
+    for lambda1 in (1e-16, -1e-20, 5e-324):
+        assert _expansion_radius(lambda1) == 0.5
+        assert bound(lambda1, 0.5) <= 2.0**-53
