@@ -46,7 +46,6 @@ from .tree import (
     EdgePoint,
     TreeParams,
     ahlfors_ratio,
-    arclength,
     ball_measure,
     doubling_ratios,
     edge_length,
@@ -59,7 +58,6 @@ from .tree_norms import (
     TreeFunction,
     gradient_lphi_modular,
     newtonian_norm,
-    tree_lphi_modular,
     upper_gradient_edges,
 )
 from .young import (

@@ -40,7 +40,6 @@ __all__ = [
     "EdgePoint",
     "min_shift_constant",
     "edge_length",
-    "arclength",
     "split_distances",
     "ahlfors_ratio",
     "edge_measure",
@@ -152,11 +151,6 @@ def _mass_density(params: TreeParams, weight, tau):
     return weight * np.exp(-params.beta * tau) * (tau + params.C_const) ** params.lambda2
 
 
-def arclength(params: TreeParams, tau) -> float | np.ndarray:
-    """Metric distance from the root to level coordinate tau along any ray."""
-    return _arc_below(params.epsilon, 0, np.asarray(tau, dtype=float))
-
-
 def edge_length(params: TreeParams, n: int) -> float:
     """Metric length of any edge between levels n and n+1."""
     if not 0 <= n < params.depth:
@@ -177,14 +171,17 @@ def ahlfors_ratio(params: TreeParams, n: int) -> float:
     uniform boundary mass is Ahlfors Q-regular: every cell of a level has
     the same mass and diameter, and the ratio is the same at every level.
     It is taken in logs, so that neither factor leaves the float range at
-    any depth.  A ratio below the float range (small epsilon, where the
-    diameter scale to the power Q overflows) is a ValueError naming
-    epsilon and Q."""
+    any depth, as exp(n (Q epsilon - log K) - Q log(2/epsilon)): where the
+    float Q epsilon rounds back to log K the level terms cancel exactly,
+    and elsewhere the level-n ratio is n |Q epsilon - log K| relative off
+    the level-0 one (6.7e-13 at K = 5, epsilon = 0.7, n = 3000).  A ratio
+    below the float range (small epsilon, where the diameter scale to the
+    power Q overflows) is a ValueError naming epsilon and Q."""
     if not 0 <= n <= params.depth:
         raise ValueError(f"level {n} out of range 0..{params.depth}")
     eps, Q = params.epsilon, params.hausdorff_dim
     # log K^(-n) - Q log r_n, with r_n = (2/epsilon) e^(-epsilon n)
-    ratio = math.exp(-n * math.log(params.K) - Q * (math.log(2.0 / eps) - eps * n))
+    ratio = math.exp(n * (Q * eps - math.log(params.K)) - Q * math.log(2.0 / eps))
     if ratio < sys.float_info.min:
         raise ValueError(
             f"the level-{n} diameter^Q overflows at epsilon = {eps!r} "

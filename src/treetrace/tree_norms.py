@@ -23,7 +23,6 @@ from .young import YoungModular, YoungPhi, luxemburg_gauge
 __all__ = [
     "TreeFunction",
     "upper_gradient_edges",
-    "tree_lphi_modular",
     "gradient_lphi_modular",
     "newtonian_norm",
 ]
@@ -98,16 +97,6 @@ def _gradient_modular(F: TreeFunction, params: TreeParams, phi: YoungPhi) -> You
 def _gauge(rho: YoungModular) -> float:
     """Luxemburg gauge of the amplitudes of rho as given (by homogeneity)."""
     return rho.scale * luxemburg_gauge(rho, start=rho.start) if rho.scale > 0.0 else 0.0
-
-
-def tree_lphi_modular(F: TreeFunction, params: TreeParams, phi: YoungPhi) -> float:
-    """Integral of Phi(|F|) over the truncated tree against the mass density.
-
-    F is interpolated linearly in arclength on each edge; each edge integral
-    uses the tree's Gauss-Legendre rule (`edge_quadrature`) on the
-    composite integrand.
-    """
-    return _function_modular(F, params, phi).value(1.0)
 
 
 def gradient_lphi_modular(F: TreeFunction, params: TreeParams, phi: YoungPhi) -> float:

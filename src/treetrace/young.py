@@ -8,8 +8,9 @@ array of amplitudes rescaled to a largest value of 1.  Since
 Phi(a/k) = k^-p * a^p * log(e + a/k)^lambda1, an evaluation reads
 w * a^p.  At lambda1 = 0 the build puts w * a^p in place of the
 amplitudes and sums it, and an evaluation is O(1).  Otherwise it keeps
-only the amplitudes, and a full pass forms w * a^p beside one log pass,
-in fixed chunks through two scratch buffers: one float per amplitude (one
+only the amplitudes, and a full pass is one loop over fixed chunks that
+forms w * a^p and the log terms in two scratch buffers (and, at lambda1
+other than 1, two chunk-sized temporaries): one float per amplitude (one
 newtonian_norm at K = 2, N = 20, lambda1 = 1 peaks at 183 MB, where
 keeping w * a^p as well took 309 MB).  Each full pass at x = log k also
 records the sum's first two derivatives in x, and a later call within a
@@ -150,24 +151,26 @@ class YoungModular:
 
     Since Phi(a/k) = k^-p * a^p * log(e + a/k)^lambda1, an evaluation
     reads A = w * a^p / 2^e, with 2^e the power of two at the largest
-    weight (so that tiny weights do not fall into subnormals).  At
-    lambda1 = 0 the build puts A in place of a and keeps sum A, and an
-    evaluation is 2^e * k^-p times sum A, in O(1).  Otherwise the modular
-    keeps a alone and forms A for each chunk of `_CHUNK` elements in a
-    reused buffer: a power, and a multiply by a float or by a view of the
-    segment's weight row repeated to chunk length (`_chunk_weights`).  At
-    lambda1 = 1 a full pass is sum A * log(a + e*k) - log k * sum A:
-    besides forming A, one add, one log and one dot per chunk in a second
-    buffer; other lambda1 add a subtract and a power per chunk.  It holds
-    one float per amplitude, plus at most a chunk per segment.
+    weight (so that tiny weights do not fall into subnormals).  A is
+    formed `_CHUNK` elements at a time (`_form`): a power, and a multiply
+    by a float or by a view of the segment's weight row repeated to chunk
+    length (`_chunk_weights`).  At lambda1 = 0 the build forms A in place
+    of a and keeps sum A, and an evaluation is 2^e * k^-p times sum A, in
+    O(1).  Otherwise the modular keeps a alone and a full pass is one
+    loop over the chunks, forming A in a reused buffer (`_pass`).  At
+    lambda1 = 1 it takes, besides forming A, two adds, a divide, a square,
+    a log and three dot products per chunk in a second buffer; other
+    lambda1 add a log, a subtract, a power, a multiply, a divide, a sum
+    and a dot product per chunk, in two chunk-sized temporaries (256 KiB).
+    It holds one float per amplitude, plus at most a chunk per segment.
 
     A full pass at x = log k records the point (x, F, F', F'') of
     F = sum A l^lambda1, l = log(e + a/k), the value before 2^e k^-p; the
-    derivatives take three more sums in the same buffers (`_pass`).  A
-    call at x' takes the recorded point nearest to it, h = x' - x, and
-    when |h| <= r(lambda1) returns 2^e k'^-p (F + h F' + h^2 F''/2) with
-    no pass over the amplitudes; else it makes a full pass, which records
-    its own point.  Within the radius r (`_expansion_radius`) the Taylor
+    derivatives are among the sums of the same loop.  A call at x' takes
+    the recorded point nearest to it, h = x' - x, and when
+    |h| <= r(lambda1) returns 2^e k'^-p (F + h F' + h^2 F''/2) with no
+    pass over the amplitudes; else it makes a full pass, which records its
+    own point.  Within the radius r (`_expansion_radius`) the Taylor
     remainder is at most 2^-53 of the value, so an expanded value agrees
     with a full pass to rounding (about 1e-15 relative).
 
@@ -191,21 +194,20 @@ class YoungModular:
         self._exp = math.frexp(max((float(w.max()) for w in weights), default=0.0))[1]
         weights = [np.ldexp(w, -self._exp) for w in weights]
         self.start = None
+        chunks = [
+            (a[i : i + _CHUNK], pieces)
+            for i, pieces in zip(range(0, a.size, _CHUNK), _chunk_weights(segments, weights))
+        ]
         if lam == 0.0:
             # A = w a^p / 2^e in place of a, summed once
-            a **= p
-            start = 0
-            for (size, _), w in zip(segments, weights):
-                seg = a[start : start + size].reshape(-1, w.size)
-                seg *= w
-                start += size
+            for chunk, pieces in chunks:
+                _form(chunk, chunk, p, pieces)
             self._total = float(np.sum(a))
             return
         # the log term needs a: A is formed per chunk, in a scratch buffer
         weighted, buf = np.empty(min(a.size, _CHUNK)), np.empty(min(a.size, _CHUNK))
         self._chunks = [
-            (a[i : i + _CHUNK], pieces, weighted[: a.size - i], buf[: a.size - i])
-            for i, pieces in zip(range(0, a.size, _CHUNK), _chunk_weights(segments, weights))
+            (chunk, pieces, weighted[: chunk.size], buf[: chunk.size]) for chunk, pieces in chunks
         ]
         # (x, F, F', F'') at x = log k of each full pass, and how far from
         # one in x the expansion there answers a call
@@ -239,57 +241,48 @@ class YoungModular:
         return factor * self._pass(k, x)
 
     def _pass(self, k: float, log_k: float) -> float:
-        """F at x = log k, recording (x, F, F', F'') where all are finite:
-        with s = a / (a + e*k), F' = -lambda1 S1 and F'' = lambda1
-        (lambda1 - 1) S2 + lambda1 (S1 - S3), S1 = sum A l^(lambda1-1) s,
-        S2 = sum A l^(lambda1-2) s^2, S3 = sum A l^(lambda1-1) s^2."""
+        """F at x = log k, recording (x, F, F', F'') where all are finite.
+
+        With l = log(a + e*k) - log k and s = a / (a + e*k) = -dl/dx, one
+        loop over the chunks weights each chunk's A by l^(lambda1-1) into
+        A~ (not at lambda1 = 1, where that factor is 1 and sum A~ is the
+        build's sum A) and takes
+            F = sum A l^lambda1 = sum A~ log(a + e*k) - log k sum A~,
+            S1 = sum A~ s,  S3 = sum A~ s^2  and  S2 = sum (A~ / l) s^2,
+        S2 not at lambda1 = 1, where its coefficient is 0.  Then
+        F' = -lambda1 S1 and F'' = lambda1 (lambda1 - 1) S2 + lambda1
+        (S1 - S3).  At lambda1 != 1, l and l^(lambda1-1) take a chunk-sized
+        temporary each.  Where e*k overflows (k > 6.6e307) every l rounds
+        to 1 and every s to 0, and F = sum A."""
         lam = self.phi.lambda1
         ek = math.e * k
-
-        def log_term(a, out):  # l = log(a + e*k) - log k
-            np.add(a, ek, out=out)
-            np.log(out, out=out)
-            out -= log_k
-
-        def fraction(a, out):  # s = a / (a + e*k) = -dl/dx
-            np.add(a, ek, out=out)
-            np.divide(a, out, out=out)
-
-        total, s1, s2, s3 = 0.0, 0.0, 0.0, 0.0
+        if ek == math.inf:
+            return self._total
+        total = self._total if lam == 1.0 else 0.0
+        F, s1, s2, s3 = 0.0, 0.0, 0.0, 0.0
         for a, pieces, A, buf in self._chunks:
             _form(A, a, self.phi.p, pieces)
-            if lam == 1.0:
-                fraction(a, buf)
-                s1 += float(A @ buf)
-                np.square(buf, out=buf)
-                s3 += float(A @ buf)
-                np.add(a, ek, out=buf)
-                np.log(buf, out=buf)
-                total += float(A @ buf)
-                continue
-            # A is folded into each product in turn, as buf holds one factor
-            log_term(a, buf)
-            buf **= lam
-            total += float(A @ buf)
-            A *= buf
-            log_term(a, buf)
-            A /= buf
-            fraction(a, buf)
-            A *= buf
-            s1 += float(np.sum(A))  # sum A l^(lambda1 - 1) s
-            s3 += float(A @ buf)  # sum A l^(lambda1 - 1) s^2
-            A *= buf
-            log_term(a, buf)
-            A /= buf
-            s2 += float(np.sum(A))  # sum A l^(lambda1 - 2) s^2
-        if lam == 1.0:
-            total -= log_k * self._total
-        # F' = -lambda1 S1 and F'' = lambda1 (lambda1 - 1) S2 + lambda1 (S1 - S3)
-        point = (log_k, total, -lam * s1, lam * (lam - 1.0) * s2 + lam * (s1 - s3))
+            np.add(a, ek, out=buf)
+            if lam != 1.0:
+                ell = np.log(buf)
+                ell -= log_k
+                A *= ell ** (lam - 1.0)
+                total += float(np.sum(A))
+            np.divide(a, buf, out=buf)
+            s1 += float(A @ buf)
+            np.square(buf, out=buf)
+            s3 += float(A @ buf)
+            if lam != 1.0:
+                s2 += float(np.divide(A, ell, out=ell) @ buf)
+            np.add(a, ek, out=buf)
+            np.log(buf, out=buf)
+            F += float(A @ buf)
+        F -= log_k * total
+        point = (log_k, F, -lam * s1, lam * (lam - 1.0) * s2 + lam * (s1 - s3))
         if all(math.isfinite(v) for v in point):
             self._points.append(point)
         self._passes += 1
-        return total
+        return F
 
     def value(self, k: float) -> float:
         """The modular of the amplitudes as given, at k; a value beyond the
@@ -310,7 +303,9 @@ def _chunk_weights(segments, weights):
     once, so only a chunk that crosses a segment end has several pieces."""
     chunks, start = [], 0
     for (size, _), w in zip(segments, weights):
-        row = float(w[0]) if w.size == 1 else np.tile(w, min(size, _CHUNK) // w.size + 2)
+        row = float(w[0])
+        if w.size > 1:  # np.tile, without most of its call overhead
+            row = np.repeat(w[None], min(size, _CHUNK) // w.size + 2, 0).ravel()
         pos, end = start, start + size
         while pos < end:
             first = pos - pos % _CHUNK
@@ -453,8 +448,12 @@ def luxemburg_gauge(rho, start: tuple[float, float] | None = None) -> float:
     also that rho is 0 after `_MAX_DOUBLINGS` steps down, as for rho
     identically zero.  Running out of steps with rho finite and above 1,
     or positive and at most 1, raises GaugeBracketError.  The returned k
-    satisfies rho(k) <= 1, and the final bracket [lo, k] has
-    k - lo <= `_TOL` * k, with `_TOL` = 1e-10.
+    satisfies rho(k) <= 1 for the values of rho that the solver sampled,
+    and the final bracket [lo, k] has k - lo <= `_TOL` * k, with `_TOL` =
+    1e-10.  A `YoungModular` at lambda1 != 0 answers most calls by an
+    expansion, within about 2e-15 relative of a fresh full pass, so a
+    fresh full pass at k can read 1 plus a few ulp: the bracket is the
+    accuracy of k.
     """
     x0, degree = (0.0, None) if start is None else start
     if start is not None and not (math.isfinite(x0) and 0.0 < degree < math.inf):

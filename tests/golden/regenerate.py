@@ -23,7 +23,9 @@ The cases:
   0 and 1: its depth-8 Hajlasz blocks take the dense dual-ascent form,
   which the default sweep never reaches;
 * `trace-bound` at p = 1.5, lambda1 = 2, depths 8,10, seeds 0 and 1: the
-  modular pass at a lambda1 other than 0 and 1, and at a p other than 2.
+  modular pass at a lambda1 other than 0 and 1, and at a p other than 2;
+* `extension-bound` at p = 3, lambda1 = -1, depths 8,10, seeds 0 and 1:
+  the modular pass at a negative lambda1.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ _LAMBDA1 = "lambda1 = 1\n"
 _DEEP = "lambda1 = 1\ndepths = 12,14,16\nseeds = 0,1\n"
 _DENSE = "lambda1 = 1\ndepths = 6,8\nhajlasz_max_depth = 8\nseeds = 0,1\n"
 _P15_LAMBDA2 = "p = 1.5\nlambda1 = 2\ndepths = 8,10\nseeds = 0,1\n"
+_P3_LAMBDA_MINUS1 = "p = 3\nlambda1 = -1\ndepths = 8,10\nseeds = 0,1\n"
 
 # case -> (config file text or None, the arguments after `treetrace verify`)
 CASES = {
@@ -66,6 +69,7 @@ CASES = {
     "extension-bound-deep": (_DEEP, ["extension-bound"]),
     "equivalence-dense": (_DENSE, ["equivalence"]),
     "trace-bound-p1.5-lambda2": (_P15_LAMBDA2, ["trace-bound"]),
+    "extension-bound-p3-lambda-minus1": (_P3_LAMBDA_MINUS1, ["extension-bound"]),
 }
 
 

@@ -16,7 +16,6 @@ from treetrace import (
     BoundaryFunction,
     ahlfors_ratio,
     TreeParams,
-    arclength,
     lp_norm,
     split_distances,
 )
@@ -27,6 +26,7 @@ from treetrace.address import (
     index_digits,
     level_addresses,
 )
+from treetrace.tree import _arc_below
 
 LN2 = math.log(2.0)
 
@@ -111,7 +111,7 @@ def test_split_level_values_and_errors():
     # apart in the tree; split_distances[k] adds the two rays below them
     p = params(depth=3)
     d = split_distances(p.epsilon, 3)
-    rays = 2.0 * (1.0 / p.epsilon - arclength(p, 3))
+    rays = 2.0 * (1.0 / p.epsilon - _arc_below(p.epsilon, 0, 3))
 
     def split_level(a, b):
         a, b = check_digits(2, a, 3), check_digits(2, b, 3)
@@ -122,7 +122,7 @@ def test_split_level_values_and_errors():
     assert split_level((0, 1, 0), (0, 1, 1)) == 2
     assert split_level((0, 1, 1), (0, 1, 1)) == 3
     for k in range(3):
-        at_split = 2.0 * (arclength(p, 3) - arclength(p, k))
+        at_split = 2.0 * (_arc_below(p.epsilon, 0, 3) - _arc_below(p.epsilon, 0, k))
         assert d[k] - rays == pytest.approx(at_split, rel=1e-12)
     with pytest.raises(ValueError):
         split_level((0, 2, 0), (0, 1, 0))
@@ -137,8 +137,9 @@ def test_boundary_distance_values():
     assert d[0] == pytest.approx(p.diameter, rel=1e-12)  # split level 0
     # the boundary distance is the leaves' tree distance plus the two rays
     # below the leaves, each 1/epsilon - arclength(depth) long
-    rays = 2.0 * (1.0 / p.epsilon - arclength(p, p.depth))
-    leaves = 2.0 * (arclength(p, p.depth) - arclength(p, 1))  # split at level 1
+    rays = 2.0 * (1.0 / p.epsilon - _arc_below(p.epsilon, 0, p.depth))
+    # split at level 1
+    leaves = 2.0 * (_arc_below(p.epsilon, 0, p.depth) - _arc_below(p.epsilon, 0, 1))
     assert d[1] == pytest.approx(leaves + rays, rel=1e-12)
 
 

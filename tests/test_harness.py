@@ -430,12 +430,15 @@ def test_verify_doubling_is_finite_at_large_epsilon(epsilon):
 
 @pytest.mark.parametrize(
     "K, epsilon, beta, depth",
-    [(2, LN2, 2 * LN2, 1060), (2, LN2, 2 * LN2, 1080), (3, 1.0, 2.5, 700)],
+    [(2, LN2, 2 * LN2, 1060), (2, LN2, 2 * LN2, 1080), (3, 1.0, 2.5, 700), (3, 1.0, 2.5, 4000)],
 )
 def test_verify_ahlfors_passes_deep_in_the_tree(K, epsilon, beta, depth):
     # K^(-n) and the split distance to the power Q fall below the normal
     # float range: at depth 1060 the ratio lost digits and the check FAILed
-    # with a spread of 5.3e-6, at 1080 (and at K = 3, depth 700) it was 0/0
+    # with a spread of 5.3e-6, at 1080 (and at K = 3, depth 700) it was 0/0;
+    # with the level terms n log K and Q epsilon n taken apart, at K = 3
+    # each rounded on its own and the spread grew as n, to 1.36e-12 at
+    # depth 4000
     cfg = ExperimentConfig(K=K, epsilon=epsilon, beta=beta, depths=(depth,))
     report = verify_ahlfors(cfg)
     assert report.passed

@@ -13,7 +13,6 @@ from treetrace import (
     EdgePoint,
     TreeParams,
     ahlfors_ratio,
-    arclength,
     ball_measure,
     doubling_ratios,
     edge_length,
@@ -23,7 +22,7 @@ from treetrace import (
     split_distances,
 )
 from treetrace.address import check_digits, index_digits
-from treetrace.tree import QUAD_ORDER, edge_quadrature
+from treetrace.tree import QUAD_ORDER, _arc_below, edge_quadrature
 
 LN2 = math.log(2.0)
 
@@ -171,7 +170,7 @@ def test_split_distances_values():
     # twice the length of a ray below the split vertex
     ray = 1.0 / p.epsilon
     for k in range(p.depth):
-        assert d[k] == pytest.approx(2.0 * (ray - arclength(p, k)), rel=1e-12)
+        assert d[k] == pytest.approx(2.0 * (ray - _arc_below(p.epsilon, 0, k)), rel=1e-12)
 
 
 def test_split_distances_ultrametric_triple():
@@ -227,7 +226,8 @@ def test_ahlfors_ratio_checks_the_address():
 def _vertex_distance(p, x, y):
     x, y = check_digits(p.K, x, p.depth), check_digits(p.K, y, p.depth)
     k = next((i for i, (a, b) in enumerate(zip(x, y)) if a != b), min(len(x), len(y)))
-    return (arclength(p, len(x)) - arclength(p, k)) + (arclength(p, len(y)) - arclength(p, k))
+    at_x, at_y, at_k = _arc_below(p.epsilon, 0, np.array([len(x), len(y), k]))
+    return float((at_x - at_k) + (at_y - at_k))
 
 
 def test_vertex_distance_basic_values():
@@ -238,7 +238,7 @@ def test_vertex_distance_basic_values():
     # two level-N vertices that split at level k, each continued by a ray
     # of length 1/epsilon - arclength(N), are split_distances[k] apart
     d = split_distances(p.epsilon, p.depth)
-    tails = 2.0 * (1.0 / p.epsilon - arclength(p, p.depth))
+    tails = 2.0 * (1.0 / p.epsilon - _arc_below(p.epsilon, 0, p.depth))
     for k in range(p.depth):
         x = (0,) * p.depth
         y = (0,) * k + (1,) + (0,) * (p.depth - k - 1)

@@ -15,7 +15,6 @@ from treetrace import (
     luxemburg_gauge,
     gradient_lphi_modular,
     newtonian_norm,
-    tree_lphi_modular,
     upper_gradient_edges,
 )
 import treetrace.tree_norms as tree_norms
@@ -118,12 +117,14 @@ def test_tree_modular_constant_function():
     c = 1.7
     F = constant_tree(2, 4, c)
     expected = c**2 * truncated_mass(p)
-    assert tree_lphi_modular(F, p, YoungPhi(2.0)) == pytest.approx(expected, rel=1e-12)
+    value = tree_norms._function_modular(F, p, YoungPhi(2.0)).value(1.0)
+    assert value == pytest.approx(expected, rel=1e-12)
 
 
 def test_tree_modular_zero_function():
     p = std_params(3)
-    assert tree_lphi_modular(constant_tree(2, 3, 0.0), p, YoungPhi(2.0, 1.0)) == 0.0
+    zero = tree_norms._function_modular(constant_tree(2, 3, 0.0), p, YoungPhi(2.0, 1.0))
+    assert zero.value(1.0) == 0.0
 
 
 def test_tree_modular_against_adaptive_quadrature():
@@ -153,7 +154,7 @@ def test_tree_modular_against_adaptive_quadrature():
 
             part, err = integrate.quad(integrand, n, n + 1, epsabs=1e-13, epsrel=1e-12)
             total += part
-    assert tree_lphi_modular(F, p, phi) == pytest.approx(total, rel=1e-10)
+    assert tree_norms._function_modular(F, p, phi).value(1.0) == pytest.approx(total, rel=1e-10)
 
 
 @pytest.mark.parametrize("K, depth", [(2, 6), (3, 4), (9, 2), (4, 3)])
@@ -199,7 +200,7 @@ def test_tree_modular_matches_tenfold_quadrature_order():
         tau = n + t
         weights = 0.5 * gw * np.exp(-p.beta * tau) * (tau + p.C_const) ** -1.0
         hi += float(np.sum(phi(vals) * weights))
-    assert tree_lphi_modular(F, p, phi) == pytest.approx(hi, rel=1e-10)
+    assert tree_norms._function_modular(F, p, phi).value(1.0) == pytest.approx(hi, rel=1e-10)
 
 
 def test_gradient_modular_hand_sum():
@@ -228,7 +229,7 @@ def test_modulars_take_no_scale():
     # the modulars are at scale 1; the gauges scale through YoungModular
     p = std_params(2)
     F = constant_tree(2, 2, 1.0)
-    for modular in (tree_lphi_modular, gradient_lphi_modular):
+    for modular in (tree_norms._function_modular, gradient_lphi_modular):
         with pytest.raises(TypeError):
             modular(F, p, YoungPhi(2.0), k=2.0)
 
@@ -248,9 +249,8 @@ def test_newtonian_norm_quadratic_closed_form():
     p = std_params(4)
     F = generate("random-vertex", K=2, depth=4, seed=6)
     phi = YoungPhi(2.0)
-    expected = math.sqrt(tree_lphi_modular(F, p, phi)) + math.sqrt(
-        gradient_lphi_modular(F, p, phi)
-    )
+    expected = math.sqrt(tree_norms._function_modular(F, p, phi).value(1.0))
+    expected += math.sqrt(gradient_lphi_modular(F, p, phi))
     assert newtonian_norm(F, p, phi) == pytest.approx(expected, rel=1e-9)
 
 
@@ -339,14 +339,15 @@ def _gauged_modulars(monkeypatch):
     return gauged
 
 
-def test_newtonian_norm_gauges_take_few_full_passes(monkeypatch):
-    # K = 2, N = 16, lambda1 = 1: the later evaluations of each gauge lie
-    # within the expansion radius of an earlier full pass.  Every
-    # evaluation was a full pass: 4 for the function gauge, 6 for the
+@pytest.mark.parametrize("p, lambda1", [(2.0, 1.0), (2.0, 2.0), (2.0, -0.5), (3.0, -1.0)])
+def test_newtonian_norm_gauges_take_few_full_passes(monkeypatch, p, lambda1):
+    # K = 2, N = 16: the later evaluations of each gauge lie within the
+    # expansion radius of an earlier full pass.  Every evaluation was a
+    # full pass: at lambda1 = 1, 4 for the function gauge and 6 for the
     # gradient gauge
     gauged = _gauged_modulars(monkeypatch)
     F = _extend_boundary(generate("iid-uniform", K=2, depth=16, seed=0).values, 16)
-    newtonian_norm(F, std_params(16), YoungPhi(2.0, 1.0))
+    newtonian_norm(F, std_params(16), YoungPhi(p, lambda1))
     (function, _), (gradient, _) = gauged
     assert function._passes == 1
     assert gradient._passes <= 3
@@ -439,7 +440,7 @@ def test_tree_function_shape_validation():
     assert TreeFunction(2, 1, [0, 1, 2]).values.dtype == np.float64
     p = std_params(3)
     with pytest.raises(ValueError):
-        tree_lphi_modular(constant_tree(2, 2, 1.0), p, YoungPhi(2.0))
+        tree_norms._function_modular(constant_tree(2, 2, 1.0), p, YoungPhi(2.0))
 
 
 def test_tree_function_csv_roundtrip(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -497,14 +498,39 @@ def test_young_modular_value_rejects_nan_and_vanishes_at_infinity(lambda1):
     assert mod.value(math.inf) == 0.0
 
 
+@pytest.mark.parametrize("p, lambda1", [(1.0, 1.0), (1.0, 2.0), (2.0, -0.5)])
+def test_young_modular_where_e_k_overflows(p, lambda1):
+    # beyond k = 6.6e307 e k overflows, every l = log(e + a/k) rounds to 1
+    # and the modular is 2^e k^-p sum A; a pass made a zero amplitude's
+    # term 0 * inf, a NaN with a RuntimeWarning at lambda1 > 0, and read 0
+    # at lambda1 = -0.5.  The direct sum is taken in logs, since at p = 2
+    # it is subnormal
+    a, weight, k = np.array([1.0, 0.5, 0.0, 1e-300]), 1e300, 1.7e308
+    mod = YoungModular(YoungPhi(p, lambda1), a.copy(), [(a.size, weight)])
+    direct = sum(
+        math.exp(
+            math.log(weight)
+            + p * (math.log(x) - math.log(k))
+            + lambda1 * math.log(math.log(math.e + x / k))
+        )
+        for x in a
+        if x > 0.0
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert mod(k) == pytest.approx(direct, rel=1e-12, abs=4 * math.ulp(0.0))
+
+
 @pytest.mark.parametrize("lambda1", [0.0, 1.0, -0.5])
 def test_young_modular_scalar_weight_sums_like_a_one_column_product(lambda1):
     # a scalar weight is a one-column weight vector, and an evaluation is
-    # 2^e k^-p sum_i A_i L_i with A = w a^p / 2^e (2^e at the weight) and
-    # L = log(a + e k) - log k to the lambda1, in chunks of _CHUNK elements,
-    # each summed by one dot product; at lambda1 = 1 the log k term is
-    # taken out of the sum; the sum of A is taken at build, over the whole
-    # array at lambda1 = 0 and chunk by chunk otherwise
+    # 2^e k^-p sum_i A_i l_i^lambda1 with A = w a^p / 2^e (2^e at the
+    # weight) and l = log(a + e k) - log k.  The sum of A is taken at
+    # build, over the whole array at lambda1 = 0 and chunk by chunk
+    # otherwise.  Otherwise a pass weights each chunk of _CHUNK elements
+    # by l^(lambda1 - 1) (not at lambda1 = 1) and takes
+    # sum A l^lambda1 = sum A l^(lambda1 - 1) log(a + e k) - log k times
+    # sum A l^(lambda1 - 1), each chunk by one dot product and one sum
     phi = YoungPhi(2.0, lambda1)
     rng = np.random.default_rng(5)
     for size in (1, 7, 4096, 65_537):
@@ -514,21 +540,23 @@ def test_young_modular_scalar_weight_sums_like_a_one_column_product(lambda1):
         column = YoungModular(phi, a.copy(), [(size, np.array([w]))])
         e = math.frexp(w)[1]
         weighted = (a / mod.scale) ** 2 * math.ldexp(w, -e)
+        chunks = [slice(i, i + _CHUNK) for i in range(0, size, _CHUNK)]
         if lambda1 == 0.0:
             total = float(np.sum(weighted))
         else:
-            total = sum(float(np.sum(weighted[i : i + _CHUNK])) for i in range(0, size, _CHUNK))
+            total = sum(float(np.sum(weighted[c])) for c in chunks)
         for k in (0.4, 1.0, 2.5):
             expect = total
             if lambda1 != 0.0:
-                expect = 0.0
-                for i in range(0, size, _CHUNK):
-                    log = np.log(a[i : i + _CHUNK] / mod.scale + math.e * k)
+                expect, tilde_total = 0.0, total if lambda1 == 1.0 else 0.0
+                for c in chunks:
+                    log = np.log(a[c] / mod.scale + math.e * k)
+                    tilde = weighted[c]
                     if lambda1 != 1.0:
-                        log = (log - math.log(k)) ** lambda1
-                    expect += float(weighted[i : i + _CHUNK] @ log)
-                if lambda1 == 1.0:
-                    expect -= math.log(k) * total
+                        tilde = tilde * (log - math.log(k)) ** (lambda1 - 1.0)
+                        tilde_total += float(np.sum(tilde))
+                    expect += float(tilde @ log)
+                expect -= math.log(k) * tilde_total
             expect *= math.ldexp(k**-2.0, e)
             assert mod(k) == column(k) == expect
 
