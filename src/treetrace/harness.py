@@ -447,7 +447,14 @@ def verify_extension_bound(cfg: ExperimentConfig) -> RatioReport:
                 "energy_ratio": gmod / dmod,
             }
         )
-    return RatioReport("extension-bound", rows, ("ratio", "energy_ratio"))
+    # at lambda1 = lambda2 = 0 every row's energy_ratio is
+    # (e^beta - 1)/beta * (epsilon/(e^epsilon - 1))^p, whatever the sample
+    return RatioReport(
+        "extension-bound",
+        rows,
+        ("ratio", "energy_ratio"),
+        identities=("energy_ratio",) if cfg.lambda1 == cfg.lambda2 == 0.0 else (),
+    )
 
 
 def tail_constant(epsilon: float, theta: float, p: float, lam: float) -> float:

@@ -7,7 +7,10 @@ builds the modulars sum w * Phi(a / k) once per function, over one flat
 array of amplitudes rescaled to a largest value of 1.  Since
 Phi(a/k) = k^-p * a^p * log(e + a/k)^lambda1, an evaluation reads
 w * a^p.  At lambda1 = 0 the build puts w * a^p in place of the
-amplitudes and sums it, and an evaluation is O(1).  Otherwise it keeps
+amplitudes and sums it, and an evaluation is O(1); it weights each chunk
+by one multiply per run of segments with one row length, so it costs a
+fixed handful of numpy calls per chunk, whatever its number of
+segments (scalar weights stay floats).  Otherwise it keeps
 only the amplitudes, and a full pass is one loop over fixed chunks that
 forms w * a^p and the log terms in two scratch buffers (and, at lambda1
 other than 1, two chunk-sized temporaries): one float per amplitude (one
@@ -34,6 +37,7 @@ monotonicity.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -142,22 +146,32 @@ class YoungModular:
 
     `a` is a flat array of nonnegative amplitudes in consecutive segments:
     `segments` lists (size, w) in order, and a segment of `size` entries
-    is read as rows of len(w) entries with the weights w (a scalar or a
-    vector) applied along each row.  The array is taken over and divided
-    in place by its largest value `scale`.  Calling the object evaluates
-    the modular of a / scale, whose gauge is of order 1 however large or
-    small a is; by homogeneity the gauge of a is `scale` times that gauge,
-    and `value(k)` is the modular of a itself.
+    is read as rows of len(w) entries with the weights w (a float, or a
+    numpy array whose length divides `size`) applied along each row.  The
+    array is taken over and divided in place by its largest value
+    `scale`.  Calling the object evaluates the modular of a / scale, whose
+    gauge is of order 1 however large or small a is; by homogeneity the
+    gauge of a is `scale` times that gauge, and `value(k)` is the modular
+    of a itself.
 
     Since Phi(a/k) = k^-p * a^p * log(e + a/k)^lambda1, an evaluation
     reads A = w * a^p / 2^e, with 2^e the power of two at the largest
-    weight (so that tiny weights do not fall into subnormals).  A is
-    formed `_CHUNK` elements at a time (`_form`): a power, and a multiply
-    by a float or by a view of the segment's weight row repeated to chunk
-    length (`_chunk_weights`).  At lambda1 = 0 the build forms A in place
-    of a and keeps sum A, and an evaluation is 2^e * k^-p times sum A, in
-    O(1).  Otherwise the modular keeps a alone and a full pass is one
-    loop over the chunks, forming A in a reused buffer (`_pass`).  At
+    weight (so that tiny weights do not fall into subnormals).  A scalar
+    weight stays a float, and the weight rows sit in one table, so e
+    comes from one max over the floats and the table.  A is formed
+    `_CHUNK` elements at a time (`_form`): a power, then the multiplies
+    of `_chunk_weights`.  At lambda1 = 0 the build forms A in place of a
+    and keeps sum A (one sum over the whole array), and an evaluation is
+    2^e * k^-p times sum A, in O(1).  Its weights serve once, so each
+    chunk takes one multiply per run of consecutive segments with one
+    row length: by the float of a single scalar segment, else by an array
+    that one repeat makes from the run's floats or rows.  The build is
+    thus a fixed handful of numpy calls per chunk, whatever its number of
+    segments.  Otherwise the modular keeps a alone, with one multiply per
+    segment piece of a chunk, by a float or by a view of the segment's
+    row repeated to chunk length, and a full pass is one loop over the
+    chunks, forming A in a reused buffer (`_pass`).  Either way each A is
+    the same product w a^p / 2^e, bit for bit.  At
     lambda1 = 1 it takes, besides forming A, two adds, a divide, a square,
     a log and three dot products per chunk in a second buffer; other
     lambda1 add a log, a subtract, a power, a multiply, a divide, a sum
@@ -185,29 +199,50 @@ class YoungModular:
     def __init__(self, phi: YoungPhi, a: np.ndarray, segments) -> None:
         self.phi = phi
         p, lam = phi.p, phi.lambda1
-        weights = [np.atleast_1d(np.asarray(w, dtype=float)) for _, w in segments]
-        if sum(size for size, _ in segments) != a.size:
+        # a scalar weight stays a float; the rows go to one table, and a
+        # segment with a row keeps its slice there
+        sizes, weights, rows, width = [], [], [], 0
+        for size, w in segments:
+            if not isinstance(w, np.ndarray):
+                w = float(w)
+            elif w.size > 1:
+                if size % w.size:
+                    raise ValueError(
+                        "a segment's size must be a multiple of its weight row length"
+                    )
+                rows.append(w)
+                w = slice(width, width + w.size)
+                width = w.stop
+            else:
+                w = float(w.item())
+            sizes.append(size)
+            weights.append(w)
+        if sum(sizes) != a.size:
             raise ValueError("segment sizes must add up to the amplitude count")
         self.scale = float(a.max()) if a.size else 0.0
         if self.scale > 0.0:
             a /= self.scale
-        self._exp = math.frexp(max((float(w.max()) for w in weights), default=0.0))[1]
-        weights = [np.ldexp(w, -self._exp) for w in weights]
+        # 2^e at the largest weight: one pass over the floats and the table
+        maxima = [w for w in weights if isinstance(w, float)]
+        if rows:
+            table = np.concatenate(rows, axis=None, dtype=float)
+            maxima.append(float(table.max()))
+        self._exp = e = math.frexp(max(maxima, default=0.0))[1]
+        weights = [math.ldexp(w, -e) if isinstance(w, float) else w for w in weights]
+        table = np.ldexp(table, -e) if rows else None
         self.start = None
-        chunks = [
-            (a[i : i + _CHUNK], pieces)
-            for i, pieces in zip(range(0, a.size, _CHUNK), _chunk_weights(segments, weights))
-        ]
+        chunks = [a[i : i + _CHUNK] for i in range(0, a.size, _CHUNK)]
         if lam == 0.0:
             # A = w a^p / 2^e in place of a, summed once
-            for chunk, pieces in chunks:
-                _form(chunk, chunk, p, pieces)
-            self._total = float(np.sum(a))
+            for chunk, ops in zip(chunks, _chunk_weights(sizes, weights, table, merge=True)):
+                _form(chunk, chunk, p, ops)
+            self._total = float(a.sum())
             return
         # the log term needs a: A is formed per chunk, in a scratch buffer
         weighted, buf = np.empty(min(a.size, _CHUNK)), np.empty(min(a.size, _CHUNK))
         self._chunks = [
-            (chunk, pieces, weighted[: chunk.size], buf[: chunk.size]) for chunk, pieces in chunks
+            (chunk, pieces, weighted[: chunk.size], buf[: chunk.size])
+            for chunk, pieces in zip(chunks, _chunk_weights(sizes, weights, table, merge=False))
         ]
         # (x, F, F', F'') at x = log k of each full pass, and how far from
         # one in x the expansion there answers a call
@@ -295,39 +330,60 @@ class YoungModular:
         return value
 
 
-def _chunk_weights(segments, weights):
+def _chunk_weights(sizes, weights, table, merge):
     """The weights of each `_CHUNK` elements of the flat amplitude array, as
-    (lo, hi, w) pieces in chunk positions: w is a float for a one-entry
-    weight row, else a view of the segment's row repeated to chunk length,
-    at the row phase where the piece starts.  Each segment repeats its row
-    once, so only a chunk that crosses a segment end has several pieces."""
-    chunks, start = [], 0
-    for (size, _), w in zip(segments, weights):
-        row = float(w[0])
-        if w.size > 1:  # np.tile, without most of its call overhead
-            row = np.repeat(w[None], min(size, _CHUNK) // w.size + 2, 0).ravel()
-        pos, end = start, start + size
-        while pos < end:
-            first = pos - pos % _CHUNK
-            if first == pos:
-                chunks.append([])
-            hi = min(end, first + _CHUNK)
-            phase = (pos - start) % w.size
-            piece = row if w.size == 1 else row[phase : phase + hi - pos]
-            chunks[-1].append((pos - first, hi - first, piece))
-            pos = hi
-        start = end
+    (lo, hi, w) multiplies in chunk positions.  `weights` holds a float for
+    a segment with a scalar weight, else the slice of `table` that holds
+    its row.  A piece of one segment is weighted by its float, or by a view
+    of its row repeated to chunk length (once per segment) at the row phase
+    where the piece starts.  With `merge`, the pieces of consecutive
+    segments with one row length in a chunk are one multiply instead, by an
+    array that one repeat makes from their floats or rows: a build weights
+    each chunk once, while a modular keeps the pieces for its passes."""
+    bounds = [0, *itertools.accumulate(sizes)]
+    widths = [1 if isinstance(w, float) else w.stop - w.start for w in weights]
+    repeated = {}  # segment -> its row repeated to chunk length
+    chunks, first = [], 0
+    for c0 in range(0, bounds[-1], _CHUNK):
+        c1 = min(c0 + _CHUNK, bounds[-1])
+        while bounds[first + 1] <= c0:
+            first += 1
+        ops, k = [], first
+        while k < len(sizes) and bounds[k] < c1:
+            w, m, j = weights[k], widths[k], k + 1
+            while merge and j < len(sizes) and bounds[j] < c1 and widths[j] == m:
+                j += 1
+            lo, hi = max(bounds[k], c0), min(bounds[j], c1)
+            phase = (lo - bounds[k]) % m
+            if j > k + 1:
+                # the rows each piece touches: each segment's end is a row end
+                counts = [size // m for size in sizes[k:j]]
+                counts[0] = -(-(bounds[k + 1] - lo) // m)
+                counts[-1] = -(-(hi - bounds[j - 1]) // m)
+                if m == 1:
+                    w = np.array(weights[k:j]).repeat(counts)
+                else:
+                    stack = table[w.start : weights[j - 1].stop].reshape(-1, m)
+                    w = stack.repeat(counts, 0).ravel()[phase : phase + hi - lo]
+            elif m > 1:
+                if k not in repeated:
+                    repeated[k] = table[w][None].repeat(min(sizes[k], _CHUNK) // m + 2, 0).ravel()
+                w = repeated[k][phase : phase + hi - lo]
+            ops.append((lo - c0, hi - c0, w))
+            k = j
+        chunks.append(ops)
     return chunks
 
 
-def _form(out: np.ndarray, a: np.ndarray, p: float, pieces) -> None:
-    """A = w a^p / 2^e for one chunk of amplitudes a, into `out`.  At p = 2
-    np.square gives the bits of np.power in a third of the time."""
+def _form(out: np.ndarray, a: np.ndarray, p: float, ops) -> None:
+    """A = w a^p / 2^e for one chunk of amplitudes a, into `out`, with the
+    chunk's (lo, hi, w) multiplies.  At p = 2 np.square gives the bits of
+    np.power in a third of the time."""
     if p == 2.0:
         np.square(a, out=out)
     else:
         np.power(a, p, out=out)
-    for lo, hi, w in pieces:
+    for lo, hi, w in ops:
         out[lo:hi] *= w
 
 

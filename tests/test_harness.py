@@ -331,6 +331,21 @@ def test_extension_bound_energy_ratio_is_its_closed_form(K, epsilon):
             assert row["energy_ratio"] == pytest.approx(want, rel=1e-12), p
 
 
+@pytest.mark.parametrize(
+    "lambdas, evidence",
+    [((0.0, 0.0), ["ratio"]), ((0.0, 1.0), ["ratio", "energy_ratio"]),
+     ((1.0, 0.0), ["ratio", "energy_ratio"])],
+    ids=["lambdas-0", "lambda2-1", "lambda1-1"],
+)
+def test_extension_bound_energy_ratio_is_no_evidence_at_lambda_zero(lambdas, evidence):
+    # energy_ratio is its closed form at lambda1 = lambda2 = 0 (above), so
+    # there it is no evidence; both columns are judged at every lambda
+    lambda1, lambda2 = lambdas
+    report = verify_extension_bound(small_cfg(lambda1=lambda1, lambda2=lambda2))
+    assert report.evidence == evidence
+    assert report.passed == all(report.stats[col].within() for col in ("ratio", "energy_ratio"))
+
+
 def test_extension_bound_rejects_tree_family():
     with pytest.raises(ValueError, match="boundary family"):
         verify_extension_bound(small_cfg(family="random-vertex"))
@@ -901,6 +916,59 @@ def test_cli_closed_standard_output_keeps_the_report_and_verdict(tmp_path):
     assert proc.returncode == verdict
     assert proc.stderr == b""
     assert (tmp_path / "piped.csv").read_bytes() == (tmp_path / "direct.csv").read_bytes()
+
+
+def test_cli_consecutive_calls_in_one_process_behave_as_fresh_processes(
+    tmp_path, capsys, monkeypatch
+):
+    # main builds its parser once per process: each call must still read
+    # its own arguments alone, with the exit code, output and files of the
+    # same command run in a fresh process.  A flag or a family given to
+    # one call does not reach the next, and a bad argument between two
+    # good calls changes neither
+    calls = [
+        ["verify", "trace-bound", "--config", "cfg.txt", "--out", "a.csv", "--emit-plot-data"],
+        ["verify", "trace-bound", "--config", "cfg.txt", "--out", "b.csv"],
+        ["gen", "--config", "cfg.txt", "--family", "lacunary", "--out", "g1.csv"],
+        ["gen", "--config", "cfg.txt", "--out", "g2.csv"],
+        ["verify", "no-such-check", "--config", "cfg.txt"],
+        ["gen", "--config", "cfg.txt", "--depth", "three"],
+        ["verify", "doubling", "--config", "cfg.txt", "--seed", "-1"],
+        ["verify", "extension-bound", "--config", "cfg.txt", "--out", "c.csv"],
+    ]
+    here, fresh = tmp_path / "here", tmp_path / "fresh"
+    for where in (here, fresh):
+        where.mkdir()
+        (where / "cfg.txt").write_text("seeds = 0\ndepths = 3,4\n")
+    monkeypatch.chdir(here)
+    results = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        text = capsys.readouterr()
+        results.append((code, text.out, text.err))
+        proc = subprocess.run(
+            [sys.executable, "-m", "treetrace", *argv],
+            capture_output=True,
+            text=True,
+            cwd=fresh,
+            env=_package_env(),
+            timeout=120,
+        )
+        assert results[-1] == (proc.returncode, proc.stdout, proc.stderr), argv
+        assert sorted(os.listdir(here)) == sorted(os.listdir(fresh)), argv
+    for name in os.listdir(here):
+        assert (here / name).read_bytes() == (fresh / name).read_bytes(), name
+    assert (here / "a.csv.plot.csv").exists() and not (here / "b.csv.plot.csv").exists()
+    assert [code for code, _, _ in results] == [0, 0, 0, 0, 2, 2, 2, 0]
+    assert results[3][1] == "wrote boundary function (iid-uniform, seed 0, depth 3) to g2.csv\n"
+    # argparse's own lines; their quoting of values varies by Python version
+    assert "treetrace verify: error: argument check: invalid choice: " in results[4][2]
+    assert "no-such-check" in results[4][2]
+    assert "treetrace gen: error: argument --depth: invalid int value: " in results[5][2]
+    assert results[6][2].startswith("treetrace: error: seeds ")
 
 
 def test_cli_failing_standard_output_exits_2_with_one_error_line(monkeypatch, capsys):

@@ -464,6 +464,130 @@ def test_young_modular_matches_direct_sum():
                     assert mod.value(k) == pytest.approx(direct, rel=1e-12)
 
 
+def _oracle_chunk_weights(segments, weights):
+    """The per-piece chunk weights of the earlier build: a float for a
+    one-entry row, else a view of the row repeated to chunk length, one
+    (lo, hi, w) piece per segment in each chunk it meets."""
+    chunks, start = [], 0
+    for (size, _), w in zip(segments, weights):
+        row = float(w[0])
+        if w.size > 1:
+            row = np.repeat(w[None], min(size, _CHUNK) // w.size + 2, 0).ravel()
+        pos, end = start, start + size
+        while pos < end:
+            first = pos - pos % _CHUNK
+            if first == pos:
+                chunks.append([])
+            hi = min(end, first + _CHUNK)
+            phase = (pos - start) % w.size
+            piece = row if w.size == 1 else row[phase : phase + hi - pos]
+            chunks[-1].append((pos - first, hi - first, piece))
+            pos = hi
+        start = end
+    return chunks
+
+
+def _oracle_build(phi, a, segments):
+    """(scale, e, sum A, start, A) of the earlier build, which weighted
+    every segment by an array of its own and each chunk piece by piece."""
+    p, lam = phi.p, phi.lambda1
+    weights = [np.atleast_1d(np.asarray(w, dtype=float)) for _, w in segments]
+    scale = float(a.max()) if a.size else 0.0
+    if scale > 0.0:
+        a /= scale
+    e = math.frexp(max((float(w.max()) for w in weights), default=0.0))[1]
+    weights = [np.ldexp(w, -e) for w in weights]
+    A, weighted = np.empty_like(a), np.empty(min(a.size, _CHUNK))
+    total, dot = 0.0, 0.0
+    for i, pieces in zip(range(0, a.size, _CHUNK), _oracle_chunk_weights(segments, weights)):
+        chunk = a[i : i + _CHUNK]
+        out = weighted[: chunk.size]
+        if p == 2.0:
+            np.square(chunk, out=out)
+        else:
+            np.power(chunk, p, out=out)
+        for lo, hi, w in pieces:
+            out[lo:hi] *= w
+        A[i : i + _CHUNK] = out
+        total += float(np.sum(out))
+        dot += float(out @ chunk)
+    start = None
+    if lam == 0.0:
+        total = float(np.sum(A))
+    elif total > 0.0:
+        x0 = _mean_field_root(p, lam, e * math.log(2.0) + math.log(total), dot / total)
+        start = None if x0 is None else (x0, p)
+    return scale, e, total, start, A
+
+
+def _oracle_layouts(rng):
+    """(amplitudes, segments): one to seven scalar or 8-entry row segments,
+    rows whose chunk ends fall at each of the 8 row phases over more than
+    three chunks, 5-entry rows over five chunks, single segments of 1
+    element to more than three chunks, and all-zero amplitudes."""
+    layouts = []
+    for count in range(1, 8):
+        scalars = [(int(rng.integers(1, 40)), float(rng.uniform(0.1, 1.0))) for _ in range(count)]
+        rows = [(8 * int(rng.integers(1, 12)), rng.uniform(0.1, 1.0, 8)) for _ in range(count)]
+        mixed = [scalars[i] if i % 2 else rows[i] for i in range(count)]
+        layouts += [scalars, rows, mixed]
+    for head in range(8):
+        rows = [(8 * (3 * _CHUNK // 16 + i), rng.uniform(0.1, 1.0, 8)) for i in (0, 1)]
+        layouts.append([(head, 0.5), *rows, (7, 2.0)])
+    # 5-entry rows: _CHUNK is 4 past a multiple of 5, so their phase at a
+    # chunk end moves from chunk to chunk
+    rows5 = [(5 * (_CHUNK + 7), rng.uniform(0.1, 1.0, 5)), (300, rng.uniform(0.1, 1.0, 300))]
+    layouts.append([(3, 0.5), *rows5])
+    for size in (1, 7, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5):
+        layouts += [[(size, 0.37)], [(size, np.array([0.37]))]]
+    layouts.append([(8, rng.uniform(0.1, 1.0, 8)), (_CHUNK, 1e-310), (3, np.array([1e-300]))])
+    cases = []
+    for segments in layouts:
+        size = sum(n for n, _ in segments)
+        a = 10.0 ** rng.uniform(-6.0, 0.0, size)
+        a[rng.random(size) < 0.01] = 0.0
+        cases.append((a, segments))
+    cases.append((np.zeros(24), [(16, rng.uniform(0.1, 1.0, 8)), (8, 0.5)]))
+    return cases
+
+
+@pytest.mark.parametrize(
+    "p, lambda1",
+    [
+        (p, lambda1)
+        for p in (1.0, 1.5, 2.0, 3.0)
+        for lambda1 in (0.0, 1.0, -0.5, 2.0)
+        if p > 1.0 or lambda1 >= 0.0
+    ],
+)
+def test_young_modular_build_matches_the_piecewise_oracle_bitwise(p, lambda1):
+    # the build weights a chunk by one multiply per run of segments with
+    # one row length; the oracle by one multiply per segment piece.  Both
+    # give the same bits: scale, e, sum A, the mean-field start and every
+    # A = w a^p / 2^e (formed in place at lambda1 = 0, and by each pass's
+    # pieces otherwise)
+    phi = YoungPhi(p, lambda1)
+    for a, segments in _oracle_layouts(np.random.default_rng(11)):
+        mod_a, oracle_a = a.copy(), a.copy()
+        mod = YoungModular(phi, mod_a, segments)
+        scale, e, total, start, A = _oracle_build(phi, oracle_a, segments)
+        assert (mod.scale, mod._exp, mod._total, mod.start) == (scale, e, total, start)
+        if lambda1 == 0.0:
+            formed = mod_a
+        else:
+            assert mod_a.tobytes() == oracle_a.tobytes()
+            formed = np.empty_like(a)
+            for i, (chunk, pieces, out, _) in zip(range(0, a.size, _CHUNK), mod._chunks):
+                young._form(out, chunk, p, pieces)
+                formed[i : i + _CHUNK] = out
+        assert formed.tobytes() == A.tobytes()
+
+
+def test_young_modular_rejects_a_segment_of_partial_rows():
+    with pytest.raises(ValueError, match="multiple of its weight row length"):
+        YoungModular(YoungPhi(2.0), np.ones(12), [(12, np.ones(8))])
+
+
 def test_young_modular_rejects_segments_that_do_not_cover_the_amplitudes():
     with pytest.raises(ValueError, match="segment sizes"):
         YoungModular(YoungPhi(2.0), np.ones(5), [(4, 1.0)])
