@@ -6,20 +6,19 @@ to 0 as k grows.  The gauge is inf{k > 0 : rho(k) <= 1}.  `YoungModular`
 builds the modulars sum w * Phi(a / k) once per function, over one flat
 array of amplitudes rescaled to a largest value of 1.  Since
 Phi(a/k) = k^-p * a^p * log(e + a/k)^lambda1, an evaluation reads
-w * a^p.  At lambda1 = 0 the build puts w * a^p in place of the
-amplitudes and sums it, and an evaluation is O(1); it weights each chunk
-by one multiply per run of segments with one row length, so it costs a
-fixed handful of numpy calls per chunk, whatever its number of
-segments (scalar weights stay floats).  Otherwise it keeps
-only the amplitudes, and a full pass is one loop over fixed chunks that
-forms w * a^p and the log terms in two scratch buffers (and, at lambda1
-other than 1, two chunk-sized temporaries): one float per amplitude (one
-newtonian_norm at K = 2, N = 20, lambda1 = 1 peaks at 183 MB, where
-keeping w * a^p as well took 309 MB).  Each full pass at x = log k also
-records the sum's first two derivatives in x, and a later call within a
-radius r(lambda1) of a recorded x (8.7e-6 at lambda1 = 1) is answered by
-the second-order expansion there, whose remainder is at most 2^-53 of
-the value.
+w * a^p, which the build and every full pass form by one power and one
+multiply per chunk, over chunks cut at segment and row starts.  At
+lambda1 = 0 the build puts w * a^p in place of the amplitudes and sums
+it, and an evaluation is O(1).  Otherwise it keeps only the amplitudes,
+and a full pass is one loop over the chunks that forms w * a^p and the
+log terms in two scratch buffers (and, at lambda1 other than 1, two
+chunk-sized temporaries): one float per amplitude (one newtonian_norm
+at K = 2, N = 20, lambda1 = 1 peaks at 183 MB, where keeping w * a^p
+as well took 309 MB).  Each full pass at x = log k also records the
+sum's first two derivatives in x, and a later call within a radius
+r(lambda1) of a recorded x (8.7e-6 at lambda1 = 1) is answered by the
+second-order expansion there, whose remainder is at most 2^-53 of the
+value.
 At lambda1 != 0 the build also solves the mean-field equation, rho = 1
 with every amplitude replaced by their mean weighted by w * a^p, for a
 start k0.  The solver treats rho as a black box (no derivatives): it
@@ -37,7 +36,6 @@ monotonicity.
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -61,7 +59,8 @@ _LOG_RANGE = (math.log(math.ulp(0.0)), math.log(sys.float_info.max))
 # for a bracket takes at most _MAX_DOUBLINGS steps
 _TOL = 1e-10
 _MAX_DOUBLINGS = 200
-# elements per pass of a modular evaluation: the size of its scratch buffer
+# the largest chunk of a modular's build and passes, in elements, but for
+# a weight row longer than that, which is a chunk of its own
 _CHUNK = 1 << 14
 
 
@@ -147,36 +146,42 @@ class YoungModular:
     `a` is a flat array of nonnegative amplitudes in consecutive segments:
     `segments` lists (size, w) in order, and a segment of `size` entries
     is read as rows of len(w) entries with the weights w (a float, or a
-    numpy array whose length divides `size`) applied along each row.  The
-    array is taken over and divided in place by its largest value
-    `scale`.  Calling the object evaluates the modular of a / scale, whose
-    gauge is of order 1 however large or small a is; by homogeneity the
-    gauge of a is `scale` times that gauge, and `value(k)` is the modular
-    of a itself.
+    numpy array whose length divides `size`) applied along each row.  A
+    negative size, sizes that do not add up to len(a), a partial row and a
+    NaN or infinite amplitude are ValueErrors; a negative amplitude is not
+    checked (one a.min() takes about 8 ms over the 15.8M amplitudes of a
+    deep-sweep benchmark run, some 3% of its norm time).  The array is
+    taken over and divided in place by its largest value `scale`.  Calling
+    the object evaluates the modular of a / scale, whose gauge is of order
+    1 however large or small a is; by homogeneity the gauge of a is
+    `scale` times that gauge, and `value(k)` is the modular of a itself.
 
     Since Phi(a/k) = k^-p * a^p * log(e + a/k)^lambda1, an evaluation
     reads A = w * a^p / 2^e, with 2^e the power of two at the largest
     weight (so that tiny weights do not fall into subnormals).  A scalar
     weight stays a float, and the weight rows sit in one table, so e
-    comes from one max over the floats and the table.  A is formed
-    `_CHUNK` elements at a time (`_form`): a power, then the multiplies
-    of `_chunk_weights`.  At lambda1 = 0 the build forms A in place of a
+    comes from one max over the floats and the table.  The build and every
+    full pass form A over one plan of chunks (`_chunk_plan`), each by one
+    power and one multiply (`_form`).  A chunk is a run of whole
+    consecutive segments with one row length and at most `_CHUNK`
+    elements, multiplied by the float of a single scalar segment or by
+    the array that one repeat makes from the run's floats or rows (not
+    kept); or whole rows of one longer segment (a row longer than `_CHUNK`
+    alone), multiplied by its float or by a view of its row tiled to chunk
+    length.  Each A is the same product w a^p / 2^e, bit for bit, wherever
+    the chunks are cut.  At lambda1 = 0 the build forms A in place of a
     and keeps sum A (one sum over the whole array), and an evaluation is
-    2^e * k^-p times sum A, in O(1).  Its weights serve once, so each
-    chunk takes one multiply per run of consecutive segments with one
-    row length: by the float of a single scalar segment, else by an array
-    that one repeat makes from the run's floats or rows.  The build is
-    thus a fixed handful of numpy calls per chunk, whatever its number of
-    segments.  Otherwise the modular keeps a alone, with one multiply per
-    segment piece of a chunk, by a float or by a view of the segment's
-    row repeated to chunk length, and a full pass is one loop over the
-    chunks, forming A in a reused buffer (`_pass`).  Either way each A is
-    the same product w a^p / 2^e, bit for bit.  At
-    lambda1 = 1 it takes, besides forming A, two adds, a divide, a square,
-    a log and three dot products per chunk in a second buffer; other
-    lambda1 add a log, a subtract, a power, a multiply, a divide, a sum
-    and a dot product per chunk, in two chunk-sized temporaries (256 KiB).
-    It holds one float per amplitude, plus at most a chunk per segment.
+    2^e * k^-p times sum A, in O(1).  Otherwise the modular keeps a alone,
+    and a full pass is one loop over the chunks, forming A in a reused
+    buffer (`_pass`); its sums go chunk by chunk, so over several chunks
+    they can differ by an ulp from sums over other bounds.  At lambda1 = 1
+    it takes, besides forming A, two adds, a divide, a square, a log and
+    three dot products per chunk in a second buffer; other lambda1 add a
+    log, a subtract, a power, a multiply, a divide, a sum and a dot
+    product per chunk, in two chunk-sized temporaries (256 KiB).  It holds
+    one float per amplitude, two scratch buffers of the longest chunk and
+    one tiled row per segment longer than `_CHUNK`: no weight array as
+    long as the amplitudes outlives the build.
 
     A full pass at x = log k records the point (x, F, F', F'') of
     F = sum A l^lambda1, l = log(e + a/k), the value before 2^e k^-p; the
@@ -203,6 +208,8 @@ class YoungModular:
         # segment with a row keeps its slice there
         sizes, weights, rows, width = [], [], [], 0
         for size, w in segments:
+            if size < 0:
+                raise ValueError(f"segment sizes must be nonnegative, got {size!r}")
             if not isinstance(w, np.ndarray):
                 w = float(w)
             elif w.size > 1:
@@ -220,6 +227,8 @@ class YoungModular:
         if sum(sizes) != a.size:
             raise ValueError("segment sizes must add up to the amplitude count")
         self.scale = float(a.max()) if a.size else 0.0
+        if not math.isfinite(self.scale):
+            raise ValueError(f"amplitudes must be finite, got a largest value of {self.scale!r}")
         if self.scale > 0.0:
             a /= self.scale
         # 2^e at the largest weight: one pass over the floats and the table
@@ -231,18 +240,19 @@ class YoungModular:
         weights = [math.ldexp(w, -e) if isinstance(w, float) else w for w in weights]
         table = np.ldexp(table, -e) if rows else None
         self.start = None
-        chunks = [a[i : i + _CHUNK] for i in range(0, a.size, _CHUNK)]
+        plan = _chunk_plan(sizes, weights, table)
         if lam == 0.0:
             # A = w a^p / 2^e in place of a, summed once
-            for chunk, ops in zip(chunks, _chunk_weights(sizes, weights, table, merge=True)):
-                _form(chunk, chunk, p, ops)
+            for lo, hi, w, counts in plan:
+                _form(a[lo:hi], a[lo:hi], p, w, counts)
             self._total = float(a.sum())
             return
         # the log term needs a: A is formed per chunk, in a scratch buffer
-        weighted, buf = np.empty(min(a.size, _CHUNK)), np.empty(min(a.size, _CHUNK))
+        n = max((hi - lo for lo, hi, _, _ in plan), default=0)
+        weighted, buf = np.empty(n), np.empty(n)
         self._chunks = [
-            (chunk, pieces, weighted[: chunk.size], buf[: chunk.size])
-            for chunk, pieces in zip(chunks, _chunk_weights(sizes, weights, table, merge=False))
+            (a[lo:hi], w, counts, weighted[: hi - lo], buf[: hi - lo])
+            for lo, hi, w, counts in plan
         ]
         # (x, F, F', F'') at x = log k of each full pass, and how far from
         # one in x the expansion there answers a call
@@ -250,8 +260,8 @@ class YoungModular:
         self._radius = _expansion_radius(lam)
         self._passes = 0
         self._total, dot = 0.0, 0.0
-        for chunk, pieces, A, _ in self._chunks:
-            _form(A, chunk, p, pieces)
+        for chunk, w, counts, A, _ in self._chunks:
+            _form(A, chunk, p, w, counts)
             self._total += float(np.sum(A))
             dot += float(A @ chunk)
         if self._total > 0.0:
@@ -295,8 +305,8 @@ class YoungModular:
             return self._total
         total = self._total if lam == 1.0 else 0.0
         F, s1, s2, s3 = 0.0, 0.0, 0.0, 0.0
-        for a, pieces, A, buf in self._chunks:
-            _form(A, a, self.phi.p, pieces)
+        for a, w, counts, A, buf in self._chunks:
+            _form(A, a, self.phi.p, w, counts)
             np.add(a, ek, out=buf)
             if lam != 1.0:
                 ell = np.log(buf)
@@ -330,61 +340,50 @@ class YoungModular:
         return value
 
 
-def _chunk_weights(sizes, weights, table, merge):
-    """The weights of each `_CHUNK` elements of the flat amplitude array, as
-    (lo, hi, w) multiplies in chunk positions.  `weights` holds a float for
+def _chunk_plan(sizes, weights, table):
+    """The chunks of the flat amplitude array in order, as (lo, hi, w,
+    counts) for `_form` (see `YoungModular`).  `weights` holds a float for
     a segment with a scalar weight, else the slice of `table` that holds
-    its row.  A piece of one segment is weighted by its float, or by a view
-    of its row repeated to chunk length (once per segment) at the row phase
-    where the piece starts.  With `merge`, the pieces of consecutive
-    segments with one row length in a chunk are one multiply instead, by an
-    array that one repeat makes from their floats or rows: a build weights
-    each chunk once, while a modular keeps the pieces for its passes."""
-    bounds = [0, *itertools.accumulate(sizes)]
+    its row."""
     widths = [1 if isinstance(w, float) else w.stop - w.start for w in weights]
-    repeated = {}  # segment -> its row repeated to chunk length
-    chunks, first = [], 0
-    for c0 in range(0, bounds[-1], _CHUNK):
-        c1 = min(c0 + _CHUNK, bounds[-1])
-        while bounds[first + 1] <= c0:
-            first += 1
-        ops, k = [], first
-        while k < len(sizes) and bounds[k] < c1:
-            w, m, j = weights[k], widths[k], k + 1
-            while merge and j < len(sizes) and bounds[j] < c1 and widths[j] == m:
+    plan, lo, k = [], 0, 0
+    while k < len(sizes):
+        w, m, end, j = weights[k], widths[k], lo + sizes[k], k + 1
+        if sizes[k] > _CHUNK:
+            # whole rows of one segment, by its float or its row tiled
+            step = max(_CHUNK // m, 1) * m
+            if m > 1:
+                w = table[w][None].repeat(step // m, 0).ravel()
+            for c in range(lo, end, step):
+                hi = min(c + step, end)
+                plan.append((c, hi, w if m == 1 else w[: hi - c], None))
+        else:
+            # a run of whole segments with one row length
+            while j < len(sizes) and widths[j] == m and end + sizes[j] - lo <= _CHUNK:
+                end += sizes[j]
                 j += 1
-            lo, hi = max(bounds[k], c0), min(bounds[j], c1)
-            phase = (lo - bounds[k]) % m
-            if j > k + 1:
-                # the rows each piece touches: each segment's end is a row end
-                counts = [size // m for size in sizes[k:j]]
-                counts[0] = -(-(bounds[k + 1] - lo) // m)
-                counts[-1] = -(-(hi - bounds[j - 1]) // m)
-                if m == 1:
-                    w = np.array(weights[k:j]).repeat(counts)
-                else:
-                    stack = table[w.start : weights[j - 1].stop].reshape(-1, m)
-                    w = stack.repeat(counts, 0).ravel()[phase : phase + hi - lo]
-            elif m > 1:
-                if k not in repeated:
-                    repeated[k] = table[w][None].repeat(min(sizes[k], _CHUNK) // m + 2, 0).ravel()
-                w = repeated[k][phase : phase + hi - lo]
-            ops.append((lo - c0, hi - c0, w))
-            k = j
-        chunks.append(ops)
-    return chunks
+            counts = np.array(sizes[k:j]) // m
+            if m > 1:
+                w = table[w.start : weights[j - 1].stop].reshape(-1, m)
+            elif j > k + 1:
+                w = np.array(weights[k:j])
+            else:
+                counts = None
+            plan.append((lo, end, w, counts))
+        lo, k = end, j
+    return plan
 
 
-def _form(out: np.ndarray, a: np.ndarray, p: float, ops) -> None:
-    """A = w a^p / 2^e for one chunk of amplitudes a, into `out`, with the
-    chunk's (lo, hi, w) multiplies.  At p = 2 np.square gives the bits of
-    np.power in a third of the time."""
+def _form(out: np.ndarray, a: np.ndarray, p: float, w, counts) -> None:
+    """A = w a^p / 2^e for one chunk of amplitudes a, into `out`: one power
+    and one multiply, by the chunk's float or tiled row, or by the array
+    that repeating its run's floats or rows by `counts` makes (not kept).
+    At p = 2 np.square gives the bits of np.power in a third of the time."""
     if p == 2.0:
         np.square(a, out=out)
     else:
         np.power(a, p, out=out)
-    for lo, hi, w in ops:
-        out[lo:hi] *= w
+    out *= w if counts is None else w.repeat(counts, 0).ravel()
 
 
 def _expansion_radius(lam: float) -> float:

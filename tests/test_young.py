@@ -1,4 +1,6 @@
+import bisect
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -462,6 +464,21 @@ def test_young_modular_matches_direct_sum():
                         direct += float(np.sum(w * phi(r / k)))
                     direct += 2.0 * weight * float(np.sum(phi(tail / k)))
                     assert mod.value(k) == pytest.approx(direct, rel=1e-12)
+    # two rows of _CHUNK + 3 entries: each row is a chunk of its own,
+    # between scalar segments
+    long_rows = rng.uniform(0.0, 5.0, size=(2, _CHUNK + 3))
+    long_dens = rng.uniform(0.1, 1.0, size=_CHUNK + 3)
+    for p in (1.5, 2.0, 3.0):
+        for lambda1 in (0.0, 1.0, -0.5):
+            phi = YoungPhi(p, lambda1)
+            a = np.concatenate([head, long_rows.ravel(), tail])
+            segments = [(head.size, 0.5), (long_rows.size, long_dens), (tail.size, 2.0)]
+            mod = YoungModular(phi, a, segments)
+            for k in (0.3, 1.0, 4.0):
+                direct = 0.5 * float(np.sum(phi(head / k)))
+                direct += float(np.sum(long_dens * phi(long_rows / k)))
+                direct += 2.0 * float(np.sum(phi(tail / k)))
+                assert mod.value(k) == pytest.approx(direct, rel=1e-12)
 
 
 def _oracle_chunk_weights(segments, weights):
@@ -561,31 +578,122 @@ def _oracle_layouts(rng):
     ],
 )
 def test_young_modular_build_matches_the_piecewise_oracle_bitwise(p, lambda1):
-    # the build weights a chunk by one multiply per run of segments with
-    # one row length; the oracle by one multiply per segment piece.  Both
-    # give the same bits: scale, e, sum A, the mean-field start and every
-    # A = w a^p / 2^e (formed in place at lambda1 = 0, and by each pass's
-    # pieces otherwise)
+    # the build weights each chunk, cut at segment and row starts, by one
+    # multiply; the oracle weights a fixed grid of _CHUNK elements by one
+    # multiply per segment piece.  scale, e and every A = w a^p / 2^e are
+    # the same bits (formed in place at lambda1 = 0, and by each pass's
+    # chunks otherwise), and so are sum A and the mean-field start at
+    # lambda1 = 0 and wherever both make one chunk.  Elsewhere at
+    # lambda1 != 0 sum A is summed over the modular's own chunks, within
+    # 4 ulp of the grid's sum
     phi = YoungPhi(p, lambda1)
     for a, segments in _oracle_layouts(np.random.default_rng(11)):
         mod_a, oracle_a = a.copy(), a.copy()
         mod = YoungModular(phi, mod_a, segments)
         scale, e, total, start, A = _oracle_build(phi, oracle_a, segments)
-        assert (mod.scale, mod._exp, mod._total, mod.start) == (scale, e, total, start)
+        assert (mod.scale, mod._exp) == (scale, e)
         if lambda1 == 0.0:
-            formed = mod_a
-        else:
-            assert mod_a.tobytes() == oracle_a.tobytes()
-            formed = np.empty_like(a)
-            for i, (chunk, pieces, out, _) in zip(range(0, a.size, _CHUNK), mod._chunks):
-                young._form(out, chunk, p, pieces)
-                formed[i : i + _CHUNK] = out
+            assert (mod._total, mod.start) == (total, start)
+            assert mod_a.tobytes() == A.tobytes()
+            continue
+        assert mod_a.tobytes() == oracle_a.tobytes()
+        formed, own_total, dot = np.empty_like(a), 0.0, 0.0
+        for (lo, hi), (chunk, w, counts, out, _) in zip(_chunk_bounds(mod, mod_a), mod._chunks):
+            young._form(out, chunk, p, w, counts)
+            formed[lo:hi] = out
+            own_total += float(np.sum(out))
+            dot += float(out @ chunk)
         assert formed.tobytes() == A.tobytes()
+        assert mod._total == own_total
+        assert abs(mod._total - total) <= 4 * math.ulp(total)
+        if len(mod._chunks) == 1 and a.size <= _CHUNK:
+            assert (mod._total, mod.start) == (total, start)
+        elif own_total > 0.0:
+            x0 = _mean_field_root(p, lambda1, e * math.log(2.0) + math.log(own_total), dot / own_total)
+            assert mod.start == (None if x0 is None else (x0, p))
+
+
+def _chunk_bounds(mod, a):
+    """(lo, hi) of each chunk that a modular at lambda1 != 0 keeps, read
+    from where its view of the amplitudes `a` starts."""
+    bounds = []
+    for chunk, *_ in mod._chunks:
+        lo = (chunk.ctypes.data - a.ctypes.data) // a.itemsize
+        bounds.append((lo, lo + chunk.size))
+    return bounds
+
+
+def test_young_modular_chunk_plan():
+    # a chunk is a run of whole consecutive segments with one row length
+    # and at most _CHUNK elements, or whole rows of one longer segment (a
+    # row longer than _CHUNK alone), so it starts at a segment start or a
+    # row start within its segment.  Besides the scratch buffers the
+    # modular keeps no weight array but one tiled row per longer segment:
+    # a run keeps its floats or rows once each, with their repeat counts
+    rng = np.random.default_rng(13)
+    cases = _oracle_layouts(rng)
+    cases.append((rng.random(2 * _CHUNK + 6), [(2 * _CHUNK + 6, rng.uniform(0.1, 1.0, _CHUNK + 3))]))
+    cases.append((rng.random(100_000), [(100, w) for w in rng.uniform(0.1, 1.0, 1_000)]))
+    for a, segments in cases:
+        mod = YoungModular(YoungPhi(2.0, 1.0), a, segments)
+        sizes = [n for n, _ in segments]
+        widths = [np.size(w) for _, w in segments]
+        starts = [0, *np.cumsum(sizes).tolist()]
+        longer = sum(n > _CHUNK and m > 1 for n, m in zip(sizes, widths))
+        bounds, tiled = _chunk_bounds(mod, a), set()
+        assert [lo for lo, _ in bounds] == [0, *(hi for _, hi in bounds[:-1])]
+        assert bounds[-1][1] == a.size
+        for (lo, hi), (chunk, w, counts, out, buf) in zip(bounds, mod._chunks):
+            s = bisect.bisect_right(starts, lo) - 1
+            assert (lo - starts[s]) % widths[s] == 0
+            assert hi - lo <= _CHUNK or (hi - lo == widths[s] and sizes[s] > _CHUNK)
+            assert out.size == buf.size == hi - lo
+            if counts is not None:
+                # one float or row per segment of the run
+                assert lo == starts[s] and w.shape[0] == counts.size
+                assert int(counts.sum()) * (w.size // counts.size) == hi - lo
+            elif isinstance(w, np.ndarray):
+                assert sizes[s] > _CHUNK and hi <= starts[s + 1]
+                tiled.add(id(w.base))
+            else:
+                assert isinstance(w, float)
+        assert len(tiled) <= longer
+
+
+def test_young_modular_keeps_no_weight_array_as_long_as_the_amplitudes():
+    # 1,000 scalar segments of 100 entries: seven runs of whole segments,
+    # which keep their floats and counts; the weights repeated to a chunk
+    # length are built per pass and not kept
+    rng = np.random.default_rng(17)
+    a = rng.random(100_000)
+    segments = [(100, w) for w in rng.uniform(0.1, 1.0, 1_000).tolist()]
+    tracemalloc.start()
+    try:
+        mod = YoungModular(YoungPhi(2.0, 1.0), a, segments)
+        mod(1.0)
+        current = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(mod._chunks) == 7
+    assert current <= 2 * 8 * _CHUNK + 2**16
 
 
 def test_young_modular_rejects_a_segment_of_partial_rows():
     with pytest.raises(ValueError, match="multiple of its weight row length"):
         YoungModular(YoungPhi(2.0), np.ones(12), [(12, np.ones(8))])
+
+
+def test_young_modular_rejects_a_negative_segment_size():
+    # (3, -1) adds up to the 2 amplitudes
+    with pytest.raises(ValueError, match="segment sizes must be nonnegative, got -1"):
+        YoungModular(YoungPhi(2.0), np.ones(2), [(3, 1.0), (-1, 1.0)])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_young_modular_rejects_a_nonfinite_amplitude(bad):
+    # a NaN gave a modular and a gauge of 0, an inf a RuntimeWarning
+    with pytest.raises(ValueError, match="amplitudes must be finite"):
+        YoungModular(YoungPhi(2.0), np.array([1.0, bad]), [(2, 1.0)])
 
 
 def test_young_modular_rejects_segments_that_do_not_cover_the_amplitudes():
