@@ -11,20 +11,20 @@ g_k^p over all feasible systems.
 
 Scales that occur at no pair carry g_k = 0 at the optimum and are dropped.
 The objective and the constraints decouple across scales, so the program
-splits into one block per scale.  Each block is solved by one of two
-methods, named in `HajlaszSolution.method`:
+splits into one block per scale.  `hajlasz_minimize_all` solves the
+instances, whatever their p, in batches of at most `_BATCH_PAIRS` = 2^15
+leaf pairs (a larger instance alone), each block by one of two methods,
+named in `HajlaszSolution.method`:
 
 * p = 2: accelerated projected ascent on the dual.  For multipliers
   mu >= 0 (one per pair) the Lagrangian minimizer is g_i = s_i / (2 nu),
   with s_i the multiplier mass on leaf i, so the dual is quadratic and the
   inverse-Lipschitz step 2 nu / max(deg_a + deg_b) is exact; a block keeps
   it and restarts its momentum when its dual value falls.  One loop steps
-  all blocks of a batch of instances, each with its own step, momentum and
-  stop: `hajlasz_minimize_all` takes the p = 2 instances in order into
-  batches of at most `_BATCH_PAIRS` = 2^15 leaf pairs (a larger instance
-  alone), which bounds the loop's memory at about 2 MB.  A block whose
-  runs (one sibling pair over all vertices of a level) are large, and most
-  of whose level pairs have a nonzero bound, is held in the dense form:
+  all p = 2 blocks of a batch, each with its own step, momentum and stop,
+  in about 2 MB at the batch's pair bound.  A block whose runs (one
+  sibling pair over all vertices of a level) are large, and most of whose
+  level pairs have a nonzero bound, is held in the dense form:
   its multipliers are (K^j, K(K-1)/2, m, m) arrays per split level j, so
   g[a] + g[b] is a broadcast add and the masses are axis sums.  The other
   blocks are held in the index form, one gather and two bincounts (first
@@ -268,6 +268,11 @@ def _repair(g, ia, ib, bound):
         np.add.at(g, ib[viol], half)
 
 
+def _certified(primal, dual):
+    """The gap test of every block; the 1e-300 floor lets near-subnormal values stop."""
+    return primal - dual <= _REL_TOL * max(primal, 1e-300)
+
+
 def _dual_point(nu, p, s, mu, bound):
     """The Lagrangian minimizer g over g >= 0 and q(mu), its value, given
     the multiplier mass s = A^T mu; q(mu) bounds the block optimum from
@@ -298,8 +303,8 @@ _DENSE_MIN_RUN = 2048
 _DENSE_MIN_KEPT = 0.5
 
 
-# The p = 2 instances stepped by one loop hold at most this many leaf
-# pairs in all, K^N (K^N - 1) / 2 each; a larger instance runs alone.  The
+# The instances of one batch hold at most this many leaf pairs in all,
+# K^N (K^N - 1) / 2 each; a larger instance goes alone.  The dual-ascent
 # loop's flat arrays take seven 8-byte entries per pair they step (1.8 MB
 # at the bound), beside the four per pair the instances hold themselves.
 _BATCH_PAIRS = 2**15
@@ -320,7 +325,9 @@ class _DualBlock:
     holds its own multipliers in mu and mu_prev, None while they are 0.
     """
 
-    def __init__(self, at, k, ia, ib, bound, n_leaves, nu, level_bounds=None):
+    def __init__(self, at, k, inst):
+        ia, ib, bound = inst.constraints[k]
+        n_leaves, nu = inst.f.n_leaves, inst.leaf_measure
         self.at, self.k, self.ia, self.ib, self.bound = at, k, ia, ib, bound
         self.n_leaves, self.nu = n_leaves, nu
         deg = _pair_mass(ia, ib, None, n_leaves)
@@ -333,7 +340,7 @@ class _DualBlock:
         self.last_dual = -math.inf
         self.gap = None
         self.restart = 0
-        self.level_bounds = level_bounds
+        self.level_bounds = level_bounds = _dense_bounds(inst, k)
         if level_bounds is None:
             self.pair_bound, self.kept = bound, slice(None)
         else:
@@ -545,16 +552,11 @@ def _solve_dual_blocks(batch):
     all blocks at once (`_DualLayout.gap_points`);
     it stops when their relative gap drops below `_REL_TOL` and restarts its
     momentum when its dual value fell (the ascent is not monotone).  Returns
-    (position, scale) -> (leaf array, BlockReport); the ConvergenceError
-    raised at `_MAX_ITERS` names every block left uncertified.
+    (position, scale) -> (leaf array, BlockReport), each array repaired once
+    more when its block certifies; the ConvergenceError raised at
+    `_MAX_ITERS` names every block left uncertified.
     """
-    blocks = [
-        _DualBlock(
-            at, k, ia, ib, bound, inst.f.n_leaves, inst.leaf_measure, _dense_bounds(inst, k)
-        )
-        for at, inst in batch
-        for k, (ia, ib, bound) in inst.constraints.items()
-    ]
+    blocks = [_DualBlock(at, k, inst) for at, inst in batch for k in inst.constraints]
     if not blocks:
         return {}
     lay = _DualLayout(blocks)
@@ -572,9 +574,10 @@ def _solve_dual_blocks(batch):
             if primal < blk.best:
                 blk.best, blk.best_g = primal, g.copy()
             blk.gap = (blk.best - dual) / blk.best
-            if blk.best - dual <= _REL_TOL * max(blk.best, 1e-300):
+            if _certified(blk.best, dual):
                 out = np.zeros(blk.n_leaves)
                 out[blk.active] = blk.best_g
+                _repair(out, blk.ia, blk.ib, blk.bound)
                 solved[blk.at, blk.k] = out, BlockReport(t + 1, blk.gap)
                 continue
             if dual < blk.last_dual:
@@ -592,17 +595,13 @@ def _solve_dual_blocks(batch):
         elif restarted:
             lay.set_runs()
     insts = dict(batch)
-    raise ConvergenceError(
-        f"dual ascent did not certify the optimum within {_MAX_ITERS} iterations: ",
-        [
-            (
-                blk.at,
-                _block_name(insts[blk.at], blk.k),
-                "no gap check" if blk.gap is None else f"relative gap {blk.gap:.3g}",
-            )
-            for blk in lay.blocks
-        ],
-    )
+    uncertified = [
+        (blk.at, _block_name(insts[blk.at], blk.k),
+         "no gap check" if blk.gap is None else f"relative gap {blk.gap:.3g}")
+        for blk in lay.blocks
+    ]
+    stop = f"dual ascent did not certify the optimum within {_MAX_ITERS} iterations: "
+    raise ConvergenceError(stop, uncertified)
 
 
 def _block_name(inst, k):
@@ -622,8 +621,9 @@ def _max_step(x, dx):
     return min(1.0, float(np.min(-x[neg] / dx[neg]))) if neg.any() else 1.0
 
 
-def _solve_scale_ipm(nu, p, ia, ib, bound, n_leaves, block, where):
-    """Primal-dual interior-point method on one scale block (p >= 1).
+def _solve_scale_ipm(inst, k, at):
+    """Primal-dual interior-point method on the scale-k block of `inst`,
+    the instance at position `at` (p >= 1).
 
     Minimizes nu * sum g^p subject to s = A g - bound >= 0 and g >= 0, with
     multipliers mu >= 0 for the pairs and z >= 0 for g, where A g pairs up
@@ -641,9 +641,13 @@ def _solve_scale_ipm(nu, p, ia, ib, bound, n_leaves, block, where):
     largest mu/s.  Stops on the certified gap between the better of the
     repaired iterate and the repaired Lagrangian minimizer of mu, and
     q(mu).  A Newton system that is not finite or not solvable raises
-    ConvergenceError at once, as the iteration cap does; `where`, the
-    block's instance position and name, names the block in the error.
+    ConvergenceError at once, as the iteration cap does, naming the block
+    by `at` and `_block_name`.
     """
+    nu, p, n_leaves = inst.leaf_measure, inst.p, inst.f.n_leaves
+    ia, ib, bound = inst.constraints[k]
+    block = inst.f.K ** (inst.f.depth - inst.coarsest_level[k])
+    where = at, _block_name(inst, k)
     active, la, lb = _active_leaves(ia, ib, n_leaves)
     n, m = active.size, ia.size
     unit = float(bound.max())
@@ -703,7 +707,7 @@ def _solve_scale_ipm(nu, p, ia, ib, bound, n_leaves, block, where):
         with np.errstate(over="ignore"):
             values = [nu * float(np.sum(c**p)) for c in candidates]
         primal = min(values)
-        if primal - dual <= _REL_TOL * primal:
+        if _certified(primal, dual):
             out = np.zeros(n_leaves)
             out[active] = unit * candidates[values.index(primal)]
             _repair(out, ia, ib, bound)
@@ -734,72 +738,52 @@ def hajlasz_minimize_all(instances) -> list[HajlaszSolution]:
     """`hajlasz_minimize` of each instance of the iterable `instances`, in
     order.
 
-    The iterable is consumed batch by batch.  The p = 2 instances go in
-    order into a batch until the next one would take its pair count, K^N
-    (K^N - 1) / 2 per instance, past `_BATCH_PAIRS` (a larger instance goes
-    alone); then the scale blocks of the batch are solved in one
-    dual-ascent loop, their solutions built and the batch's instances
-    dropped before the next instance is taken.  The other instances go
-    block by block through the interior-point method as they arrive.  So
-    one batch of instances is alive at a time when `instances` builds them
-    lazily; a sweep at the default config (21,056 pairs) is one batch and
-    one loop.  Each block takes the steps it takes solved alone, in the
-    form (dense or index) its instance alone decides, so every solution is
-    that of its instance alone, bit for bit; a block solved in the other
-    form would agree within the certified gap.  A ConvergenceError names
-    each block it left uncertified by its instance's position in
-    `instances`.
+    The iterable is consumed batch by batch.  The instances, whatever their
+    p, go in order into a batch until the next one would take its pair
+    count, K^N (K^N - 1) / 2 per instance, past `_BATCH_PAIRS` (a larger
+    instance goes alone); then the batch is solved and its instances
+    dropped before the next instance is taken.  So one batch of instances
+    is alive at a time when `instances` builds them lazily; a sweep at the
+    default config (21,056 pairs) is one batch.  Each block takes the steps
+    it takes solved alone, a p = 2 block in the form (dense or index) its
+    instance alone decides, so every solution is that of its instance
+    alone, bit for bit.  A ConvergenceError names each block it left
+    uncertified by its instance's position in `instances`.
     """
     solutions, batch, pairs = [], [], 0
     for inst in instances:
-        if inst.p != 2.0:
-            solutions.append(_solution(inst, len(solutions), {}))
-            continue
         size = inst.f.n_leaves * (inst.f.n_leaves - 1) // 2
         if batch and pairs + size > _BATCH_PAIRS:
-            _solve_batch(batch, solutions)
+            solutions += _solve_batch(batch)
             batch, pairs = [], 0
-        batch.append((len(solutions), inst))
-        solutions.append(None)
+        batch.append((len(solutions) + len(batch), inst))
         pairs += size
     if batch:
-        _solve_batch(batch, solutions)
+        solutions += _solve_batch(batch)
     return solutions
 
 
-def _solve_batch(batch, solutions):
-    """Solve the p = 2 instances `batch`, a list of (position, instance),
-    into their places in `solutions`."""
-    solved = _solve_dual_blocks(batch)
+def _solve_batch(batch) -> list[HajlaszSolution]:
+    """The solutions of the instances `batch`, a list of (position,
+    instance), in order: one dual-ascent loop solves every block of its
+    p = 2 instances, then the interior-point method each block of the
+    others, stopping at the first it cannot certify.  Both hand back
+    feasible leaf arrays keyed by (position, scale)."""
+    solved = _solve_dual_blocks([(at, inst) for at, inst in batch if inst.p == 2.0])
     for at, inst in batch:
-        solutions[at] = _solution(inst, at, solved)
-
-
-def _solution(inst, at, solved) -> HajlaszSolution:
-    """The solution of the instance at position `at`, its dual-ascent
-    blocks taken from `solved`, the others solved here."""
-    nu = inst.leaf_measure
-    K, N, n_leaves = inst.f.K, inst.f.depth, inst.f.n_leaves
-    g: dict[int, np.ndarray] = {k: np.zeros(n_leaves) for k in inst.scales}
-    method = "dual-ascent" if inst.p == 2.0 else "interior-point"
-    blocks: dict[int, BlockReport] = {}
-    for k, (ia, ib, bound) in inst.constraints.items():
-        if method == "dual-ascent":
+        if inst.p != 2.0:
+            solved.update({(at, k): _solve_scale_ipm(inst, k, at) for k in inst.constraints})
+    solutions = []
+    for at, inst in batch:
+        g = {k: np.zeros(inst.f.n_leaves) for k in inst.scales}
+        blocks = {}
+        for k in inst.constraints:
             g[k], blocks[k] = solved[at, k]
-            _repair(g[k], ia, ib, bound)
-        else:
-            block = K ** (N - inst.coarsest_level[k])
-            g[k], blocks[k] = _solve_scale_ipm(
-                nu, inst.p, ia, ib, bound, n_leaves, block, (at, _block_name(inst, k))
-            )
-    value = sum(nu * float(np.sum(arr**inst.p)) for arr in g.values())
-    return HajlaszSolution(
-        value=value,
-        g=g,
-        iterations=sum(b.iterations for b in blocks.values()),
-        method=method,
-        blocks=blocks,
-    )
+        value = sum(inst.leaf_measure * float(np.sum(arr**inst.p)) for arr in g.values())
+        iterations = sum(b.iterations for b in blocks.values())
+        method = "dual-ascent" if inst.p == 2.0 else "interior-point"
+        solutions.append(HajlaszSolution(value, g, iterations, method, blocks))
+    return solutions
 
 
 def hajlasz_oracle(inst: HajlaszInstance, grid_resolution: int) -> float:

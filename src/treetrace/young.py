@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -147,8 +148,9 @@ class YoungModular:
     `segments` lists (size, w) in order, and a segment of `size` entries
     is read as rows of len(w) entries with the weights w (a float, or a
     numpy array whose length divides `size`) applied along each row.  A
-    negative size, sizes that do not add up to len(a), a partial row and a
-    NaN or infinite amplitude are ValueErrors; a negative amplitude is not
+    size that is not an integer >= 0, sizes that do not add up to len(a),
+    an empty or partial row, a weight not in [0, inf) and a NaN or
+    infinite amplitude are ValueErrors; a negative amplitude is not
     checked (one a.min() takes about 8 ms over the 15.8M amplitudes of a
     deep-sweep benchmark run, some 3% of its norm time).  The array is
     taken over and divided in place by its largest value `scale`.  Calling
@@ -207,9 +209,13 @@ class YoungModular:
         # a scalar weight stays a float; the rows go to one table, and a
         # segment with a row keeps its slice there
         sizes, weights, rows, width = [], [], [], 0
-        for size, w in segments:
+        for i, (size, w) in enumerate(segments):
+            try:
+                size = operator.index(size)
+            except TypeError:
+                raise ValueError(f"sizes must be integers, got {size!r} at segment {i}") from None
             if size < 0:
-                raise ValueError(f"segment sizes must be nonnegative, got {size!r}")
+                raise ValueError(f"segment sizes must be nonnegative, got {size!r} at segment {i}")
             if not isinstance(w, np.ndarray):
                 w = float(w)
             elif w.size > 1:
@@ -220,22 +226,31 @@ class YoungModular:
                 rows.append(w)
                 w = slice(width, width + w.size)
                 width = w.stop
-            else:
+            elif w.size:
                 w = float(w.item())
+            else:
+                raise ValueError(f"weight rows must not be empty, got one at segment {i}")
+            if isinstance(w, float) and not 0.0 <= w < math.inf:
+                raise ValueError(f"weights must be finite and >= 0, got {w!r} at segment {i}")
             sizes.append(size)
             weights.append(w)
         if sum(sizes) != a.size:
             raise ValueError("segment sizes must add up to the amplitude count")
+        # 2^e at the largest weight; the table's max shows a NaN or inf, a min its signs
+        maxima = [w for w in weights if isinstance(w, float)]
+        if rows:
+            table = np.concatenate(rows, axis=None, dtype=float)
+            maxima.append(float(table.max()))
+            if not (maxima[-1] < math.inf and table.min() >= 0.0):
+                bad = int(np.flatnonzero(~np.isfinite(table) | (table < 0.0))[0])
+                i = next(i for i, w in enumerate(weights) if isinstance(w, slice) and w.stop > bad)
+                w = float(table[bad])
+                raise ValueError(f"weights must be finite and >= 0, got {w!r} at segment {i}")
         self.scale = float(a.max()) if a.size else 0.0
         if not math.isfinite(self.scale):
             raise ValueError(f"amplitudes must be finite, got a largest value of {self.scale!r}")
         if self.scale > 0.0:
             a /= self.scale
-        # 2^e at the largest weight: one pass over the floats and the table
-        maxima = [w for w in weights if isinstance(w, float)]
-        if rows:
-            table = np.concatenate(rows, axis=None, dtype=float)
-            maxima.append(float(table.max()))
         self._exp = e = math.frexp(max(maxima, default=0.0))[1]
         weights = [math.ldexp(w, -e) if isinstance(w, float) else w for w in weights]
         table = np.ldexp(table, -e) if rows else None

@@ -11,7 +11,8 @@ change that moves a number in these outputs regenerates them and says so:
 for each case the script prints the largest relative change of any number
 against the files it replaces.  Named cases are the only ones run (all of
 them by default), and `--check` prints each one's largest change and
-writes nothing.
+writes nothing; it exits 1 when any case's outputs differ from its files
+in any byte, and 0 only when every output is identical.
 
 The cases:
 * the six verify drivers at the default config; the three ratio checks
@@ -133,15 +134,18 @@ def main(argv: list[str] | None = None) -> int:
     unknown = [case for case in args.cases if case not in CASES]
     if unknown:
         parser.error(f"unknown case {unknown[0]!r}; the cases are {', '.join(CASES)}")
+    identical = True
     for case in args.cases or CASES:
         target = GOLDEN / case
-        old = {p.name: p.read_text() for p in target.iterdir()} if target.is_dir() else None
+        old = {p.name: p.read_bytes() for p in target.iterdir()} if target.is_dir() else None
         with tempfile.TemporaryDirectory() as tmp:
             outputs = run(case, Path(tmp))
+        identical &= old == {name: text.encode() for name, text in outputs.items()}
         if old is None:
             change = "a new case"
         else:
-            largest = largest_change(old, outputs)
+            was = {name: data.decode() for name, data in old.items()}
+            largest = largest_change(was, outputs)
             change = "text changed" if largest is None else f"largest relative change {largest:.2g}"
         if not args.check:
             shutil.rmtree(target, ignore_errors=True)
@@ -149,7 +153,7 @@ def main(argv: list[str] | None = None) -> int:
             for name, text in outputs.items():
                 (target / name).write_text(text)
         print(f"{'checked' if args.check else 'wrote'} {target}: {change}")
-    return 0
+    return 1 if args.check and not identical else 0
 
 
 if __name__ == "__main__":

@@ -112,7 +112,8 @@ def test_regenerate_writes_only_the_named_cases(tmp_path, monkeypatch, capsys):
 def test_regenerate_check_prints_the_change_and_writes_nothing(tmp_path, monkeypatch, capsys):
     moved = _golden_copy(tmp_path, monkeypatch, ["roundtrip"])
     before = {p.name: p.stat().st_mtime_ns for p in (tmp_path / "roundtrip").iterdir()}
-    assert regenerate.main(["--check", "roundtrip"]) == 0
+    # a moved number fails the check
+    assert regenerate.main(["--check", "roundtrip"]) == 1
     assert capsys.readouterr().out == (
         f"checked {tmp_path / 'roundtrip'}: largest relative change 1\n"
     )
@@ -120,3 +121,23 @@ def test_regenerate_check_prints_the_change_and_writes_nothing(tmp_path, monkeyp
     assert {p.name: p.stat().st_mtime_ns for p in (tmp_path / "roundtrip").iterdir()} == before
     with pytest.raises(SystemExit):
         regenerate.main(["--check", "no-such-case"])
+
+
+def test_regenerate_check_passes_only_byte_identical_cases(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(regenerate, "GOLDEN", tmp_path)
+    for case in ("roundtrip", "doubling"):
+        shutil.copytree(GOLDEN / case, tmp_path / case)
+    assert regenerate.main(["--check", "roundtrip", "doubling"]) == 0
+    assert capsys.readouterr().out == "".join(
+        f"checked {tmp_path / case}: largest relative change 0\n"
+        for case in ("roundtrip", "doubling")
+    )
+    # "depth 04" moves no number, but it is a changed byte
+    path = tmp_path / "doubling" / regenerate.STDOUT
+    text = path.read_text()
+    assert "at depth 4," in text
+    path.write_text(text.replace("at depth 4,", "at depth 04,"))
+    assert regenerate.main(["--check", "roundtrip", "doubling"]) == 1
+    assert capsys.readouterr().out.endswith(
+        f"checked {tmp_path / 'doubling'}: largest relative change 0\n"
+    )

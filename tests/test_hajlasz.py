@@ -262,10 +262,9 @@ def _assert_within_gap(a, b, what):
 def _assert_matches_ipm(inst, g):
     """The p = 2 gradient arrays g give, block by block, the value of the
     interior-point method within twice _REL_TOL: both certify _REL_TOL."""
-    nu, n = inst.leaf_measure, inst.f.n_leaves
-    for k, (ia, ib, bound) in inst.constraints.items():
-        block = inst.f.K ** (inst.f.depth - inst.coarsest_level[k])
-        g_ip, rep = _solve_scale_ipm(nu, 2.0, ia, ib, bound, n, block, f"scale {k}")
+    nu = inst.leaf_measure
+    for k in inst.constraints:
+        g_ip, rep = _solve_scale_ipm(inst, k, 0)
         assert rep.rel_gap <= hajlasz._REL_TOL
         _assert_within_gap(nu * np.sum(g_ip**2), nu * np.sum(g[k] ** 2), k)
 
@@ -444,14 +443,13 @@ def test_dense_masses_match_the_index_form(K, depth):
     inst = HajlaszInstance(f, 0.5, 2.0, 0.3)
     n, spans = f.n_leaves, 0
     with pytest.MonkeyPatch.context() as mp:
-        _use_form(mp, FORMS[0])
         for k, (ia, ib, bound) in inst.constraints.items():
-            level_bounds = hajlasz._dense_bounds(inst, k)
-            spans += len(level_bounds) > 1
-            dense = hajlasz._DualLayout(
-                [hajlasz._DualBlock(0, k, ia, ib, bound, n, 1.0, level_bounds)]
-            )
-            index = hajlasz._DualLayout([hajlasz._DualBlock(0, k, ia, ib, bound, n, 1.0)])
+            _use_form(mp, FORMS[0])
+            dense = hajlasz._DualLayout([hajlasz._DualBlock(0, k, inst)])
+            _use_form(mp, FORMS[2])
+            index = hajlasz._DualLayout([hajlasz._DualBlock(0, k, inst)])
+            assert index.blocks[0].level_bounds is None
+            spans += len(dense.blocks[0].level_bounds) > 1
             w = rng.uniform(size=ia.size)
             dense.mu[dense.blocks[0].kept], index.mu[:] = w, w
             s_dense, s_index = dense.mu_mass(), index.mu_mass()
@@ -546,7 +544,7 @@ def _assert_batch_matches_alone(insts):
 
 def _mixed_instances():
     """Mixed depths, K, epsilon and families, a constant function (no
-    constraints) and a p = 1.5 instance in one list."""
+    constraints) and p = 1.5, 1 and 3 instances in one list."""
     insts = [
         HajlaszInstance(
             generate(family, K=K, depth=depth, seed=seed, epsilon=eps, theta=0.5), 0.5, 2.0, eps
@@ -562,6 +560,8 @@ def _mixed_instances():
     ]
     insts.insert(2, HajlaszInstance(BoundaryFunction(2, 3, np.full(8, 0.25)), 0.5, 2.0, LN2))
     insts.insert(4, random_instance(3, depth=3, p=1.5))
+    insts.insert(6, random_instance(6, depth=3, p=1.0))
+    insts.append(random_instance(7, depth=4, p=3.0, K=3))
     return insts
 
 
@@ -571,27 +571,32 @@ def test_batch_matches_each_instance_alone(form):
         _use_form(mp, form)
         sols = _assert_batch_matches_alone(_mixed_instances())
     assert sols[2].value == 0.0 and sols[2].blocks == {}
-    assert sols[4].method == "interior-point"
+    assert [sols[at].method for at in (4, 6, 9)] == ["interior-point"] * 3
 
 
 def _record_batches(mp, solve=True):
     """Record the instance positions of each batch that hajlasz_minimize_all
-    solves, in order.  Without `solve`, every block gets the zero array
-    (which the solution repairs) and no loop runs."""
+    solves, at every p, in order.  Without `solve`, every p = 2 block gets
+    the zero array repaired (as `_solve_dual_blocks` hands back a feasible
+    array) and no dual-ascent loop runs."""
     batches = []
-    solve_blocks = hajlasz._solve_dual_blocks
+    solve_batch = hajlasz._solve_batch
 
     def record(batch):
         batches.append([at for at, _ in batch])
-        if solve:
-            return solve_blocks(batch)
-        return {
-            (at, k): (np.zeros(inst.f.n_leaves), BlockReport(0, 0.0))
-            for at, inst in batch
-            for k in inst.constraints
-        }
+        return solve_batch(batch)
 
-    mp.setattr(hajlasz, "_solve_dual_blocks", record)
+    def feasible_zeros(batch):
+        solved = {}
+        for at, inst in batch:
+            for k, (ia, ib, bound) in inst.constraints.items():
+                solved[at, k] = np.zeros(inst.f.n_leaves), BlockReport(0, 0.0)
+                _repair(solved[at, k][0], ia, ib, bound)
+        return solved
+
+    mp.setattr(hajlasz, "_solve_batch", record)
+    if not solve:
+        mp.setattr(hajlasz, "_solve_dual_blocks", feasible_zeros)
     return batches
 
 
@@ -614,9 +619,11 @@ def test_batches_keep_input_order_within_the_pair_bound(monkeypatch):
     batches = _record_batches(monkeypatch, solve=False)
     sols = hajlasz_minimize_all(insts)
     assert len(sols) == 25 and sols[3].method == "interior-point"
-    assert [at for batch in batches for at in batch] == [i for i in range(25) if i != 3]
-    # 8 x 2016 + 2 x 8128 pairs, 4 x 8128, 2 x 8128, then one each
-    assert [len(b) for b in batches] == [10, 4, 2] + [1] * 8
+    assert all(hajlasz_feasible(inst, sol.g) for inst, sol in zip(insts, sols))
+    assert [at for batch in batches for at in batch] == list(range(25))
+    # the p = 1.5 instance's 6 pairs + 8 x 2016 + 2 x 8128, 4 x 8128,
+    # 2 x 8128, then one each
+    assert [len(b) for b in batches] == [11, 4, 2] + [1] * 8
     for batch in batches:
         pairs = sum(insts[at].f.n_leaves * (insts[at].f.n_leaves - 1) // 2 for at in batch)
         assert pairs <= hajlasz._BATCH_PAIRS or len(batch) == 1
@@ -663,11 +670,10 @@ def test_batch_convergence_error_names_each_uncertified_block(monkeypatch):
 
 
 def test_each_batch_is_released_before_the_next_is_taken(monkeypatch):
-    # 28 pairs at depth 3 and 120 at depth 4 against a bound of 100: the
-    # batches are [0, 1, 2], [3], [4, 6] and [7], with the p = 1.5
-    # instance 5 solved on arrival
+    # 28 pairs at depth 3 and 120 at depth 4 against a bound of 100, at
+    # every p: the batches are [0, 1, 2], [3], [4, 5, 6] and [7]
     monkeypatch.setattr(hajlasz, "_BATCH_PAIRS", 100)
-    specs = [(3, 2.0), (3, 2.0), (3, 2.0), (4, 2.0), (3, 2.0), (3, 1.5), (3, 2.0), (4, 2.0)]
+    specs = [(3, 2.0), (3, 1.5), (3, 2.0), (4, 2.0), (3, 3.0), (3, 1.5), (3, 2.0), (4, 1.0)]
     batches = _record_batches(monkeypatch)
     refs, alive_at_build = [], []
 
@@ -681,18 +687,44 @@ def test_each_batch_is_released_before_the_next_is_taken(monkeypatch):
             yield tracked(random_instance(seed, depth=depth, p=p))
 
     sols = hajlasz_minimize_all(instances())
-    assert batches == [[0, 1, 2], [3], [4, 6], [7]]
+    assert batches == [[0, 1, 2], [3], [4, 5, 6], [7]]
     batch_of = {at: set(batch) for batch in batches for at in batch}
     for at in range(1, len(specs)):
-        # only the open batch, that of the last p = 2 instance taken, and
-        # the instance taken last may still be alive
-        last = max(j for j in range(at) if j in batch_of)
-        assert alive_at_build[at] <= {j for j in batch_of[last] if j < at} | {at - 1}, at
+        # only the open batch, that of the instance taken last, may still
+        # be alive
+        assert alive_at_build[at] <= {j for j in batch_of[at - 1] if j < at}, at
     # the first instance of a batch arrives while the batch before is alive
     assert alive_at_build[3] == {0, 1, 2} and alive_at_build[4] == {3}
     assert not any(ref() for ref in refs)
     for seed, ((depth, p), sol) in enumerate(zip(specs, sols)):
         _assert_same_solution(sol, hajlasz_minimize(random_instance(seed, depth=depth, p=p)))
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
+def test_instances_other_than_p2_alone_split_at_the_pair_bound(monkeypatch, p):
+    # four depth-3 instances of 28 pairs each against a bound of 60
+    monkeypatch.setattr(hajlasz, "_BATCH_PAIRS", 60)
+    insts = [random_instance(seed, depth=3, p=p) for seed in range(4)]
+    batches = _record_batches(monkeypatch)
+    sols = hajlasz_minimize_all(insts)
+    assert batches == [[0, 1], [2, 3]]
+    for inst, sol in zip(insts, sols):
+        assert sol.method == "interior-point"
+        _assert_same_solution(sol, hajlasz_minimize(inst))
+
+
+def test_a_failing_block_other_than_p2_raises_when_its_batch_is_solved():
+    # the p = 64 block of the second instance hits a singular Newton
+    # matrix after the first instance's dual ascent has certified
+    f = generate("iid-uniform", K=2, depth=3, seed=0)
+    insts = [random_instance(0, depth=3), HajlaszInstance(f, 0.5, 64.0, LN2)]
+    with pytest.MonkeyPatch.context() as mp:
+        batches = _record_batches(mp)
+        with pytest.raises(ConvergenceError) as info:
+            hajlasz_minimize_all(insts)
+    assert batches == [[0, 1]]
+    assert [(at, block) for at, block, _ in info.value.blocks] == [(1, "(K=2, depth 3) scale -1")]
+    assert "Newton matrix is singular" in str(info.value)
 
 
 @pytest.mark.parametrize("K", [2, 3])

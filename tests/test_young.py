@@ -689,6 +689,46 @@ def test_young_modular_rejects_a_negative_segment_size():
         YoungModular(YoungPhi(2.0), np.ones(2), [(3, 1.0), (-1, 1.0)])
 
 
+@pytest.mark.parametrize(
+    "segments, bad",
+    [([(2.0, 1.0)], "2.0 at segment 0"), ([(1, 1.0), (0.5, 1.0), (0.5, 1.0)], "0.5 at segment 1")],
+)
+def test_young_modular_rejects_a_segment_size_that_is_not_an_integer(segments, bad):
+    # a float size raised "slice indices must be integers", naming no segment
+    with pytest.raises(ValueError, match=f"sizes must be integers, got {bad}$"):
+        YoungModular(YoungPhi(2.0), np.array([1.0, 0.5]), segments)
+
+
+@pytest.mark.parametrize("bad", [math.nan, -1.0, math.inf])
+def test_young_modular_rejects_a_bad_scalar_weight(bad):
+    # NaN and inf read as an overflow at k = 1, -1 as a non-monotone
+    # modular; the -1 goes in as a one-entry array
+    segments = [(1, 1.0), (1, np.array([bad]) if bad == -1.0 else bad)]
+    with pytest.raises(
+        ValueError, match=rf"weights must be finite and >= 0, got {bad!r} at segment 1$"
+    ):
+        YoungModular(YoungPhi(2.0), np.array([1.0, 0.5]), segments)
+
+
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+def test_young_modular_rejects_a_bad_row_weight_and_keeps_zero(bad):
+    a = np.array([1.0, 0.5, 0.25, 0.125])
+    # zero stays a weight: deep edge masses and level weights underflow to it
+    zero = YoungModular(YoungPhi(2.0), a.copy(), [(2, 1.0), (2, np.array([0.0, 0.0]))])
+    assert zero.value(1.0) == 1.25
+    # a negative entry was accepted silently (value 0.75 over [1, 0.5])
+    with pytest.raises(
+        ValueError, match=rf"weights must be finite and >= 0, got {bad!r} at segment 1$"
+    ):
+        YoungModular(YoungPhi(2.0), a, [(2, 1.0), (2, np.array([1.0, bad]))])
+
+
+def test_young_modular_rejects_an_empty_weight_row():
+    # numpy's "can only convert an array of size 1" named no segment
+    with pytest.raises(ValueError, match="weight rows must not be empty, got one at segment 1$"):
+        YoungModular(YoungPhi(2.0), np.array([1.0, 0.5]), [(2, 1.0), (0, np.array([]))])
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_young_modular_rejects_a_nonfinite_amplitude(bad):
     # a NaN gave a modular and a gauge of 0, an inf a RuntimeWarning
