@@ -2,10 +2,11 @@
 
 Subcommands: gen (sample a function family to CSV), energy (norms and
 energies of a boundary function), extend / trace (apply the operators to
-CSV data), and verify (run one of the empirical checks).  Geometry and
-exponents come from a flat key-value config file, overridable with
---seed / --depth; where the output goes comes from the command line
-alone (--out, --emit-plot-data).
+CSV data), and verify (run one of the empirical checks).  Geometry,
+exponents and the family come from a flat key-value config file,
+overridable with --seed / --depth / --family (gen samples iid-uniform
+where neither sets a family); where the output goes comes from the
+command line alone (--out, --emit-plot-data).
 
 Exit codes: 0 when the command succeeds (for verify: every asserted
 property holds), 1 when verify finds a property that fails, 2 on bad
@@ -85,7 +86,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", parents=[common], help="sample a function family to CSV")
     p_gen.add_argument(
-        "--family", choices=BOUNDARY_FAMILIES + TREE_FAMILIES, default="iid-uniform"
+        "--family",
+        choices=BOUNDARY_FAMILIES + TREE_FAMILIES,
+        help="function family (default: the config's family, else iid-uniform)",
     )
 
     p_energy = sub.add_parser(
@@ -156,11 +159,12 @@ def _run(args, cfg) -> int:
     if args.command == "gen":
         seed = cfg.seeds[0]
         depth = cfg.depths[0]
-        fn = generate_for(cfg, args.family, depth, seed)
+        family = cfg.family or "iid-uniform"
+        fn = generate_for(cfg, family, depth, seed)
         out = args.out or "function.csv"
         fn.to_csv(out)
-        kind = "tree" if args.family in TREE_FAMILIES else "boundary"
-        _say(f"wrote {kind} function ({args.family}, seed {seed}, depth {depth}) to {out}")
+        kind = "tree" if family in TREE_FAMILIES else "boundary"
+        _say(f"wrote {kind} function ({family}, seed {seed}, depth {depth}) to {out}")
         return 0
 
     if args.command == "energy":

@@ -11,10 +11,14 @@ g_k^p over all feasible systems.
 
 Scales that occur at no pair carry g_k = 0 at the optimum and are dropped.
 The objective and the constraints decouple across scales, so the program
-splits into one block per scale.  `hajlasz_minimize_all` solves the
-instances, whatever their p, in batches of at most `_BATCH_PAIRS` = 2^15
-leaf pairs (a larger instance alone), each block by one of two methods,
-named in `HajlaszSolution.method`:
+splits into one block per scale.  An instance holds at most `PAIR_CAP` =
+2^20 leaf pairs.  `hajlasz_minimize_all` solves the instances, whatever
+their p, in batches of at most `_BATCH_PAIRS` = 2^15 leaf pairs (a larger
+instance alone).  Each block is solved in its own unit 2^e, e the frexp
+exponent of its largest bound (`_in_block_units`), so the solvers see the
+same numbers near 1 at every scale of f, and the minimizer is scaled back
+by 2^e; a value outside the normal float range is a ValueError.  A block
+is solved by one of two methods, named in `HajlaszSolution.method`:
 
 * p = 2: accelerated projected ascent on the dual.  For multipliers
   mu >= 0 (one per pair) the Lagrangian minimizer is g_i = s_i / (2 nu),
@@ -57,7 +61,9 @@ search over small instances serves as an independent check.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
+from functools import cache, partial
 
 import numpy as np
 
@@ -69,6 +75,8 @@ __all__ = [
     "HajlaszSolution",
     "BlockReport",
     "ConvergenceError",
+    "PAIR_CAP",
+    "leaf_pairs",
     "scale_for_distance",
     "hajlasz_feasible",
     "hajlasz_minimize",
@@ -87,6 +95,12 @@ _MAX_ITERS = 100_000
 # hajlasz_feasible accepts a pair whose g[a] + g[b] falls short of its bound
 # by this much relative
 _FEASIBLE_RTOL = 1e-9
+# An instance of more leaf pairs (`leaf_pairs`) is refused before it is
+# built (read at call time): K = 2 up to depth 10, 3 to 6, 5 to 4, 8 to 3.
+PAIR_CAP = 2**20
+# the sibling pairs c1 < c2 of a vertex of K children in row-major order,
+# as the arrays of c1 and of c2
+_sibling_pairs = cache(partial(np.triu_indices, k=1))
 
 
 class ConvergenceError(RuntimeError):
@@ -124,6 +138,23 @@ def scale_for_distance(d: float) -> int:
     return -math.frexp(d)[1]
 
 
+def leaf_pairs(K: int, depth: int) -> int:
+    """The unordered pairs of distinct leaves of the depth-N tree, K^N (K^N - 1) / 2."""
+    n = K**depth
+    return n * (n - 1) // 2
+
+
+def _split_bounds(inst, j):
+    """The pairs of inst.f split at level j, as a dense (K^j, K(K-1)/2, m, m)
+    array of bounds |f_a - f_b| / d_j^theta with m = K^(N-j-1): a level-j
+    vertex, a sibling pair c1 < c2 in row-major order, the leaf a under
+    child c1 and the leaf b under child c2."""
+    K, m = inst.f.K, inst.f.K ** (inst.f.depth - j - 1)
+    pa, pb = _sibling_pairs(K)
+    x, dj = inst.f.values.reshape(K**j, K, m), float(inst.split_distances[j])
+    return np.abs(x[:, pa, :, None] - x[:, pb, None, :]) / dj**inst.theta
+
+
 class HajlaszInstance:
     """A boundary function with precomputed pair constraints per scale."""
 
@@ -140,38 +171,32 @@ class HajlaszInstance:
         self.epsilon = epsilon
 
         K, N = f.K, f.depth
+        pairs = leaf_pairs(K, N)
+        if pairs > PAIR_CAP:
+            raise ValueError(
+                f"the Hajlasz program at K = {K}, depth {N} has {pairs} leaf pairs,"
+                f" above the cap of {PAIR_CAP}"
+            )
         self.split_distances = split_distances(epsilon, N)
         self.scale_of_level = [scale_for_distance(float(d)) for d in self.split_distances]
 
-        # The pairs split at level j, as a dense (K^j, K(K-1)/2, m, m) array
-        # of bounds |f_a - f_b| / d_j^theta with m = K^(N-j-1): a level-j
-        # vertex, a sibling pair c1 < c2 in row-major order, the leaf a under
-        # child c1 and the leaf b under child c2.  The constraints of a
-        # scale are the pairs of its levels in this order, vacuous
-        # (zero-bound) pairs dropped.
-        pa, pb = np.triu_indices(K, 1)
-        self.level_bounds: list[np.ndarray] = []
+        # The constraints of a scale are the pairs of its split levels in
+        # `_split_bounds` order, vacuous (zero-bound) pairs dropped.
+        pa, pb = _sibling_pairs(K)
         per_scale: dict[int, list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
         for j in range(N):
-            m = K ** (N - j - 1)
-            leaf = np.arange(f.n_leaves).reshape(K**j, K, m)
-            x = f.values.reshape(K**j, K, m)
-            dj = float(self.split_distances[j])
-            bound = np.abs(x[:, pa, :, None] - x[:, pb, None, :]) / dj**theta
-            self.level_bounds.append(bound)
+            bound = _split_bounds(self, j)
             keep = bound > 0
             if keep.any():
+                m = bound.shape[2]
+                leaf = np.arange(f.n_leaves).reshape(K**j, K, m)
                 ia = leaf[:, pa, :, None].repeat(m, axis=3)[keep]
                 ib = leaf[:, pb, None, :].repeat(m, axis=2)[keep]
                 per_scale.setdefault(self.scale_of_level[j], []).append((ia, ib, bound[keep]))
 
-        self.constraints: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        for k, parts in per_scale.items():
-            self.constraints[k] = (
-                np.concatenate([p0 for p0, _, _ in parts]),
-                np.concatenate([p1 for _, p1, _ in parts]),
-                np.concatenate([p2 for _, _, p2 in parts]),
-            )
+        self.constraints: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {
+            k: tuple(map(np.concatenate, zip(*parts))) for k, parts in per_scale.items()
+        }
         self.scales = tuple(sorted(set(self.scale_of_level)))
         # the coarsest split level j0 of each scale: every pair of the scale
         # lies inside one level-j0 vertex, a block of K^(N - j0) leaves
@@ -268,9 +293,19 @@ def _repair(g, ia, ib, bound):
         np.add.at(g, ib[viol], half)
 
 
+def _in_block_units(bound):
+    """A block's bounds in its unit 2^e, and e, the frexp exponent of the
+    largest bound (which then lies in [0.5, 1)).  A power of two commutes
+    with rounding, so in the normal float range the p = 2 dual ascent takes
+    the same steps in these units as on the raw bounds, bit for bit."""
+    e = math.frexp(float(bound.max()))[1]
+    return np.ldexp(bound, -e), e
+
+
 def _certified(primal, dual):
-    """The gap test of every block; the 1e-300 floor lets near-subnormal values stop."""
-    return primal - dual <= _REL_TOL * max(primal, 1e-300)
+    """The gap test of every block, in the block's unit: there the largest
+    bound is at least 1/2, so the primal value is at least nu 4^-p > 0."""
+    return primal - dual <= _REL_TOL * primal
 
 
 def _dual_point(nu, p, s, mu, bound):
@@ -312,21 +347,24 @@ _BATCH_PAIRS = 2**15
 
 class _DualBlock:
     """One scale block of the p = 2 dual ascent: the scale k of the
-    instance at position `at`, its kept pairs (ia, ib, bound), their
-    active leaves, and the block's own step state.  Its momentum last
-    restarted at step `restart`; `gap` is its relative gap at the last
-    check (None before the first).
+    instance at position `at`, its kept pairs (ia, ib, bound) with the
+    bounds in the block's unit 2^e (`_in_block_units`), their active
+    leaves, and the block's own step state.  Its momentum last restarted
+    at step `restart`; `gap` is its relative gap at the last check (None
+    before the first).
 
-    A dense block (`level_bounds` given, the instance's bound arrays of
-    the block's split levels) holds a multiplier for every pair of them,
-    zero-bound pairs included (their multipliers stay exactly 0), in the
-    instance's pair order; `kept` locates the kept pairs among them.  Any
-    other block holds its kept pairs only.  Outside a layout the block
-    holds its own multipliers in mu and mu_prev, None while they are 0.
+    A dense block (`level_shapes` given, the (K^j, K(K-1)/2, m, m) shapes
+    of its split levels) holds a multiplier for every pair of those
+    levels, zero-bound pairs included (their multipliers stay exactly 0),
+    in the instance's pair order; `kept` locates the kept pairs among
+    them.  Any other block holds its kept pairs only.  Outside a layout
+    the block holds its own multipliers in mu and mu_prev, None while they
+    are 0.
     """
 
     def __init__(self, at, k, inst):
         ia, ib, bound = inst.constraints[k]
+        bound, self.e = _in_block_units(bound)
         n_leaves, nu = inst.f.n_leaves, inst.leaf_measure
         self.at, self.k, self.ia, self.ib, self.bound = at, k, ia, ib, bound
         self.n_leaves, self.nu = n_leaves, nu
@@ -340,11 +378,11 @@ class _DualBlock:
         self.last_dual = -math.inf
         self.gap = None
         self.restart = 0
-        self.level_bounds = level_bounds = _dense_bounds(inst, k)
-        if level_bounds is None:
-            self.pair_bound, self.kept = bound, slice(None)
+        dense = _dense_bounds(inst, k, self.e)
+        if dense is None:
+            self.pair_bound, self.kept, self.level_shapes = bound, slice(None), None
         else:
-            self.pair_bound = np.concatenate([b.ravel() for b in level_bounds])
+            self.pair_bound, self.level_shapes = dense
             self.kept = np.flatnonzero(self.pair_bound > 0)
         self.mu = self.mu_prev = None
 
@@ -371,8 +409,8 @@ class _DualLayout:
     """
 
     def __init__(self, blocks):
-        dense = [b for b in blocks if b.level_bounds is not None]
-        index = [b for b in blocks if b.level_bounds is None]
+        dense = [b for b in blocks if b.level_shapes is not None]
+        index = [b for b in blocks if b.level_shapes is None]
         self.blocks = blocks = dense + index
         sizes = [b.pair_bound.size for b in blocks]
         counts = [b.n_leaves for b in blocks]
@@ -398,13 +436,13 @@ class _DualLayout:
         self.dense_s, self.dense = self.s[:base], []
         for b, seg, lv in zip(dense, self.segments, self.leaves):
             at = seg.start
-            for bound in b.level_bounds:
-                V, _, m, _ = bound.shape
-                K = b.n_leaves // (V * m)
+            for shape in b.level_shapes:
+                V, _, m, _ = shape
+                K, size = b.n_leaves // (V * m), math.prod(shape)
                 s, g = self.s[lv].reshape(V, K, m), self.g[lv].reshape(V, K, m)
-                pairs = list(zip(*np.triu_indices(K, 1)))
-                self.dense.append((slice(at, at + bound.size), bound.shape, s, g, pairs))
-                at += bound.size
+                pairs = list(zip(*_sibling_pairs(K)))
+                self.dense.append((slice(at, at + size), shape, s, g, pairs))
+                at += size
         self.index_pairs = slice(start, None)
         self.index_s, self.index_g = self.s[base:], self.g[base:]
         # the index blocks' pairs as leaf indices into index_s and index_g
@@ -524,17 +562,19 @@ class _DualLayout:
         return blocks
 
 
-def _dense_bounds(inst, k):
-    """The bound arrays of the split levels of scale k if its p = 2 block is
-    held in the dense form, else None."""
+def _dense_bounds(inst, k, e):
+    """If the p = 2 block of scale k is held in the dense form: the bounds
+    of every pair of its split levels in `_split_bounds` order, in the
+    block's unit 2^e, and the levels' shapes.  Else None."""
     K, N = inst.f.K, inst.f.depth
     levels = [j for j, kj in enumerate(inst.scale_of_level) if kj == k]
-    level_pairs = sum(inst.level_bounds[j].size for j in levels)
+    shapes = [(K**j, K * (K - 1) // 2, K ** (N - j - 1), K ** (N - j - 1)) for j in levels]
     if (
         K ** (2 * N - levels[-1] - 2) >= _DENSE_MIN_RUN
-        and inst.constraints[k][0].size >= _DENSE_MIN_KEPT * level_pairs
+        and inst.constraints[k][0].size >= _DENSE_MIN_KEPT * sum(map(math.prod, shapes))
     ):
-        return [inst.level_bounds[j] for j in levels]
+        pair_bound = np.concatenate([_split_bounds(inst, j).ravel() for j in levels])
+        return np.ldexp(pair_bound, -e, out=pair_bound), shapes
     return None
 
 
@@ -546,14 +586,15 @@ def _solve_dual_blocks(batch):
     step sigma, momentum and stop, so each takes the steps it would take
     solved alone.  At p = 2 the Lagrangian minimizer is g = s / (2 nu), and
     sigma = 2 nu / max(deg_a + deg_b), set once per block, is the inverse
-    Lipschitz constant of the dual's gradient.  Every `_CHECK_EVERY` steps
-    each block computes its dual lower bound and repairs the Lagrangian
-    minimizer into its best primal point (from the feasible g = max(bound)/2),
-    all blocks at once (`_DualLayout.gap_points`);
-    it stops when their relative gap drops below `_REL_TOL` and restarts its
-    momentum when its dual value fell (the ascent is not monotone).  Returns
-    (position, scale) -> (leaf array, BlockReport), each array repaired once
-    more when its block certifies; the ConvergenceError raised at
+    Lipschitz constant of the dual's gradient.  Each block works in its
+    own unit 2^e (`_DualBlock`).  Every `_CHECK_EVERY` steps each block
+    computes its dual lower bound and repairs the Lagrangian minimizer into
+    its best primal point (from the feasible g = max(bound)/2), all blocks
+    at once (`_DualLayout.gap_points`); it stops when their relative gap
+    drops below `_REL_TOL` and restarts its momentum when its dual value
+    fell (the ascent is not monotone).  Returns (position, scale) ->
+    (leaf array in the block's unit, e, BlockReport), each array repaired
+    once more when its block certifies; the ConvergenceError raised at
     `_MAX_ITERS` names every block left uncertified.
     """
     blocks = [_DualBlock(at, k, inst) for at, inst in batch for k in inst.constraints]
@@ -578,7 +619,7 @@ def _solve_dual_blocks(batch):
                 out = np.zeros(blk.n_leaves)
                 out[blk.active] = blk.best_g
                 _repair(out, blk.ia, blk.ib, blk.bound)
-                solved[blk.at, blk.k] = out, BlockReport(t + 1, blk.gap)
+                solved[blk.at, blk.k] = out, blk.e, BlockReport(t + 1, blk.gap)
                 continue
             if dual < blk.last_dual:
                 lay.mu_prev[seg] = lay.mu[seg]
@@ -627,31 +668,30 @@ def _solve_scale_ipm(inst, k, at):
 
     Minimizes nu * sum g^p subject to s = A g - bound >= 0 and g >= 0, with
     multipliers mu >= 0 for the pairs and z >= 0 for g, where A g pairs up
-    g[a] + g[b].  The program is homogeneous, so it is solved for
-    bound / max(bound) and the minimizer scaled back.  The iterates stay
-    primal feasible (the start puts every leaf at its largest bound).  Each
-    Newton step aims at complementarity products s*mu = g*z equal to
-    _CENTRING times their current mean and moves all four variables by one
-    step length, _TO_BOUNDARY of the way to the nearest bound.  The reduced
-    Newton matrix lives on the leaves; every pair lies inside one run of
-    `block` consecutive leaves (a vertex of the block's coarsest level),
-    so the matrix is assembled into a (n_leaves / block, block, block)
-    array and solved batch by batch, with an identity row for each leaf in
-    no pair.  At p = 1 its diagonal also carries _DIAGONAL times the
+    g[a] + g[b], in the block's unit 2^e (`_in_block_units`).  The
+    iterates stay primal feasible (the start puts every leaf at its largest
+    bound).  Each Newton step aims at complementarity products s*mu = g*z
+    equal to _CENTRING times their current mean and moves all four
+    variables by one step length, _TO_BOUNDARY of the way to the nearest
+    bound.  The reduced Newton matrix lives on the leaves; every pair lies
+    inside one run of `block` consecutive leaves (a vertex of the block's
+    coarsest level), so the matrix is assembled into a (n_leaves / block,
+    block, block) array and solved batch by batch, with an identity row
+    for each leaf in no pair.  At p = 1 its diagonal also carries _DIAGONAL times the
     largest mu/s.  Stops on the certified gap between the better of the
     repaired iterate and the repaired Lagrangian minimizer of mu, and
     q(mu).  A Newton system that is not finite or not solvable raises
     ConvergenceError at once, as the iteration cap does, naming the block
-    by `at` and `_block_name`.
+    by `at` and `_block_name`.  Returns the minimizer in the block's unit,
+    e and the block's report.
     """
     nu, p, n_leaves = inst.leaf_measure, inst.p, inst.f.n_leaves
     ia, ib, bound = inst.constraints[k]
+    b, e = _in_block_units(bound)
     block = inst.f.K ** (inst.f.depth - inst.coarsest_level[k])
     where = at, _block_name(inst, k)
     active, la, lb = _active_leaves(ia, ib, n_leaves)
     n, m = active.size, ia.size
-    unit = float(bound.max())
-    b = bound / unit
     # flat cells of the (a, b), (b, a), (a, a) and (b, b) entries of each
     # pair and of every leaf's diagonal in the batched matrix
     ra, rb = ia % block, ib % block
@@ -709,15 +749,15 @@ def _solve_scale_ipm(inst, k, at):
         primal = min(values)
         if _certified(primal, dual):
             out = np.zeros(n_leaves)
-            out[active] = unit * candidates[values.index(primal)]
-            _repair(out, ia, ib, bound)
+            out[active] = candidates[values.index(primal)]
+            _repair(out, ia, ib, b)
             # Remove the slack left on every constraint: the objective is
             # homogeneous, so scaling g down until the tightest pair is
             # exactly tight keeps it feasible and can only lower the value,
             # by up to p times the relative slack.
-            out *= float(np.max(bound / (out[ia] + out[ib])))
-            _repair(out, ia, ib, bound)
-            return out, BlockReport(t + 1, (primal - dual) / primal)
+            out *= float(np.max(b / (out[ia] + out[ib])))
+            _repair(out, ia, ib, b)
+            return out, e, BlockReport(t + 1, (primal - dual) / primal)
     gap = f"relative gap {(primal - dual) / primal:.3g} after {_MAX_ITERS} iterations"
     raise ConvergenceError(stop, [(*where, gap)])
 
@@ -729,7 +769,10 @@ def hajlasz_minimize(inst: HajlaszInstance) -> HajlaszSolution:
     objective and one `BlockReport` per constrained scale.  Scales without
     constraints get the zero array.  Every block stops at a certified
     relative gap of `_REL_TOL` = 1e-8; one that has not reached it after
-    `_MAX_ITERS` = 100,000 iterations raises ConvergenceError.
+    `_MAX_ITERS` = 100,000 iterations raises ConvergenceError.  A value
+    outside the normal float range (0 or subnormal, or inf) is a
+    ValueError naming p, K and the depth; a constant f, which has no
+    constraints, has the value 0.
     """
     return hajlasz_minimize_all([inst])[0]
 
@@ -752,7 +795,7 @@ def hajlasz_minimize_all(instances) -> list[HajlaszSolution]:
     """
     solutions, batch, pairs = [], [], 0
     for inst in instances:
-        size = inst.f.n_leaves * (inst.f.n_leaves - 1) // 2
+        size = leaf_pairs(inst.f.K, inst.f.depth)
         if batch and pairs + size > _BATCH_PAIRS:
             solutions += _solve_batch(batch)
             batch, pairs = [], 0
@@ -768,7 +811,8 @@ def _solve_batch(batch) -> list[HajlaszSolution]:
     instance), in order: one dual-ascent loop solves every block of its
     p = 2 instances, then the interior-point method each block of the
     others, stopping at the first it cannot certify.  Both hand back
-    feasible leaf arrays keyed by (position, scale)."""
+    feasible leaf arrays keyed by (position, scale), each in its block's
+    unit 2^e, and each is scaled back here."""
     solved = _solve_dual_blocks([(at, inst) for at, inst in batch if inst.p == 2.0])
     for at, inst in batch:
         if inst.p != 2.0:
@@ -778,8 +822,15 @@ def _solve_batch(batch) -> list[HajlaszSolution]:
         g = {k: np.zeros(inst.f.n_leaves) for k in inst.scales}
         blocks = {}
         for k in inst.constraints:
-            g[k], blocks[k] = solved[at, k]
-        value = sum(inst.leaf_measure * float(np.sum(arr**inst.p)) for arr in g.values())
+            arr, e, blocks[k] = solved[at, k]
+            g[k] = np.ldexp(arr, e, out=arr)
+        with np.errstate(over="ignore"):
+            value = sum(inst.leaf_measure * float(np.sum(arr**inst.p)) for arr in g.values())
+        if blocks and not sys.float_info.min <= value < math.inf:
+            where = f"at p = {inst.p:g} of (K={inst.f.K}, depth {inst.f.depth})"
+            raise ValueError(
+                f"the Hajlasz value {where} is {value:g}, outside the normal float range"
+            )
         iterations = sum(b.iterations for b in blocks.values())
         method = "dual-ascent" if inst.p == 2.0 else "interior-point"
         solutions.append(HajlaszSolution(value, g, iterations, method, blocks))

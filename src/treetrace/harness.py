@@ -139,8 +139,9 @@ class ExperimentConfig:
     (`_sweep`).  `K` must be at least 2, `epsilon` positive and `p` at
     least 1.  The tree of each depth takes the minimal shift C and the
     order-8 edge rule (`TreeParams`).  `hajlasz_max_depth` must be
-    nonnegative (0 runs no Hajlasz program), every seed nonnegative and
-    every depth at least 1.  The fields are the config-file keys
+    nonnegative (0 runs no Hajlasz program, nor does a depth whose leaf
+    pairs pass `hajlasz.PAIR_CAP`), every seed nonnegative and every
+    depth at least 1.  The fields are the config-file keys
     (`load_config`); where the output goes is the command line's
     (`treetrace.cli`).
     """
@@ -543,10 +544,11 @@ def verify_equivalences(cfg: ExperimentConfig) -> RatioReport:
     energy was reached: `hajlasz_method` (`dual-ascent` at p = 2,
     `interior-point` otherwise), `hajlasz_iterations` summed over the
     scale blocks and `hajlasz_rel_gap`, the largest certified gap of a
-    block; all three are empty past `hajlasz_max_depth`.  One pass over
-    the sweep (depth by depth, then seed by seed) builds every row; then
-    one `hajlasz_minimize_all` call, which builds each instance as it
-    takes it, fills in the rows up to `hajlasz_max_depth`.  Every value
+    block; all three are empty past `hajlasz_max_depth`, and where the
+    instance's leaf pairs pass `hajlasz.PAIR_CAP`.  One pass over the sweep
+    (depth by depth, then seed by seed) builds every row; then one
+    `hajlasz_minimize_all` call, which builds each instance as it takes
+    it, fills in the other rows.  Every value
     is that of solving the instance alone; a ConvergenceError names each
     uncertified block by its seed and depth.  At lambda1 = 0 the Orlicz
     energy is the weighted power energy, so `besov_vs_composite` is 1 by
@@ -588,7 +590,10 @@ def verify_equivalences(cfg: ExperimentConfig) -> RatioReport:
             "besov_vs_composite": besov / composite,
         }
         rows.append(row)
-        if f.depth <= cfg.hajlasz_max_depth:
+        if (
+            f.depth <= cfg.hajlasz_max_depth
+            and hajlasz.leaf_pairs(f.K, f.depth) <= hajlasz.PAIR_CAP
+        ):
             solve.append((row, f))
     try:
         # this calls no hajlasz_minimize, so a wrapper of that function

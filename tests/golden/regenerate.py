@@ -26,7 +26,10 @@ The cases:
 * `trace-bound` at p = 1.5, lambda1 = 2, depths 8,10, seeds 0 and 1: the
   modular pass at a lambda1 other than 0 and 1, and at a p other than 2;
 * `extension-bound` at p = 3, lambda1 = -1, depths 8,10, seeds 0 and 1:
-  the modular pass at a negative lambda1.
+  the modular pass at a negative lambda1;
+* `equivalence` at p = 1.5, depths 4,6, hajlasz_max_depth = 6, seeds 0
+  and 1: the Hajlasz program's interior-point method, which no p = 2
+  case runs.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ _DEEP = "lambda1 = 1\ndepths = 12,14,16\nseeds = 0,1\n"
 _DENSE = "lambda1 = 1\ndepths = 6,8\nhajlasz_max_depth = 8\nseeds = 0,1\n"
 _P15_LAMBDA2 = "p = 1.5\nlambda1 = 2\ndepths = 8,10\nseeds = 0,1\n"
 _P3_LAMBDA_MINUS1 = "p = 3\nlambda1 = -1\ndepths = 8,10\nseeds = 0,1\n"
+_P15_HAJLASZ = "p = 1.5\ndepths = 4,6\nhajlasz_max_depth = 6\nseeds = 0,1\n"
 
 # case -> (config file text or None, the arguments after `treetrace verify`)
 CASES = {
@@ -71,6 +75,7 @@ CASES = {
     "equivalence-dense": (_DENSE, ["equivalence"]),
     "trace-bound-p1.5-lambda2": (_P15_LAMBDA2, ["trace-bound"]),
     "extension-bound-p3-lambda-minus1": (_P3_LAMBDA_MINUS1, ["extension-bound"]),
+    "equivalence-p1.5": (_P15_HAJLASZ, ["equivalence"]),
 }
 
 

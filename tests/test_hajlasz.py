@@ -78,6 +78,24 @@ def test_instance_rejects_bad_exponents():
         HajlaszInstance(f, 0.5, 0.5, LN2)
 
 
+def test_leaf_pairs_counts_unordered_pairs_and_the_cap_admits_its_depths():
+    assert hajlasz.leaf_pairs(2, 4) == 16 * 15 // 2 == 120
+    assert hajlasz.leaf_pairs(3, 1) == 3
+    # the deepest depth the default cap admits at K = 2, 3, 5 and 8
+    for K, depth in [(2, 10), (3, 6), (5, 4), (8, 3)]:
+        assert hajlasz.leaf_pairs(K, depth) <= hajlasz.PAIR_CAP < hajlasz.leaf_pairs(K, depth + 1)
+
+
+def test_instance_over_the_pair_cap_is_refused_before_it_allocates(monkeypatch):
+    # the cap is read at call time; K = 2, depth 4 has 120 pairs
+    monkeypatch.setattr(hajlasz, "PAIR_CAP", 100)
+    HajlaszInstance(generate("iid-uniform", K=2, depth=3, seed=0), 0.5, 2.0, LN2)
+    f = generate("iid-uniform", K=2, depth=4, seed=0)
+    message = "the Hajlasz program at K = 2, depth 4 has 120 leaf pairs, above the cap of 100"
+    with pytest.raises(ValueError, match=message):
+        HajlaszInstance(f, 0.5, 2.0, LN2)
+
+
 # ---------------------------------------------------------------- feasibility
 
 
@@ -128,6 +146,45 @@ def test_energy_p2_analytic_value():
     inst = two_leaf_instance(p=2.0)
     c = math.sqrt(LN2 / 2.0)
     assert hajlasz_minimize(inst).value == pytest.approx(c**2 / 4.0, rel=1e-6)
+
+
+def _scaled(c):
+    """The iid-uniform seed 0 function at K = 2, depth 3, times c."""
+    return BoundaryFunction(2, 3, c * generate("iid-uniform", K=2, depth=3, seed=0).values)
+
+
+def test_dual_ascent_certifies_near_the_bottom_of_the_normal_range():
+    # on the raw bounds the dual ascent reported gaps up to 6.1e-7 here,
+    # and its value was 1.7e-7 off 2^-1000 times the unscaled one
+    sol, at_one = (
+        hajlasz_minimize(HajlaszInstance(_scaled(c), 0.5, 2.0, LN2)) for c in (2.0**-500, 1.0)
+    )
+    assert all(b.rel_gap <= hajlasz._REL_TOL for b in sol.blocks.values())
+    assert sol.blocks == at_one.blocks
+    assert sol.value == math.ldexp(at_one.value, -1000)
+
+
+@pytest.mark.parametrize(
+    "f, p, value",
+    [
+        # the start value of the raw dual ascent underflowed to 0, and its
+        # first gap check divided by it
+        (BoundaryFunction(2, 1, [1e-170, 0.0]), 2.0, "0"),
+        # these returned a subnormal 6.3e-322 with gaps of 2-3%, 0.0, and
+        # inf with an overflow warning
+        (_scaled(1e-160), 2.0, r"[0-9.]+e-32[0-9]"),
+        (_scaled(2.0**-400), 3.0, "0"),
+        (_scaled(2.0**400), 3.0, "inf"),
+    ],
+    ids=["1e-170-at-depth-1", "1e-160", "2^-400-at-p3", "2^400-at-p3"],
+)
+def test_a_value_outside_the_normal_range_is_refused(f, p, value):
+    message = (
+        rf"the Hajlasz value at p = {p:g} of \(K=2, depth {f.depth}\) is {value},"
+        " outside the normal float range"
+    )
+    with pytest.raises(ValueError, match=message):
+        hajlasz_minimize(HajlaszInstance(f, 0.5, p, LN2))
 
 
 def test_solution_feasible_and_symmetric():
@@ -264,7 +321,8 @@ def _assert_matches_ipm(inst, g):
     interior-point method within twice _REL_TOL: both certify _REL_TOL."""
     nu = inst.leaf_measure
     for k in inst.constraints:
-        g_ip, rep = _solve_scale_ipm(inst, k, 0)
+        g_ip, e, rep = _solve_scale_ipm(inst, k, 0)
+        g_ip = np.ldexp(g_ip, e)
         assert rep.rel_gap <= hajlasz._REL_TOL
         _assert_within_gap(nu * np.sum(g_ip**2), nu * np.sum(g[k] ** 2), k)
 
@@ -409,7 +467,7 @@ def _assert_matches_per_block(inst, sol=None):
     assert list(sol.g) == list(g)
     assert set(sol.blocks) == set(blocks)
     assert sol.iterations == sum(b.iterations for b in sol.blocks.values())
-    dense = [k for k in inst.constraints if hajlasz._dense_bounds(inst, k) is not None]
+    dense = [k for k in inst.constraints if hajlasz._dense_bounds(inst, k, 0) is not None]
     for k in g:
         if k in dense:
             assert sol.blocks[k].rel_gap <= hajlasz._REL_TOL
@@ -448,8 +506,8 @@ def test_dense_masses_match_the_index_form(K, depth):
             dense = hajlasz._DualLayout([hajlasz._DualBlock(0, k, inst)])
             _use_form(mp, FORMS[2])
             index = hajlasz._DualLayout([hajlasz._DualBlock(0, k, inst)])
-            assert index.blocks[0].level_bounds is None
-            spans += len(dense.blocks[0].level_bounds) > 1
+            assert index.blocks[0].level_shapes is None
+            spans += len(dense.blocks[0].level_shapes) > 1
             w = rng.uniform(size=ia.size)
             dense.mu[dense.blocks[0].kept], index.mu[:] = w, w
             s_dense, s_index = dense.mu_mass(), index.mu_mass()
@@ -577,7 +635,7 @@ def test_batch_matches_each_instance_alone(form):
 def _record_batches(mp, solve=True):
     """Record the instance positions of each batch that hajlasz_minimize_all
     solves, at every p, in order.  Without `solve`, every p = 2 block gets
-    the zero array repaired (as `_solve_dual_blocks` hands back a feasible
+    the zero array repaired, in the unit 2^0 (as `_solve_dual_blocks` hands back a feasible
     array) and no dual-ascent loop runs."""
     batches = []
     solve_batch = hajlasz._solve_batch
@@ -590,7 +648,7 @@ def _record_batches(mp, solve=True):
         solved = {}
         for at, inst in batch:
             for k, (ia, ib, bound) in inst.constraints.items():
-                solved[at, k] = np.zeros(inst.f.n_leaves), BlockReport(0, 0.0)
+                solved[at, k] = np.zeros(inst.f.n_leaves), 0, BlockReport(0, 0.0)
                 _repair(solved[at, k][0], ia, ib, bound)
         return solved
 

@@ -39,6 +39,7 @@ from treetrace.harness import (
     RatioReport,
     chi_exceed_fraction,
     fit_log_slope,
+    generate_for,
     tail_constant,
 )
 
@@ -1206,6 +1207,34 @@ def test_cli_energy_rejects_a_function_of_another_K(tmp_path, capsys):
     assert text.err == f"treetrace: error: {u_path} has K = 3, the config has K = 2\n"
     assert text.out == ""
     assert not out.exists()
+
+
+def test_equivalence_leaves_the_hajlasz_columns_empty_past_the_pair_cap(monkeypatch):
+    # K = 2: 28 leaf pairs at depth 3 and 120 at depth 4
+    monkeypatch.setattr(hajlasz, "PAIR_CAP", 100)
+    report = verify_equivalences(small_cfg(depths=(3, 4)))
+    for row in report.rows:
+        solved = row["depth"] == 3
+        assert (row["hajlasz_energy"] is not None) == solved
+        assert (row["hajlasz_method"] is not None) == solved
+    assert report.stats["hajlasz_vs_dyadic"].count == 3
+
+
+def test_cli_gen_samples_the_config_family(tmp_path, capsys):
+    # --family had a default that replaced the config's family
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("family = lacunary\nseeds = 0\ndepths = 3\n")
+    out = tmp_path / "u.csv"
+    assert main(["gen", "--config", str(cfg), "--out", str(out)]) == 0
+    assert "(lacunary, seed 0, depth 3)" in capsys.readouterr().out
+    expected = generate_for(load_config(str(cfg)), "lacunary", 3, 0)
+    assert np.array_equal(BoundaryFunction.from_csv(out).values, expected.values)
+    # the command line still wins over the file
+    assert main(["gen", "--config", str(cfg), "--family", "iid-uniform", "--out", str(out)]) == 0
+    assert "(iid-uniform, seed 0, depth 3)" in capsys.readouterr().out
+    cfg.write_text("family = no-such-family\n")
+    assert main(["gen", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "treetrace: error: unknown family 'no-such-family'\n"
 
 
 def test_hajlasz_max_depth_zero_runs_no_hajlasz_program():

@@ -1,0 +1,151 @@
+"""Scale and symmetry invariants of the norms, energies and the Hajlasz
+program, checked on random functions without a reference implementation.
+
+* Scaling by a power of two commutes with rounding, so a gauge norm of
+  2^e u is 2^e times that of u, bit for bit, and so is every Hajlasz
+  minimizer: each block is solved in its own power-of-two unit.  The
+  Hajlasz value of 2^c f is then 2^(pc) times that of f, bit for bit at
+  p = 2 (squares and sums scale exactly) and within 1e-12 at other p
+  (where g^p rounds), or a ValueError where it leaves the normal range.
+* Permuting the children of a vertex is an automorphism of the tree, so
+  it moves every modular and energy by rounding only, every gauge within
+  its bracket and every Hajlasz value within its certified gaps.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import treetrace.hajlasz as hajlasz
+import treetrace.young as young
+from treetrace import (
+    BoundaryFunction,
+    EnergyParams,
+    ExperimentConfig,
+    HajlaszInstance,
+    double_integral_energy,
+    double_integral_is_exact,
+    dyadic_energy,
+    dyadic_orlicz_modular,
+    extend,
+    generate,
+    hajlasz_minimize,
+    newtonian_norm,
+    orlicz_besov_norm,
+)
+
+LN2 = math.log(2.0)
+# (p, lambda1) of the gauges: powers and one Orlicz function of each sign
+EXPONENTS = [(2.0, 0.0), (2.0, 1.0), (1.5, 0.0), (3.0, 1.0)]
+
+
+@st.composite
+def functions(draw, max_depth=5):
+    K = draw(st.sampled_from([2, 3]))
+    depth = draw(st.integers(1, max_depth if K == 2 else max_depth - 1))
+    family = draw(st.sampled_from(["iid-uniform", "lacunary", "cell-indicator"]))
+    seed = draw(st.integers(0, 1000))
+    return generate(family, K=K, depth=depth, seed=seed, epsilon=LN2, theta=0.5)
+
+
+def _scaled(f, e):
+    return BoundaryFunction(f.K, f.depth, np.ldexp(f.values, e))
+
+
+def _gauges(f, p, lambda1):
+    cfg = ExperimentConfig(K=f.K, p=p, lambda1=lambda1)
+    ep, phi = cfg.energy_params(), cfg.phi()
+    return (
+        orlicz_besov_norm(f, ep, phi),
+        newtonian_norm(extend(f), cfg.tree_params(f.depth), phi),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=functions(), exponents=st.sampled_from(EXPONENTS), e=st.integers(-600, 600))
+def test_gauges_scale_exactly_by_powers_of_two(f, exponents, e):
+    at_f = _gauges(f, *exponents)
+    assert _gauges(_scaled(f, e), *exponents) == tuple(math.ldexp(v, e) for v in at_f)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    f=functions(max_depth=4),
+    p=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+    c=st.integers(-700, 700),
+)
+def test_hajlasz_value_scales_by_the_pth_power_or_is_refused(f, p, c):
+    sol = hajlasz_minimize(HajlaszInstance(f, 0.5, p, LN2))
+    assert all(b.rel_gap <= hajlasz._REL_TOL for b in sol.blocks.values())
+    scaled = HajlaszInstance(_scaled(f, c), 0.5, p, LN2)
+    if not sol.blocks:
+        assert hajlasz_minimize(scaled).value == 0.0
+        return
+    # log2 of the value of the scaled instance
+    log2_value = math.log2(sol.value) + p * c
+    if abs(log2_value) >= 1100:
+        with pytest.raises(ValueError, match=f"at p = {p:g} of"):
+            hajlasz_minimize(scaled)
+    elif abs(log2_value) <= 900:
+        got = hajlasz_minimize(scaled)
+        assert all(b.rel_gap <= hajlasz._REL_TOL for b in got.blocks.values())
+        assert got.iterations == sol.iterations
+        for k in sol.g:
+            assert np.array_equal(got.g[k], np.ldexp(sol.g[k], c)), k
+        if p == 2.0:
+            assert got.value == math.ldexp(sol.value, 2 * c)
+        else:
+            whole, part = divmod(p * c, 1.0)
+            expected = math.ldexp(sol.value * 2.0**part, int(whole))
+            assert abs(got.value - expected) <= 1e-12 * expected
+
+
+@st.composite
+def automorphisms(draw, max_depth=5):
+    """A function and its image under a random permutation of the children
+    of one vertex."""
+    f = draw(functions(max_depth))
+    K, N = f.K, f.depth
+    level = draw(st.integers(0, N - 1))
+    vertex = draw(st.integers(0, K**level - 1))
+    order = draw(st.permutations(range(K)))
+    values = f.values.reshape(K**level, K, -1).copy()
+    values[vertex] = values[vertex][list(order)]
+    return f, BoundaryFunction(K, N, values.ravel())
+
+
+def _assert_close(a, b, rtol):
+    assert abs(a - b) <= rtol * max(abs(a), abs(b)), (a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=automorphisms(), exponents=st.sampled_from(EXPONENTS))
+def test_automorphisms_keep_modulars_and_gauges(pair, exponents):
+    f, g = pair
+    p, lambda1 = exponents
+    cfg = ExperimentConfig(K=f.K, p=p, lambda1=lambda1)
+    ep, phi = cfg.energy_params(), cfg.phi()
+    plain = EnergyParams(theta=ep.theta, p=p, epsilon=ep.epsilon)
+    modulars = [lambda u: dyadic_energy(u, ep), lambda u: dyadic_orlicz_modular(u, ep, phi)]
+    if double_integral_is_exact(f.K, f.depth, p):
+        modulars.append(lambda u: double_integral_energy(u, plain))
+    for modular in modulars:
+        _assert_close(modular(f), modular(g), 1e-14)
+    # each gauge lies within its bracket, _TOL relative, of its modular's
+    # root, and the two roots agree to rounding
+    for a, b in zip(_gauges(f, p, lambda1), _gauges(g, p, lambda1)):
+        _assert_close(a, b, 2.0 * young._TOL)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=automorphisms(max_depth=4), p=st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+def test_automorphisms_keep_the_hajlasz_value_within_its_gaps(pair, p):
+    a, b = (hajlasz_minimize(HajlaszInstance(u, 0.5, p, LN2)) for u in pair)
+    assert a.blocks.keys() == b.blocks.keys()
+    gaps = [r.rel_gap for sol in (a, b) for r in sol.blocks.values()]
+    assert max(gaps, default=0.0) <= hajlasz._REL_TOL
+    # each value is within its largest block gap of the optimum, from above
+    _assert_close(a.value, b.value, 2.0 * hajlasz._REL_TOL)
