@@ -171,13 +171,17 @@ def dyadic_energy(f: BoundaryFunction, params: EnergyParams) -> float:
 
     Sum over levels n = 1..depth of
     e^(eps*n*theta*p) * n^lam * sum_cells K^(-n) |f_I - f_parent(I)|^p.
+    A sum beyond the float range is a ValueError naming p.
     """
     eps, theta, p, lam = params.epsilon, params.theta, params.p, params.lam
     diffs = child_minus_parent(f.K, f.level_averages())
     total = 0.0
-    for n in range(1, f.depth + 1):
-        s = float(f.K) ** -n * float(np.sum(np.abs(diffs[level_slice(f.K, n - 1)]) ** p))
-        total += _level_weight(n, eps, theta, p, lam, "lam") * s
+    with np.errstate(over="ignore"):
+        for n in range(1, f.depth + 1):
+            s = float(f.K) ** -n * float(np.sum(np.abs(diffs[level_slice(f.K, n - 1)]) ** p))
+            total += _level_weight(n, eps, theta, p, lam, "lam") * s
+    if total == math.inf:
+        raise ValueError(f"the energy overflows at p = {p:g}")
     return total
 
 
@@ -293,7 +297,8 @@ def double_integral_energy(f: BoundaryFunction, params: EnergyParams) -> float:
     over a block (`_level_pair_sums`).  At integer p <= MAX_CLOSED_FORM_P
     the cost is O(p * depth * K^depth) at any depth; at other p pairs are
     enumerated and the call is rejected beyond `PAIR_BUDGET` leaf pairs
-    (`double_integral_is_exact`).
+    (`double_integral_is_exact`).  A sum beyond the float range (at a p
+    with no closed form, a sum of pairs too) is a ValueError naming p.
     """
     K, N, p = f.K, f.depth, params.p
     if not double_integral_is_exact(K, N, p):
@@ -304,10 +309,14 @@ def double_integral_energy(f: BoundaryFunction, params: EnergyParams) -> float:
     d = split_distances(params.epsilon, N)
     cross, scale = [0.0] * N, [0] * N
     below, below_scale = np.zeros(K**N), 0  # a level-N block is one leaf: no pairs
-    for n, s, sums in _level_pair_sums(f, p):
-        children = np.ldexp(below.reshape(-1, K).sum(axis=1), below_scale - s)
-        cross[n], scale[n] = float((sums - children).sum()), s
-        below, below_scale = sums, s
+    # the enumerated pair terms are not scaled, and can overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n, s, sums in _level_pair_sums(f, p):
+            children = np.ldexp(below.reshape(-1, K).sum(axis=1), below_scale - s)
+            cross[n], scale[n] = float((sums - children).sum()), s
+            below, below_scale = sums, s
+    if not all(map(math.isfinite, cross)):
+        raise ValueError(f"the double sum overflows at p = {p:g}")
     total = 0.0
     for n in range(N):
         # weight x cross x 2^scale as one product of mantissas and one

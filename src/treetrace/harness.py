@@ -215,11 +215,28 @@ class ExperimentConfig:
         return YoungPhi(self.p, self.lambda1)
 
 
+def _single_depth(depths: np.ndarray) -> bool:
+    """Whether `depths` holds fewer than two distinct depths (by min == max,
+    not np.unique, which imports numpy.ma)."""
+    return depths.size == 0 or depths.min() == depths.max()
+
+
+def _median(values: np.ndarray) -> float:
+    """np.median of `values`, bit for bit, from one sort: the middle value,
+    or the mean of the two middle values; NaN where any value is NaN (a
+    sort puts NaN last).  np.median imports numpy.ma."""
+    s = np.sort(values)
+    if s.size and np.isnan(s[-1]):
+        return math.nan
+    m = s.size // 2
+    return float(s[m] if s.size % 2 else (s[m - 1] + s[m]) / 2.0)
+
+
 def fit_log_slope(depths, values) -> float:
     """Least-squares slope of log(value) against depth; 0 for a single depth."""
     depths = np.asarray(depths, dtype=float)
     values = np.asarray(values, dtype=float)
-    if np.unique(depths).size < 2:
+    if _single_depth(depths):
         return 0.0
     return float(np.polyfit(depths, np.log(values), 1)[0])
 
@@ -238,14 +255,15 @@ class ColumnStats:
     @classmethod
     def of(cls, depths, values) -> ColumnStats:
         """Stats of the samples `values`, taken at `depths`."""
-        if np.unique(depths).size < 2:
+        if _single_depth(depths):
             slope = None
         elif np.all(np.isfinite(values)) and np.all(values > 0):
             slope = fit_log_slope(depths, values)
         else:
             slope = math.inf
-        median = float(np.median(values))
-        return cls(int(values.size), float(values.min()), float(values.max()), median, slope)
+        return cls(
+            int(values.size), float(values.min()), float(values.max()), _median(values), slope
+        )
 
     @property
     def spread(self) -> float:

@@ -57,14 +57,24 @@ _LEVEL_CACHE = 1024
 
 # the order of the Gauss-Legendre rule of every edge integral
 QUAD_ORDER = 8
+# its nodes and weights on [-1, 1], the floats of numpy's leggauss(8)
+_GAUSS_NODES = (
+    -0.9602898564975362, -0.7966664774136267, -0.525532409916329, -0.18343464249564978,
+    0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362,
+)
+_GAUSS_WEIGHTS = (
+    0.10122853629037706, 0.22238103445337443, 0.3137066458778869, 0.36268378337836166,
+    0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706,
+)
 
 
 @cache
 def _gauss_rule() -> tuple[np.ndarray, np.ndarray]:
-    """The nodes and weights of the edge rule on [-1, 1], read-only.  Built
-    on first use, so that a run that integrates over no edge does not
-    import numpy.polynomial, which numpy 2 loads lazily (about 2 MB)."""
-    x, w = np.polynomial.legendre.leggauss(QUAD_ORDER)
+    """The nodes and weights of the edge rule on [-1, 1], read-only.  They
+    are literals, pinned by a test to numpy's leggauss(QUAD_ORDER), so that
+    a run need not import numpy.polynomial (about 1 MB), and the rule does
+    not depend on the LAPACK eigensolver that leggauss calls."""
+    x, w = np.array(_GAUSS_NODES), np.array(_GAUSS_WEIGHTS)
     x.flags.writeable = w.flags.writeable = False
     return x, w
 

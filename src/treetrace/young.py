@@ -63,6 +63,20 @@ _MAX_DOUBLINGS = 200
 # the largest chunk of a modular's build and passes, in elements, but for
 # a weight row longer than that, which is a chunk of its own
 _CHUNK = 1 << 14
+# the longest vector of one BLAS dot product (`dot`)
+_DOT_MAX = 1 << 13
+
+
+def dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a . b for flat float arrays, the same float at every BLAS thread
+    count.  OpenBLAS splits a dot of more than 10,000 entries among its
+    threads, so its sum depends on their number; here a dot of more than
+    `_DOT_MAX` entries is the sum of the dots of its halves (the first
+    longer by one at an odd length), which is how two threads split it."""
+    if a.size <= _DOT_MAX:
+        return float(a @ b)
+    h = (a.size + 1) // 2
+    return dot(a[:h], b[:h]) + dot(a[h:], b[h:])
 
 
 class GaugeBracketError(RuntimeError):
@@ -274,14 +288,14 @@ class YoungModular:
         self._points: list[tuple[float, float, float, float]] = []
         self._radius = _expansion_radius(lam)
         self._passes = 0
-        self._total, dot = 0.0, 0.0
+        self._total, moment = 0.0, 0.0
         for chunk, w, counts, A, _ in self._chunks:
             _form(A, chunk, p, w, counts)
             self._total += float(np.sum(A))
-            dot += float(A @ chunk)
+            moment += dot(A, chunk)
         if self._total > 0.0:
             c = self._exp * _LOG2 + math.log(self._total)
-            x0 = _mean_field_root(p, lam, c, dot / self._total)
+            x0 = _mean_field_root(p, lam, c, moment / self._total)
             if x0 is not None:
                 self.start = (x0, p)
 
@@ -329,14 +343,14 @@ class YoungModular:
                 A *= ell ** (lam - 1.0)
                 total += float(np.sum(A))
             np.divide(a, buf, out=buf)
-            s1 += float(A @ buf)
+            s1 += dot(A, buf)
             np.square(buf, out=buf)
-            s3 += float(A @ buf)
+            s3 += dot(A, buf)
             if lam != 1.0:
-                s2 += float(np.divide(A, ell, out=ell) @ buf)
+                s2 += dot(np.divide(A, ell, out=ell), buf)
             np.add(a, ek, out=buf)
             np.log(buf, out=buf)
-            F += float(A @ buf)
+            F += dot(A, buf)
         F -= log_k * total
         point = (log_k, F, -lam * s1, lam * (lam - 1.0) * s2 + lam * (s1 - s3))
         if all(math.isfinite(v) for v in point):

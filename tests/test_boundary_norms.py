@@ -271,6 +271,26 @@ def test_dyadic_energy_level_weight_product_overflow_is_an_error():
         dyadic_energy(f, eparams(theta=0.5, p=180.0, lam=10.0))
 
 
+def test_dyadic_energy_overflow_names_p():
+    # (2^150)^8 leaves the float range: the energy returned inf, with an
+    # overflow warning, where its siblings refused
+    f = random_f(2, 3, seed=0, family="lacunary")
+    big = BoundaryFunction(2, 3, np.ldexp(f.values, 150))
+    with pytest.raises(ValueError, match="the energy overflows at p = 8$"):
+        dyadic_energy(big, eparams(p=8.0))
+    with pytest.raises(ValueError, match="the double sum overflows at p = 8$"):
+        double_integral_energy(big, eparams(p=8.0))
+
+
+def test_double_integral_overflow_at_an_enumerated_p_is_an_error():
+    # (2^600)^2.5 leaves the float range before any weight: the enumerated
+    # pair sums were inf and the result NaN
+    f = random_f(2, 4, seed=0, family="lacunary")
+    big = BoundaryFunction(2, 4, np.ldexp(f.values, 600))
+    with pytest.raises(ValueError, match="the double sum overflows at p = 2.5$"):
+        double_integral_energy(big, eparams(p=2.5))
+
+
 def test_orlicz_energy_level_weight_overflow_names_lambda2():
     # n^lambda2 at n = 2 ended in an OverflowError from float(n) ** lam2,
     # which named no key

@@ -1,6 +1,7 @@
 import math
 import re
 import sys
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -235,6 +236,42 @@ def test_oracle_constant_function():
 def test_oracle_rejects_large_instances():
     with pytest.raises(ValueError):
         hajlasz_oracle(random_instance(0, depth=4), 4)
+
+
+def _one_chunk_oracle(inst, resolution):
+    """The grid search over each scale's whole grid at once, built by
+    meshgrid: the oracle's points in the oracle's order."""
+    h = inst.g_max / resolution
+    total = 0.0
+    for k, (ia, ib, bound) in inst.constraints.items():
+        active, la, lb = _active_leaves(ia, ib, inst.f.n_leaves)
+        axes = [np.arange(resolution + 1)] * active.size
+        G = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes)) * h
+        feas = np.all(G[:, la] + G[:, lb] >= bound[None, :] - 1e-12, axis=1)
+        total += float((inst.leaf_measure * np.sum(G[feas] ** inst.p, axis=1)).min())
+    return total
+
+
+@pytest.mark.parametrize("K, depth, resolution", [(2, 2, 16), (3, 1, 32)])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_oracle_value_is_that_of_one_chunk(K, depth, resolution, p):
+    # 17^4 and 33^3 points: the oracle takes each grid in several chunks
+    for seed in range(3):
+        inst = random_instance(seed, depth=depth, p=p, K=K)
+        assert (resolution + 1) ** inst.f.n_leaves > hajlasz._ORACLE_CHUNK
+        assert hajlasz_oracle(inst, resolution) == _one_chunk_oracle(inst, resolution)
+
+
+def test_oracle_memory_does_not_grow_with_the_grid():
+    # 5^8 points per scale; in chunks of 10^6 points it peaked at 170 MB
+    inst = random_instance(0, depth=3)
+    tracemalloc.start()
+    try:
+        hajlasz_oracle(inst, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 
 def _objective_step_bound(inst, resolution):

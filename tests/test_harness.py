@@ -35,6 +35,7 @@ from treetrace import (
 from treetrace.cli import main
 from treetrace.harness import (
     BOUNDARY_FAMILIES,
+    ColumnStats,
     ExperimentConfig,
     RatioReport,
     chi_exceed_fraction,
@@ -224,6 +225,26 @@ def test_fit_log_slope_recovers_exponent():
     ratios = [math.exp(0.05 * d) for d in depths]
     assert fit_log_slope(depths, ratios) == pytest.approx(0.05, abs=1e-12)
     assert fit_log_slope([4, 4, 4], [1.0, 2.0, 3.0]) == 0.0
+
+
+@pytest.mark.parametrize("size", [1, 2, 5, 6, 101, 1000])
+def test_column_stats_median_is_numpys(size):
+    rng = np.random.default_rng(size)
+    depths = np.arange(size) % 2 + 3.0
+    for values in (rng.lognormal(0.0, 3.0, size), rng.integers(0, 3, size) * 0.1):
+        stats = ColumnStats.of(depths, values)
+        assert stats.median.hex() == float(np.median(values)).hex()
+        assert stats.slope is None if size == 1 else stats.slope is not None
+    values = rng.uniform(size=size)
+    values[size // 2] = math.nan
+    assert math.isnan(ColumnStats.of(depths, values).median)
+    assert math.isnan(float(np.median(values)))
+
+
+def test_column_stats_of_one_depth_has_no_slope():
+    stats = ColumnStats.of(np.full(4, 5.0), np.array([2.0, 1.0, 4.0, 3.0]))
+    assert stats.slope is None
+    assert stats.median == 2.5
 
 
 def test_tail_constant_matches_direct_sum():
@@ -881,6 +902,34 @@ def test_import_loads_no_scipy():
     code = (
         "import sys, treetrace, treetrace.cli; "
         "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=_package_env(),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_verify_drivers_load_neither_numpy_ma_nor_numpy_polynomial(tmp_path):
+    # np.median and np.unique import numpy.ma (1.3 MB) and leggauss
+    # numpy.polynomial (0.9 MB), which numpy 2 loads only on use (numpy 1
+    # loads both with numpy); two depths, so that a slope is fitted, and a
+    # verdict either way
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("depths = 2,3\nseeds = 0,1\nn_balls = 4\n")
+    code = (
+        "import contextlib, io, sys\n"
+        "from treetrace.cli import main\n"
+        "lazy = {'numpy.ma', 'numpy.polynomial'} - set(sys.modules)\n"
+        "for check in ('ahlfors', 'doubling', 'equivalence', 'extension-bound',"
+        " 'roundtrip', 'trace-bound'):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"        assert main(['verify', check, '--config', {str(cfg)!r}]) in (0, 1), check\n"
+        "print(sorted(lazy & set(sys.modules)))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],

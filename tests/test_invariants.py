@@ -7,6 +7,9 @@ program, checked on random functions without a reference implementation.
   Hajlasz value of 2^c f is then 2^(pc) times that of f, bit for bit at
   p = 2 (squares and sums scale exactly) and within 1e-12 at other p
   (where g^p rounds), or a ValueError where it leaves the normal range.
+  So is every energy and modular of degree p at lambda1 = 0, within
+  1e-12 in log form; below the float range they still read 0 (ROADMAP
+  item 14).
 * Permuting the children of a vertex is an automorphism of the tree, so
   it moves every modular and energy by rounding only, every gauge within
   its bracket and every Hajlasz value within its certified gaps.
@@ -30,8 +33,10 @@ from treetrace import (
     double_integral_is_exact,
     dyadic_energy,
     dyadic_orlicz_modular,
+    YoungPhi,
     extend,
     generate,
+    gradient_lphi_modular,
     hajlasz_minimize,
     newtonian_norm,
     orlicz_besov_norm,
@@ -101,6 +106,74 @@ def test_hajlasz_value_scales_by_the_pth_power_or_is_refused(f, p, c):
             whole, part = divmod(p * c, 1.0)
             expected = math.ldexp(sol.value * 2.0**part, int(whole))
             assert abs(got.value - expected) <= 1e-12 * expected
+
+
+def _energies(K, depth, p):
+    """The energies and modulars of degree p at lambda1 = 0, by name, each
+    as a map from a boundary function to its value."""
+    ep, phi = EnergyParams(theta=0.5, p=p, epsilon=LN2), YoungPhi(p)
+    tree = ExperimentConfig(K=K, p=p).tree_params(depth)
+    return {
+        "dyadic_energy": lambda u: dyadic_energy(u, ep),
+        "dyadic_orlicz_modular": lambda u: dyadic_orlicz_modular(u, ep, phi),
+        "gradient_lphi_modular": lambda u: gradient_lphi_modular(extend(u), tree, phi),
+        "double_integral_energy": lambda u: double_integral_energy(u, ep),
+    }
+
+
+def _assert_scales_by_the_pth_power(energy, f, p, e):
+    """energy(2^e f) is 2^(pe) energy(f), within 1e-12 in log2, where
+    that lies well inside the float range; a ValueError naming p only near
+    or past its top; below it, no more than a tiny value."""
+    value = energy(f)
+    if value == 0.0:  # a constant function
+        assert energy(_scaled(f, e)) == 0.0
+        return
+    log2_value = math.log2(value) + p * e
+    try:
+        got = energy(_scaled(f, e))
+    except ValueError as err:
+        assert f"p = {p:g}" in str(err)
+        assert log2_value > 900.0, err
+        return
+    if log2_value >= -900.0:
+        assert abs(math.log2(got) - log2_value) <= 1e-12, (got, log2_value)
+    else:
+        assert got <= 2.0**-880
+
+
+# p in [1, 8] in steps of 1/16, so that p * e is exact
+EXPONENT_P = st.integers(16, 128).map(lambda k: k / 16)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    f=functions(max_depth=6),
+    name=st.sampled_from(sorted(_energies(2, 1, 2.0))),
+    p=EXPONENT_P,
+    e=st.integers(-600, 600),
+)
+def test_energies_scale_by_the_pth_power_or_are_refused(f, name, p, e):
+    if name == "double_integral_energy":
+        p = float(round(p))  # the closed form, at every depth
+    _assert_scales_by_the_pth_power(_energies(f.K, f.depth, p)[name], f, p, e)
+
+
+@settings(max_examples=20, deadline=None)
+@given(f=functions(max_depth=4), e=st.integers(-600, 600))
+def test_enumerated_double_sum_scales_by_the_pth_power_or_is_refused(f, e):
+    energy = _energies(f.K, f.depth, 2.5)["double_integral_energy"]
+    _assert_scales_by_the_pth_power(energy, f, 2.5, e)
+
+
+@pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 14: a value below the float range reads 0"
+)
+@pytest.mark.parametrize("name", sorted(_energies(2, 1, 2.0)))
+def test_energies_below_the_float_range_are_refused(name):
+    f = generate("lacunary", K=2, depth=3, seed=0, epsilon=LN2, theta=0.5)
+    with pytest.raises(ValueError, match="p = 8"):
+        _energies(2, 3, 8.0)[name](_scaled(f, -600))
 
 
 @st.composite

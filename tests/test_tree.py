@@ -22,7 +22,7 @@ from treetrace import (
     split_distances,
 )
 from treetrace.address import check_digits, index_digits
-from treetrace.tree import QUAD_ORDER, _arc_below, edge_quadrature
+from treetrace.tree import QUAD_ORDER, _arc_below, _gauss_rule, edge_quadrature
 
 LN2 = math.log(2.0)
 
@@ -111,6 +111,18 @@ def test_edge_length_against_quadrature_oracle():
     assert err < 1e-12
     assert edge_length(p, 0) == pytest.approx(oracle, rel=1e-12)
     assert edge_length(p, 0) == pytest.approx(0.7213475204444817, abs=1e-15)
+
+
+def test_gauss_rule_is_numpys_leggauss():
+    # held as literals, so that no run imports numpy.polynomial: bit for bit
+    # numpy 2's leggauss, and within an ulp of the rule at the numpy floor
+    x, w = _gauss_rule()
+    gx, gw = np.polynomial.legendre.leggauss(QUAD_ORDER)
+    np.testing.assert_array_max_ulp(x, gx, 1)
+    np.testing.assert_array_max_ulp(w, gw, 1)
+    if int(np.__version__.split(".")[0]) >= 2:
+        assert x.tobytes() == gx.tobytes() and w.tobytes() == gw.tobytes()
+    assert not (x.flags.writeable or w.flags.writeable)
 
 
 def test_gauss_node_offsets_are_precise_deep_in_the_tree():

@@ -1,5 +1,8 @@
 import bisect
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -16,7 +19,7 @@ from treetrace import (
     luxemburg_gauge,
 )
 import treetrace.young as young
-from treetrace.young import _CHUNK, _expansion_radius, _mean_field_root
+from treetrace.young import _CHUNK, _DOT_MAX, _expansion_radius, _mean_field_root, dot
 
 
 def test_phi_values():
@@ -515,7 +518,7 @@ def _oracle_build(phi, a, segments):
     e = math.frexp(max((float(w.max()) for w in weights), default=0.0))[1]
     weights = [np.ldexp(w, -e) for w in weights]
     A, weighted = np.empty_like(a), np.empty(min(a.size, _CHUNK))
-    total, dot = 0.0, 0.0
+    total, moment = 0.0, 0.0
     for i, pieces in zip(range(0, a.size, _CHUNK), _oracle_chunk_weights(segments, weights)):
         chunk = a[i : i + _CHUNK]
         out = weighted[: chunk.size]
@@ -527,12 +530,12 @@ def _oracle_build(phi, a, segments):
             out[lo:hi] *= w
         A[i : i + _CHUNK] = out
         total += float(np.sum(out))
-        dot += float(out @ chunk)
+        moment += dot(out, chunk)
     start = None
     if lam == 0.0:
         total = float(np.sum(A))
     elif total > 0.0:
-        x0 = _mean_field_root(p, lam, e * math.log(2.0) + math.log(total), dot / total)
+        x0 = _mean_field_root(p, lam, e * math.log(2.0) + math.log(total), moment / total)
         start = None if x0 is None else (x0, p)
     return scale, e, total, start, A
 
@@ -597,19 +600,21 @@ def test_young_modular_build_matches_the_piecewise_oracle_bitwise(p, lambda1):
             assert mod_a.tobytes() == A.tobytes()
             continue
         assert mod_a.tobytes() == oracle_a.tobytes()
-        formed, own_total, dot = np.empty_like(a), 0.0, 0.0
+        formed, own_total, moment = np.empty_like(a), 0.0, 0.0
         for (lo, hi), (chunk, w, counts, out, _) in zip(_chunk_bounds(mod, mod_a), mod._chunks):
             young._form(out, chunk, p, w, counts)
             formed[lo:hi] = out
             own_total += float(np.sum(out))
-            dot += float(out @ chunk)
+            moment += dot(out, chunk)
         assert formed.tobytes() == A.tobytes()
         assert mod._total == own_total
         assert abs(mod._total - total) <= 4 * math.ulp(total)
         if len(mod._chunks) == 1 and a.size <= _CHUNK:
             assert (mod._total, mod.start) == (total, start)
         elif own_total > 0.0:
-            x0 = _mean_field_root(p, lambda1, e * math.log(2.0) + math.log(own_total), dot / own_total)
+            x0 = _mean_field_root(
+                p, lambda1, e * math.log(2.0) + math.log(own_total), moment / own_total
+            )
             assert mod.start == (None if x0 is None else (x0, p))
 
 
@@ -802,7 +807,8 @@ def test_young_modular_scalar_weight_sums_like_a_one_column_product(lambda1):
     # otherwise.  Otherwise a pass weights each chunk of _CHUNK elements
     # by l^(lambda1 - 1) (not at lambda1 = 1) and takes
     # sum A l^lambda1 = sum A l^(lambda1 - 1) log(a + e k) - log k times
-    # sum A l^(lambda1 - 1), each chunk by one dot product and one sum
+    # sum A l^(lambda1 - 1), each chunk by one dot product (`dot`) and one
+    # sum
     phi = YoungPhi(2.0, lambda1)
     rng = np.random.default_rng(5)
     for size in (1, 7, 4096, 65_537):
@@ -827,7 +833,7 @@ def test_young_modular_scalar_weight_sums_like_a_one_column_product(lambda1):
                     if lambda1 != 1.0:
                         tilde = tilde * (log - math.log(k)) ** (lambda1 - 1.0)
                         tilde_total += float(np.sum(tilde))
-                    expect += float(tilde @ log)
+                    expect += dot(tilde, log)
                 expect -= math.log(k) * tilde_total
             expect *= math.ldexp(k**-2.0, e)
             assert mod(k) == column(k) == expect
@@ -921,3 +927,45 @@ def test_expansion_radius_solves_the_remainder_bound():
     for lambda1 in (1e-16, -1e-20, 5e-324):
         assert _expansion_radius(lambda1) == 0.5
         assert bound(lambda1, 0.5) <= 2.0**-53
+
+
+# ------------------------------------------------------------ BLAS threads
+
+
+def test_dot_splits_long_vectors_in_halves():
+    rng = np.random.default_rng(0)
+    a, b = rng.uniform(size=4 * _DOT_MAX), rng.uniform(size=4 * _DOT_MAX)
+    m = _DOT_MAX
+    assert dot(a[:m], b[:m]) == float(a[:m] @ b[:m])
+    # an odd length: the first half is the longer
+    want = float(a[:m] @ b[:m]) + float(a[m : 2 * m - 1] @ b[m : 2 * m - 1])
+    assert dot(a[: 2 * m - 1], b[: 2 * m - 1]) == want
+    assert dot(a, b) == pytest.approx(float(a @ b), rel=1e-13)
+
+
+def test_numbers_do_not_depend_on_the_blas_thread_count():
+    # OpenBLAS splits a dot of more than 10,000 entries among its threads:
+    # with plain `@` dots this orlicz_besov_norm read 0x1.33c3d91f85ee6p+1
+    # at one thread and 0x1.33c3d91f85ee9p+1 at two.  The depth-8 Hajlasz
+    # value takes the dense dual-ascent form.
+    code = (
+        "from treetrace import *\n"
+        "cfg = ExperimentConfig(lambda1=1.0)\n"
+        "ep, phi = cfg.energy_params(), cfg.phi()\n"
+        "f = generate('lacunary', K=2, depth=14, seed=1, epsilon=cfg.epsilon, theta=0.5)\n"
+        "u = generate('iid-uniform', K=2, depth=8, seed=0)\n"
+        "sol = hajlasz_minimize(HajlaszInstance(u, 0.5, 2.0, cfg.epsilon))\n"
+        "print(orlicz_besov_norm(f, ep, phi).hex(),"
+        " newtonian_norm(extend(f), cfg.tree_params(14), phi).hex(), sol.value.hex())\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(young.__file__)))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
