@@ -8,9 +8,10 @@ representation the module provides
 
 * power-mean and Luxemburg (gauge) norms for the uniform cell measure,
 * two multiscale energies built from differences of successive cell
-  averages: a pure power form with a level weight e^(eps*n*theta*p) * n^lam,
-  and an Orlicz form that feeds the rescaled differences through a Young
-  function with weight e^(eps*n*(theta-1)*p) * n^lam2,
+  averages: a pure power form with a level weight
+  e^(eps*n*theta*p) * n^lambda1 * (n + C)^lambda2, and an Orlicz form that
+  feeds the rescaled differences through the Young function Phi with weight
+  e^(eps*n*(theta-1)*p) * (n + C)^lambda2, C the tree's shift,
 * the gauge norm built from the Orlicz energy, and
 * the exact double-integral fractional seminorm (all leaf pairs grouped
   by their split vertex), in O(p * depth * K^depth) at every integer p
@@ -25,13 +26,13 @@ Cell addresses and the leaf-row CSV files go through `treetrace.address`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .address import child_minus_parent, function_values, level_slice
 from .address import read_function_csv, write_function_csv
-from .tree import split_distances
+from .tree import _min_shift, split_distances
 from .young import YoungModular, YoungPhi, luxemburg_gauge
 
 __all__ = [
@@ -101,32 +102,38 @@ class BoundaryFunction:
 
 @dataclass(frozen=True)
 class EnergyParams:
-    """Exponents of the multiscale energies.
+    """Exponents of the boundary energies and norms.
 
     theta    smoothness exponent, in [0, 1)
     p        integrability exponent, >= 1
     epsilon  metric decay rate of the underlying tree (sets the scale
              e^(-eps*n) of level n)
-    lam      level log-weight of the power energy
-    lambda2  level log-weight of the Orlicz energy
+    lambda1  log-exponent of Phi(t) = t^p log(e + t)^lambda1; the power
+             energy weighs level n by n^lambda1 in its place
+    lambda2  log-exponent of the tree's mass density (t + C)^lambda2; both
+             energies weigh level n by (n + C)^lambda2
 
-    p, epsilon, lambda2 and lam must be finite.
+    The Young function `phi` = YoungPhi(p, lambda1) is derived, not set,
+    and rejects a p or lambda1 that is not finite, p < 1 and an
+    inadmissible lambda1.  epsilon and lambda2 must be finite.  C is the
+    tree's minimal shift (`tree.min_shift_constant`), with beta - log K
+    taken as eps p (1 - theta), its value at the matched theta.
     """
 
     theta: float
     p: float
     epsilon: float
-    lam: float = 0.0
+    lambda1: float = 0.0
     lambda2: float = 0.0
+    phi: YoungPhi = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        for name in ("p", "epsilon", "lambda2", "lam"):
+        object.__setattr__(self, "phi", YoungPhi(self.p, self.lambda1))
+        for name in ("epsilon", "lambda2"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not 0.0 <= self.theta < 1.0:
             raise ValueError("theta must lie in [0, 1)")
-        if self.p < 1:
-            raise ValueError("p must be at least 1")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
 
@@ -147,79 +154,89 @@ def orlicz_norm(f: BoundaryFunction, phi: YoungPhi) -> float:
     return _gauge(YoungModular(phi, np.abs(f.values), [(f.n_leaves, 1.0 / f.n_leaves)]))
 
 
-def _level_weight(n: int, eps: float, t: float, p: float, lam: float, key: str) -> float:
-    """e^(eps*n*t*p) * n^lam, the weight of level n.  A weight beyond the
+def _level_weights(depth: int, params: EnergyParams, t: float, lambda1: float = 0.0):
+    """e^(eps*n*t*p) * n^lambda1 * (n + C)^lambda2, the weight of level n,
+    for n = 1..depth, C the shift of `EnergyParams`.  A weight beyond the
     float range is a ValueError naming the factor that left it: p for
-    e^(eps*n*t*p), lam as `key` for n^lam, and both for their product."""
-    where = f"the level-{n} weight"
-    try:
-        growth = math.exp(eps * n * t * p)
-    except OverflowError:
-        raise ValueError(f"{where} e^(eps n theta p) overflows at p = {p:g}") from None
-    try:
-        power = float(n) ** lam
-    except OverflowError:
-        raise ValueError(f"{where} overflows at {key} = {lam!r}") from None
-    weight = growth * power
-    if not math.isfinite(weight):
-        raise ValueError(f"{where} overflows at p = {p:g} and {key} = {lam!r}")
-    return weight
+    e^(eps*n*t*p), lambda1 or lambda2 for its power, and p with each power
+    above 1 for their product."""
+    p, eps = params.p, params.epsilon
+    shift = _min_shift(eps * p * (1.0 - params.theta), eps, params.lambda2)
+    weights = []
+    for n in range(1, depth + 1):
+        where = f"the level-{n} weight"
+        try:
+            weight = math.exp(eps * n * t * p)
+        except OverflowError:
+            raise ValueError(f"{where} e^(eps n theta p) overflows at p = {p:g}") from None
+        grown = [f"p = {p:g}"]
+        powers = (("lambda1", n, lambda1), ("lambda2", n + shift, params.lambda2))
+        for key, base, exponent in powers:
+            try:
+                power = float(base) ** exponent
+            except OverflowError:
+                power = math.inf
+            if power == math.inf:
+                raise ValueError(f"{where} overflows at {key} = {exponent!r}")
+            weight *= power
+            if power > 1.0:
+                grown.append(f"{key} = {exponent!r}")
+        if not math.isfinite(weight):
+            raise ValueError(f"{where} overflows at {' and '.join(grown)}")
+        weights.append(weight)
+    return weights
 
 
 def dyadic_energy(f: BoundaryFunction, params: EnergyParams) -> float:
     """Weighted multiscale power energy of the cell-average differences.
 
     Sum over levels n = 1..depth of
-    e^(eps*n*theta*p) * n^lam * sum_cells K^(-n) |f_I - f_parent(I)|^p.
+    e^(eps*n*theta*p) * n^lambda1 * (n + C)^lambda2
+    * sum_cells K^(-n) |f_I - f_parent(I)|^p, C the shift of `EnergyParams`.
     A sum beyond the float range is a ValueError naming p.
     """
-    eps, theta, p, lam = params.epsilon, params.theta, params.p, params.lam
+    p = params.p
+    weights = _level_weights(f.depth, params, params.theta, params.lambda1)
     diffs = child_minus_parent(f.K, f.level_averages())
     total = 0.0
     with np.errstate(over="ignore"):
-        for n in range(1, f.depth + 1):
+        for n, weight in enumerate(weights, 1):
             s = float(f.K) ** -n * float(np.sum(np.abs(diffs[level_slice(f.K, n - 1)]) ** p))
-            total += _level_weight(n, eps, theta, p, lam, "lam") * s
+            total += weight * s
     if total == math.inf:
         raise ValueError(f"the energy overflows at p = {p:g}")
     return total
 
 
-def _energy_modular(
-    f: BoundaryFunction, params: EnergyParams, phi: YoungPhi
-) -> YoungModular:
+def _energy_modular(f: BoundaryFunction, params: EnergyParams) -> YoungModular:
     """Phi(|f_I - f_parent| * e^(eps*n)) per level n, with the level weight
-    e^(eps*n*(theta-1)*p) * n^lambda2 * K^(-n)."""
-    if abs(phi.p - params.p) > 1e-12:
-        raise ValueError("phi.p must match params.p")
-    eps, theta, p, lam2 = params.epsilon, params.theta, params.p, params.lambda2
+    e^(eps*n*(theta-1)*p) * (n + C)^lambda2 * K^(-n)."""
+    weights = _level_weights(f.depth, params, params.theta - 1.0)
     diffs = child_minus_parent(f.K, f.level_averages())
     np.abs(diffs, out=diffs)
     segments = []
-    for n in range(1, f.depth + 1):
-        diffs[level_slice(f.K, n - 1)] *= math.exp(eps * n)
-        weight = _level_weight(n, eps, theta - 1.0, p, lam2, "lambda2") * float(f.K) ** -n
-        segments.append((f.K**n, weight))
-    return YoungModular(phi, diffs.reshape(-1), segments)
+    for n, weight in enumerate(weights, 1):
+        diffs[level_slice(f.K, n - 1)] *= math.exp(params.epsilon * n)
+        segments.append((f.K**n, weight * float(f.K) ** -n))
+    return YoungModular(params.phi, diffs.reshape(-1), segments)
 
 
-def dyadic_orlicz_modular(
-    f: BoundaryFunction, params: EnergyParams, phi: YoungPhi
-) -> float:
+def dyadic_orlicz_modular(f: BoundaryFunction, params: EnergyParams) -> float:
     """Orlicz form of the multiscale energy.
 
-    Sum over levels n = 1..depth of
-    e^(eps*n*(theta-1)*p) * n^lambda2 * sum_cells K^(-n) Phi(|f_I - f_parent| * e^(eps*n)).
-    With lambda1 = 0 and lam = lambda2 this reduces to `dyadic_energy`
-    because the e^(eps*n*p) pulled out of Phi cancels the (theta-1) shift.
+    Sum over levels n = 1..depth of e^(eps*n*(theta-1)*p) * (n + C)^lambda2
+    * sum_cells K^(-n) Phi(|f_I - f_parent| * e^(eps*n)), C the shift of
+    `EnergyParams`.  At lambda1 = 0 this is `dyadic_energy`, because the
+    e^(eps*n*p) pulled out of Phi cancels the (theta-1) shift.
     """
-    return _energy_modular(f, params, phi).value(1.0)
+    return _energy_modular(f, params).value(1.0)
 
 
-def orlicz_besov_norm(f: BoundaryFunction, params: EnergyParams, phi: YoungPhi) -> float:
-    """Gauge norm: Orlicz norm of f plus the gauge of the Orlicz energy of f/k."""
-    energy = _gauge(_energy_modular(f, params, phi))
-    return orlicz_norm(f, phi) + energy
+def orlicz_besov_norm(f: BoundaryFunction, params: EnergyParams) -> float:
+    """Gauge norm: the Orlicz norm of f under params.phi plus the gauge of
+    the Orlicz energy of f/k (`dyadic_orlicz_modular`)."""
+    energy = _gauge(_energy_modular(f, params))
+    return orlicz_norm(f, params.phi) + energy
 
 
 @dataclass(frozen=True)

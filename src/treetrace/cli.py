@@ -172,14 +172,13 @@ def _run(args, cfg) -> int:
         if f.K != cfg.K:
             # theta and the level weights are resolved from the config's K
             raise ValueError(f"{args.input} has K = {f.K}, the config has K = {cfg.K}")
-        phi = cfg.phi()
         ep = cfg.energy_params()
         values = {
             "lp_norm": lp_norm(f, cfg.p),
-            "orlicz_norm": orlicz_norm(f, phi),
+            "orlicz_norm": orlicz_norm(f, ep.phi),
             "dyadic_energy": dyadic_energy(f, ep),
-            "dyadic_orlicz_modular": dyadic_orlicz_modular(f, ep, phi),
-            "orlicz_besov_norm": orlicz_besov_norm(f, ep, phi),
+            "dyadic_orlicz_modular": dyadic_orlicz_modular(f, ep),
+            "orlicz_besov_norm": orlicz_besov_norm(f, ep),
         }
         for key, val in values.items():
             _say(f"{key} = {val:.12g}")

@@ -130,10 +130,10 @@ def generate(
 class ExperimentConfig:
     """Geometry, exponents and sweep lists for one experiment run.
 
-    The power energy's level weight is n^lam with lam = lambda1 + lambda2
-    (`energy_params`), as the equivalence theorem fixes it, and the
-    smoothness exponent is always the matched one, `resolved_theta` =
-    1 - (beta - log K) / (epsilon * p), as the trace theorem fixes it.
+    The boundary energies take p, epsilon, lambda1 and lambda2 as they are
+    (`energy_params`), and the smoothness exponent is always the matched
+    one, `resolved_theta` = 1 - (beta - log K) / (epsilon * p), as the
+    trace theorem fixes it.
     The three ratio drivers check the paper's standing hypothesis, p >
     (beta - log K)/epsilon > 0, that is 0 < theta < 1, before they sample
     (`_sweep`).  `K` must be at least 2, `epsilon` positive and `p` at
@@ -199,17 +199,11 @@ class ExperimentConfig:
         return TreeParams(self.K, self.epsilon, self.beta, self.lambda2, depth)
 
     def energy_params(self) -> EnergyParams:
-        """The energy exponents, with lam = lambda1 + lambda2."""
+        """The exponents of the boundary energies, at the matched theta."""
         # a NaN theta passes, so that EnergyParams names the key that is not finite
         if self.resolved_theta < 0.0 or self.resolved_theta >= 1.0:
             raise ValueError(f"the energies need 0 <= theta < 1, but {self._theta_is()}")
-        return EnergyParams(
-            theta=self.resolved_theta,
-            p=self.p,
-            epsilon=self.epsilon,
-            lam=self.lambda1 + self.lambda2,
-            lambda2=self.lambda2,
-        )
+        return EnergyParams(self.resolved_theta, self.p, self.epsilon, self.lambda1, self.lambda2)
 
     def phi(self) -> YoungPhi:
         return YoungPhi(self.p, self.lambda1)
@@ -434,7 +428,7 @@ def verify_trace_bound(cfg: ExperimentConfig) -> RatioReport:
     rows = []
     for head, F in samples:
         tp = cfg.tree_params(head["depth"])
-        numer = orlicz_besov_norm(trace(F), ep, phi)
+        numer = orlicz_besov_norm(trace(F), ep)
         denom = newtonian_norm(F, tp, phi)
         rows.append({**head, "besov_norm": numer, "newtonian_norm": denom, "ratio": numer / denom})
     return RatioReport("trace-bound", rows, ("ratio",))
@@ -452,9 +446,9 @@ def verify_extension_bound(cfg: ExperimentConfig) -> RatioReport:
         tp = cfg.tree_params(head["depth"])
         G = extend(u)
         numer = newtonian_norm(G, tp, phi)
-        denom = orlicz_besov_norm(u, ep, phi)
+        denom = orlicz_besov_norm(u, ep)
         gmod = gradient_lphi_modular(G, tp, phi)
-        dmod = dyadic_orlicz_modular(u, ep, phi)
+        dmod = dyadic_orlicz_modular(u, ep)
         rows.append(
             {
                 **head,
@@ -573,7 +567,6 @@ def verify_equivalences(cfg: ExperimentConfig) -> RatioReport:
     identity and no evidence on its own.
     """
     samples = _sweep(cfg, "equivalence", BOUNDARY_FAMILIES, "boundary")
-    phi = cfg.phi()
     ep = cfg.energy_params()
     ep_plain = EnergyParams(theta=ep.theta, p=ep.p, epsilon=ep.epsilon)
     rows, solve = [], []  # solve: (row, sample) of each Hajlasz program
@@ -586,8 +579,8 @@ def verify_equivalences(cfg: ExperimentConfig) -> RatioReport:
             est = double_integral_energy_mc(f, ep_plain, MC_SAMPLES, head["seed"])
             b_energy, b_method, b_stderr = est.value, "mc", est.stderr
         e_weighted = e_plain if ep == ep_plain else dyadic_energy(f, ep)
-        besov = orlicz_besov_norm(f, ep, phi)
-        composite = orlicz_norm(f, phi) + e_weighted ** (1.0 / ep.p)
+        besov = orlicz_besov_norm(f, ep)
+        composite = orlicz_norm(f, ep.phi) + e_weighted ** (1.0 / ep.p)
         row = {
             **head,
             "dyadic_energy": e_plain,
@@ -599,7 +592,7 @@ def verify_equivalences(cfg: ExperimentConfig) -> RatioReport:
             "hajlasz_iterations": None,
             "hajlasz_rel_gap": None,
             "weighted_energy": e_weighted,
-            "orlicz_modular": dyadic_orlicz_modular(f, ep, phi),
+            "orlicz_modular": dyadic_orlicz_modular(f, ep),
             "besov_norm": besov,
             "composite_norm": composite,
             "chi_fraction": chi_exceed_fraction(f, ep.theta, cfg.epsilon),
@@ -629,7 +622,7 @@ def verify_equivalences(cfg: ExperimentConfig) -> RatioReport:
         row["hajlasz_vs_dyadic"] = sol.value / row["dyadic_energy"]
     extra_checks = []
     if cfg.lambda1 != 0.0:
-        lam_for_tail = ep.lam if cfg.lambda1 > 0 else cfg.lambda2
+        lam_for_tail = cfg.lambda1 + cfg.lambda2 if cfg.lambda1 > 0 else cfg.lambda2
         c_prime = tail_constant(cfg.epsilon, ep.theta, ep.p, lam_for_tail)
         energies = [(r["weighted_energy"], r["orlicz_modular"]) for r in rows]
         base = [e for e, r in zip(energies, rows) if r["depth"] == min(cfg.depths)]

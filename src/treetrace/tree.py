@@ -79,9 +79,15 @@ def _gauss_rule() -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+def _min_shift(decay: float, epsilon: float, lambda2: float) -> float:
+    """max(2 |lambda2| / decay, 2 log 4 / epsilon): the smallest admissible
+    shift C where a level's total mass falls at the rate decay = beta - log K."""
+    return max(2.0 * abs(lambda2) / decay, 2.0 * math.log(4.0) / epsilon)
+
+
 def min_shift_constant(K: int, epsilon: float, beta: float, lambda2: float) -> float:
     """Smallest admissible shift C in the mass density (t + C)^lambda2."""
-    return max(2.0 * abs(lambda2) / (beta - math.log(K)), 2.0 * math.log(4.0) / epsilon)
+    return _min_shift(beta - math.log(K), epsilon, lambda2)
 
 
 @dataclass(frozen=True)

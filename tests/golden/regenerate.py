@@ -29,7 +29,10 @@ The cases:
   the modular pass at a negative lambda1;
 * `equivalence` at p = 1.5, depths 4,6, hajlasz_max_depth = 6, seeds 0
   and 1: the Hajlasz program's interior-point method, which no p = 2
-  case runs.
+  case runs;
+* `trace-bound` and `extension-bound` at lambda2 = 2, depths 4,6, seeds 0
+  and 1: the boundary level weight (n + C)^lambda2 and the tree's mass
+  density (t + C)^lambda2, which every other case takes at lambda2 = 0.
 """
 
 from __future__ import annotations
@@ -60,6 +63,7 @@ _DENSE = "lambda1 = 1\ndepths = 6,8\nhajlasz_max_depth = 8\nseeds = 0,1\n"
 _P15_LAMBDA2 = "p = 1.5\nlambda1 = 2\ndepths = 8,10\nseeds = 0,1\n"
 _P3_LAMBDA_MINUS1 = "p = 3\nlambda1 = -1\ndepths = 8,10\nseeds = 0,1\n"
 _P15_HAJLASZ = "p = 1.5\ndepths = 4,6\nhajlasz_max_depth = 6\nseeds = 0,1\n"
+_LAMBDA2 = "lambda2 = 2\ndepths = 4,6\nseeds = 0,1\n"
 
 # case -> (config file text or None, the arguments after `treetrace verify`)
 CASES = {
@@ -76,6 +80,8 @@ CASES = {
     "trace-bound-p1.5-lambda2": (_P15_LAMBDA2, ["trace-bound"]),
     "extension-bound-p3-lambda-minus1": (_P3_LAMBDA_MINUS1, ["extension-bound"]),
     "equivalence-p1.5": (_P15_HAJLASZ, ["equivalence"]),
+    "trace-bound-lambda2-2": (_LAMBDA2, ["trace-bound"]),
+    "extension-bound-lambda2-2": (_LAMBDA2, ["extension-bound"]),
 }
 
 

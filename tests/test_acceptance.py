@@ -92,13 +92,12 @@ def test_criterion_02_hand_oracle_values():
 
 
 def test_criterion_03_pure_power_degeneracy():
-    ep = EnergyParams(theta=0.5, p=2.0, epsilon=LN2, lam=0.8, lambda2=0.8)
-    phi = YoungPhi(2.0, 0.0)
+    ep = EnergyParams(theta=0.5, p=2.0, epsilon=LN2, lambda1=0.0, lambda2=0.8)
     worst = 0.0
     for family, seed in _mixed_family_seeds(100):
         f = generate(family, K=2, depth=5, seed=seed, epsilon=LN2, theta=0.5)
         energy = dyadic_energy(f, ep)
-        modular = dyadic_orlicz_modular(f, ep, phi)
+        modular = dyadic_orlicz_modular(f, ep)
         worst = max(worst, abs(modular - energy) / energy)
     _criterion(3, "pure-power degeneracy", worst <= 1e-12, f"max rel diff {worst:.3g}")
 
@@ -183,8 +182,7 @@ def test_criterion_09_two_sided_fit():
     ok = True
     details = []
     for lambda1 in (-1.0, 1.0):
-        ep = EnergyParams(theta=theta, p=p, epsilon=LN2, lam=lambda1, lambda2=0.0)
-        phi = YoungPhi(p, lambda1)
+        ep = EnergyParams(theta=theta, p=p, epsilon=LN2, lambda1=lambda1, lambda2=0.0)
         lam_for_tail = lambda1 if lambda1 > 0 else 0.0
         c_prime = tail_constant(LN2, theta, p, lam_for_tail)
 
@@ -193,7 +191,7 @@ def test_criterion_09_two_sided_fit():
             for family, seed in _mixed_family_seeds(40):
                 f = generate(family, K=2, depth=depth, seed=seed,
                              epsilon=LN2, theta=theta)
-                out.append((dyadic_energy(f, ep), dyadic_orlicz_modular(f, ep, phi)))
+                out.append((dyadic_energy(f, ep), dyadic_orlicz_modular(f, ep)))
             return out
 
         fit = fit_two_sided(pairs_at(4), lambda1, c_prime)

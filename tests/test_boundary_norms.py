@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from treetrace import (
     BoundaryFunction,
     EnergyParams,
+    ExperimentConfig,
     YoungPhi,
     double_integral_energy,
     double_integral_energy_mc,
@@ -28,8 +29,8 @@ from treetrace.address import cell_leaves, check_digits, digits_index, level_sli
 LN2 = math.log(2.0)
 
 
-def eparams(theta=0.5, p=2.0, lam=0.0, lambda2=0.0, epsilon=LN2):
-    return EnergyParams(theta=theta, p=p, epsilon=epsilon, lam=lam, lambda2=lambda2)
+def eparams(theta=0.5, p=2.0, lambda1=0.0, lambda2=0.0, epsilon=LN2):
+    return EnergyParams(theta=theta, p=p, epsilon=epsilon, lambda1=lambda1, lambda2=lambda2)
 
 
 def random_f(K, depth, seed, family="iid-uniform", theta=0.5):
@@ -58,7 +59,15 @@ def naive_cell_average(f, digits):
     return sum(leaves) / len(leaves)
 
 
+def naive_shift(params):
+    """The tree's minimal shift C at the geometry whose matched theta is
+    params.theta: beta - log K = eps p (1 - theta)."""
+    decay = params.epsilon * params.p * (1.0 - params.theta)
+    return max(2.0 * abs(params.lambda2) / decay, 2.0 * math.log(4.0) / params.epsilon)
+
+
 def naive_dyadic_energy(f, params):
+    C = naive_shift(params)
     total = 0.0
     for n in range(1, f.depth + 1):
         inner = 0.0
@@ -71,7 +80,8 @@ def naive_dyadic_energy(f, params):
             digits.reverse()
             diff = naive_cell_average(f, digits) - naive_cell_average(f, digits[:-1])
             inner += f.K**-n * abs(diff) ** params.p
-        total += math.exp(params.epsilon * n * params.theta * params.p) * n**params.lam * inner
+        growth = math.exp(params.epsilon * n * params.theta * params.p)
+        total += growth * n**params.lambda1 * (n + C) ** params.lambda2 * inner
     return total
 
 
@@ -182,10 +192,11 @@ def test_dyadic_energy_zero_iff_constant():
 
 
 def test_dyadic_energy_matches_naive_oracle():
-    ep = eparams(theta=0.3, p=1.5, lam=0.8)
-    for K, depth, seed in ((2, 3, 1), (3, 2, 2)):
-        f = random_f(K, depth, seed)
-        assert dyadic_energy(f, ep) == pytest.approx(naive_dyadic_energy(f, ep), rel=1e-12)
+    for lambda1, lambda2 in ((0.8, 0.0), (0.5, -2.0), (-1.0, 3.0)):
+        ep = eparams(theta=0.3, p=1.5, lambda1=lambda1, lambda2=lambda2)
+        for K, depth, seed in ((2, 3, 1), (3, 2, 2)):
+            f = random_f(K, depth, seed)
+            assert dyadic_energy(f, ep) == pytest.approx(naive_dyadic_energy(f, ep), rel=1e-12)
 
 
 @settings(max_examples=30, deadline=None)
@@ -203,11 +214,10 @@ def test_dyadic_energy_p_homogeneous(c, seed):
 
 
 def test_modular_reduces_to_energy_for_pure_power():
-    ep = eparams(theta=0.4, p=2.0, lam=0.9, lambda2=0.9)
-    phi = YoungPhi(2.0, 0.0)
+    ep = eparams(theta=0.4, p=2.0, lambda1=0.0, lambda2=0.9)
     for seed in range(10):
         f = random_f(2, 5, seed)
-        assert dyadic_orlicz_modular(f, ep, phi) == pytest.approx(
+        assert dyadic_orlicz_modular(f, ep) == pytest.approx(
             dyadic_energy(f, ep), rel=1e-12
         )
 
@@ -216,21 +226,40 @@ def test_modular_hand_value_single_level():
     # depth 1, values (1, 0): jumps +-1/2, scale factor e^eps = 2,
     # level weight e^(eps*(theta-1)*p) = 1/2, so the value is Phi(1)/2
     f = BoundaryFunction(2, 1, [1.0, 0.0])
-    ep = eparams(theta=0.5, p=2.0, lambda2=0.0)
-    phi = YoungPhi(2.0, 1.0)
+    ep = eparams(theta=0.5, p=2.0, lambda1=1.0)
     expected = 0.5 * math.log(math.e + 1.0)
-    assert dyadic_orlicz_modular(f, ep, phi) == pytest.approx(expected, rel=1e-12)
+    assert dyadic_orlicz_modular(f, ep) == pytest.approx(expected, rel=1e-12)
+
+
+def test_modular_hand_value_with_the_shift():
+    # as above at lambda2 = 1: the level weight gains (1 + C)^1 = 5, the
+    # shift C = max(2 |lambda2| / (eps p (1 - theta)), 2 log 4 / eps) being
+    # 4 at eps = ln 2; the power energy's weight is 2 * 5 on the sum 1/4
+    f = BoundaryFunction(2, 1, [1.0, 0.0])
+    ep = eparams(theta=0.5, p=2.0, lambda1=1.0, lambda2=1.0)
+    expected = 0.5 * 5.0 * math.log(math.e + 1.0)
+    assert dyadic_orlicz_modular(f, ep) == pytest.approx(expected, rel=1e-12)
+    assert dyadic_energy(f, ep) == pytest.approx(2.5, rel=1e-12)
 
 
 def test_modular_zero_for_constant():
     f = BoundaryFunction(2, 3, np.full(8, 1.3))
-    assert dyadic_orlicz_modular(f, eparams(), YoungPhi(2.0, 1.0)) == 0.0
+    assert dyadic_orlicz_modular(f, eparams(lambda1=1.0)) == 0.0
 
 
-def test_modular_rejects_mismatched_exponent():
-    f = random_f(2, 3, seed=0)
-    with pytest.raises(ValueError):
-        dyadic_orlicz_modular(f, eparams(p=2.0), YoungPhi(1.5))
+def test_boundary_shift_is_the_trees_at_the_matched_theta():
+    # the boundary weighs level n by (n + C)^lambda2 with the C of the tree
+    # whose mass density (t + C)^lambda2 it matches; a depth-1 function has
+    # one level, whose weight gains (1 + C)^lambda2
+    geometries = ((2, 2.0 * LN2, 2.0, 2.0), (3, 1.5, 1.5, -3.0), (2, 1.0, 3.0, 50.0))
+    for K, beta, p, lambda2 in geometries:
+        cfg = ExperimentConfig(K=K, beta=beta, p=p, lambda1=1.0, lambda2=lambda2)
+        factor = (1.0 + cfg.tree_params(1).C_const) ** lambda2
+        ep = cfg.energy_params()
+        unshifted = EnergyParams(ep.theta, ep.p, ep.epsilon, lambda1=1.0)
+        f = BoundaryFunction(K, 1, [1.0] + [0.0] * (K - 1))
+        for energy in (dyadic_energy, dyadic_orlicz_modular):
+            assert energy(f, ep) == pytest.approx(factor * energy(f, unshifted), rel=1e-12)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -241,18 +270,34 @@ def test_energy_params_reject_non_finite_epsilon(bad):
         eparams(epsilon=-1.0)
 
 
-@pytest.mark.parametrize("key", ["p", "lam", "lambda2"])
+@pytest.mark.parametrize("key", ["p", "lambda1", "lambda2"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_energy_params_reject_non_finite_exponents(key, bad):
     with pytest.raises(ValueError, match=f"{key} must be finite"):
         eparams(**{key: bad})
 
 
-def test_dyadic_energy_level_weight_overflow_names_lam():
-    # n^lam at n = 2 used to end in an OverflowError from float(n) ** lam
+def test_energy_params_reject_an_inadmissible_lambda1():
+    # Phi = YoungPhi(p, lambda1) is built with the parameters, so an energy
+    # never meets a Phi that decreases or one whose p is not the energy's
+    with pytest.raises(ValueError, match="p = 1 requires lambda1 >= 0"):
+        eparams(p=1.0, lambda1=-0.5)
+    with pytest.raises(ValueError, match="lambda1 = -7.0 makes Phi decrease"):
+        eparams(p=2.0, lambda1=-7.0)
+    with pytest.raises(ValueError, match="lambda1 = 3000.0 puts Phi[(]1[)]"):
+        eparams(lambda1=3000.0)
+    with pytest.raises(ValueError, match="p must be at least 1"):
+        eparams(p=0.5)
+    ep = eparams(p=1.5, lambda1=-1.0)
+    assert ep.phi == YoungPhi(1.5, -1.0) and ep == eparams(p=1.5, lambda1=-1.0)
+
+
+def test_dyadic_energy_power_overflow_names_lambda1():
+    # n^lam at n = 2 used to end in an OverflowError from float(n) ** lam;
+    # 2^2000 is beyond the float range while log(e + 1)^2000 is not
     f = random_f(2, 3, seed=0)
-    with pytest.raises(ValueError, match="level-2 weight overflows at lam = 1e[+]308"):
-        dyadic_energy(f, eparams(lam=1e308))
+    with pytest.raises(ValueError, match="level-2 weight overflows at lambda1 = 2000.0$"):
+        dyadic_energy(f, eparams(lambda1=2000.0))
 
 
 def test_dyadic_energy_level_weight_overflow_names_p():
@@ -264,11 +309,12 @@ def test_dyadic_energy_level_weight_overflow_names_p():
 
 
 def test_dyadic_energy_level_weight_product_overflow_is_an_error():
-    # e^(eps n theta p) = 1.1e298 and n^lam = 2.6e10 are finite at n = 11,
-    # but their product is not: dyadic_energy returned inf
+    # e^(eps n theta p) = 1.1e298 and n^lambda1 = 2.6e10 are finite at
+    # n = 11, but their product is not: dyadic_energy returned inf
     f = random_f(2, 11, seed=0)
-    with pytest.raises(ValueError, match="level-11 weight overflows at p = 180 and lam = 10.0"):
-        dyadic_energy(f, eparams(theta=0.5, p=180.0, lam=10.0))
+    message = "level-11 weight overflows at p = 180 and lambda1 = 10.0$"
+    with pytest.raises(ValueError, match=message):
+        dyadic_energy(f, eparams(theta=0.5, p=180.0, lambda1=10.0))
 
 
 def test_dyadic_energy_overflow_names_p():
@@ -293,12 +339,14 @@ def test_double_integral_overflow_at_an_enumerated_p_is_an_error():
 
 def test_orlicz_energy_level_weight_overflow_names_lambda2():
     # n^lambda2 at n = 2 ended in an OverflowError from float(n) ** lam2,
-    # which named no key
+    # which named no key; (n + C)^lambda2 overflows from level 1 on
     f = random_f(2, 3, seed=0)
-    with pytest.raises(ValueError, match="level-2 weight overflows at lambda2 = 1e[+]308"):
-        dyadic_orlicz_modular(f, eparams(lambda2=1e308), YoungPhi(2.0))
+    with pytest.raises(ValueError, match="level-1 weight overflows at lambda2 = 1e[+]308$"):
+        dyadic_orlicz_modular(f, eparams(lambda2=1e308))
     with pytest.raises(ValueError, match="lambda2"):
-        orlicz_besov_norm(f, eparams(lambda2=1e308), YoungPhi(2.0))
+        orlicz_besov_norm(f, eparams(lambda2=1e308))
+    with pytest.raises(ValueError, match="level-1 weight overflows at lambda2 = 400.0$"):
+        dyadic_energy(f, eparams(lambda2=400.0))
 
 
 # ------------------------------------------------------------ besov gauge norm
@@ -306,29 +354,25 @@ def test_orlicz_energy_level_weight_overflow_names_lambda2():
 
 def test_besov_norm_constant_function():
     f = BoundaryFunction(2, 3, np.full(8, 2.0))
-    phi = YoungPhi(2.0, 1.0)
-    assert orlicz_besov_norm(f, eparams(), phi) == pytest.approx(
-        orlicz_norm(f, phi), rel=1e-12
-    )
+    ep = eparams(lambda1=1.0)
+    assert orlicz_besov_norm(f, ep) == pytest.approx(orlicz_norm(f, ep.phi), rel=1e-12)
 
 
 def test_besov_norm_pure_power_decomposition():
-    ep = eparams(lam=0.0, lambda2=0.0)
-    phi = YoungPhi(2.0)
+    ep = eparams(lambda1=0.0, lambda2=0.0)
     for seed in range(5):
         f = random_f(2, 5, seed)
-        expected = orlicz_norm(f, phi) + dyadic_energy(f, ep) ** 0.5
-        assert orlicz_besov_norm(f, ep, phi) == pytest.approx(expected, rel=1e-9)
+        expected = orlicz_norm(f, ep.phi) + dyadic_energy(f, ep) ** 0.5
+        assert orlicz_besov_norm(f, ep) == pytest.approx(expected, rel=1e-9)
 
 
 def test_besov_norm_homogeneous():
-    ep = eparams(lambda2=0.5)
-    phi = YoungPhi(2.0, 1.0)
+    ep = eparams(lambda1=1.0, lambda2=0.5)
     f = random_f(2, 4, seed=9)
-    base = orlicz_besov_norm(f, ep, phi)
+    base = orlicz_besov_norm(f, ep)
     for c in (0.05, 7.0):
         scaled = BoundaryFunction(2, 4, c * f.values)
-        assert orlicz_besov_norm(scaled, ep, phi) == pytest.approx(c * base, rel=1e-9)
+        assert orlicz_besov_norm(scaled, ep) == pytest.approx(c * base, rel=1e-9)
 
 
 # ------------------------------------------------------- double-integral form

@@ -14,8 +14,10 @@ import treetrace
 import treetrace.hajlasz as hajlasz
 from treetrace import (
     BoundaryFunction,
+    EnergyParams,
     HajlaszInstance,
     TreeFunction,
+    YoungPhi,
     dyadic_energy,
     dyadic_orlicz_modular,
     generate,
@@ -93,8 +95,9 @@ def test_lacunary_needs_scale_arguments():
 def test_config_defaults_and_derived():
     cfg = ExperimentConfig()
     assert cfg.resolved_theta == pytest.approx(0.5)
-    assert cfg.energy_params().lam == 0.0
-    assert ExperimentConfig(lambda1=0.5, lambda2=0.25).energy_params().lam == 0.75
+    assert cfg.energy_params() == EnergyParams(theta=0.5, p=2.0, epsilon=LN2)
+    ep = ExperimentConfig(lambda1=0.5, lambda2=0.25).energy_params()
+    assert (ep.lambda1, ep.lambda2, ep.phi) == (0.5, 0.25, YoungPhi(2.0, 0.5))
 
 
 # the three ratio drivers, each with the name it gives in its errors
@@ -387,7 +390,8 @@ def test_equivalence_report_with_two_sided_fit():
 def test_equivalence_computes_the_power_energy_once_without_level_weights(
     monkeypatch, lambda1, per_row
 ):
-    # at lam = 0 the weighted energy is the plain one and is not recomputed
+    # at lambda1 = lambda2 = 0 the weighted energy is the plain one and is
+    # not recomputed
     calls = []
 
     def counted(f, params):
@@ -550,13 +554,13 @@ def test_cli_energy_out_writes_the_five_values(tmp_path, line):
     argv = ["energy", "--config", str(cfg_path), "--input", str(u_path), "--out", str(out)]
     assert main(argv) == 0
     cfg, f = load_config(str(cfg_path)), BoundaryFunction.from_csv(u_path)
-    phi, ep = cfg.phi(), cfg.energy_params()
+    ep = cfg.energy_params()
     values = {
         "lp_norm": lp_norm(f, cfg.p),
-        "orlicz_norm": orlicz_norm(f, phi),
+        "orlicz_norm": orlicz_norm(f, ep.phi),
         "dyadic_energy": dyadic_energy(f, ep),
-        "dyadic_orlicz_modular": dyadic_orlicz_modular(f, ep, phi),
-        "orlicz_besov_norm": orlicz_besov_norm(f, ep, phi),
+        "dyadic_orlicz_modular": dyadic_orlicz_modular(f, ep),
+        "orlicz_besov_norm": orlicz_besov_norm(f, ep),
     }
     rows = "".join(f"{key},{value:.17g}\n" for key, value in values.items())
     assert out.read_bytes() == f"quantity,value\n{rows}".encode()
@@ -571,7 +575,7 @@ def test_constant_tree_function_ratio_finite():
     tp = cfg.tree_params(4)
     F = TreeFunction(2, 4, np.full(31, 3.0))
     phi = YoungPhi(2.0)
-    num = orlicz_besov_norm(trace(F), cfg.energy_params(), phi)
+    num = orlicz_besov_norm(trace(F), cfg.energy_params())
     den = newtonian_norm(F, tp, phi)
     assert 0 < num / den < math.inf
 
@@ -1136,10 +1140,10 @@ def test_cli_verify_extension_bound_modular_beyond_the_float_range_is_an_error(
 )
 def test_cli_config_rejects_the_removed_settings(tmp_path, capsys, line):
     # the edge rule is always order 8, the Monte Carlo sample count, the
-    # pair budget and the PASS thresholds are constants, lam is always
-    # lambda1 + lambda2 and theta always the matched exponent, and the
-    # output settings are flags: none is a config key any more, not even
-    # at its old default
+    # pair budget and the PASS thresholds are constants, the energies take
+    # lambda1 and lambda2 (no lam), theta is always the matched exponent,
+    # and the output settings are flags: none is a config key any more,
+    # not even at its old default
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(f"seeds = 0\n{line}\n")
     key = line.split(" ")[0]

@@ -33,7 +33,6 @@ from treetrace import (
     double_integral_is_exact,
     dyadic_energy,
     dyadic_orlicz_modular,
-    YoungPhi,
     extend,
     generate,
     gradient_lphi_modular,
@@ -64,7 +63,7 @@ def _gauges(f, p, lambda1):
     cfg = ExperimentConfig(K=f.K, p=p, lambda1=lambda1)
     ep, phi = cfg.energy_params(), cfg.phi()
     return (
-        orlicz_besov_norm(f, ep, phi),
+        orlicz_besov_norm(f, ep),
         newtonian_norm(extend(f), cfg.tree_params(f.depth), phi),
     )
 
@@ -111,12 +110,12 @@ def test_hajlasz_value_scales_by_the_pth_power_or_is_refused(f, p, c):
 def _energies(K, depth, p):
     """The energies and modulars of degree p at lambda1 = 0, by name, each
     as a map from a boundary function to its value."""
-    ep, phi = EnergyParams(theta=0.5, p=p, epsilon=LN2), YoungPhi(p)
+    ep = EnergyParams(theta=0.5, p=p, epsilon=LN2)
     tree = ExperimentConfig(K=K, p=p).tree_params(depth)
     return {
         "dyadic_energy": lambda u: dyadic_energy(u, ep),
-        "dyadic_orlicz_modular": lambda u: dyadic_orlicz_modular(u, ep, phi),
-        "gradient_lphi_modular": lambda u: gradient_lphi_modular(extend(u), tree, phi),
+        "dyadic_orlicz_modular": lambda u: dyadic_orlicz_modular(u, ep),
+        "gradient_lphi_modular": lambda u: gradient_lphi_modular(extend(u), tree, ep.phi),
         "double_integral_energy": lambda u: double_integral_energy(u, ep),
     }
 
@@ -200,9 +199,9 @@ def test_automorphisms_keep_modulars_and_gauges(pair, exponents):
     f, g = pair
     p, lambda1 = exponents
     cfg = ExperimentConfig(K=f.K, p=p, lambda1=lambda1)
-    ep, phi = cfg.energy_params(), cfg.phi()
+    ep = cfg.energy_params()
     plain = EnergyParams(theta=ep.theta, p=p, epsilon=ep.epsilon)
-    modulars = [lambda u: dyadic_energy(u, ep), lambda u: dyadic_orlicz_modular(u, ep, phi)]
+    modulars = [lambda u: dyadic_energy(u, ep), lambda u: dyadic_orlicz_modular(u, ep)]
     if double_integral_is_exact(f.K, f.depth, p):
         modulars.append(lambda u: double_integral_energy(u, plain))
     for modular in modulars:

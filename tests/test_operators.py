@@ -74,12 +74,10 @@ def test_gradient_energy_comparison_stable_in_depth():
     ratios, depths = [], []
     for depth in range(4, 9):
         tp = TreeParams(2, LN2, 2 * LN2, 0.0, depth)
-        ep = EnergyParams(theta=0.5, p=2.0, epsilon=LN2, lambda2=0.0)
+        ep = EnergyParams(theta=0.5, p=2.0, epsilon=LN2, lambda1=1.0)
         for seed in range(5):
             u = generate("iid-uniform", K=2, depth=depth, seed=seed)
-            ratio = gradient_lphi_modular(extend(u), tp, phi) / dyadic_orlicz_modular(
-                u, ep, phi
-            )
+            ratio = gradient_lphi_modular(extend(u), tp, phi) / dyadic_orlicz_modular(u, ep)
             ratios.append(ratio)
             depths.append(depth)
     ratios = np.asarray(ratios)

@@ -1,12 +1,16 @@
 """The verdicts of the three ratio drivers over a grid of exponents.
 
-Every case runs a driver through the Python API at the default geometry,
-seeds 0,1,2, depths 4,6,8,10 and no Hajlasz program, and must PASS.  The
-cases that FAIL for a known cause are strict expected failures, so that a
-fix of that cause shows as an XPASS to be moved into the passing cases,
-and no verdict moves silently.  The depths matter: with 4,6,8 alone the
-p = 1.5, lambda1 = 1, lambda2 = 2 `equivalence` run FAILs too.
+Every case runs a driver through the Python API, with seeds 0,1,2 and no
+Hajlasz program, and must PASS.  The grid is the default geometry at
+depths 4,6,8,10, with lambda2 = -2 and 3 for the two bound drivers, and
+p = 1 at beta = 1.5 ln 2 (theta = 0.5) and depths 4,6,8.  The depths
+matter: with 4,6,8 alone the p = 1.5, lambda1 = 1, lambda2 = 2
+`equivalence` run FAILs.  The lambda2 != 0 cases FAILed while the
+boundary weighed level n by n^lambda2 and the tree's mass density carried
+(t + C)^lambda2: the bound ratios drifted with ((n + C)/n)^lambda2.
 """
+
+import math
 
 import pytest
 
@@ -22,43 +26,38 @@ DRIVERS = {
     "extension-bound": verify_extension_bound,
     "equivalence": verify_equivalences,
 }
+BOUND_DRIVERS = ("trace-bound", "extension-bound")
+DEPTHS = (4, 6, 8, 10)
 
-# The boundary weighs level n by n^lambda2, while the tree's mass density
-# carries (t + C)^lambda2, C the minimal shift: the bound ratios drift with
-# ((n + C)/n)^lambda2, a factor the theorems' constants absorb.
-LAMBDA2_SHIFT = (
-    "boundary level weight n^lambda2 against the tree's (t + C)^lambda2 (ROADMAP item 16)"
-)
-FAIL_AT_LAMBDA2_2 = {("extension-bound", p) for p in (1.5, 2.0, 3.0)} | {
-    ("trace-bound", p) for p in (1.5, 2.0)
-}
+
+def _case(driver, p, lambda1, lambda2, beta=2.0 * math.log(2.0), depths=DEPTHS):
+    name = f"{driver}-p{p:g}-lambda1_{lambda1:g}-lambda2_{lambda2:g}"
+    if depths != DEPTHS:
+        name += f"-beta{beta:.4g}-depths{','.join(map(str, depths))}"
+    return pytest.param(driver, p, lambda1, lambda2, beta, depths, id=name)
 
 
 def _cases():
     for driver in DRIVERS:
+        lambda2s = (0.0, 2.0, -2.0, 3.0) if driver in BOUND_DRIVERS else (0.0, 2.0)
         for p in (1.5, 2.0, 3.0):
             for lambda1 in (0.0, 1.0):
-                for lambda2 in (0.0, 2.0):
-                    known = lambda2 == 2.0 and (driver, p) in FAIL_AT_LAMBDA2_2
-                    marks = [pytest.mark.xfail(strict=True, reason=LAMBDA2_SHIFT)] if known else []
-                    yield pytest.param(
-                        driver,
-                        p,
-                        lambda1,
-                        lambda2,
-                        marks=marks,
-                        id=f"{driver}-p{p:g}-lambda1_{lambda1:g}-lambda2_{lambda2:g}",
-                    )
+                for lambda2 in lambda2s:
+                    yield _case(driver, p, lambda1, lambda2)
+    for driver in BOUND_DRIVERS:
+        for lambda1 in (0.0, 1.0):
+            yield _case(driver, 1.0, lambda1, 1.0, beta=1.5 * math.log(2.0), depths=(4, 6, 8))
 
 
-@pytest.mark.parametrize("driver, p, lambda1, lambda2", _cases())
-def test_ratio_driver_passes(driver, p, lambda1, lambda2):
+@pytest.mark.parametrize("driver, p, lambda1, lambda2, beta, depths", _cases())
+def test_ratio_driver_passes(driver, p, lambda1, lambda2, beta, depths):
     cfg = ExperimentConfig(
+        beta=beta,
         p=p,
         lambda1=lambda1,
         lambda2=lambda2,
         seeds=(0, 1, 2),
-        depths=(4, 6, 8, 10),
+        depths=depths,
         hajlasz_max_depth=0,
     )
     report = DRIVERS[driver](cfg)

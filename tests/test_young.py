@@ -955,7 +955,7 @@ def test_numbers_do_not_depend_on_the_blas_thread_count():
         "f = generate('lacunary', K=2, depth=14, seed=1, epsilon=cfg.epsilon, theta=0.5)\n"
         "u = generate('iid-uniform', K=2, depth=8, seed=0)\n"
         "sol = hajlasz_minimize(HajlaszInstance(u, 0.5, 2.0, cfg.epsilon))\n"
-        "print(orlicz_besov_norm(f, ep, phi).hex(),"
+        "print(orlicz_besov_norm(f, ep).hex(),"
         " newtonian_norm(extend(f), cfg.tree_params(14), phi).hex(), sol.value.hex())\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(young.__file__)))
