@@ -13,7 +13,14 @@ vertex i has the children K i + 1 .. K i + K.  Only this module relies on
 that layout.  `parents_and_children` views an array as its internal
 vertices and an (internal vertices, K) array of edges, row i the children
 of vertex i, so the edges from level n to level n + 1 are its rows
-`level_slice(K, n)`; `child_minus_parent` takes their difference.
+`level_slice(K, n)`; `child_minus_parent` takes their difference and
+`child_sums` the sums of a level's runs of K children.
+
+Both run along long strides, one numpy call per child position:
+`child_minus_parent` is K strided subtractions, and `child_sums` adds each
+parent's children in child order from +0.0 by K strided adds, bit for bit
+numpy's `reshape(-1, K).sum(axis=1)` for K <= 7; from K = 8, where numpy
+sums a row in 8 partial sums, it makes that call.
 
 A function CSV file holds a `K,N` header, the line `<K>,<N>`, the line
 `address,value`, then one `address,value` row per vertex of the levels
@@ -52,6 +59,7 @@ __all__ = [
     "level_slice",
     "parents_and_children",
     "child_minus_parent",
+    "child_sums",
     "function_values",
     "level_digits",
     "level_addresses",
@@ -110,11 +118,28 @@ def parents_and_children(K: int, values: np.ndarray) -> tuple[np.ndarray, np.nda
     return values[:internal], values[1:].reshape(internal, K)
 
 
-def child_minus_parent(K: int, values: np.ndarray) -> np.ndarray:
+def child_minus_parent(K: int, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """(internal vertices, K) array of a level-order array: row i holds the
-    values of the children of vertex i minus the value of vertex i."""
+    values of the children of vertex i minus the value of vertex i.  Written
+    to `out` when given, which must not overlap `values`."""
     parents, children = parents_and_children(K, values)
-    return children - parents[:, None]
+    if out is None:
+        out = np.empty(children.shape)
+    for j in range(K):
+        np.subtract(children[:, j], parents, out=out[:, j])
+    return out
+
+
+def child_sums(K: int, below: np.ndarray) -> np.ndarray:
+    """Sums of consecutive runs of K entries of a flat array (a level's
+    values: the sums of each parent's children), bit for bit
+    `below.reshape(-1, K).sum(axis=1)`."""
+    if K >= 8:
+        return below.reshape(-1, K).sum(axis=1)
+    sums = np.zeros(below.size // K)
+    for j in range(K):
+        sums += below[j::K]
+    return sums
 
 
 def function_values(K: int, depth: int, values, first: int) -> np.ndarray:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .address import child_minus_parent, function_values, level_slice
+from .address import child_minus_parent, child_sums, function_values, level_slice
 from .address import read_function_csv, write_function_csv
 from .tree import _min_shift, split_distances
 from .young import YoungModular, YoungPhi, luxemburg_gauge
@@ -80,14 +80,16 @@ class BoundaryFunction:
     def level_averages(self) -> np.ndarray:
         """The average over the cell of every vertex, in level order.  The
         leaves are copied in unchanged, so resolution-preserving roundtrips
-        stay bitwise exact.  Memoized: computed on the first call, after
+        stay bitwise exact.  A parent's average is its children's sum
+        (`child_sums`) divided by K, bit for bit the mean of its cell's
+        block of K children.  Memoized: computed on the first call, after
         which every call returns the same read-only array."""
         if self._averages is None:
             K = self.K
             out = np.empty(level_slice(K, self.depth).stop)
             out[level_slice(K, self.depth)] = self.values
             for n in reversed(range(self.depth)):
-                out[level_slice(K, n)] = out[level_slice(K, n + 1)].reshape(-1, K).mean(axis=1)
+                np.divide(child_sums(K, out[level_slice(K, n + 1)]), K, out=out[level_slice(K, n)])
             out.flags.writeable = False
             self._averages = out
         return self._averages
@@ -115,9 +117,10 @@ class EnergyParams:
 
     The Young function `phi` = YoungPhi(p, lambda1) is derived, not set,
     and rejects a p or lambda1 that is not finite, p < 1 and an
-    inadmissible lambda1.  epsilon and lambda2 must be finite.  C is the
-    tree's minimal shift (`tree.min_shift_constant`), with beta - log K
-    taken as eps p (1 - theta), its value at the matched theta.
+    inadmissible lambda1.  epsilon and lambda2 must be finite.  C, the
+    derived `shift`, is the tree's minimal shift (`tree.min_shift_constant`),
+    with beta - log K taken as eps p (1 - theta), its value at the matched
+    theta.
     """
 
     theta: float
@@ -126,6 +129,7 @@ class EnergyParams:
     lambda1: float = 0.0
     lambda2: float = 0.0
     phi: YoungPhi = field(init=False, compare=False, repr=False)
+    shift: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "phi", YoungPhi(self.p, self.lambda1))
@@ -136,6 +140,8 @@ class EnergyParams:
             raise ValueError("theta must lie in [0, 1)")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
+        decay = self.epsilon * self.p * (1.0 - self.theta)
+        object.__setattr__(self, "shift", _min_shift(decay, self.epsilon, self.lambda2))
 
 
 def lp_norm(f: BoundaryFunction, p: float) -> float:
@@ -161,7 +167,6 @@ def _level_weights(depth: int, params: EnergyParams, t: float, lambda1: float = 
     e^(eps*n*t*p), lambda1 or lambda2 for its power, and p with each power
     above 1 for their product."""
     p, eps = params.p, params.epsilon
-    shift = _min_shift(eps * p * (1.0 - params.theta), eps, params.lambda2)
     weights = []
     for n in range(1, depth + 1):
         where = f"the level-{n} weight"
@@ -170,7 +175,7 @@ def _level_weights(depth: int, params: EnergyParams, t: float, lambda1: float = 
         except OverflowError:
             raise ValueError(f"{where} e^(eps n theta p) overflows at p = {p:g}") from None
         grown = [f"p = {p:g}"]
-        powers = (("lambda1", n, lambda1), ("lambda2", n + shift, params.lambda2))
+        powers = (("lambda1", n, lambda1), ("lambda2", n + params.shift, params.lambda2))
         for key, base, exponent in powers:
             try:
                 power = float(base) ** exponent
@@ -329,7 +334,7 @@ def double_integral_energy(f: BoundaryFunction, params: EnergyParams) -> float:
     # the enumerated pair terms are not scaled, and can overflow
     with np.errstate(over="ignore", invalid="ignore"):
         for n, s, sums in _level_pair_sums(f, p):
-            children = np.ldexp(below.reshape(-1, K).sum(axis=1), below_scale - s)
+            children = np.ldexp(child_sums(K, below), below_scale - s)
             cross[n], scale[n] = float((sums - children).sum()), s
             below, below_scale = sums, s
     if not all(map(math.isfinite, cross)):

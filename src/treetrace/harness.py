@@ -470,20 +470,25 @@ def verify_extension_bound(cfg: ExperimentConfig) -> RatioReport:
     )
 
 
-def tail_constant(epsilon: float, theta: float, p: float, lam: float) -> float:
-    """Value of the convergent series sum_n e^(eps*n*p*(theta-1)/2) * n^lam."""
+def tail_constant(
+    epsilon: float, theta: float, p: float, lam: float, lambda2: float = 0.0, shift: float = 0.0
+) -> float:
+    """Value of the convergent series
+    sum_n e^(eps*n*p*(theta-1)/2) * n^lam * (n + shift)^lambda2."""
     q = math.exp(epsilon * p * (theta - 1.0) / 2.0)
     if not q < 1.0:
         raise ValueError("theta must be below 1 for the tail series to converge")
     total, n = 0.0, 1
     while True:
         try:
-            term = q**n * float(n) ** lam
+            term = q**n * float(n) ** lam * (n + shift) ** lambda2
         except OverflowError:
             term = math.inf
         total += term
         if not math.isfinite(total):
-            raise ValueError(f"tail series overflows at n = {n} for lam = {lam!r}")
+            raise ValueError(
+                f"tail series overflows at n = {n} for lam = {lam!r}, lambda2 = {lambda2!r}"
+            )
         if term < 1e-15 * total and n > 1:
             return total
         n += 1
@@ -622,8 +627,10 @@ def verify_equivalences(cfg: ExperimentConfig) -> RatioReport:
         row["hajlasz_vs_dyadic"] = sol.value / row["dyadic_energy"]
     extra_checks = []
     if cfg.lambda1 != 0.0:
-        lam_for_tail = cfg.lambda1 + cfg.lambda2 if cfg.lambda1 > 0 else cfg.lambda2
-        c_prime = tail_constant(cfg.epsilon, ep.theta, ep.p, lam_for_tail)
+        # the levels' weights of the energy the fit bounds: n^lambda1
+        # (n + C)^lambda2 at lambda1 > 0, else (n + C)^lambda2
+        lam_for_tail = max(cfg.lambda1, 0.0)
+        c_prime = tail_constant(cfg.epsilon, ep.theta, ep.p, lam_for_tail, ep.lambda2, ep.shift)
         energies = [(r["weighted_energy"], r["orlicz_modular"]) for r in rows]
         base = [e for e, r in zip(energies, rows) if r["depth"] == min(cfg.depths)]
         fit = fit_two_sided(base, cfg.lambda1, c_prime)

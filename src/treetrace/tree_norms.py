@@ -18,7 +18,7 @@ import numpy as np
 from .address import child_minus_parent, function_values, level_slice, parents_and_children
 from .address import read_function_csv, write_function_csv
 from .tree import QUAD_ORDER, TreeParams, edge_length, edge_measure, edge_quadrature
-from .young import YoungModular, YoungPhi, luxemburg_gauge
+from .young import _CHUNK, YoungModular, YoungPhi, luxemburg_gauge
 
 __all__ = [
     "TreeFunction",
@@ -62,27 +62,38 @@ def _function_modular(F: TreeFunction, params: TreeParams, phi: YoungPhi) -> You
     """Phi(|F|) against the mass density, one (edges, nodes) segment per
     level: |F| at the Gauss-Legendre nodes of every edge, weighted by the
     quadrature weight times the density at each node.  |F| is built in `a`
-    itself from one slope per edge, as in `upper_gradient_edges`."""
+    itself from one slope per edge, as in `upper_gradient_edges`: at node
+    q of an edge, slope times node offset q plus the parent's value."""
     _check_shape(F, params)
-    parents, children = parents_and_children(F.K, F.values)
-    a = np.empty(children.size * QUAD_ORDER)
-    vals = a.reshape(*children.shape, QUAD_ORDER)
+    K, Q = F.K, QUAD_ORDER
+    parents = parents_and_children(K, F.values)[0]
+    edges = F.values.size - 1
+    a = np.empty(edges * Q)
     # the slopes go to the head of `a` (an array of their own raised the peak
-    # RSS) and the levels are filled deepest first: the nodes of level n
-    # start at QUAD_ORDER times the offset of its slopes, past the slopes of
-    # the shallower levels still to be read; numpy buffers the slopes of a
-    # level whose nodes overlap them
-    slopes = a[: children.size].reshape(children.shape)
-    np.subtract(children, parents[:, None], out=slopes)
+    # RSS), the nodes of parents r0..r1 - 1 to a[K Q r0 : K Q r1]: levels
+    # deepest first, each in chunks of whole parents, the last chunk first,
+    # so a chunk overwrites no slope still to be read but its own, which its
+    # copy reads first (numpy buffers that overlap).  The tiled row and its
+    # view are gone before YoungModular allocates its buffers.
+    slopes = child_minus_parent(K, F.values, out=a[:edges].reshape(-1, K))
+    step = max(_CHUNK // (K * Q), 1)
+    tiled = np.empty(min(step, parents.size) * K * Q)
     segments = []
     for n in reversed(range(F.depth)):
-        rows = level_slice(F.K, n)
+        rows = level_slice(K, n)
         length, a_off, weights = edge_quadrature(params, n)
         slopes[rows] /= length
-        level = vals[rows]
-        np.multiply(slopes[rows, :, None], a_off, out=level)
-        level += parents[rows, None, None]
-        segments.append((level.size, weights))
+        offsets = tiled[: min(step, K**n) * K * Q]
+        np.copyto(offsets.reshape(-1, Q), a_off)
+        for r0 in reversed(range(rows.start, rows.stop, step)):
+            r1 = min(r0 + step, rows.stop)
+            chunk = a[K * Q * r0 : K * Q * r1]
+            np.copyto(chunk.reshape(-1, Q), slopes[r0:r1].reshape(-1, 1))
+            np.multiply(chunk, offsets[: chunk.size], out=chunk)
+            by_parent = chunk.reshape(r1 - r0, K * Q)
+            np.add(by_parent, parents[r0:r1, None], out=by_parent)
+        segments.append((K ** (n + 1) * Q, weights))
+    del tiled, offsets
     np.abs(a, out=a)
     return YoungModular(phi, a, segments[::-1])
 

@@ -14,6 +14,7 @@ from treetrace.address import (
     cell_leaves,
     check_digits,
     child_minus_parent,
+    child_sums,
     digits_index,
     index_digits,
     level_addresses,
@@ -333,6 +334,37 @@ def test_level_order_rows_pair_each_vertex_with_its_parent(K, depth, data):
         parent_value = values[level_slice(K, n)][digits_index(K, child[:-1])]
         child_value = values[level_slice(K, n + 1)][digits_index(K, child)]
         assert rows[i, c] == child_value - parent_value
+
+
+@pytest.mark.parametrize("K", range(2, 11))
+def test_child_minus_parent_matches_the_broadcast_bitwise(K):
+    # the strided subtractions against the broadcast over each parent's row
+    rng = np.random.default_rng(K)
+    for depth in (1, 2, 4):
+        values = fill(SPECIAL + list(rng.normal(size=8)), level_slice(K, depth).stop, depth)
+        internal = level_slice(K, depth).start
+        want = values[1:].reshape(internal, K) - values[:internal, None]
+        assert same_bits(child_minus_parent(K, values), want)
+        out = np.empty((internal, K))
+        assert child_minus_parent(K, values, out=out) is out
+        assert same_bits(out, want)
+
+
+@pytest.mark.parametrize("K", range(2, 11))
+def test_child_sums_match_the_row_sums_bitwise(K):
+    # two -0.0 children: numpy's row sum is +0.0, and so must the child
+    # sum be, though (-0.0) + (-0.0) is -0.0
+    assert same_bits(child_sums(K, np.full(K, -0.0)), np.zeros(1))
+    rng = np.random.default_rng(K)
+    pool = SPECIAL + list(rng.normal(size=16)) + list(rng.uniform(-1e300, 1e300, size=4))
+    for parents in (1, 2, 7, 8, 9, 1000, 4999, 5000):
+        below = fill(pool, parents * K, parents)
+        below[:K] = -0.0
+        want = below.reshape(-1, K).sum(axis=1)
+        assert same_bits(child_sums(K, below), want)
+        # wide magnitudes: the order of the additions shows in the bits
+        below = rng.normal(size=parents * K) * 10.0 ** rng.integers(-8, 9, size=parents * K)
+        assert same_bits(child_sums(K, below), below.reshape(-1, K).sum(axis=1))
 
 
 def oracle_level_averages(u):

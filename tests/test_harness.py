@@ -386,6 +386,31 @@ def test_equivalence_report_with_two_sided_fit():
     assert len(rows_with_chi) == len(report.rows)
 
 
+class _FitCalled(Exception):
+    pass
+
+
+@pytest.mark.parametrize("lambda1, lambda2", [(1.0, 2.0), (1.0, -2.0), (-0.5, 2.0), (1.0, 0.0)])
+def test_two_sided_fit_constant_sums_the_energys_level_weights(monkeypatch, lambda1, lambda2):
+    # the weighted energy weighs level n by n^lambda1 (n + C)^lambda2 and
+    # the Orlicz energy by (n + C)^lambda2, C the tree's shift: the
+    # additive constant is sum_n q^n n^max(lambda1, 0) (n + C)^lambda2
+    cfg = small_cfg(depths=(3,), seeds=(0,), lambda1=lambda1, lambda2=lambda2)
+    got = []
+
+    def fit(pairs, lam1, c_prime):
+        got.append(c_prime)
+        raise _FitCalled
+
+    monkeypatch.setattr(treetrace.harness, "fit_two_sided", fit)
+    with pytest.raises(_FitCalled):
+        verify_equivalences(cfg)
+    theta, C = cfg.resolved_theta, cfg.tree_params(3).C_const
+    q = math.exp(cfg.epsilon * cfg.p * (theta - 1.0) / 2.0)
+    want = sum(q**n * n ** max(lambda1, 0.0) * (n + C) ** lambda2 for n in range(1, 4000))
+    assert got == [pytest.approx(want, rel=1e-12)]
+
+
 @pytest.mark.parametrize("lambda1, per_row", [(0.0, 1), (1.0, 2)])
 def test_equivalence_computes_the_power_energy_once_without_level_weights(
     monkeypatch, lambda1, per_row

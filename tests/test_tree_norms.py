@@ -183,6 +183,48 @@ def test_tree_modular_amplitudes_match_the_per_level_oracle_bitwise(monkeypatch,
     assert np.array_equal(a, np.concatenate(parts))
 
 
+def broadcast_amplitudes(F, params):
+    """The amplitudes of the tree modular by one broadcast over each
+    level's (parents, K, nodes) block, built as `_function_modular` built
+    them before its chunks: in one array, the slopes at its head, the
+    levels deepest first (numpy buffers the nodes of a level that overlap
+    its slopes)."""
+    K = F.K
+    internal = level_slice(K, F.depth).start
+    parents, children = F.values[:internal], F.values[1:].reshape(internal, K)
+    a = np.empty(children.size * QUAD_ORDER)
+    vals = a.reshape(*children.shape, QUAD_ORDER)
+    slopes = a[: children.size].reshape(children.shape)
+    np.subtract(children, parents[:, None], out=slopes)
+    for n in reversed(range(F.depth)):
+        rows = level_slice(K, n)
+        length, a_off, _ = edge_quadrature(params, n)
+        slopes[rows] /= length
+        level = vals[rows]
+        np.multiply(slopes[rows, :, None], a_off, out=level)
+        level += parents[rows, None, None]
+    return np.abs(a, out=a)
+
+
+@pytest.mark.parametrize("family", ["random-vertex", "lacunary"])
+@pytest.mark.parametrize(
+    "K, depth", [(K, depth) for K in (2, 3) for depth in range(1, 9)] + [(2, 13), (9, 4)]
+)
+def test_tree_modular_amplitudes_match_the_broadcast_build_bitwise(monkeypatch, family, K, depth):
+    # depths 1-2 hold the levels whose nodes overwrite their own slopes;
+    # the deepest level of (3, 7), (3, 8) and (2, 13) spans several chunks;
+    # at (9, 4) a level's chunks overlap the slopes of its other chunks
+    if family == "lacunary":
+        # signed values, from the extension of a boundary function
+        F = extend(generate(family, K=K, depth=depth, seed=depth, epsilon=LN2, theta=0.5))
+    else:
+        F = generate(family, K=K, depth=depth, seed=depth)
+    params = TreeParams(K, LN2, math.log(K) + 1.0, 1.0, depth)
+    monkeypatch.setattr(tree_norms, "YoungModular", lambda phi, a, segments: a)
+    a = tree_norms._function_modular(F, params, YoungPhi(2.0))
+    assert np.array_equal(a.view(np.int64), broadcast_amplitudes(F, params).view(np.int64))
+
+
 def test_tree_modular_matches_tenfold_quadrature_order():
     # the order-8 rule against an order-80 one on every edge
     p = std_params(3, lambda2=-1.0)
@@ -394,6 +436,28 @@ def test_newtonian_norm_memory_is_one_amplitude_array_and_chunks_per_level():
         tracemalloc.stop()
     # slack: the Python objects, far below a level's values
     assert peak <= amplitude_bytes + 8 * _CHUNK * (depth + 2) + 2**16
+
+
+def test_tree_modular_scratch_is_freed_before_the_modular_is_built(monkeypatch):
+    # the tiled node offsets (one chunk) are gone when YoungModular
+    # allocates its own buffers: the amplitudes alone are held then
+    depth = 12
+    F = generate("random-vertex", K=2, depth=depth, seed=3)
+    params = std_params(depth)
+    held = []
+
+    def record(phi, a, segments):
+        held.append(tracemalloc.get_traced_memory()[0] - a.nbytes)
+
+    monkeypatch.setattr(tree_norms, "YoungModular", record)
+    tree_norms._function_modular(F, params, YoungPhi(2.0, 1.0))  # memoizes the level tables
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tree_norms._function_modular(F, params, YoungPhi(2.0, 1.0))
+    finally:
+        tracemalloc.stop()
+    assert held[-1] - base < 8 * _CHUNK // 4
 
 
 def _extend_boundary(values, depth):
