@@ -26,7 +26,7 @@ is solved by one of two methods, named in `HajlaszSolution.method`:
   inverse-Lipschitz step 2 nu / max(deg_a + deg_b) is exact; a block keeps
   it and restarts its momentum when its dual value falls.  One loop steps
   all p = 2 blocks of a batch, each with its own step, momentum and stop,
-  in about 2 MB at the batch's pair bound.  A block whose runs (one
+  in at most 1.8 MB at the batch's pair bound.  A block whose runs (one
   sibling pair over all vertices of a level) are large, and most of whose
   level pairs have a nonzero bound, is held in the dense form:
   its multipliers are (K^j, K(K-1)/2, m, m) arrays per split level j, so
@@ -202,9 +202,7 @@ class HajlaszInstance:
         self.scales = tuple(sorted(set(self.scale_of_level)))
         # the coarsest split level j0 of each scale: every pair of the scale
         # lies inside one level-j0 vertex, a block of K^(N - j0) leaves
-        self.coarsest_level: dict[int, int] = {}
-        for j, k in enumerate(self.scale_of_level):
-            self.coarsest_level.setdefault(k, j)
+        self.coarsest_level = {k: self.scale_of_level.index(k) for k in self.scales}
 
     @property
     def leaf_measure(self) -> float:
@@ -264,10 +262,10 @@ class HajlaszSolution:
     blocks: dict[int, BlockReport]
 
 
-def _pair_mass(ia, ib, w, n):
+def _pair_mass(ia, ib, w, n, out=None):
     """A^T w: each of the n leaves' sum of w over its pairs (ia, ib), its
     first-index pairs summed apart from its second-index ones; w None counts."""
-    return np.bincount(ia, w, n) + np.bincount(ib, w, n)
+    return np.add(np.bincount(ia, w, n), np.bincount(ib, w, n), out=out)
 
 
 def _active_leaves(ia, ib, n_leaves):
@@ -342,26 +340,25 @@ _DENSE_MIN_KEPT = 0.5
 
 # The instances of one batch hold at most this many leaf pairs in all,
 # K^N (K^N - 1) / 2 each; a larger instance goes alone.  The dual-ascent
-# loop's flat arrays take seven 8-byte entries per pair they step (1.8 MB
-# at the bound), beside the four per pair the instances hold themselves.
+# loop's flat arrays take four 8-byte entries per pair they step and three
+# more per index-form pair (at most 1.8 MB at the bound), beside the four
+# per pair the instances hold themselves.
 _BATCH_PAIRS = 2**15
 
 
 class _DualBlock:
-    """One scale block of the p = 2 dual ascent: the scale k of the
-    instance at position `at`, its kept pairs (ia, ib, bound) with the
-    bounds in the block's unit 2^e (`_in_block_units`), their active
-    leaves, and the block's own step state.  Its momentum last restarted
-    at step `restart`; `gap` is its relative gap at the last check (None
-    before the first).
+    """One scale block of the p = 2 dual ascent: scale k of the instance
+    at position `at`, its kept pairs (ia, ib, bound) with the bounds in its
+    unit 2^e (`_in_block_units`), their active leaves and its step state:
+    `restart`, the step its momentum last restarted at, and `gap`, its
+    relative gap at the last check (None before the first).
 
-    A dense block (`level_shapes` given, the (K^j, K(K-1)/2, m, m) shapes
-    of its split levels) holds a multiplier for every pair of those
-    levels, zero-bound pairs included (their multipliers stay exactly 0),
-    in the instance's pair order; `kept` locates the kept pairs among
-    them.  Any other block holds its kept pairs only.  Outside a layout
-    the block holds its own multipliers in mu and mu_prev, None while they
-    are 0.
+    A dense block (`level_shapes`, the (K^j, K(K-1)/2, m, m) shapes of its
+    split levels) holds a multiplier for every pair of those levels in the
+    instance's pair order, a zero-bound pair's staying exactly 0; `kept`
+    locates the kept pairs.  Any other block holds its kept pairs only.
+    Outside a layout it keeps its multipliers in mu and mu_prev, None
+    while they are 0.
     """
 
     def __init__(self, at, k, inst):
@@ -399,15 +396,16 @@ class _DualLayout:
     of its instance, a leaf in no pair at mass 0).  At split level j a
     dense block's multipliers are a (K^j, P, m, m) array: vertex, sibling
     pair (c1, c2), leaf a under c1, leaf b under c2.  Its leaves' masses
-    are plain reductions: for each pair, the leaves under c1 add the sums
-    over b and the leaves under c2 the sums over a.  The other blocks
-    share one gather for g[a] + g[b], and one `_pair_mass` (a bincount
-    over all their first indices plus one over all their second ones).  The
-    blocks' constants are spread over the flat arrays, the step sigma per
-    pair and 2 nu per leaf, so each is applied by one operation;
-    consecutive blocks whose momentum restarted at the same step share
-    its coefficient, and `runs` holds their pair entries as one slice
-    each.
+    are axis sums into s, over b for the leaves under c1 and over a for
+    those under c2.  The other blocks share one gather for g[a] + g[b] and
+    two bincounts, over their first and over their second indices.  Every
+    view of a dense level, of y and of both multiplier arrays, is built
+    here.  A dense block's sigma is one scalar; the index blocks' sigma and
+    every block's 2 nu are spread over flat arrays.  Consecutive blocks
+    whose momentum restarted at the same step share its coefficient, and
+    `runs` holds their pair entries as one slice each.  The loop holds four
+    8-byte entries per pair (mu, mu_prev, y, bound) and three more per
+    index-form pair (sigma, ia, ib).
     """
 
     def __init__(self, blocks):
@@ -425,31 +423,38 @@ class _DualLayout:
                 self.mu[seg], self.mu_prev[seg] = b.mu, b.mu_prev
             b.mu = b.mu_prev = None
         self.bound = np.concatenate([b.pair_bound for b in blocks])
-        self.sigma = np.repeat([b.sigma for b in blocks], sizes)
         self.two_nu = np.repeat([2.0 * b.nu for b in blocks], counts)
         self.y = np.empty_like(self.mu)
         self.s, self.g = np.zeros(leaf_ends[-1]), np.zeros(leaf_ends[-1])
         first = len(dense)
-        start = ends[first - 1] if first else 0
-        base = leaf_ends[first - 1] if first else 0
-        # per split level of a dense block: its pair entries, their
-        # (V, P, m, m) shape, the (V, K, m) views of its leaves' s and g,
-        # and its sibling pairs (c1, c2) in order
-        self.dense_s, self.dense = self.s[:base], []
+        start, base = sum(sizes[:first]), sum(counts[:first])
+        # per sibling pair (c1, c2) of a split level of a dense block: the
+        # (V, m, 1) and (V, 1, m) views of g under c1 and c2 with the block's
+        # sigma, the (V, m, m) views of its entries of mu and of mu_prev, and
+        # the sums of its multipliers in y over b into the (V, m) masses
+        # under c1 and over a into those under c2.  A child's first sum in
+        # the block is written into s, the later ones added.
+        self.pair_g, self.sums, self.views = [], [], ([], [])
         for b, seg, lv in zip(dense, self.segments, self.leaves):
-            at = seg.start
+            at, written = seg.start, set()
             for shape in b.level_shapes:
                 V, _, m, _ = shape
                 K, size = b.n_leaves // (V * m), math.prod(shape)
-                s, g = self.s[lv].reshape(V, K, m), self.g[lv].reshape(V, K, m)
-                pairs = list(zip(*_sibling_pairs(K)))
-                self.dense.append((slice(at, at + size), shape, s, g, pairs))
+                s, g = (x[lv].reshape(V, K, m) for x in (self.s, self.g))
+                y, *bufs = (x[at : at + size].reshape(shape) for x in (self.y, self.mu, self.mu_prev))
+                for q, (c1, c2) in enumerate(zip(*_sibling_pairs(K))):
+                    self.pair_g.append((g[:, c1, :, None], g[:, c2, None, :], b.sigma))
+                    for views, buf in zip(self.views, bufs):
+                        views.append(buf[:, q])
+                    for c, axis in (c1, 2), (c2, 1):
+                        self.sums.append((y[:, q], axis, s[:, c], c not in written))
+                        written.add(c)
                 at += size
+        self.sigma = np.repeat([b.sigma for b in index], sizes[first:])
         self.index_pairs = slice(start, None)
         self.index_s, self.index_g = self.s[base:], self.g[base:]
         # the index blocks' pairs as leaf indices into index_s and index_g
-        self.ia = np.empty(ends[-1] - start, dtype=np.intp)
-        self.ib = np.empty_like(self.ia)
+        self.ia, self.ib = np.empty((2, self.sigma.size), dtype=np.intp)
         for b, seg, lv in zip(index, self.segments[first:], self.leaves[first:]):
             at = slice(seg.start - start, seg.stop - start)
             np.add(b.ia, lv.start - base, out=self.ia[at])
@@ -468,28 +473,23 @@ class _DualLayout:
         self.runs = [(self.y[seg], restart) for seg, restart in runs]
 
     def _mass(self):
-        """Every leaf's multiplier mass under the multipliers in y, into s."""
-        self.dense_s.fill(0.0)
-        for seg, shape, s, _, pairs in self.dense:
-            mu = self.y[seg].reshape(shape)
-            over_b, over_a = mu.sum(axis=3), mu.sum(axis=2)
-            for q, (c1, c2) in enumerate(pairs):
-                s[:, c1] += over_b[:, q]
-                s[:, c2] += over_a[:, q]
-        if self.ia.size:
-            s = self.index_s
-            s[:] = _pair_mass(self.ia, self.ib, self.y[self.index_pairs], s.size)
+        """Every leaf's multiplier mass under the multipliers in y, into s.
+        No multiplier is -0.0, so a sum written equals one added to 0.0."""
+        for y, axis, s, write in self.sums:
+            if write:
+                np.add.reduce(y, axis, out=s)
+            else:
+                s += np.add.reduce(y, axis)
+        s = self.index_s
+        _pair_mass(self.ia, self.ib, self.y[self.index_pairs], s.size, out=s)
 
-    def pair_sums(self, flat):
-        """g[a] + g[b] of every pair of the dense blocks, into their
-        entries of flat."""
-        for seg, shape, _, g, pairs in self.dense:
-            out = flat[seg].reshape(shape)
-            # as a copy and an add, faster than one broadcast add
-            for q, (c1, c2) in enumerate(pairs):
-                o = out[:, q]
-                np.copyto(o, g[:, c2, None, :])
-                np.add(g[:, c1, :, None], o, out=o)
+    def pair_sums(self, out):
+        """g[a] + g[b] of every pair of the dense blocks, into `out`, the
+        views of mu's or mu_prev's array (`views`)."""
+        # as a copy and an add, faster than one broadcast add
+        for o, (g1, g2, _) in zip(out, self.pair_g):
+            np.copyto(o, g2)
+            np.add(g1, o, out=o)
 
     def step(self, t, momentum):
         """Step t of every block; momentum[i] is the coefficient of the
@@ -503,17 +503,19 @@ class _DualLayout:
         np.divide(self.s, self.two_nu, out=self.g)
         # mu_prev is dead once y is formed: the pair sums g[a] + g[b], then
         # the step and the new multipliers, go there
-        step = self.mu_prev
-        self.pair_sums(step)
-        if self.ia.size:
-            # mode "clip" (the indices are in range) writes straight into
-            # out; the default "raise" goes through a buffer
-            out = np.take(self.index_g, self.ib, out=step[self.index_pairs], mode="clip")
-            np.add(self.index_g[self.ia], out, out=out)
+        step, out = self.mu_prev, self.views[1]
+        self.pair_sums(out)
+        # mode "clip" (the indices are in range) writes straight into out;
+        # the default "raise" goes through a buffer
+        index = np.take(self.index_g, self.ib, out=step[self.index_pairs], mode="clip")
+        index += self.index_g[self.ia]
         np.subtract(self.bound, step, out=step)
-        step *= self.sigma
+        for o, (_, _, sigma) in zip(out, self.pair_g):
+            o *= sigma
+        index *= self.sigma
         step += y
         self.mu, self.mu_prev = np.maximum(0.0, step, out=step), self.mu
+        self.views = self.views[::-1]
 
     def mu_mass(self):
         """Every leaf's multiplier mass under the current multipliers."""
@@ -522,37 +524,27 @@ class _DualLayout:
         return self.s
 
     def gap_points(self):
-        """Each block's dual value q(mu) under the current multipliers mu,
-        and the value and active-leaf array of its repaired Lagrangian
-        minimizer g = s / (2 nu): (dual, primal, g) in block order.  The
-        elementwise work is done once for all blocks, and the repair once
-        for all index blocks (a leaf's raises add up in its own pair order,
-        as they do in its block alone); each block sums over its own active
-        leaves, so every number is that of the block alone."""
+        """(dual, primal, g) of each block in order: q(mu) under the current
+        multipliers, and the value and active-leaf array of the repaired
+        Lagrangian minimizer g = s / (2 nu).  The index blocks are repaired
+        at once (a leaf's raises add up in its own pair order, as alone);
+        each block sums over its own active leaves, so every number is that
+        of the block alone."""
         s = self.mu_mass()
-        # far from the optimum the squares can overflow; q is then -inf
-        with np.errstate(over="ignore", invalid="ignore"):
-            g = s / self.two_nu
-            square = g**2.0
-            duals = []
-            for blk, seg, lv in zip(self.blocks, self.segments, self.leaves):
-                a = blk.active_sel
-                q = (
-                    blk.nu * float(square[lv][a].sum())
-                    - dot(s[lv][a], g[lv][a])
-                    + dot(self.mu[seg][blk.kept], blk.bound)
-                )
-                duals.append(q if math.isfinite(q) else -math.inf)
+        duals = [
+            _dual_point(blk.nu, 2.0, s[lv][blk.active_sel], self.mu[seg][blk.kept], blk.bound)[1]
+            for blk, seg, lv in zip(self.blocks, self.segments, self.leaves)
+        ]
+        g = s / self.two_nu
         for blk, lv in zip(self.blocks[: self.n_dense], self.leaves):
             _repair(g[lv], blk.ia, blk.ib, blk.bound)
         if self.ia.size:
             _repair(g[self.index_leaves], self.ia, self.ib, self.bound[self.index_pairs])
         square = g**2.0
-        points = []
-        for blk, lv, dual in zip(self.blocks, self.leaves, duals):
-            a = blk.active_sel
-            points.append((dual, blk.nu * float(square[lv][a].sum()), g[lv][a]))
-        return points
+        return [
+            (dual, blk.nu * float(square[lv][blk.active_sel].sum()), g[lv][blk.active_sel])
+            for blk, lv, dual in zip(self.blocks, self.leaves, duals)
+        ]
 
     def unsolved(self, solved):
         """The blocks not in `solved`, each given a copy of its multipliers."""
@@ -584,20 +576,18 @@ def _solve_dual_blocks(batch):
     """Accelerated projected dual ascent on every scale block of the p = 2
     instances `batch`, a list of (position, instance).
 
-    All blocks of all the instances advance in one loop, each with its own
-    step sigma, momentum and stop, so each takes the steps it would take
-    solved alone.  At p = 2 the Lagrangian minimizer is g = s / (2 nu), and
-    sigma = 2 nu / max(deg_a + deg_b), set once per block, is the inverse
-    Lipschitz constant of the dual's gradient.  Each block works in its
-    own unit 2^e (`_DualBlock`).  Every `_CHECK_EVERY` steps each block
-    computes its dual lower bound and repairs the Lagrangian minimizer into
-    its best primal point (from the feasible g = max(bound)/2), all blocks
-    at once (`_DualLayout.gap_points`); it stops when their relative gap
-    drops below `_REL_TOL` and restarts its momentum when its dual value
-    fell (the ascent is not monotone).  Returns (position, scale) ->
+    All blocks advance in one loop, each in its own unit 2^e with its own
+    momentum, stop and step sigma = 2 nu / max(deg_a + deg_b), the inverse
+    Lipschitz constant of the dual's gradient (the Lagrangian minimizer is
+    g = s / (2 nu)), so each takes the steps it would take alone.  Every
+    `_CHECK_EVERY` steps each block takes its dual bound and repairs the
+    Lagrangian minimizer into its best primal point (from the feasible
+    g = max(bound)/2), all at once (`_DualLayout.gap_points`); it stops at
+    a relative gap below `_REL_TOL` and restarts its momentum when its dual
+    value fell (the ascent is not monotone).  Returns (position, scale) ->
     (leaf array in the block's unit, e, BlockReport), each array repaired
-    once more when its block certifies; the ConvergenceError raised at
-    `_MAX_ITERS` names every block left uncertified.
+    once more; the ConvergenceError raised at `_MAX_ITERS` names every
+    block left uncertified.
     """
     blocks = [_DualBlock(at, k, inst) for at, inst in batch for k in inst.constraints]
     if not blocks:

@@ -8,6 +8,12 @@ matter: with 4,6,8 alone the p = 1.5, lambda1 = 1, lambda2 = 2
 `equivalence` run FAILs.  The lambda2 != 0 cases FAILed while the
 boundary weighed level n by n^lambda2 and the tree's mass density carried
 (t + C)^lambda2: the bound ratios drifted with ((n + C)/n)^lambda2.
+
+At the default depths 4-7 the p = 1.5, lambda1 = 1 `equivalence` runs at
+lambda2 = 2 and 3 FAIL on `besov_vs_composite`, with slopes -0.113 and
+-0.127 against the tolerance 0.1; at depths 10,12,14 the slopes are
+-0.001 and -0.032 and both PASS.  The drift is pre-asymptotic, so the
+depth 4-7 runs are strict expected failures.
 """
 
 import math
@@ -30,11 +36,11 @@ BOUND_DRIVERS = ("trace-bound", "extension-bound")
 DEPTHS = (4, 6, 8, 10)
 
 
-def _case(driver, p, lambda1, lambda2, beta=2.0 * math.log(2.0), depths=DEPTHS):
+def _case(driver, p, lambda1, lambda2, beta=2.0 * math.log(2.0), depths=DEPTHS, marks=()):
     name = f"{driver}-p{p:g}-lambda1_{lambda1:g}-lambda2_{lambda2:g}"
     if depths != DEPTHS:
         name += f"-beta{beta:.4g}-depths{','.join(map(str, depths))}"
-    return pytest.param(driver, p, lambda1, lambda2, beta, depths, id=name)
+    return pytest.param(driver, p, lambda1, lambda2, beta, depths, id=name, marks=marks)
 
 
 def _cases():
@@ -47,6 +53,15 @@ def _cases():
     for driver in BOUND_DRIVERS:
         for lambda1 in (0.0, 1.0):
             yield _case(driver, 1.0, lambda1, 1.0, beta=1.5 * math.log(2.0), depths=(4, 6, 8))
+    pre_asymptotic = pytest.mark.xfail(
+        raises=AssertionError,
+        strict=True,
+        reason="besov_vs_composite drifts with slope -0.11 to -0.13 at depths 4-7, a"
+        " pre-asymptotic trend that is gone by depths 10-14",
+    )
+    for lambda2 in (2.0, 3.0):
+        yield _case("equivalence", 1.5, 1.0, lambda2, depths=(4, 5, 6, 7), marks=pre_asymptotic)
+        yield _case("equivalence", 1.5, 1.0, lambda2, depths=(10, 12, 14))
 
 
 @pytest.mark.parametrize("driver, p, lambda1, lambda2, beta, depths", _cases())
