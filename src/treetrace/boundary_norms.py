@@ -215,13 +215,20 @@ def dyadic_energy(f: BoundaryFunction, params: EnergyParams) -> float:
 
 def _energy_modular(f: BoundaryFunction, params: EnergyParams) -> YoungModular:
     """Phi(|f_I - f_parent| * e^(eps*n)) per level n, with the level weight
-    e^(eps*n*(theta-1)*p) * (n + C)^lambda2 * K^(-n)."""
+    e^(eps*n*(theta-1)*p) * (n + C)^lambda2 * K^(-n).  A factor e^(eps*n)
+    beyond the float range is a ValueError naming its level and epsilon."""
     weights = _level_weights(f.depth, params, params.theta - 1.0)
     diffs = child_minus_parent(f.K, f.level_averages())
     np.abs(diffs, out=diffs)
     segments = []
     for n, weight in enumerate(weights, 1):
-        diffs[level_slice(f.K, n - 1)] *= math.exp(params.epsilon * n)
+        try:
+            factor = math.exp(params.epsilon * n)
+        except OverflowError:
+            raise ValueError(
+                f"the level-{n} factor e^(eps n) overflows at epsilon = {params.epsilon:g}"
+            ) from None
+        diffs[level_slice(f.K, n - 1)] *= factor
         segments.append((f.K**n, weight * float(f.K) ** -n))
     return YoungModular(params.phi, diffs.reshape(-1), segments)
 

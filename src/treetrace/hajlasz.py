@@ -14,11 +14,16 @@ The objective and the constraints decouple across scales, so the program
 splits into one block per scale.  An instance holds at most `PAIR_CAP` =
 2^20 leaf pairs.  `hajlasz_minimize_all` solves the instances, whatever
 their p, in batches of at most `_BATCH_PAIRS` = 2^15 leaf pairs (a larger
-instance alone).  Each block is solved in its own unit 2^e, e the frexp
-exponent of its largest bound (`_in_block_units`), so the solvers see the
-same numbers near 1 at every scale of f, and the minimizer is scaled back
-by 2^e; a value outside the normal float range is a ValueError.  A block
-is solved by one of two methods, named in `HajlaszSolution.method`:
+instance alone).  Both solvers and the grid oracle see a block as one
+`_Block`: its kept pairs with their bounds in its own unit 2^e, e the
+frexp exponent of its largest bound, so the solvers see the same numbers
+near 1 at every scale of f; its split levels, the coarsest of which holds
+every pair inside one vertex of `size` leaves; its active leaves (those
+in some pair) and the pairs in their local indices; and `solution`, which
+spreads an active-leaf array over all leaves and repairs it.  Each solver
+returns the block's minimizer in its unit, and it is scaled back by 2^e;
+a value outside the normal float range is a ValueError.  A block is
+solved by one of two methods, named in `HajlaszSolution.method`:
 
 * p = 2: accelerated projected ascent on the dual.  For multipliers
   mu >= 0 (one per pair) the Lagrangian minimizer is g_i = s_i / (2 nu),
@@ -42,13 +47,12 @@ is solved by one of two methods, named in `HajlaszSolution.method`:
   dg = r, with slacks s = A g - bound and multipliers mu (pairs) and z
   (g >= 0).  delta is 0 at p > 1; at p = 1, where the matrix has no
   curvature term, the fixed delta = 1e-12 max(mu/s) keeps it nonsingular
-  (at p = 6 the same term drives a slack to 0).  A block's pairs
-  split at levels j >= j0, its coarsest level, so each pair lies inside
-  one level-j0 vertex and the matrix is block-diagonal over those K^j0
-  vertices; it is assembled with one bincount and solved by one batched
-  dense solve.  The repaired minimizer is scaled down until its tightest
-  pair holds with equality (the objective is homogeneous), which removes
-  the slack the Newton iterates keep.
+  (at p = 6 the same term drives a slack to 0).  The matrix is
+  block-diagonal over the vertices of the block's coarsest level; it is
+  assembled with one bincount and solved by one batched dense solve.  The
+  repaired minimizer is scaled down until its tightest pair holds with
+  equality (the objective is homogeneous), which removes the slack the
+  Newton iterates keep.
 
 The dual function q(mu) = min_{g >= 0} L(g, mu) is a lower bound for
 every mu >= 0 and any repaired primal point an upper bound, so both
@@ -63,7 +67,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import cache, cached_property, partial
 
 import numpy as np
 
@@ -200,9 +204,6 @@ class HajlaszInstance:
             k: tuple(map(np.concatenate, zip(*parts))) for k, parts in per_scale.items()
         }
         self.scales = tuple(sorted(set(self.scale_of_level)))
-        # the coarsest split level j0 of each scale: every pair of the scale
-        # lies inside one level-j0 vertex, a block of K^(N - j0) leaves
-        self.coarsest_level = {k: self.scale_of_level.index(k) for k in self.scales}
 
     @property
     def leaf_measure(self) -> float:
@@ -268,17 +269,6 @@ def _pair_mass(ia, ib, w, n, out=None):
     return np.add(np.bincount(ia, w, n), np.bincount(ib, w, n), out=out)
 
 
-def _active_leaves(ia, ib, n_leaves):
-    """The leaves that occur in some pair, and the pairs in their local
-    indices (ia and ib themselves when every leaf occurs)."""
-    active = np.flatnonzero(_pair_mass(ia, ib, None, n_leaves))
-    if active.size == n_leaves:
-        return active, ia, ib
-    remap = np.full(n_leaves, -1)
-    remap[active] = np.arange(active.size)
-    return active, remap[ia], remap[ib]
-
-
 def _repair(g, ia, ib, bound):
     """Raise both endpoints of every violated constraint by half the deficit.
 
@@ -293,13 +283,47 @@ def _repair(g, ia, ib, bound):
         np.add.at(g, ib[viol], half)
 
 
-def _in_block_units(bound):
-    """A block's bounds in its unit 2^e, and e, the frexp exponent of the
-    largest bound (which then lies in [0.5, 1)).  A power of two commutes
-    with rounding, so in the normal float range the p = 2 dual ascent takes
-    the same steps in these units as on the raw bounds, bit for bit."""
-    e = math.frexp(float(bound.max()))[1]
-    return np.ldexp(bound, -e), e
+class _Block:
+    """The scale-k block of `inst`, the instance at position `at`, as the
+    solvers and the grid oracle see it.  It holds its kept pairs (ia, ib)
+    and their bounds in its unit 2^e, e the frexp exponent of the largest
+    bound (which then lies in [0.5, 1)): a power of two commutes with
+    rounding, so in the normal float range the p = 2 dual ascent takes the
+    same steps in this unit as on the raw bounds, bit for bit.  It holds
+    its split levels, every pair lying inside one vertex of the coarsest, a
+    run of `size` consecutive leaves; `deg`, each leaf's pair count; the
+    active leaves, those in some pair, which `active_sel` selects from an
+    array over all leaves; and `name`, which errors give the block."""
+
+    def __init__(self, inst, k, at=0):
+        f, (ia, ib, bound) = inst.f, inst.constraints[k]
+        self.at, self.k, self.ia, self.ib = at, k, ia, ib
+        self.e = math.frexp(float(bound.max()))[1]
+        self.bound = np.ldexp(bound, -self.e)
+        self.n_leaves, self.nu, self.p = f.n_leaves, f.leaf_measure, inst.p
+        self.levels = [j for j, kj in enumerate(inst.scale_of_level) if kj == k]
+        self.size = f.K ** (f.depth - self.levels[0])
+        self.name = f"(K={f.K}, depth {f.depth}) scale {k}"
+        self.deg = _pair_mass(ia, ib, None, f.n_leaves)
+        self.active = np.flatnonzero(self.deg)
+        self.active_sel = slice(None) if self.active.size == f.n_leaves else self.active
+
+    @cached_property
+    def local(self):
+        """(la, lb): the pairs as indices into the active leaves, ia and ib
+        themselves when every leaf is active."""
+        if self.active.size == self.n_leaves:
+            return self.ia, self.ib
+        remap = np.full(self.n_leaves, -1)
+        remap[self.active] = np.arange(self.active.size)
+        return remap[self.ia], remap[self.ib]
+
+    def solution(self, g):
+        """The active-leaf values g over all leaves, 0 at the others, repaired."""
+        out = np.zeros(self.n_leaves)
+        out[self.active] = g
+        _repair(out, self.ia, self.ib, self.bound)
+        return out
 
 
 def _certified(primal, dual):
@@ -346,43 +370,41 @@ _DENSE_MIN_KEPT = 0.5
 _BATCH_PAIRS = 2**15
 
 
-class _DualBlock:
-    """One scale block of the p = 2 dual ascent: scale k of the instance
-    at position `at`, its kept pairs (ia, ib, bound) with the bounds in its
-    unit 2^e (`_in_block_units`), their active leaves and its step state:
-    `restart`, the step its momentum last restarted at, and `gap`, its
-    relative gap at the last check (None before the first).
+class _DualBlock(_Block):
+    """One scale block (`_Block`) of the p = 2 dual ascent with its step
+    state: `restart`, the step its momentum last restarted at, and `gap`,
+    its relative gap at the last check (None before the first).
 
     A dense block (`level_shapes`, the (K^j, K(K-1)/2, m, m) shapes of its
-    split levels) holds a multiplier for every pair of those levels in the
-    instance's pair order, a zero-bound pair's staying exactly 0; `kept`
-    locates the kept pairs.  Any other block holds its kept pairs only.
-    Outside a layout it keeps its multipliers in mu and mu_prev, None
-    while they are 0.
+    split levels, set where `_DENSE_MIN_RUN` and `_DENSE_MIN_KEPT` allow)
+    holds a multiplier for every pair of those levels in the instance's
+    pair order, a zero-bound pair's staying exactly 0; `kept` locates the
+    kept pairs.  Any other block holds its kept pairs only.  Outside a
+    layout it keeps its multipliers in mu and mu_prev, None while they
+    are 0.
     """
 
-    def __init__(self, at, k, inst):
-        ia, ib, bound = inst.constraints[k]
-        bound, self.e = _in_block_units(bound)
-        n_leaves, nu = inst.f.n_leaves, inst.leaf_measure
-        self.at, self.k, self.ia, self.ib, self.bound = at, k, ia, ib, bound
-        self.n_leaves, self.nu = n_leaves, nu
-        deg = _pair_mass(ia, ib, None, n_leaves)
-        self.active = np.flatnonzero(deg)
-        # selects the active leaves from an array over all leaves
-        self.active_sel = slice(None) if self.active.size == n_leaves else self.active
-        self.sigma = (2.0 * nu) / float((deg[ia] + deg[ib]).max())
+    def __init__(self, inst, k, at=0):
+        super().__init__(inst, k, at)
+        ia, ib, bound, nu = self.ia, self.ib, self.bound, self.nu
+        self.sigma = (2.0 * nu) / float((self.deg[ia] + self.deg[ib]).max())
+        del self.deg  # the step is all the loop needs of the pair counts
         self.best_g = np.full(self.active.size, bound.max() / 2.0)
         self.best = nu * float(np.sum(self.best_g**2.0))
         self.last_dual = -math.inf
         self.gap = None
         self.restart = 0
-        dense = _dense_bounds(inst, k, self.e)
-        if dense is None:
-            self.pair_bound, self.kept, self.level_shapes = bound, slice(None), None
+        K, N, levels = inst.f.K, inst.f.depth, self.levels
+        shapes = [(K**j, K * (K - 1) // 2, K ** (N - j - 1), K ** (N - j - 1)) for j in levels]
+        if (
+            K ** (2 * N - levels[-1] - 2) >= _DENSE_MIN_RUN
+            and ia.size >= _DENSE_MIN_KEPT * sum(map(math.prod, shapes))
+        ):
+            pair_bound = np.concatenate([_split_bounds(inst, j).ravel() for j in levels])
+            self.pair_bound = np.ldexp(pair_bound, -self.e, out=pair_bound)
+            self.kept, self.level_shapes = np.flatnonzero(self.pair_bound > 0), shapes
         else:
-            self.pair_bound, self.level_shapes = dense
-            self.kept = np.flatnonzero(self.pair_bound > 0)
+            self.pair_bound, self.kept, self.level_shapes = bound, slice(None), None
         self.mu = self.mu_prev = None
 
 
@@ -550,33 +572,17 @@ class _DualLayout:
         """The blocks not in `solved`, each given a copy of its multipliers."""
         blocks = []
         for blk, seg in zip(self.blocks, self.segments):
-            if (blk.at, blk.k) not in solved:
+            if blk not in solved:
                 blk.mu, blk.mu_prev = self.mu[seg].copy(), self.mu_prev[seg].copy()
                 blocks.append(blk)
         return blocks
 
 
-def _dense_bounds(inst, k, e):
-    """If the p = 2 block of scale k is held in the dense form: the bounds
-    of every pair of its split levels in `_split_bounds` order, in the
-    block's unit 2^e, and the levels' shapes.  Else None."""
-    K, N = inst.f.K, inst.f.depth
-    levels = [j for j, kj in enumerate(inst.scale_of_level) if kj == k]
-    shapes = [(K**j, K * (K - 1) // 2, K ** (N - j - 1), K ** (N - j - 1)) for j in levels]
-    if (
-        K ** (2 * N - levels[-1] - 2) >= _DENSE_MIN_RUN
-        and inst.constraints[k][0].size >= _DENSE_MIN_KEPT * sum(map(math.prod, shapes))
-    ):
-        pair_bound = np.concatenate([_split_bounds(inst, j).ravel() for j in levels])
-        return np.ldexp(pair_bound, -e, out=pair_bound), shapes
-    return None
+def _solve_dual_blocks(blocks):
+    """Accelerated projected dual ascent on the p = 2 blocks `blocks`, a
+    list of `_DualBlock`.
 
-
-def _solve_dual_blocks(batch):
-    """Accelerated projected dual ascent on every scale block of the p = 2
-    instances `batch`, a list of (position, instance).
-
-    All blocks advance in one loop, each in its own unit 2^e with its own
+    All blocks advance in one loop, each in its own unit with its own
     momentum, stop and step sigma = 2 nu / max(deg_a + deg_b), the inverse
     Lipschitz constant of the dual's gradient (the Lagrangian minimizer is
     g = s / (2 nu)), so each takes the steps it would take alone.  Every
@@ -584,14 +590,13 @@ def _solve_dual_blocks(batch):
     Lagrangian minimizer into its best primal point (from the feasible
     g = max(bound)/2), all at once (`_DualLayout.gap_points`); it stops at
     a relative gap below `_REL_TOL` and restarts its momentum when its dual
-    value fell (the ascent is not monotone).  Returns (position, scale) ->
-    (leaf array in the block's unit, e, BlockReport), each array repaired
-    once more; the ConvergenceError raised at `_MAX_ITERS` names every
-    block left uncertified.
+    value fell (the ascent is not monotone).  Returns the (leaf array in
+    the block's unit, BlockReport) of each block in order, the array its
+    best point's `solution`; the ConvergenceError raised at `_MAX_ITERS`
+    names every block left uncertified.
     """
-    blocks = [_DualBlock(at, k, inst) for at, inst in batch for k in inst.constraints]
     if not blocks:
-        return {}
+        return []
     lay = _DualLayout(blocks)
     # the momentum coefficient of the i-th step after a restart
     solved, momentum, tk = {}, [], 1.0
@@ -608,10 +613,7 @@ def _solve_dual_blocks(batch):
                 blk.best, blk.best_g = primal, g.copy()
             blk.gap = (blk.best - dual) / blk.best
             if _certified(blk.best, dual):
-                out = np.zeros(blk.n_leaves)
-                out[blk.active] = blk.best_g
-                _repair(out, blk.ia, blk.ib, blk.bound)
-                solved[blk.at, blk.k] = out, blk.e, BlockReport(t + 1, blk.gap)
+                solved[blk] = blk.solution(blk.best_g), BlockReport(t + 1, blk.gap)
                 continue
             if dual < blk.last_dual:
                 lay.mu_prev[seg] = lay.mu[seg]
@@ -619,7 +621,7 @@ def _solve_dual_blocks(batch):
                 restarted = True
             blk.last_dual = dual
         if len(solved) == len(blocks):
-            return solved
+            return [solved[blk] for blk in blocks]
         if len(solved) > before:
             unsolved = lay.unsolved(solved)
             # the old arrays go before the new ones are made
@@ -627,18 +629,12 @@ def _solve_dual_blocks(batch):
             lay = _DualLayout(unsolved)
         elif restarted:
             lay.set_runs()
-    insts = dict(batch)
     uncertified = [
-        (blk.at, _block_name(insts[blk.at], blk.k),
-         "no gap check" if blk.gap is None else f"relative gap {blk.gap:.3g}")
+        (blk.at, blk.name, "no gap check" if blk.gap is None else f"relative gap {blk.gap:.3g}")
         for blk in lay.blocks
     ]
     stop = f"dual ascent did not certify the optimum within {_MAX_ITERS} iterations: "
     raise ConvergenceError(stop, uncertified)
-
-
-def _block_name(inst, k):
-    return f"(K={inst.f.K}, depth {inst.f.depth}) scale {k}"
 
 
 _CENTRING = 0.1
@@ -654,36 +650,32 @@ def _max_step(x, dx):
     return min(1.0, float(np.min(-x[neg] / dx[neg]))) if neg.any() else 1.0
 
 
-def _solve_scale_ipm(inst, k, at):
-    """Primal-dual interior-point method on the scale-k block of `inst`,
-    the instance at position `at` (p >= 1).
+def _solve_scale_ipm(blk):
+    """Primal-dual interior-point method on the block `blk` (p >= 1).
 
     Minimizes nu * sum g^p subject to s = A g - bound >= 0 and g >= 0, with
     multipliers mu >= 0 for the pairs and z >= 0 for g, where A g pairs up
-    g[a] + g[b], in the block's unit 2^e (`_in_block_units`).  The
+    g[a] + g[b], in the block's unit, over its active leaves.  The
     iterates stay primal feasible (the start puts every leaf at its largest
     bound).  Each Newton step aims at complementarity products s*mu = g*z
     equal to _CENTRING times their current mean and moves all four
     variables by one step length, _TO_BOUNDARY of the way to the nearest
     bound.  The reduced Newton matrix lives on the leaves; every pair lies
-    inside one run of `block` consecutive leaves (a vertex of the block's
-    coarsest level), so the matrix is assembled into a (n_leaves / block,
-    block, block) array and solved batch by batch, with an identity row
-    for each leaf in no pair.  At p = 1 its diagonal also carries _DIAGONAL times the
-    largest mu/s.  Stops on the certified gap between the better of the
-    repaired iterate and the repaired Lagrangian minimizer of mu, and
-    q(mu).  A Newton system that is not finite or not solvable raises
-    ConvergenceError at once, as the iteration cap does, naming the block
-    by `at` and `_block_name`.  Returns the minimizer in the block's unit,
-    e and the block's report.
+    inside one run of `blk.size` consecutive leaves, so the matrix is
+    assembled into a (n_leaves / size, size, size) array and solved batch
+    by batch, with an identity row for each inactive leaf.  At p = 1 its
+    diagonal also carries _DIAGONAL times the largest mu/s.  Stops on the
+    certified gap between the better of the repaired iterate and the
+    repaired Lagrangian minimizer of mu, and q(mu).  A Newton system that
+    is not finite or not solvable raises ConvergenceError at once, as the
+    iteration cap does, naming the block by its position and name.
+    Returns the minimizer in the block's unit and the block's report.
     """
-    nu, p, n_leaves = inst.leaf_measure, inst.p, inst.f.n_leaves
-    ia, ib, bound = inst.constraints[k]
-    b, e = _in_block_units(bound)
-    block = inst.f.K ** (inst.f.depth - inst.coarsest_level[k])
-    where = at, _block_name(inst, k)
-    active, la, lb = _active_leaves(ia, ib, n_leaves)
-    n, m = active.size, ia.size
+    nu, p, n_leaves, block = blk.nu, blk.p, blk.n_leaves, blk.size
+    ia, ib, b, active = blk.ia, blk.ib, blk.bound, blk.active_sel
+    la, lb = blk.local
+    where = blk.at, blk.name
+    n, m = blk.active.size, ia.size
     # flat cells of the (a, b), (b, a), (a, a) and (b, b) entries of each
     # pair and of every leaf's diagonal in the batched matrix
     ra, rb = ia % block, ib % block
@@ -740,16 +732,14 @@ def _solve_scale_ipm(inst, k, at):
             values = [nu * float(np.sum(c**p)) for c in candidates]
         primal = min(values)
         if _certified(primal, dual):
-            out = np.zeros(n_leaves)
-            out[active] = candidates[values.index(primal)]
-            _repair(out, ia, ib, b)
+            out = blk.solution(candidates[values.index(primal)])
             # Remove the slack left on every constraint: the objective is
             # homogeneous, so scaling g down until the tightest pair is
             # exactly tight keeps it feasible and can only lower the value,
             # by up to p times the relative slack.
             out *= float(np.max(b / (out[ia] + out[ib])))
             _repair(out, ia, ib, b)
-            return out, e, BlockReport(t + 1, (primal - dual) / primal)
+            return out, BlockReport(t + 1, (primal - dual) / primal)
     gap = f"relative gap {(primal - dual) / primal:.3g} after {_MAX_ITERS} iterations"
     raise ConvergenceError(stop, [(*where, gap)])
 
@@ -802,19 +792,26 @@ def _solve_batch(batch) -> list[HajlaszSolution]:
     """The solutions of the instances `batch`, a list of (position,
     instance), in order: one dual-ascent loop solves every block of its
     p = 2 instances, then the interior-point method each block of the
-    others, stopping at the first it cannot certify.  Both hand back
-    feasible leaf arrays keyed by (position, scale), each in its block's
+    others, each block built as it is solved, stopping at the first it
+    cannot certify.  Both hand back a feasible leaf array in the block's
     unit 2^e, and each is scaled back here."""
-    solved = _solve_dual_blocks([(at, inst) for at, inst in batch if inst.p == 2.0])
+    dual = [
+        _DualBlock(inst, k, at) for at, inst in batch if inst.p == 2.0 for k in inst.constraints
+    ]
+    solved = {(b.at, b.k): (b.e, *out) for b, out in zip(dual, _solve_dual_blocks(dual))}
+    # the dual blocks' arrays go before the interior-point blocks are built
+    del dual
     for at, inst in batch:
         if inst.p != 2.0:
-            solved.update({(at, k): _solve_scale_ipm(inst, k, at) for k in inst.constraints})
+            for k in inst.constraints:
+                blk = _Block(inst, k, at)
+                solved[at, k] = (blk.e, *_solve_scale_ipm(blk))
     solutions = []
     for at, inst in batch:
         g = {k: np.zeros(inst.f.n_leaves) for k in inst.scales}
         blocks = {}
         for k in inst.constraints:
-            arr, e, blocks[k] = solved[at, k]
+            e, arr, blocks[k] = solved[at, k]
             g[k] = np.ldexp(arr, e, out=arr)
         with np.errstate(over="ignore"):
             value = sum(inst.leaf_measure * float(np.sum(arr**inst.p)) for arr in g.values())
@@ -851,12 +848,11 @@ def hajlasz_oracle(inst: HajlaszInstance, grid_resolution: int) -> float:
     h = gmax / grid_resolution
     nu = inst.leaf_measure
     total = 0.0
-    for k in inst.scales:
-        if k not in inst.constraints:
-            continue
-        ia, ib, bound = inst.constraints[k]
-        active, la, lb = _active_leaves(ia, ib, inst.f.n_leaves)
-        d = active.size
+    # scales with no pair add 0; the others come in increasing order
+    for k, (_, _, bound) in inst.constraints.items():
+        blk = _Block(inst, k)
+        la, lb = blk.local
+        d = blk.active.size
         n_points = (grid_resolution + 1) ** d
         if n_points > _ORACLE_POINT_BUDGET:
             raise ValueError("grid blow-up: too many grid points for the oracle")

@@ -285,9 +285,10 @@ class RatioReport:
     they are judged, but are no evidence; `evidence` lists the sampled
     columns that are not.  `passed` needs some evidence, every sampled
     column `within` SLOPE_TOL and SPREAD_MAX, and every (label, passed)
-    pair of `extra_checks` passed."""
+    pair of `extra_checks` passed.  `constant` lists the (seed, depth) of
+    each constant sample (`_is_constant`), which the summary names."""
 
-    def __init__(self, name, rows, ratio_columns, extra_checks=(), identities=()):
+    def __init__(self, name, rows, ratio_columns, extra_checks=(), identities=(), constant=()):
         self.name = name
         self.rows = sorted(
             rows, key=lambda r: (r["seed"], r["depth"], str(r.get("family", "")))
@@ -295,6 +296,7 @@ class RatioReport:
         self.ratio_columns = tuple(ratio_columns)
         self.extra_checks = tuple(extra_checks)
         self.identities = tuple(identities)
+        self.constant = sorted(constant)
         self.stats: dict[str, ColumnStats] = {}
         for col in self.ratio_columns:
             pts = [(r["depth"], r[col]) for r in self.rows if r.get(col) is not None]
@@ -321,6 +323,9 @@ class RatioReport:
             )
         for label, ok in self.extra_checks:
             lines.append(f"  {label}: {'PASS' if ok else 'FAIL'}")
+        if self.constant:
+            named = ", ".join(f"seed {seed} depth {depth}" for seed, depth in self.constant)
+            lines.append(f"  constant samples, their energy ratios not judged: {named}")
         if self.stats and not self.evidence:
             lines.append(
                 f"  no evidence: every sampled column ({', '.join(self.stats)})"
@@ -437,11 +442,12 @@ def verify_trace_bound(cfg: ExperimentConfig) -> RatioReport:
 def verify_extension_bound(cfg: ExperimentConfig) -> RatioReport:
     """Ratio of the tree norm of the extension to the boundary gauge norm,
     plus the two-sided gradient-energy comparison for the same samples, on
-    a sweep of a boundary family (`_sweep`)."""
+    a sweep of a boundary family (`_sweep`).  A constant sample's
+    `energy_ratio` is 0/0 and left empty (`_is_constant`)."""
     samples = _sweep(cfg, "extension-bound", BOUNDARY_FAMILIES, "boundary")
     phi = cfg.phi()
     ep = cfg.energy_params()
-    rows = []
+    rows, constant = [], []
     for head, u in samples:
         tp = cfg.tree_params(head["depth"])
         G = extend(u)
@@ -449,6 +455,7 @@ def verify_extension_bound(cfg: ExperimentConfig) -> RatioReport:
         denom = orlicz_besov_norm(u, ep)
         gmod = gradient_lphi_modular(G, tp, phi)
         dmod = dyadic_orlicz_modular(u, ep)
+        flat = _is_constant(u)
         rows.append(
             {
                 **head,
@@ -457,9 +464,11 @@ def verify_extension_bound(cfg: ExperimentConfig) -> RatioReport:
                 "gradient_modular": gmod,
                 "dyadic_modular": dmod,
                 "ratio": numer / denom,
-                "energy_ratio": gmod / dmod,
+                "energy_ratio": None if flat else gmod / dmod,
             }
         )
+        if flat:
+            constant.append((head["seed"], head["depth"]))
     # at lambda1 = lambda2 = 0 every row's energy_ratio is
     # (e^beta - 1)/beta * (epsilon/(e^epsilon - 1))^p, whatever the sample
     return RatioReport(
@@ -467,6 +476,7 @@ def verify_extension_bound(cfg: ExperimentConfig) -> RatioReport:
         rows,
         ("ratio", "energy_ratio"),
         identities=("energy_ratio",) if cfg.lambda1 == cfg.lambda2 == 0.0 else (),
+        constant=constant,
     )
 
 
@@ -531,6 +541,13 @@ def fit_two_sided(pairs, lambda1: float, c_prime: float) -> TwoSidedFit:
     return TwoSidedFit(lambda1=lambda1, C=C, C_prime=c_prime)
 
 
+def _is_constant(f: BoundaryFunction) -> bool:
+    """Whether f takes one value on every leaf.  Every energy of such a
+    sample is exactly 0, so a ratio of two of them is 0/0: its cell is left
+    empty, and the sample is not judged."""
+    return bool(f.values.min() == f.values.max())
+
+
 def chi_exceed_fraction(f: BoundaryFunction, theta: float, epsilon: float) -> float:
     """Fraction of cells (levels 1..depth) whose average jump exceeds the
     threshold e^(-eps*n*(theta+1)/2) separating the two regimes of the
@@ -557,7 +574,9 @@ def verify_equivalences(cfg: ExperimentConfig) -> RatioReport:
     the Monte Carlo standard error, empty when exact.  A sampled double sum
     is reported but not judged: its `double_vs_dyadic` is left empty, as
     `hajlasz_vs_dyadic` is past `hajlasz_max_depth`, since Monte Carlo noise
-    is no evidence of a depth trend.  Each row also says how its Hajlasz
+    is no evidence of a depth trend.  Nor is a constant sample judged
+    (`_is_constant`): its `double_vs_dyadic` and `hajlasz_vs_dyadic` are
+    0/0 and left empty.  Each row also says how its Hajlasz
     energy was reached: `hajlasz_method` (`dual-ascent` at p = 2,
     `interior-point` otherwise), `hajlasz_iterations` summed over the
     scale blocks and `hajlasz_rel_gap`, the largest certified gap of a
@@ -574,8 +593,11 @@ def verify_equivalences(cfg: ExperimentConfig) -> RatioReport:
     samples = _sweep(cfg, "equivalence", BOUNDARY_FAMILIES, "boundary")
     ep = cfg.energy_params()
     ep_plain = EnergyParams(theta=ep.theta, p=ep.p, epsilon=ep.epsilon)
-    rows, solve = [], []  # solve: (row, sample) of each Hajlasz program
+    rows, solve, constant = [], [], []  # solve: (row, sample) of each Hajlasz program
     for head, f in samples:
+        flat = _is_constant(f)
+        if flat:
+            constant.append((head["seed"], head["depth"]))
         e_plain = dyadic_energy(f, ep_plain)
         if double_integral_is_exact(f.K, f.depth, ep_plain.p):
             b_energy = double_integral_energy(f, ep_plain)
@@ -601,7 +623,7 @@ def verify_equivalences(cfg: ExperimentConfig) -> RatioReport:
             "besov_norm": besov,
             "composite_norm": composite,
             "chi_fraction": chi_exceed_fraction(f, ep.theta, cfg.epsilon),
-            "double_vs_dyadic": b_energy / e_plain if b_stderr is None else None,
+            "double_vs_dyadic": None if flat or b_stderr is not None else b_energy / e_plain,
             "hajlasz_vs_dyadic": None,
             "besov_vs_composite": besov / composite,
         }
@@ -619,12 +641,13 @@ def verify_equivalences(cfg: ExperimentConfig) -> RatioReport:
         )
     except ConvergenceError as err:
         raise err.named({at: f"seed {row['seed']}" for at, (row, _) in enumerate(solve)}) from None
-    for (row, _), sol in zip(solve, solved):
+    for (row, f), sol in zip(solve, solved):
         row["hajlasz_energy"] = sol.value
         row["hajlasz_method"] = sol.method
         row["hajlasz_iterations"] = sol.iterations
         row["hajlasz_rel_gap"] = max((b.rel_gap for b in sol.blocks.values()), default=0.0)
-        row["hajlasz_vs_dyadic"] = sol.value / row["dyadic_energy"]
+        if not _is_constant(f):
+            row["hajlasz_vs_dyadic"] = sol.value / row["dyadic_energy"]
     extra_checks = []
     if cfg.lambda1 != 0.0:
         # the levels' weights of the energy the fit bounds: n^lambda1
@@ -642,6 +665,7 @@ def verify_equivalences(cfg: ExperimentConfig) -> RatioReport:
         ("double_vs_dyadic", "hajlasz_vs_dyadic", "besov_vs_composite"),
         extra_checks,
         identities=("besov_vs_composite",) if cfg.lambda1 == 0.0 else (),
+        constant=constant,
     )
 
 

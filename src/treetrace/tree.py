@@ -177,8 +177,16 @@ def edge_length(params: TreeParams, n: int) -> float:
 def split_distances(epsilon: float, count: int) -> np.ndarray:
     """Distances (2/epsilon) e^(-epsilon*n), n = 0..count-1, between two
     boundary points whose addresses split at level n: twice the arclength
-    from a level-n vertex down to the boundary."""
-    return 2.0 / epsilon * np.exp(-epsilon * np.arange(count))
+    from a level-n vertex down to the boundary.  A distance below the
+    normal float range is a ValueError naming its level and epsilon."""
+    d = 2.0 / epsilon * np.exp(-epsilon * np.arange(count))
+    small = np.flatnonzero(d < sys.float_info.min)
+    if small.size:
+        raise ValueError(
+            f"the level-{small[0]} split distance (2/eps) e^(-eps n) underflows"
+            f" at epsilon = {epsilon:g}"
+        )
+    return d
 
 
 def ahlfors_ratio(params: TreeParams, n: int) -> float:

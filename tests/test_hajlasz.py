@@ -27,7 +27,7 @@ from treetrace import (
     hajlasz_oracle,
     scale_for_distance,
 )
-from treetrace.hajlasz import _active_leaves, _dual_point, _repair, _solve_scale_ipm
+from treetrace.hajlasz import _Block, _dual_point, _repair, _solve_scale_ipm
 from treetrace.harness import ExperimentConfig, fit_log_slope, generate_for
 
 LN2 = math.log(2.0)
@@ -78,6 +78,16 @@ def test_instance_rejects_bad_exponents():
         HajlaszInstance(f, 0.0, 1.0, LN2)
     with pytest.raises(ValueError):
         HajlaszInstance(f, 0.5, 0.5, LN2)
+
+
+def test_instance_names_the_split_distance_below_the_float_range():
+    # at epsilon = 100 the level-8 distance underflows to 0; the instance
+    # said "distance must be finite and positive, got 0.0"
+    HajlaszInstance(generate("iid-uniform", K=2, depth=8, seed=0), 0.5, 2.0, 100.0)
+    f = generate("iid-uniform", K=2, depth=9, seed=0)
+    message = "the level-8 split distance (2/eps) e^(-eps n) underflows at epsilon = 100"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        HajlaszInstance(f, 0.5, 2.0, 100.0)
 
 
 def test_leaf_pairs_counts_unordered_pairs_and_the_cap_admits_its_depths():
@@ -244,9 +254,10 @@ def _one_chunk_oracle(inst, resolution):
     meshgrid: the oracle's points in the oracle's order."""
     h = inst.g_max / resolution
     total = 0.0
-    for k, (ia, ib, bound) in inst.constraints.items():
-        active, la, lb = _active_leaves(ia, ib, inst.f.n_leaves)
-        axes = [np.arange(resolution + 1)] * active.size
+    for k, (_, _, bound) in inst.constraints.items():
+        blk = _Block(inst, k)
+        la, lb = blk.local
+        axes = [np.arange(resolution + 1)] * blk.active.size
         G = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes)) * h
         feas = np.all(G[:, la] + G[:, lb] >= bound[None, :] - 1e-12, axis=1)
         total += float((inst.leaf_measure * np.sum(G[feas] ** inst.p, axis=1)).min())
@@ -359,8 +370,9 @@ def _assert_matches_ipm(inst, g):
     interior-point method within twice _REL_TOL: both certify _REL_TOL."""
     nu = inst.leaf_measure
     for k in inst.constraints:
-        g_ip, e, rep = _solve_scale_ipm(inst, k, 0)
-        g_ip = np.ldexp(g_ip, e)
+        blk = _Block(inst, k)
+        g_ip, rep = _solve_scale_ipm(blk)
+        g_ip = np.ldexp(g_ip, blk.e)
         assert rep.rel_gap <= hajlasz._REL_TOL
         _assert_within_gap(nu * np.sum(g_ip**2), nu * np.sum(g[k] ** 2), k)
 
@@ -407,10 +419,12 @@ def test_coarsest_level_bounds_every_pair():
     inst = random_instance(0, depth=4, K=3)
     N = inst.f.depth
     for k, (ia, ib, _) in inst.constraints.items():
-        block = 3 ** (N - inst.coarsest_level[k])
-        assert np.array_equal(ia // block, ib // block)
-        if inst.coarsest_level[k] > 0:
-            assert inst.scale_of_level[inst.coarsest_level[k] - 1] != k
+        blk = _Block(inst, k)
+        assert blk.levels == [j for j in range(N) if inst.scale_of_level[j] == k]
+        assert blk.size == 3 ** (N - blk.levels[0])
+        assert np.array_equal(ia // blk.size, ib // blk.size)
+        if blk.levels[0] > 0:
+            assert inst.scale_of_level[blk.levels[0] - 1] != k
 
 
 @pytest.mark.parametrize(
@@ -440,7 +454,9 @@ def _per_block_dual_ascent(nu, p, ia, ib, bound, n_leaves):
     if a gap check finds the dual value lower than before (the accelerated
     ascent is not monotone), the momentum is reset.
     """
-    active, la, lb = _active_leaves(ia, ib, n_leaves)
+    # its own map of the active leaves, those in some pair
+    active = np.unique(np.concatenate([ia, ib]))
+    la, lb = np.searchsorted(active, ia), np.searchsorted(active, ib)
     n, m = active.size, ia.size
     q_exp = 1.0 / (p - 1.0)
 
@@ -505,7 +521,7 @@ def _assert_matches_per_block(inst, sol=None):
     assert list(sol.g) == list(g)
     assert set(sol.blocks) == set(blocks)
     assert sol.iterations == sum(b.iterations for b in sol.blocks.values())
-    dense = [k for k in inst.constraints if hajlasz._dense_bounds(inst, k, 0) is not None]
+    dense = [k for k in inst.constraints if hajlasz._DualBlock(inst, k).level_shapes is not None]
     for k in g:
         if k in dense:
             assert sol.blocks[k].rel_gap <= hajlasz._REL_TOL
@@ -541,9 +557,9 @@ def test_dense_masses_match_the_index_form(K, depth):
     with pytest.MonkeyPatch.context() as mp:
         for k, (ia, ib, bound) in inst.constraints.items():
             _use_form(mp, FORMS[0])
-            dense = hajlasz._DualLayout([hajlasz._DualBlock(0, k, inst)])
+            dense = hajlasz._DualLayout([hajlasz._DualBlock(inst, k)])
             _use_form(mp, FORMS[2])
-            index = hajlasz._DualLayout([hajlasz._DualBlock(0, k, inst)])
+            index = hajlasz._DualLayout([hajlasz._DualBlock(inst, k)])
             assert index.blocks[0].level_shapes is None
             spans += len(dense.blocks[0].level_shapes) > 1
             w = rng.uniform(size=ia.size)
@@ -612,8 +628,10 @@ def test_dual_ascent_solutions_are_pinned_bit_for_bit(K, depth, family, epsilon,
     # each dense block
     f = generate(family, K=K, depth=depth, seed=seed, epsilon=epsilon, theta=0.5)
     inst = HajlaszInstance(f, 0.5, 2.0, epsilon)
-    forms = [hajlasz._dense_bounds(inst, k, 0) for k in inst.constraints]
-    assert [(len(shapes), bool(bound.all())) for bound, shapes in filter(None, forms)] == dense
+    blocks = [hajlasz._DualBlock(inst, k) for k in inst.constraints]
+    assert [
+        (len(b.level_shapes), bool(b.pair_bound.all())) for b in blocks if b.level_shapes
+    ] == dense
     assert _fingerprint(hajlasz_minimize(inst)) == expected
 
 
@@ -747,8 +765,8 @@ def test_batch_matches_each_instance_alone(form):
 def _record_batches(mp, solve=True):
     """Record the instance positions of each batch that hajlasz_minimize_all
     solves, at every p, in order.  Without `solve`, every p = 2 block gets
-    the zero array repaired, in the unit 2^0 (as `_solve_dual_blocks` hands back a feasible
-    array) and no dual-ascent loop runs."""
+    the zero array repaired, in its block's unit (as `_solve_dual_blocks` hands back a
+    feasible array) and no dual-ascent loop runs."""
     batches = []
     solve_batch = hajlasz._solve_batch
 
@@ -756,13 +774,8 @@ def _record_batches(mp, solve=True):
         batches.append([at for at, _ in batch])
         return solve_batch(batch)
 
-    def feasible_zeros(batch):
-        solved = {}
-        for at, inst in batch:
-            for k, (ia, ib, bound) in inst.constraints.items():
-                solved[at, k] = np.zeros(inst.f.n_leaves), 0, BlockReport(0, 0.0)
-                _repair(solved[at, k][0], ia, ib, bound)
-        return solved
+    def feasible_zeros(blocks):
+        return [(blk.solution(np.zeros(blk.active.size)), BlockReport(0, 0.0)) for blk in blocks]
 
     mp.setattr(hajlasz, "_solve_batch", record)
     if not solve:
@@ -899,32 +912,40 @@ def test_a_failing_block_other_than_p2_raises_when_its_batch_is_solved():
 
 @pytest.mark.parametrize("K", [2, 3])
 def test_active_leaves_match_the_unique_reference(K):
+    # a share of the leaves at random values, the others at 0: the pairs of
+    # two zero leaves have a zero bound and are dropped
     rng = np.random.default_rng(K)
     partial = 0
     for depth in (1, 2, 3):
         n = K**depth
-        ia, ib = np.triu_indices(n, 1)
         for share in (0.05, 0.2, 0.5, 1.0):
-            keep = rng.random(ia.size) < share
-            a, b = ia[keep], ib[keep]
-            reference = np.unique(np.concatenate([a, b]))
-            active, la, lb = _active_leaves(a, b, n)
-            assert active.dtype == reference.dtype and np.array_equal(active, reference)
-            assert np.array_equal(active[la], a) and np.array_equal(active[lb], b)
-            if active.size == n:
-                assert la is a and lb is b
-            partial += active.size < n
+            values = np.where(rng.random(n) < share, rng.uniform(size=n), 0.0)
+            inst = HajlaszInstance(BoundaryFunction(K, depth, values), 0.5, 2.0, LN2)
+            for k, (a, b, _) in inst.constraints.items():
+                blk = _Block(inst, k)
+                reference = np.unique(np.concatenate([a, b]))
+                active, (la, lb) = blk.active, blk.local
+                assert active.dtype == reference.dtype and np.array_equal(active, reference)
+                assert np.array_equal(np.arange(n)[blk.active_sel], reference)
+                assert np.array_equal(blk.deg, np.bincount(np.concatenate([a, b]), minlength=n))
+                assert np.array_equal(active[la], a) and np.array_equal(active[lb], b)
+                if active.size == n:
+                    assert la is a and lb is b
+                partial += active.size < n
     assert partial >= 3
 
 
 # ---------------------------------------- p = 1 against a linear program
 
 
-def _lp_block(nu, ia, ib, bound, n_leaves):
-    """Reference p = 1 solver: one scale block as a linear program,
-    min nu * sum g subject to g[a] + g[b] >= bound and g >= 0, solved by
-    HiGHS.  Returns the repaired minimizer."""
-    active, la, lb = _active_leaves(ia, ib, n_leaves)
+def _lp_block(inst, k):
+    """Reference p = 1 solver: the scale-k block of inst as a linear
+    program over its active leaves, min nu * sum g subject to
+    g[a] + g[b] >= bound and g >= 0, solved by HiGHS.  Returns the
+    repaired minimizer."""
+    (ia, ib, bound), nu, n_leaves = inst.constraints[k], inst.leaf_measure, inst.f.n_leaves
+    blk = _Block(inst, k)
+    active, (la, lb) = blk.active, blk.local
     rows = np.repeat(np.arange(ia.size), 2)
     cols = np.stack([la, lb], axis=1).ravel()
     data = np.full(2 * ia.size, -1.0)
@@ -942,13 +963,13 @@ def _lp_block(nu, ia, ib, bound, n_leaves):
 def _assert_matches_lp(inst):
     """The interior-point method at p = 1 is feasible and within 1e-8
     relative of the linear program, block by block and in total."""
-    nu, n = inst.leaf_measure, inst.f.n_leaves
+    nu = inst.leaf_measure
     sol = hajlasz_minimize(inst)
     assert sol.method == "interior-point"
     assert hajlasz_feasible(inst, sol.g)
     total = 0.0
-    for k, (ia, ib, bound) in inst.constraints.items():
-        lp = nu * float(np.sum(_lp_block(nu, ia, ib, bound, n)))
+    for k in inst.constraints:
+        lp = nu * float(np.sum(_lp_block(inst, k)))
         assert abs(nu * float(np.sum(sol.g[k])) - lp) <= 1e-8 * lp, k
         total += lp
     assert abs(sol.value - total) <= 1e-8 * total

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -1468,3 +1469,65 @@ def test_config_rejects_an_unknown_emit_plot_data_word(tmp_path, text):
         ValueError, match=r"cfg\.txt, line 2: unknown config key 'emit_plot_data'"
     ):
         load_config(str(path))
+
+
+@pytest.mark.parametrize(
+    "check, columns",
+    [
+        ("equivalence", ("double_vs_dyadic", "hajlasz_vs_dyadic")),
+        ("extension-bound", ("energy_ratio",)),
+    ],
+    ids=["equivalence", "extension-bound"],
+)
+def test_cli_constant_samples_leave_their_energy_ratios_empty(tmp_path, capsys, check, columns):
+    # the lacunary family is constant at seeds 0, 2, 3, 4, 6 and 7 of depth
+    # 1 (K = 2): every energy is 0, and these ratios exited 2 with "float
+    # division by zero"
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("family = lacunary\ndepths = 1,2\nseeds = 0,1,2,3,4,5,6,7\n")
+    out = tmp_path / "report.csv"
+    assert main(["verify", check, "--config", str(cfg), "--out", str(out)]) in (0, 1)
+    text = capsys.readouterr()
+    assert text.err == ""
+    constant = [(0, 1), (2, 1), (3, 1), (4, 1), (6, 1), (7, 1)]
+    named = ", ".join(f"seed {seed} depth {depth}" for seed, depth in constant)
+    assert f"  constant samples, their energy ratios not judged: {named}" in text.out.splitlines()
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 16
+    for row in rows:
+        flat = (int(row["seed"]), int(row["depth"])) in constant
+        for col in columns:
+            assert (row[col] == "") == flat, (row["seed"], row["depth"], col)
+
+
+_STEEP = "epsilon = 100\nbeta = 101\ndepths = 8,9\nseeds = 0\n"
+_FAR_OUT = "epsilon = 100\nbeta = 95.6931\ndepths = 9\nseeds = 0\nhajlasz_max_depth = 0\n"
+_FACTOR = "the level-8 factor e^(eps n) overflows at epsilon = 100"
+_DISTANCE = "the level-8 split distance (2/eps) e^(-eps n) underflows at epsilon = 100"
+
+
+@pytest.mark.parametrize(
+    "check, config, message",
+    [
+        # e^(eps n) overflowed in the energy modular: "math range error"
+        ("trace-bound", _STEEP, _FACTOR),
+        ("extension-bound", _STEEP, _FACTOR),
+        # the level-8 split distance underflowed to 0: a division by zero,
+        # exact at p = 1 and Monte Carlo at p = 1.05, then "math range error"
+        ("equivalence", _FAR_OUT + "p = 1\n", _DISTANCE),
+        ("equivalence", _FAR_OUT + "p = 1.05\n", _DISTANCE),
+    ],
+    ids=["trace-bound", "extension-bound", "equivalence-p1", "equivalence-p1.05"],
+)
+def test_cli_a_level_factor_beyond_the_float_range_names_its_level(
+    tmp_path, capsys, check, config, message
+):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(config)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["verify", check, "--config", str(cfg)]) == 2
+    text = capsys.readouterr()
+    assert text.err == f"treetrace: error: {message}\n"
+    assert text.out == ""
