@@ -9,21 +9,19 @@ to |f_a - f_b| <= d^theta * (g_k(a) + g_k(b)) for every pair at scale k.
 The seminorm (p-th power) is the infimum of sum_k mean-with-weights of
 g_k^p over all feasible systems.
 
-Scales that occur at no pair carry g_k = 0 at the optimum and are dropped.
 The objective and the constraints decouple across scales, so the program
-splits into one block per scale.  An instance holds at most `PAIR_CAP` =
-2^20 leaf pairs.  `hajlasz_minimize_all` solves the instances, whatever
-their p, in batches of at most `_BATCH_PAIRS` = 2^15 leaf pairs (a larger
-instance alone).  Both solvers and the grid oracle see a block as one
-`_Block`: its kept pairs with their bounds in its own unit 2^e, e the
-frexp exponent of its largest bound, so the solvers see the same numbers
-near 1 at every scale of f; its split levels, the coarsest of which holds
-every pair inside one vertex of `size` leaves; its active leaves (those
-in some pair) and the pairs in their local indices; and `solution`, which
-spreads an active-leaf array over all leaves and repairs it.  Each solver
-returns the block's minimizer in its unit, and it is scaled back by 2^e;
-a value outside the normal float range is a ValueError.  A block is
-solved by one of two methods, named in `HajlaszSolution.method`:
+splits into one block per scale.  An instance has at most `PAIR_CAP` =
+2^20 leaf pairs and holds none of them: `_Block` is the only code that
+builds a scale's pairs, for both solvers and the grid oracle, when its
+batch is solved (`hajlasz_minimize_all`, at most `_BATCH_PAIRS` = 2^15
+leaf pairs a batch, a larger instance alone).  A block takes its kept
+pairs (nonzero bound) from one array of its level bounds in its own unit
+2^e, e the frexp exponent of its largest bound, so the solvers see the
+same numbers near 1 at every scale of f; a scale with no kept pair has no
+block and g_k = 0.  Each solver returns the block's minimizer in its
+unit, and it is scaled back by 2^e; a value outside the normal float
+range is a ValueError.  A block is solved by one of two methods, named in
+`HajlaszSolution.method`:
 
 * p = 2: accelerated projected ascent on the dual.  For multipliers
   mu >= 0 (one per pair) the Lagrangian minimizer is g_i = s_i / (2 nu),
@@ -150,32 +148,37 @@ def leaf_pairs(K: int, depth: int) -> int:
     return n * (n - 1) // 2
 
 
-def _split_bounds(inst, j):
+def _split_bounds(inst, j, out=None):
     """The pairs of inst.f split at level j, as a dense (K^j, K(K-1)/2, m, m)
-    array of bounds |f_a - f_b| / d_j^theta with m = K^(N-j-1): a level-j
-    vertex, a sibling pair c1 < c2 in row-major order, the leaf a under
-    child c1 and the leaf b under child c2."""
+    array of bounds |f_a - f_b| / d_j^theta with m = K^(N-j-1), into `out`
+    if given: a level-j vertex, a sibling pair c1 < c2 in row-major order,
+    the leaf a under child c1 and the leaf b under child c2."""
     K, m = inst.f.K, inst.f.K ** (inst.f.depth - j - 1)
     pa, pb = _sibling_pairs(K)
     x, dj = inst.f.values.reshape(K**j, K, m), float(inst.split_distances[j])
-    return np.abs(x[:, pa, :, None] - x[:, pb, None, :]) / dj**inst.theta
+    diff = np.subtract(x[:, pa, :, None], x[:, pb, None, :], out=out)
+    return np.divide(np.abs(diff, out=diff), dj**inst.theta, out=diff)
+
+
+def _by_level(a, shapes):
+    """The flat array a as views of consecutive arrays of the given shapes."""
+    ends = np.cumsum([math.prod(shape) for shape in shapes]).tolist()
+    return [a[e - math.prod(shape) : e].reshape(shape) for e, shape in zip(ends, shapes)]
 
 
 class HajlaszInstance:
-    """A boundary function with precomputed pair constraints per scale."""
+    """A boundary function f and its Hajlasz exponents, validated, with its
+    `split_distances`, the scale of each split level (`scale_of_level`) and
+    the sorted distinct `scales`; each scale's block builds its pairs."""
 
     def __init__(self, f: BoundaryFunction, theta: float, p: float, epsilon: float):
         if not 0.0 < theta < 1.0:
             raise ValueError("theta must lie in (0, 1)")
-        if p < 1:
-            raise ValueError("p must be at least 1")
-        if epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        self.f = f
-        self.theta = theta
-        self.p = p
-        self.epsilon = epsilon
-
+        if not 1.0 <= p < math.inf:
+            raise ValueError(f"p must be finite and at least 1, got {p!r}")
+        if not 0.0 < epsilon < math.inf:
+            raise ValueError(f"epsilon must be finite and positive, got {epsilon!r}")
+        self.f, self.theta, self.p, self.epsilon = f, theta, p, epsilon
         K, N = f.K, f.depth
         pairs = leaf_pairs(K, N)
         if pairs > PAIR_CAP:
@@ -185,55 +188,33 @@ class HajlaszInstance:
             )
         self.split_distances = split_distances(epsilon, N)
         self.scale_of_level = [scale_for_distance(float(d)) for d in self.split_distances]
-
-        # The constraints of a scale are the pairs of its split levels in
-        # `_split_bounds` order, vacuous (zero-bound) pairs dropped.
-        pa, pb = _sibling_pairs(K)
-        per_scale: dict[int, list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
-        for j in range(N):
-            bound = _split_bounds(self, j)
-            keep = bound > 0
-            if keep.any():
-                m = bound.shape[2]
-                leaf = np.arange(f.n_leaves).reshape(K**j, K, m)
-                ia = leaf[:, pa, :, None].repeat(m, axis=3)[keep]
-                ib = leaf[:, pb, None, :].repeat(m, axis=2)[keep]
-                per_scale.setdefault(self.scale_of_level[j], []).append((ia, ib, bound[keep]))
-
-        self.constraints: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {
-            k: tuple(map(np.concatenate, zip(*parts))) for k, parts in per_scale.items()
-        }
         self.scales = tuple(sorted(set(self.scale_of_level)))
-
-    @property
-    def leaf_measure(self) -> float:
-        return self.f.leaf_measure
-
-    @property
-    def g_max(self) -> float:
-        """Search-box edge for the grid oracle: max |f_a - f_b| * max d^(-theta)."""
-        spread = float(self.f.values.max() - self.f.values.min())
-        return spread * float(self.split_distances.min()) ** -self.theta
 
 
 def hajlasz_feasible(inst: HajlaszInstance, g) -> bool:
     """Whether the gradient system g (mapping scale -> leaf array) satisfies
-    every pair constraint, to `_FEASIBLE_RTOL` relative.  Negative entries
+    every pair constraint, to `_FEASIBLE_RTOL` relative: each split level's
+    bounds (`_split_bounds`) against g_k[a] + g_k[b] in the same dense
+    shape, k the level's scale.  Entries that are negative or not finite
     are rejected outright."""
     arrays = {}
     for k, arr in g.items():
         arr = np.asarray(arr, dtype=float)
         if arr.shape != (inst.f.n_leaves,):
             raise ValueError(f"scale {k}: expected {inst.f.n_leaves} leaf values")
+        if not np.isfinite(arr).all():
+            raise ValueError("gradient arrays must be finite")
         if np.any(arr < 0):
             raise ValueError("gradient arrays must be nonnegative")
         arrays[k] = arr
-    for k, (ia, ib, bound) in inst.constraints.items():
-        arr = arrays.get(k)
-        if arr is None:
-            return False
-        lhs = arr[ia] + arr[ib]
-        if np.any(lhs < bound * (1.0 - _FEASIBLE_RTOL) - 1e-15):
+    pa, pb = _sibling_pairs(inst.f.K)
+    for j, k in enumerate(inst.scale_of_level):
+        short = _split_bounds(inst, j)  # by how much g_k = 0 falls short
+        if k in arrays:
+            x = arrays[k].reshape(short.shape[0], inst.f.K, short.shape[2])
+            short = short * (1.0 - _FEASIBLE_RTOL) - 1e-15
+            short -= x[:, pa, :, None] + x[:, pb, None, :]
+        if np.any(short > 0):
             return False
     return True
 
@@ -284,29 +265,53 @@ def _repair(g, ia, ib, bound):
 
 
 class _Block:
-    """The scale-k block of `inst`, the instance at position `at`, as the
-    solvers and the grid oracle see it.  It holds its kept pairs (ia, ib)
-    and their bounds in its unit 2^e, e the frexp exponent of the largest
-    bound (which then lies in [0.5, 1)): a power of two commutes with
-    rounding, so in the normal float range the p = 2 dual ascent takes the
-    same steps in this unit as on the raw bounds, bit for bit.  It holds
-    its split levels, every pair lying inside one vertex of the coarsest, a
-    run of `size` consecutive leaves; `deg`, each leaf's pair count; the
-    active leaves, those in some pair, which `active_sel` selects from an
-    array over all leaves; and `name`, which errors give the block."""
+    """The scale-k block of `inst`, the instance at position `at`: the
+    bounds of its split levels (`_split_bounds`, once each) as one array in
+    the unit 2^e, e the frexp exponent of the largest (which then lies in
+    [0.5, 1)), and the kept pairs (nonzero bound) taken from it, `bound`
+    and their leaves (ia, ib).  A power of two commutes with rounding, so
+    in the normal float range the p = 2 dual ascent takes the same steps in
+    this unit as on the raw bounds, bit for bit.  A dense block (`_dense`)
+    keeps the array as `pair_bound`, `kept` locating the kept pairs in it;
+    any other drops it (`pair_bound` is `bound`).  Every pair lies inside
+    one vertex of the coarsest level, a run of `size` leaves; `deg` counts
+    each leaf's pairs, `active` lists the leaves in some pair (`active_sel`
+    selects them) and `name` names the block in errors."""
 
     def __init__(self, inst, k, at=0):
-        f, (ia, ib, bound) = inst.f, inst.constraints[k]
-        self.at, self.k, self.ia, self.ib = at, k, ia, ib
-        self.e = math.frexp(float(bound.max()))[1]
-        self.bound = np.ldexp(bound, -self.e)
-        self.n_leaves, self.nu, self.p = f.n_leaves, f.leaf_measure, inst.p
+        f, K, N = inst.f, inst.f.K, inst.f.depth
+        self.at, self.k, self.n_leaves, self.nu, self.p = at, k, f.n_leaves, f.leaf_measure, inst.p
         self.levels = [j for j, kj in enumerate(inst.scale_of_level) if kj == k]
-        self.size = f.K ** (f.depth - self.levels[0])
-        self.name = f"(K={f.K}, depth {f.depth}) scale {k}"
-        self.deg = _pair_mass(ia, ib, None, f.n_leaves)
+        self.size = K ** (N - self.levels[0])
+        self.name = f"(K={K}, depth {N}) scale {k}"
+        shapes = self.level_shapes = [
+            (K**j, K * (K - 1) // 2, K ** (N - j - 1), K ** (N - j - 1)) for j in self.levels
+        ]
+        pair_bound = np.empty(sum(map(math.prod, shapes)))
+        for j, part in zip(self.levels, _by_level(pair_bound, shapes)):
+            _split_bounds(inst, j, part)
+        keep = pair_bound > 0
+        self.e = math.frexp(float(pair_bound.max()))[1]
+        self.bound = np.ldexp(pair_bound, -self.e, out=pair_bound)[keep]
+        # the leaves a (under c1) and b (under c2) of each kept pair
+        pa, pb, ia, ib = *_sibling_pairs(K), [], []
+        for part in _by_level(keep, shapes):
+            m = part.shape[2]
+            leaf = np.arange(f.n_leaves).reshape(-1, K, m)
+            ia.append(leaf[:, pa, :, None].repeat(m, axis=3)[part])
+            ib.append(leaf[:, pb, None, :].repeat(m, axis=2)[part])
+        self.ia, self.ib = np.concatenate(ia), np.concatenate(ib)
+        if self._dense():
+            self.pair_bound, self.kept = pair_bound, np.flatnonzero(keep)
+        else:
+            self.pair_bound, self.kept, self.level_shapes = self.bound, slice(None), None
+        self.deg = _pair_mass(self.ia, self.ib, None, f.n_leaves)
         self.active = np.flatnonzero(self.deg)
         self.active_sel = slice(None) if self.active.size == f.n_leaves else self.active
+
+    def _dense(self):
+        """Whether the block keeps its level bounds (the dense dual form)."""
+        return False
 
     @cached_property
     def local(self):
@@ -324,6 +329,15 @@ class _Block:
         out[self.active] = g
         _repair(out, self.ia, self.ib, self.bound)
         return out
+
+
+def _blocks(inst, at=0, kind=_Block):
+    """The `kind` block of each scale of inst with a kept pair, in increasing
+    order, each built as it is taken (the other scales have g_k = 0)."""
+    for k in inst.scales:
+        blk = kind(inst, k, at)
+        if blk.bound.size:
+            yield blk
 
 
 def _certified(primal, dual):
@@ -362,11 +376,11 @@ _DENSE_MIN_RUN = 2048
 _DENSE_MIN_KEPT = 0.5
 
 
-# The instances of one batch hold at most this many leaf pairs in all,
+# The instances of one batch have at most this many leaf pairs in all,
 # K^N (K^N - 1) / 2 each; a larger instance goes alone.  The dual-ascent
 # loop's flat arrays take four 8-byte entries per pair they step and three
-# more per index-form pair (at most 1.8 MB at the bound), beside the four
-# per pair the instances hold themselves.
+# more per index-form pair (at most 1.8 MB at the bound), beside the blocks'
+# own three per kept pair and a dense block's one per level pair.
 _BATCH_PAIRS = 2**15
 
 
@@ -376,36 +390,27 @@ class _DualBlock(_Block):
     its relative gap at the last check (None before the first).
 
     A dense block (`level_shapes`, the (K^j, K(K-1)/2, m, m) shapes of its
-    split levels, set where `_DENSE_MIN_RUN` and `_DENSE_MIN_KEPT` allow)
-    holds a multiplier for every pair of those levels in the instance's
-    pair order, a zero-bound pair's staying exactly 0; `kept` locates the
-    kept pairs.  Any other block holds its kept pairs only.  Outside a
-    layout it keeps its multipliers in mu and mu_prev, None while they
-    are 0.
+    split levels, kept where `_DENSE_MIN_RUN` and `_DENSE_MIN_KEPT` allow)
+    holds a multiplier for every pair of `pair_bound`, a zero-bound pair's
+    staying exactly 0; any other block for its kept pairs only.  Outside a
+    layout it keeps them in mu and mu_prev, None while they are 0.
     """
 
     def __init__(self, inst, k, at=0):
         super().__init__(inst, k, at)
-        ia, ib, bound, nu = self.ia, self.ib, self.bound, self.nu
-        self.sigma = (2.0 * nu) / float((self.deg[ia] + self.deg[ib]).max())
+        if not self.bound.size:
+            return  # no constraint: `_blocks` drops the block
+        self.sigma = (2.0 * self.nu) / float((self.deg[self.ia] + self.deg[self.ib]).max())
         del self.deg  # the step is all the loop needs of the pair counts
-        self.best_g = np.full(self.active.size, bound.max() / 2.0)
-        self.best = nu * float(np.sum(self.best_g**2.0))
-        self.last_dual = -math.inf
-        self.gap = None
-        self.restart = 0
-        K, N, levels = inst.f.K, inst.f.depth, self.levels
-        shapes = [(K**j, K * (K - 1) // 2, K ** (N - j - 1), K ** (N - j - 1)) for j in levels]
-        if (
-            K ** (2 * N - levels[-1] - 2) >= _DENSE_MIN_RUN
-            and ia.size >= _DENSE_MIN_KEPT * sum(map(math.prod, shapes))
-        ):
-            pair_bound = np.concatenate([_split_bounds(inst, j).ravel() for j in levels])
-            self.pair_bound = np.ldexp(pair_bound, -self.e, out=pair_bound)
-            self.kept, self.level_shapes = np.flatnonzero(self.pair_bound > 0), shapes
-        else:
-            self.pair_bound, self.kept, self.level_shapes = bound, slice(None), None
+        self.best_g = np.full(self.active.size, self.bound.max() / 2.0)
+        self.best = self.nu * float(np.sum(self.best_g**2.0))
+        self.last_dual, self.gap, self.restart = -math.inf, None, 0
         self.mu = self.mu_prev = None
+
+    def _dense(self):
+        V, _, m, _ = self.level_shapes[-1]  # a run of level j, K^j m^2 pairs, is least here
+        kept = self.bound.size / sum(map(math.prod, self.level_shapes))
+        return V * m * m >= _DENSE_MIN_RUN and kept >= _DENSE_MIN_KEPT
 
 
 class _DualLayout:
@@ -458,12 +463,12 @@ class _DualLayout:
         # the block is written into s, the later ones added.
         self.pair_g, self.sums, self.views = [], [], ([], [])
         for b, seg, lv in zip(dense, self.segments, self.leaves):
-            at, written = seg.start, set()
-            for shape in b.level_shapes:
-                V, _, m, _ = shape
-                K, size = b.n_leaves // (V * m), math.prod(shape)
+            written = set()
+            levels = (_by_level(x[seg], b.level_shapes) for x in (self.y, self.mu, self.mu_prev))
+            for y, *bufs in zip(*levels):
+                V, _, m, _ = y.shape
+                K = b.n_leaves // (V * m)
                 s, g = (x[lv].reshape(V, K, m) for x in (self.s, self.g))
-                y, *bufs = (x[at : at + size].reshape(shape) for x in (self.y, self.mu, self.mu_prev))
                 for q, (c1, c2) in enumerate(zip(*_sibling_pairs(K))):
                     self.pair_g.append((g[:, c1, :, None], g[:, c2, None, :], b.sigma))
                     for views, buf in zip(self.views, bufs):
@@ -471,7 +476,6 @@ class _DualLayout:
                     for c, axis in (c1, 2), (c2, 1):
                         self.sums.append((y[:, q], axis, s[:, c], c not in written))
                         written.add(c)
-                at += size
         self.sigma = np.repeat([b.sigma for b in index], sizes[first:])
         self.index_pairs = slice(start, None)
         self.index_s, self.index_g = self.s[base:], self.g[base:]
@@ -795,26 +799,23 @@ def _solve_batch(batch) -> list[HajlaszSolution]:
     others, each block built as it is solved, stopping at the first it
     cannot certify.  Both hand back a feasible leaf array in the block's
     unit 2^e, and each is scaled back here."""
-    dual = [
-        _DualBlock(inst, k, at) for at, inst in batch if inst.p == 2.0 for k in inst.constraints
-    ]
+    dual = [blk for at, inst in batch if inst.p == 2.0 for blk in _blocks(inst, at, _DualBlock)]
     solved = {(b.at, b.k): (b.e, *out) for b, out in zip(dual, _solve_dual_blocks(dual))}
     # the dual blocks' arrays go before the interior-point blocks are built
     del dual
     for at, inst in batch:
         if inst.p != 2.0:
-            for k in inst.constraints:
-                blk = _Block(inst, k, at)
-                solved[at, k] = (blk.e, *_solve_scale_ipm(blk))
+            for blk in _blocks(inst, at):
+                solved[at, blk.k] = (blk.e, *_solve_scale_ipm(blk))
     solutions = []
     for at, inst in batch:
-        g = {k: np.zeros(inst.f.n_leaves) for k in inst.scales}
-        blocks = {}
-        for k in inst.constraints:
-            e, arr, blocks[k] = solved[at, k]
-            g[k] = np.ldexp(arr, e, out=arr)
+        g, blocks = {k: np.zeros(inst.f.n_leaves) for k in inst.scales}, {}
+        for k in inst.scales:
+            if (at, k) in solved:
+                e, arr, blocks[k] = solved.pop((at, k))
+                g[k] = np.ldexp(arr, e, out=arr)
         with np.errstate(over="ignore"):
-            value = sum(inst.leaf_measure * float(np.sum(arr**inst.p)) for arr in g.values())
+            value = sum(inst.f.leaf_measure * float(np.sum(arr**inst.p)) for arr in g.values())
         if blocks and not sys.float_info.min <= value < math.inf:
             where = f"at p = {inst.p:g} of (K={inst.f.K}, depth {inst.f.depth})"
             raise ValueError(
@@ -827,7 +828,8 @@ def _solve_batch(batch) -> list[HajlaszSolution]:
 
 
 def hajlasz_oracle(inst: HajlaszInstance, grid_resolution: int) -> float:
-    """Exhaustive grid search over gradient systems in [0, g_max]^(scales x leaves).
+    """Exhaustive grid search over gradient systems in [0, g_max]^(scales x
+    leaves), g_max = max |f_a - f_b| * max d^(-theta).
 
     The grid has `grid_resolution` intervals per coordinate, so spacings
     halve when the resolution doubles and refined values can only
@@ -842,16 +844,11 @@ def hajlasz_oracle(inst: HajlaszInstance, grid_resolution: int) -> float:
         raise ValueError("instance too large for the grid oracle (more than 8 leaves)")
     if len(inst.scales) > _ORACLE_MAX_SCALES:
         raise ValueError("instance too large for the grid oracle (more than 3 scales)")
-    gmax = inst.g_max
-    if gmax == 0.0:
-        return 0.0
-    h = gmax / grid_resolution
-    nu = inst.leaf_measure
-    total = 0.0
-    # scales with no pair add 0; the others come in increasing order
-    for k, (_, _, bound) in inst.constraints.items():
-        blk = _Block(inst, k)
-        la, lb = blk.local
+    spread = float(inst.f.values.max() - inst.f.values.min())
+    h = spread * float(inst.split_distances.min()) ** -inst.theta / grid_resolution
+    nu, total = inst.f.leaf_measure, 0.0
+    for blk in _blocks(inst):
+        la, lb, bound = *blk.local, np.ldexp(blk.bound, blk.e)
         d = blk.active.size
         n_points = (grid_resolution + 1) ** d
         if n_points > _ORACLE_POINT_BUDGET:

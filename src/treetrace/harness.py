@@ -136,8 +136,8 @@ class ExperimentConfig:
     trace theorem fixes it.
     The three ratio drivers check the paper's standing hypothesis, p >
     (beta - log K)/epsilon > 0, that is 0 < theta < 1, before they sample
-    (`_sweep`).  `K` must be at least 2, `epsilon` positive and `p` at
-    least 1.  The tree of each depth takes the minimal shift C and the
+    (`_sweep`).  `K` must be at least 2, the real keys finite, `epsilon`
+    positive and `p` at least 1.  The tree of each depth takes the minimal shift C and the
     order-8 edge rule (`TreeParams`).  `hajlasz_max_depth` must be
     nonnegative (0 runs no Hajlasz program, nor does a depth whose leaf
     pairs pass `hajlasz.PAIR_CAP`), every seed nonnegative and every
@@ -163,8 +163,11 @@ class ExperimentConfig:
         for name, least in (("K", 2), ("n_balls", 1), ("hajlasz_max_depth", 0)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}")
-        # NaN passes these two and is rejected as not finite where the
-        # tree and energy parameters are built
+        # before the range checks, which NaN passes; `verify roundtrip` and
+        # `gen` build neither the tree nor the energy parameters
+        for name in ("epsilon", "beta", "p", "lambda1", "lambda2"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.epsilon <= 0.0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon!r}")
         if self.p < 1.0:
@@ -200,8 +203,7 @@ class ExperimentConfig:
 
     def energy_params(self) -> EnergyParams:
         """The exponents of the boundary energies, at the matched theta."""
-        # a NaN theta passes, so that EnergyParams names the key that is not finite
-        if self.resolved_theta < 0.0 or self.resolved_theta >= 1.0:
+        if not 0.0 <= self.resolved_theta < 1.0:
             raise ValueError(f"the energies need 0 <= theta < 1, but {self._theta_is()}")
         return EnergyParams(self.resolved_theta, self.p, self.epsilon, self.lambda1, self.lambda2)
 

@@ -218,10 +218,10 @@ def test_criterion_10_hajlasz_solver_vs_oracle():
                 sol = hajlasz_minimize(inst)
                 feasible = hajlasz_feasible(inst, sol.g)
                 oracle = hajlasz_oracle(inst, res)
-                h = inst.g_max / res
-                step_bound = len(inst.scales) * (
-                    (inst.g_max + h) ** p - inst.g_max**p
-                )
+                # the oracle's box edge, max |f_a - f_b| * max d^(-theta)
+                g_max = float(np.ptp(f.values)) * float(inst.split_distances.min()) ** -inst.theta
+                h = g_max / res
+                step_bound = len(inst.scales) * ((g_max + h) ** p - g_max**p)
                 upper = sol.value <= oracle + 1e-6 * (1.0 + oracle)
                 lower = sol.value >= oracle - 2.0 * step_bound
                 worst_gap = max(worst_gap, abs(sol.value - oracle))

@@ -34,6 +34,7 @@ def test_tracer_records_the_layers_of_two_small_checks(monkeypatch, capsys):
         "tree_norms.gradient_modular",
         "boundary_norms.besov_norm",
         "boundary_norms.energy",
+        "hajlasz.instance",
     ):
         assert layer in names, layer
     metrics = tracer.layer_metrics(0, 0)

@@ -27,7 +27,7 @@ from treetrace import (
     hajlasz_oracle,
     scale_for_distance,
 )
-from treetrace.hajlasz import _Block, _dual_point, _repair, _solve_scale_ipm
+from treetrace.hajlasz import _Block, _blocks, _dual_point, _repair, _solve_scale_ipm
 from treetrace.harness import ExperimentConfig, fit_log_slope, generate_for
 
 LN2 = math.log(2.0)
@@ -40,6 +40,34 @@ def two_leaf_instance(p=1.0):
 def random_instance(seed, depth=2, p=2.0, K=2):
     f = generate("iid-uniform", K=K, depth=depth, seed=seed)
     return HajlaszInstance(f, 0.5, p, LN2)
+
+
+def _pairs(inst):
+    """Each constrained scale's kept pairs (ia, ib) and their bounds, back in
+    the raw unit, as its block builds them."""
+    return {blk.k: (blk.ia, blk.ib, np.ldexp(blk.bound, blk.e)) for blk in _blocks(inst)}
+
+
+def _reference_pairs(inst):
+    """The leaf pairs a < b of nonzero bound |f_a - f_b| / d_j^theta by the
+    scale of their split level j, the deepest level with a vertex above
+    both, as (a, b, bound) sorted by (a, b): from the definition, pair by
+    pair."""
+    K, N, x = inst.f.K, inst.f.depth, inst.f.values
+    pairs = {}
+    for a in range(inst.f.n_leaves):
+        for b in range(a + 1, inst.f.n_leaves):
+            j = max(j for j in range(N) if a // K ** (N - j) == b // K ** (N - j))
+            bound = abs(x[a] - x[b]) / float(inst.split_distances[j]) ** inst.theta
+            if bound > 0:
+                pairs.setdefault(inst.scale_of_level[j], []).append((a, b, bound))
+    return {k: tuple(map(np.array, zip(*rows))) for k, rows in pairs.items()}
+
+
+def _box_edge(inst):
+    """The grid oracle's search-box edge, max |f_a - f_b| * max d^(-theta)."""
+    spread = float(inst.f.values.max() - inst.f.values.min())
+    return spread * float(inst.split_distances.min()) ** -inst.theta
 
 
 # ------------------------------------------------------------------- scaling
@@ -64,12 +92,37 @@ def test_scale_for_distance_annulus_contract():
 
 
 def test_instance_scales_cover_every_pair():
-    inst = random_instance(0, depth=4)
-    # every split level maps to exactly one scale
-    assert len(inst.scale_of_level) == 4
-    assert set(inst.constraints) <= set(inst.scales)
-    n_pairs = sum(len(c[0]) for c in inst.constraints.values())
-    assert n_pairs <= 16 * 15 // 2
+    # every split level maps to exactly one scale, and the blocks' kept
+    # pairs are the leaf pairs of nonzero bound, each once, at the scale of
+    # its split level and with its bound
+    kept = []
+    for K, depth, family, epsilon in [
+        (2, 4, "iid-uniform", LN2), (3, 3, "cell-indicator", 0.3), (2, 5, "lacunary", 0.3)
+    ]:
+        f = generate(family, K=K, depth=depth, seed=0, epsilon=epsilon, theta=0.5)
+        inst = HajlaszInstance(f, 0.5, 2.0, epsilon)
+        assert len(inst.scale_of_level) == depth
+        reference, blocks = _reference_pairs(inst), _pairs(inst)
+        assert list(blocks) == sorted(reference) and set(blocks) <= set(inst.scales)
+        for k, (ia, ib, bound) in blocks.items():
+            order = np.lexsort((ib, ia))
+            for got, want in zip((ia[order], ib[order], bound[order]), reference[k]):
+                assert np.array_equal(got, want), k
+        kept.append(sum(ia.size for ia, _, _ in blocks.values()) / hajlasz.leaf_pairs(K, depth))
+    # all pairs of the iid-uniform function, some of the others
+    assert kept[0] == 1.0 and max(kept[1:]) < 1.0
+
+
+def test_an_instance_holds_no_pairs():
+    # it held every scale's kept pairs as index triples, 3.0 MB here
+    f = generate("iid-uniform", K=2, depth=9, seed=0)
+    tracemalloc.start()
+    try:
+        inst = HajlaszInstance(f, 0.5, 2.0, LN2)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert inst.scales and held < peak < 64 * 2**10
 
 
 def test_instance_rejects_bad_exponents():
@@ -78,6 +131,21 @@ def test_instance_rejects_bad_exponents():
         HajlaszInstance(f, 0.0, 1.0, LN2)
     with pytest.raises(ValueError):
         HajlaszInstance(f, 0.5, 0.5, LN2)
+
+
+@pytest.mark.parametrize(
+    "p, epsilon, bad",
+    # p = nan or inf solved, then raised "its Newton system is not finite
+    # after 0 steps"; epsilon = inf warned in split_distances, then named an
+    # underflow; epsilon = nan said "distance must be finite and positive"
+    [(math.nan, LN2, "p"), (math.inf, LN2, "p"), (2.0, math.nan, "epsilon"),
+     (2.0, math.inf, "epsilon")],
+)
+def test_instance_rejects_non_finite_exponents(p, epsilon, bad):
+    f = generate("iid-uniform", K=2, depth=3, seed=0)
+    value, least = {"p": (p, "at least 1"), "epsilon": (epsilon, "positive")}[bad]
+    with pytest.raises(ValueError, match=f"^{bad} must be finite and {least}, got {value!r}$"):
+        HajlaszInstance(f, 0.5, p, epsilon)
 
 
 def test_instance_names_the_split_distance_below_the_float_range():
@@ -133,6 +201,16 @@ def test_feasible_rejects_negative_gradient():
     inst = two_leaf_instance()
     with pytest.raises(ValueError):
         hajlasz_feasible(inst, {inst.scales[0]: np.array([-0.1, 1.0])})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_feasible_rejects_non_finite_gradient(bad):
+    # an all-NaN system was feasible: every comparison with NaN is False
+    inst = random_instance(0, depth=3)
+    for k in inst.scales:
+        g = {j: np.full(8, bad if j == k else 1e3) for j in inst.scales}
+        with pytest.raises(ValueError, match="gradient arrays must be finite"):
+            hajlasz_feasible(inst, g)
 
 
 # --------------------------------------------------------------------- solver
@@ -225,7 +303,7 @@ def test_oracle_analytic_instance():
     inst = two_leaf_instance(p=1.0)
     res = 64
     val = hajlasz_oracle(inst, res)
-    spacing = inst.g_max / res
+    spacing = _box_edge(inst) / res
     assert abs(val - 0.29435250562886867) <= spacing
 
 
@@ -252,15 +330,14 @@ def test_oracle_rejects_large_instances():
 def _one_chunk_oracle(inst, resolution):
     """The grid search over each scale's whole grid at once, built by
     meshgrid: the oracle's points in the oracle's order."""
-    h = inst.g_max / resolution
+    h = _box_edge(inst) / resolution
     total = 0.0
-    for k, (_, _, bound) in inst.constraints.items():
-        blk = _Block(inst, k)
-        la, lb = blk.local
+    for blk in _blocks(inst):
+        la, lb, bound = *blk.local, np.ldexp(blk.bound, blk.e)
         axes = [np.arange(resolution + 1)] * blk.active.size
         G = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes)) * h
         feas = np.all(G[:, la] + G[:, lb] >= bound[None, :] - 1e-12, axis=1)
-        total += float((inst.leaf_measure * np.sum(G[feas] ** inst.p, axis=1)).min())
+        total += float((inst.f.leaf_measure * np.sum(G[feas] ** inst.p, axis=1)).min())
     return total
 
 
@@ -289,8 +366,9 @@ def test_oracle_memory_does_not_grow_with_the_grid():
 def _objective_step_bound(inst, resolution):
     """Upper bound for the objective increase when every coordinate of the
     true minimizer is rounded up to the next grid point."""
-    h = inst.g_max / resolution
-    return len(inst.scales) * ((inst.g_max + h) ** inst.p - inst.g_max**inst.p)
+    g_max = _box_edge(inst)
+    h = g_max / resolution
+    return len(inst.scales) * ((g_max + h) ** inst.p - g_max**inst.p)
 
 
 @pytest.mark.parametrize("p", [1.0, 1.2, 1.5, 2.0, 3.0])
@@ -310,7 +388,7 @@ def test_solver_within_oracle_bracket(p, depth):
 def test_p3_two_leaves_closed_form():
     # one pair: the optimum splits the bound evenly, g = bound / 2
     inst = random_instance(0, depth=1, p=3.0)
-    (k, (_, _, bound)), = inst.constraints.items()
+    (k, (_, _, bound)), = _pairs(inst).items()
     sol = hajlasz_minimize(inst)
     np.testing.assert_allclose(sol.g[k], np.full(2, bound[0] / 2.0), rtol=1e-8)
     assert sol.value == pytest.approx(0.5 * 2.0 * (bound[0] / 2.0) ** 3, rel=1e-8)
@@ -342,9 +420,9 @@ def test_interior_point_two_leaves_closed_form(p):
     # put the value 1.1e-9 above it
     for seed in range(4):
         inst = random_instance(seed, depth=1, p=p)
-        (k, (ia, ib, bound)), = inst.constraints.items()
+        (k, (ia, ib, bound)), = _pairs(inst).items()
         sol = hajlasz_minimize(inst)
-        closed = 2.0 * inst.leaf_measure * (bound[0] / 2.0) ** p
+        closed = 2.0 * inst.f.leaf_measure * (bound[0] / 2.0) ** p
         assert sol.method == "interior-point"
         assert np.all(sol.g[k][ia] + sol.g[k][ib] >= bound)
         assert abs(sol.value - closed) <= 1e-12 * closed
@@ -368,13 +446,12 @@ def _assert_within_gap(a, b, what):
 def _assert_matches_ipm(inst, g):
     """The p = 2 gradient arrays g give, block by block, the value of the
     interior-point method within twice _REL_TOL: both certify _REL_TOL."""
-    nu = inst.leaf_measure
-    for k in inst.constraints:
-        blk = _Block(inst, k)
+    nu = inst.f.leaf_measure
+    for blk in _blocks(inst):
         g_ip, rep = _solve_scale_ipm(blk)
         g_ip = np.ldexp(g_ip, blk.e)
         assert rep.rel_gap <= hajlasz._REL_TOL
-        _assert_within_gap(nu * np.sum(g_ip**2), nu * np.sum(g[k] ** 2), k)
+        _assert_within_gap(nu * np.sum(g_ip**2), nu * np.sum(g[blk.k] ** 2), blk.k)
 
 
 @pytest.mark.parametrize("K, depth", [(2, 1), (2, 3), (2, 6), (3, 3)])
@@ -418,13 +495,28 @@ def test_interior_point_iteration_cap_names_the_block_and_its_gap(monkeypatch):
 def test_coarsest_level_bounds_every_pair():
     inst = random_instance(0, depth=4, K=3)
     N = inst.f.depth
-    for k, (ia, ib, _) in inst.constraints.items():
-        blk = _Block(inst, k)
-        assert blk.levels == [j for j in range(N) if inst.scale_of_level[j] == k]
+    for blk in _blocks(inst):
+        assert blk.levels == [j for j in range(N) if inst.scale_of_level[j] == blk.k]
         assert blk.size == 3 ** (N - blk.levels[0])
-        assert np.array_equal(ia // blk.size, ib // blk.size)
+        assert np.array_equal(blk.ia // blk.size, blk.ib // blk.size)
         if blk.levels[0] > 0:
-            assert inst.scale_of_level[blk.levels[0] - 1] != k
+            assert inst.scale_of_level[blk.levels[0] - 1] != blk.k
+
+
+@pytest.mark.parametrize("p, depth", [(2.0, 8), (1.5, 6)])
+def test_a_solve_bounds_each_split_level_once(monkeypatch, p, depth):
+    # the instance enumerated the pairs of every level, then a dense dual
+    # block computed the bounds of its levels again
+    inst, calls = random_instance(0, depth=depth, p=p), []
+    split_bounds = hajlasz._split_bounds
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return split_bounds(*args, **kwargs)
+
+    monkeypatch.setattr(hajlasz, "_split_bounds", counted)
+    hajlasz_minimize(inst)
+    assert sorted(calls) == list(range(depth))
 
 
 @pytest.mark.parametrize(
@@ -433,7 +525,7 @@ def test_coarsest_level_bounds_every_pair():
 def test_solution_reports_each_block(p, method):
     inst = random_instance(0, depth=3, p=p)
     sol = hajlasz_minimize(inst)
-    assert set(sol.blocks) == set(inst.constraints)
+    assert list(sol.blocks) == list(_pairs(inst)) != []
     assert sol.method == method
     assert sol.iterations == sum(b.iterations for b in sol.blocks.values()) > 0
     assert all(b.rel_gap <= hajlasz._REL_TOL for b in sol.blocks.values())
@@ -507,10 +599,10 @@ def _assert_matches_per_block(inst, sol=None):
     and block report) for a block in the index form, and within the
     certified gap for one in the dense form, which adds up its multiplier
     masses in another order."""
-    nu, n = inst.leaf_measure, inst.f.n_leaves
+    nu, n = inst.f.leaf_measure, inst.f.n_leaves
     g = {k: np.zeros(n) for k in inst.scales}
     blocks = {}
-    for k, (ia, ib, bound) in inst.constraints.items():
+    for k, (ia, ib, bound) in _pairs(inst).items():
         g[k], blocks[k] = _per_block_dual_ascent(nu, inst.p, ia, ib, bound, n)
         _repair(g[k], ia, ib, bound)
     value = sum(nu * float(np.sum(arr**inst.p)) for arr in g.values())
@@ -521,7 +613,7 @@ def _assert_matches_per_block(inst, sol=None):
     assert list(sol.g) == list(g)
     assert set(sol.blocks) == set(blocks)
     assert sol.iterations == sum(b.iterations for b in sol.blocks.values())
-    dense = [k for k in inst.constraints if hajlasz._DualBlock(inst, k).level_shapes is not None]
+    dense = [b.k for b in _blocks(inst, kind=hajlasz._DualBlock) if b.level_shapes is not None]
     for k in g:
         if k in dense:
             assert sol.blocks[k].rel_gap <= hajlasz._REL_TOL
@@ -555,7 +647,7 @@ def test_dense_masses_match_the_index_form(K, depth):
     inst = HajlaszInstance(f, 0.5, 2.0, 0.3)
     n, spans = f.n_leaves, 0
     with pytest.MonkeyPatch.context() as mp:
-        for k, (ia, ib, bound) in inst.constraints.items():
+        for k, (ia, ib, bound) in _pairs(inst).items():
             _use_form(mp, FORMS[0])
             dense = hajlasz._DualLayout([hajlasz._DualBlock(inst, k)])
             _use_form(mp, FORMS[2])
@@ -628,7 +720,7 @@ def test_dual_ascent_solutions_are_pinned_bit_for_bit(K, depth, family, epsilon,
     # each dense block
     f = generate(family, K=K, depth=depth, seed=seed, epsilon=epsilon, theta=0.5)
     inst = HajlaszInstance(f, 0.5, 2.0, epsilon)
-    blocks = [hajlasz._DualBlock(inst, k) for k in inst.constraints]
+    blocks = list(_blocks(inst, kind=hajlasz._DualBlock))
     assert [
         (len(b.level_shapes), bool(b.pair_bound.all())) for b in blocks if b.level_shapes
     ] == dense
@@ -837,9 +929,9 @@ def test_batch_convergence_error_names_each_uncertified_block(monkeypatch):
     assert "within 30 iterations" in message
     named = [(0, insts[0]), (2, insts[2])]
     for at, inst in named:
-        for k in inst.constraints:
+        for k in _pairs(inst):
             assert f"instance {at} (K={inst.f.K}, depth 2) scale {k}: no gap check" in message
-    assert message.count("scale") == sum(len(inst.constraints) for _, inst in named)
+    assert message.count("scale") == sum(len(_pairs(inst)) for _, inst in named)
     assert "instance 1 " not in message
     assert {at for at, _, _ in info.value.blocks} == {0, 2}
     # after gap checks each block names its last relative gap
@@ -921,16 +1013,17 @@ def test_active_leaves_match_the_unique_reference(K):
         for share in (0.05, 0.2, 0.5, 1.0):
             values = np.where(rng.random(n) < share, rng.uniform(size=n), 0.0)
             inst = HajlaszInstance(BoundaryFunction(K, depth, values), 0.5, 2.0, LN2)
-            for k, (a, b, _) in inst.constraints.items():
-                blk = _Block(inst, k)
-                reference = np.unique(np.concatenate([a, b]))
+            pairs = _reference_pairs(inst)
+            for blk in _blocks(inst):
+                ends = np.concatenate(pairs[blk.k][:2])
+                reference = np.unique(ends)
                 active, (la, lb) = blk.active, blk.local
                 assert active.dtype == reference.dtype and np.array_equal(active, reference)
                 assert np.array_equal(np.arange(n)[blk.active_sel], reference)
-                assert np.array_equal(blk.deg, np.bincount(np.concatenate([a, b]), minlength=n))
-                assert np.array_equal(active[la], a) and np.array_equal(active[lb], b)
+                assert np.array_equal(blk.deg, np.bincount(ends, minlength=n))
+                assert np.array_equal(active[la], blk.ia) and np.array_equal(active[lb], blk.ib)
                 if active.size == n:
-                    assert la is a and lb is b
+                    assert la is blk.ia and lb is blk.ib
                 partial += active.size < n
     assert partial >= 3
 
@@ -943,8 +1036,8 @@ def _lp_block(inst, k):
     program over its active leaves, min nu * sum g subject to
     g[a] + g[b] >= bound and g >= 0, solved by HiGHS.  Returns the
     repaired minimizer."""
-    (ia, ib, bound), nu, n_leaves = inst.constraints[k], inst.leaf_measure, inst.f.n_leaves
-    blk = _Block(inst, k)
+    blk, nu, n_leaves = _Block(inst, k), inst.f.leaf_measure, inst.f.n_leaves
+    ia, ib, bound = blk.ia, blk.ib, np.ldexp(blk.bound, blk.e)
     active, (la, lb) = blk.active, blk.local
     rows = np.repeat(np.arange(ia.size), 2)
     cols = np.stack([la, lb], axis=1).ravel()
@@ -963,12 +1056,12 @@ def _lp_block(inst, k):
 def _assert_matches_lp(inst):
     """The interior-point method at p = 1 is feasible and within 1e-8
     relative of the linear program, block by block and in total."""
-    nu = inst.leaf_measure
+    nu = inst.f.leaf_measure
     sol = hajlasz_minimize(inst)
     assert sol.method == "interior-point"
     assert hajlasz_feasible(inst, sol.g)
     total = 0.0
-    for k in inst.constraints:
+    for k in _pairs(inst):
         lp = nu * float(np.sum(_lp_block(inst, k)))
         assert abs(nu * float(np.sum(sol.g[k])) - lp) <= 1e-8 * lp, k
         total += lp

@@ -835,8 +835,8 @@ def test_cli_uncertified_dual_ascent_names_each_block_by_seed_and_depth(
         for seed in (3, 5):
             f = generate("iid-uniform", K=2, depth=depth, seed=seed)
             inst = HajlaszInstance(f, load_config().resolved_theta, 2.0, LN2)
-            for k in inst.constraints:
-                assert f"seed {seed} (K=2, depth {depth}) scale {k}: no gap check" in err
+            for blk in hajlasz._blocks(inst):
+                assert f"seed {seed} (K=2, depth {depth}) scale {blk.k}: no gap check" in err
                 blocks += 1
     assert err.count("scale") == blocks
 
@@ -1343,6 +1343,28 @@ def test_cli_verify_rejects_non_finite_exponents(tmp_path, capsys, line, key, ch
     value = line.split()[2]
     assert text.err == f"treetrace: error: {key} must be finite, got {value}\n"
     assert text.out == ""
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("key", ["epsilon", "beta", "p", "lambda1", "lambda2"])
+@pytest.mark.parametrize(
+    "command",
+    [["verify", "roundtrip"], ["verify", "doubling"], ["verify", "ahlfors"],
+     ["gen", "--family", "lacunary"]],
+)
+def test_cli_rejects_non_finite_real_keys_where_no_tree_is_built(
+    tmp_path, capsys, command, key, value
+):
+    # roundtrip and gen at nan said "function values must be finite"; at
+    # epsilon = inf or p = inf they passed or wrote a sample
+    cfg, out = tmp_path / "cfg.txt", tmp_path / "out.csv"
+    cfg.write_text(f"seeds = 0\ndepths = 3,4\n{key} = {value}\n")
+    assert main([*command, "--config", str(cfg), "--out", str(out)]) == 2
+    text = capsys.readouterr()
+    assert text.err == f"treetrace: error: {key} must be finite, got {value}\n"
+    assert text.out == "" and not out.exists()
+    with pytest.raises(ValueError, match=f"^{key} must be finite, got {value}$"):
+        ExperimentConfig(**{key: float(value)})
 
 
 @pytest.mark.parametrize("key", ["depths", "seeds"])
