@@ -27,13 +27,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .address import child_minus_parent, child_sums, function_values, level_slice
 from .address import read_function_csv, write_function_csv
 from .tree import _min_shift, split_distances
-from .young import YoungModular, YoungPhi, luxemburg_gauge
+from .young import YoungModular, YoungPhi, _in_range, luxemburg_gauge
 
 __all__ = [
     "BoundaryFunction",
@@ -145,9 +146,16 @@ class EnergyParams:
 
 
 def lp_norm(f: BoundaryFunction, p: float) -> float:
+    """(mean |f|^p)^(1/p), taken over |f| / 2^e and multiplied back by 2^e,
+    2^e the power of two at max |f|, where |f|^p may leave the float range
+    (|e p| > 900); elsewhere e = 0, and the value is the unscaled one's bit
+    for bit, which a power at another scale need not round to."""
     if p < 1:
         raise ValueError("p must be at least 1")
-    return float(np.mean(np.abs(f.values) ** p) ** (1.0 / p))
+    a = np.abs(f.values)
+    e = math.frexp(float(a.max()))[1]
+    e = e if abs(e * p) > 900 else 0
+    return math.ldexp(float(np.mean(np.ldexp(a, -e, out=a) ** p) ** (1.0 / p)), e)
 
 
 def _gauge(rho: YoungModular) -> float:
@@ -160,36 +168,27 @@ def orlicz_norm(f: BoundaryFunction, phi: YoungPhi) -> float:
     return _gauge(YoungModular(phi, np.abs(f.values), [(f.n_leaves, 1.0 / f.n_leaves)]))
 
 
+@lru_cache(maxsize=256)
 def _level_weights(depth: int, params: EnergyParams, t: float, lambda1: float = 0.0):
     """e^(eps*n*t*p) * n^lambda1 * (n + C)^lambda2, the weight of level n,
-    for n = 1..depth, C the shift of `EnergyParams`.  A weight beyond the
-    float range is a ValueError naming the factor that left it: p for
-    e^(eps*n*t*p), lambda1 or lambda2 for its power, and p with each power
-    above 1 for their product."""
+    for n = 1..depth, C the shift of `EnergyParams`, memoized (a sweep asks
+    for them at every sample).  A factor or a weight out of range
+    (`_in_range`) names p for e^(eps*n*t*p), lambda1 or lambda2 for its
+    power, and p with each power that moved it that way for the weight."""
     p, eps = params.p, params.epsilon
+    at_p = f"p = {p:g}"
+    keys = (("lambda1", 0.0, lambda1), ("lambda2", params.shift, params.lambda2))
+    powers = [(f"{key} = {x!r}", shift, x) for key, shift, x in keys if x != 0.0]
     weights = []
     for n in range(1, depth + 1):
         where = f"the level-{n} weight"
-        try:
-            weight = math.exp(eps * n * t * p)
-        except OverflowError:
-            raise ValueError(f"{where} e^(eps n theta p) overflows at p = {p:g}") from None
-        grown = [f"p = {p:g}"]
-        powers = (("lambda1", n, lambda1), ("lambda2", n + params.shift, params.lambda2))
-        for key, base, exponent in powers:
-            try:
-                power = float(base) ** exponent
-            except OverflowError:
-                power = math.inf
-            if power == math.inf:
-                raise ValueError(f"{where} overflows at {key} = {exponent!r}")
-            weight *= power
-            if power > 1.0:
-                grown.append(f"{key} = {exponent!r}")
-        if not math.isfinite(weight):
-            raise ValueError(f"{where} overflows at {' and '.join(grown)}")
-        weights.append(weight)
-    return weights
+        weight = _in_range(where + " e^(eps n theta p)", at_p, lambda: math.exp(eps * n * t * p))
+        factors = [(at, _in_range(where, at, lambda: (n + shift) ** x)) for at, shift, x in powers]
+        for _, factor in factors:
+            weight *= factor
+        moved = [at for at, factor in factors if factor != 1.0 and (factor > 1.0) == (weight > 1.0)]
+        weights.append(_in_range(where, " and ".join([at_p, *moved]), weight))
+    return tuple(weights)
 
 
 def dyadic_energy(f: BoundaryFunction, params: EnergyParams) -> float:
@@ -197,8 +196,8 @@ def dyadic_energy(f: BoundaryFunction, params: EnergyParams) -> float:
 
     Sum over levels n = 1..depth of
     e^(eps*n*theta*p) * n^lambda1 * (n + C)^lambda2
-    * sum_cells K^(-n) |f_I - f_parent(I)|^p, C the shift of `EnergyParams`.
-    A sum beyond the float range is a ValueError naming p.
+    * sum_cells K^(-n) |f_I - f_parent(I)|^p, C the shift of `EnergyParams`;
+    0 where every difference is 0, and out of range an error naming p.
     """
     p = params.p
     weights = _level_weights(f.depth, params, params.theta, params.lambda1)
@@ -208,28 +207,24 @@ def dyadic_energy(f: BoundaryFunction, params: EnergyParams) -> float:
         for n, weight in enumerate(weights, 1):
             s = float(f.K) ** -n * float(np.sum(np.abs(diffs[level_slice(f.K, n - 1)]) ** p))
             total += weight * s
-    if total == math.inf:
-        raise ValueError(f"the energy overflows at p = {p:g}")
-    return total
+    if total == 0.0 and not diffs.any():
+        return 0.0  # every difference is 0
+    return _in_range("the energy", f"p = {p:g}", total)
 
 
 def _energy_modular(f: BoundaryFunction, params: EnergyParams) -> YoungModular:
     """Phi(|f_I - f_parent| * e^(eps*n)) per level n, with the level weight
     e^(eps*n*(theta-1)*p) * (n + C)^lambda2 * K^(-n).  A factor e^(eps*n)
-    beyond the float range is a ValueError naming its level and epsilon."""
-    weights = _level_weights(f.depth, params, params.theta - 1.0)
+    outside the normal float range names its level and epsilon, before
+    any weight is checked."""
     diffs = child_minus_parent(f.K, f.level_averages())
     np.abs(diffs, out=diffs)
-    segments = []
-    for n, weight in enumerate(weights, 1):
-        try:
-            factor = math.exp(params.epsilon * n)
-        except OverflowError:
-            raise ValueError(
-                f"the level-{n} factor e^(eps n) overflows at epsilon = {params.epsilon:g}"
-            ) from None
+    eps, at = params.epsilon, f"epsilon = {params.epsilon:g}"
+    for n in range(1, f.depth + 1):
+        factor = _in_range(f"the level-{n} factor e^(eps n)", at, lambda: math.exp(eps * n))
         diffs[level_slice(f.K, n - 1)] *= factor
-        segments.append((f.K**n, weight * float(f.K) ** -n))
+    weights = _level_weights(f.depth, params, params.theta - 1.0)
+    segments = [(f.K**n, weight * float(f.K) ** -n) for n, weight in enumerate(weights, 1)]
     return YoungModular(params.phi, diffs.reshape(-1), segments)
 
 
@@ -326,8 +321,8 @@ def double_integral_energy(f: BoundaryFunction, params: EnergyParams) -> float:
     over a block (`_level_pair_sums`).  At integer p <= MAX_CLOSED_FORM_P
     the cost is O(p * depth * K^depth) at any depth; at other p pairs are
     enumerated and the call is rejected beyond `PAIR_BUDGET` leaf pairs
-    (`double_integral_is_exact`).  A sum beyond the float range (at a p
-    with no closed form, a sum of pairs too) is a ValueError naming p.
+    (`double_integral_is_exact`).  The sum is 0 for a constant f, and out
+    of range an error naming p.
     """
     K, N, p = f.K, f.depth, params.p
     if not double_integral_is_exact(K, N, p):
@@ -336,27 +331,29 @@ def double_integral_energy(f: BoundaryFunction, params: EnergyParams) -> float:
             f"<= {PAIR_BUDGET}; use the Monte Carlo estimator instead"
         )
     d = split_distances(params.epsilon, N)
+    if f.values.min() == f.values.max():
+        return 0.0  # every pair term is 0
     cross, scale = [0.0] * N, [0] * N
     below, below_scale = np.zeros(K**N), 0  # a level-N block is one leaf: no pairs
-    # the enumerated pair terms are not scaled, and can overflow
+    # the enumerated pair terms are not scaled, and can overflow (an inf or
+    # NaN cross sum makes the total one)
     with np.errstate(over="ignore", invalid="ignore"):
         for n, s, sums in _level_pair_sums(f, p):
             children = np.ldexp(child_sums(K, below), below_scale - s)
             cross[n], scale[n] = float((sums - children).sum()), s
             below, below_scale = sums, s
-    if not all(map(math.isfinite, cross)):
-        raise ValueError(f"the double sum overflows at p = {p:g}")
-    total = 0.0
-    for n in range(N):
+
+    def total() -> float:
         # weight x cross x 2^scale as one product of mantissas and one
         # exponent, so that no factor alone leaves the float range
-        mw, ew = math.frexp(float(K) ** (n - 2 * N) / d[n] ** (params.theta * p))
-        mc, ec = math.frexp(cross[n])
-        try:
-            total += math.ldexp(mw * mc, ew + ec + scale[n])
-        except OverflowError:
-            raise ValueError(f"the double sum overflows at p = {p:g}") from None
-    return total
+        out = 0.0
+        for n in range(N):
+            mw, ew = math.frexp(float(K) ** (n - 2 * N) / d[n] ** (params.theta * p))
+            mc, ec = math.frexp(cross[n])
+            out += math.ldexp(mw * mc, ew + ec + scale[n])
+        return out
+
+    return _in_range("the double sum", f"p = {p:g}", total)
 
 
 def double_integral_energy_mc(
@@ -366,7 +363,8 @@ def double_integral_energy_mc(
     seed: int,
 ) -> MonteCarloEstimate:
     """Unbiased sampler of the double-sum seminorm: leaf pairs drawn from
-    the product measure, same-leaf pairs contributing zero."""
+    the product measure, same-leaf pairs contributing zero: 0 where every
+    sampled pair has equal values, and out of range an error naming p."""
     if n_samples < 2:
         raise ValueError("need at least two samples")
     K, N = f.K, f.depth
@@ -386,11 +384,11 @@ def double_integral_energy_mc(
     vals = np.zeros(n_samples)
     mask = a != b
     k = prefix[mask]
-    vals[mask] = (
-        np.abs(f.values[a[mask]] - f.values[b[mask]]) ** p
-        * float(K) ** k
-        / d[k] ** (theta * p)
-    )
+    jumps = np.abs(f.values[a[mask]] - f.values[b[mask]])
+    with np.errstate(over="ignore"):  # an inf estimate is refused below
+        vals[mask] = jumps**p * float(K) ** k / d[k] ** (theta * p)
     est = float(vals.mean())
+    if jumps.any():
+        est = _in_range("the Monte Carlo double sum", f"p = {p:g}", est)
     se = float(vals.std(ddof=1) / math.sqrt(n_samples))
     return MonteCarloEstimate(est, se)

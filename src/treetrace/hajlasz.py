@@ -19,9 +19,9 @@ pairs (nonzero bound) from one array of its level bounds in its own unit
 2^e, e the frexp exponent of its largest bound, so the solvers see the
 same numbers near 1 at every scale of f; a scale with no kept pair has no
 block and g_k = 0.  Each solver returns the block's minimizer in its
-unit, and it is scaled back by 2^e; a value outside the normal float
-range is a ValueError.  A block is solved by one of two methods, named in
-`HajlaszSolution.method`:
+unit, and it is scaled back by 2^e; the value is refused outside the
+normal float range (`young._in_range`).  A block is solved by one of
+two methods, named in `HajlaszSolution.method`:
 
 * p = 2: accelerated projected ascent on the dual.  For multipliers
   mu >= 0 (one per pair) the Lagrangian minimizer is g_i = s_i / (2 nu),
@@ -63,7 +63,6 @@ search over small instances serves as an independent check.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
 
@@ -71,7 +70,7 @@ import numpy as np
 
 from .boundary_norms import BoundaryFunction
 from .tree import split_distances
-from .young import dot
+from .young import _in_range, dot
 
 __all__ = [
     "HajlaszInstance",
@@ -816,11 +815,9 @@ def _solve_batch(batch) -> list[HajlaszSolution]:
                 g[k] = np.ldexp(arr, e, out=arr)
         with np.errstate(over="ignore"):
             value = sum(inst.f.leaf_measure * float(np.sum(arr**inst.p)) for arr in g.values())
-        if blocks and not sys.float_info.min <= value < math.inf:
-            where = f"at p = {inst.p:g} of (K={inst.f.K}, depth {inst.f.depth})"
-            raise ValueError(
-                f"the Hajlasz value {where} is {value:g}, outside the normal float range"
-            )
+        if blocks:
+            at = f"p = {inst.p:g} of (K={inst.f.K}, depth {inst.f.depth})"
+            value = _in_range("the Hajlasz value", at, value)
         iterations = sum(b.iterations for b in blocks.values())
         method = "dual-ascent" if inst.p == 2.0 else "interior-point"
         solutions.append(HajlaszSolution(value, g, iterations, method, blocks))

@@ -36,7 +36,7 @@ from .hajlasz import ConvergenceError, HajlaszInstance
 from .operators import extend, trace
 from .tree import TreeParams, ahlfors_ratio, doubling_ratios, sample_ball_centers
 from .tree_norms import TreeFunction, gradient_lphi_modular, newtonian_norm
-from .young import YoungPhi
+from .young import YoungPhi, _in_range
 
 __all__ = [
     "BOUNDARY_FAMILIES",
@@ -99,7 +99,8 @@ def generate(
 
     Boundary families return a BoundaryFunction, tree families a
     TreeFunction.  The lacunary family needs epsilon and theta: it sums
-    random-sign layers with amplitude e^(-eps*theta*n)/n, one per level.
+    random-sign layers with amplitude e^(-eps*theta*n)/n, one per level,
+    each in the normal float range or a ValueError naming its level.
     """
     if family not in _FAMILY_CODES:
         raise ValueError(f"unknown family {family!r}")
@@ -114,8 +115,10 @@ def generate(
         if epsilon is None or theta is None:
             raise ValueError("lacunary family needs epsilon and theta")
         values = np.zeros(K**depth)
+        at = f"epsilon = {epsilon:g} and theta = {theta:g}"
         for n in range(1, depth + 1):
-            amp = math.exp(-epsilon * theta * n) / n
+            what = f"the level-{n} amplitude e^(-eps theta n)/n"
+            amp = _in_range(what, at, lambda: math.exp(-epsilon * theta * n) / n)
             signs = rng.choice(np.array([-1.0, 1.0]), size=K**n)
             values += amp * np.repeat(signs, K ** (depth - n))
         return BoundaryFunction(K, depth, values)
@@ -486,23 +489,19 @@ def tail_constant(
     epsilon: float, theta: float, p: float, lam: float, lambda2: float = 0.0, shift: float = 0.0
 ) -> float:
     """Value of the convergent series
-    sum_n e^(eps*n*p*(theta-1)/2) * n^lam * (n + shift)^lambda2."""
+    sum_n e^(eps*n*p*(theta-1)/2) * n^lam * (n + shift)^lambda2.  Each term
+    and the sum must lie in the normal float range (`_in_range`)."""
     q = math.exp(epsilon * p * (theta - 1.0) / 2.0)
     if not q < 1.0:
         raise ValueError("theta must be below 1 for the tail series to converge")
+    at = f"lam = {lam!r} and lambda2 = {lambda2!r}"
     total, n = 0.0, 1
     while True:
-        try:
-            term = q**n * float(n) ** lam * (n + shift) ** lambda2
-        except OverflowError:
-            term = math.inf
+        what = f"the term n = {n} of the tail series"
+        term = _in_range(what, at, lambda: q**n * float(n) ** lam * (n + shift) ** lambda2)
         total += term
-        if not math.isfinite(total):
-            raise ValueError(
-                f"tail series overflows at n = {n} for lam = {lam!r}, lambda2 = {lambda2!r}"
-            )
         if term < 1e-15 * total and n > 1:
-            return total
+            return _in_range("the tail series", at, total)
         n += 1
         if n > 1_000_000:
             raise RuntimeError("tail series did not converge")

@@ -26,13 +26,13 @@ apart (`split_distances`), an ultrametric.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
 
 import numpy as np
 
 from .address import digits_index
+from .young import _in_range
 
 __all__ = [
     "QUAD_ORDER",
@@ -102,8 +102,8 @@ class TreeParams:
 
     The shift `C_const` in the (t + C)^lambda2 factor is derived, not set:
     it is the minimal admissible value `min_shift_constant`.  The real
-    parameters must be finite, and so must C_const and the density factor
-    (t + C)^lambda2 on [0, depth], which must also be positive.
+    parameters must be finite, and C_const and the density factor
+    (t + C)^lambda2 on [0, depth] in the normal float range.
     """
 
     K: int
@@ -124,27 +124,21 @@ class TreeParams:
             raise ValueError("epsilon must be positive")
         if self.beta <= math.log(self.K):
             raise ValueError("beta must exceed log K")
-        cmin = min_shift_constant(self.K, self.epsilon, self.beta, self.lambda2)
-        if not math.isfinite(cmin):
-            raise ValueError(
-                "the minimal C_const = max(2 |lambda2| / (beta - log K), 2 log 4 / epsilon) "
-                f"is infinite at lambda2 = {self.lambda2!r}, beta = {self.beta!r}, "
-                f"epsilon = {self.epsilon!r}"
-            )
+        cmin = _in_range(
+            "the minimal C_const = max(2 |lambda2| / (beta - log K), 2 log 4 / epsilon)",
+            f"lambda2 = {self.lambda2!r}, beta = {self.beta!r} and epsilon = {self.epsilon!r}",
+            min_shift_constant(self.K, self.epsilon, self.beta, self.lambda2),
+        )
         object.__setattr__(self, "C_const", cmin)
         if self.depth < 1:
             raise ValueError("depth must be at least 1")
         # (t + C)^lambda2 is monotone in t, so its ends bound it on [0, depth]
         for t in (0.0, float(self.depth)):
-            try:
-                factor = (t + cmin) ** self.lambda2
-            except OverflowError:
-                factor = math.inf
-            if not 0.0 < factor < math.inf:
-                raise ValueError(
-                    f"lambda2 = {self.lambda2!r} puts the density factor (t + C)^lambda2 "
-                    f"out of the float range at t = {t:g} (C = {cmin!r})"
-                )
+            _in_range(
+                f"the density factor (t + C)^lambda2 at t = {t:g} (C = {cmin!r})",
+                f"lambda2 = {self.lambda2!r}",
+                lambda: (t + cmin) ** self.lambda2,
+            )
 
     @property
     def hausdorff_dim(self) -> float:
@@ -177,15 +171,12 @@ def edge_length(params: TreeParams, n: int) -> float:
 def split_distances(epsilon: float, count: int) -> np.ndarray:
     """Distances (2/epsilon) e^(-epsilon*n), n = 0..count-1, between two
     boundary points whose addresses split at level n: twice the arclength
-    from a level-n vertex down to the boundary.  A distance below the
+    from a level-n vertex down to the boundary.  A distance outside the
     normal float range is a ValueError naming its level and epsilon."""
     d = 2.0 / epsilon * np.exp(-epsilon * np.arange(count))
-    small = np.flatnonzero(d < sys.float_info.min)
-    if small.size:
-        raise ValueError(
-            f"the level-{small[0]} split distance (2/eps) e^(-eps n) underflows"
-            f" at epsilon = {epsilon:g}"
-        )
+    at = f"epsilon = {epsilon:g}"
+    for n, dn in enumerate(d.tolist()):
+        _in_range(f"the level-{n} split distance (2/eps) e^(-eps n)", at, dn)
     return d
 
 
@@ -199,19 +190,17 @@ def ahlfors_ratio(params: TreeParams, n: int) -> float:
     float Q epsilon rounds back to log K the level terms cancel exactly,
     and elsewhere the level-n ratio is n |Q epsilon - log K| relative off
     the level-0 one (6.7e-13 at K = 5, epsilon = 0.7, n = 3000).  A ratio
-    below the float range (small epsilon, where the diameter scale to the
-    power Q overflows) is a ValueError naming epsilon and Q."""
+    outside the normal float range (small epsilon, where the diameter scale
+    to the power Q overflows) is a ValueError naming epsilon and Q."""
     if not 0 <= n <= params.depth:
         raise ValueError(f"level {n} out of range 0..{params.depth}")
     eps, Q = params.epsilon, params.hausdorff_dim
-    # log K^(-n) - Q log r_n, with r_n = (2/epsilon) e^(-epsilon n)
-    ratio = math.exp(n * (Q * eps - math.log(params.K)) - Q * math.log(2.0 / eps))
-    if ratio < sys.float_info.min:
-        raise ValueError(
-            f"the level-{n} diameter^Q overflows at epsilon = {eps!r} "
-            f"(Q = log K / epsilon = {Q:.6g}): the ratio is below the float range"
-        )
-    return ratio
+    return _in_range(
+        f"the level-{n} ratio K^(-n) / diameter^Q (Q = log K / epsilon = {Q:.6g})",
+        f"epsilon = {eps!r}",
+        # log K^(-n) - Q log r_n, with r_n = (2/epsilon) e^(-epsilon n)
+        lambda: math.exp(n * (Q * eps - math.log(params.K)) - Q * math.log(2.0 / eps)),
+    )
 
 
 @lru_cache(maxsize=_LEVEL_CACHE)
@@ -306,10 +295,10 @@ def _ball_masses(
     precision at any depth.  Each parent distance is a running sum of the
     edge lengths down its path, so it rounds as a walk from the center
     does.  The balls are taken as many at a time as keep each
-    (balls, N + 2, N) array within `_BALL_CHUNK` elements.  A mass below
-    the normal float range (a small ball deep in the tree, where the mass
-    density underflows) is a ValueError naming the center's level and the
-    radius, not a subnormal or zero mass.
+    (balls, N + 2, N) array within `_BALL_CHUNK` elements.  The least
+    mass must lie in the normal float range: one below it (a small ball
+    deep in the tree, where the mass density underflows) is a ValueError
+    naming the center's level and the radius, not a subnormal or zero mass.
     """
     K, N, eps = params.K, params.depth, params.epsilon
     gx, gw = _gauss_rule()
@@ -370,13 +359,12 @@ def _ball_masses(
         tau = mid[:, None] + half[:, None] * gx[None, :]
         quad = half * (_mass_density(params, 1.0, tau) @ gw)
         out[s : s + B] = np.bincount(ball, weights=count[mask] * quad, minlength=B)
-    low = np.flatnonzero(out < sys.float_info.min)
-    if low.size:
-        i = low[0]
-        raise ValueError(
-            f"the mass of the ball of radius {float(radii[i])!r} around a point on a "
-            f"level-{int(levels[i])} edge is below the float range"
-        )
+    i = int(np.argmin(out))
+    _in_range(
+        f"the mass of the ball around a point on a level-{int(levels[i])} edge",
+        f"radius = {float(radii[i])!r}",
+        float(out[i]),
+    )
     return out
 
 

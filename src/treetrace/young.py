@@ -101,8 +101,8 @@ class YoungPhi:
     lambda1 = -3 is not): there the Luxemburg gauge is a quasi-norm, and
     the config accepts it.  Below the bound Phi decreases near t = 5.83,
     and at p = 1 with lambda1 < 0 it is concave near 0.  Both exponents
-    must be finite, and so must Phi(1) = log(e + 1)^lambda1, which must
-    also be positive (about |lambda1| <= 2.6e3).
+    must be finite, and Phi(1) = log(e + 1)^lambda1 in the normal float
+    range (about |lambda1| <= 2.6e3).
     """
 
     p: float
@@ -121,15 +121,11 @@ class YoungPhi:
                 f"lambda1 = {self.lambda1!r} makes Phi decrease near t = 5.83: "
                 f"p = {self.p!r} needs lambda1 >= {_lowest_lambda1(self.p)!r}"
             )
-        try:
-            at_one = math.log(math.e + 1.0) ** self.lambda1
-        except OverflowError:
-            at_one = math.inf
-        if not 0.0 < at_one < math.inf:
-            raise ValueError(
-                f"lambda1 = {self.lambda1!r} puts Phi(1) = log(e + 1)^lambda1 "
-                "out of the float range"
-            )
+        _in_range(
+            "Phi(1) = log(e + 1)^lambda1",
+            f"lambda1 = {self.lambda1!r}",
+            lambda: math.log(math.e + 1.0) ** self.lambda1,
+        )
 
     def __call__(self, t):
         """t^p * log(e+t)^lambda1 for scalar or array t >= 0."""
@@ -359,14 +355,14 @@ class YoungModular:
         return F
 
     def value(self, k: float) -> float:
-        """The modular of the amplitudes as given, at k; a value beyond the
-        float range is a ValueError naming p (a call may return inf)."""
+        """The modular of the amplitudes as given, at k: 0 where every
+        amplitude is 0 or k is inf, else a value in the normal float range
+        or a ValueError naming p (`_in_range`; a call may return 0 or inf)."""
         if not k > 0:
             raise ValueError(f"k must be positive, got {k!r}")
-        value = self(k / self.scale) if self.scale > 0.0 else 0.0
-        if not math.isfinite(value):
-            raise ValueError(f"the modular at k = {k!r} overflows at p = {self.phi.p:g}")
-        return value
+        if self.scale == 0.0 or k == math.inf:
+            return 0.0
+        return _in_range(f"the modular at k = {k!r}", f"p = {self.phi.p:g}", self(k / self.scale))
 
 
 def _chunk_plan(sizes, weights, table):
@@ -474,6 +470,22 @@ def _times_power(e: int, k: float, p: float) -> float:
         return math.exp(e * _LOG2 - p * math.log(k))
     except OverflowError:
         return math.inf
+
+
+def _in_range(what: str, at: str, value):
+    """`value` (a float, or a function of no arguments that returns one) if
+    it lies in the normal float range [sys.float_info.min, max], else a
+    ValueError "<what> overflows|underflows at <key> = <value>"; an
+    OverflowError or a NaN is an overflow.  The one refusal rule for level
+    factors and reported values: a caller returns an exact 0 itself, and
+    only where every term is exactly 0."""
+    try:
+        v = value() if callable(value) else value
+    except OverflowError:
+        v = math.inf
+    if sys.float_info.min <= v <= sys.float_info.max:
+        return v
+    raise ValueError(f"{what} {'underflows' if v < 1.0 else 'overflows'} at {at}")
 
 
 class _EvalLog:

@@ -255,24 +255,21 @@ def test_dual_ascent_certifies_near_the_bottom_of_the_normal_range():
 
 
 @pytest.mark.parametrize(
-    "f, p, value",
+    "f, p, way",
     [
         # the start value of the raw dual ascent underflowed to 0, and its
         # first gap check divided by it
-        (BoundaryFunction(2, 1, [1e-170, 0.0]), 2.0, "0"),
+        (BoundaryFunction(2, 1, [1e-170, 0.0]), 2.0, "underflows"),
         # these returned a subnormal 6.3e-322 with gaps of 2-3%, 0.0, and
         # inf with an overflow warning
-        (_scaled(1e-160), 2.0, r"[0-9.]+e-32[0-9]"),
-        (_scaled(2.0**-400), 3.0, "0"),
-        (_scaled(2.0**400), 3.0, "inf"),
+        (_scaled(1e-160), 2.0, "underflows"),
+        (_scaled(2.0**-400), 3.0, "underflows"),
+        (_scaled(2.0**400), 3.0, "overflows"),
     ],
     ids=["1e-170-at-depth-1", "1e-160", "2^-400-at-p3", "2^400-at-p3"],
 )
-def test_a_value_outside_the_normal_range_is_refused(f, p, value):
-    message = (
-        rf"the Hajlasz value at p = {p:g} of \(K=2, depth {f.depth}\) is {value},"
-        " outside the normal float range"
-    )
+def test_a_value_outside_the_normal_range_is_refused(f, p, way):
+    message = rf"the Hajlasz value {way} at p = {p:g} of \(K=2, depth {f.depth}\)$"
     with pytest.raises(ValueError, match=message):
         hajlasz_minimize(HajlaszInstance(f, 0.5, p, LN2))
 

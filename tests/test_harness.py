@@ -524,8 +524,8 @@ def test_cli_verify_ahlfors_at_small_epsilon_names_the_key(tmp_path, capsys, eps
     else:
         q = LN2 / float(epsilon)
         assert text.err == (
-            f"treetrace: error: the level-0 diameter^Q overflows at epsilon = {epsilon} "
-            f"(Q = log K / epsilon = {q:.6g}): the ratio is below the float range\n"
+            f"treetrace: error: the level-0 ratio K^(-n) / diameter^Q (Q = log K / epsilon"
+            f" = {q:.6g}) underflows at epsilon = {epsilon}\n"
         )
         assert text.out == ""
 
@@ -771,8 +771,7 @@ def test_cli_huge_lambda1_exits_2_with_one_error_line(tmp_path, capsys):
     assert main(["verify", "equivalence", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err == (
-        "treetrace: error: lambda1 = 1e+308 puts Phi(1) = log(e + 1)^lambda1 "
-        "out of the float range\n"
+        "treetrace: error: Phi(1) = log(e + 1)^lambda1 overflows at lambda1 = 1e+308\n"
     )
 
 
@@ -783,7 +782,7 @@ def test_cli_huge_lambda1_is_an_input_error_for_the_tree_drivers(tmp_path, capsy
     cfg.write_text("seeds = 0\ndepths = 3,4\nlambda1 = 1e308\n")
     assert main(["verify", driver, "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("treetrace: error: lambda1 = 1e+308 ")
+    assert err.startswith("treetrace: error: Phi(1) = log(e + 1)^lambda1 overflows at lambda1 = ")
     assert err.count("\n") == 1
 
 
@@ -1121,6 +1120,45 @@ def test_cli_verify_equivalence_rejects_bad_sweep_counts(tmp_path, capsys, line,
     text = capsys.readouterr()
     assert text.err == f"treetrace: error: {message}\n"
     assert text.out == ""
+
+
+@pytest.mark.parametrize("scale, way", [(1e-200, "underflows"), (1e200, "overflows")])
+def test_cli_energy_of_data_near_the_ends_of_the_float_range_names_p(
+    tmp_path, capsys, scale, way
+):
+    # on 1e-200 data lp_norm, dyadic_energy and dyadic_orlicz_modular
+    # printed 0 and the command exited 0; on 1e200 data lp_norm warned of
+    # an overflow
+    values = generate("iid-uniform", K=2, depth=4, seed=0).values
+    path = tmp_path / "f.csv"
+    BoundaryFunction(2, 4, scale * values).to_csv(path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["energy", "--input", str(path)]) == 2
+    text = capsys.readouterr()
+    assert text.err == f"treetrace: error: the energy {way} at p = 2\n"
+    assert text.out == ""
+
+
+@pytest.mark.parametrize("command", [["verify", "roundtrip"], ["gen", "--family", "lacunary"]])
+def test_cli_a_lacunary_amplitude_beyond_the_float_range_names_its_level(
+    tmp_path, capsys, command
+):
+    # theta = 1 - (beta - log K)/(epsilon p) = -142.27, and the level-8
+    # amplitude e^(-eps theta n)/n overflowed: "math range error"
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("beta = 100\np = 1\ndepths = 8\n")
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([*command, "--config", str(cfg), "--out", str(out)]) == 2
+    text = capsys.readouterr()
+    assert text.err == (
+        "treetrace: error: the level-8 amplitude e^(-eps theta n)/n overflows"
+        " at epsilon = 0.693147 and theta = -142.27\n"
+    )
+    assert text.out == ""
+    assert not out.exists()
 
 
 def test_cli_verify_equivalence_names_p_when_a_level_weight_overflows(tmp_path, capsys):

@@ -8,14 +8,15 @@ program, checked on random functions without a reference implementation.
   p = 2 (squares and sums scale exactly) and within 1e-12 at other p
   (where g^p rounds), or a ValueError where it leaves the normal range.
   So is every energy and modular of degree p at lambda1 = 0, within
-  1e-12 in log form; below the float range they still read 0 (ROADMAP
-  item 14).
+  1e-12 in log form, or a ValueError naming p where it leaves the normal
+  range at either end.
 * Permuting the children of a vertex is an automorphism of the tree, so
   it moves every modular and energy by rounding only, every gauge within
   its bracket and every Hajlasz value within its certified gaps.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from treetrace import (
     ExperimentConfig,
     HajlaszInstance,
     double_integral_energy,
+    double_integral_energy_mc,
     double_integral_is_exact,
     dyadic_energy,
     dyadic_orlicz_modular,
@@ -123,7 +125,8 @@ def _energies(K, depth, p):
 def _assert_scales_by_the_pth_power(energy, f, p, e):
     """energy(2^e f) is 2^(pe) energy(f), within 1e-12 in log2, where
     that lies well inside the float range; a ValueError naming p only near
-    or past its top; below it, no more than a tiny value."""
+    or past either end, and always below 2^-1024, past the least normal
+    float 2^-1022; between, no more than a tiny value."""
     value = energy(f)
     if value == 0.0:  # a constant function
         assert energy(_scaled(f, e)) == 0.0
@@ -133,8 +136,9 @@ def _assert_scales_by_the_pth_power(energy, f, p, e):
         got = energy(_scaled(f, e))
     except ValueError as err:
         assert f"p = {p:g}" in str(err)
-        assert log2_value > 900.0, err
+        assert abs(log2_value) > 900.0, err
         return
+    assert log2_value >= -1024.0, (got, log2_value)
     if log2_value >= -900.0:
         assert abs(math.log2(got) - log2_value) <= 1e-12, (got, log2_value)
     else:
@@ -165,14 +169,25 @@ def test_enumerated_double_sum_scales_by_the_pth_power_or_is_refused(f, e):
     _assert_scales_by_the_pth_power(energy, f, 2.5, e)
 
 
-@pytest.mark.xfail(
-    strict=True, reason="ROADMAP item 14: a value below the float range reads 0"
-)
 @pytest.mark.parametrize("name", sorted(_energies(2, 1, 2.0)))
 def test_energies_below_the_float_range_are_refused(name):
+    # each read 0
     f = generate("lacunary", K=2, depth=3, seed=0, epsilon=LN2, theta=0.5)
     with pytest.raises(ValueError, match="p = 8"):
         _energies(2, 3, 8.0)[name](_scaled(f, -600))
+
+
+@pytest.mark.parametrize("e, way", [(-600, "underflows"), (600, "overflows")])
+def test_monte_carlo_double_sum_beyond_the_float_range_is_refused(e, way):
+    # it returned MonteCarloEstimate(value=0.0, stderr=0.0) at 2^-600, and
+    # warned of an overflow at 2^600
+    f = generate("iid-uniform", K=2, depth=8, seed=0)
+    ep = EnergyParams(theta=0.5, p=2.5, epsilon=LN2)
+    assert double_integral_energy_mc(f, ep, 1000, 0).value > 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=f"the Monte Carlo double sum {way} at p = 2.5$"):
+            double_integral_energy_mc(_scaled(f, e), ep, 1000, 0)
 
 
 @st.composite

@@ -650,8 +650,8 @@ def test_ball_mass_below_the_float_range_is_an_error(level):
     p = std_params(depth=560)
     r = 0.1 * math.exp(-LN2 * level)
     said = (
-        f"the mass of the ball of radius {r!r} around a point on a level-{level} edge "
-        "is below the float range"
+        f"the mass of the ball around a point on a level-{level} edge underflows"
+        f" at radius = {r!r}"
     )
     center = EdgePoint(level, 0, 0.5)
     with pytest.raises(ValueError) as info:
@@ -715,6 +715,6 @@ def test_ahlfors_ratio_below_the_float_range_names_epsilon_and_q(epsilon):
     with pytest.raises(ValueError) as info:
         ahlfors_ratio(p, 0)
     assert str(info.value) == (
-        f"the level-0 diameter^Q overflows at epsilon = {epsilon!r} "
-        f"(Q = log K / epsilon = {q:.6g}): the ratio is below the float range"
+        f"the level-0 ratio K^(-n) / diameter^Q (Q = log K / epsilon = {q:.6g})"
+        f" underflows at epsilon = {epsilon!r}"
     )

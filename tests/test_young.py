@@ -1,3 +1,4 @@
+import ast
 import bisect
 import math
 import os
@@ -969,3 +970,27 @@ def test_numbers_do_not_depend_on_the_blas_thread_count():
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
+
+
+def test_the_float_range_rule_lives_in_young_only():
+    # `young._in_range` is the one refusal of a value outside the normal
+    # float range: outside young.py no module catches OverflowError or
+    # reads sys.float_info, where a check of its own would start
+    package = os.path.dirname(os.path.abspath(young.__file__))
+    found = []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py") or name == "young.py":
+            continue
+        with open(os.path.join(package, name)) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                caught = {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}
+                if "OverflowError" in caught:
+                    found.append(f"{name}:{node.lineno} catches OverflowError")
+            elif isinstance(node, ast.Attribute) and node.attr == "float_info":
+                found.append(f"{name}:{node.lineno} reads sys.float_info")
+            elif isinstance(node, ast.ImportFrom):
+                if any(alias.name == "float_info" for alias in node.names):
+                    found.append(f"{name}:{node.lineno} imports float_info")
+    assert found == []
