@@ -51,6 +51,8 @@ from itertools import islice
 
 import numpy as np
 
+from .young import _in_domain
+
 __all__ = [
     "check_digits",
     "digits_index",
@@ -145,10 +147,7 @@ def child_sums(K: int, below: np.ndarray) -> np.ndarray:
 def function_values(K: int, depth: int, values, first: int) -> np.ndarray:
     """`values` as a float array (taken over if it is one), checked to be finite
     values in level order on the levels first..depth of a K-ary tree."""
-    if K < 2:
-        raise ValueError("K must be at least 2")
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
+    _in_domain(K=K, depth=depth)
     values = np.asarray(values, dtype=float)
     size = level_slice(K, depth).stop - level_slice(K, first).start
     if values.shape != (size,):

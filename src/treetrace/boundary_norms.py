@@ -27,14 +27,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .address import child_minus_parent, child_sums, function_values, level_slice
 from .address import read_function_csv, write_function_csv
 from .tree import _min_shift, split_distances
-from .young import YoungModular, YoungPhi, _in_range, luxemburg_gauge
+from .young import YoungModular, YoungPhi, _in_domain, _in_range, luxemburg_gauge
 
 __all__ = [
     "BoundaryFunction",
@@ -78,6 +78,11 @@ class BoundaryFunction:
     def leaf_measure(self) -> float:
         return float(self.K) ** -self.depth
 
+    @cached_property
+    def is_constant(self) -> bool:
+        """Whether f takes one value on every leaf: then every energy is exactly 0."""
+        return bool(self.values.min() == self.values.max())
+
     def level_averages(self) -> np.ndarray:
         """The average over the cell of every vertex, in level order.  The
         leaves are copied in unchanged, so resolution-preserving roundtrips
@@ -108,7 +113,7 @@ class EnergyParams:
     """Exponents of the boundary energies and norms.
 
     theta    smoothness exponent, in [0, 1)
-    p        integrability exponent, >= 1
+    p        integrability exponent
     epsilon  metric decay rate of the underlying tree (sets the scale
              e^(-eps*n) of level n)
     lambda1  log-exponent of Phi(t) = t^p log(e + t)^lambda1; the power
@@ -116,12 +121,11 @@ class EnergyParams:
     lambda2  log-exponent of the tree's mass density (t + C)^lambda2; both
              energies weigh level n by (n + C)^lambda2
 
-    The Young function `phi` = YoungPhi(p, lambda1) is derived, not set,
-    and rejects a p or lambda1 that is not finite, p < 1 and an
-    inadmissible lambda1.  epsilon and lambda2 must be finite.  C, the
-    derived `shift`, is the tree's minimal shift (`tree.min_shift_constant`),
-    with beta - log K taken as eps p (1 - theta), its value at the matched
-    theta.
+    Each field but theta lies in its domain (`young._in_domain`).  The Young
+    function `phi` = YoungPhi(p, lambda1) is derived, not set, and rejects
+    an inadmissible lambda1.  C, the derived `shift`, is the tree's minimal
+    shift (`tree.min_shift_constant`), with beta - log K taken as
+    eps p (1 - theta), its value at the matched theta.
     """
 
     theta: float
@@ -134,13 +138,9 @@ class EnergyParams:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "phi", YoungPhi(self.p, self.lambda1))
-        for name in ("epsilon", "lambda2"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        _in_domain(epsilon=self.epsilon, lambda2=self.lambda2)
         if not 0.0 <= self.theta < 1.0:
             raise ValueError("theta must lie in [0, 1)")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
         decay = self.epsilon * self.p * (1.0 - self.theta)
         object.__setattr__(self, "shift", _min_shift(decay, self.epsilon, self.lambda2))
 
@@ -150,8 +150,7 @@ def lp_norm(f: BoundaryFunction, p: float) -> float:
     2^e the power of two at max |f|, where |f|^p may leave the float range
     (|e p| > 900); elsewhere e = 0, and the value is the unscaled one's bit
     for bit, which a power at another scale need not round to."""
-    if p < 1:
-        raise ValueError("p must be at least 1")
+    _in_domain(p=p)
     a = np.abs(f.values)
     e = math.frexp(float(a.max()))[1]
     e = e if abs(e * p) > 900 else 0
@@ -169,20 +168,23 @@ def orlicz_norm(f: BoundaryFunction, phi: YoungPhi) -> float:
 
 
 @lru_cache(maxsize=256)
-def _level_weights(depth: int, params: EnergyParams, t: float, lambda1: float = 0.0):
+def _level_weights(depth: int, params: EnergyParams, orlicz: bool):
     """e^(eps*n*t*p) * n^lambda1 * (n + C)^lambda2, the weight of level n,
-    for n = 1..depth, C the shift of `EnergyParams`, memoized (a sweep asks
-    for them at every sample).  A factor or a weight out of range
-    (`_in_range`) names p for e^(eps*n*t*p), lambda1 or lambda2 for its
-    power, and p with each power that moved it that way for the weight."""
+    for n = 1..depth, C the shift of `EnergyParams`, t = theta for the
+    power energy and t = theta - 1, lambda1 = 0 for the `orlicz` one;
+    memoized (a sweep asks for them at every sample).  A factor or a weight
+    out of range (`_in_range`) names p for e^(eps*n*t*p), lambda1 or
+    lambda2 for its power, and p with each power that moved it that way."""
     p, eps = params.p, params.epsilon
+    t, lambda1 = (params.theta - 1.0, 0.0) if orlicz else (params.theta, params.lambda1)
+    factor_is = f" e^(eps n {'(theta-1)' if orlicz else 'theta'} p)"
     at_p = f"p = {p:g}"
     keys = (("lambda1", 0.0, lambda1), ("lambda2", params.shift, params.lambda2))
     powers = [(f"{key} = {x!r}", shift, x) for key, shift, x in keys if x != 0.0]
     weights = []
     for n in range(1, depth + 1):
         where = f"the level-{n} weight"
-        weight = _in_range(where + " e^(eps n theta p)", at_p, lambda: math.exp(eps * n * t * p))
+        weight = _in_range(where + factor_is, at_p, lambda: math.exp(eps * n * t * p))
         factors = [(at, _in_range(where, at, lambda: (n + shift) ** x)) for at, shift, x in powers]
         for _, factor in factors:
             weight *= factor
@@ -197,33 +199,35 @@ def dyadic_energy(f: BoundaryFunction, params: EnergyParams) -> float:
     Sum over levels n = 1..depth of
     e^(eps*n*theta*p) * n^lambda1 * (n + C)^lambda2
     * sum_cells K^(-n) |f_I - f_parent(I)|^p, C the shift of `EnergyParams`;
-    0 where every difference is 0, and out of range an error naming p.
+    0 for a constant f, and out of range an error naming p.
     """
     p = params.p
-    weights = _level_weights(f.depth, params, params.theta, params.lambda1)
+    weights = _level_weights(f.depth, params, orlicz=False)
+    if f.is_constant:
+        return 0.0
     diffs = child_minus_parent(f.K, f.level_averages())
     total = 0.0
     with np.errstate(over="ignore"):
         for n, weight in enumerate(weights, 1):
             s = float(f.K) ** -n * float(np.sum(np.abs(diffs[level_slice(f.K, n - 1)]) ** p))
             total += weight * s
-    if total == 0.0 and not diffs.any():
-        return 0.0  # every difference is 0
     return _in_range("the energy", f"p = {p:g}", total)
 
 
 def _energy_modular(f: BoundaryFunction, params: EnergyParams) -> YoungModular:
     """Phi(|f_I - f_parent| * e^(eps*n)) per level n, with the level weight
-    e^(eps*n*(theta-1)*p) * (n + C)^lambda2 * K^(-n).  A factor e^(eps*n)
-    outside the normal float range names its level and epsilon, before
-    any weight is checked."""
+    e^(eps*n*(theta-1)*p) * (n + C)^lambda2 * K^(-n), all 0 for a constant
+    f.  A factor e^(eps*n) outside the normal float range names its level
+    and epsilon, before any weight is checked."""
     diffs = child_minus_parent(f.K, f.level_averages())
+    if f.is_constant:
+        diffs.fill(0.0)  # from K = 3 the averages can round off the value
     np.abs(diffs, out=diffs)
     eps, at = params.epsilon, f"epsilon = {params.epsilon:g}"
     for n in range(1, f.depth + 1):
         factor = _in_range(f"the level-{n} factor e^(eps n)", at, lambda: math.exp(eps * n))
         diffs[level_slice(f.K, n - 1)] *= factor
-    weights = _level_weights(f.depth, params, params.theta - 1.0)
+    weights = _level_weights(f.depth, params, orlicz=True)
     segments = [(f.K**n, weight * float(f.K) ** -n) for n, weight in enumerate(weights, 1)]
     return YoungModular(params.phi, diffs.reshape(-1), segments)
 
@@ -331,7 +335,7 @@ def double_integral_energy(f: BoundaryFunction, params: EnergyParams) -> float:
             f"<= {PAIR_BUDGET}; use the Monte Carlo estimator instead"
         )
     d = split_distances(params.epsilon, N)
-    if f.values.min() == f.values.max():
+    if f.is_constant:
         return 0.0  # every pair term is 0
     cross, scale = [0.0] * N, [0] * N
     below, below_scale = np.zeros(K**N), 0  # a level-N block is one leaf: no pairs

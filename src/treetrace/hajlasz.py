@@ -70,7 +70,7 @@ import numpy as np
 
 from .boundary_norms import BoundaryFunction
 from .tree import split_distances
-from .young import _in_range, dot
+from .young import _in_domain, _in_range, dot
 
 __all__ = [
     "HajlaszInstance",
@@ -173,10 +173,7 @@ class HajlaszInstance:
     def __init__(self, f: BoundaryFunction, theta: float, p: float, epsilon: float):
         if not 0.0 < theta < 1.0:
             raise ValueError("theta must lie in (0, 1)")
-        if not 1.0 <= p < math.inf:
-            raise ValueError(f"p must be finite and at least 1, got {p!r}")
-        if not 0.0 < epsilon < math.inf:
-            raise ValueError(f"epsilon must be finite and positive, got {epsilon!r}")
+        _in_domain(p=p, epsilon=epsilon)
         self.f, self.theta, self.p, self.epsilon = f, theta, p, epsilon
         K, N = f.K, f.depth
         pairs = leaf_pairs(K, N)

@@ -36,7 +36,7 @@ from .hajlasz import ConvergenceError, HajlaszInstance
 from .operators import extend, trace
 from .tree import TreeParams, ahlfors_ratio, doubling_ratios, sample_ball_centers
 from .tree_norms import TreeFunction, gradient_lphi_modular, newtonian_norm
-from .young import YoungPhi, _in_range
+from .young import YoungPhi, _in_domain, _in_range
 
 __all__ = [
     "BOUNDARY_FAMILIES",
@@ -104,6 +104,7 @@ def generate(
     """
     if family not in _FAMILY_CODES:
         raise ValueError(f"unknown family {family!r}")
+    _in_domain(K=K, depth=depth)
     rng = np.random.default_rng([_FAMILY_CODES[family], seed, depth, K])
     if family == "iid-uniform":
         return BoundaryFunction(K, depth, rng.uniform(size=K**depth))
@@ -114,6 +115,7 @@ def generate(
     if family == "lacunary":
         if epsilon is None or theta is None:
             raise ValueError("lacunary family needs epsilon and theta")
+        _in_domain(epsilon=epsilon)
         values = np.zeros(K**depth)
         at = f"epsilon = {epsilon:g} and theta = {theta:g}"
         for n in range(1, depth + 1):
@@ -139,12 +141,12 @@ class ExperimentConfig:
     trace theorem fixes it.
     The three ratio drivers check the paper's standing hypothesis, p >
     (beta - log K)/epsilon > 0, that is 0 < theta < 1, before they sample
-    (`_sweep`).  `K` must be at least 2, the real keys finite, `epsilon`
-    positive and `p` at least 1.  The tree of each depth takes the minimal shift C and the
-    order-8 edge rule (`TreeParams`).  `hajlasz_max_depth` must be
-    nonnegative (0 runs no Hajlasz program, nor does a depth whose leaf
-    pairs pass `hajlasz.PAIR_CAP`), every seed nonnegative and every
-    depth at least 1.  The fields are the config-file keys
+    (`_sweep`).  K, epsilon, beta, p, lambda1 and lambda2 lie in their
+    domains (`young._in_domain`), K checked first.  The tree of each depth
+    takes the minimal shift C and the order-8 edge rule (`TreeParams`).
+    `hajlasz_max_depth` must be nonnegative (0 runs no Hajlasz program, nor
+    does a depth whose leaf pairs pass `hajlasz.PAIR_CAP`), every seed
+    nonnegative and every depth at least 1.  The fields are the config-file keys
     (`load_config`); where the output goes is the command line's
     (`treetrace.cli`).
     """
@@ -162,19 +164,13 @@ class ExperimentConfig:
     hajlasz_max_depth: int = 6
 
     def __post_init__(self) -> None:
-        # K comes first, so that every command rejects K < 2 alike
-        for name, least in (("K", 2), ("n_balls", 1), ("hajlasz_max_depth", 0)):
+        # K first, so that every command refuses K < 2 alike; all six here,
+        # since `verify roundtrip` and `gen` build no tree or energy
+        _in_domain(K=self.K, epsilon=self.epsilon, beta=self.beta, p=self.p,
+                   lambda1=self.lambda1, lambda2=self.lambda2)
+        for name, least in (("n_balls", 1), ("hajlasz_max_depth", 0)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}")
-        # before the range checks, which NaN passes; `verify roundtrip` and
-        # `gen` build neither the tree nor the energy parameters
-        for name in ("epsilon", "beta", "p", "lambda1", "lambda2"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if self.epsilon <= 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon!r}")
-        if self.p < 1.0:
-            raise ValueError(f"p must be at least 1, got {self.p!r}")
         for name in ("depths", "seeds"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must not be empty")
@@ -291,7 +287,7 @@ class RatioReport:
     columns that are not.  `passed` needs some evidence, every sampled
     column `within` SLOPE_TOL and SPREAD_MAX, and every (label, passed)
     pair of `extra_checks` passed.  `constant` lists the (seed, depth) of
-    each constant sample (`_is_constant`), which the summary names."""
+    each constant sample (`BoundaryFunction.is_constant`), which the summary names."""
 
     def __init__(self, name, rows, ratio_columns, extra_checks=(), identities=(), constant=()):
         self.name = name
@@ -448,7 +444,7 @@ def verify_extension_bound(cfg: ExperimentConfig) -> RatioReport:
     """Ratio of the tree norm of the extension to the boundary gauge norm,
     plus the two-sided gradient-energy comparison for the same samples, on
     a sweep of a boundary family (`_sweep`).  A constant sample's
-    `energy_ratio` is 0/0 and left empty (`_is_constant`)."""
+    `energy_ratio` is 0/0 and left empty (`BoundaryFunction.is_constant`)."""
     samples = _sweep(cfg, "extension-bound", BOUNDARY_FAMILIES, "boundary")
     phi = cfg.phi()
     ep = cfg.energy_params()
@@ -460,7 +456,7 @@ def verify_extension_bound(cfg: ExperimentConfig) -> RatioReport:
         denom = orlicz_besov_norm(u, ep)
         gmod = gradient_lphi_modular(G, tp, phi)
         dmod = dyadic_orlicz_modular(u, ep)
-        flat = _is_constant(u)
+        flat = u.is_constant
         rows.append(
             {
                 **head,
@@ -491,6 +487,7 @@ def tail_constant(
     """Value of the convergent series
     sum_n e^(eps*n*p*(theta-1)/2) * n^lam * (n + shift)^lambda2.  Each term
     and the sum must lie in the normal float range (`_in_range`)."""
+    _in_domain(epsilon=epsilon, p=p, lambda2=lambda2)
     q = math.exp(epsilon * p * (theta - 1.0) / 2.0)
     if not q < 1.0:
         raise ValueError("theta must be below 1 for the tail series to converge")
@@ -542,17 +539,11 @@ def fit_two_sided(pairs, lambda1: float, c_prime: float) -> TwoSidedFit:
     return TwoSidedFit(lambda1=lambda1, C=C, C_prime=c_prime)
 
 
-def _is_constant(f: BoundaryFunction) -> bool:
-    """Whether f takes one value on every leaf.  Every energy of such a
-    sample is exactly 0, so a ratio of two of them is 0/0: its cell is left
-    empty, and the sample is not judged."""
-    return bool(f.values.min() == f.values.max())
-
-
 def chi_exceed_fraction(f: BoundaryFunction, theta: float, epsilon: float) -> float:
     """Fraction of cells (levels 1..depth) whose average jump exceeds the
     threshold e^(-eps*n*(theta+1)/2) separating the two regimes of the
     logarithmic factor."""
+    _in_domain(epsilon=epsilon)
     jumps = np.abs(child_minus_parent(f.K, f.level_averages()))
     exceed = 0
     for n in range(1, f.depth + 1):
@@ -576,9 +567,9 @@ def verify_equivalences(cfg: ExperimentConfig) -> RatioReport:
     is reported but not judged: its `double_vs_dyadic` is left empty, as
     `hajlasz_vs_dyadic` is past `hajlasz_max_depth`, since Monte Carlo noise
     is no evidence of a depth trend.  Nor is a constant sample judged
-    (`_is_constant`): its `double_vs_dyadic` and `hajlasz_vs_dyadic` are
-    0/0 and left empty.  Each row also says how its Hajlasz
-    energy was reached: `hajlasz_method` (`dual-ascent` at p = 2,
+    (`BoundaryFunction.is_constant`): its `double_vs_dyadic` and
+    `hajlasz_vs_dyadic` are 0/0 and left empty.  Each row also says how its
+    Hajlasz energy was reached: `hajlasz_method` (`dual-ascent` at p = 2,
     `interior-point` otherwise), `hajlasz_iterations` summed over the
     scale blocks and `hajlasz_rel_gap`, the largest certified gap of a
     block; all three are empty past `hajlasz_max_depth`, and where the
@@ -596,7 +587,7 @@ def verify_equivalences(cfg: ExperimentConfig) -> RatioReport:
     ep_plain = EnergyParams(theta=ep.theta, p=ep.p, epsilon=ep.epsilon)
     rows, solve, constant = [], [], []  # solve: (row, sample) of each Hajlasz program
     for head, f in samples:
-        flat = _is_constant(f)
+        flat = f.is_constant
         if flat:
             constant.append((head["seed"], head["depth"]))
         e_plain = dyadic_energy(f, ep_plain)
@@ -647,7 +638,7 @@ def verify_equivalences(cfg: ExperimentConfig) -> RatioReport:
         row["hajlasz_method"] = sol.method
         row["hajlasz_iterations"] = sol.iterations
         row["hajlasz_rel_gap"] = max((b.rel_gap for b in sol.blocks.values()), default=0.0)
-        if not _is_constant(f):
+        if not f.is_constant:
             row["hajlasz_vs_dyadic"] = sol.value / row["dyadic_energy"]
     extra_checks = []
     if cfg.lambda1 != 0.0:

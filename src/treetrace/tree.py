@@ -32,7 +32,7 @@ from functools import cache, lru_cache
 import numpy as np
 
 from .address import digits_index
-from .young import _in_range
+from .young import _in_domain, _in_range
 
 __all__ = [
     "QUAD_ORDER",
@@ -87,6 +87,7 @@ def _min_shift(decay: float, epsilon: float, lambda2: float) -> float:
 
 def min_shift_constant(K: int, epsilon: float, beta: float, lambda2: float) -> float:
     """Smallest admissible shift C in the mass density (t + C)^lambda2."""
+    _in_domain(K=K, epsilon=epsilon, beta=beta, lambda2=lambda2)
     return _min_shift(beta - math.log(K), epsilon, lambda2)
 
 
@@ -94,16 +95,16 @@ def min_shift_constant(K: int, epsilon: float, beta: float, lambda2: float) -> f
 class TreeParams:
     """Validated parameter bundle for one truncated tree.
 
-    K        branching factor (>= 2)
-    epsilon  metric decay rate (> 0)
+    K        branching factor
+    epsilon  metric decay rate
     beta     mass decay rate (> log K)
     lambda2  mass log-exponent
-    depth    truncation level N (>= 1); vertices live on levels 0..N
+    depth    truncation level N; vertices live on levels 0..N
 
-    The shift `C_const` in the (t + C)^lambda2 factor is derived, not set:
-    it is the minimal admissible value `min_shift_constant`.  The real
-    parameters must be finite, and C_const and the density factor
-    (t + C)^lambda2 on [0, depth] in the normal float range.
+    Each lies in its domain (`young._in_domain`).  The shift `C_const` in
+    the (t + C)^lambda2 factor is derived, not set: it is the minimal
+    admissible value `min_shift_constant`.  C_const and the density factor
+    (t + C)^lambda2 on [0, depth] must lie in the normal float range.
     """
 
     K: int
@@ -114,24 +115,16 @@ class TreeParams:
     C_const: float = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.K < 2:
-            raise ValueError("K must be at least 2")
-        for name in ("epsilon", "beta", "lambda2"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        _in_domain(K=self.K, epsilon=self.epsilon, beta=self.beta, lambda2=self.lambda2,
+                   depth=self.depth)
         if self.beta <= math.log(self.K):
             raise ValueError("beta must exceed log K")
         cmin = _in_range(
             "the minimal C_const = max(2 |lambda2| / (beta - log K), 2 log 4 / epsilon)",
             f"lambda2 = {self.lambda2!r}, beta = {self.beta!r} and epsilon = {self.epsilon!r}",
-            min_shift_constant(self.K, self.epsilon, self.beta, self.lambda2),
+            _min_shift(self.beta - math.log(self.K), self.epsilon, self.lambda2),
         )
         object.__setattr__(self, "C_const", cmin)
-        if self.depth < 1:
-            raise ValueError("depth must be at least 1")
         # (t + C)^lambda2 is monotone in t, so its ends bound it on [0, depth]
         for t in (0.0, float(self.depth)):
             _in_range(
@@ -173,6 +166,7 @@ def split_distances(epsilon: float, count: int) -> np.ndarray:
     boundary points whose addresses split at level n: twice the arclength
     from a level-n vertex down to the boundary.  A distance outside the
     normal float range is a ValueError naming its level and epsilon."""
+    _in_domain(epsilon=epsilon)
     d = 2.0 / epsilon * np.exp(-epsilon * np.arange(count))
     at = f"epsilon = {epsilon:g}"
     for n, dn in enumerate(d.tolist()):

@@ -100,20 +100,16 @@ class YoungPhi:
     p = 3, and not between that floor and the monotonicity bound (p = 2,
     lambda1 = -3 is not): there the Luxemburg gauge is a quasi-norm, and
     the config accepts it.  Below the bound Phi decreases near t = 5.83,
-    and at p = 1 with lambda1 < 0 it is concave near 0.  Both exponents
-    must be finite, and Phi(1) = log(e + 1)^lambda1 in the normal float
-    range (about |lambda1| <= 2.6e3).
+    and at p = 1 with lambda1 < 0 it is concave near 0.  Phi(1) =
+    log(e + 1)^lambda1 must lie in the normal float range (about
+    |lambda1| <= 2.6e3); p and lambda1 are checked by `_in_domain`.
     """
 
     p: float
     lambda1: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("p", "lambda1"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if self.p < 1:
-            raise ValueError("p must be at least 1")
+        _in_domain(p=self.p, lambda1=self.lambda1)
         if self.p == 1 and self.lambda1 < 0:
             raise ValueError("p = 1 requires lambda1 >= 0")
         if self.lambda1 < 0 and self.lambda1 < _lowest_lambda1(self.p):
@@ -486,6 +482,25 @@ def _in_range(what: str, at: str, value):
     if sys.float_info.min <= v <= sys.float_info.max:
         return v
     raise ValueError(f"{what} {'underflows' if v < 1.0 else 'overflows'} at {at}")
+
+
+# each parameter's domain: the rule a refusal names, and its test (NaN fails every one)
+_DOMAINS = {
+    "K": ("an integer at least 2", lambda v: isinstance(v, (int, np.integer)) and v >= 2),
+    "depth": ("an integer at least 1", lambda v: isinstance(v, (int, np.integer)) and v >= 1),
+    "epsilon": ("finite and positive", lambda v: 0.0 < v < math.inf),
+    "p": ("finite and at least 1", lambda v: 1.0 <= v < math.inf),
+    **dict.fromkeys(("beta", "lambda1", "lambda2"), ("finite", math.isfinite)),
+}
+
+
+def _in_domain(**values) -> None:
+    """The one domain rule: each keyword, in order, must lie in its
+    parameter's domain, else a ValueError "<key> must be <rule>, got <value!r>"."""
+    for key, value in values.items():
+        rule, holds = _DOMAINS[key]
+        if not holds(value):
+            raise ValueError(f"{key} must be {rule}, got {value!r}")
 
 
 class _EvalLog:

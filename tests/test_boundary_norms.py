@@ -181,6 +181,28 @@ def test_lp_norm_of_data_near_the_ends_of_the_float_range(p, scale):
     assert got == pytest.approx(orlicz_norm(f, YoungPhi(p)), rel=1e-9, abs=0.0)
 
 
+@pytest.mark.parametrize("p", [math.inf, math.nan])
+def test_lp_norm_refuses_a_p_outside_its_domain(p):
+    # at max |f| = 1 the norm read 2.0 at p = inf and 1.0 at p = nan
+    f = BoundaryFunction(2, 3, [1.0, -1.0] * 4)
+    with pytest.raises(ValueError, match=f"^p must be finite and at least 1, got {p!r}$"):
+        lp_norm(f, p)
+
+
+@pytest.mark.parametrize(
+    "K, depth, message",
+    [
+        (2.0, 3, "K must be an integer at least 2, got 2.0"),
+        (2.5, 3, "K must be an integer at least 2, got 2.5"),
+        (2, 3.0, "depth must be an integer at least 1, got 3.0"),
+    ],
+)
+def test_a_function_refuses_a_k_or_depth_that_is_not_an_integer(K, depth, message):
+    # a float K or depth of integer value was taken as it
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        BoundaryFunction(K, depth, np.zeros(8))
+
+
 def test_orlicz_norm_agrees_with_lp_for_pure_power():
     f = random_f(2, 4, seed=4)
     for p in (1.0, 2.0):
@@ -202,6 +224,24 @@ def test_dyadic_energy_zero_iff_constant():
     assert dyadic_energy(f, eparams()) == 0.0
     g = random_f(2, 3, seed=5)
     assert dyadic_energy(g, eparams()) > 0
+
+
+@pytest.mark.parametrize(
+    "K, depth, value",
+    [(3, 4, 0.1), (6, 3, 0.1), (6, 3, 0.2), (6, 3, 0.7), (7, 3, 0.1), (7, 3, 0.2), (7, 3, 0.7),
+     (5, 3, 123.456)],
+)
+@pytest.mark.parametrize("lambda1", [0.0, 1.0])
+def test_every_energy_of_a_constant_sample_is_exactly_0(K, depth, value, lambda1):
+    # from K = 3 a level average of equal leaves can round off their value:
+    # both multiscale energies read 3.08e-33 at K = 3, N = 4 and 0.1, and
+    # the gauge norm was not the Orlicz norm
+    f = BoundaryFunction(K, depth, np.full(K**depth, value))
+    ep = eparams(lambda1=lambda1)
+    assert f.is_constant
+    for energy in (dyadic_energy, dyadic_orlicz_modular, double_integral_energy):
+        assert energy(f, ep) == 0.0
+    assert orlicz_besov_norm(f, ep) == orlicz_norm(f, ep.phi)
 
 
 def test_dyadic_energy_matches_naive_oracle():
@@ -279,7 +319,7 @@ def test_boundary_shift_is_the_trees_at_the_matched_theta():
 def test_energy_params_reject_non_finite_epsilon(bad):
     with pytest.raises(ValueError, match="epsilon must be finite"):
         eparams(epsilon=bad)
-    with pytest.raises(ValueError, match="epsilon must be positive"):
+    with pytest.raises(ValueError, match="^epsilon must be finite and positive, got -1.0$"):
         eparams(epsilon=-1.0)
 
 
@@ -300,7 +340,7 @@ def test_energy_params_reject_an_inadmissible_lambda1():
     message = r"Phi\(1\) = log\(e \+ 1\)\^lambda1 overflows at lambda1 = 3000.0$"
     with pytest.raises(ValueError, match=message):
         eparams(lambda1=3000.0)
-    with pytest.raises(ValueError, match="p must be at least 1"):
+    with pytest.raises(ValueError, match="^p must be finite and at least 1, got 0.5$"):
         eparams(p=0.5)
     ep = eparams(p=1.5, lambda1=-1.0)
     assert ep.phi == YoungPhi(1.5, -1.0) and ep == eparams(p=1.5, lambda1=-1.0)

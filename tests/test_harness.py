@@ -48,6 +48,13 @@ from treetrace.harness import (
 )
 
 LN2 = math.log(2.0)
+# the domain that a refusal of each key names; the other keys' is "finite"
+DOMAIN = {
+    "K": "an integer at least 2",
+    "depth": "an integer at least 1",
+    "epsilon": "finite and positive",
+    "p": "finite and at least 1",
+}
 
 
 # ----------------------------------------------------------------- generators
@@ -83,6 +90,18 @@ def test_generate_ranges_and_types():
 def test_generate_unknown_family():
     with pytest.raises(ValueError, match="unknown family"):
         generate("bogus", K=2, depth=3, seed=0)
+
+
+@pytest.mark.parametrize(
+    "family, key, value",
+    [("cell-indicator", "depth", 0), ("iid-uniform", "K", 1), ("lacunary", "epsilon", -1.0)],
+)
+def test_generate_refuses_a_key_outside_its_domain(family, key, value):
+    # depth 0 said "low >= high", and the lacunary family at epsilon = -1
+    # summed layers that grow with the level
+    args = {"K": 2, "depth": 3, "seed": 0, "epsilon": LN2, "theta": 0.5, key: value}
+    with pytest.raises(ValueError, match=f"^{key} must be {DOMAIN[key]}, got {value!r}$"):
+        generate(family, **args)
 
 
 def test_lacunary_needs_scale_arguments():
@@ -266,6 +285,14 @@ def test_tail_constant_rejects_a_series_that_overflows(lam):
         tail_constant(LN2, 0.5, 2.0, lam)
 
 
+@pytest.mark.parametrize("key, value", [("epsilon", -1.0), ("p", math.nan)])
+def test_tail_constant_refuses_a_key_outside_its_domain(key, value):
+    # both said "theta must be below 1 for the tail series to converge"
+    args = {"epsilon": LN2, "theta": 0.5, "p": 2.0, "lam": 1.0, key: value}
+    with pytest.raises(ValueError, match=f"^{key} must be {DOMAIN[key]}, got {value!r}$"):
+        tail_constant(**args)
+
+
 def _chi_by_cells(f, theta, epsilon):
     """chi_exceed_fraction cell by cell: each cell of levels 1..depth
     against its parent, from the leaf values."""
@@ -291,6 +318,14 @@ def test_chi_exceed_fraction_counts_the_cells_over_the_threshold(K, depth, famil
     assert max(fractions) > 0.0
     constant = BoundaryFunction(K, depth, np.full(K**depth, 0.7))
     assert chi_exceed_fraction(constant, 0.5, LN2) == 0.0
+
+
+@pytest.mark.parametrize("epsilon", [-1.0, math.nan])
+def test_chi_exceed_fraction_refuses_an_epsilon_outside_its_domain(epsilon):
+    # both read 0.0, since no jump exceeds e^(-eps n (theta + 1)/2) there
+    f = generate("iid-uniform", K=2, depth=3, seed=0)
+    with pytest.raises(ValueError, match=f"^epsilon must be finite and positive, got {epsilon!r}$"):
+        chi_exceed_fraction(f, 0.5, epsilon)
 
 
 # ------------------------------------------------------------------- drivers
@@ -890,7 +925,7 @@ def test_cli_verify_ahlfors_rejects_non_finite_geometry(tmp_path, capsys, key):
     cfg.write_text(f"{key} = nan\n")
     assert main(["verify", "ahlfors", "--config", str(cfg)]) == 2
     text = capsys.readouterr()
-    assert text.err == f"treetrace: error: {key} must be finite, got nan\n"
+    assert text.err == f"treetrace: error: {key} must be {DOMAIN.get(key, 'finite')}, got nan\n"
     assert text.out == ""
 
 
@@ -1174,6 +1209,17 @@ def test_cli_verify_equivalence_names_p_when_a_level_weight_overflows(tmp_path, 
     assert text.out == ""
 
 
+def test_cli_verify_extension_bound_names_the_orlicz_weight_that_underflows(tmp_path, capsys):
+    # the Orlicz energy weighs level n by e^(eps n (theta-1) p), which the
+    # error called e^(eps n theta p)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("beta = 100\np = 150\ndepths = 8\nseeds = 0\n")
+    assert main(["verify", "extension-bound", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        "treetrace: error: the level-8 weight e^(eps n (theta-1) p) underflows at p = 150\n"
+    )
+
+
 def test_cli_verify_extension_bound_modular_beyond_the_float_range_is_an_error(
     tmp_path, capsys
 ):
@@ -1279,9 +1325,23 @@ def test_cli_energy_names_the_derived_theta(tmp_path, capsys):
 @pytest.mark.parametrize(
     "line, message",
     [
-        ("epsilon = 0", "epsilon must be positive, got 0.0"),
-        ("epsilon = -1", "epsilon must be positive, got -1.0"),
-        ("p = 0", "p must be at least 1, got 0.0"),
+        # the ids keep the names these cases had before each refusal named
+        # its key's whole domain
+        pytest.param(
+            "epsilon = 0",
+            "epsilon must be finite and positive, got 0.0",
+            id="epsilon = 0-epsilon must be positive, got 0.0",
+        ),
+        pytest.param(
+            "epsilon = -1",
+            "epsilon must be finite and positive, got -1.0",
+            id="epsilon = -1-epsilon must be positive, got -1.0",
+        ),
+        pytest.param(
+            "p = 0",
+            "p must be finite and at least 1, got 0.0",
+            id="p = 0-p must be at least 1, got 0.0",
+        ),
     ],
 )
 @pytest.mark.parametrize(
@@ -1379,7 +1439,7 @@ def test_cli_verify_rejects_non_finite_exponents(tmp_path, capsys, line, key, ch
     assert main(["verify", check, "--config", str(cfg)]) == 2
     text = capsys.readouterr()
     value = line.split()[2]
-    assert text.err == f"treetrace: error: {key} must be finite, got {value}\n"
+    assert text.err == f"treetrace: error: {key} must be {DOMAIN.get(key, 'finite')}, got {value}\n"
     assert text.out == ""
 
 
@@ -1399,9 +1459,10 @@ def test_cli_rejects_non_finite_real_keys_where_no_tree_is_built(
     cfg.write_text(f"seeds = 0\ndepths = 3,4\n{key} = {value}\n")
     assert main([*command, "--config", str(cfg), "--out", str(out)]) == 2
     text = capsys.readouterr()
-    assert text.err == f"treetrace: error: {key} must be finite, got {value}\n"
+    message = f"{key} must be {DOMAIN.get(key, 'finite')}, got {value}"
+    assert text.err == f"treetrace: error: {message}\n"
     assert text.out == "" and not out.exists()
-    with pytest.raises(ValueError, match=f"^{key} must be finite, got {value}$"):
+    with pytest.raises(ValueError, match=f"^{message}$"):
         ExperimentConfig(**{key: float(value)})
 
 
@@ -1504,7 +1565,7 @@ def test_cli_rejects_k_below_2_first_with_one_message(tmp_path, capsys, command)
     cfg.write_text("K = 1\nseeds = 0\ndepths = 3\n")
     out = tmp_path / "out.csv"
     assert main([*command, "--config", str(cfg), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "treetrace: error: K must be at least 2\n"
+    assert capsys.readouterr().err == "treetrace: error: K must be an integer at least 2, got 1\n"
 
 
 @pytest.mark.parametrize("command", [["verify", "trace-bound"], ["gen"]], ids=lambda c: c[-1])

@@ -56,11 +56,11 @@ def test_params_minimal_shift_value():
 def test_params_rejections():
     with pytest.raises(ValueError, match="beta must exceed log K"):
         TreeParams(2, LN2, LN2, 0.0, 4)
-    with pytest.raises(ValueError, match="K must be at least 2"):
+    with pytest.raises(ValueError, match="^K must be an integer at least 2, got 1$"):
         TreeParams(1, LN2, 2 * LN2, 0.0, 4)
-    with pytest.raises(ValueError, match="epsilon must be positive"):
+    with pytest.raises(ValueError, match="^epsilon must be finite and positive, got 0.0$"):
         TreeParams(2, 0.0, 2 * LN2, 0.0, 4)
-    with pytest.raises(ValueError, match="depth"):
+    with pytest.raises(ValueError, match="^depth must be an integer at least 1, got 0$"):
         TreeParams(2, LN2, 2 * LN2, 0.0, 0)
     # the quadrature order and the shift are not parameters
     with pytest.raises(TypeError, match="quad_order"):
@@ -93,6 +93,23 @@ def test_params_reject_non_finite_values(name, bad):
     args[name] = bad
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         TreeParams(**args)
+
+
+def test_params_refuse_a_k_that_is_not_an_integer():
+    # K = 2.5 was taken, with log K and K^n of a tree that is not one
+    with pytest.raises(ValueError, match="^K must be an integer at least 2, got 2.5$"):
+        TreeParams(2.5, LN2, 2 * LN2, 0.0, 4)
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -1.0, math.nan])
+def test_split_distances_and_the_minimal_shift_refuse_an_epsilon_outside_its_domain(epsilon):
+    # epsilon = 0 divided by zero in both, and at -1 the level-0 distance
+    # was said to underflow
+    message = f"^epsilon must be finite and positive, got {epsilon!r}$"
+    with pytest.raises(ValueError, match=message):
+        split_distances(epsilon, 3)
+    with pytest.raises(ValueError, match=message):
+        min_shift_constant(2, epsilon, 2 * LN2, 0.0)
 
 
 def test_params_none_shift_is_the_minimal_one():

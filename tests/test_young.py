@@ -2,6 +2,7 @@ import ast
 import bisect
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -993,4 +994,23 @@ def test_the_float_range_rule_lives_in_young_only():
             elif isinstance(node, ast.ImportFrom):
                 if any(alias.name == "float_info" for alias in node.names):
                     found.append(f"{name}:{node.lineno} imports float_info")
+    assert found == []
+
+
+def test_the_domain_rule_lives_in_young_only():
+    # `young._in_domain` is the one refusal of a parameter outside its
+    # domain: outside young.py no string says "<key> must be", where a
+    # check of its own would start
+    key_must_be = re.compile(r"\b(K|depth|epsilon|beta|p|lambda1|lambda2) must be")
+    package = os.path.dirname(os.path.abspath(young.__file__))
+    found = []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py") or name == "young.py":
+            continue
+        with open(os.path.join(package, name)) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if key_must_be.search(node.value):
+                    found.append(f"{name}:{node.lineno} {node.value!r}")
     assert found == []
